@@ -189,6 +189,101 @@ const EXPECTED: &[(&str, u64)] = &[
 
 const PLAN: &str = "*.bias=randk;*=topk";
 
+/// Second pinned matrix: the codec paths the static 14 never reach. Every row
+/// is an `EfTopK` quick run at `CostBasis::Encoded`, long enough (and with
+/// few enough clients) that error-feedback residuals parked by one round are
+/// restored and re-selected by a later one.
+struct CodecCase {
+    name: &'static str,
+    num_clients: usize,
+    participation: f64,
+    rounds: usize,
+    compressor: Option<&'static str>,
+    downlink: Option<&'static str>,
+    downlink_plan: Option<&'static str>,
+    adaptive_plan: Option<&'static str>,
+}
+
+const CODEC_CASES: &[CodecCase] = &[
+    // Entropy-coded composed EF uplink, quantized EF downlink, and a cohort
+    // of 40 > AGG_SHARD so the sharded aggregation tree has two shards.
+    CodecCase {
+        name: "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
+        num_clients: 80,
+        participation: 0.5,
+        rounds: 4,
+        compressor: Some("ef-topk+qsgd:4:rc"),
+        downlink: Some("ef-topk+qsgd:8"),
+        downlink_plan: None,
+        adaptive_plan: None,
+    },
+    // Adaptive per-layer plan (segmented frames, plan epochs, lazy residual
+    // migration) with a segmented EF downlink; 8 of 16 clients a round for
+    // 8 rounds, so every client's residual is restored several times.
+    CodecCase {
+        name: "codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8",
+        num_clients: 16,
+        participation: 0.5,
+        rounds: 8,
+        compressor: None,
+        downlink: None,
+        downlink_plan: Some("*.bias=dense;*=ef-topk+qsgd:8"),
+        adaptive_plan: Some("layer-bcrs"),
+    },
+    // Error feedback over a dense quantizer: the `Quantized` residual arm.
+    CodecCase {
+        name: "codec/ef-qsgd:4:rc",
+        num_clients: 16,
+        participation: 0.5,
+        rounds: 4,
+        compressor: Some("ef-qsgd:4:rc"),
+        downlink: None,
+        downlink_plan: None,
+        adaptive_plan: None,
+    },
+    // Quantile threshold sparsifier under a bit-packed quantizer.
+    CodecCase {
+        name: "codec/ef-threshold+qsgd:6",
+        num_clients: 16,
+        participation: 0.5,
+        rounds: 4,
+        compressor: Some("ef-threshold+qsgd:6"),
+        downlink: None,
+        downlink_plan: None,
+        adaptive_plan: None,
+    },
+];
+
+fn run_codec_case(case: &CodecCase) -> u64 {
+    let mut config = ExperimentConfig::quick(Algorithm::EfTopK);
+    config.num_clients = case.num_clients;
+    config.participation = case.participation;
+    config.rounds = case.rounds;
+    config.cost_basis = CostBasis::Encoded;
+    config.compressor = case.compressor.map(|s| s.parse().expect("spec parses"));
+    config.downlink_compressor = case.downlink.map(|s| s.parse().expect("spec parses"));
+    config.downlink_layer_compressors = case.downlink_plan.map(|s| s.parse().expect("plan parses"));
+    config.adaptive_plan = case
+        .adaptive_plan
+        .map(|s| s.parse().expect("policy parses"));
+    config
+        .validate()
+        .expect("codec fingerprint config is valid");
+    let result = SessionBuilder::from_config(&config)
+        .threads(1)
+        .build()
+        .run();
+    fingerprint(&result.records)
+}
+
+/// Captured at df5cbb1, before the single-pass uplink codec.
+const EXPECTED_CODEC: &[u64] = &[
+    0x7bf8b18a787fe007,
+    0x86eb0959684843a5,
+    0xe88fc46cfd81f4f0,
+    0xdb16491d4d446369,
+];
+
 #[test]
 fn round_record_fingerprints_are_pinned() {
     let mut got = Vec::new();
@@ -213,6 +308,25 @@ fn round_record_fingerprints_are_pinned() {
         assert_eq!(
             fp, exp_fp,
             "{name}: round-record trajectory is no longer bit-identical"
+        );
+    }
+}
+
+#[test]
+fn codec_path_fingerprints_are_pinned() {
+    let got: Vec<u64> = CODEC_CASES.iter().map(run_codec_case).collect();
+    if std::env::var("FP_PRINT").is_ok() {
+        for (case, fp) in CODEC_CASES.iter().zip(&got) {
+            println!("    {fp:#018x}, // {}", case.name);
+        }
+        return;
+    }
+    assert_eq!(got.len(), EXPECTED_CODEC.len());
+    for ((case, fp), exp) in CODEC_CASES.iter().zip(&got).zip(EXPECTED_CODEC) {
+        assert_eq!(
+            fp, exp,
+            "{}: round-record trajectory is no longer bit-identical",
+            case.name
         );
     }
 }
