@@ -11,6 +11,12 @@
 //! * **it owns its cross-round state** — `encode` takes `&mut self`, so
 //!   error-feedback residuals ([`EfCodec`]) live inside the codec instead of
 //!   being special-cased in the client;
+//! * **encoding is one forward pass** — [`UpdateCodec::encode_sent`] returns
+//!   the bytes *and* the lossy update those bytes stand for, built from the
+//!   selection and quantization levels the encoder already holds. Wrappers
+//!   that need to know what was sent (error feedback, composition, the
+//!   downlink channel) take it from there; nothing on the encode side ever
+//!   decodes its own bytes. The only decode of a round is the receiver's;
 //! * **per-round randomness is explicit** — `encode` draws from the caller's
 //!   [`Xoshiro256`] stream (one stream per simulated client), so experiment
 //!   replays stay bit-exact no matter which codec runs.
@@ -20,7 +26,7 @@
 //! so custom codecs can wrap or compose them.
 
 use crate::compressor::{CompressedUpdate, Compressor};
-use crate::quantize::{max_level_for_bits, qsgd_levels};
+use crate::quantize::{max_level_for_bits, qsgd_dequantize, qsgd_levels};
 use crate::randk::RandK;
 use crate::sparse::SparseUpdate;
 use crate::threshold::Threshold;
@@ -66,7 +72,9 @@ impl CodecCtx {
 /// component, in the codec's canonical component order (a flat [`EfCodec`]
 /// contributes one part; a [`crate::plan::PlannedCodec`] concatenates its
 /// segments' parts in segment order). Stateless codecs produce an empty
-/// snapshot.
+/// snapshot. A zero-length part stands for an all-zero residual of its
+/// component's length — what a component that has not encoded yet holds — so
+/// a fresh codec can be snapshotted without materialising model-sized zeros.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResidualState {
     /// Residual vectors in canonical component order.
@@ -86,14 +94,18 @@ impl ResidualState {
         self.parts.iter().all(|p| p.iter().all(|&v| v == 0.0))
     }
 
-    /// L2 norm over all parts (0 for a trivial snapshot).
-    pub fn l2_norm(&self) -> f64 {
+    /// Squared L2 norm over all parts, accumulated in part order.
+    pub fn norm_sq(&self) -> f64 {
         self.parts
             .iter()
             .flat_map(|p| p.iter())
             .map(|&v| (v as f64).powi(2))
-            .sum::<f64>()
-            .sqrt()
+            .sum()
+    }
+
+    /// L2 norm over all parts (0 for a trivial snapshot).
+    pub fn l2_norm(&self) -> f64 {
+        self.norm_sq().sqrt()
     }
 
     /// Total number of `f32` scalars held (the snapshot's memory footprint
@@ -123,6 +135,29 @@ pub trait UpdateCodec: Send {
         wire.decode()
     }
 
+    /// [`encode`](Self::encode), also returning what was sent: the lossy
+    /// update [`decode`](Self::decode) reconstructs from the returned bytes,
+    /// bit for bit. State and RNG advance exactly as in `encode`.
+    ///
+    /// This is what error feedback, codec composition and the downlink
+    /// channel call: they need the sent update, and an encoder already holds
+    /// it (the selected coordinates, the quantization levels) before it
+    /// writes a byte. The default gets it the slow way — encode, then decode
+    /// the bytes just written — so a custom codec only has to implement
+    /// `encode`; every built-in overrides it to skip the decode.
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
+        let wire = self.encode(dense, ratio, rng);
+        let sent = self
+            .decode(&wire)
+            .expect("a codec must decode its own encoding");
+        (wire, sent)
+    }
+
     /// L2 norm of any accumulated residual state (0 for stateless codecs).
     fn residual_norm(&self) -> f64 {
         0.0
@@ -130,7 +165,9 @@ pub trait UpdateCodec: Send {
 
     /// Move the codec's cross-round residual state out, leaving the codec in
     /// its freshly constructed (all-zero) state. Stateless codecs return an
-    /// empty snapshot. Taking the state and immediately
+    /// empty snapshot; a component that has not encoded since construction
+    /// contributes a zero-length part (see [`ResidualState`]). Taking the
+    /// state and immediately
     /// [`restore_residual`](Self::restore_residual)-ing it must round-trip
     /// bit-exactly — the session engine relies on this to keep virtualized
     /// clients indistinguishable from always-resident ones.
@@ -153,6 +190,40 @@ pub trait UpdateCodec: Send {
     }
 }
 
+/// Debug-build check of the [`UpdateCodec::encode_sent`] contract at the
+/// point a built-in assembles its answer: the bytes must decode to exactly
+/// the update returned beside them.
+pub(crate) fn debug_assert_sent(wire: &WireUpdate, sent: &CompressedUpdate) {
+    debug_assert!(
+        wire.decode().is_ok_and(|decoded| decoded.bit_eq(sent)),
+        "encode_sent returned an update its own bytes do not decode to"
+    );
+}
+
+/// `encode_sent` of a sparsifier: the `KIND_SPARSE` bytes and the selection
+/// they carry verbatim.
+fn sparse_sent(sparse: CompressedUpdate) -> (WireUpdate, CompressedUpdate) {
+    let wire = match &sparse {
+        CompressedUpdate::Sparse(s) => encode_sparse(s),
+        CompressedUpdate::Quantized { .. } => unreachable!("a sparsifier emits sparse updates"),
+    };
+    debug_assert_sent(&wire, &sparse);
+    (wire, sparse)
+}
+
+/// `encode_sent` of an uncompressed upload: the `KIND_DENSE` bytes, which
+/// decode to the full-density sparse form.
+fn dense_sent(dense: &[f32]) -> (WireUpdate, CompressedUpdate) {
+    let wire = encode_dense(dense);
+    let sent = CompressedUpdate::Sparse(SparseUpdate::new(
+        (0..dense.len() as u32).collect(),
+        dense.to_vec(),
+        dense.len(),
+    ));
+    debug_assert_sent(&wire, &sent);
+    (wire, sent)
+}
+
 /// Magnitude Top-K sparsification (the paper's primary compressor).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TopKCodec;
@@ -169,10 +240,19 @@ impl UpdateCodec for TopKCodec {
         if TopK::k_for(dense.len(), ratio) == dense.len() {
             return encode_dense(dense);
         }
-        match TopK::new().compress(dense, ratio) {
-            CompressedUpdate::Sparse(s) => encode_sparse(&s),
-            CompressedUpdate::Quantized { .. } => unreachable!("TopK is a sparsifier"),
+        sparse_sent(TopK::new().compress(dense, ratio)).0
+    }
+
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        _rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
+        if TopK::k_for(dense.len(), ratio) == dense.len() {
+            return dense_sent(dense);
         }
+        sparse_sent(TopK::new().compress(dense, ratio))
     }
 }
 
@@ -191,6 +271,15 @@ impl UpdateCodec for DenseCodec {
 
     fn encode(&mut self, dense: &[f32], _ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
         encode_dense(dense)
+    }
+
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        _ratio: f64,
+        _rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
+        dense_sent(dense)
     }
 }
 
@@ -215,16 +304,22 @@ impl UpdateCodec for RandKCodec {
     }
 
     fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
+        self.encode_sent(dense, ratio, rng).0
+    }
+
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
         let round_seed = rng.next_u64();
         let randk = if self.unbiased {
             RandK::new(round_seed)
         } else {
             RandK::biased(round_seed)
         };
-        match randk.compress(dense, ratio) {
-            CompressedUpdate::Sparse(s) => encode_sparse(&s),
-            CompressedUpdate::Quantized { .. } => unreachable!("RandK is a sparsifier"),
-        }
+        sparse_sent(randk.compress(dense, ratio))
     }
 }
 
@@ -245,15 +340,22 @@ impl UpdateCodec for ThresholdCodec {
         }
     }
 
-    fn encode(&mut self, dense: &[f32], ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
-        let sparse = match self.tau {
-            Some(tau) => SparseUpdate::from_dense_mask(dense, |_, v| v.abs() >= tau && v != 0.0),
-            None => match Threshold::new().compress(dense, ratio) {
-                CompressedUpdate::Sparse(s) => s,
-                CompressedUpdate::Quantized { .. } => unreachable!("Threshold is a sparsifier"),
-            },
-        };
-        encode_sparse(&sparse)
+    fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
+        self.encode_sent(dense, ratio, rng).0
+    }
+
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        _rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
+        sparse_sent(match self.tau {
+            Some(tau) => CompressedUpdate::Sparse(SparseUpdate::from_dense_mask(dense, |_, v| {
+                v.abs() >= tau && v != 0.0
+            })),
+            None => Threshold::new().compress(dense, ratio),
+        })
     }
 }
 
@@ -295,6 +397,15 @@ impl QsgdCodec {
     pub fn quantize(&self, values: &[f32], rng: &mut Xoshiro256) -> (f32, Vec<i32>) {
         qsgd_levels(values, max_level_for_bits(self.bits), rng)
     }
+
+    /// The dense quantized frame for `levels`, in this codec's byte layout.
+    fn dense_wire(&self, norm: f32, levels: &[i32]) -> WireUpdate {
+        if self.entropy {
+            encode_quantized_rc(levels.len(), self.bits, norm, levels)
+        } else {
+            encode_quantized(levels.len(), self.bits, norm, levels)
+        }
+    }
 }
 
 impl UpdateCodec for QsgdCodec {
@@ -308,18 +419,34 @@ impl UpdateCodec for QsgdCodec {
 
     fn encode(&mut self, dense: &[f32], _ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
         let (norm, levels) = self.quantize(dense, rng);
-        if self.entropy {
-            encode_quantized_rc(dense.len(), self.bits, norm, &levels)
-        } else {
-            encode_quantized(dense.len(), self.bits, norm, &levels)
-        }
+        self.dense_wire(norm, &levels)
+    }
+
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        _ratio: f64,
+        rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
+        let (norm, levels) = self.quantize(dense, rng);
+        let wire = self.dense_wire(norm, &levels);
+        // The same `norm * level / max_level` both decoders evaluate, on the
+        // levels just written.
+        let sent = CompressedUpdate::Quantized {
+            values: qsgd_dequantize(norm, max_level_for_bits(self.bits), &levels),
+            wire_bytes: wire.len(),
+        };
+        debug_assert_sent(&wire, &sent);
+        (wire, sent)
     }
 }
 
 /// Sparsify-then-quantize composition (`"topk+qsgd:4"`): the first stage
 /// picks the retained coordinates, the second bit-packs their values, so the
 /// wire carries varint-delta indices plus `bits`-wide levels instead of full
-/// `f32`s.
+/// `f32`s. The selection passes between the stages in memory, through the
+/// first stage's [`encode_sent`](UpdateCodec::encode_sent): the first stage's
+/// own bytes are never decoded, and never sent.
 pub struct ComposedCodec {
     sparsifier: Box<dyn UpdateCodec>,
     quantizer: QsgdCodec,
@@ -341,31 +468,37 @@ impl UpdateCodec for ComposedCodec {
     }
 
     fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
-        let inner = self.sparsifier.encode(dense, ratio, rng);
-        let sparse = self
-            .sparsifier
-            .decode(&inner)
-            .ok()
-            .and_then(CompressedUpdate::into_sparse)
+        self.encode_sent(dense, ratio, rng).0
+    }
+
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
+        // Only the first stage's selection is used; its own bytes never
+        // reach the wire.
+        let (_, selection) = self.sparsifier.encode_sent(dense, ratio, rng);
+        let mut sparse = selection
+            .into_sparse()
             .expect("the first stage of a composed codec must produce a sparse update");
+        let QsgdCodec { bits, entropy } = self.quantizer;
         let (norm, levels) = self.quantizer.quantize(sparse.values(), rng);
-        if self.quantizer.entropy {
-            encode_sparse_quantized_rc(
-                sparse.dense_len(),
-                sparse.indices(),
-                self.quantizer.bits,
-                norm,
-                &levels,
-            )
+        let wire = if entropy {
+            encode_sparse_quantized_rc(sparse.dense_len(), sparse.indices(), bits, norm, &levels)
         } else {
-            encode_sparse_quantized(
-                sparse.dense_len(),
-                sparse.indices(),
-                self.quantizer.bits,
-                norm,
-                &levels,
-            )
+            encode_sparse_quantized(sparse.dense_len(), sparse.indices(), bits, norm, &levels)
+        };
+        // What was sent keeps the selection's indices; its values become the
+        // dequantized levels (the arithmetic of `qsgd_dequantize`, in place).
+        let max_level = max_level_for_bits(bits) as f32;
+        for (v, &level) in sparse.values_mut().iter_mut().zip(&levels) {
+            *v = norm * level as f32 / max_level;
         }
+        let sent = CompressedUpdate::Sparse(sparse);
+        debug_assert_sent(&wire, &sent);
+        (wire, sent)
     }
 
     fn residual_norm(&self) -> f64 {
@@ -382,16 +515,21 @@ impl UpdateCodec for ComposedCodec {
 }
 
 /// Error-feedback wrapper around any codec: the part of the update the inner
-/// codec's lossy encode→decode round trip dropped is remembered and added
-/// back before the next round's encode (`ef-topk` is the paper's EFTOPK
-/// baseline).
+/// codec's lossy encode did not send is remembered and added back before the
+/// next round's encode (`ef-topk` is the paper's EFTOPK baseline).
+///
+/// What was sent comes from the inner codec's
+/// [`encode_sent`](UpdateCodec::encode_sent), never from decoding the bytes
+/// just written. The residual is the only model-sized buffer: it is empty
+/// (meaning all-zero) until the first encode, is corrected and reduced in
+/// place, and moves in and out of the codec by
+/// [`restore_residual`](UpdateCodec::restore_residual) /
+/// [`take_residual`](UpdateCodec::take_residual) without a copy or a refill.
 pub struct EfCodec {
     inner: Box<dyn UpdateCodec>,
+    /// Empty while all-zero (fresh, or just taken); `dense_len` long after.
     residual: Vec<f32>,
-    /// Reusable scratch for the corrected (`dense + residual`) vector: one
-    /// model-sized buffer allocated at construction instead of one fresh
-    /// `Vec` per round per client.
-    scratch: Vec<f32>,
+    dense_len: usize,
 }
 
 impl EfCodec {
@@ -399,12 +537,14 @@ impl EfCodec {
     pub fn new(inner: Box<dyn UpdateCodec>, dense_len: usize) -> Self {
         Self {
             inner,
-            residual: vec![0.0; dense_len],
-            scratch: vec![0.0; dense_len],
+            residual: Vec::new(),
+            dense_len,
         }
     }
 
-    /// The current residual vector.
+    /// The current residual vector; an empty slice while it is all-zero
+    /// (before the first encode, or after
+    /// [`take_residual`](UpdateCodec::take_residual)).
     pub fn residual(&self) -> &[f32] {
         &self.residual
     }
@@ -416,42 +556,34 @@ impl UpdateCodec for EfCodec {
     }
 
     fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
+        self.encode_sent(dense, ratio, rng).0
+    }
+
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
         assert_eq!(
             dense.len(),
-            self.residual.len(),
+            self.dense_len,
             "update length changed between rounds"
         );
-        for ((c, &d), &r) in self
-            .scratch
-            .iter_mut()
-            .zip(dense.iter())
-            .zip(self.residual.iter())
-        {
-            *c = d + r;
-        }
-        let wire = self.inner.encode(&self.scratch, ratio, rng);
-        let sent = self
-            .inner
-            .decode(&wire)
-            .expect("a codec must decode its own encoding");
-        // New residual = corrected − sent. For coordinates a sparse encode
-        // dropped, sent is 0.0 and `corr − 0.0` is bitwise `corr`, so start
-        // from a copy of the corrected vector and subtract only at the
-        // retained coordinates — no densified `sent` allocation.
-        self.residual.copy_from_slice(&self.scratch);
-        match sent {
-            CompressedUpdate::Sparse(s) => {
-                for (&i, &v) in s.indices().iter().zip(s.values().iter()) {
-                    self.residual[i as usize] = self.scratch[i as usize] - v;
-                }
-            }
-            CompressedUpdate::Quantized { values, .. } => {
-                for (res, &v) in self.residual.iter_mut().zip(values.iter()) {
-                    *res -= v;
-                }
+        // Corrected = dense + residual, written over the residual. An empty
+        // residual still adds its `+0.0` (which turns a `-0.0` coordinate
+        // into `+0.0`), so the corrected vector has the same bits either way.
+        if self.residual.is_empty() {
+            self.residual.extend(dense.iter().map(|&d| d + 0.0));
+        } else {
+            for (r, &d) in self.residual.iter_mut().zip(dense) {
+                *r += d;
             }
         }
-        wire
+        let (wire, sent) = self.inner.encode_sent(&self.residual, ratio, rng);
+        // New residual = corrected − sent.
+        sent.subtract_from(&mut self.residual);
+        (wire, sent)
     }
 
     fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
@@ -467,9 +599,8 @@ impl UpdateCodec for EfCodec {
     }
 
     fn take_residual(&mut self) -> ResidualState {
-        let len = self.residual.len();
         ResidualState {
-            parts: vec![std::mem::replace(&mut self.residual, vec![0.0; len])],
+            parts: vec![std::mem::take(&mut self.residual)],
         }
     }
 
@@ -483,9 +614,8 @@ impl UpdateCodec for EfCodec {
             "ef codec residual snapshot must have exactly one part"
         );
         let part = state.parts.into_iter().next().unwrap();
-        assert_eq!(
-            part.len(),
-            self.residual.len(),
+        assert!(
+            part.is_empty() || part.len() == self.dense_len,
             "ef codec residual snapshot length changed between checkouts"
         );
         self.residual = part;
@@ -616,7 +746,9 @@ mod tests {
         let mut codec = EfCodec::new(Box::new(TopKCodec), d.len());
         let mut stream = rng();
         for _ in 0..3 {
-            let before = codec.residual().to_vec();
+            // An empty residual is all-zero (nothing encoded yet).
+            let mut before = codec.residual().to_vec();
+            before.resize(d.len(), 0.0);
             let sent = codec
                 .encode(&d, 0.2, &mut stream)
                 .decode()
@@ -628,6 +760,36 @@ mod tests {
                 assert!((lhs - rhs).abs() < 1e-5);
             }
         }
+    }
+
+    #[test]
+    fn custom_codecs_get_encode_sent_from_the_provided_default() {
+        // A codec that implements only `encode` and a private `decode`
+        // (receivers negate what the standard format says): the default
+        // `encode_sent` must go through *its* decode, and error feedback on
+        // top of it must see exactly that.
+        struct Negating;
+        impl UpdateCodec for Negating {
+            fn name(&self) -> String {
+                "negating".into()
+            }
+            fn encode(&mut self, dense: &[f32], _ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
+                encode_dense(dense)
+            }
+            fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
+                let mut sparse = wire.decode()?.into_sparse().expect("dense kind");
+                sparse.values_mut().iter_mut().for_each(|v| *v = -*v);
+                Ok(CompressedUpdate::Sparse(sparse))
+            }
+        }
+        let d = vec![1.0f32, -2.0, 0.5];
+        let (wire, sent) = Negating.encode_sent(&d, 1.0, &mut rng());
+        assert_eq!(sent, Negating.decode(&wire).unwrap());
+        assert_eq!(sent.into_dense(), vec![-1.0, 2.0, -0.5]);
+        // residual = corrected − sent = d − (−d).
+        let mut ef = EfCodec::new(Box::new(Negating), d.len());
+        let _ = ef.encode(&d, 1.0, &mut rng());
+        assert_eq!(ef.residual(), &[2.0, -4.0, 1.0]);
     }
 
     #[test]

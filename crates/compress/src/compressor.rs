@@ -58,6 +58,55 @@ impl CompressedUpdate {
         }
     }
 
+    /// `target -= self`, coordinate by coordinate. A coordinate a sparse
+    /// update does not carry is left untouched, which is what subtracting its
+    /// implicit `0.0` would do anyway (`x − 0.0` is bitwise `x`), so the
+    /// result equals subtracting [`to_dense`](Self::to_dense) without
+    /// densifying.
+    pub fn subtract_from(&self, target: &mut [f32]) {
+        assert_eq!(target.len(), self.dense_len(), "dense length mismatch");
+        match self {
+            CompressedUpdate::Sparse(s) => {
+                for (&i, &v) in s.indices().iter().zip(s.values()) {
+                    target[i as usize] -= v;
+                }
+            }
+            CompressedUpdate::Quantized { values, .. } => {
+                for (t, &v) in target.iter_mut().zip(values) {
+                    *t -= v;
+                }
+            }
+        }
+    }
+
+    /// Bitwise equality: same variant, same coordinates, and every value
+    /// equal by `to_bits` — so NaNs compare equal to themselves and `-0.0`
+    /// differs from `+0.0`, unlike `==`. This is the sense in which
+    /// `UpdateCodec::encode_sent` must agree with `decode`.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        let same_bits = |a: &[f32], b: &[f32]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        match (self, other) {
+            (CompressedUpdate::Sparse(a), CompressedUpdate::Sparse(b)) => {
+                a.dense_len() == b.dense_len()
+                    && a.indices() == b.indices()
+                    && same_bits(a.values(), b.values())
+            }
+            (
+                CompressedUpdate::Quantized {
+                    values: a,
+                    wire_bytes: wa,
+                },
+                CompressedUpdate::Quantized {
+                    values: b,
+                    wire_bytes: wb,
+                },
+            ) => wa == wb && same_bits(a, b),
+            _ => false,
+        }
+    }
+
     /// The sparse payload, if this is a sparsified update.
     pub fn as_sparse(&self) -> Option<&SparseUpdate> {
         match self {
@@ -131,6 +180,25 @@ mod tests {
         assert_eq!(q.into_dense(), vec![1.0, -2.0]);
         let s = CompressedUpdate::Sparse(SparseUpdate::new(vec![1], vec![5.0], 3));
         assert_eq!(s.into_dense(), vec![0.0, 5.0, 0.0]);
+    }
+
+    #[test]
+    fn subtract_from_matches_dense_subtraction() {
+        let s = CompressedUpdate::Sparse(SparseUpdate::new(vec![1, 3], vec![5.0, -2.0], 4));
+        let mut target = vec![1.0, 1.0, -0.0, 1.0];
+        s.subtract_from(&mut target);
+        assert_eq!(target, vec![1.0, -4.0, 0.0, 3.0]);
+        assert!(
+            target[2].is_sign_negative(),
+            "untouched coordinates keep their bits"
+        );
+        let q = CompressedUpdate::Quantized {
+            values: vec![0.5, 0.25],
+            wire_bytes: 2,
+        };
+        let mut target = vec![1.0, 1.0];
+        q.subtract_from(&mut target);
+        assert_eq!(target, vec![0.5, 0.75]);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   perturbs the uplink or selection streams;
 //! * the recipients' shared **view** of the global parameters. A lossy
 //!   broadcast means the clients' model drifts from the server's; the view is
-//!   what clients actually train from, reconstructed from the decoded bytes
-//!   exactly as a receiver would.
+//!   what clients actually train from: the previous view moved by exactly
+//!   the update a receiver's decode of the broadcast bytes reconstructs
+//!   (handed over by the encoder, see [`UpdateCodec::encode_sent`], rather
+//!   than decoded back server-side).
 //!
 //! The encoded buffer's [`WireUpdate::len`] is the honest downlink byte count
 //! a network simulator can charge (`fl-netsim`'s `CostBasis::Encoded`).
@@ -36,6 +38,8 @@ pub struct DownlinkChannel {
     /// error-feedback codec accumulates exactly the dropped coordinates.
     last_global: Vec<f32>,
     view: Vec<f32>,
+    /// Reused buffer for the per-broadcast delta.
+    delta: Vec<f32>,
     ratio: f64,
 }
 
@@ -56,15 +60,18 @@ impl DownlinkChannel {
             rng: Xoshiro256::new(seed),
             last_global: initial_params.to_vec(),
             view: initial_params.to_vec(),
+            delta: Vec::with_capacity(initial_params.len()),
             ratio,
         }
     }
 
     /// Broadcast the current global parameters: encode the server's progress
-    /// since the previous broadcast into wire bytes, decode them back the way
-    /// a receiver would, and advance the recipients' view by the decoded
-    /// (lossy) delta. Returns the exact buffer that went on the wire; its
-    /// length is the round's downlink byte count.
+    /// since the previous broadcast into wire bytes and advance the
+    /// recipients' view by the (lossy) delta those bytes carry — taken from
+    /// the codec's [`UpdateCodec::encode_sent`], which returns exactly what a
+    /// receiver's decode reconstructs, so the server never decodes its own
+    /// broadcast. Returns the exact buffer that went on the wire; its length
+    /// is the round's downlink byte count.
     ///
     /// The encoded quantity is deliberately the *server-side* progress
     /// (`last_global − global`), not the view-vs-server gap: with a plain
@@ -80,21 +87,13 @@ impl DownlinkChannel {
         );
         // Descent-direction convention, matching the uplink: the encoded
         // vector moves the receiver by subtraction (`view -= decoded`).
-        let delta: Vec<f32> = self
-            .last_global
-            .iter()
-            .zip(global.iter())
-            .map(|(p, g)| p - g)
-            .collect();
-        let wire = self.codec.encode(&delta, self.ratio, &mut self.rng);
-        let decoded = self
+        self.delta.clear();
+        self.delta
+            .extend(self.last_global.iter().zip(global).map(|(p, g)| p - g));
+        let (wire, sent) = self
             .codec
-            .decode(&wire)
-            .expect("a codec must decode its own encoding")
-            .into_dense();
-        for (v, d) in self.view.iter_mut().zip(decoded.iter()) {
-            *v -= d;
-        }
+            .encode_sent(&self.delta, self.ratio, &mut self.rng);
+        sent.subtract_from(&mut self.view);
         self.last_global.copy_from_slice(global);
         wire
     }

@@ -14,10 +14,12 @@
 //! * [`codec::UpdateCodec`] — stateful `encode(&mut self, dense, ratio, rng)`
 //!   producing a real [`wire::WireUpdate`] byte buffer (varint-delta sparse
 //!   indices, bit-packed QSGD levels) and `decode` reconstructing the lossy
-//!   dense update. Error-feedback residuals live inside [`codec::EfCodec`];
+//!   dense update; `encode_sent` returns the bytes together with the update
+//!   they decode to, so nothing on the sending side decodes its own bytes.
+//!   Error-feedback residuals live inside [`codec::EfCodec`];
 //! * [`downlink::DownlinkChannel`] — the server-side broadcast wrapper: one
 //!   codec encodes the global-parameter delta per round, recipients share the
-//!   decoded view, and error-feedback residuals live server-side;
+//!   view those bytes carry, and error-feedback residuals live server-side;
 //! * [`plan::LayerPlan`] — layer-aware codec plans: first-match
 //!   `pattern=spec` rules (`"conv*=topk;*.bias=dense;*=qsgd:8"`) assign one
 //!   codec per named parameter segment, resolved into a

@@ -33,10 +33,12 @@
 //! round-trip, so they travel through configuration freely without consulting
 //! the registry.
 
-use crate::codec::{CodecCtx, ResidualState, UpdateCodec};
+use crate::codec::{debug_assert_sent, CodecCtx, ResidualState, UpdateCodec};
+use crate::compressor::CompressedUpdate;
 use crate::registry::CodecRegistry;
+use crate::sparse::SparseUpdate;
 use crate::spec::{CompressorSpec, SpecError};
-use crate::wire::{encode_segmented, WireUpdate};
+use crate::wire::{encode_segmented, splice_segment, WireUpdate};
 use fl_tensor::rng::Xoshiro256;
 use serde::{Deserialize, Serialize};
 
@@ -364,6 +366,15 @@ struct PlannedSegment {
     codec: Box<dyn UpdateCodec>,
 }
 
+impl PlannedSegment {
+    /// This segment's share of the caller's `ratio`. `ratio_scale` is exactly
+    /// 1.0 on the static path, so the clamp reproduces the caller's ratio
+    /// bit-for-bit there.
+    fn ratio(&self, ratio: f64) -> f64 {
+        (ratio * self.ratio_scale).clamp(MIN_SEGMENT_RATIO, 1.0)
+    }
+}
+
 /// Floor for a scaled per-segment ratio: a scale can shrink a segment's
 /// budget but never to zero (every sparsifier needs a strictly positive
 /// ratio).
@@ -414,7 +425,8 @@ impl PlannedCodec {
 /// segment lengths; all three must have one entry per segment. The migration
 /// rules are explicit and lossless where losslessness is meaningful:
 ///
-/// * **EF → EF** (1 part → 1 part): the residual part is carried verbatim —
+/// * **EF → EF** (1 part → 1 part): the residual part is carried verbatim (a
+///   zero-length part, meaning all-zero, included) —
 ///   coordinates are segment-aligned, so a change of inner codec kind or
 ///   `qsgd` bit width does not invalidate the accumulated error;
 /// * **EF → stateless** (1 → 0): the part is dropped — the new codec has
@@ -460,9 +472,10 @@ pub fn migrate_planned_residual(
         }
         match carried {
             Some(part) => {
-                assert_eq!(
-                    part.len(),
-                    len,
+                // A zero-length part is an all-zero residual (see
+                // `ResidualState`) and carries over as such.
+                assert!(
+                    part.is_empty() || part.len() == len,
                     "residual part length does not match its segment"
                 );
                 parts.push(part);
@@ -488,15 +501,45 @@ impl UpdateCodec for PlannedCodec {
         );
         let mut parts = Vec::with_capacity(self.segments.len());
         for seg in &mut self.segments {
-            // `ratio_scale` is exactly 1.0 on the static path, so the clamp
-            // reproduces the caller's ratio bit-for-bit there.
-            let seg_ratio = (ratio * seg.ratio_scale).clamp(MIN_SEGMENT_RATIO, 1.0);
+            let seg_ratio = seg.ratio(ratio);
             parts.push(
                 seg.codec
                     .encode(&dense[seg.offset..seg.offset + seg.len], seg_ratio, rng),
             );
         }
         encode_segmented(self.dense_len, &parts)
+    }
+
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
+        assert_eq!(
+            dense.len(),
+            self.dense_len,
+            "planned codec built for {} parameters got {}",
+            self.dense_len,
+            dense.len()
+        );
+        // Splice what each segment sent with the routine the `Segmented`
+        // decoder splices what each part decodes to.
+        let mut parts = Vec::with_capacity(self.segments.len());
+        let mut indices: Vec<u32> = Vec::new();
+        let mut values: Vec<f32> = Vec::new();
+        for seg in &mut self.segments {
+            let seg_ratio = seg.ratio(ratio);
+            let (wire, sent) =
+                seg.codec
+                    .encode_sent(&dense[seg.offset..seg.offset + seg.len], seg_ratio, rng);
+            parts.push(wire);
+            splice_segment(sent, seg.offset, &mut indices, &mut values);
+        }
+        let wire = encode_segmented(self.dense_len, &parts);
+        let sent = CompressedUpdate::Sparse(SparseUpdate::new(indices, values, self.dense_len));
+        debug_assert_sent(&wire, &sent);
+        (wire, sent)
     }
 
     fn residual_norm(&self) -> f64 {

@@ -53,6 +53,10 @@ pub struct ResidualStore {
 struct Entry {
     epoch: u64,
     state: ResidualState,
+    /// Sum of squares of `state`, filled in by the first
+    /// [`ResidualStore::total_norm`] that sees the entry: a parked residual
+    /// is scanned at most once, and a store nobody asks pays nothing.
+    norm_sq: Option<f64>,
 }
 
 impl ResidualStore {
@@ -101,7 +105,14 @@ impl ResidualStore {
         self.shard(client_id)
             .lock()
             .expect("residual store shard poisoned")
-            .insert(client_id, Entry { epoch, state });
+            .insert(
+                client_id,
+                Entry {
+                    epoch,
+                    state,
+                    norm_sq: None,
+                },
+            );
     }
 
     /// Number of clients with a stored residual.
@@ -119,18 +130,24 @@ impl ResidualStore {
 
     /// The L2 norm over every stored residual scalar — a cheap global
     /// health metric (how much dropped mass the population is carrying).
+    ///
+    /// Each entry's squared norm is computed once and kept until the entry
+    /// is replaced, so a call costs one scan of the residuals parked since
+    /// the previous call, not of the whole store. The per-client terms are
+    /// summed in ascending client id: the result is a function of the
+    /// store's contents alone, not of insertion or hash-iteration order.
     pub fn total_norm(&self) -> f64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("residual store shard poisoned")
-                    .values()
-                    .map(|e| e.state.l2_norm().powi(2))
-                    .sum::<f64>()
-            })
-            .sum::<f64>()
-            .sqrt()
+        let mut terms: Vec<(u64, f64)> = Vec::new();
+        for shard in &self.shards {
+            let mut shard = shard.lock().expect("residual store shard poisoned");
+            terms.extend(
+                shard
+                    .iter_mut()
+                    .map(|(&id, e)| (id, *e.norm_sq.get_or_insert_with(|| e.state.norm_sq()))),
+            );
+        }
+        terms.sort_unstable_by_key(|&(id, _)| id);
+        terms.iter().map(|&(_, t)| t).sum::<f64>().sqrt()
     }
 }
 
@@ -184,6 +201,41 @@ mod tests {
         store.put(1, state(&[3.0]));
         store.put(2, state(&[4.0]));
         assert!((store.total_norm() - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn total_norm_does_not_depend_on_fill_order() {
+        // Magnitudes spread over many orders so that a different summation
+        // order would round differently.
+        let clients: Vec<(u64, Vec<f32>)> = (0..300u64)
+            .map(|id| {
+                let scale = 10f32.powi((id % 13) as i32 - 6);
+                (id * 7919 % 1000, vec![scale * (id as f32 + 0.37), -scale])
+            })
+            .collect();
+        let forward = ResidualStore::new();
+        for (id, vals) in &clients {
+            forward.put(*id, state(vals));
+        }
+        let backward = ResidualStore::new();
+        for (id, vals) in clients.iter().rev() {
+            backward.put(*id, state(vals));
+        }
+        assert_eq!(forward.len(), backward.len());
+        let norm = forward.total_norm();
+        assert!(norm > 0.0);
+        assert_eq!(norm.to_bits(), backward.total_norm().to_bits());
+        // Cached terms: asking again, and after replacing an entry, stays
+        // consistent with a store built directly in the final state.
+        assert_eq!(norm.to_bits(), forward.total_norm().to_bits());
+        forward.put(clients[0].0, state(&[9.0, 9.0]));
+        backward.take(clients[0].0);
+        backward.put(clients[0].0, state(&[9.0, 9.0]));
+        assert_eq!(
+            forward.total_norm().to_bits(),
+            backward.total_norm().to_bits()
+        );
+        assert_ne!(forward.total_norm().to_bits(), norm.to_bits());
     }
 
     #[test]

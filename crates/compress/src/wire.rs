@@ -403,6 +403,30 @@ pub fn encode_segmented(dense_len: usize, parts: &[WireUpdate]) -> WireUpdate {
     WireUpdate::from_bytes(buf.freeze())
 }
 
+/// Append one segment's update, which starts at dense coordinate `offset`,
+/// to the spliced whole-vector `(indices, values)`: a sparse segment's
+/// indices shift by the offset, a quantized segment becomes a full-density
+/// run over its coordinates. Shared by the `Segmented` decoder and
+/// [`crate::plan::PlannedCodec`]'s encode side, so both assemble the same
+/// update from the same parts.
+pub(crate) fn splice_segment(
+    update: CompressedUpdate,
+    offset: usize,
+    indices: &mut Vec<u32>,
+    values: &mut Vec<f32>,
+) {
+    match update {
+        CompressedUpdate::Sparse(s) => {
+            indices.extend(s.indices().iter().map(|&i| offset as u32 + i));
+            values.extend_from_slice(s.values());
+        }
+        CompressedUpdate::Quantized { values: run, .. } => {
+            indices.extend(offset as u32..(offset + run.len()) as u32);
+            values.extend_from_slice(&run);
+        }
+    }
+}
+
 /// Decode the body of a `KIND_SEGMENTED` buffer: parse and decode every
 /// nested segment, then splice them into one update over the full vector.
 /// The result is always sparse — a quantized segment (whose coordinate count
@@ -440,21 +464,9 @@ fn decode_segmented_body(
         if part_len > dense_len - covered {
             return Err(WireError::Corrupt("segment lengths exceed dense length"));
         }
-        match update {
-            CompressedUpdate::Sparse(s) => {
-                for (&i, &v) in s.indices().iter().zip(s.values().iter()) {
-                    indices.push(covered as u32 + i);
-                    values.push(v);
-                }
-            }
-            CompressedUpdate::Quantized { values: pv, .. } => {
-                // Full-density run: every coordinate of the segment, in
-                // order. `pv.len()` is bounded by the part's own byte length
-                // (its quantized decode guard), so this never over-allocates.
-                indices.extend((covered as u32)..(covered + part_len) as u32);
-                values.extend_from_slice(&pv);
-            }
-        }
+        // A quantized part's length is bounded by its own byte length (its
+        // decode guard), so the splice never over-allocates.
+        splice_segment(update, covered, &mut indices, &mut values);
         covered += part_len;
         *cur += plen;
     }

@@ -5,8 +5,11 @@
 //! entropy-coded kind 5, and `Segmented` frames from layer plans — and the
 //! decoded updates are checked against the exactness guarantees each format
 //! makes. Error-feedback plans additionally check the take/restore residual
-//! snapshot contract the session engine relies on.
+//! snapshot contract the session engine relies on, and every built-in is held
+//! to the single-pass contract: what `encode_sent` says it sent is, bit for
+//! bit, what its bytes decode to.
 
+use fl_compress::wire::{KIND_ENTROPY, KIND_QUANTIZED, KIND_SPARSE_QUANTIZED};
 use fl_compress::{
     migrate_planned_residual, CodecCtx, CodecRegistry, CompressorSpec, LayerPlan, SegmentDef,
     UpdateCodec, WireUpdate,
@@ -29,6 +32,212 @@ fn gradient(seed: u64, n: usize) -> Vec<f32> {
     (0..n)
         .map(|_| (rng.next_f32() - 0.5) * (1.0 + rng.next_f32() * 9.0))
         .collect()
+}
+
+/// Inputs that stress the reconstruction arithmetic rather than the
+/// selection: non-finite norms, nothing to send, level-0 coordinates, signed
+/// zeros, and sign patterns the range coder cannot compress.
+fn awkward_gradient(seed: u64, n: usize, flavour: u8) -> Vec<f32> {
+    let mut d = gradient(seed, n);
+    let mut rng = Xoshiro256::new(seed ^ 0xA3);
+    match flavour % 7 {
+        0 => {}
+        1 => d.iter_mut().for_each(|v| *v = 0.0),
+        2 => d[rng.next_below(n)] = f32::NAN,
+        3 => {
+            d[rng.next_below(n)] = f32::INFINITY;
+            d[rng.next_below(n)] = f32::NEG_INFINITY;
+        }
+        // One dominant coordinate: almost everything else quantizes to
+        // level 0.
+        4 => d[rng.next_below(n)] = 1.0e6,
+        5 => {
+            for (i, v) in d.iter_mut().enumerate() {
+                *v = match i % 4 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => f32::from_bits(1 + i as u32),
+                    _ => *v,
+                };
+            }
+        }
+        // Equal magnitudes, random signs: top level everywhere, one
+        // incompressible sign bit each.
+        _ => d
+            .iter_mut()
+            .for_each(|v| *v = if rng.next_f32() < 0.5 { 1.0 } else { -1.0 }),
+    }
+    d
+}
+
+/// Drive `sent` (through `encode_sent`) and `plain` (through `encode`, then
+/// the receiver's decode) over the same inputs and RNG streams for a few
+/// rounds: same bytes, same reconstruction by `to_bits`, same carried state.
+fn assert_encode_sent_is_decode(
+    what: &str,
+    sent: &mut dyn UpdateCodec,
+    plain: &mut dyn UpdateCodec,
+    seed: u64,
+    n: usize,
+    flavour: u8,
+    ratio: f64,
+) {
+    let mut rng_sent = Xoshiro256::new(seed ^ 9);
+    let mut rng_plain = Xoshiro256::new(seed ^ 9);
+    for round in 0..3u64 {
+        // Rounds 0 and 2 are awkward, round 1 is an ordinary gradient, so
+        // error-feedback state crosses between the two regimes.
+        let d = if round == 1 {
+            gradient(seed ^ 77, n)
+        } else {
+            awkward_gradient(seed.wrapping_add(round), n, flavour)
+        };
+        let (wire, reconstruction) = sent.encode_sent(&d, ratio, &mut rng_sent);
+        let twin = plain.encode(&d, ratio, &mut rng_plain);
+        prop_assert_eq!(
+            wire.as_bytes(),
+            twin.as_bytes(),
+            "{}: encode_sent and encode wrote different bytes in round {}",
+            what,
+            round
+        );
+        let decoded = plain.decode(&twin).expect("own bytes decode");
+        prop_assert!(
+            decoded.bit_eq(&reconstruction),
+            "{}: encode_sent disagrees with decode(wire) in round {} (flavour {})",
+            what,
+            round,
+            flavour % 7
+        );
+        prop_assert_eq!(
+            sent.residual_norm().to_bits(),
+            plain.residual_norm().to_bits(),
+            "{}: carried state diverged in round {}",
+            what,
+            round
+        );
+        prop_assert_eq!(
+            rng_sent.next_u64(),
+            rng_plain.next_u64(),
+            "{}: RNG draws differ",
+            what
+        );
+    }
+}
+
+/// Every built-in spec shape: each sparsifier, both quantizer layouts, every
+/// composition, and error feedback over each family.
+const BUILTIN_SPECS: [&str; 19] = [
+    "topk",
+    "randk",
+    "threshold",
+    "threshold:0.5",
+    "dense",
+    "qsgd:2",
+    "qsgd:8",
+    "qsgd:4:rc",
+    "qsgd:16:rc",
+    "topk+qsgd:4",
+    "topk+qsgd:6:rc",
+    "randk+qsgd:8",
+    "threshold:0.5+qsgd:3:rc",
+    "ef-topk",
+    "ef-randk",
+    "ef-qsgd:4:rc",
+    "ef-topk+qsgd:4:rc",
+    "ef-topk+qsgd:8",
+    "ef-threshold:0.5+qsgd:6",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The single-pass contract, for every built-in: the update `encode_sent`
+    /// returns equals `decode` of the bytes it returns, compared by
+    /// `to_bits` — NaN and infinite norms, the all-zero vector, level-0
+    /// coordinates and the `:rc` never-expand fallback included.
+    #[test]
+    fn prop_encode_sent_equals_decode_of_wire(
+        seed in 0u64..1 << 32,
+        n in 1usize..700,
+        flavour in 0u8..7,
+        ratio_pct in 1u32..101,
+    ) {
+        let ratio = ratio_pct as f64 / 100.0;
+        for spec in BUILTIN_SPECS {
+            // The quantile threshold sorts magnitudes with `partial_cmp` and
+            // rejects NaN input outright; that is its contract, not this one.
+            if spec == "threshold" && flavour % 7 == 2 {
+                continue;
+            }
+            let mut sent = build(spec, n);
+            let mut plain = build(spec, n);
+            assert_encode_sent_is_decode(
+                spec, sent.as_mut(), plain.as_mut(), seed, n, flavour, ratio,
+            );
+        }
+    }
+
+    /// The same contract through a mixed layer plan: the spliced update a
+    /// `PlannedCodec` returns equals the decode of its `Segmented` frame,
+    /// with error-feedback, dense, quantized and entropy-coded segments side
+    /// by side.
+    #[test]
+    fn prop_planned_encode_sent_equals_decode_of_frame(
+        seed in 0u64..1 << 32,
+        w0 in 8usize..400,
+        b0 in 1usize..40,
+        w1 in 8usize..400,
+        flavour in 0u8..7,
+        ratio_pct in 1u32..101,
+    ) {
+        let layout = vec![
+            SegmentDef::new("l0.weight", w0),
+            SegmentDef::new("l0.bias", b0),
+            SegmentDef::new("l1.weight", w1),
+            SegmentDef::new("l1.bias", b0),
+        ];
+        let n = w0 + b0 + w1 + b0;
+        let ctx = CodecCtx::new(n, 1);
+        let registry = CodecRegistry::with_builtins();
+        let plan: LayerPlan = "l0.bias=dense;*.bias=qsgd:6:rc;l0*=ef-topk+qsgd:4:rc;*=ef-randk"
+            .parse()
+            .expect("plan parses");
+        let mut sent = plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
+        let mut plain = plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
+        assert_encode_sent_is_decode(
+            "mixed plan",
+            sent.as_mut(),
+            plain.as_mut(),
+            seed,
+            n,
+            flavour,
+            ratio_pct as f64 / 100.0,
+        );
+    }
+}
+
+/// The `:rc` specs in the differential property must actually reach both of
+/// their layouts: the entropy kind, and the bit-packed fallback taken when
+/// the coded stream would not be strictly smaller.
+#[test]
+fn rc_specs_reach_the_entropy_kind_and_the_never_expand_fallback() {
+    for (spec, fallback_kind) in [
+        ("qsgd:4:rc", KIND_QUANTIZED),
+        ("topk+qsgd:6:rc", KIND_SPARSE_QUANTIZED),
+    ] {
+        let kind_at = |n: usize, flavour: u8| {
+            let mut codec = build(spec, n);
+            let d = awkward_gradient(5, n, flavour);
+            codec
+                .encode_sent(&d, 0.5, &mut Xoshiro256::new(3))
+                .0
+                .kind()
+                .expect("valid header")
+        };
+        assert_eq!(kind_at(600, 0), KIND_ENTROPY, "{spec} on a long gradient");
+        assert_eq!(kind_at(3, 6), fallback_kind, "{spec} on three coordinates");
+    }
 }
 
 proptest! {

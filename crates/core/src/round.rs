@@ -222,9 +222,11 @@ impl FederatedSession {
     /// Stage 3: assign per-client ratios, then train, encode and decode the
     /// cohort in parallel. Clients start from the broadcast view of the
     /// global parameters (identical to the server's parameters unless a
-    /// lossy downlink codec is active). Every client's update round-trips
-    /// through its codec's byte-level wire format; the decoded (lossy)
-    /// update is what the server aggregates, and the encoded length is what
+    /// lossy downlink codec is active). Every client encodes its update into
+    /// its codec's byte-level wire format in one forward pass (the encoder
+    /// never decodes its own bytes); the `decode` below is the server's — the
+    /// only decode of that buffer — so the (lossy) update that is aggregated
+    /// is what the bytes say, and the encoded length is what
     /// [`CostBasis::Encoded`] charges.
     fn local_phase(&mut self, round: usize, selection: &Selection) -> LocalPhase {
         let decision = self.ratio_policy.decide(&RatioCtx {
@@ -261,6 +263,7 @@ impl FederatedSession {
             let wire = client.encode(&train_out.delta, ratio);
             let wire_len = wire.len();
             let seg_lens = wire.segment_byte_lens();
+            // Server side: reconstruct the update from the received bytes.
             let update = client
                 .decode(&wire)
                 .expect("a codec must decode its own encoding");

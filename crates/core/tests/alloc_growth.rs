@@ -6,36 +6,61 @@
 //! evaluation scratch, codec buffers), every later round must land within a
 //! small fixed slack of the previous one — the round loop reuses its buffers
 //! instead of accumulating per-round garbage, so the only durable growth is
-//! the appended `RoundRecord` itself.
+//! the appended `RoundRecord` itself. The same allocator asserts the two
+//! allocation-free hot paths: a warm training batch allocates nothing, and a
+//! warm error-feedback encode allocates nothing model-sized.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use fl_core::{Algorithm, ExperimentConfig, FederatedSession};
 
-/// Net live heap bytes under the counting allocator.
-static NET_BYTES: AtomicIsize = AtomicIsize::new(0);
-/// Monotonic count of every `alloc` call — allocation *traffic*, not just net
-/// growth, so buffers that are allocated and immediately freed still show up.
-static TOTAL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+// The counters are per thread: the harness runs this binary's tests
+// concurrently, and each test must see only the traffic of the thread it
+// measures on (every measured region below is single-threaded). They are
+// const-initialised `Cell`s with no destructor, so touching them from inside
+// the allocator neither allocates nor registers a thread-exit hook.
+thread_local! {
+    /// Net live heap bytes allocated minus freed by this thread.
+    static NET_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// Monotonic count of this thread's `alloc` calls — allocation
+    /// *traffic*, not just net growth, so buffers that are allocated and
+    /// immediately freed still show up.
+    static TOTAL_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Largest single allocation this thread has requested since the cell
+    /// was last reset.
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+fn net_bytes() -> isize {
+    NET_BYTES.with(Cell::get)
+}
+
+fn total_allocs() -> usize {
+    TOTAL_ALLOCS.with(Cell::get)
+}
 
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System`; the counters are the only
 // added behaviour. `realloc` is left on the default implementation, which
 // routes through `alloc`/`dealloc` and therefore keeps the counters exact.
+// `try_with` makes an allocation during thread teardown skip the counters
+// instead of panicking inside the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            NET_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
-            TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            let size = layout.size();
+            let _ = NET_BYTES.try_with(|c| c.set(c.get() + size as isize));
+            let _ = TOTAL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+            let _ = LARGEST_ALLOC.try_with(|c| c.set(c.get().max(size)));
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        NET_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        let _ = NET_BYTES.try_with(|c| c.set(c.get() - layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -58,7 +83,7 @@ fn steady_state_rounds_do_not_grow_the_heap() {
     let mut net_after_round: Vec<isize> = Vec::with_capacity(config.rounds);
     let session = FederatedSession::from_config(&config);
     let result = session.run_with(|_record| {
-        net_after_round.push(NET_BYTES.load(Ordering::Relaxed));
+        net_after_round.push(net_bytes());
     });
     assert_eq!(net_after_round.len(), 8);
     assert!(result.final_accuracy.is_finite());
@@ -131,16 +156,61 @@ fn steady_state_training_batches_allocate_nothing() {
     step(0, batch, &order, &mut model, &mut ws);
     step(batch, 2 * batch, &order, &mut model, &mut ws);
 
-    let before = TOTAL_ALLOCS.load(Ordering::Relaxed);
+    let before = total_allocs();
     for round in 0..5 {
         for b in 0..n / batch {
             step(b * batch, (b + 1) * batch, &order, &mut model, &mut ws);
         }
         let _ = round;
     }
-    let allocs = TOTAL_ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = total_allocs() - before;
     assert_eq!(
         allocs, 0,
         "steady-state training batches performed {allocs} heap allocations"
     );
+}
+
+#[test]
+fn warm_ef_encode_allocates_nothing_model_sized() {
+    // The codec lifecycle of a virtualized client: build, restore the parked
+    // residual, encode, take the residual back. Once the residual exists
+    // (the first encode creates it), no step of a later cycle may request a
+    // buffer of `4 * dense_len` bytes or more — no zero-filled residual at
+    // construction or at take, no corrected-vector scratch, no index
+    // permutation for Top-K, no densified copy of what was sent.
+    use fl_compress::{CodecCtx, CodecRegistry, CompressorSpec};
+    use fl_tensor::rng::{Rng, Xoshiro256};
+
+    let dense_len = 40_000;
+    let model_sized = 4 * dense_len;
+    let mut rng = Xoshiro256::new(5);
+    let delta: Vec<f32> = (0..dense_len)
+        .map(|_| (rng.next_f32() - 0.5) * 0.02)
+        .collect();
+    let registry = CodecRegistry::with_builtins();
+    for raw in ["ef-topk", "ef-topk+qsgd:4:rc", "ef-topk+qsgd:8"] {
+        let spec: CompressorSpec = raw.parse().expect("spec parses");
+        let build = || {
+            registry
+                .build(&spec, &CodecCtx::new(dense_len, 1))
+                .expect("spec resolves")
+        };
+        let mut codec = build();
+        let _ = codec.encode(&delta, 0.05, &mut rng);
+        assert!(codec.residual_norm() > 0.0, "{raw}: the codec is warm");
+
+        LARGEST_ALLOC.with(|c| c.set(0));
+        let _ = codec.encode(&delta, 0.05, &mut rng);
+        let parked = codec.take_residual();
+        let mut next = build();
+        next.restore_residual(parked);
+        let _ = next.encode(&delta, 0.05, &mut rng);
+        let largest = LARGEST_ALLOC.with(Cell::get);
+        assert!(
+            largest < model_sized,
+            "{raw}: a warm encode cycle requested {largest} bytes at once \
+             (model-sized is {model_sized})"
+        );
+        assert!(next.residual_norm() > 0.0);
+    }
 }
