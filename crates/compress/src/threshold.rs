@@ -33,7 +33,10 @@ impl Threshold {
             return f32::INFINITY;
         }
         let mut mags: Vec<f32> = dense.iter().map(|v| v.abs()).collect();
-        mags.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+        // `total_cmp` orders magnitudes exactly as `partial_cmp` does and
+        // puts NaN past infinity, so a diverged delta sorts instead of
+        // panicking.
+        mags.sort_unstable_by(f32::total_cmp);
         let cut = ((1.0 - ratio) * dense.len() as f64).floor() as usize;
         mags[cut.min(dense.len() - 1)]
     }
@@ -85,6 +88,40 @@ mod tests {
         let dense = vec![1.0, 2.0, 3.0];
         let c = Threshold::new().compress(&dense, 0.0);
         assert_eq!(c.as_sparse().unwrap().nnz(), 0);
+    }
+
+    #[test]
+    fn non_finite_input_is_thresholded_without_panicking() {
+        let dense = vec![0.1, f32::NAN, -6.0, f32::INFINITY, 0.05, f32::NEG_INFINITY];
+        // NaN sorts last, so a cut inside the finite range still compares.
+        assert_eq!(Threshold::threshold_for(&dense, 0.5), f32::INFINITY);
+        let c = Threshold::new().compress(&dense, 0.5);
+        assert_eq!(c.as_sparse().unwrap().indices(), &[3, 5]);
+        // A NaN threshold keeps nothing rather than panicking.
+        assert!(Threshold::threshold_for(&dense, 0.1).is_nan());
+        assert_eq!(
+            Threshold::new()
+                .compress(&dense, 0.1)
+                .as_sparse()
+                .unwrap()
+                .nnz(),
+            0
+        );
+    }
+
+    #[test]
+    fn finite_input_selects_what_a_partial_cmp_sort_selects() {
+        let dense: Vec<f32> = (0..500)
+            .map(|i| ((i * 131) % 251) as f32 / 17.0 - 7.0)
+            .chain([0.0, -0.0, f32::MIN_POSITIVE, -1e-40])
+            .collect();
+        let mut mags: Vec<f32> = dense.iter().map(|v| v.abs()).collect();
+        mags.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for ratio in [0.001, 0.01, 0.1, 0.37, 0.5, 0.9, 0.999] {
+            let cut = ((1.0 - ratio) * dense.len() as f64).floor() as usize;
+            let tau = Threshold::threshold_for(&dense, ratio);
+            assert_eq!(tau.to_bits(), mags[cut.min(dense.len() - 1)].to_bits());
+        }
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl BcrsScheduler {
         let (benchmark_client, &t_bench) = uniform_times
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("non-empty cohort");
 
         // Step 3: per-client ratios filling the benchmark budget (Alg. 2 l.13).
@@ -269,10 +269,38 @@ mod tests {
         let biggest = norm
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .unwrap()
             .0;
         assert!(coeffs[biggest] < 0.3);
+    }
+
+    #[test]
+    fn nan_uplink_time_schedules_without_panicking() {
+        let sched = BcrsScheduler::new(CommModel::paper_default());
+        let mut links = three_links();
+        links[1].latency_s = f64::NAN;
+        let s = sched.schedule(&links, 100_000.0, 0.01);
+        assert!(s.uniform_times[1].is_nan());
+        assert_eq!(s.ratios.len(), 3);
+        assert!(s.ratios.iter().all(|r| (0.01..=1.0).contains(r)));
+    }
+
+    #[test]
+    fn finite_times_pick_the_benchmark_partial_cmp_picked() {
+        // Ties included: `max_by` keeps the last maximum under either order.
+        let sched = BcrsScheduler::new(CommModel::paper_default());
+        let mut links = LinkGenerator::paper_default().generate(40, 3);
+        links[7] = links[31];
+        let s = sched.schedule(&links, 250_000.0, 0.05);
+        let expected = s
+            .uniform_times
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .unwrap();
+        assert_eq!(s.benchmark_client, expected.0);
+        assert_eq!(s.t_bench.to_bits(), expected.1.to_bits());
     }
 
     #[test]

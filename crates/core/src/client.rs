@@ -9,10 +9,7 @@ use fl_compress::{
     WireError, WireUpdate,
 };
 use fl_data::{BatchLoader, Dataset};
-use fl_nn::{
-    flatten_params, mlp, unflatten_params, ParamLayout, Sequential, Sgd, SoftmaxCrossEntropy,
-    Workspace,
-};
+use fl_nn::{mlp, unflatten_params, ParamLayout, Sequential, Sgd, SoftmaxCrossEntropy, Workspace};
 use fl_tensor::rng::Xoshiro256;
 use fl_tensor::Tensor;
 
@@ -197,18 +194,20 @@ impl ClientState {
                 let logits = self.model.forward_in(&self.batch_x, &mut self.ws);
                 let loss = self.loss_fn.forward(logits, &self.batch_y);
                 self.loss_fn.backward_in(&mut self.grad);
-                self.model.backward_in(&self.grad, &mut self.ws);
+                // Nothing reads the gradient with respect to the batch.
+                self.model.backward_params_in(&self.grad, &mut self.ws);
                 optimizer.step(&mut self.model);
                 loss_acc += loss as f64;
                 loss_count += 1;
             }
         }
-        let local = flatten_params(&self.model);
-        let delta: Vec<f32> = global_params
-            .iter()
-            .zip(local.iter())
-            .map(|(g, l)| g - l)
-            .collect();
+        // `global − local` in one walk over the parameter tensors, in the
+        // flat vector's order (that of `flatten_params`).
+        let mut delta = Vec::with_capacity(global_params.len());
+        for p in self.model.params() {
+            let global = &global_params[delta.len()..][..p.numel()];
+            delta.extend(global.iter().zip(p.data()).map(|(g, l)| g - l));
+        }
         LocalTrainOutput {
             client_id: self.id,
             delta,
@@ -309,6 +308,7 @@ pub fn build_model_zeroed(preset: &ModelPreset, input_dim: usize, classes: usize
 mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
+    use fl_nn::flatten_params;
 
     fn quick_client(algorithm: Algorithm) -> (ClientState, Vec<f32>, ExperimentConfig) {
         let config = ExperimentConfig::quick(algorithm);
@@ -443,7 +443,7 @@ mod tests {
                 client.dataset().num_classes(),
                 &mut rng,
             );
-            fl_nn::flatten_params(&model)
+            flatten_params(&model)
         };
         let out = client.local_update(&global);
         let wire = client.encode(&out.delta, 0.1);

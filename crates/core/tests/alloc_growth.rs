@@ -147,7 +147,7 @@ fn steady_state_training_batches_allocate_nothing() {
             let logits = model.forward_in(&x, ws);
             loss_fn.forward(logits, &y);
             loss_fn.backward_in(&mut grad);
-            model.backward_in(&grad, ws);
+            model.backward_params_in(&grad, ws);
             opt.step(model);
         };
 

@@ -19,10 +19,17 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward_in(&self, input: &Tensor, out: &mut Tensor, ws: &mut LayerWs) {
-        out.copy_from(input);
-        ws.mask.clear();
-        ws.mask.extend(input.data().iter().map(|&x| x > 0.0));
-        out.map_inplace(|x| if x > 0.0 { x } else { 0.0 });
+        out.resize_to(input.shape().dims());
+        ws.mask.resize(input.numel(), false);
+        for ((o, &x), keep) in out
+            .data_mut()
+            .iter_mut()
+            .zip(input.data())
+            .zip(ws.mask.iter_mut())
+        {
+            *keep = x > 0.0;
+            *o = if *keep { x } else { 0.0 };
+        }
         ws.ready = true;
     }
 
@@ -33,11 +40,14 @@ impl Layer for Relu {
             grad_output.numel(),
             "Relu backward size mismatch"
         );
-        grad_input.copy_from(grad_output);
-        for (g, &m) in grad_input.data_mut().iter_mut().zip(ws.mask.iter()) {
-            if !m {
-                *g = 0.0;
-            }
+        grad_input.resize_to(grad_output.shape().dims());
+        for ((gi, &go), &keep) in grad_input
+            .data_mut()
+            .iter_mut()
+            .zip(grad_output.data())
+            .zip(&ws.mask)
+        {
+            *gi = if keep { go } else { 0.0 };
         }
     }
 

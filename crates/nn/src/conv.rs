@@ -18,7 +18,7 @@ const WS_PATCHES: usize = 1; // out_patches / grad_patches [b*ho*wo, out_ch]
 const WS_DW: usize = 2; // weight-gradient scratch
 const WS_DCOLS: usize = 3; // gradient w.r.t. the im2col matrix
 const WS_GBIAS: usize = 4; // bias-gradient scratch
-const WS_WT: usize = 5; // W^T scratch for the forward matmul
+const WS_WT: usize = 5; // `matmul_a_bt_into`'s unused scratch argument (stays empty)
 
 /// Error returned when a convolution kernel does not fit its padded input —
 /// the configuration whose naive `h + 2p + 1 - k` output size would wrap

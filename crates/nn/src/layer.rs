@@ -36,6 +36,21 @@ pub trait Layer: Send + Sync {
     /// accumulates parameter gradients.
     fn backward_in(&mut self, grad_output: &Tensor, grad_input: &mut Tensor, ws: &mut LayerWs);
 
+    /// [`backward_in`](Layer::backward_in) for a caller that will not read
+    /// `dL/d(input)` — the first layer of a training step, whose input is
+    /// data. Parameter gradients accumulate exactly as in `backward_in`;
+    /// `grad_input` is scratch whose contents are unspecified afterwards.
+    /// The default runs the full backward; layers override it to skip the
+    /// input-gradient work.
+    fn backward_params_in(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+        ws: &mut LayerWs,
+    ) {
+        self.backward_in(grad_output, grad_input, ws);
+    }
+
     /// The layer's private fallback workspace slot backing the allocating
     /// [`forward`](Layer::forward) / [`backward`](Layer::backward) wrappers.
     fn fallback_ws(&mut self) -> &mut LayerWs;

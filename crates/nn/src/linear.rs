@@ -12,7 +12,7 @@ use fl_tensor::{Shape, Tensor};
 const WS_INPUT: usize = 0; // cached forward input
 const WS_DW: usize = 1; // weight-gradient scratch
 const WS_DB: usize = 2; // bias-gradient scratch
-const WS_WT: usize = 3; // W^T scratch for dX
+const WS_WT: usize = 3; // `matmul_a_bt_into`'s unused scratch argument (stays empty)
 
 /// `y = x @ W + b` with `W: [in, out]`, `b: [out]`.
 pub struct Linear {
@@ -84,8 +84,19 @@ impl Layer for Linear {
     }
 
     fn backward_in(&mut self, grad_output: &Tensor, grad_input: &mut Tensor, ws: &mut LayerWs) {
+        self.backward_params_in(grad_output, grad_input, ws);
+        // grad_output: [batch, out], weight: [in, out] => dX = dY @ W^T : [batch, in]
+        matmul_a_bt_into(grad_output, &self.weight, &mut ws.bufs[WS_WT], grad_input);
+    }
+
+    fn backward_params_in(
+        &mut self,
+        grad_output: &Tensor,
+        _grad_input: &mut Tensor,
+        ws: &mut LayerWs,
+    ) {
         assert!(ws.ready, "Linear backward called before forward");
-        // dW = X^T @ dY ; db = column sums of dY ; dX = dY @ W^T
+        // dW = X^T @ dY ; db = column sums of dY
         {
             let (input, dw) = ws.buf_pair(WS_INPUT, WS_DW);
             matmul_at_b_into(input, grad_output, dw);
@@ -94,8 +105,6 @@ impl Layer for Linear {
         let db = &mut ws.bufs[WS_DB];
         sum_rows_into(grad_output, db);
         self.grad_bias.add_assign(db);
-        // grad_output: [batch, out], weight: [in, out] => dX = dY @ W^T : [batch, in]
-        matmul_a_bt_into(grad_output, &self.weight, &mut ws.bufs[WS_WT], grad_input);
     }
 
     fn fallback_ws(&mut self) -> &mut LayerWs {

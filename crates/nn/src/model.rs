@@ -61,18 +61,39 @@ impl Sequential {
     /// Allocation-free backward pass through the same workspace the forward
     /// pass used; returns `dL/d(input)` as a reference into the workspace.
     pub fn backward_in<'w>(&mut self, grad_output: &Tensor, ws: &'w mut Workspace) -> &'w Tensor {
+        self.backward_through(grad_output, ws, true);
+        &ws.g_a
+    }
+
+    /// [`backward_in`](Self::backward_in) for a training step: every
+    /// parameter gradient is accumulated bit-identically, but the first
+    /// layer is told nobody reads `dL/d(input)` (its input is data) and may
+    /// skip computing it.
+    pub fn backward_params_in(&mut self, grad_output: &Tensor, ws: &mut Workspace) {
+        self.backward_through(grad_output, ws, false);
+    }
+
+    /// The backward loop behind both entry points: gradients ping-pong
+    /// between the workspace's two buffers and end in `g_a`.
+    fn backward_through(&mut self, grad_output: &Tensor, ws: &mut Workspace, input_grad: bool) {
         ws.ensure_layers(self.layers.len());
+        let Workspace {
+            g_a, g_b, layers, ..
+        } = ws;
         if self.layers.is_empty() {
-            ws.g_a.copy_from(grad_output);
-            return &ws.g_a;
+            g_a.copy_from(grad_output);
+            return;
         }
         let last = self.layers.len() - 1;
-        self.layers[last].backward_in(grad_output, &mut ws.g_a, &mut ws.layers[last]);
-        for i in (0..last).rev() {
-            self.layers[i].backward_in(&ws.g_a, &mut ws.g_b, &mut ws.layers[i]);
-            std::mem::swap(&mut ws.g_a, &mut ws.g_b);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let grad = if i == last { grad_output } else { &*g_a };
+            if i == 0 && !input_grad {
+                layer.backward_params_in(grad, g_b, &mut layers[i]);
+            } else {
+                layer.backward_in(grad, g_b, &mut layers[i]);
+            }
+            std::mem::swap(g_a, g_b);
         }
-        &ws.g_a
     }
 
     /// Forward pass through every layer (allocating wrapper over

@@ -125,4 +125,36 @@ proptest! {
             }
         }
     }
+
+    /// The params-only backward of a training step accumulates every
+    /// parameter gradient bit-identically to the full backward — where the
+    /// first layer overrides it (`Linear`, alone or under a stack) and where
+    /// it falls back to the default (the flat CNN starts with `Unflatten`).
+    #[test]
+    fn params_only_backward_matches_full_backward(
+        seed in 0u64..1_000_000,
+        arch in 0u8..4,
+        batch in 1usize..9,
+        steps in 1usize..4,
+    ) {
+        let classes = 3usize;
+        let input_dim = arch_input_dim(arch, 6);
+        let mut full = build_model(arch, input_dim, classes, seed);
+        let mut params_only = build_model(arch, input_dim, classes, seed);
+        let (mut full_ws, mut ws) = (Workspace::new(), Workspace::new());
+        let mut data_rng = Xoshiro256::new(seed ^ 0x51ed);
+        // No zero_grad between steps: the comparison also covers gradients
+        // accumulating onto non-zero buffers.
+        for _ in 0..steps {
+            let x = Tensor::rand_normal(Shape::matrix(batch, input_dim), 0.0, 1.0, &mut data_rng);
+            let g = Tensor::rand_normal(Shape::matrix(batch, classes), 0.0, 1.0, &mut data_rng);
+            full.forward_in(&x, &mut full_ws);
+            full.backward_in(&g, &mut full_ws);
+            params_only.forward_in(&x, &mut ws);
+            params_only.backward_params_in(&g, &mut ws);
+            for (pg, fg) in params_only.grads().iter().zip(full.grads().iter()) {
+                assert_bits_eq(pg, fg, "param grads");
+            }
+        }
+    }
 }

@@ -1,18 +1,23 @@
 //! Matrix multiplication and related linear-algebra kernels.
 //!
 //! The three matmul entry points share one cache-blocked, register-tiled
-//! kernel: a 6×16 output tile is accumulated in registers while the k
-//! dimension streams through it, and large products are parallelised over
-//! disjoint row blocks of the output via [`crate::parallel`]. Both gradient
-//! variants reduce to the same kernel through an explicit (blocked)
-//! transpose of one operand.
+//! kernel, and that kernel is the only path: a tile of up to 6×16 outputs is
+//! accumulated in registers while the k dimension streams through it, a row
+//! remainder runs the same tile with fewer rows, a ragged last column stripe
+//! runs it zero-padded, and large products are parallelised over disjoint
+//! row blocks of the output via [`crate::parallel`]. The gradient variants
+//! differ only in how operands are read — `matmul_at_b` gathers its `A`
+//! panels out of the stored `[k, m]` matrix, `matmul_a_bt` packs its `B`
+//! stripes out of the stored `[n, k]` matrix — so no transposed copy of
+//! either operand is ever materialised.
 //!
 //! Determinism contract: every output element accumulates its `k`
 //! contributions in ascending order into a single `f32` accumulator —
 //! exactly the order the original scalar loops used — and row blocks are
 //! disjoint, so results are bit-identical for any thread count and to the
-//! pre-tiled kernels. `matmul` / `matmul_at_b` keep their historical
-//! skip of zero `A` entries; `matmul_a_bt` (which never skipped) does not.
+//! pre-tiled kernels (kept as the tests' oracle). `matmul` / `matmul_at_b`
+//! keep their historical skip of zero `A` entries; `matmul_a_bt` (which
+//! never skipped) does not.
 
 use crate::parallel::{default_threads, parallel_row_blocks};
 use crate::shape::Shape;
@@ -57,7 +62,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
     out.resize_to(&[m, n]);
     out.fill(0.0);
-    nt_parallel::<true, false>(
+    nt_parallel::<true, false, false>(
         a.data(),
         k,
         k,
@@ -75,7 +80,7 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, max_threads: usize) -> Tensor
     let (k2, n) = as_matrix_dims(b, "matmul rhs");
     assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
     let mut out = vec![0.0f32; m * n];
-    nt_parallel::<true, false>(a.data(), k, k, b.data(), n, &mut out, max_threads);
+    nt_parallel::<true, false, false>(a.data(), k, k, b.data(), n, &mut out, max_threads);
     Tensor::from_vec(Shape::matrix(m, n), out)
 }
 
@@ -98,7 +103,7 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     );
     out.resize_to(&[m, n]);
     out.fill(0.0);
-    nt_parallel::<true, true>(
+    nt_parallel::<true, true, false>(
         a.data(),
         m,
         k,
@@ -117,11 +122,8 @@ pub fn matmul_at_b_with_threads(a: &Tensor, b: &Tensor, max_threads: usize) -> T
         k, k2,
         "matmul_at_b: leading dimensions differ ({k} vs {k2})"
     );
-    // The kernel reads `A` in its stored `[k, m]` layout (`AT = true`), so
-    // no transposed copy is materialised: per tile that is six strided
-    // scalar loads per `p`, the same load count as the contiguous case.
     let mut out = vec![0.0f32; m * n];
-    nt_parallel::<true, true>(a.data(), m, k, b.data(), n, &mut out, max_threads);
+    nt_parallel::<true, true, false>(a.data(), m, k, b.data(), n, &mut out, max_threads);
     Tensor::from_vec(Shape::matrix(m, n), out)
 }
 
@@ -133,21 +135,23 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     matmul_a_bt_with_threads(a, b, auto_threads(m, k, n))
 }
 
-/// [`matmul_a_bt`] writing into a reusable output tensor, with the `B^T`
-/// copy landing in a reusable scratch tensor. Bit-identical to
+/// [`matmul_a_bt`] writing into a reusable output tensor. Bit-identical to
 /// [`matmul_a_bt`].
-pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, bt_scratch: &mut Tensor, out: &mut Tensor) {
+///
+/// `_bt_scratch` is never read or written: the kernel packs its stripes
+/// straight out of the `[n, k]` operand, so no `B^T` copy exists. The
+/// parameter only keeps the four-argument signature the benchmark calls.
+pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, _bt_scratch: &mut Tensor, out: &mut Tensor) {
     let (m, k) = as_matrix_dims(a, "matmul_a_bt lhs");
     let (n, k2) = as_matrix_dims(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
-    transpose_into(b, bt_scratch);
     out.resize_to(&[m, n]);
     out.fill(0.0);
-    nt_parallel::<false, false>(
+    nt_parallel::<false, false, true>(
         a.data(),
         k,
         k,
-        bt_scratch.data(),
+        b.data(),
         n,
         out.data_mut(),
         auto_threads(m, k, n),
@@ -159,33 +163,23 @@ pub fn matmul_a_bt_with_threads(a: &Tensor, b: &Tensor, max_threads: usize) -> T
     let (m, k) = as_matrix_dims(a, "matmul_a_bt lhs");
     let (n, k2) = as_matrix_dims(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
-    // `B^T` is materialised once (O(nk), vs O(mnk) multiply work) because
-    // the register tile needs `NR` consecutive output columns of `B`-row
-    // data per load. The historical per-element dot product never skipped
-    // zero entries, so the non-skipping kernel keeps results bit-identical
-    // even for non-finite operands (0.0 * inf must still produce NaN here).
-    let bt = transpose(b);
+    // The historical per-element dot product never skipped zero entries, so
+    // the non-skipping kernel keeps results bit-identical even for
+    // non-finite operands (0.0 * inf must still produce NaN here).
     let mut out = vec![0.0f32; m * n];
-    nt_parallel::<false, false>(a.data(), k, k, bt.data(), n, &mut out, max_threads);
+    nt_parallel::<false, false, true>(a.data(), k, k, b.data(), n, &mut out, max_threads);
     Tensor::from_vec(Shape::matrix(m, n), out)
 }
 
-/// Element `A[row, p]` under the kernel's two storage modes: `AT = false`
-/// reads a row-major `[rows, k]` matrix with `a_stride = k`; `AT = true`
-/// reads the logical transpose straight out of a `[k, m]` matrix with
-/// `a_stride = m` (no transposed copy).
-#[inline(always)]
-fn a_at<const AT: bool>(ad: &[f32], a_stride: usize, row: usize, p: usize) -> f32 {
-    if AT {
-        ad[p * a_stride + row]
-    } else {
-        ad[row * a_stride + p]
-    }
-}
-
-/// Split `out` into contiguous row blocks and run the row-major kernel on
+/// Split `out` into contiguous row blocks and run the blocked kernel on
 /// each; blocks write disjoint output so any schedule is bit-identical.
-fn nt_parallel<const SKIP: bool, const AT: bool>(
+///
+/// The three const flags are the entry points' operand conventions: `SKIP`
+/// keeps the historical skip of zero `A` entries, `AT` reads `A` out of a
+/// stored `[k, m]` matrix (`a_stride = m`; otherwise `[m, k]` with
+/// `a_stride = k`), `BT` reads `B` out of a stored `[n, k]` matrix
+/// (otherwise `[k, n]`). Neither transposed operand is ever materialised.
+fn nt_parallel<const SKIP: bool, const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
     k: usize,
@@ -197,31 +191,34 @@ fn nt_parallel<const SKIP: bool, const AT: bool>(
     if n == 0 || out.is_empty() {
         return;
     }
-    // When every `B` entry is finite, skipping a zero `A` entry and
-    // accumulating its `a * b` contribution are bit-identical: the product is
-    // then `±0.0`, `x + (-0.0) == x` for every `x`, and `x + (+0.0)` differs
-    // only for `x == -0.0` — which an accumulator seeded from `+0.0` can
-    // never become, because a round-to-nearest sum is `-0.0` only when both
-    // addends are `-0.0`. So one finiteness pass over `B` lets the
-    // zero-skipping kernels run the branch-free register tile on zero-heavy
-    // inputs (post-ReLU activations); non-finite `B` keeps the historical
-    // element-skipping path.
-    let b_all_finite = SKIP && bd.iter().all(|v| v.is_finite());
     parallel_row_blocks(out, n, max_threads, |row0, chunk| {
-        nt_rows::<SKIP, AT>(ad, a_stride, row0, k, bd, n, chunk, b_all_finite);
+        nt_rows::<SKIP, AT, BT>(ad, a_stride, row0, k, bd, n, chunk);
     });
 }
 
-/// `out_block = A[row0..row0+rows] @ b` over row-major operands.
+/// `out_block = A[row0..row0+rows] @ B`.
 ///
-/// Structure: `NC`-column × `KC`-deep cache blocks around an `MR`×`NR`
-/// register tile. A tile's accumulators resume from the partial sums in
+/// Structure: `NC`-column × `KC`-deep cache blocks around one register tile
+/// of up to `MR` rows × `NR` columns, which serves every shape — a row
+/// remainder runs the same tile instantiated for fewer rows, a ragged last
+/// column stripe is packed zero-padded to `NR` and written back only as wide
+/// as it is. A tile's accumulators resume from the partial sums in
 /// `out_block` and return there after each `k` block, and the `k` blocks run
 /// in ascending order — so every output element still receives its `k`
 /// contributions in exactly the ascending single-accumulator order of the
-/// plain ikj loop, regardless of the blocking.
-#[allow(clippy::too_many_arguments)]
-fn nt_rows<const SKIP: bool, const AT: bool>(
+/// plain ikj loop, regardless of the blocking. Padded lanes never mix with
+/// kept ones (each lane is its own accumulator) and are discarded.
+///
+/// Zero skip (`SKIP`), decided per packed `B` panel: when every `B` entry of
+/// the panel is finite, skipping a zero `A` entry and accumulating its
+/// `a * b` contribution are bit-identical — the product is then `±0.0`,
+/// `x + (-0.0) == x` for every `x`, and `x + (+0.0)` differs only for
+/// `x == -0.0`, which an accumulator seeded from `+0.0` can never become,
+/// because a round-to-nearest sum is `-0.0` only when both addends are
+/// `-0.0`. So a finite panel runs the branch-free tile even on zero-heavy
+/// inputs (post-ReLU activations), and only a panel holding a non-finite
+/// value keeps the historical element-skipping tile.
+fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
     row0: usize,
@@ -229,210 +226,193 @@ fn nt_rows<const SKIP: bool, const AT: bool>(
     bd: &[f32],
     n: usize,
     out_block: &mut [f32],
-    b_all_finite: bool,
 ) {
     let rows = out_block.len() / n;
-    let rows_main = rows - rows % MR;
-    let n_main = n - n % NR;
-    // `B` panel packed per (`jc`, `kb`) block: each register tile's stripe
-    // becomes one contiguous `NR`-wide run, so the hot loop streams L1
-    // lines in order instead of hopping `n`-strided rows. Pure copies —
-    // the arithmetic and its order are untouched. The pack buffer is a
-    // thread-local grown once per thread, so steady-state matmuls perform
-    // no heap allocation; every stripe is fully rewritten before it is
-    // read, so reuse cannot leak stale values.
+    // The pack buffer is a thread-local grown once per thread, so
+    // steady-state matmuls perform no heap allocation; every stripe is fully
+    // rewritten before it is read, so reuse cannot leak stale values.
     thread_local! {
         static BPACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
     }
     BPACK.with(|cell| {
         let mut bpack = cell.borrow_mut();
         bpack.resize(KC * NC, 0.0);
-        // `A` panel packed per (`i`, `kb`) tile in the transposed-read mode:
-        // the `[k, m]` layout makes each `A` load an `m`-strided column walk, so
-        // gathering the `MR`×`kb_len` panel once (reads are contiguous `MR` runs
-        // along `m`) replaces one strided pass per `j` tile with a single copy.
-        // Pure data movement — values and accumulation order are untouched.
         let mut apack = [0.0f32; MR * KC];
-        for jc in (0..n_main).step_by(NC) {
-            let jc_end = (jc + NC).min(n_main);
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
             for kb in (0..k).step_by(KC) {
-                let kb_end = (kb + KC).min(k);
-                let kb_len = kb_end - kb;
-                for (jt, j) in (jc..jc_end).step_by(NR).enumerate() {
-                    for p in kb..kb_end {
-                        let src = &bd[p * n + j..p * n + j + NR];
-                        let at = (jt * kb_len + (p - kb)) * NR;
-                        bpack[at..at + NR].copy_from_slice(src);
-                    }
-                }
-                for i in (0..rows_main).step_by(MR) {
-                    if AT {
-                        for (pi, p) in (kb..kb_end).enumerate() {
-                            let src = &ad[p * a_stride + row0 + i..p * a_stride + row0 + i + MR];
-                            for (r, &v) in src.iter().enumerate() {
-                                apack[r * kb_len + pi] = v;
+                let kc = KC.min(k - kb);
+                let panel = &mut bpack[..nc.div_ceil(NR) * kc * NR];
+                let b_finite =
+                    pack_b::<SKIP, BT>(bd, if BT { k } else { n }, kb, kc, jc, nc, panel);
+                let check = SKIP && !b_finite;
+                for i in (0..rows).step_by(MR) {
+                    let r = MR.min(rows - i);
+                    // The tile reads `A` as a row-major `[r, kc]` block: in
+                    // place, or gathered once per row band when the operand
+                    // is stored transposed (an `m`-strided column walk
+                    // otherwise repeated for every stripe).
+                    let (a, a_ld) = if AT {
+                        for (rr, dst) in apack.chunks_exact_mut(kc).take(r).enumerate() {
+                            let col = &ad[kb * a_stride + row0 + i + rr..];
+                            for (d, &v) in dst.iter_mut().zip(col.iter().step_by(a_stride)) {
+                                *d = v;
                             }
                         }
-                    }
-                    // Hoisted zero scan: the skip only changes results for
-                    // non-finite `B` entries (see `nt_parallel`), so with an
-                    // all-finite `B` the scan is skipped outright and the tile
-                    // runs branch-free even on zero-heavy `A` panels; otherwise
-                    // a zero-free `A` panel still earns the fast tile.
-                    let panel_has_zero = SKIP
-                        && !b_all_finite
-                        && if AT {
-                            apack[..MR * kb_len].contains(&0.0)
-                        } else {
-                            (0..MR).any(|r| {
-                                (kb..kb_end)
-                                    .any(|p| a_at::<AT>(ad, a_stride, row0 + i + r, p) == 0.0)
-                            })
-                        };
-                    for (jt, j) in (jc..jc_end).step_by(NR).enumerate() {
-                        let mut acc = [[0.0f32; NR]; MR];
-                        for (r, acc_row) in acc.iter_mut().enumerate() {
-                            let at = (i + r) * n + j;
-                            acc_row.copy_from_slice(&out_block[at..at + NR]);
-                        }
-                        let stripe = &bpack[jt * kb_len * NR..(jt + 1) * kb_len * NR];
-                        // In the transposed mode the tile reads the packed panel
-                        // as an ordinary row-major `[MR, kb_len]` block (stride
-                        // `kb_len`, row 0, `p` offset 0).
-                        match (AT, panel_has_zero) {
-                            (true, true) => {
-                                nt_tile::<true, false>(&apack, kb_len, 0, 0, stripe, &mut acc)
-                            }
-                            (true, false) => {
-                                nt_tile::<false, false>(&apack, kb_len, 0, 0, stripe, &mut acc)
-                            }
-                            (false, true) => {
-                                nt_tile::<true, AT>(ad, a_stride, row0 + i, kb, stripe, &mut acc)
-                            }
-                            (false, false) => {
-                                nt_tile::<false, AT>(ad, a_stride, row0 + i, kb, stripe, &mut acc)
-                            }
-                        }
-                        for (r, acc_row) in acc.iter().enumerate() {
-                            let at = (i + r) * n + j;
-                            out_block[at..at + NR].copy_from_slice(acc_row);
-                        }
+                        (&apack[..], kc)
+                    } else {
+                        (&ad[(row0 + i) * a_stride + kb..], a_stride)
+                    };
+                    let band = &mut out_block[i * n..(i + r) * n];
+                    // One out-of-line instantiation per row count: inlining
+                    // them all here costs the tile its register allocation.
+                    match r {
+                        1 => row_band::<1>(a, a_ld, panel, kc, band, n, jc, check),
+                        2 => row_band::<2>(a, a_ld, panel, kc, band, n, jc, check),
+                        3 => row_band::<3>(a, a_ld, panel, kc, band, n, jc, check),
+                        4 => row_band::<4>(a, a_ld, panel, kc, band, n, jc, check),
+                        5 => row_band::<5>(a, a_ld, panel, kc, band, n, jc, check),
+                        _ => row_band::<MR>(a, a_ld, panel, kc, band, n, jc, check),
                     }
                 }
             }
         }
     });
-    let tail_skip = SKIP && !b_all_finite;
-    if n_main < n {
-        for r in 0..rows_main {
-            nt_row_tail::<AT>(
-                ad,
-                a_stride,
-                row0 + r,
-                k,
-                bd,
-                n,
-                n_main,
-                &mut out_block[r * n..(r + 1) * n],
-                tail_skip,
-            );
+}
+
+/// Pack `B[kb..kb+kc, jc..jc+nc]` into `panel` as `NR`-wide stripes, each
+/// `kc` consecutive `NR`-runs, the last stripe zero-padded — so the tile
+/// streams L1 lines in order whatever the operand's layout (`ld` is its row
+/// length). Returns whether every packed value is finite; only the
+/// zero-skipping kernels ask (`SKIP`) — without it the scan is compiled out
+/// and the answer is `true`.
+fn pack_b<const SKIP: bool, const BT: bool>(
+    bd: &[f32],
+    ld: usize,
+    kb: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+    panel: &mut [f32],
+) -> bool {
+    // Largest magnitude bit pattern seen: an integer max vectorises where a
+    // short-circuiting `is_finite` scan does not, and infinities and NaNs
+    // are exactly the patterns at or above the infinity exponent.
+    let mut max_mag = 0u32;
+    for (stripe, j) in panel
+        .chunks_exact_mut(kc * NR)
+        .zip((jc..jc + nc).step_by(NR))
+    {
+        let w = NR.min(jc + nc - j);
+        if BT {
+            // Each source row is one packed column: contiguous reads,
+            // `NR`-strided writes inside the L1-resident stripe.
+            if w < NR {
+                stripe.fill(0.0);
+            }
+            for c in 0..w {
+                let src = &bd[(j + c) * ld + kb..][..kc];
+                for (dst, &v) in stripe[c..].iter_mut().step_by(NR).zip(src) {
+                    *dst = v;
+                    if SKIP {
+                        max_mag = max_mag.max(v.to_bits() & 0x7fff_ffff);
+                    }
+                }
+            }
+        } else {
+            for (pi, dst) in stripe.chunks_exact_mut(NR).enumerate() {
+                let run = load_run(&bd[(kb + pi) * ld + j..][..w]);
+                dst.copy_from_slice(&run);
+                if SKIP {
+                    for v in run {
+                        max_mag = max_mag.max(v.to_bits() & 0x7fff_ffff);
+                    }
+                }
+            }
         }
     }
-    for r in rows_main..rows {
-        nt_row_tail::<AT>(
-            ad,
-            a_stride,
-            row0 + r,
-            k,
-            bd,
-            n,
-            0,
-            &mut out_block[r * n..(r + 1) * n],
-            tail_skip,
-        );
+    max_mag < f32::INFINITY.to_bits()
+}
+
+/// An `NR`-run from a slice of up to `NR` values, zero-padded. Ragged runs
+/// are staged through a fixed-size temporary so that tile accumulators only
+/// ever see whole-array copies (a variable-length copy into them makes LLVM
+/// spill the tile).
+#[inline(always)]
+fn load_run(src: &[f32]) -> [f32; NR] {
+    match <&[f32; NR]>::try_from(src) {
+        Ok(full) => *full,
+        Err(_) => {
+            let mut run = [0.0f32; NR];
+            run[..src.len()].copy_from_slice(src);
+            run
+        }
     }
 }
 
-/// The register tile's `p` loop over one packed `B` stripe (`kb_len`
-/// consecutive `NR`-wide rows). `CHECK` selects the zero-skipping variant,
-/// used only when the hoisted panel scan actually found a zero.
+/// The first `dst.len()` values of an `NR`-run, the padded lanes dropped.
 #[inline(always)]
-fn nt_tile<const CHECK: bool, const AT: bool>(
-    ad: &[f32],
-    a_stride: usize,
-    row: usize,
-    kb: usize,
-    stripe: &[f32],
-    acc: &mut [[f32; NR]; MR],
+fn store_run(run: [f32; NR], dst: &mut [f32]) {
+    match <&mut [f32; NR]>::try_from(&mut *dst) {
+        Ok(full) => *full = run,
+        Err(_) => dst.copy_from_slice(&run[..dst.len()]),
+    }
+}
+
+/// One band of `R` output rows against every stripe of a packed panel:
+/// load the accumulators, run the tile, write back the kept columns.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn row_band<const R: usize>(
+    a: &[f32],
+    a_ld: usize,
+    panel: &[f32],
+    kc: usize,
+    band: &mut [f32],
+    n: usize,
+    jc: usize,
+    check: bool,
 ) {
-    for (pi, b_run) in stripe.chunks_exact(NR).enumerate() {
-        let b_tile: &[f32; NR] = b_run.try_into().unwrap();
-        let p = kb + pi;
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * a_ld..][..kc]);
+    for (stripe, j) in panel.chunks_exact(kc * NR).zip((jc..n).step_by(NR)) {
+        let w = NR.min(n - j);
+        let mut acc = [[0.0f32; NR]; R];
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let a_ip = a_at::<AT>(ad, a_stride, row + r, p);
+            *acc_row = load_run(&band[r * n + j..][..w]);
+        }
+        if check {
+            nt_tile::<true, R>(a_rows, stripe, &mut acc);
+        } else {
+            nt_tile::<false, R>(a_rows, stripe, &mut acc);
+        }
+        for (r, &acc_row) in acc.iter().enumerate() {
+            store_run(acc_row, &mut band[r * n + j..][..w]);
+        }
+    }
+}
+
+/// The register tile's `p` loop over one packed `B` stripe (`kc`
+/// consecutive `NR`-wide runs) and `R` rows of `A`, each `kc` long. `CHECK`
+/// selects the zero-skipping variant.
+#[inline(always)]
+fn nt_tile<const CHECK: bool, const R: usize>(
+    a_rows: [&[f32]; R],
+    stripe: &[f32],
+    acc: &mut [[f32; NR]; R],
+) {
+    // Pinning every row to the stripe's depth lets the `p` loop index the
+    // rows without a bounds check apiece.
+    let kc = stripe.len() / NR;
+    assert!(a_rows.iter().all(|row| row.len() == kc));
+    for (b_run, pi) in stripe.chunks_exact(NR).zip(0..kc) {
+        let b_tile: &[f32; NR] = b_run.try_into().expect("chunks_exact yields NR-wide runs");
+        for (a_row, acc_row) in a_rows.iter().zip(acc.iter_mut()) {
+            let a_ip = a_row[pi];
             if CHECK && a_ip == 0.0 {
                 continue;
             }
             for (o, &b_pj) in acc_row.iter_mut().zip(b_tile) {
                 *o += a_ip * b_pj;
-            }
-        }
-    }
-}
-
-/// Single-row fallback covering columns `j0..n`: the plain ikj loop, i.e.
-/// the same p-ascending single-accumulator order as the register tile.
-/// `skip` is the zero-skip requirement after the caller's `B` finiteness
-/// check — false whenever `B` is all-finite, which lets the loop run
-/// branch-free (the compiler unswitches on the loop-invariant flag).
-#[allow(clippy::too_many_arguments)]
-fn nt_row_tail<const AT: bool>(
-    ad: &[f32],
-    a_stride: usize,
-    row: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    j0: usize,
-    out_row: &mut [f32],
-    skip: bool,
-) {
-    for p in 0..k {
-        let a_ip = a_at::<AT>(ad, a_stride, row, p);
-        if skip && a_ip == 0.0 {
-            continue;
-        }
-        let b_row = &bd[p * n + j0..(p + 1) * n];
-        for (o, &b_pj) in out_row[j0..].iter_mut().zip(b_row) {
-            *o += a_ip * b_pj;
-        }
-    }
-}
-
-/// Matrix transpose of a `[m, n]` tensor, copied tile by tile so both the
-/// read and the write side stay cache-resident.
-pub fn transpose(a: &Tensor) -> Tensor {
-    let mut out = Tensor::empty();
-    transpose_into(a, &mut out);
-    out
-}
-
-/// [`transpose`] writing into a reusable output tensor.
-pub fn transpose_into(a: &Tensor, out: &mut Tensor) {
-    const TB: usize = 32;
-    let (m, n) = as_matrix_dims(a, "transpose");
-    let ad = a.data();
-    out.resize_to(&[n, m]);
-    let od = out.data_mut();
-    for i0 in (0..m).step_by(TB) {
-        let i_end = (i0 + TB).min(m);
-        for j0 in (0..n).step_by(TB) {
-            let j_end = (j0 + TB).min(n);
-            for i in i0..i_end {
-                let row = &ad[i * n..(i + 1) * n];
-                for j in j0..j_end {
-                    od[j * m + i] = row[j];
-                }
             }
         }
     }
@@ -489,6 +469,19 @@ mod tests {
 
     fn mat(rows: usize, cols: usize, data: &[f32]) -> Tensor {
         Tensor::from_vec(Shape::matrix(rows, cols), data.to_vec())
+    }
+
+    /// Plain `[m, n]` → `[n, m]` copy, to hand each entry point its operand
+    /// in the layout it expects.
+    fn transpose(a: &Tensor) -> Tensor {
+        let (m, n) = as_matrix_dims(a, "transpose");
+        let mut out = vec![0.0f32; m * n];
+        for (i, row) in a.data().chunks_exact(n.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out[j * m + i] = v;
+            }
+        }
+        Tensor::from_vec(Shape::matrix(n, m), out)
     }
 
     /// Reference kernels: the pre-tiled scalar loops, verbatim. The tiled
@@ -554,11 +547,54 @@ mod tests {
         assert_eq!(matmul(&eye, &a).data(), a.data());
     }
 
+    /// `C = A^T @ B` through the scalar kernel (the accumulation order per
+    /// output element is `p` ascending either way).
+    fn at_b_reference(a: &Tensor, b: &Tensor) -> Tensor {
+        matmul_reference(&transpose(a), b)
+    }
+
+    /// NaN-safe bitwise comparison.
+    fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.shape().dims(), want.shape().dims(), "{what}: shape");
+        for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} at {i}: {x} vs {y}");
+        }
+    }
+
+    /// All three kernels at 1, 2 and 3 threads against the scalar references,
+    /// with `a: [m, k]`, `b: [k, n]` as `matmul` sees them (`matmul_at_b`
+    /// gets `a^T`, `matmul_a_bt` gets `b^T`).
+    fn assert_kernels_match_references(a: &Tensor, b: &Tensor, what: &str) {
+        let (a_km, b_nk) = (transpose(a), transpose(b));
+        let want = matmul_reference(a, b);
+        let want_at_b = at_b_reference(&a_km, b);
+        let want_a_bt = a_bt_reference(a, &b_nk);
+        for threads in 1..=3 {
+            let what = format!("{what}, {threads} threads");
+            let got = matmul_with_threads(a, b, threads);
+            assert_bits_eq(&got, &want, &format!("matmul {what}"));
+            let got = matmul_at_b_with_threads(&a_km, b, threads);
+            assert_bits_eq(&got, &want_at_b, &format!("matmul_at_b {what}"));
+            let got = matmul_a_bt_with_threads(a, &b_nk, threads);
+            assert_bits_eq(&got, &want_a_bt, &format!("matmul_a_bt {what}"));
+        }
+    }
+
+    /// Uniform `[rows, cols]` matrix with every third entry an exact zero,
+    /// so the skip path is exercised.
+    fn zero_sprinkled(rows: usize, cols: usize, rng: &mut Xoshiro256) -> Tensor {
+        let mut t = Tensor::rand_uniform(Shape::matrix(rows, cols), -2.0, 2.0, rng);
+        for v in t.data_mut().iter_mut().step_by(3) {
+            *v = 0.0;
+        }
+        t
+    }
+
     #[test]
     fn tiled_kernels_are_bit_identical_to_scalar_reference() {
         // Shapes straddling every tile boundary: sub-tile, exact multiples
         // of (MR, NR), and ragged remainders in both directions.
-        let shapes = [
+        let mut shapes = vec![
             (1, 1, 1),
             (3, 5, 7),
             (6, 8, 16),
@@ -567,58 +603,75 @@ mod tests {
             (13, 4, 49),
             (25, 31, 19),
         ];
-        let mut rng = Xoshiro256::new(11);
-        for &(m, k, n) in &shapes {
-            let mut a = Tensor::rand_uniform(Shape::matrix(m, k), -2.0, 2.0, &mut rng);
-            // Sprinkle exact zeros so the skip path is exercised.
-            for v in a.data_mut().iter_mut().step_by(3) {
-                *v = 0.0;
+        // Every row remainder against column counts below, at and past one
+        // stripe and one `NC` panel, with `k` on both sides of `KC`; the `k`
+        // list is coprime to the `n` list, so the pairing shifts with `m`.
+        let ks = [1, 9, 64, 255, 256, 257, 300];
+        for m in 1..=13 {
+            for n in [1, 10, 15, 17, 130, 200] {
+                shapes.push((m, ks[shapes.len() % ks.len()], n));
             }
+        }
+        let mut rng = Xoshiro256::new(11);
+        for (m, k, n) in shapes {
+            let a = zero_sprinkled(m, k, &mut rng);
             let b = Tensor::rand_uniform(Shape::matrix(k, n), -2.0, 2.0, &mut rng);
-            let reference = matmul_reference(&a, &b);
-            assert_eq!(
-                matmul(&a, &b).data(),
-                reference.data(),
-                "matmul {m}x{k}x{n} diverged from the scalar kernel"
-            );
-            let b_nk = Tensor::rand_uniform(Shape::matrix(n, k), -2.0, 2.0, &mut rng);
-            assert_eq!(
-                matmul_a_bt(&a, &b_nk).data(),
-                a_bt_reference(&a, &b_nk).data(),
-                "matmul_a_bt {m}x{k}x{n} diverged from the scalar kernel"
-            );
+            assert_kernels_match_references(&a, &b, &format!("{m}x{k}x{n}"));
         }
     }
 
     #[test]
     fn zero_skip_semantics_preserved_for_non_finite_b() {
         // The historical contract: a zero `A` entry contributes nothing even
-        // when the `B` row it faces holds non-finite values — the finiteness
-        // fast path must not change that. NaN-safe comparison via to_bits.
+        // when the `B` row it faces holds non-finite values — the per-panel
+        // finiteness fast path must not change that.
         let mut rng = Xoshiro256::new(17);
-        for &(m, k, n) in &[(3usize, 5usize, 7usize), (7, 9, 17), (13, 4, 49)] {
-            let mut a = Tensor::rand_uniform(Shape::matrix(m, k), -2.0, 2.0, &mut rng);
-            for v in a.data_mut().iter_mut().step_by(3) {
-                *v = 0.0;
-            }
+        for (m, k, n) in [(3, 5, 7), (7, 9, 17), (13, 4, 49)] {
+            let a = zero_sprinkled(m, k, &mut rng);
             let mut b = Tensor::rand_uniform(Shape::matrix(k, n), -2.0, 2.0, &mut rng);
             b.data_mut()[0] = f32::INFINITY;
             b.data_mut()[(k * n) / 2] = f32::NAN;
             b.data_mut()[k * n - 1] = f32::NEG_INFINITY;
-            let reference = matmul_reference(&a, &b);
-            let tiled = matmul(&a, &b);
-            for (i, (x, y)) in tiled.data().iter().zip(reference.data().iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "matmul {m}x{k}x{n} with non-finite B diverged at {i}: {x} vs {y}"
-                );
+            assert_kernels_match_references(&a, &b, &format!("{m}x{k}x{n}, non-finite B"));
+        }
+        // Non-finite values confined to one `KC` panel (the second: rows
+        // 256..300) and to the ragged last stripe, every row of `A` holding
+        // zeros against them; the other panel stays on the branch-free tile.
+        for (m, n) in [(5, 10), (8, 17), (13, 130), (7, 200)] {
+            let k = 300;
+            let mut a = zero_sprinkled(m, k, &mut rng);
+            let mut b = Tensor::rand_uniform(Shape::matrix(k, n), -2.0, 2.0, &mut rng);
+            for (p, bad) in [
+                (260, f32::INFINITY),
+                (280, f32::NAN),
+                (299, f32::NEG_INFINITY),
+            ] {
+                b.data_mut()[p * n + n - 1] = bad;
+                b.data_mut()[p * n + n / 2] = bad;
+                for i in (0..m).step_by(2) {
+                    a.data_mut()[i * k + p] = 0.0;
+                }
             }
+            assert_kernels_match_references(&a, &b, &format!("{m}x{k}x{n}, one bad panel"));
         }
         // A fully zero A row must stay zero even against an all-inf B row.
         let a = mat(1, 2, &[0.0, 1.0]);
         let b = mat(2, 2, &[f32::INFINITY, f32::NAN, 2.0, 3.0]);
         assert_eq!(matmul(&a, &b).data(), &[2.0, 3.0]);
+    }
+
+    #[test]
+    fn padded_lanes_never_leak_into_kept_columns() {
+        // Infinite `A` entries turn the zero-padded lanes of a ragged stripe
+        // into NaN (`inf * 0`); the kept columns must not notice.
+        let mut rng = Xoshiro256::new(23);
+        for (m, k, n) in [(4, 6, 1), (7, 20, 10), (9, 257, 17), (13, 33, 130)] {
+            let mut a = zero_sprinkled(m, k, &mut rng);
+            a.data_mut()[1] = f32::INFINITY;
+            a.data_mut()[m * k / 2] = f32::NEG_INFINITY;
+            let b = Tensor::rand_uniform(Shape::matrix(k, n), -2.0, 2.0, &mut rng);
+            assert_kernels_match_references(&a, &b, &format!("{m}x{k}x{n}, infinite A"));
+        }
     }
 
     #[test]
@@ -667,29 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let a = mat(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let tt = transpose(&transpose(&a));
-        assert_eq!(tt.data(), a.data());
-        assert_eq!(tt.shape().dims(), &[2, 3]);
-    }
-
-    #[test]
-    fn transpose_tiled_matches_naive_at_ragged_shapes() {
-        let mut rng = Xoshiro256::new(9);
-        for &(m, n) in &[(1usize, 1usize), (31, 33), (32, 32), (65, 7), (5, 100)] {
-            let a = Tensor::rand_uniform(Shape::matrix(m, n), -1.0, 1.0, &mut rng);
-            let t = transpose(&a);
-            assert_eq!(t.shape().dims(), &[n, m]);
-            for i in 0..m {
-                for j in 0..n {
-                    assert_eq!(t.data()[j * m + i], a.data()[i * n + j]);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn bias_and_row_sum() {
         let mut a = mat(2, 3, &[0.0; 6]);
         let bias = Tensor::from_slice(&[1.0, 2.0, 3.0]);
@@ -723,7 +753,7 @@ mod tests {
             let b_nk = Tensor::rand_uniform(Shape::matrix(n, k), -1.0, 1.0, &mut rng);
             matmul_a_bt_into(&a, &b_nk, &mut bt, &mut out);
             assert_eq!(out, matmul_a_bt(&a, &b_nk), "matmul_a_bt_into {m}x{k}x{n}");
-            assert_eq!(bt, transpose(&b_nk));
+            assert_eq!(bt, Tensor::empty(), "bt_scratch must stay untouched");
 
             let mut sums = Tensor::empty();
             sum_rows_into(&a, &mut sums);
