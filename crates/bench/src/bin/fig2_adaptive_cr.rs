@@ -8,8 +8,7 @@
 //! static schedule table stays instant without it).
 //!
 //! `--ablation` additionally compares the paper's benchmark choice (slowest
-//! client's compressed time) against a mean-time benchmark, the design-choice
-//! ablation called out in DESIGN.md §5.
+//! client's compressed time) against a mean-time benchmark.
 //!
 //! `cargo run --release -p fl-bench --bin fig2_adaptive_cr [-- --ablation --measured]`
 

@@ -1,8 +1,9 @@
 //! `fl-bench` — shared plumbing for the experiment binaries that regenerate
 //! every table and figure of the paper.
 //!
-//! Each binary in `src/bin/` reproduces one artifact (see DESIGN.md §3 for
-//! the full index). They all accept the same flags, parsed by [`BenchArgs`]:
+//! Each binary in `src/bin/` reproduces one artifact (the README's
+//! "Benchmarks and paper artifacts" section lists them). They all accept the
+//! same flags, parsed by [`BenchArgs`]:
 //!
 //! * `--rounds N`        — communication rounds per run (default: per-binary);
 //! * `--scale F`         — synthetic dataset scale factor (default: per-binary);

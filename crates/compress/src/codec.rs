@@ -1,23 +1,19 @@
 //! The [`UpdateCodec`] trait — stateful encoder/decoders producing the
 //! byte-level [`WireUpdate`] format — and the built-in codec implementations.
 //!
-//! A codec differs from the primitive [`crate::compressor::Compressor`] in
-//! three ways:
-//!
-//! * **it emits real bytes** — [`UpdateCodec::encode`] returns a versioned
-//!   [`WireUpdate`] buffer (varint-delta sparse indices, bit-packed QSGD
-//!   levels) whose length is what the network simulator can charge, instead
-//!   of an in-memory struct with an asserted size;
-//! * **it owns its cross-round state** — `encode` takes `&mut self`, so
+//! * **A codec emits real bytes** — [`UpdateCodec::encode_sent`] returns a
+//!   versioned [`WireUpdate`] buffer (varint-delta sparse indices, bit-packed
+//!   QSGD levels) whose length is what the network simulator can charge.
+//! * **It owns its cross-round state** — encoding takes `&mut self`, so
 //!   error-feedback residuals ([`EfCodec`]) live inside the codec instead of
-//!   being special-cased in the client;
-//! * **encoding is one forward pass** — [`UpdateCodec::encode_sent`] returns
-//!   the bytes *and* the lossy update those bytes stand for, built from the
-//!   selection and quantization levels the encoder already holds. Wrappers
-//!   that need to know what was sent (error feedback, composition, the
-//!   downlink channel) take it from there; nothing on the encode side ever
-//!   decodes its own bytes. The only decode of a round is the receiver's;
-//! * **per-round randomness is explicit** — `encode` draws from the caller's
+//!   being special-cased in the client.
+//! * **Encoding is one forward pass** — `encode_sent` returns the bytes *and*
+//!   the lossy update those bytes stand for, built from the selection and
+//!   quantization levels the encoder already holds. Wrappers that need to
+//!   know what was sent (error feedback, composition, the downlink channel)
+//!   take it from there; nothing on the encode side ever decodes its own
+//!   bytes. The only decode of a round is the receiver's.
+//! * **Per-round randomness is explicit** — encoding draws from the caller's
 //!   [`Xoshiro256`] stream (one stream per simulated client), so experiment
 //!   replays stay bit-exact no matter which codec runs.
 //!
@@ -25,16 +21,14 @@
 //! through the [`crate::registry::CodecRegistry`]; the types here are public
 //! so custom codecs can wrap or compose them.
 
-use crate::compressor::{CompressedUpdate, Compressor};
 use crate::quantize::{max_level_for_bits, qsgd_dequantize, qsgd_levels};
-use crate::randk::RandK;
 use crate::sparse::SparseUpdate;
-use crate::threshold::Threshold;
-use crate::topk::TopK;
+use crate::update::CompressedUpdate;
 use crate::wire::{
     encode_dense, encode_quantized, encode_quantized_rc, encode_sparse, encode_sparse_quantized,
     encode_sparse_quantized_rc, WireError, WireUpdate,
 };
+use crate::{randk, threshold, topk};
 use fl_tensor::rng::{Rng, Xoshiro256};
 
 /// Everything a codec factory may consult when instantiating a codec.
@@ -45,8 +39,8 @@ pub struct CodecCtx {
     pub dense_len: usize,
     /// Deterministic seed for codecs that keep private RNG state. The
     /// built-ins instead draw from the stream passed to
-    /// [`UpdateCodec::encode`], but custom codecs may want a construction
-    /// seed.
+    /// [`UpdateCodec::encode_sent`], but custom codecs may want a
+    /// construction seed.
     pub seed: u64,
 }
 
@@ -125,37 +119,32 @@ pub trait UpdateCodec: Send {
 
     /// Encode a dense update at the target `ratio` into wire bytes, drawing
     /// any per-round randomness from `rng` and updating internal state
-    /// (error-feedback residuals, …).
-    fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate;
+    /// (error-feedback residuals, …). Returns the bytes together with what
+    /// was sent: the lossy update [`decode`](Self::decode) reconstructs from
+    /// those bytes, bit for bit.
+    ///
+    /// Error feedback, codec composition and the downlink channel need the
+    /// sent update, and an encoder already holds it (the selected
+    /// coordinates, the quantization levels) before it writes a byte — so
+    /// nothing on the sending side decodes its own bytes.
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate);
+
+    /// The wire bytes of [`encode_sent`](Self::encode_sent) alone. State and
+    /// RNG advance exactly as there.
+    fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
+        self.encode_sent(dense, ratio, rng).0
+    }
 
     /// Reconstruct the lossy update an encoded buffer represents. The default
     /// decodes the standard wire format; codecs with private payload layouts
     /// override this.
     fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
         wire.decode()
-    }
-
-    /// [`encode`](Self::encode), also returning what was sent: the lossy
-    /// update [`decode`](Self::decode) reconstructs from the returned bytes,
-    /// bit for bit. State and RNG advance exactly as in `encode`.
-    ///
-    /// This is what error feedback, codec composition and the downlink
-    /// channel call: they need the sent update, and an encoder already holds
-    /// it (the selected coordinates, the quantization levels) before it
-    /// writes a byte. The default gets it the slow way — encode, then decode
-    /// the bytes just written — so a custom codec only has to implement
-    /// `encode`; every built-in overrides it to skip the decode.
-    fn encode_sent(
-        &mut self,
-        dense: &[f32],
-        ratio: f64,
-        rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
-        let wire = self.encode(dense, ratio, rng);
-        let sent = self
-            .decode(&wire)
-            .expect("a codec must decode its own encoding");
-        (wire, sent)
     }
 
     /// L2 norm of any accumulated residual state (0 for stateless codecs).
@@ -202,13 +191,11 @@ pub(crate) fn debug_assert_sent(wire: &WireUpdate, sent: &CompressedUpdate) {
 
 /// `encode_sent` of a sparsifier: the `KIND_SPARSE` bytes and the selection
 /// they carry verbatim.
-fn sparse_sent(sparse: CompressedUpdate) -> (WireUpdate, CompressedUpdate) {
-    let wire = match &sparse {
-        CompressedUpdate::Sparse(s) => encode_sparse(s),
-        CompressedUpdate::Quantized { .. } => unreachable!("a sparsifier emits sparse updates"),
-    };
-    debug_assert_sent(&wire, &sparse);
-    (wire, sparse)
+fn sparse_sent(sparse: SparseUpdate) -> (WireUpdate, CompressedUpdate) {
+    let wire = encode_sparse(&sparse);
+    let sent = CompressedUpdate::Sparse(sparse);
+    debug_assert_sent(&wire, &sent);
+    (wire, sent)
 }
 
 /// `encode_sent` of an uncompressed upload: the `KIND_DENSE` bytes, which
@@ -233,26 +220,19 @@ impl UpdateCodec for TopKCodec {
         "topk".into()
     }
 
-    fn encode(&mut self, dense: &[f32], ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
-        // A ratio-1.0 upload retains everything: ship the dense wire format
-        // (raw f32s, no per-coordinate index overhead) so uncompressed
-        // baselines like FedAvg are charged honest dense bytes.
-        if TopK::k_for(dense.len(), ratio) == dense.len() {
-            return encode_dense(dense);
-        }
-        sparse_sent(TopK::new().compress(dense, ratio)).0
-    }
-
     fn encode_sent(
         &mut self,
         dense: &[f32],
         ratio: f64,
         _rng: &mut Xoshiro256,
     ) -> (WireUpdate, CompressedUpdate) {
-        if TopK::k_for(dense.len(), ratio) == dense.len() {
+        // A ratio-1.0 upload retains everything: ship the dense wire format
+        // (raw f32s, no per-coordinate index overhead) so uncompressed
+        // baselines like FedAvg are charged honest dense bytes.
+        if topk::k_for(dense.len(), ratio) == dense.len() {
             return dense_sent(dense);
         }
-        sparse_sent(TopK::new().compress(dense, ratio))
+        sparse_sent(topk::select(dense, ratio))
     }
 }
 
@@ -267,10 +247,6 @@ pub struct DenseCodec;
 impl UpdateCodec for DenseCodec {
     fn name(&self) -> String {
         "dense".into()
-    }
-
-    fn encode(&mut self, dense: &[f32], _ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
-        encode_dense(dense)
     }
 
     fn encode_sent(
@@ -303,29 +279,19 @@ impl UpdateCodec for RandKCodec {
         "randk".into()
     }
 
-    fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
-        self.encode_sent(dense, ratio, rng).0
-    }
-
     fn encode_sent(
         &mut self,
         dense: &[f32],
         ratio: f64,
         rng: &mut Xoshiro256,
     ) -> (WireUpdate, CompressedUpdate) {
-        let round_seed = rng.next_u64();
-        let randk = if self.unbiased {
-            RandK::new(round_seed)
-        } else {
-            RandK::biased(round_seed)
-        };
-        sparse_sent(randk.compress(dense, ratio))
+        sparse_sent(randk::select(dense, ratio, rng.next_u64(), self.unbiased))
     }
 }
 
 /// Hard-threshold sparsification. With an absolute `tau` the target ratio is
 /// ignored; without one the threshold is derived from the `1 − ratio`
-/// magnitude quantile (the [`Threshold`] compressor's behaviour).
+/// magnitude quantile ([`threshold::threshold_for`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThresholdCodec {
     /// Optional absolute magnitude threshold (`"threshold:0.01"`).
@@ -340,10 +306,6 @@ impl UpdateCodec for ThresholdCodec {
         }
     }
 
-    fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
-        self.encode_sent(dense, ratio, rng).0
-    }
-
     fn encode_sent(
         &mut self,
         dense: &[f32],
@@ -351,10 +313,8 @@ impl UpdateCodec for ThresholdCodec {
         _rng: &mut Xoshiro256,
     ) -> (WireUpdate, CompressedUpdate) {
         sparse_sent(match self.tau {
-            Some(tau) => CompressedUpdate::Sparse(SparseUpdate::from_dense_mask(dense, |_, v| {
-                v.abs() >= tau && v != 0.0
-            })),
-            None => Threshold::new().compress(dense, ratio),
+            Some(tau) => threshold::select_at(dense, tau),
+            None => threshold::select(dense, ratio),
         })
     }
 }
@@ -417,11 +377,6 @@ impl UpdateCodec for QsgdCodec {
         }
     }
 
-    fn encode(&mut self, dense: &[f32], _ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
-        let (norm, levels) = self.quantize(dense, rng);
-        self.dense_wire(norm, &levels)
-    }
-
     fn encode_sent(
         &mut self,
         dense: &[f32],
@@ -434,7 +389,6 @@ impl UpdateCodec for QsgdCodec {
         // levels just written.
         let sent = CompressedUpdate::Quantized {
             values: qsgd_dequantize(norm, max_level_for_bits(self.bits), &levels),
-            wire_bytes: wire.len(),
         };
         debug_assert_sent(&wire, &sent);
         (wire, sent)
@@ -465,10 +419,6 @@ impl ComposedCodec {
 impl UpdateCodec for ComposedCodec {
     fn name(&self) -> String {
         format!("{}+{}", self.sparsifier.name(), self.quantizer.name())
-    }
-
-    fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
-        self.encode_sent(dense, ratio, rng).0
     }
 
     fn encode_sent(
@@ -553,10 +503,6 @@ impl EfCodec {
 impl UpdateCodec for EfCodec {
     fn name(&self) -> String {
         format!("ef-{}", self.inner.name())
-    }
-
-    fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
-        self.encode_sent(dense, ratio, rng).0
     }
 
     fn encode_sent(
@@ -663,16 +609,13 @@ mod tests {
 
     #[test]
     fn randk_codec_draw_matches_legacy_seed_order() {
-        // The codec must consume exactly one u64 from the stream and feed it
-        // to RandK the way the pre-codec client did.
+        // The codec must consume exactly one u64 from the stream and seed
+        // the Rand-K draw with it the way the pre-codec client did.
         let d = delta(200);
         let mut stream = rng();
         let wire = RandKCodec::default().encode(&d, 0.1, &mut stream);
-        let legacy = RandK::new(rng().next_u64()).compress(&d, 0.1);
-        assert_eq!(
-            wire.decode().unwrap().into_sparse().unwrap(),
-            legacy.into_sparse().unwrap()
-        );
+        let legacy = randk::select(&d, 0.1, rng().next_u64(), true);
+        assert_eq!(wire.decode().unwrap().into_sparse().unwrap(), legacy);
         // Exactly one draw: the stream's next value matches a twice-advanced
         // fresh stream.
         let mut fresh = rng();
@@ -724,20 +667,25 @@ mod tests {
 
     #[test]
     fn ef_codec_matches_legacy_error_feedback() {
-        use crate::error_feedback::ErrorFeedback;
+        // The dense textbook recurrence: corrected = d + r, sent =
+        // topk(corrected), r = corrected − sent.
         let d = delta(300);
-        let mut legacy = ErrorFeedback::new(TopK::new(), d.len());
+        let mut residual = vec![0.0f32; d.len()];
         let mut codec = EfCodec::new(Box::new(TopKCodec), d.len());
         for _ in 0..4 {
-            let sent_legacy = legacy.compress_with_feedback(&d, 0.1).to_dense();
+            let corrected: Vec<f32> = d.iter().zip(&residual).map(|(d, r)| d + r).collect();
+            let sent_legacy = topk::select(&corrected, 0.1).to_dense();
+            for ((r, c), s) in residual.iter_mut().zip(&corrected).zip(&sent_legacy) {
+                *r = c - s;
+            }
             let sent_codec = codec
                 .encode(&d, 0.1, &mut rng())
                 .decode()
                 .unwrap()
                 .into_dense();
             assert_eq!(sent_legacy, sent_codec);
+            assert_eq!(codec.residual(), residual);
         }
-        assert!((codec.residual_norm() - legacy.residual_norm()).abs() < 1e-12);
     }
 
     #[test]
@@ -763,18 +711,24 @@ mod tests {
     }
 
     #[test]
-    fn custom_codecs_get_encode_sent_from_the_provided_default() {
-        // A codec that implements only `encode` and a private `decode`
-        // (receivers negate what the standard format says): the default
-        // `encode_sent` must go through *its* decode, and error feedback on
-        // top of it must see exactly that.
+    fn error_feedback_sees_what_a_private_decode_says_was_sent() {
+        // A codec with a private `decode` (receivers negate what the
+        // standard format says) reports that from `encode_sent`, and error
+        // feedback on top of it must see exactly that.
         struct Negating;
         impl UpdateCodec for Negating {
             fn name(&self) -> String {
                 "negating".into()
             }
-            fn encode(&mut self, dense: &[f32], _ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
-                encode_dense(dense)
+            fn encode_sent(
+                &mut self,
+                dense: &[f32],
+                _ratio: f64,
+                _rng: &mut Xoshiro256,
+            ) -> (WireUpdate, CompressedUpdate) {
+                let wire = encode_dense(dense);
+                let sent = self.decode(&wire).expect("own encoding");
+                (wire, sent)
             }
             fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
                 let mut sparse = wire.decode()?.into_sparse().expect("dense kind");
@@ -783,13 +737,14 @@ mod tests {
             }
         }
         let d = vec![1.0f32, -2.0, 0.5];
-        let (wire, sent) = Negating.encode_sent(&d, 1.0, &mut rng());
-        assert_eq!(sent, Negating.decode(&wire).unwrap());
-        assert_eq!(sent.into_dense(), vec![-1.0, 2.0, -0.5]);
         // residual = corrected − sent = d − (−d).
         let mut ef = EfCodec::new(Box::new(Negating), d.len());
-        let _ = ef.encode(&d, 1.0, &mut rng());
+        let wire = ef.encode(&d, 1.0, &mut rng());
         assert_eq!(ef.residual(), &[2.0, -4.0, 1.0]);
+        assert_eq!(
+            ef.decode(&wire).unwrap().into_dense(),
+            vec![-1.0, 2.0, -0.5]
+        );
     }
 
     #[test]

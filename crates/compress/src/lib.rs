@@ -11,11 +11,12 @@
 //!   `"topk+qsgd:4"`;
 //! * [`registry::CodecRegistry`] — resolves a spec into a boxed
 //!   [`codec::UpdateCodec`], with custom codecs pluggable by name;
-//! * [`codec::UpdateCodec`] — stateful `encode(&mut self, dense, ratio, rng)`
-//!   producing a real [`wire::WireUpdate`] byte buffer (varint-delta sparse
-//!   indices, bit-packed QSGD levels) and `decode` reconstructing the lossy
-//!   dense update; `encode_sent` returns the bytes together with the update
-//!   they decode to, so nothing on the sending side decodes its own bytes.
+//! * [`codec::UpdateCodec`] — stateful
+//!   `encode_sent(&mut self, dense, ratio, rng)` producing a real
+//!   [`wire::WireUpdate`] byte buffer (varint-delta sparse indices,
+//!   bit-packed QSGD levels) together with the lossy update those bytes
+//!   decode to, so nothing on the sending side decodes its own bytes;
+//!   `encode` is its bytes-only projection and `decode` the receiver's side.
 //!   Error-feedback residuals live inside [`codec::EfCodec`];
 //! * [`downlink::DownlinkChannel`] — the server-side broadcast wrapper: one
 //!   codec encodes the global-parameter delta per round, recipients share the
@@ -37,18 +38,15 @@
 //! **The primitives** codecs are built from:
 //!
 //! * [`sparse::SparseUpdate`] — the COO (index + value) representation with
-//!   the paper's analytic wire-size accounting;
-//! * the [`compressor::Compressor`] trait and the stateless compressors:
-//!   [`topk::TopK`], [`randk::RandK`], [`threshold::Threshold`] and the
-//!   QSGD-style [`quantize::Qsgd`] quantizer;
-//! * [`error_feedback::ErrorFeedback`] — the residual-memory wrapper over a
-//!   raw [`compressor::Compressor`] (the codec pipeline uses
-//!   [`codec::EfCodec`] instead).
+//!   the paper's analytic wire-size accounting, and
+//!   [`update::CompressedUpdate`], what a wire buffer decodes to;
+//! * the selection functions [`topk::select`], [`randk::select`] and
+//!   [`threshold::select`], each returning the [`sparse::SparseUpdate`] it
+//!   keeps, and the QSGD quantizer [`quantize::qsgd_levels`] /
+//!   [`quantize::qsgd_dequantize`].
 
 pub mod codec;
-pub mod compressor;
 pub mod downlink;
-pub mod error_feedback;
 pub mod plan;
 pub mod quantize;
 pub mod randk;
@@ -59,26 +57,22 @@ pub mod sparse;
 pub mod spec;
 pub mod threshold;
 pub mod topk;
+pub mod update;
 pub mod wire;
 
 pub use codec::{
     CodecCtx, ComposedCodec, DenseCodec, EfCodec, QsgdCodec, RandKCodec, ResidualState,
     ThresholdCodec, TopKCodec, UpdateCodec,
 };
-pub use compressor::{CompressedUpdate, Compressor};
 pub use downlink::DownlinkChannel;
-pub use error_feedback::ErrorFeedback;
 pub use plan::{
     glob_match, migrate_planned_residual, LayerPlan, PlanRule, PlannedCodec, SegmentDef,
 };
-pub use quantize::Qsgd;
-pub use randk::RandK;
 pub use registry::{CodecFactory, CodecRegistry};
 pub use residual_store::ResidualStore;
 pub use sparse::SparseUpdate;
 pub use spec::{CodecStage, CompressorSpec, SpecError};
-pub use threshold::Threshold;
-pub use topk::TopK;
+pub use update::CompressedUpdate;
 pub use wire::{WireError, WireUpdate};
 
 pub use wire::{encode_quantized_rc, encode_sparse_quantized_rc, KIND_ENTROPY};

@@ -34,10 +34,10 @@
 //! the registry.
 
 use crate::codec::{debug_assert_sent, CodecCtx, ResidualState, UpdateCodec};
-use crate::compressor::CompressedUpdate;
 use crate::registry::CodecRegistry;
 use crate::sparse::SparseUpdate;
 use crate::spec::{CompressorSpec, SpecError};
+use crate::update::CompressedUpdate;
 use crate::wire::{encode_segmented, splice_segment, WireUpdate};
 use fl_tensor::rng::Xoshiro256;
 use serde::{Deserialize, Serialize};
@@ -491,25 +491,6 @@ impl UpdateCodec for PlannedCodec {
         self.plan_display.clone()
     }
 
-    fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
-        assert_eq!(
-            dense.len(),
-            self.dense_len,
-            "planned codec built for {} parameters got {}",
-            self.dense_len,
-            dense.len()
-        );
-        let mut parts = Vec::with_capacity(self.segments.len());
-        for seg in &mut self.segments {
-            let seg_ratio = seg.ratio(ratio);
-            parts.push(
-                seg.codec
-                    .encode(&dense[seg.offset..seg.offset + seg.len], seg_ratio, rng),
-            );
-        }
-        encode_segmented(self.dense_len, &parts)
-    }
-
     fn encode_sent(
         &mut self,
         dense: &[f32],
@@ -594,8 +575,7 @@ impl UpdateCodec for PlannedCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compressor::Compressor;
-    use crate::topk::TopK;
+    use crate::topk;
     use crate::wire::KIND_SEGMENTED;
     use fl_tensor::rng::Rng;
 
@@ -737,8 +717,8 @@ mod tests {
             .map(|(_, &v)| v)
             .collect();
         let in_b = s.indices().iter().filter(|&&i| i >= 208).count();
-        assert_eq!(in_a, TopK::k_for(200, 0.1));
-        assert_eq!(in_b, TopK::k_for(100, 0.1));
+        assert_eq!(in_a, topk::k_for(200, 0.1));
+        assert_eq!(in_b, topk::k_for(100, 0.1));
         assert_eq!(bias, d[200..208].to_vec());
         // The decoded values of retained weight coordinates match the input.
         for (&i, &v) in s.indices().iter().zip(s.values().iter()) {
@@ -747,7 +727,7 @@ mod tests {
 
         // Compare against the flat codec: the plan retains each layer's
         // share, the flat codec retains a global top-k.
-        let flat = TopK::new().compress(&d, 0.1).into_sparse().unwrap();
+        let flat = topk::select(&d, 0.1);
         assert_ne!(flat.indices(), s.indices());
     }
 
@@ -896,8 +876,8 @@ mod tests {
         let s = wire.decode().unwrap().into_sparse().unwrap();
         let in_a = s.indices().iter().filter(|&&i| i < 200).count();
         let in_b = s.indices().iter().filter(|&&i| i >= 200).count();
-        assert_eq!(in_a, TopK::k_for(200, 0.05));
-        assert_eq!(in_b, TopK::k_for(100, 0.2));
+        assert_eq!(in_a, topk::k_for(200, 0.05));
+        assert_eq!(in_b, topk::k_for(100, 0.2));
         // All-1.0 scales still frame segments (no flat collapse).
         let mut unscaled = plan
             .resolve_scaled(&registry, &layout, &CodecCtx::new(300, 5), &[1.0, 1.0])

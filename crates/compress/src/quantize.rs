@@ -6,8 +6,7 @@
 //! mapped onto `s` uniform levels with stochastic rounding, and transmitted
 //! as (norm, sign, level) triples.
 
-use crate::compressor::{CompressedUpdate, Compressor};
-use fl_tensor::rng::{Rng, SplitMix64};
+use fl_tensor::rng::Rng;
 
 /// Largest magnitude level representable in a `bits`-wide packed coordinate
 /// (one bit is the sign): `2^(bits−1) − 1`.
@@ -60,131 +59,10 @@ pub fn qsgd_dequantize(norm: f32, max_level: u32, levels: &[i32]) -> Vec<f32> {
     levels.iter().map(|&l| norm * l as f32 / s).collect()
 }
 
-/// Stochastic uniform quantizer with `levels` quantization levels.
-#[derive(Clone, Copy, Debug)]
-pub struct Qsgd {
-    levels: u32,
-    seed: u64,
-}
-
-impl Qsgd {
-    /// Create a quantizer with the given number of levels (`>= 1`) and seed.
-    pub fn new(levels: u32, seed: u64) -> Self {
-        assert!(levels >= 1, "need at least one quantization level");
-        Self { levels, seed }
-    }
-
-    /// Bits needed per coordinate: 1 sign bit + ceil(log2(levels + 1)).
-    pub fn bits_per_coordinate(&self) -> u32 {
-        1 + (32 - (self.levels).leading_zeros())
-    }
-
-    /// Wire size in bytes for a vector of the given length: a 4-byte norm
-    /// plus the packed per-coordinate payload.
-    pub fn wire_bytes(&self, len: usize) -> usize {
-        4 + (len * self.bits_per_coordinate() as usize).div_ceil(8)
-    }
-}
-
-impl Compressor for Qsgd {
-    /// `ratio` is ignored by the quantizer (its compression factor is fixed
-    /// by the level count); it is part of the trait signature so quantizers
-    /// can be swapped into the same pipeline as sparsifiers.
-    fn compress(&self, dense: &[f32], _ratio: f64) -> CompressedUpdate {
-        let norm = dense
-            .iter()
-            .map(|v| (*v as f64).powi(2))
-            .sum::<f64>()
-            .sqrt() as f32;
-        if norm == 0.0 || dense.is_empty() {
-            return CompressedUpdate::Quantized {
-                values: vec![0.0; dense.len()],
-                wire_bytes: self.wire_bytes(dense.len()),
-            };
-        }
-        let s = self.levels as f32;
-        let mut rng = SplitMix64::new(self.seed ^ dense.len() as u64 ^ norm.to_bits() as u64);
-        let values = dense
-            .iter()
-            .map(|&v| {
-                let ratio = v.abs() / norm; // in [0, 1]
-                let scaled = ratio * s;
-                let floor = scaled.floor();
-                let frac = scaled - floor;
-                let level = if rng.next_f32() < frac {
-                    floor + 1.0
-                } else {
-                    floor
-                };
-                v.signum() * norm * level / s
-            })
-            .collect();
-        CompressedUpdate::Quantized {
-            values,
-            wire_bytes: self.wire_bytes(dense.len()),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "qsgd"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_vector_stays_zero() {
-        let q = Qsgd::new(16, 1);
-        let c = q.compress(&[0.0; 8], 1.0);
-        assert_eq!(c.to_dense(), vec![0.0; 8]);
-    }
-
-    #[test]
-    fn wire_size_smaller_than_dense() {
-        let q = Qsgd::new(15, 1); // 1 + 4 bits = 5 bits/coord
-        assert_eq!(q.bits_per_coordinate(), 5);
-        let bytes = q.wire_bytes(1000);
-        assert!(bytes < 1000 * 4, "quantized {bytes} should beat dense 4000");
-    }
-
-    #[test]
-    fn quantization_error_bounded() {
-        // |x - Q(x)| <= norm / levels per coordinate.
-        let dense: Vec<f32> = (0..256).map(|i| ((i as f32) * 0.37).sin()).collect();
-        let norm = dense.iter().map(|v| v * v).sum::<f32>().sqrt();
-        let q = Qsgd::new(64, 5);
-        let rec = q.compress(&dense, 1.0).to_dense();
-        for (a, b) in dense.iter().zip(rec.iter()) {
-            assert!((a - b).abs() <= norm / 64.0 + 1e-5);
-        }
-    }
-
-    #[test]
-    fn signs_preserved() {
-        let dense = vec![1.0, -1.0, 2.0, -2.0];
-        let rec = Qsgd::new(128, 3).compress(&dense, 1.0).to_dense();
-        for (a, b) in dense.iter().zip(rec.iter()) {
-            assert!(a * b >= 0.0, "sign flipped: {a} -> {b}");
-        }
-    }
-
-    #[test]
-    fn deterministic_per_input() {
-        let dense: Vec<f32> = (0..64).map(|i| (i as f32).cos()).collect();
-        let q = Qsgd::new(8, 9);
-        assert_eq!(
-            q.compress(&dense, 1.0).to_dense(),
-            q.compress(&dense, 1.0).to_dense()
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_levels_rejected() {
-        Qsgd::new(0, 1);
-    }
+    use fl_tensor::rng::SplitMix64;
 
     #[test]
     fn level_helpers_roundtrip_within_tolerance() {

@@ -1,78 +1,45 @@
 //! Uniform random-K sparsification (an unbiased alternative to Top-K).
 
-use crate::compressor::{CompressedUpdate, Compressor};
 use crate::sparse::SparseUpdate;
-use crate::topk::TopK;
+use crate::topk;
 use fl_tensor::rng::{Rng, SplitMix64};
 
-/// Retain `k` uniformly random coordinates, rescaled by `len / k` so the
-/// compressed update is an unbiased estimator of the original.
+/// Retain `k = ceil(ratio * len)` uniformly random coordinates; with
+/// `unbiased` they are rescaled by `len / k` so the compressed update is an
+/// unbiased estimator of the original, without it they keep their raw values
+/// (biased, like Top-K).
 ///
-/// The coordinate choice is derived deterministically from the configured
-/// seed and an internal call counter would break `&self` compression, so the
-/// seed is combined with a hash of the input instead — the same input and
-/// seed always compress identically (replayable experiments), while different
-/// rounds see different coordinate sets.
-#[derive(Clone, Copy, Debug)]
-pub struct RandK {
-    seed: u64,
-    /// If true, rescale retained values by `len/k` (unbiased); if false keep
-    /// raw values (biased, like Top-K).
-    pub unbiased: bool,
+/// The coordinate choice is drawn from `seed` combined with a hash of the
+/// input — the same input and seed always compress identically (replayable
+/// experiments), while different rounds see different coordinate sets.
+pub fn select(dense: &[f32], ratio: f64, seed: u64, unbiased: bool) -> SparseUpdate {
+    let k = topk::k_for(dense.len(), ratio);
+    if k == 0 {
+        return SparseUpdate::empty(dense.len());
+    }
+    let mut rng = SplitMix64::new(seed ^ input_fingerprint(dense));
+    let mut chosen = rng.sample_without_replacement(dense.len(), k);
+    chosen.sort_unstable();
+    let scale = if unbiased {
+        dense.len() as f32 / k as f32
+    } else {
+        1.0
+    };
+    let indices: Vec<u32> = chosen.iter().map(|&i| i as u32).collect();
+    let values: Vec<f32> = chosen.iter().map(|&i| dense[i] * scale).collect();
+    SparseUpdate::new(indices, values, dense.len())
 }
 
-impl RandK {
-    /// New Rand-K compressor with the given seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            unbiased: true,
-        }
+fn input_fingerprint(dense: &[f32]) -> u64 {
+    // Cheap FNV-style fold over the bit patterns; only needs to vary
+    // between rounds, not be cryptographic.
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &v in dense.iter().step_by((dense.len() / 64).max(1)) {
+        h ^= v.to_bits() as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
     }
-
-    /// Rand-K without the unbiasedness rescaling.
-    pub fn biased(seed: u64) -> Self {
-        Self {
-            seed,
-            unbiased: false,
-        }
-    }
-
-    fn input_fingerprint(dense: &[f32]) -> u64 {
-        // Cheap FNV-style fold over the bit patterns; only needs to vary
-        // between rounds, not be cryptographic.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &v in dense.iter().step_by((dense.len() / 64).max(1)) {
-            h ^= v.to_bits() as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h ^= dense.len() as u64;
-        h
-    }
-}
-
-impl Compressor for RandK {
-    fn compress(&self, dense: &[f32], ratio: f64) -> CompressedUpdate {
-        let k = TopK::k_for(dense.len(), ratio);
-        if k == 0 {
-            return CompressedUpdate::Sparse(SparseUpdate::empty(dense.len()));
-        }
-        let mut rng = SplitMix64::new(self.seed ^ Self::input_fingerprint(dense));
-        let mut chosen = rng.sample_without_replacement(dense.len(), k);
-        chosen.sort_unstable();
-        let scale = if self.unbiased {
-            dense.len() as f32 / k as f32
-        } else {
-            1.0
-        };
-        let indices: Vec<u32> = chosen.iter().map(|&i| i as u32).collect();
-        let values: Vec<f32> = chosen.iter().map(|&i| dense[i] * scale).collect();
-        CompressedUpdate::Sparse(SparseUpdate::new(indices, values, dense.len()))
-    }
-
-    fn name(&self) -> &'static str {
-        "randk"
-    }
+    h ^= dense.len() as u64;
+    h
 }
 
 #[cfg(test)]
@@ -82,31 +49,24 @@ mod tests {
     #[test]
     fn retains_requested_count() {
         let dense: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let c = RandK::new(1).compress(&dense, 0.1);
-        assert_eq!(c.as_sparse().unwrap().nnz(), 10);
+        assert_eq!(select(&dense, 0.1, 1, true).nnz(), 10);
     }
 
     #[test]
     fn same_input_same_output() {
         let dense: Vec<f32> = (0..50).map(|i| (i as f32).sin()).collect();
-        let a = RandK::new(7).compress(&dense, 0.2);
-        let b = RandK::new(7).compress(&dense, 0.2);
-        assert_eq!(
-            a.as_sparse().unwrap().indices(),
-            b.as_sparse().unwrap().indices()
-        );
+        let a = select(&dense, 0.2, 7, true);
+        let b = select(&dense, 0.2, 7, true);
+        assert_eq!(a.indices(), b.indices());
     }
 
     #[test]
     fn different_inputs_pick_different_coordinates() {
         let d1: Vec<f32> = (0..200).map(|i| (i as f32).sin()).collect();
         let d2: Vec<f32> = (0..200).map(|i| (i as f32).cos()).collect();
-        let a = RandK::new(7).compress(&d1, 0.1);
-        let b = RandK::new(7).compress(&d2, 0.1);
-        assert_ne!(
-            a.as_sparse().unwrap().indices(),
-            b.as_sparse().unwrap().indices()
-        );
+        let a = select(&d1, 0.1, 7, true);
+        let b = select(&d2, 0.1, 7, true);
+        assert_ne!(a.indices(), b.indices());
     }
 
     #[test]
@@ -114,8 +74,7 @@ mod tests {
         // Expectation over the randomness equals the original sum; with a
         // constant vector this holds exactly per draw.
         let dense = vec![2.0f32; 100];
-        let c = RandK::new(3).compress(&dense, 0.25);
-        let sum: f32 = c.to_dense().iter().sum();
+        let sum: f32 = select(&dense, 0.25, 3, true).to_dense().iter().sum();
         let orig: f32 = dense.iter().sum();
         assert!((sum - orig).abs() < 1e-3);
     }
@@ -127,19 +86,16 @@ mod tests {
         // through untouched: same count, deterministic coordinate choice.
         let mut dense: Vec<f32> = (0..100).map(|i| (i as f32).sin()).collect();
         dense[17] = f32::NAN;
-        let a = RandK::new(7).compress(&dense, 0.1);
-        let b = RandK::new(7).compress(&dense, 0.1);
-        assert_eq!(a.as_sparse().unwrap().nnz(), 10);
-        assert_eq!(
-            a.as_sparse().unwrap().indices(),
-            b.as_sparse().unwrap().indices()
-        );
+        let a = select(&dense, 0.1, 7, true);
+        let b = select(&dense, 0.1, 7, true);
+        assert_eq!(a.nnz(), 10);
+        assert_eq!(a.indices(), b.indices());
     }
 
     #[test]
     fn biased_variant_keeps_raw_values() {
         let dense = vec![2.0f32; 10];
-        let c = RandK::biased(3).compress(&dense, 0.5);
-        assert!(c.as_sparse().unwrap().values().iter().all(|&v| v == 2.0));
+        let s = select(&dense, 0.5, 3, false);
+        assert!(s.values().iter().all(|&v| v == 2.0));
     }
 }

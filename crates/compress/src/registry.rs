@@ -289,13 +289,17 @@ mod tests {
                 fn name(&self) -> String {
                     "empty".into()
                 }
-                fn encode(
+                fn encode_sent(
                     &mut self,
                     dense: &[f32],
                     _ratio: f64,
                     _rng: &mut Xoshiro256,
-                ) -> crate::wire::WireUpdate {
-                    crate::wire::encode_sparse(&crate::sparse::SparseUpdate::empty(dense.len()))
+                ) -> (crate::wire::WireUpdate, crate::CompressedUpdate) {
+                    let empty = crate::sparse::SparseUpdate::empty(dense.len());
+                    (
+                        crate::wire::encode_sparse(&empty),
+                        crate::CompressedUpdate::Sparse(empty),
+                    )
                 }
             }
             Ok(Box::new(Empty))

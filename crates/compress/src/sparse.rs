@@ -1,6 +1,5 @@
 //! Sparse (COO) representation of a compressed model update.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// A sparse model update: the retained coordinates of a dense vector of
@@ -132,52 +131,6 @@ impl SparseUpdate {
     pub fn norm_sq(&self) -> f64 {
         self.values.iter().map(|&v| (v as f64) * (v as f64)).sum()
     }
-
-    /// Serialize to a compact binary wire format (little-endian):
-    /// `[dense_len: u64][nnz: u64][indices: u32 * nnz][values: f32 * nnz]`.
-    pub fn to_wire(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.nnz() * 8);
-        buf.put_u64_le(self.dense_len as u64);
-        buf.put_u64_le(self.nnz() as u64);
-        for &i in &self.indices {
-            buf.put_u32_le(i);
-        }
-        for &v in &self.values {
-            buf.put_f32_le(v);
-        }
-        buf.freeze()
-    }
-
-    /// Parse the wire format produced by [`SparseUpdate::to_wire`].
-    pub fn from_wire(mut bytes: Bytes) -> Result<Self, String> {
-        if bytes.remaining() < 16 {
-            return Err("truncated header".into());
-        }
-        let dense_len = bytes.get_u64_le() as usize;
-        let nnz = bytes.get_u64_le() as usize;
-        if bytes.remaining() < nnz * 8 {
-            return Err(format!("truncated body: need {} bytes", nnz * 8));
-        }
-        let mut indices = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            indices.push(bytes.get_u32_le());
-        }
-        let mut values = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            values.push(bytes.get_f32_le());
-        }
-        if !indices.windows(2).all(|w| w[0] < w[1]) {
-            return Err("indices not strictly increasing".into());
-        }
-        if indices.last().is_some_and(|&l| l as usize >= dense_len) {
-            return Err("index out of range".into());
-        }
-        Ok(Self {
-            indices,
-            values,
-            dense_len,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -208,25 +161,6 @@ mod tests {
         let mut target = vec![1.0; 4];
         s.add_scaled_into(&mut target, 0.5);
         assert_eq!(target, vec![1.0, 2.0, 1.0, 0.5]);
-    }
-
-    #[test]
-    fn binary_wire_roundtrip() {
-        let s = SparseUpdate::new(vec![2, 7, 100], vec![0.25, -3.5, 7.0], 128);
-        let w = s.to_wire();
-        assert_eq!(w.len(), 16 + 3 * 8);
-        let back = SparseUpdate::from_wire(w).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn wire_rejects_garbage() {
-        assert!(SparseUpdate::from_wire(Bytes::from_static(&[1, 2, 3])).is_err());
-        // Valid header but truncated body.
-        let s = SparseUpdate::new(vec![0, 1], vec![1.0, 2.0], 4);
-        let w = s.to_wire();
-        let truncated = w.slice(0..w.len() - 4);
-        assert!(SparseUpdate::from_wire(truncated).is_err());
     }
 
     #[test]
@@ -261,13 +195,6 @@ mod tests {
                     prop_assert_eq!(rec, 0.0f32);
                 }
             }
-        }
-
-        #[test]
-        fn prop_wire_roundtrip(dense in proptest::collection::vec(-10.0f32..10.0, 1..100)) {
-            let s = SparseUpdate::from_dense_mask(&dense, |i, _| i % 3 == 0);
-            let back = SparseUpdate::from_wire(s.to_wire()).unwrap();
-            prop_assert_eq!(back, s);
         }
     }
 }

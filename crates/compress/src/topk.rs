@@ -1,86 +1,95 @@
 //! Magnitude-based Top-K sparsification — the paper's primary compressor.
 
-use crate::compressor::{CompressedUpdate, Compressor};
 use crate::sparse::SparseUpdate;
 
 /// Retain the `k = ceil(ratio * len)` coordinates with the largest absolute
 /// value (ties broken towards lower indices), zeroing the rest.
 ///
 /// ```
-/// use fl_compress::{Compressor, TopK};
+/// use fl_compress::topk;
 ///
 /// let delta = vec![0.1, -5.0, 0.3, 4.0, -0.2];
-/// let compressed = TopK::new().compress(&delta, 0.4); // keep 2 of 5
-/// let sparse = compressed.as_sparse().unwrap();
+/// let sparse = topk::select(&delta, 0.4); // keep 2 of 5
 /// assert_eq!(sparse.indices(), &[1, 3]);
 /// assert_eq!(sparse.values(), &[-5.0, 4.0]);
 /// assert_eq!(sparse.wire_size_bytes(), 16); // 8 bytes per retained coord
 /// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TopK;
-
-impl TopK {
-    /// New Top-K compressor.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Number of coordinates retained for a vector of length `len` at `ratio`.
-    /// At least one coordinate is kept for any positive ratio and non-empty
-    /// vector; the ratio is clamped to `[0, 1]`.
-    pub fn k_for(len: usize, ratio: f64) -> usize {
-        if len == 0 {
-            return 0;
-        }
-        let ratio = ratio.clamp(0.0, 1.0);
-        if ratio == 0.0 {
-            return 0;
-        }
-        ((ratio * len as f64).ceil() as usize).clamp(1, len)
-    }
-
-    /// Select the indices of the `k` largest-magnitude entries, returned in
-    /// increasing index order.
-    ///
-    /// The order is **total**: magnitudes compare as `f32::total_cmp` over
-    /// absolute values, ties broken towards lower indices. `|NaN|` therefore
-    /// orders above every finite magnitude and `+∞`, so NaN entries are
-    /// deterministically retained first — they stay visible to the server
-    /// instead of being silently dropped or scrambling the selection.
-    ///
-    /// Selection is by threshold, in time linear in `dense.len()`. The
-    /// ordering key is the value's bit pattern with the sign cleared
-    /// (unsigned order on it *is* `total_cmp` on absolute values): a
-    /// histogram of the keys' top bits brackets the `k`-th largest key, one
-    /// ascending scan gathers every coordinate at or above that bracket
-    /// (already in index order, a little more than `k` of them), and a
-    /// partial selection over just those settles the exact threshold and the
-    /// tie-break. No model-sized permutation is built or sorted. Short
-    /// vectors — per-segment plans run Top-K on 10–128-coordinate bias
-    /// segments — skip the histogram, whose fixed cost would dominate, and
-    /// trim the whole index range instead.
-    pub fn select_indices(dense: &[f32], k: usize) -> Vec<u32> {
-        let k = k.min(dense.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        if k == dense.len() {
-            return (0..dense.len() as u32).collect();
-        }
-        let mut picked: Vec<u32> = if dense.len() < HISTOGRAM_MIN_LEN {
-            (0..dense.len() as u32).collect()
-        } else {
-            let (floor, at_least) = histogram_floor(dense, k);
-            gather_at_least(dense, floor, at_least)
-        };
-        if picked.len() > k {
-            trim_to_k(dense, &mut picked, k);
-        }
-        picked
-    }
+pub fn select(dense: &[f32], ratio: f64) -> SparseUpdate {
+    let indices = select_indices(dense, k_for(dense.len(), ratio));
+    let values = indices.iter().map(|&i| dense[i as usize]).collect();
+    SparseUpdate::new(indices, values, dense.len())
 }
 
-/// Below this length [`TopK::select_indices`] skips the histogram: zeroing
+/// Number of coordinates retained for a vector of length `len` at `ratio`.
+/// At least one coordinate is kept for any positive ratio and non-empty
+/// vector; the ratio is clamped to `[0, 1]`.
+pub fn k_for(len: usize, ratio: f64) -> usize {
+    if len == 0 {
+        return 0;
+    }
+    let ratio = ratio.clamp(0.0, 1.0);
+    if ratio == 0.0 {
+        return 0;
+    }
+    ((ratio * len as f64).ceil() as usize).clamp(1, len)
+}
+
+/// Select the indices of the `k` largest-magnitude entries, returned in
+/// increasing index order.
+///
+/// The order is **total**: magnitudes compare as `f32::total_cmp` over
+/// absolute values, ties broken towards lower indices. `|NaN|` therefore
+/// orders above every finite magnitude and `+∞`, so NaN entries are
+/// deterministically retained first — they stay visible to the server
+/// instead of being silently dropped or scrambling the selection.
+///
+/// Selection is by threshold, in time linear in `dense.len()`. The
+/// ordering key is the value's bit pattern with the sign cleared
+/// (unsigned order on it *is* `total_cmp` on absolute values): a
+/// histogram of the keys' top bits brackets the `k`-th largest key, one
+/// ascending scan gathers every coordinate at or above that bracket
+/// (already in index order, a little more than `k` of them), and a
+/// partial selection over just those settles the exact threshold and the
+/// tie-break. No model-sized permutation is built or sorted. Short
+/// vectors — per-segment plans run Top-K on 10–128-coordinate bias
+/// segments — skip the histogram, whose fixed cost would dominate, and
+/// trim the whole index range instead.
+pub fn select_indices(dense: &[f32], k: usize) -> Vec<u32> {
+    let k = k.min(dense.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    if k == dense.len() {
+        return (0..dense.len() as u32).collect();
+    }
+    let mut picked = candidates(dense, k);
+    if picked.len() > k {
+        trim_to_k(dense, &mut picked, k);
+    }
+    picked
+}
+
+/// The `k`-th largest magnitude of `dense` in the order [`select_indices`]
+/// selects by, for `1 <= k <= dense.len()`: the smallest magnitude a Top-`k`
+/// selection retains. Found the same way — histogram bracket, then a partial
+/// selection over the bracket's candidates — so it is linear-time too.
+pub(crate) fn kth_largest_magnitude(dense: &[f32], k: usize) -> f32 {
+    let picked = candidates(dense, k);
+    f32::from_bits(kth_key(dense, &picked, k).0)
+}
+
+/// Ascending indices of a superset of the top `k` (`1 <= k <= dense.len()`):
+/// everything at or above the histogram bucket of the `k`-th largest key, or
+/// the whole index range of a short vector.
+fn candidates(dense: &[f32], k: usize) -> Vec<u32> {
+    if dense.len() < HISTOGRAM_MIN_LEN {
+        return (0..dense.len() as u32).collect();
+    }
+    let (floor, at_least) = histogram_floor(dense, k);
+    gather_at_least(dense, floor, at_least)
+}
+
+/// Below this length [`select_indices`] skips the histogram: zeroing
 /// and walking its 2048 buckets costs more than selecting over the whole
 /// (short) vector. Measured crossover on the reference box is ~200
 /// coordinates.
@@ -136,17 +145,25 @@ fn gather_at_least(dense: &[f32], floor: u32, count: usize) -> Vec<u32> {
     picked
 }
 
-/// Reduce an ascending candidate list that contains the top `k` (and
-/// `picked.len() > k`) to exactly the top `k`, still ascending: find the
-/// `k`-th largest key among the candidates, keep everything above it, and
-/// hand the remaining slots to the lowest-index coordinates that tie it.
-fn trim_to_k(dense: &[f32], picked: &mut Vec<u32>, k: usize) {
+/// The `k`-th largest key among the candidates `picked` (which contain the
+/// top `k`), and how many candidate keys are strictly larger.
+fn kth_key(dense: &[f32], picked: &[u32], k: usize) -> (u32, usize) {
     let mut keys: Vec<u32> = picked
         .iter()
         .map(|&i| magnitude_key(dense[i as usize]))
         .collect();
     let (above, &mut threshold, _) = keys.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-    let mut ties = k - above.iter().filter(|&&key| key > threshold).count();
+    let above = above.iter().filter(|&&key| key > threshold).count();
+    (threshold, above)
+}
+
+/// Reduce an ascending candidate list that contains the top `k` (and
+/// `picked.len() > k`) to exactly the top `k`, still ascending: find the
+/// `k`-th largest key among the candidates, keep everything above it, and
+/// hand the remaining slots to the lowest-index coordinates that tie it.
+fn trim_to_k(dense: &[f32], picked: &mut Vec<u32>, k: usize) {
+    let (threshold, above) = kth_key(dense, picked, k);
+    let mut ties = k - above;
     picked.retain(|&i| {
         let key = magnitude_key(dense[i as usize]);
         key > threshold
@@ -155,19 +172,6 @@ fn trim_to_k(dense: &[f32], picked: &mut Vec<u32>, k: usize) {
                 true
             })
     });
-}
-
-impl Compressor for TopK {
-    fn compress(&self, dense: &[f32], ratio: f64) -> CompressedUpdate {
-        let k = Self::k_for(dense.len(), ratio);
-        let indices = Self::select_indices(dense, k);
-        let values = indices.iter().map(|&i| dense[i as usize]).collect();
-        CompressedUpdate::Sparse(SparseUpdate::new(indices, values, dense.len()))
-    }
-
-    fn name(&self) -> &'static str {
-        "topk"
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +219,7 @@ mod tests {
         let n = dense.len();
         for k in [1, 2, n / 20, n / 2, n.saturating_sub(1), n, n + 3] {
             assert_eq!(
-                TopK::select_indices(dense, k),
+                select_indices(dense, k),
                 select_indices_oracle(dense, k),
                 "{what}: n = {n}, k = {k}"
             );
@@ -279,34 +283,31 @@ mod tests {
     #[test]
     fn keeps_largest_magnitudes() {
         let dense = vec![0.1, -5.0, 0.3, 4.0, -0.2];
-        let c = TopK::new().compress(&dense, 0.4); // k = 2
-        let s = c.as_sparse().unwrap();
+        let s = select(&dense, 0.4); // k = 2
         assert_eq!(s.indices(), &[1, 3]);
         assert_eq!(s.values(), &[-5.0, 4.0]);
     }
 
     #[test]
     fn k_for_boundaries() {
-        assert_eq!(TopK::k_for(100, 0.1), 10);
-        assert_eq!(TopK::k_for(100, 0.001), 1); // at least one retained
-        assert_eq!(TopK::k_for(100, 0.0), 0);
-        assert_eq!(TopK::k_for(100, 1.5), 100);
-        assert_eq!(TopK::k_for(0, 0.5), 0);
-        assert_eq!(TopK::k_for(7, 0.5), 4); // ceil(3.5)
+        assert_eq!(k_for(100, 0.1), 10);
+        assert_eq!(k_for(100, 0.001), 1); // at least one retained
+        assert_eq!(k_for(100, 0.0), 0);
+        assert_eq!(k_for(100, 1.5), 100);
+        assert_eq!(k_for(0, 0.5), 0);
+        assert_eq!(k_for(7, 0.5), 4); // ceil(3.5)
     }
 
     #[test]
     fn ratio_one_keeps_everything() {
         let dense = vec![1.0, 0.0, -2.0];
-        let c = TopK::new().compress(&dense, 1.0);
-        assert_eq!(c.to_dense(), dense);
+        assert_eq!(select(&dense, 1.0).to_dense(), dense);
     }
 
     #[test]
     fn zero_ratio_keeps_nothing() {
         let dense = vec![1.0, 2.0];
-        let c = TopK::new().compress(&dense, 0.0);
-        assert_eq!(c.as_sparse().unwrap().nnz(), 0);
+        assert_eq!(select(&dense, 0.0).nnz(), 0);
     }
 
     #[test]
@@ -315,19 +316,18 @@ mod tests {
         // |NaN| above every finite magnitude, so the NaN coordinate is
         // retained first and the rest of the selection is the usual Top-K.
         let dense = vec![0.1, f32::NAN, 0.3, -4.0, 0.2];
-        let a = TopK::select_indices(&dense, 2);
-        let b = TopK::select_indices(&dense, 2);
+        let a = select_indices(&dense, 2);
+        let b = select_indices(&dense, 2);
         assert_eq!(a, b);
         assert_eq!(a, vec![1, 3], "NaN first, then the largest finite entry");
         // Full compression round-trips without panicking.
-        let c = TopK::new().compress(&dense, 0.4);
-        assert_eq!(c.as_sparse().unwrap().nnz(), 2);
+        assert_eq!(select(&dense, 0.4).nnz(), 2);
     }
 
     #[test]
     fn all_nan_input_selects_lowest_indices() {
         let dense = vec![f32::NAN; 6];
-        let sel = TopK::select_indices(&dense, 3);
+        let sel = select_indices(&dense, 3);
         assert_eq!(sel, vec![0, 1, 2], "index tie-break orders equal NaNs");
     }
 
@@ -336,20 +336,17 @@ mod tests {
         // abs() clears the sign bit, so -NaN and NaN compare identically and
         // the index tie-break decides.
         let dense = vec![f32::from_bits(0xFFC0_0000), 1.0, f32::NAN];
-        let sel = TopK::select_indices(&dense, 2);
+        let sel = select_indices(&dense, 2);
         assert_eq!(sel, vec![0, 2]);
     }
 
     #[test]
     fn deterministic_under_ties() {
         let dense = vec![1.0, 1.0, 1.0, 1.0];
-        let a = TopK::new().compress(&dense, 0.5);
-        let b = TopK::new().compress(&dense, 0.5);
-        assert_eq!(
-            a.as_sparse().unwrap().indices(),
-            b.as_sparse().unwrap().indices()
-        );
-        assert_eq!(a.as_sparse().unwrap().nnz(), 2);
+        let a = select(&dense, 0.5);
+        let b = select(&dense, 0.5);
+        assert_eq!(a.indices(), b.indices());
+        assert_eq!(a.nnz(), 2);
     }
 
     proptest! {
@@ -367,7 +364,7 @@ mod tests {
                 .collect();
             let k = ((dense.len() as f64 * k_frac) as usize).max(1);
             prop_assert_eq!(
-                TopK::select_indices(&dense, k),
+                select_indices(&dense, k),
                 select_indices_oracle(&dense, k)
             );
         }
@@ -377,9 +374,8 @@ mod tests {
             dense in proptest::collection::vec(-100.0f32..100.0, 2..300),
             ratio in 0.01f64..1.0,
         ) {
-            let c = TopK::new().compress(&dense, ratio);
-            let s = c.as_sparse().unwrap();
-            prop_assert_eq!(s.nnz(), TopK::k_for(dense.len(), ratio));
+            let s = select(&dense, ratio);
+            prop_assert_eq!(s.nnz(), k_for(dense.len(), ratio));
             // Every retained magnitude >= every dropped magnitude.
             let retained: std::collections::HashSet<u32> = s.indices().iter().cloned().collect();
             let min_kept = s
@@ -400,8 +396,7 @@ mod tests {
             ratio in 0.01f64..1.0,
         ) {
             // Top-K is a contraction: ||x - C(x)|| <= ||x||.
-            let c = TopK::new().compress(&dense, ratio);
-            let rec = c.to_dense();
+            let rec = select(&dense, ratio).to_dense();
             let err: f32 = dense.iter().zip(rec.iter()).map(|(a, b)| (a - b).powi(2)).sum();
             let norm: f32 = dense.iter().map(|a| a * a).sum();
             prop_assert!(err <= norm + 1e-4);

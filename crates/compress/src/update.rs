@@ -1,4 +1,4 @@
-//! The [`Compressor`] trait shared by every compression method.
+//! [`CompressedUpdate`] — the lossy in-memory update a wire buffer stands for.
 
 use crate::sparse::SparseUpdate;
 use serde::{Deserialize, Serialize};
@@ -7,35 +7,25 @@ use serde::{Deserialize, Serialize};
 ///
 /// Sparsifiers produce [`CompressedUpdate::Sparse`]; quantizers keep every
 /// coordinate but at reduced precision, so they produce
-/// [`CompressedUpdate::Quantized`] with an explicit wire size.
+/// [`CompressedUpdate::Quantized`]. What either costs on the wire is the
+/// length of the [`crate::wire::WireUpdate`] it was decoded from.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum CompressedUpdate {
     /// A sparsified update (Top-K, Rand-K, Threshold, …).
     Sparse(SparseUpdate),
-    /// A dense but quantized update: dequantized values plus the number of
-    /// bytes the quantized representation would occupy on the wire.
+    /// A dense but quantized update.
     Quantized {
         /// Dequantized (lossy) values, same length as the original vector.
         values: Vec<f32>,
-        /// Size of the quantized representation in bytes.
-        wire_bytes: usize,
     },
 }
 
 impl CompressedUpdate {
-    /// Bytes this update occupies on the wire.
-    pub fn wire_size_bytes(&self) -> usize {
-        match self {
-            CompressedUpdate::Sparse(s) => s.wire_size_bytes(),
-            CompressedUpdate::Quantized { wire_bytes, .. } => *wire_bytes,
-        }
-    }
-
     /// Reconstruct the (lossy) dense update.
     pub fn to_dense(&self) -> Vec<f32> {
         match self {
             CompressedUpdate::Sparse(s) => s.to_dense(),
-            CompressedUpdate::Quantized { values, .. } => values.clone(),
+            CompressedUpdate::Quantized { values } => values.clone(),
         }
     }
 
@@ -46,7 +36,7 @@ impl CompressedUpdate {
     pub fn into_dense(self) -> Vec<f32> {
         match self {
             CompressedUpdate::Sparse(s) => s.to_dense(),
-            CompressedUpdate::Quantized { values, .. } => values,
+            CompressedUpdate::Quantized { values } => values,
         }
     }
 
@@ -54,7 +44,7 @@ impl CompressedUpdate {
     pub fn dense_len(&self) -> usize {
         match self {
             CompressedUpdate::Sparse(s) => s.dense_len(),
-            CompressedUpdate::Quantized { values, .. } => values.len(),
+            CompressedUpdate::Quantized { values } => values.len(),
         }
     }
 
@@ -71,7 +61,7 @@ impl CompressedUpdate {
                     target[i as usize] -= v;
                 }
             }
-            CompressedUpdate::Quantized { values, .. } => {
+            CompressedUpdate::Quantized { values } => {
                 for (t, &v) in target.iter_mut().zip(values) {
                     *t -= v;
                 }
@@ -94,15 +84,9 @@ impl CompressedUpdate {
                     && same_bits(a.values(), b.values())
             }
             (
-                CompressedUpdate::Quantized {
-                    values: a,
-                    wire_bytes: wa,
-                },
-                CompressedUpdate::Quantized {
-                    values: b,
-                    wire_bytes: wb,
-                },
-            ) => wa == wb && same_bits(a, b),
+                CompressedUpdate::Quantized { values: a },
+                CompressedUpdate::Quantized { values: b },
+            ) => same_bits(a, b),
             _ => false,
         }
     }
@@ -127,33 +111,17 @@ impl CompressedUpdate {
     }
 }
 
-/// A (possibly stateless) lossy compressor of dense update vectors.
-///
-/// `ratio` is the *target* compression ratio — the fraction of coordinates
-/// (or bytes) to retain; implementations clamp it to a feasible range.
-/// Implementations must be deterministic given the same input, ratio and
-/// internal state so experiments replay exactly.
-pub trait Compressor: Send + Sync {
-    /// Compress a dense update with the given target ratio.
-    fn compress(&self, dense: &[f32], ratio: f64) -> CompressedUpdate;
-
-    /// Short name used in experiment reports.
-    fn name(&self) -> &'static str;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn wire_size_dispatch() {
+    fn dense_len_and_as_sparse_dispatch() {
         let s = CompressedUpdate::Sparse(SparseUpdate::new(vec![0, 1], vec![1.0, 2.0], 4));
-        assert_eq!(s.wire_size_bytes(), 16);
+        assert_eq!(s.dense_len(), 4);
         let q = CompressedUpdate::Quantized {
             values: vec![0.0; 4],
-            wire_bytes: 6,
         };
-        assert_eq!(q.wire_size_bytes(), 6);
         assert_eq!(q.dense_len(), 4);
         assert!(s.as_sparse().is_some());
         assert!(q.as_sparse().is_none());
@@ -166,7 +134,6 @@ mod tests {
         assert_eq!(s.into_sparse(), Some(expected));
         let q = CompressedUpdate::Quantized {
             values: vec![0.0; 4],
-            wire_bytes: 6,
         };
         assert!(q.into_sparse().is_none());
     }
@@ -175,7 +142,6 @@ mod tests {
     fn into_dense_moves_the_quantized_buffer() {
         let q = CompressedUpdate::Quantized {
             values: vec![1.0, -2.0],
-            wire_bytes: 3,
         };
         assert_eq!(q.into_dense(), vec![1.0, -2.0]);
         let s = CompressedUpdate::Sparse(SparseUpdate::new(vec![1], vec![5.0], 3));
@@ -194,7 +160,6 @@ mod tests {
         );
         let q = CompressedUpdate::Quantized {
             values: vec![0.5, 0.25],
-            wire_bytes: 2,
         };
         let mut target = vec![1.0, 1.0];
         q.subtract_from(&mut target);
@@ -207,7 +172,6 @@ mod tests {
         assert_eq!(s.to_dense(), vec![0.0, 5.0, 0.0]);
         let q = CompressedUpdate::Quantized {
             values: vec![1.0, 2.0],
-            wire_bytes: 2,
         };
         assert_eq!(q.to_dense(), vec![1.0, 2.0]);
     }

@@ -58,10 +58,10 @@
 //! The header bytes are pinned by a golden-bytes test so accidental format
 //! drift fails CI; bump [`WIRE_VERSION`] for any intentional layout change.
 
-use crate::compressor::CompressedUpdate;
 use crate::quantize::max_level_for_bits;
 use crate::rc::{BitTree, RangeDecoder, RangeEncoder, PROB_INIT};
 use crate::sparse::SparseUpdate;
+use crate::update::CompressedUpdate;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// First two bytes of every encoded update.
@@ -236,10 +236,7 @@ fn decode_slice(b: &[u8], allow_segmented: bool) -> Result<CompressedUpdate, Wir
         }
         KIND_QUANTIZED => {
             let (_norm, values) = decode_quantized_body(b, &mut cur, dense_len)?;
-            Ok(CompressedUpdate::Quantized {
-                values,
-                wire_bytes: b.len(),
-            })
+            Ok(CompressedUpdate::Quantized { values })
         }
         KIND_SPARSE_QUANTIZED => {
             let indices = decode_indices(b, &mut cur, dense_len)?;
@@ -420,7 +417,7 @@ pub(crate) fn splice_segment(
             indices.extend(s.indices().iter().map(|&i| offset as u32 + i));
             values.extend_from_slice(s.values());
         }
-        CompressedUpdate::Quantized { values: run, .. } => {
+        CompressedUpdate::Quantized { values: run } => {
             indices.extend(offset as u32..(offset + run.len()) as u32);
             values.extend_from_slice(&run);
         }
@@ -739,10 +736,7 @@ fn decode_entropy_body(
         )))
     } else {
         let values = rc_decode_values(&mut dec, bits, norm, count, cap_hint)?;
-        Ok(CompressedUpdate::Quantized {
-            values,
-            wire_bytes: b.len(),
-        })
+        Ok(CompressedUpdate::Quantized { values })
     }
 }
 
@@ -964,10 +958,7 @@ mod tests {
         let w = encode_quantized(levels.len(), 4, 2.0, &levels);
         let back = w.decode().unwrap();
         let values = match back {
-            CompressedUpdate::Quantized { values, wire_bytes } => {
-                assert_eq!(wire_bytes, w.len());
-                values
-            }
+            CompressedUpdate::Quantized { values } => values,
             _ => panic!("expected quantized payload"),
         };
         for (&l, &v) in levels.iter().zip(values.iter()) {
@@ -1262,10 +1253,7 @@ mod tests {
             let packed = encode_quantized(levels.len(), bits, norm, &levels);
             assert_eq!(rc.kind().unwrap(), KIND_ENTROPY, "bits {bits}");
             let rc_values = match rc.decode().unwrap() {
-                CompressedUpdate::Quantized { values, wire_bytes } => {
-                    assert_eq!(wire_bytes, rc.len());
-                    values
-                }
+                CompressedUpdate::Quantized { values } => values,
                 _ => panic!("expected quantized payload"),
             };
             let packed_values = packed.decode().unwrap().into_dense();

@@ -70,20 +70,17 @@ fn awkward_gradient(seed: u64, n: usize, flavour: u8) -> Vec<f32> {
     d
 }
 
-/// Drive `sent` (through `encode_sent`) and `plain` (through `encode`, then
-/// the receiver's decode) over the same inputs and RNG streams for a few
-/// rounds: same bytes, same reconstruction by `to_bits`, same carried state.
+/// Drive `codec` through `encode_sent` for a few rounds and hold each answer
+/// to the receiver's decode of the bytes beside it, by `to_bits`.
 fn assert_encode_sent_is_decode(
     what: &str,
-    sent: &mut dyn UpdateCodec,
-    plain: &mut dyn UpdateCodec,
+    codec: &mut dyn UpdateCodec,
     seed: u64,
     n: usize,
     flavour: u8,
     ratio: f64,
 ) {
-    let mut rng_sent = Xoshiro256::new(seed ^ 9);
-    let mut rng_plain = Xoshiro256::new(seed ^ 9);
+    let mut rng = Xoshiro256::new(seed ^ 9);
     for round in 0..3u64 {
         // Rounds 0 and 2 are awkward, round 1 is an ordinary gradient, so
         // error-feedback state crosses between the two regimes.
@@ -92,35 +89,14 @@ fn assert_encode_sent_is_decode(
         } else {
             awkward_gradient(seed.wrapping_add(round), n, flavour)
         };
-        let (wire, reconstruction) = sent.encode_sent(&d, ratio, &mut rng_sent);
-        let twin = plain.encode(&d, ratio, &mut rng_plain);
-        prop_assert_eq!(
-            wire.as_bytes(),
-            twin.as_bytes(),
-            "{}: encode_sent and encode wrote different bytes in round {}",
-            what,
-            round
-        );
-        let decoded = plain.decode(&twin).expect("own bytes decode");
+        let (wire, reconstruction) = codec.encode_sent(&d, ratio, &mut rng);
+        let decoded = codec.decode(&wire).expect("own bytes decode");
         prop_assert!(
             decoded.bit_eq(&reconstruction),
             "{}: encode_sent disagrees with decode(wire) in round {} (flavour {})",
             what,
             round,
             flavour % 7
-        );
-        prop_assert_eq!(
-            sent.residual_norm().to_bits(),
-            plain.residual_norm().to_bits(),
-            "{}: carried state diverged in round {}",
-            what,
-            round
-        );
-        prop_assert_eq!(
-            rng_sent.next_u64(),
-            rng_plain.next_u64(),
-            "{}: RNG draws differ",
-            what
         );
     }
 }
@@ -165,11 +141,8 @@ proptest! {
     ) {
         let ratio = ratio_pct as f64 / 100.0;
         for spec in BUILTIN_SPECS {
-            let mut sent = build(spec, n);
-            let mut plain = build(spec, n);
-            assert_encode_sent_is_decode(
-                spec, sent.as_mut(), plain.as_mut(), seed, n, flavour, ratio,
-            );
+            let mut codec = build(spec, n);
+            assert_encode_sent_is_decode(spec, codec.as_mut(), seed, n, flavour, ratio);
         }
     }
 
@@ -198,12 +171,10 @@ proptest! {
         let plan: LayerPlan = "l0.bias=dense;*.bias=qsgd:6:rc;l0*=ef-topk+qsgd:4:rc;*=ef-randk"
             .parse()
             .expect("plan parses");
-        let mut sent = plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
-        let mut plain = plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
+        let mut codec = plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
         assert_encode_sent_is_decode(
             "mixed plan",
-            sent.as_mut(),
-            plain.as_mut(),
+            codec.as_mut(),
             seed,
             n,
             flavour,

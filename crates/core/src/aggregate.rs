@@ -274,7 +274,6 @@ mod tests {
         let s = CompressedUpdate::Sparse(sparse(vec![0], vec![2.0], 2));
         let q = CompressedUpdate::Quantized {
             values: vec![1.0, 1.0],
-            wire_bytes: 4,
         };
         let agg = aggregate_compressed(&[&s, &q], &[0.5, 0.5], None);
         assert_eq!(agg, vec![1.5, 0.5]);
@@ -358,7 +357,6 @@ mod tests {
         let s = CompressedUpdate::Sparse(sparse(vec![0], vec![2.0], 2));
         let q = CompressedUpdate::Quantized {
             values: vec![1.0, 1.0],
-            wire_bytes: 4,
         };
         let serial = aggregate_compressed(&[&s, &q], &[0.5, 0.5], None);
         let sharded = aggregate_compressed_sharded(&[&s, &q], &[0.5, 0.5], None, 4);

@@ -9,8 +9,9 @@ use serde::{Deserialize, Serialize};
 /// Which model architecture the clients train.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ModelPreset {
-    /// Multi-layer perceptron with two hidden layers (default; see DESIGN.md
-    /// §4 for why this substitutes for the paper's ResNet-18).
+    /// Multi-layer perceptron with two hidden layers (default; it stands in
+    /// for the paper's ResNet-18, as the synthetic datasets of `fl-data`
+    /// stand in for its image datasets).
     Mlp {
         /// First hidden layer width.
         hidden1: usize,

@@ -66,7 +66,7 @@
 //! [`aggregate`] tree reduces cohorts in fixed 32-client shards whose
 //! partial sums merge in a fixed order, keeping records bit-identical
 //! across thread counts. Populations of 10^5–10^6 clients are practical;
-//! see the repository's ARCHITECTURE.md and the `fig12_scale` harness.
+//! see the repository's ARCHITECTURE.md and `tests/scale_out.rs`.
 //!
 //! Whole experiment grids run in parallel with shared dataset generation via
 //! [`sweep::run_sweep`] / [`sweep::SweepGrid`] (population is a grid axis:

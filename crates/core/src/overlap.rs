@@ -136,7 +136,7 @@ impl OverlapStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fl_compress::{Compressor, TopK};
+    use fl_compress::topk;
     use fl_tensor::rng::{Rng, Xoshiro256};
 
     fn sparse(indices: Vec<u32>, len: usize) -> SparseUpdate {
@@ -189,12 +189,8 @@ mod tests {
         let dense: Vec<Vec<f32>> = (0..5)
             .map(|_| (0..2000).map(|_| rng.next_f32() - 0.5).collect())
             .collect();
-        let topk = TopK::new();
         let singleton_at = |cr: f64| {
-            let updates: Vec<SparseUpdate> = dense
-                .iter()
-                .map(|d| topk.compress(d, cr).as_sparse().unwrap().clone())
-                .collect();
+            let updates: Vec<SparseUpdate> = dense.iter().map(|d| topk::select(d, cr)).collect();
             let refs: Vec<&SparseUpdate> = updates.iter().collect();
             OverlapCounts::from_updates(&refs)
                 .stats()

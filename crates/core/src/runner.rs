@@ -327,25 +327,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     run_experiment_with(config, |_| {})
 }
 
-/// Run an experiment on a background thread, streaming each round's record
-/// over a channel (useful for progress display in long benchmark runs).
-pub fn stream_experiment(
-    config: ExperimentConfig,
-) -> (
-    std::thread::JoinHandle<ExperimentResult>,
-    crossbeam::channel::Receiver<RoundRecord>,
-) {
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let handle = std::thread::spawn(move || {
-        run_experiment_with(&config, move |record| {
-            // The receiver may have been dropped if the caller only wants the
-            // final result; that is not an error.
-            let _ = tx.send(record.clone());
-        })
-    });
-    (handle, rx)
-}
-
 /// Evaluate an externally trained flat parameter vector on a dataset
 /// (convenience for tests and examples that manipulate parameters directly).
 /// A vector that does not match the configuration's model layout is rejected
@@ -574,19 +555,6 @@ mod tests {
         for line in &rows {
             assert_eq!(line.split(',').count(), columns, "malformed row: {line}");
         }
-    }
-
-    #[test]
-    fn streaming_matches_blocking() {
-        let c = quick(Algorithm::TopK);
-        let (handle, rx) = stream_experiment(c.clone());
-        let streamed: Vec<RoundRecord> = rx.iter().collect();
-        let result = handle.join().unwrap();
-        assert_eq!(streamed.len(), result.records.len());
-        assert_eq!(
-            streamed.last().unwrap().test_accuracy,
-            result.final_accuracy
-        );
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! protocol). Real image datasets are not available in this offline
 //! environment, so this crate provides *synthetic class-conditional
 //! datasets* with matching class counts and configurable difficulty, plus the
-//! identical Dirichlet partitioner. See DESIGN.md §4 for the substitution
-//! rationale.
+//! identical Dirichlet partitioner.
 //!
 //! * [`dataset::Dataset`] — a flat feature matrix plus integer labels.
 //! * [`synthetic`] — class-conditional Gaussian generators and the

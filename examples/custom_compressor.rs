@@ -33,14 +33,18 @@ impl UpdateCodec for HalfBudgetTopK {
         "half-topk".into()
     }
 
-    fn encode(&mut self, dense: &[f32], ratio: f64, _rng: &mut Xoshiro256) -> WireUpdate {
-        let sparse = TopK::new()
-            .compress(dense, (ratio / 2.0).max(1e-6))
-            .into_sparse()
-            .expect("TopK is a sparsifier");
+    fn encode_sent(
+        &mut self,
+        dense: &[f32],
+        ratio: f64,
+        _rng: &mut Xoshiro256,
+    ) -> (WireUpdate, CompressedUpdate) {
+        let sparse = bwfl::compress::topk::select(dense, (ratio / 2.0).max(1e-6));
         // The standard sparse wire format: the default decode, overlap
-        // analysis and OPWA masking all understand our bytes.
-        bwfl::compress::wire::encode_sparse(&sparse)
+        // analysis and OPWA masking all understand our bytes — and what they
+        // decode to is the selection itself.
+        let wire = bwfl::compress::wire::encode_sparse(&sparse);
+        (wire, CompressedUpdate::Sparse(sparse))
     }
 }
 

@@ -123,11 +123,10 @@ pub use fl_tensor as tensor;
 pub mod prelude {
     pub use fl_compress::{
         migrate_planned_residual, CodecCtx, CodecRegistry, CodecStage, CompressedUpdate,
-        Compressor, CompressorSpec, DownlinkChannel, ErrorFeedback, LayerPlan, PlanRule,
-        PlannedCodec, Qsgd, RandK, ResidualState, ResidualStore, SegmentDef, SparseUpdate,
-        SpecError, Threshold, TopK, UpdateCodec, WireError, WireUpdate,
+        CompressorSpec, DownlinkChannel, LayerPlan, PlanRule, PlannedCodec, ResidualState,
+        ResidualStore, SegmentDef, SparseUpdate, SpecError, UpdateCodec, WireError, WireUpdate,
     };
-    pub use fl_core::runner::{evaluate_params, run_experiment_with, stream_experiment};
+    pub use fl_core::runner::{evaluate_params, run_experiment_with};
     pub use fl_core::{
         allocate_layer_budgets, default_codec_spec, default_plan_policy, plan_weights,
         record_scenario_trace, resolve_codec_spec, run_experiment, run_sweep, run_sweep_threaded,

@@ -4,6 +4,7 @@
 //! correct over randomly drawn networks, cohorts and updates — not just the
 //! hand-picked cases of the unit tests.
 
+use bwfl::compress::topk;
 use bwfl::prelude::*;
 // Explicit import so the `Rng` trait resolves to ours rather than the one in
 // proptest's prelude (both preludes are glob-imported).
@@ -99,7 +100,7 @@ proptest! {
         let updates: Vec<SparseUpdate> = (0..cohort)
             .map(|_| {
                 let dense: Vec<f32> = (0..len).map(|_| rng.next_f32() - 0.5).collect();
-                TopK::new().compress(&dense, 0.1).as_sparse().unwrap().clone()
+                topk::select(&dense, 0.1)
             })
             .collect();
         let refs: Vec<&SparseUpdate> = updates.iter().collect();
@@ -134,7 +135,7 @@ proptest! {
         let updates: Vec<SparseUpdate> = (0..cohort)
             .map(|_| {
                 let dense: Vec<f32> = (0..len).map(|_| rng.next_f32() - 0.5).collect();
-                TopK::new().compress(&dense, ratio).as_sparse().unwrap().clone()
+                topk::select(&dense, ratio)
             })
             .collect();
         let refs: Vec<&SparseUpdate> = updates.iter().collect();

@@ -1,8 +1,17 @@
 //! Integration tests of the compression pipeline across crates: dense model
-//! deltas from `fl-nn`, compressors from `fl-compress`, overlap/OPWA from
-//! `fl-core`, and communication accounting from `fl-netsim`.
+//! deltas from `fl-nn`, selection functions and registry-built codecs from
+//! `fl-compress`, overlap/OPWA from `fl-core`, and communication accounting
+//! from `fl-netsim`.
 
+use bwfl::compress::topk;
 use bwfl::prelude::*;
+
+/// A registry-built codec for `spec`, sized for `n` coordinates.
+fn codec(spec: &str, n: usize) -> Box<dyn UpdateCodec> {
+    CodecRegistry::with_builtins()
+        .build(&spec.parse().expect("spec parses"), &CodecCtx::new(n, 1))
+        .expect("builtin codec")
+}
 
 /// Build a realistic dense "model delta" by actually training a small model
 /// for one epoch and differencing the parameters.
@@ -39,11 +48,12 @@ fn realistic_delta(seed: u64) -> Vec<f32> {
 #[test]
 fn topk_wire_roundtrip_preserves_retained_coordinates() {
     let delta = realistic_delta(1);
-    let compressed = TopK::new().compress(&delta, 0.1);
-    let sparse = compressed.as_sparse().unwrap();
-    // Serialize to the binary wire format and back.
-    let restored = SparseUpdate::from_wire(sparse.to_wire()).unwrap();
-    assert_eq!(&restored, sparse);
+    let sparse = topk::select(&delta, 0.1);
+    // Serialize to the byte-level wire format and back.
+    let mut topk_codec = codec("topk", delta.len());
+    let wire = topk_codec.encode(&delta, 0.1, &mut Xoshiro256::new(1));
+    let restored = topk_codec.decode(&wire).unwrap().into_sparse().unwrap();
+    assert_eq!(restored, sparse);
     // Every retained coordinate exactly matches the original delta.
     for (&i, &v) in restored.indices().iter().zip(restored.values().iter()) {
         assert_eq!(v, delta[i as usize]);
@@ -59,8 +69,7 @@ fn compression_ratio_controls_wire_size_and_time() {
     let mut previous_bytes = usize::MAX;
     let mut previous_time = f64::INFINITY;
     for ratio in [0.5, 0.1, 0.01] {
-        let c = TopK::new().compress(&delta, ratio);
-        let bytes = c.wire_size_bytes();
+        let bytes = topk::select(&delta, ratio).wire_size_bytes();
         assert!(bytes < previous_bytes);
         previous_bytes = bytes;
         let t = comm.sparse_uplink_time(&link, model_bytes, ratio);
@@ -75,11 +84,12 @@ fn error_feedback_recovers_information_across_rounds() {
     // (almost) all of its mass: the cumulative transmitted vector approaches
     // the cumulative input.
     let delta = realistic_delta(3);
-    let mut ef = ErrorFeedback::new(TopK::new(), delta.len());
+    let mut ef = codec("ef-topk", delta.len());
+    let mut rng = Xoshiro256::new(3);
     let rounds = 25;
     let mut transmitted = vec![0.0f32; delta.len()];
     for _ in 0..rounds {
-        let sent = ef.compress_with_feedback(&delta, 0.1);
+        let (_, sent) = ef.encode_sent(&delta, 0.1, &mut rng);
         for (t, s) in transmitted.iter_mut().zip(sent.to_dense().iter()) {
             *t += s;
         }
@@ -114,8 +124,7 @@ fn bcrs_schedule_integrates_with_compressor_nnz() {
     let comm = CommModel::paper_default();
     let schedule = BcrsScheduler::new(comm).schedule(&links, model_bytes, 0.02);
     for (i, (&ratio, link)) in schedule.ratios.iter().zip(links.iter()).enumerate() {
-        let c = TopK::new().compress(&delta, ratio);
-        let sparse = c.as_sparse().unwrap();
+        let sparse = topk::select(&delta, ratio);
         let achieved = sparse.compression_ratio();
         assert!(
             (achieved - ratio).abs() < 1e-3,
@@ -137,10 +146,7 @@ fn opwa_mask_amplifies_rare_coordinates_in_aggregation() {
     // Five clients with overlapping Top-K patterns: aggregate with and
     // without OPWA and verify singleton coordinates grow by gamma.
     let deltas: Vec<Vec<f32>> = (0..5).map(|s| realistic_delta(10 + s)).collect();
-    let updates: Vec<SparseUpdate> = deltas
-        .iter()
-        .map(|d| TopK::new().compress(d, 0.05).as_sparse().unwrap().clone())
-        .collect();
+    let updates: Vec<SparseUpdate> = deltas.iter().map(|d| topk::select(d, 0.05)).collect();
     let refs: Vec<&SparseUpdate> = updates.iter().collect();
     let counts = OverlapCounts::from_updates(&refs);
     let gamma = 5.0f32;
@@ -174,11 +180,14 @@ fn opwa_mask_amplifies_rare_coordinates_in_aggregation() {
 #[test]
 fn quantizer_fits_in_the_same_pipeline() {
     let delta = realistic_delta(6);
-    let q = Qsgd::new(15, 1).compress(&delta, 1.0);
+    let mut qsgd = codec("qsgd:5", delta.len());
+    let wire = qsgd.encode(&delta, 1.0, &mut Xoshiro256::new(6));
     // The quantized update is dense but cheaper on the wire than f32.
-    assert!(q.wire_size_bytes() < delta.len() * 4 / 4);
+    assert!(wire.len() < delta.len() * 4 / 4);
+    let q = qsgd.decode(&wire).unwrap();
+    assert!(q.as_sparse().is_none());
     // Aggregating a mix of sparse and quantized updates works.
-    let s = TopK::new().compress(&delta, 0.1);
+    let s = CompressedUpdate::Sparse(topk::select(&delta, 0.1));
     let agg = fl_core::aggregate::aggregate_compressed(&[&s, &q], &[0.5, 0.5], None);
     assert_eq!(agg.len(), delta.len());
     assert!(agg.iter().any(|&v| v != 0.0));

@@ -137,7 +137,7 @@ fn opwa_composes_with_plain_topk() {
 
 #[test]
 fn coefficient_adjustment_ablation_changes_trajectory() {
-    // Disabling the Eq. 6 clamp is the DESIGN.md ablation; it must produce a
+    // Disabling the Eq. 6 clamp is an ablation of BCRS; it must produce a
     // valid but different run from standard BCRS.
     let mut with = quick(Algorithm::Bcrs);
     with.rounds = 4;

@@ -224,7 +224,7 @@ proptest! {
                         expected.push((offset as u32 + pi, v));
                     }
                 }
-                CompressedUpdate::Quantized { values, .. } => {
+                CompressedUpdate::Quantized { values } => {
                     for (j, &v) in values.iter().enumerate() {
                         expected.push(((offset + j) as u32, v));
                     }

@@ -34,11 +34,15 @@ fn prelude_exposes_the_building_blocks() {
     let dense: Vec<f32> = (0..100).map(|_| rng.next_f32() - 0.5).collect();
 
     // fl-compress via prelude.
-    let sparse = TopK::new()
-        .compress(&dense, 0.1)
-        .as_sparse()
-        .expect("TopK yields a sparse update")
-        .clone();
+    let mut codec = CodecRegistry::with_builtins()
+        .build(&"topk".parse().unwrap(), &CodecCtx::new(dense.len(), 0))
+        .expect("builtin codec");
+    let wire = codec.encode(&dense, 0.1, &mut rng);
+    let sparse = codec
+        .decode(&wire)
+        .expect("own encoding")
+        .into_sparse()
+        .expect("Top-K yields a sparse update");
     assert_eq!(sparse.nnz(), 10);
 
     // fl-netsim + fl-core via prelude.
