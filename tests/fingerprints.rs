@@ -149,6 +149,44 @@ fn fingerprint(records: &[RoundRecord]) -> u64 {
     h.0
 }
 
+/// Hash only the fields that do not depend on how many bytes an update took
+/// on the wire: what was trained, what was selected, what the server
+/// decoded. Two codecs that quantize identically but lay the bytes out
+/// differently (`qsgd:4` vs `qsgd:4:rc`, or two entropy back ends) share this
+/// hash while their full [`fingerprint`]s differ.
+fn trajectory_fingerprint(records: &[RoundRecord]) -> u64 {
+    let mut h = Fnv::new();
+    h.usize(records.len());
+    for r in records {
+        h.usize(r.round);
+        h.f64(r.test_accuracy);
+        h.f64(r.test_loss);
+        h.f64(r.train_loss);
+        h.f64(r.mean_compression_ratio);
+        h.usize(r.selected_clients.len());
+        for &c in &r.selected_clients {
+            h.usize(c);
+        }
+        match &r.overlap {
+            None => h.u64(0),
+            Some(o) => {
+                h.u64(1);
+                h.usize(o.cohort_size);
+                h.u64(o.total_retained);
+                h.usize(o.histogram_counts.len());
+                for &c in &o.histogram_counts {
+                    h.u64(c);
+                }
+                for &f in &o.fractions {
+                    h.f64(f);
+                }
+            }
+        }
+        h.usize(r.downlink_bytes);
+    }
+    h.0
+}
+
 fn run(algorithm: Algorithm, plan: Option<&str>) -> u64 {
     let mut config = ExperimentConfig::quick(algorithm);
     config.rounds = 3;
@@ -254,7 +292,8 @@ const CODEC_CASES: &[CodecCase] = &[
     },
 ];
 
-fn run_codec_case(case: &CodecCase) -> u64 {
+/// `(full fingerprint, byte-independent trajectory fingerprint)` of one case.
+fn run_codec_case(case: &CodecCase) -> (u64, u64) {
     let mut config = ExperimentConfig::quick(Algorithm::EfTopK);
     config.num_clients = case.num_clients;
     config.participation = case.participation;
@@ -273,7 +312,10 @@ fn run_codec_case(case: &CodecCase) -> u64 {
         .threads(1)
         .build()
         .run();
-    fingerprint(&result.records)
+    (
+        fingerprint(&result.records),
+        trajectory_fingerprint(&result.records),
+    )
 }
 
 /// Captured at df5cbb1, before the single-pass uplink codec.
@@ -282,6 +324,18 @@ const EXPECTED_CODEC: &[u64] = &[
     0x86eb0959684843a5,
     0xe88fc46cfd81f4f0,
     0xdb16491d4d446369,
+];
+
+/// The `:rc` rows' [`trajectory_fingerprint`]s, captured at f6c336e (the
+/// adaptive binary range coder). The entropy back end may change the bytes —
+/// and with them the full hashes above — but never these: quantization, RNG
+/// draws and dequantized values do not depend on the byte layout.
+const EXPECTED_RC_TRAJECTORY: &[(&str, u64)] = &[
+    (
+        "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
+        0x6cf3b07f4bb52719,
+    ),
+    ("codec/ef-qsgd:4:rc", 0x62c684f0e38fa819),
 ];
 
 #[test]
@@ -314,19 +368,74 @@ fn round_record_fingerprints_are_pinned() {
 
 #[test]
 fn codec_path_fingerprints_are_pinned() {
-    let got: Vec<u64> = CODEC_CASES.iter().map(run_codec_case).collect();
+    let got: Vec<(u64, u64)> = CODEC_CASES.iter().map(run_codec_case).collect();
     if std::env::var("FP_PRINT").is_ok() {
-        for (case, fp) in CODEC_CASES.iter().zip(&got) {
+        for (case, (fp, _)) in CODEC_CASES.iter().zip(&got) {
             println!("    {fp:#018x}, // {}", case.name);
+        }
+        for (case, (_, trajectory)) in CODEC_CASES.iter().zip(&got) {
+            if case.name.contains(":rc") {
+                println!("    (\"{}\", {trajectory:#018x}),", case.name);
+            }
         }
         return;
     }
     assert_eq!(got.len(), EXPECTED_CODEC.len());
-    for ((case, fp), exp) in CODEC_CASES.iter().zip(&got).zip(EXPECTED_CODEC) {
+    for ((case, (fp, _)), exp) in CODEC_CASES.iter().zip(&got).zip(EXPECTED_CODEC) {
         assert_eq!(
             fp, exp,
             "{}: round-record trajectory is no longer bit-identical",
             case.name
         );
     }
+    for (name, exp) in EXPECTED_RC_TRAJECTORY {
+        let at = CODEC_CASES
+            .iter()
+            .position(|c| c.name == *name)
+            .expect("pinned trajectory names a codec case");
+        assert_eq!(
+            got[at].1, *exp,
+            "{name}: the byte-independent trajectory moved"
+        );
+    }
+}
+
+#[test]
+fn entropy_coded_session_matches_bit_packed_session_in_fewer_bytes() {
+    // The session-level twin of `fl-compress`'s
+    // `entropy_quantized_decodes_bit_identically_to_packed`: same quantizer,
+    // two byte layouts, priced on encoded bytes. Every round trains, selects
+    // and evaluates identically; only the uplink byte count — strictly
+    // smaller under `:rc` — and the times priced from it may differ.
+    let run = |spec: &str| {
+        let mut config = ExperimentConfig::quick(Algorithm::EfTopK);
+        config.num_clients = 16;
+        config.participation = 0.5;
+        config.rounds = 4;
+        config.cost_basis = CostBasis::Encoded;
+        config.compressor = Some(spec.parse().expect("spec parses"));
+        config.validate().expect("config is valid");
+        SessionBuilder::from_config(&config)
+            .threads(1)
+            .build()
+            .run()
+            .records
+    };
+    let rc = run("ef-topk+qsgd:4:rc");
+    let packed = run("ef-topk+qsgd:4");
+    assert_eq!(rc.len(), packed.len());
+    for (a, b) in rc.iter().zip(&packed) {
+        assert_eq!(a.test_accuracy.to_bits(), b.test_accuracy.to_bits());
+        assert_eq!(a.test_loss.to_bits(), b.test_loss.to_bits());
+        assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits());
+        assert_eq!(a.selected_clients, b.selected_clients);
+        assert!(
+            a.uplink_bytes < b.uplink_bytes,
+            "round {}: entropy-coded uplink {} >= bit-packed {}",
+            a.round,
+            a.uplink_bytes,
+            b.uplink_bytes
+        );
+    }
+    assert_eq!(trajectory_fingerprint(&rc), trajectory_fingerprint(&packed));
 }
