@@ -22,6 +22,7 @@
 //! so custom codecs can wrap or compose them.
 
 use crate::quantize::{max_level_for_bits, qsgd_dequantize, qsgd_levels};
+use crate::rans::RansEncoder;
 use crate::sparse::SparseUpdate;
 use crate::update::CompressedUpdate;
 use crate::wire::{
@@ -322,9 +323,9 @@ impl UpdateCodec for ThresholdCodec {
 /// QSGD stochastic quantization at a fixed bit width: every coordinate is
 /// transmitted as a sign plus `bits − 1` level bits, bit-packed on the wire
 /// — or, with the `:rc` suffix (`"qsgd:4:rc"`), entropy-coded through the
-/// adaptive range coder, which never expands past the bit-packed size.
+/// adaptive-CDF rANS coder, which never expands past the bit-packed size.
 /// The target ratio is ignored (the compression factor is `32 / bits`).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct QsgdCodec {
     /// Bits per coordinate including the sign bit, in `2..=16`.
     pub bits: u8,
@@ -332,6 +333,9 @@ pub struct QsgdCodec {
     /// bit-packing them. Quantization itself — levels, norm, RNG draws — is
     /// identical either way; only the byte layout (and count) changes.
     pub entropy: bool,
+    /// The entropy coder's scratch, kept so warm encodes allocate nothing
+    /// for it; empty (and never touched) while `entropy` is false.
+    coder: RansEncoder,
 }
 
 impl QsgdCodec {
@@ -342,6 +346,7 @@ impl QsgdCodec {
         Self {
             bits,
             entropy: false,
+            coder: RansEncoder::default(),
         }
     }
 
@@ -359,11 +364,28 @@ impl QsgdCodec {
     }
 
     /// The dense quantized frame for `levels`, in this codec's byte layout.
-    fn dense_wire(&self, norm: f32, levels: &[i32]) -> WireUpdate {
+    fn dense_wire(&mut self, norm: f32, levels: &[i32]) -> WireUpdate {
         if self.entropy {
-            encode_quantized_rc(levels.len(), self.bits, norm, levels)
+            encode_quantized_rc(&mut self.coder, levels.len(), self.bits, norm, levels)
         } else {
             encode_quantized(levels.len(), self.bits, norm, levels)
+        }
+    }
+
+    /// The sparse quantized frame for `levels` at `indices`, in this codec's
+    /// byte layout.
+    fn sparse_wire(
+        &mut self,
+        dense_len: usize,
+        indices: &[u32],
+        norm: f32,
+        levels: &[i32],
+    ) -> WireUpdate {
+        if self.entropy {
+            let bits = self.bits;
+            encode_sparse_quantized_rc(&mut self.coder, dense_len, indices, bits, norm, levels)
+        } else {
+            encode_sparse_quantized(dense_len, indices, self.bits, norm, levels)
         }
     }
 }
@@ -433,16 +455,13 @@ impl UpdateCodec for ComposedCodec {
         let mut sparse = selection
             .into_sparse()
             .expect("the first stage of a composed codec must produce a sparse update");
-        let QsgdCodec { bits, entropy } = self.quantizer;
         let (norm, levels) = self.quantizer.quantize(sparse.values(), rng);
-        let wire = if entropy {
-            encode_sparse_quantized_rc(sparse.dense_len(), sparse.indices(), bits, norm, &levels)
-        } else {
-            encode_sparse_quantized(sparse.dense_len(), sparse.indices(), bits, norm, &levels)
-        };
+        let wire = self
+            .quantizer
+            .sparse_wire(sparse.dense_len(), sparse.indices(), norm, &levels);
         // What was sent keeps the selection's indices; its values become the
         // dequantized levels (the arithmetic of `qsgd_dequantize`, in place).
-        let max_level = max_level_for_bits(bits) as f32;
+        let max_level = max_level_for_bits(self.quantizer.bits) as f32;
         for (v, &level) in sparse.values_mut().iter_mut().zip(&levels) {
             *v = norm * level as f32 / max_level;
         }

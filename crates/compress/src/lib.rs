@@ -14,7 +14,9 @@
 //! * [`codec::UpdateCodec`] — stateful
 //!   `encode_sent(&mut self, dense, ratio, rng)` producing a real
 //!   [`wire::WireUpdate`] byte buffer (varint-delta sparse indices,
-//!   bit-packed QSGD levels) together with the lossy update those bytes
+//!   bit-packed QSGD levels — or, under an `:rc` spec, the same levels and
+//!   index gaps entropy-coded by the adaptive-CDF rANS coder in [`rans`])
+//!   together with the lossy update those bytes
 //!   decode to, so nothing on the sending side decodes its own bytes;
 //!   `encode` is its bytes-only projection and `decode` the receiver's side.
 //!   Error-feedback residuals live inside [`codec::EfCodec`];
@@ -50,7 +52,7 @@ pub mod downlink;
 pub mod plan;
 pub mod quantize;
 pub mod randk;
-pub mod rc;
+pub mod rans;
 pub mod registry;
 pub mod residual_store;
 pub mod sparse;
@@ -75,4 +77,5 @@ pub use spec::{CodecStage, CompressorSpec, SpecError};
 pub use update::CompressedUpdate;
 pub use wire::{WireError, WireUpdate};
 
+pub use rans::RansEncoder;
 pub use wire::{encode_quantized_rc, encode_sparse_quantized_rc, KIND_ENTROPY};

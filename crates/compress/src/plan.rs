@@ -734,7 +734,7 @@ mod tests {
     #[test]
     fn entropy_rule_resolves_and_matches_bitpacked_plan_values() {
         // An `:rc` spec inside a plan rule resolves through the registry like
-        // any other, frames kind-5 segments, and (same bit width, same RNG)
+        // any other, frames entropy-coded segments, and (same bit width, same RNG)
         // dequantizes bit-identically to the bit-packed plan in fewer bytes.
         let rc_plan: LayerPlan = "*.weight=qsgd:4:rc;*=dense".parse().unwrap();
         assert_eq!(rc_plan.to_string(), "*.weight=qsgd:4:rc;*=dense");

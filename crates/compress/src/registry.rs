@@ -165,8 +165,8 @@ fn parse_qsgd(arg: Option<&str>) -> Result<QsgdCodec, SpecError> {
         codec: "qsgd".into(),
         reason: "needs a bit width, e.g. \"qsgd:8\"".into(),
     })?;
-    // `"4"` bit-packs; `"4:rc"` entropy-codes the levels with the adaptive
-    // range coder (same quantization, never-expanding byte layout).
+    // `"4"` bit-packs; `"4:rc"` entropy-codes the levels with adaptive-CDF
+    // rANS (same quantization, never-expanding byte layout).
     let (width, entropy) = match arg.split_once(':') {
         None => (arg, false),
         Some((width, "rc")) => (width, true),

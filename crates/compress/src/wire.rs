@@ -9,7 +9,8 @@
 //! [0xB3 0xF1]          magic
 //! [u8]                 format version (currently 1)
 //! [u8]                 payload kind (0 sparse, 1 quantized,
-//!                      2 sparse+quantized, 3 dense)
+//!                      2 sparse+quantized, 3 dense, 4 segmented,
+//!                      6 entropy)
 //! [varint]             dense_len
 //! ── kind 0 (sparse) ──────────────────────────────────────────────
 //! [varint]             nnz
@@ -32,34 +33,46 @@
 //! [per segment]        varint byte length, then a complete nested
 //!                      wire update (any kind except segmented) whose
 //!                      dense lengths must tile dense_len exactly
-//! ── kind 5 (entropy) ─────────────────────────────────────────────
-//! [u8]                 flags (bit 0: sparse — indices precede levels)
+//! ── kind 5 ───────────────────────────────────────────────────────
+//!                      retired (the adaptive binary range coder's frame);
+//!                      rejected as an unknown kind
+//! ── kind 6 (entropy) ─────────────────────────────────────────────
+//! [u8]                 flags (bit 0: sparse — indices beside the levels)
 //! [u8]                 bits per coordinate (sign + level), 2..=16
 //! [f32 LE]             L2 norm of the coded values
 //! [varint]             nnz (present only when the sparse flag is set)
-//! [rc stream]          range-coded payload to the end of the buffer:
-//!                      index gaps first (sparse only; bit-length via an
-//!                      adaptive 5-bit tree + direct low bits), then per
-//!                      coordinate an adaptive magnitude tree (context:
-//!                      previous magnitude zero/non-zero) and, for
-//!                      non-zero magnitudes, an adaptive sign bit
-//!                      (context: previous coded sign)
+//! [varint]             byte length of the rANS stream
+//! [rANS stream]        two little-endian u32 states, then renormalisation
+//!                      bytes. Modelled symbols alternate between the two
+//!                      states. Per coordinate, in order: (sparse only) the
+//!                      bit-length class of `gap + 1` under an adaptive CDF
+//!                      over `bitlen(dense_len)` classes; then the
+//!                      magnitude under an adaptive CDF — the level itself
+//!                      for bits <= 5, else its bit-length class
+//! [raw bits]           to the end of the buffer, LSB-first, zero-padded to
+//!                      a byte. Per coordinate, in order: the gap's bits
+//!                      under its leading one, the magnitude's bits under
+//!                      its leading one (bits >= 6), and a sign bit if the
+//!                      magnitude is non-zero
 //! ```
 //!
 //! Varints are LEB128 over `u64`. Each packed coordinate stores a sign bit
 //! followed by `bits − 1` magnitude-level bits; the dequantized value is
 //! `sign · norm · level / max_level` with `max_level = 2^(bits−1) − 1`.
-//! Kind 5 carries the same `(norm, signed level)` information as kinds 1/2
-//! but entropy-codes it with the adaptive range coder in [`crate::rc`]; the
-//! [`encode_quantized_rc`] / [`encode_sparse_quantized_rc`] entry points fall
-//! back to the bit-packed kinds whenever the coded stream would not be
-//! strictly smaller, so the entropy path never expands an update.
+//! Kind 6 carries the same `(norm, signed level)` information as kinds 1/2
+//! but entropy-codes it with the adaptive-CDF rANS coder in [`crate::rans`];
+//! the [`encode_quantized_rc`] / [`encode_sparse_quantized_rc`] entry points
+//! fall back to the bit-packed kinds whenever the coded frame would not be
+//! strictly smaller, so the entropy path never expands an update. A kind-6
+//! frame checks itself: the decoder requires both rANS states to end where
+//! the encoder started them and both sections to be consumed to the byte, so
+//! a truncated or spliced frame is an error, never a different update.
 //!
 //! The header bytes are pinned by a golden-bytes test so accidental format
 //! drift fails CI; bump [`WIRE_VERSION`] for any intentional layout change.
 
 use crate::quantize::max_level_for_bits;
-use crate::rc::{BitTree, RangeDecoder, RangeEncoder, PROB_INIT};
+use crate::rans::{AdaptiveCdf, BitReader, RansDecoder, RansEncoder};
 use crate::sparse::SparseUpdate;
 use crate::update::CompressedUpdate;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -84,18 +97,24 @@ pub const KIND_DENSE: u8 = 3;
 /// [`crate::plan::PlannedCodec`] emits, so per-layer codecs keep honest
 /// byte accounting (the framing overhead is part of the buffer).
 pub const KIND_SEGMENTED: u8 = 4;
-/// Payload kind tag: range-coded quantized levels (optionally with sparse
+/// Payload kind tag: rANS-coded quantized levels (optionally with sparse
 /// indices). Same information as kinds 1/2, entropy-coded; produced only
-/// when strictly smaller than the equivalent bit-packed buffer.
-pub const KIND_ENTROPY: u8 = 5;
+/// when strictly smaller than the equivalent bit-packed buffer. (Byte 5 was
+/// the adaptive binary range coder's frame; it is retired, not reused.)
+pub const KIND_ENTROPY: u8 = 6;
 
 /// Allocation guard for the entropy kind: one coded coordinate costs at
-/// least one adaptive binary decision, and a decision consumes at least
-/// `log2(2048/2017) ≈ 0.022` bits of the stream (the adaptive probabilities
-/// are bounded away from certainty), so no valid stream packs more than
-/// ~372 coordinates into a byte. A declared count above this bound is
+/// least one modelled symbol. Every symbol of an
+/// [`AdaptiveCdf`] keeps at least [`PROB_FLOOR`](crate::rans::PROB_FLOOR)
+/// `= 16` of the `32768` scale, so the likeliest symbol of a two-or-more
+/// symbol alphabet has probability at most `1 − 16/32768` and costs at least
+/// `−log2(1 − 16/32768) ≈ 7.0e-4` bits; a rANS step with states at or above
+/// `2^23` realises at least `255/256` of that. No valid stream therefore
+/// holds more than `8 / 7.0e-4 · 256/255 ≈ 11,400` symbols per byte of rANS
+/// stream (its 8 state bytes included). A one-symbol alphabet costs nothing,
+/// but only a `dense_len` of 1 has one. A declared count above this bound is
 /// rejected before any allocation.
-const MAX_DECISIONS_PER_BYTE: usize = 512;
+const MAX_DECISIONS_PER_BYTE: usize = 16_384;
 
 /// A decoding failure: the buffer is not a valid version-1 wire update.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -514,12 +533,8 @@ fn put_quantized_body(buf: &mut BytesMut, bits: u8, norm: f32, levels: &[i32]) {
     buf.put_slice(&block[..fill]);
 }
 
-/// Flag bit: the entropy payload carries sparse indices before the levels.
+/// Flag bit: the entropy payload carries sparse indices beside the levels.
 const ENTROPY_FLAG_SPARSE: u8 = 1;
-
-/// Width of the adaptive tree coding index-gap bit-lengths (symbols 0..=31
-/// cover every possible u32 gap).
-const GAP_TREE_BITS: u32 = 5;
 
 fn varint_len(mut v: u64) -> usize {
     let mut n = 1;
@@ -530,108 +545,148 @@ fn varint_len(mut v: u64) -> usize {
     n
 }
 
-/// Range-code a non-negative number as an adaptive bit-length symbol plus
-/// the direct bits below the (implicit) leading one of `x + 1`.
-fn rc_encode_num(enc: &mut RangeEncoder, tree: &mut BitTree, x: u32) {
-    let y = x as u64 + 1;
-    let bitlen = 64 - y.leading_zeros(); // 1..=32
-    tree.encode(enc, bitlen - 1);
-    enc.encode_direct((y & ((1u64 << (bitlen - 1)) - 1)) as u32, bitlen - 1);
+/// Model of one coordinate's QSGD magnitude (`0..=max_level`): the symbol
+/// itself while the alphabet `2^(bits−1)` fits 16 symbols, otherwise its
+/// bit-length class (0 for a zero magnitude) with the bits under the leading
+/// one sent raw.
+type MagCdf = AdaptiveCdf<16>;
+
+/// Model of one index gap's bit-length class: `gap + 1` has `class + 1`
+/// significant bits and `class` raw bits under the leading one. A gap is
+/// below `dense_len`, so the alphabet is `bitlen(dense_len) <= 32`.
+type GapCdf = AdaptiveCdf<32>;
+
+fn bitlen(v: usize) -> usize {
+    (usize::BITS - v.leading_zeros()) as usize
 }
 
-fn rc_decode_num(dec: &mut RangeDecoder<'_>, tree: &mut BitTree) -> Result<u32, WireError> {
-    let bitlen = tree.decode(dec)? + 1;
-    let low = dec.decode_direct(bitlen - 1)? as u64;
-    let y = (1u64 << (bitlen - 1)) | low;
-    Ok((y - 1) as u32)
+/// How a `bits`-wide magnitude splits into one modelled symbol and raw bits.
+#[derive(Clone, Copy)]
+struct MagCoding {
+    /// The magnitude is the symbol (`bits <= 5`).
+    direct: bool,
+    /// `2^(bits−1) − 1`: the clamp, and the dequantisation scale.
+    max_level: u32,
 }
 
-/// Range-code signed QSGD levels: per coordinate an adaptive magnitude tree
-/// (two contexts keyed on whether the previous magnitude was non-zero) and,
-/// for non-zero magnitudes only, an adaptive sign bit (context: previous
-/// coded sign). A zero magnitude carries no sign — the bit-packed kinds
-/// decode `±0` to level 0 either way, so dropping it is lossless.
-fn rc_encode_levels(enc: &mut RangeEncoder, bits: u8, levels: &[i32]) {
-    let tree_bits = bits as u32 - 1;
-    let mut mag_trees = [BitTree::new(tree_bits), BitTree::new(tree_bits)];
-    let mut sign_probs = [PROB_INIT; 2];
-    let max_level = max_level_for_bits(bits);
-    let mut ctx = 0usize;
-    let mut prev_sign = 0usize;
-    for &l in levels {
-        let mag = l.unsigned_abs().min(max_level);
-        mag_trees[ctx].encode(enc, mag);
-        if mag != 0 {
-            let neg = l < 0;
-            enc.encode_bit(&mut sign_probs[prev_sign], neg);
-            prev_sign = neg as usize;
+impl MagCoding {
+    fn new(bits: u8) -> Self {
+        Self {
+            direct: bits <= 5,
+            max_level: max_level_for_bits(bits),
         }
-        ctx = (mag != 0) as usize;
+    }
+
+    fn cdf(self) -> MagCdf {
+        MagCdf::new(if self.direct {
+            self.max_level as usize + 1
+        } else {
+            bitlen(self.max_level as usize) + 1
+        })
+    }
+
+    /// Raw bits that follow `symbol`.
+    #[inline(always)]
+    fn low_bits(self, symbol: usize) -> u32 {
+        if self.direct {
+            0
+        } else {
+            (symbol as u32).saturating_sub(1)
+        }
+    }
+
+    /// `(symbol, raw bits, raw bit count)` of `mag <= max_level`.
+    #[inline(always)]
+    fn split(self, mag: u32) -> (usize, u32, u32) {
+        if self.direct {
+            (mag as usize, 0, 0)
+        } else {
+            let class = 32 - mag.leading_zeros();
+            let nlow = class.saturating_sub(1);
+            (class as usize, mag & ((1 << nlow) - 1), nlow)
+        }
+    }
+
+    /// Inverse of [`split`](Self::split).
+    #[inline(always)]
+    fn join(self, symbol: usize, low: u32) -> u32 {
+        if self.direct || symbol == 0 {
+            symbol as u32
+        } else {
+            1 << (symbol - 1) | low
+        }
     }
 }
 
-/// Decode `count` range-coded levels straight to dequantized values (same
-/// fused `norm * level / max_level` arithmetic as the bit-packed decoder).
-fn rc_decode_values(
-    dec: &mut RangeDecoder<'_>,
+/// Assemble a [`KIND_ENTROPY`] frame of `total` bytes around the coder's
+/// `(rANS stream, raw section)`; `nnz` is present for the sparse flavour.
+fn entropy_frame(
+    dense_len: usize,
+    total: usize,
     bits: u8,
     norm: f32,
-    count: usize,
-    cap_hint: usize,
-) -> Result<Vec<f32>, WireError> {
-    let tree_bits = bits as u32 - 1;
-    let mut mag_trees = [BitTree::new(tree_bits), BitTree::new(tree_bits)];
-    let mut sign_probs = [PROB_INIT; 2];
-    let s = max_level_for_bits(bits) as f32;
-    let mut values = Vec::with_capacity(count.min(cap_hint));
-    let mut ctx = 0usize;
-    let mut prev_sign = 0usize;
-    for _ in 0..count {
-        let mag = mag_trees[ctx].decode(dec)? as i32;
-        let level = if mag != 0 {
-            let neg = dec.decode_bit(&mut sign_probs[prev_sign])?;
-            prev_sign = neg as usize;
-            if neg {
-                -mag
-            } else {
-                mag
-            }
-        } else {
-            0
-        };
-        ctx = (mag != 0) as usize;
-        values.push(norm * level as f32 / s);
+    nnz: Option<usize>,
+    (stream, raw): (&[u8], &[u8]),
+) -> WireUpdate {
+    let mut buf = header(KIND_ENTROPY, dense_len, total);
+    buf.put_u8(if nnz.is_some() {
+        ENTROPY_FLAG_SPARSE
+    } else {
+        0
+    });
+    buf.put_u8(bits);
+    buf.put_f32_le(norm);
+    if let Some(nnz) = nnz {
+        put_varint(&mut buf, nnz as u64);
     }
-    Ok(values)
+    put_varint(&mut buf, stream.len() as u64);
+    buf.put_slice(stream);
+    buf.put_slice(raw);
+    debug_assert_eq!(buf.len(), total);
+    WireUpdate::from_bytes(buf.freeze())
 }
 
-/// Encode a dense quantized vector with the adaptive range coder, falling
-/// back to the bit-packed [`KIND_QUANTIZED`] layout whenever the coded
-/// stream would not be strictly smaller — the entropy path never expands.
-pub fn encode_quantized_rc(dense_len: usize, bits: u8, norm: f32, levels: &[i32]) -> WireUpdate {
+/// Encode a dense quantized vector with the adaptive-CDF rANS coder, falling
+/// back to the bit-packed [`KIND_QUANTIZED`] layout whenever the coded frame
+/// would not be strictly smaller — the entropy path never expands. `coder`
+/// is scratch: any [`RansEncoder`], reused across calls to avoid allocating.
+pub fn encode_quantized_rc(
+    coder: &mut RansEncoder,
+    dense_len: usize,
+    bits: u8,
+    norm: f32,
+    levels: &[i32],
+) -> WireUpdate {
     assert_eq!(levels.len(), dense_len, "one level per dense coordinate");
-    let _ = max_level_for_bits(bits); // validates the range
-    let mut enc = RangeEncoder::new();
-    rc_encode_levels(&mut enc, bits, levels);
-    let stream = enc.finish();
+    let mags = MagCoding::new(bits);
+    let mut mag_cdf = mags.cdf();
+    coder.begin(dense_len, dense_len * (bits as usize - 1));
+    for &l in levels {
+        let mag = l.unsigned_abs().min(mags.max_level);
+        let (symbol, low, nlow) = mags.split(mag);
+        coder.symbol(&mut mag_cdf, symbol);
+        // A zero magnitude carries no sign: the bit-packed kinds decode `±0`
+        // to level 0 either way, so dropping it is lossless.
+        let word = low as u64 | ((l < 0) as u64) << nlow;
+        coder.raw(word, nlow + (mag != 0) as u32);
+    }
+    let (stream, raw) = coder.finish();
     let shared = 4 + varint_len(dense_len as u64);
-    let entropy_total = shared + 2 + 4 + stream.len();
+    let entropy_total = shared + 2 + 4 + varint_len(stream.len() as u64) + stream.len() + raw.len();
     let packed_total = shared + 1 + 4 + (dense_len * bits as usize).div_ceil(8);
     if entropy_total >= packed_total {
         return encode_quantized(dense_len, bits, norm, levels);
     }
-    let mut buf = header(KIND_ENTROPY, dense_len, 6 + stream.len());
-    buf.put_u8(0);
-    buf.put_u8(bits);
-    buf.put_f32_le(norm);
-    buf.put_slice(&stream);
-    WireUpdate::from_bytes(buf.freeze())
+    entropy_frame(dense_len, entropy_total, bits, norm, None, (stream, raw))
 }
 
-/// Encode a sparsified-then-quantized update with the adaptive range coder
-/// (gaps and levels share one stream), falling back to the bit-packed
+/// Encode a sparsified-then-quantized update with the adaptive-CDF rANS
+/// coder (one gap symbol and one magnitude symbol per retained coordinate,
+/// on alternating states), falling back to the bit-packed
 /// [`KIND_SPARSE_QUANTIZED`] layout whenever that would be no larger.
+/// `coder` is scratch, as for [`encode_quantized_rc`].
 pub fn encode_sparse_quantized_rc(
+    coder: &mut RansEncoder,
     dense_len: usize,
     indices: &[u32],
     bits: u8,
@@ -643,43 +698,58 @@ pub fn encode_sparse_quantized_rc(
         indices.windows(2).all(|w| w[0] < w[1]),
         "wire indices must be strictly increasing"
     );
-    let _ = max_level_for_bits(bits); // validates the range
-    let mut enc = RangeEncoder::new();
-    let mut gap_tree = BitTree::new(GAP_TREE_BITS);
-    let mut prev = 0u64;
-    let mut packed_index_bytes = 0usize;
-    for (pos, &i) in indices.iter().enumerate() {
-        let gap = if pos == 0 {
-            i as u64
-        } else {
-            i as u64 - prev - 1
-        };
-        rc_encode_num(&mut enc, &mut gap_tree, gap as u32);
-        packed_index_bytes += varint_len(if pos == 0 { i as u64 } else { i as u64 - prev });
-        prev = i as u64;
-    }
-    rc_encode_levels(&mut enc, bits, levels);
-    let stream = enc.finish();
+    assert!(
+        indices.last().is_none_or(|&i| (i as usize) < dense_len),
+        "wire indices must be below the dense length"
+    );
     let nnz = indices.len();
+    let mags = MagCoding::new(bits);
+    let mut mag_cdf = mags.cdf();
+    let gap_classes = bitlen(dense_len).max(1);
+    let mut gap_cdf = GapCdf::new(gap_classes);
+    coder.begin(2 * nnz, nnz * (gap_classes - 1 + bits as usize - 1));
+    let mut next = 0u32;
+    let mut packed_index_bytes = 0usize;
+    for (&i, &l) in indices.iter().zip(levels) {
+        // `gap + 1`: the first index counts from −1, the rest from their
+        // predecessor, so it is never zero and its leading one is implicit.
+        let step = i - next + 1;
+        // The bit-packed layout's varint: the first index, then `i − previous`.
+        packed_index_bytes += varint_len(if next == 0 { i } else { step } as u64);
+        next = i + 1;
+        let class = 31 - step.leading_zeros();
+        coder.symbol(&mut gap_cdf, class as usize);
+        let mag = l.unsigned_abs().min(mags.max_level);
+        let (symbol, low, nlow) = mags.split(mag);
+        coder.symbol(&mut mag_cdf, symbol);
+        let word = (step - (1 << class)) as u64
+            | (low as u64) << class
+            | ((l < 0) as u64) << (class + nlow);
+        coder.raw(word, class + nlow + (mag != 0) as u32);
+    }
+    let (stream, raw) = coder.finish();
     let shared = 4 + varint_len(dense_len as u64) + varint_len(nnz as u64);
-    let entropy_total = shared + 2 + 4 + stream.len();
+    let entropy_total = shared + 2 + 4 + varint_len(stream.len() as u64) + stream.len() + raw.len();
     let packed_total = shared + packed_index_bytes + 1 + 4 + (nnz * bits as usize).div_ceil(8);
     if entropy_total >= packed_total {
         return encode_sparse_quantized(dense_len, indices, bits, norm, levels);
     }
-    let mut buf = header(KIND_ENTROPY, dense_len, 8 + stream.len());
-    buf.put_u8(ENTROPY_FLAG_SPARSE);
-    buf.put_u8(bits);
-    buf.put_f32_le(norm);
-    put_varint(&mut buf, nnz as u64);
-    buf.put_slice(&stream);
-    WireUpdate::from_bytes(buf.freeze())
+    entropy_frame(
+        dense_len,
+        entropy_total,
+        bits,
+        norm,
+        Some(nnz),
+        (stream, raw),
+    )
 }
 
 /// Decode the body of a [`KIND_ENTROPY`] buffer. The coordinate count is
-/// bounded by [`MAX_DECISIONS_PER_BYTE`] before any allocation, and the
-/// range decoder errors with [`WireError::Truncated`] the moment the stream
-/// runs dry — a crafted buffer can neither over-allocate nor fabricate data.
+/// bounded by [`MAX_DECISIONS_PER_BYTE`] before any allocation; the rANS
+/// stream and the raw section each error the moment they run dry and must
+/// both be consumed exactly, with the two rANS states back at their origin —
+/// a crafted buffer can neither over-allocate nor fabricate data, and a
+/// truncated one never decodes.
 fn decode_entropy_body(
     b: &[u8],
     cur: &mut usize,
@@ -709,35 +779,65 @@ fn decode_entropy_body(
     } else {
         dense_len
     };
-    let stream = &b[*cur..];
+    let stream_len = read_varint(b, cur)?;
+    if stream_len > (b.len() - *cur) as u64 {
+        return Err(WireError::Truncated);
+    }
+    let (stream, raw) = b[*cur..].split_at(stream_len as usize);
     if count > stream.len().saturating_mul(MAX_DECISIONS_PER_BYTE) {
         return Err(WireError::Truncated);
     }
-    // Adversarial cap on up-front reservations: grow amortized beyond it.
-    let cap_hint = stream.len().saturating_mul(8).max(64);
-    let mut dec = RangeDecoder::new(stream)?;
     *cur = b.len();
-    if sparse {
-        let mut gap_tree = BitTree::new(GAP_TREE_BITS);
-        let mut indices = Vec::with_capacity(count.min(cap_hint));
-        let mut prev = 0u64;
-        for pos in 0..count {
-            let gap = rc_decode_num(&mut dec, &mut gap_tree)? as u64;
-            let idx = if pos == 0 { gap } else { prev + gap + 1 };
-            if idx >= dense_len as u64 {
+    // Adversarial cap on up-front reservations: grow amortized beyond it.
+    let capacity = count.min((stream.len() + raw.len()).saturating_mul(8).max(64));
+    let mut dec = RansDecoder::new(stream)?;
+    let mut raw = BitReader::new(raw);
+    let mags = MagCoding::new(bits);
+    let mut mag_cdf = mags.cdf();
+    let scale = mags.max_level as f32;
+    // The same fused `norm * level / max_level` as the bit-packed decoder.
+    let value = |symbol: usize, word: u64| {
+        let nlow = mags.low_bits(symbol);
+        let mag = mags.join(symbol, (word & ((1 << nlow) - 1)) as u32) as i32;
+        let level = if word >> nlow & 1 != 0 { -mag } else { mag };
+        norm * level as f32 / scale
+    };
+    let mut values = Vec::with_capacity(capacity);
+    let update = if sparse {
+        let mut gap_cdf = GapCdf::new(bitlen(dense_len).max(1));
+        let mut indices = Vec::with_capacity(capacity);
+        let mut next = 0u64;
+        for _ in 0..count {
+            let class = dec.symbol::<0, 32>(&mut gap_cdf)? as u32;
+            let symbol = dec.symbol::<1, 16>(&mut mag_cdf)?;
+            let word = raw.take(class + mags.low_bits(symbol) + (symbol != 0) as u32)?;
+            let index = next + (1 << class | word & ((1 << class) - 1)) - 1;
+            if index >= dense_len as u64 {
                 return Err(WireError::Corrupt("index out of range"));
             }
-            indices.push(idx as u32);
-            prev = idx;
+            next = index + 1;
+            indices.push(index as u32);
+            values.push(value(symbol, word >> class));
         }
-        let values = rc_decode_values(&mut dec, bits, norm, count, cap_hint)?;
-        Ok(CompressedUpdate::Sparse(SparseUpdate::new(
-            indices, values, dense_len,
-        )))
+        CompressedUpdate::Sparse(SparseUpdate::new(indices, values, dense_len))
     } else {
-        let values = rc_decode_values(&mut dec, bits, norm, count, cap_hint)?;
-        Ok(CompressedUpdate::Quantized { values })
-    }
+        let mut coordinate = |symbol: usize| -> Result<(), WireError> {
+            let word = raw.take(mags.low_bits(symbol) + (symbol != 0) as u32)?;
+            values.push(value(symbol, word));
+            Ok(())
+        };
+        for _ in 0..count / 2 {
+            coordinate(dec.symbol::<0, 16>(&mut mag_cdf)?)?;
+            coordinate(dec.symbol::<1, 16>(&mut mag_cdf)?)?;
+        }
+        if count % 2 == 1 {
+            coordinate(dec.symbol::<0, 16>(&mut mag_cdf)?)?;
+        }
+        CompressedUpdate::Quantized { values }
+    };
+    dec.finish()?;
+    raw.finish()?;
+    Ok(update)
 }
 
 fn decode_indices(b: &[u8], cur: &mut usize, dense_len: usize) -> Result<Vec<u32>, WireError> {
@@ -1016,6 +1116,11 @@ mod tests {
             WireUpdate::from_bytes(Bytes::from_static(&[0xB3, 0xF1, 1, 9, 0])).decode(),
             Err(WireError::UnknownKind(9))
         );
+        // Kind 5 is retired (the binary range coder's frame), not reassigned.
+        assert_eq!(
+            WireUpdate::from_bytes(Bytes::from_static(&[0xB3, 0xF1, 1, 5, 0])).decode(),
+            Err(WireError::UnknownKind(5))
+        );
     }
 
     #[test]
@@ -1077,6 +1182,30 @@ mod tests {
             WireUpdate::from_bytes(buf.freeze()).decode(),
             Err(WireError::Truncated)
         );
+
+        // Entropy payloads, dense and sparse, declaring more coordinates
+        // than `MAX_DECISIONS_PER_BYTE` lets their rANS stream hold — with
+        // well-formed initial states, so only the guard can refuse them.
+        for sparse in [false, true] {
+            let mut buf = BytesMut::new();
+            buf.put_slice(&WIRE_MAGIC);
+            buf.put_u8(WIRE_VERSION);
+            buf.put_u8(KIND_ENTROPY);
+            put_varint(&mut buf, u32::MAX as u64); // dense_len
+            buf.put_u8(sparse as u8); // flags
+            buf.put_u8(2); // bits
+            buf.put_f32_le(1.0); // norm
+            if sparse {
+                put_varint(&mut buf, (u32::MAX - 1) as u64); // nnz
+            }
+            put_varint(&mut buf, 8); // rANS stream length
+            buf.put_slice(&[0, 0, 0x80, 0, 0, 0, 0x80, 0]); // two states at 2^23
+            assert_eq!(
+                WireUpdate::from_bytes(buf.freeze()).decode(),
+                Err(WireError::Truncated),
+                "sparse {sparse}"
+            );
+        }
     }
 
     #[test]
@@ -1249,7 +1378,13 @@ mod tests {
     fn entropy_quantized_decodes_bit_identically_to_packed() {
         for bits in [2u8, 4, 6, 8, 12, 16] {
             let (norm, levels) = qsgd_levels_for(&gradient_like(4096), bits);
-            let rc = encode_quantized_rc(levels.len(), bits, norm, &levels);
+            let rc = encode_quantized_rc(
+                &mut RansEncoder::default(),
+                levels.len(),
+                bits,
+                norm,
+                &levels,
+            );
             let packed = encode_quantized(levels.len(), bits, norm, &levels);
             assert_eq!(rc.kind().unwrap(), KIND_ENTROPY, "bits {bits}");
             let rc_values = match rc.decode().unwrap() {
@@ -1271,11 +1406,17 @@ mod tests {
     fn entropy_beats_bitpacked_on_every_benchmark_level_distribution() {
         // The acceptance claim: on each level distribution the benchmarks
         // exercise — dense quantization at several widths, and the
-        // sparsify-then-quantize composition — the range-coded buffer is
+        // sparsify-then-quantize composition — the entropy-coded buffer is
         // strictly smaller than the bit-packed one.
         for bits in [2u8, 4, 6, 8] {
             let (norm, levels) = qsgd_levels_for(&gradient_like(8192), bits);
-            let rc = encode_quantized_rc(levels.len(), bits, norm, &levels);
+            let rc = encode_quantized_rc(
+                &mut RansEncoder::default(),
+                levels.len(),
+                bits,
+                norm,
+                &levels,
+            );
             let packed = encode_quantized(levels.len(), bits, norm, &levels);
             assert_eq!(rc.kind().unwrap(), KIND_ENTROPY);
             assert!(
@@ -1291,7 +1432,14 @@ mod tests {
             let indices: Vec<u32> = (0..8192u32).step_by(17).collect();
             let retained: Vec<f32> = indices.iter().map(|&i| dense[i as usize]).collect();
             let (norm, levels) = qsgd_levels_for(&retained, bits);
-            let rc = encode_sparse_quantized_rc(8192, &indices, bits, norm, &levels);
+            let rc = encode_sparse_quantized_rc(
+                &mut RansEncoder::default(),
+                8192,
+                &indices,
+                bits,
+                norm,
+                &levels,
+            );
             let packed = encode_sparse_quantized(8192, &indices, bits, norm, &levels);
             assert_eq!(rc.kind().unwrap(), KIND_ENTROPY);
             assert!(
@@ -1307,7 +1455,14 @@ mod tests {
     fn entropy_sparse_roundtrip_matches_packed_decode() {
         let indices = vec![3u32, 10, 11, 99, 512, 513, 2000];
         let levels = vec![1, -3, 3, 2, 0, -1, 7];
-        let rc = encode_sparse_quantized_rc(4096, &indices, 4, 1.5, &levels);
+        let rc = encode_sparse_quantized_rc(
+            &mut RansEncoder::default(),
+            4096,
+            &indices,
+            4,
+            1.5,
+            &levels,
+        );
         let packed = encode_sparse_quantized(4096, &indices, 4, 1.5, &levels);
         let a = rc.decode().unwrap().into_sparse().unwrap();
         let b = packed.decode().unwrap().into_sparse().unwrap();
@@ -1323,10 +1478,10 @@ mod tests {
     #[test]
     fn entropy_falls_back_to_bitpacked_instead_of_expanding() {
         // Incompressible levels: a full-range pseudo-random pattern at a
-        // tiny length, where the range coder's 5-byte flush alone outweighs
+        // tiny length, where the rANS stream's two 4-byte states alone outweigh
         // the packed payload. The encoder must ship the packed kind.
         let levels: Vec<i32> = (0..8).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
-        let w = encode_quantized_rc(8, 2, 1.0, &levels);
+        let w = encode_quantized_rc(&mut RansEncoder::default(), 8, 2, 1.0, &levels);
         assert_eq!(w.kind().unwrap(), KIND_QUANTIZED);
         assert_eq!(
             w.as_bytes(),
@@ -1334,7 +1489,14 @@ mod tests {
         );
 
         let indices: Vec<u32> = (0..4).collect();
-        let w = encode_sparse_quantized_rc(100, &indices, 2, 1.0, &[1, -1, 1, -1]);
+        let w = encode_sparse_quantized_rc(
+            &mut RansEncoder::default(),
+            100,
+            &indices,
+            2,
+            1.0,
+            &[1, -1, 1, -1],
+        );
         assert_eq!(w.kind().unwrap(), KIND_SPARSE_QUANTIZED);
 
         // The never-expand property across widths and lengths: the entropy
@@ -1342,7 +1504,7 @@ mod tests {
         for bits in [2u8, 5, 9] {
             for n in [0usize, 1, 7, 100, 2048] {
                 let (norm, levels) = qsgd_levels_for(&gradient_like(n), bits);
-                let rc = encode_quantized_rc(n, bits, norm, &levels);
+                let rc = encode_quantized_rc(&mut RansEncoder::default(), n, bits, norm, &levels);
                 let packed = encode_quantized(n, bits, norm, &levels);
                 assert!(
                     rc.len() <= packed.len(),
@@ -1356,10 +1518,11 @@ mod tests {
 
     #[test]
     fn entropy_golden_bytes_are_pinned() {
-        // Golden fixture for the kind-5 layout: header, flags, bits, norm,
-        // then the range-coded stream. Any drift in the range coder's
-        // initialisation, adaptation rate, or payload order changes these
-        // bytes and must be a deliberate format bump.
+        // Golden fixture for the kind-6 layout: header, flags, bits, norm,
+        // (nnz,) the rANS stream's length, the stream, the raw bits. Any
+        // drift in the models' initialisation, adaptation schedule or floor,
+        // the state interleave, or the payload order changes these bytes and
+        // must be a deliberate format bump.
         let levels: Vec<i32> = (0..64)
             .map(|i| match i % 16 {
                 0 => 1,
@@ -1367,12 +1530,12 @@ mod tests {
                 _ => 0,
             })
             .collect();
-        let w = encode_quantized_rc(64, 4, 2.0, &levels);
+        let w = encode_quantized_rc(&mut RansEncoder::default(), 64, 4, 2.0, &levels);
         assert_eq!(w.kind().unwrap(), KIND_ENTROPY);
         let b = w.as_bytes();
         assert_eq!(&b[0..2], &WIRE_MAGIC);
         assert_eq!(b[2], WIRE_VERSION);
-        assert_eq!(b[3], KIND_ENTROPY);
+        assert_eq!(b[3], 6, "the entropy kind byte");
         assert_eq!(b[4], 64, "dense_len varint");
         assert_eq!(b[5], 0, "flags: dense");
         assert_eq!(b[6], 4, "bits");
@@ -1383,10 +1546,12 @@ mod tests {
         assert_eq!(
             &b[11..],
             &[
-                0x00, 0x1F, 0xFF, 0xFC, 0x98, 0x7D, 0x5E, 0x56, 0x8D, 0x3C, 0x66, 0x76, 0xAA, 0xA7,
-                0x4E, 0x15, 0xDA, 0x3D, 0x00,
+                // 15 stream bytes: two u32 states, seven renormalisation bytes.
+                0x0F, 0x12, 0x13, 0x52, 0x01, 0xF4, 0x81, 0x60, 0x1A, 0x23, 0x1E, 0xC6, 0x86, 0xED,
+                0xE2, 0x54, // Raw section: eight signs, + then − alternating.
+                0xAA,
             ],
-            "range-coded stream drifted"
+            "entropy-coded dense payload drifted"
         );
 
         let indices: Vec<u32> = (0..100u32).map(|i| i * 9 + (i % 5)).collect();
@@ -1397,10 +1562,17 @@ mod tests {
                 _ => 1,
             })
             .collect();
-        let sw = encode_sparse_quantized_rc(1000, &indices, 4, 1.0, &slevels);
+        let sw = encode_sparse_quantized_rc(
+            &mut RansEncoder::default(),
+            1000,
+            &indices,
+            4,
+            1.0,
+            &slevels,
+        );
         assert_eq!(sw.kind().unwrap(), KIND_ENTROPY);
         let sb = sw.as_bytes();
-        assert_eq!(sb[3], KIND_ENTROPY);
+        assert_eq!(sb[3], 6, "the entropy kind byte");
         assert_eq!(&sb[4..6], &[0xE8, 0x07], "dense_len 1000 varint");
         assert_eq!(sb[6], 1, "flags: sparse");
         assert_eq!(sb[7], 4, "bits");
@@ -1412,15 +1584,27 @@ mod tests {
         assert_eq!(
             &sb[13..],
             &[
-                0x00, 0x00, 0xE6, 0xC5, 0xF7, 0x89, 0xB3, 0x01, 0x8D, 0xDD, 0x21, 0x54, 0xD0, 0x47,
-                0x08, 0xCD, 0xD3, 0x2A, 0x41, 0xC7, 0x6D, 0x73, 0x2E, 0x4B, 0xA7, 0x51, 0x52, 0x14,
-                0x98, 0x92, 0x03, 0xB6, 0x5A, 0x04, 0x42, 0x11, 0xCF, 0x6C, 0xED, 0xAB, 0xB8, 0x0B,
-                0x92, 0x05, 0x0B, 0xAE, 0x0C, 0x6B, 0x3F, 0xF5, 0x6C, 0xD8, 0xA0, 0xAA, 0x23, 0x7B,
-                0xF7, 0x39, 0x86, 0xB0, 0xB9, 0x27, 0x26, 0x45, 0xB2, 0xE7, 0x43, 0x36, 0xD9, 0xDF,
-                0x64, 0xDD, 0xD6, 0xA7, 0x69, 0x58, 0x7F, 0x9E, 0x91, 0xA1, 0xFA, 0xAE, 0x21, 0x00,
+                // 25 stream bytes, then 48 bytes of gap low bits and signs.
+                0x19, 0x12, 0x82, 0x73, 0x07, 0x12, 0x1C, 0x57, 0x01, 0xB8, 0xFB, 0x5B, 0x3F, 0x1A,
+                0x94, 0xD5, 0xBA, 0x5E, 0x5B, 0xB6, 0x19, 0xDB, 0x61, 0x69, 0x0F, 0xCB, 0x44, 0x54,
+                0x22, 0xA2, 0x12, 0x11, 0x95, 0x88, 0xA8, 0x44, 0x44, 0x25, 0x22, 0x2A, 0x11, 0x51,
+                0x89, 0x88, 0x4A, 0x44, 0x54, 0x22, 0xA2, 0x12, 0x11, 0x95, 0x88, 0xA8, 0x44, 0x44,
+                0x25, 0x22, 0x2A, 0x11, 0x51, 0x89, 0x88, 0x4A, 0x44, 0x54, 0x22, 0xA2, 0x12, 0x11,
+                0x95, 0x88, 0xA8, 0x00,
             ],
-            "range-coded sparse stream drifted"
+            "entropy-coded sparse payload drifted"
         );
+
+        // Byte 5 — the retired range coder's kind — is not an alias of the
+        // new kind: the same payload under it is refused outright.
+        for frame in [b, sb] {
+            let mut old = frame.to_vec();
+            old[3] = 5;
+            assert_eq!(
+                WireUpdate::from_bytes(Bytes::from(old)).decode(),
+                Err(WireError::UnknownKind(5))
+            );
+        }
     }
 
     #[test]
@@ -1428,14 +1612,45 @@ mod tests {
         // dense_len 100 keeps the varint to one byte, so the flags and bits
         // offsets below are fixed at 5 and 6.
         let (norm, levels) = qsgd_levels_for(&gradient_like(100), 4);
-        let w = encode_quantized_rc(100, 4, norm, &levels);
+        let w = encode_quantized_rc(&mut RansEncoder::default(), 100, 4, norm, &levels);
         assert_eq!(w.kind().unwrap(), KIND_ENTROPY);
 
-        // Truncating anywhere inside the stream is a hard error.
-        for cut in [5, 6, 10, 12, w.len() / 2, w.len() - 1] {
-            let t = WireUpdate::from_bytes(Bytes::copy_from_slice(&w.as_bytes()[..cut]));
-            assert_eq!(t.decode(), Err(WireError::Truncated), "cut at {cut}");
+        // Truncating at any prefix — header, rANS stream or raw bits — is a
+        // hard error, for the dense and the sparse flavour alike.
+        let indices: Vec<u32> = (0..100).map(|i| i * 3).collect();
+        let sw = encode_sparse_quantized_rc(
+            &mut RansEncoder::default(),
+            300,
+            &indices,
+            4,
+            norm,
+            &levels,
+        );
+        assert_eq!(sw.kind().unwrap(), KIND_ENTROPY);
+        for frame in [&w, &sw] {
+            for cut in 0..frame.len() {
+                let t = WireUpdate::from_bytes(Bytes::copy_from_slice(&frame.as_bytes()[..cut]));
+                assert_eq!(t.decode(), Err(WireError::Truncated), "cut at {cut}");
+            }
+            // So is anything after the end: the raw section is consumed
+            // to the byte.
+            let mut padded = frame.as_bytes().to_vec();
+            padded.push(0);
+            assert_eq!(
+                WireUpdate::from_bytes(Bytes::from(padded)).decode(),
+                Err(WireError::Corrupt("trailing bits in raw section"))
+            );
         }
+
+        // A stream length that claims the raw section's bytes too leaves the
+        // rANS decoder with bytes it never needed.
+        let mut raw = w.as_bytes().to_vec();
+        assert!((raw[11] as usize) < raw.len() - 12, "a raw section follows");
+        raw[11] = (raw.len() - 12) as u8;
+        assert!(matches!(
+            WireUpdate::from_bytes(Bytes::from(raw)).decode(),
+            Err(WireError::Truncated | WireError::Corrupt(_))
+        ));
 
         // Unknown flag bits are corrupt, not silently ignored.
         let mut raw = w.as_bytes().to_vec();
@@ -1451,22 +1666,6 @@ mod tests {
         assert_eq!(
             WireUpdate::from_bytes(Bytes::from(raw)).decode(),
             Err(WireError::Corrupt("bits out of range"))
-        );
-
-        // A huge declared dense_len with a tiny stream must be rejected by
-        // the decisions-per-byte bound before any allocation happens.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_ENTROPY);
-        put_varint(&mut buf, u32::MAX as u64); // dense_len
-        buf.put_u8(0); // flags: dense
-        buf.put_u8(4); // bits
-        buf.put_f32_le(1.0); // norm
-        buf.put_slice(&[0xAB; 8]); // tiny stream
-        assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
-            Err(WireError::Truncated)
         );
 
         // Sparse flavour: nnz larger than dense_len is corrupt.
@@ -1498,9 +1697,15 @@ mod tests {
             buf.put_u8(4); // bits
             buf.put_f32_le(1.0); // norm
             put_varint(&mut buf, 32); // nnz
-            let soup: Vec<u8> = (0u8..24)
+            put_varint(&mut buf, 16); // rANS stream length; 8 raw bytes follow
+            let mut soup: Vec<u8> = (0u8..24)
                 .map(|i| seed.wrapping_mul(37).wrapping_add(i.wrapping_mul(91)))
                 .collect();
+            // Both initial states inside the normalised interval, so the
+            // soup reaches the symbol decoder.
+            for state in [3, 7] {
+                soup[state] = soup[state] & 0x7F | 0x01;
+            }
             buf.put_slice(&soup);
             match WireUpdate::from_bytes(buf.freeze()).decode() {
                 Ok(update) => {
@@ -1516,7 +1721,7 @@ mod tests {
     #[test]
     fn segmented_frames_carry_entropy_parts() {
         let (norm, levels) = qsgd_levels_for(&gradient_like(512), 4);
-        let rc = encode_quantized_rc(512, 4, norm, &levels);
+        let rc = encode_quantized_rc(&mut RansEncoder::default(), 512, 4, norm, &levels);
         assert_eq!(rc.kind().unwrap(), KIND_ENTROPY);
         let sparse = encode_sparse(&SparseUpdate::new(vec![2], vec![9.0], 4));
         let w = encode_segmented(516, &[sparse, rc.clone()]);

@@ -2,7 +2,7 @@
 //!
 //! Random gradients are pushed through every wire kind the stack can emit —
 //! sparse, bit-packed quantized, composed sparse+quantized, raw dense, the
-//! entropy-coded kind 5, and `Segmented` frames from layer plans — and the
+//! entropy-coded kind 6, and `Segmented` frames from layer plans — and the
 //! decoded updates are checked against the exactness guarantees each format
 //! makes. Error-feedback plans additionally check the take/restore residual
 //! snapshot contract the session engine relies on, and every built-in is held
@@ -36,7 +36,7 @@ fn gradient(seed: u64, n: usize) -> Vec<f32> {
 
 /// Inputs that stress the reconstruction arithmetic rather than the
 /// selection: non-finite norms, nothing to send, level-0 coordinates, signed
-/// zeros, and sign patterns the range coder cannot compress.
+/// zeros, and sign patterns the entropy coder cannot compress.
 fn awkward_gradient(seed: u64, n: usize, flavour: u8) -> Vec<f32> {
     let mut d = gradient(seed, n);
     let mut rng = Xoshiro256::new(seed ^ 0xA3);
@@ -238,7 +238,7 @@ proptest! {
 
     /// The entropy twin of a bit-packed quantizer decodes bit-identically
     /// (same levels, same dequantization) and its frame is never larger:
-    /// when the range coder cannot beat bit-packing it falls back to it.
+    /// when the entropy coder cannot beat bit-packing it falls back to it.
     #[test]
     fn prop_entropy_twin_bit_identical_never_larger(
         seed in 0u64..1 << 32,

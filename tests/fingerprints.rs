@@ -47,6 +47,29 @@ impl Fnv {
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
+    fn selected(&mut self, clients: &[usize]) {
+        self.usize(clients.len());
+        for &c in clients {
+            self.usize(c);
+        }
+    }
+    fn overlap(&mut self, overlap: &Option<OverlapStats>) {
+        match overlap {
+            None => self.u64(0),
+            Some(o) => {
+                self.u64(1);
+                self.usize(o.cohort_size);
+                self.u64(o.total_retained);
+                self.usize(o.histogram_counts.len());
+                for &c in &o.histogram_counts {
+                    self.u64(c);
+                }
+                for &f in &o.fractions {
+                    self.f64(f);
+                }
+            }
+        }
+    }
 }
 
 /// Hash every field of every record. Destructured without a rest pattern so
@@ -89,25 +112,8 @@ fn fingerprint(records: &[RoundRecord]) -> u64 {
         h.f64(*cumulative_actual_s);
         h.f64(*cumulative_max_s);
         h.f64(*cumulative_min_s);
-        h.usize(selected_clients.len());
-        for &c in selected_clients {
-            h.usize(c);
-        }
-        match overlap {
-            None => h.u64(0),
-            Some(o) => {
-                h.u64(1);
-                h.usize(o.cohort_size);
-                h.u64(o.total_retained);
-                h.usize(o.histogram_counts.len());
-                for &c in &o.histogram_counts {
-                    h.u64(c);
-                }
-                for &f in &o.fractions {
-                    h.f64(f);
-                }
-            }
-        }
+        h.selected(selected_clients);
+        h.overlap(overlap);
         match layer_bytes {
             None => h.u64(0),
             Some(layers) => {
@@ -163,25 +169,8 @@ fn trajectory_fingerprint(records: &[RoundRecord]) -> u64 {
         h.f64(r.test_loss);
         h.f64(r.train_loss);
         h.f64(r.mean_compression_ratio);
-        h.usize(r.selected_clients.len());
-        for &c in &r.selected_clients {
-            h.usize(c);
-        }
-        match &r.overlap {
-            None => h.u64(0),
-            Some(o) => {
-                h.u64(1);
-                h.usize(o.cohort_size);
-                h.u64(o.total_retained);
-                h.usize(o.histogram_counts.len());
-                for &c in &o.histogram_counts {
-                    h.u64(c);
-                }
-                for &f in &o.fractions {
-                    h.f64(f);
-                }
-            }
-        }
+        h.selected(&r.selected_clients);
+        h.overlap(&r.overlap);
         h.usize(r.downlink_bytes);
     }
     h.0
@@ -318,11 +307,14 @@ fn run_codec_case(case: &CodecCase) -> (u64, u64) {
     )
 }
 
-/// Captured at df5cbb1, before the single-pass uplink codec.
+/// Captured at df5cbb1, before the single-pass uplink codec — except the two
+/// `:rc` rows, re-pinned when adaptive-CDF rANS (wire kind 6) replaced the
+/// binary range coder (kind 5): their encoded byte counts, and the simulated
+/// times priced from them, moved; [`EXPECTED_RC_TRAJECTORY`] did not.
 const EXPECTED_CODEC: &[u64] = &[
-    0x7bf8b18a787fe007,
+    0x6b0ee68c1e1f63ad,
     0x86eb0959684843a5,
-    0xe88fc46cfd81f4f0,
+    0x80dc97538b4e2e01,
     0xdb16491d4d446369,
 ];
 
