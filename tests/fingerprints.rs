@@ -176,18 +176,74 @@ fn trajectory_fingerprint(records: &[RoundRecord]) -> u64 {
     h.0
 }
 
-fn run(algorithm: Algorithm, plan: Option<&str>) -> u64 {
+/// Hash only what no floating-point kernel can reach: who was selected, at
+/// which ratio, the scenario and plan-epoch telemetry, and — when the run is
+/// priced analytically, from link draws and ratios alone — the simulated
+/// times. A change to training arithmetic moves [`fingerprint`] and must
+/// leave this untouched.
+fn schedule_fingerprint(records: &[RoundRecord], analytic: bool) -> u64 {
+    let mut h = Fnv::new();
+    h.usize(records.len());
+    for r in records {
+        h.usize(r.round);
+        h.selected(&r.selected_clients);
+        h.f64(r.mean_compression_ratio);
+        if let Some(t) = &r.scenario {
+            h.u64(1);
+            h.usize(t.available);
+            h.usize(t.joined);
+            h.usize(t.departed);
+            h.usize(t.link_changes);
+        }
+        if let Some(p) = &r.plan {
+            h.u64(1);
+            h.bytes(p.policy.as_bytes());
+            h.u64(p.epoch);
+        }
+        if analytic {
+            h.f64(r.comm_actual_s);
+            h.f64(r.comm_max_s);
+            h.f64(r.comm_min_s);
+            h.f64(r.cumulative_actual_s);
+            h.f64(r.cumulative_max_s);
+            h.f64(r.cumulative_min_s);
+        }
+    }
+    h.0
+}
+
+/// How far a pinned final accuracy may move when the training arithmetic
+/// (not the algorithm) changes: two of the quick test set's 100 samples. The
+/// `1e-9` keeps `0.13 − 0.11` (not exactly `0.02` in binary) inside.
+const ACCURACY_TOLERANCE: f64 = 0.02 + 1e-9;
+
+/// Check one run against its `(schedule hash, final test accuracy)` pin.
+fn assert_schedule_pinned(name: &str, records: &[RoundRecord], analytic: bool, pin: (u64, f64)) {
+    assert_eq!(
+        schedule_fingerprint(records, analytic),
+        pin.0,
+        "{name}: selection, ratios, epochs or analytic times moved"
+    );
+    let accuracy = records.last().expect("a run has records").test_accuracy;
+    assert!(
+        (accuracy - pin.1).abs() <= ACCURACY_TOLERANCE,
+        "{name}: final accuracy {accuracy} left {} ± 0.02",
+        pin.1
+    );
+}
+
+fn run(algorithm: Algorithm, plan: Option<&str>) -> Vec<RoundRecord> {
     let mut config = ExperimentConfig::quick(algorithm);
     config.rounds = 3;
     config.num_clients = 16;
     if let Some(p) = plan {
         config.layer_compressors = Some(p.parse().expect("fingerprint plan parses"));
     }
-    let result = SessionBuilder::from_config(&config)
+    SessionBuilder::from_config(&config)
         .threads(1)
         .build()
-        .run();
-    fingerprint(&result.records)
+        .run()
+        .records
 }
 
 /// Captured at the pre-PR commit (see module docs). `flat` is the
@@ -281,8 +337,7 @@ const CODEC_CASES: &[CodecCase] = &[
     },
 ];
 
-/// `(full fingerprint, byte-independent trajectory fingerprint)` of one case.
-fn run_codec_case(case: &CodecCase) -> (u64, u64) {
+fn run_codec_case(case: &CodecCase) -> Vec<RoundRecord> {
     let mut config = ExperimentConfig::quick(Algorithm::EfTopK);
     config.num_clients = case.num_clients;
     config.participation = case.participation;
@@ -297,14 +352,11 @@ fn run_codec_case(case: &CodecCase) -> (u64, u64) {
     config
         .validate()
         .expect("codec fingerprint config is valid");
-    let result = SessionBuilder::from_config(&config)
+    SessionBuilder::from_config(&config)
         .threads(1)
         .build()
-        .run();
-    (
-        fingerprint(&result.records),
-        trajectory_fingerprint(&result.records),
-    )
+        .run()
+        .records
 }
 
 /// Captured at df5cbb1, before the single-pass uplink codec — except the two
@@ -330,6 +382,44 @@ const EXPECTED_RC_TRAJECTORY: &[(&str, u64)] = &[
     ("codec/ef-qsgd:4:rc", 0x62c684f0e38fa819),
 ];
 
+/// `(schedule hash, final test accuracy)` of the [`EXPECTED`] rows, in their
+/// order, captured at 4c39746 — before the matmul tile fused its multiply and
+/// add. See [`schedule_fingerprint`].
+const EXPECTED_SCHEDULE: &[(u64, f64)] = &[
+    (0xcf3ddccc6ad72b7f, 0.13), // fedavg/flat
+    (0x9214e1f1f8f74a5e, 0.12), // topk/flat
+    (0x9214e1f1f8f74a5e, 0.12), // eftopk/flat
+    (0x9214e1f1f8f74a5e, 0.13), // randk/flat
+    (0x9214e1f1f8f74a5e, 0.15), // topk+opwa/flat
+    (0x404f1561fd43f211, 0.13), // bcrs/flat
+    (0x404f1561fd43f211, 0.14), // bcrs+opwa/flat
+    (0xcf3ddccc6ad72b7f, 0.12), // fedavg/planned
+    (0x9214e1f1f8f74a5e, 0.12), // topk/planned
+    (0x9214e1f1f8f74a5e, 0.12), // eftopk/planned
+    (0x9214e1f1f8f74a5e, 0.12), // randk/planned
+    (0x9214e1f1f8f74a5e, 0.14), // topk+opwa/planned
+    (0x404f1561fd43f211, 0.15), // bcrs/planned
+    (0x404f1561fd43f211, 0.14), // bcrs+opwa/planned
+];
+
+/// The same pins for [`CODEC_CASES`] (priced on encoded bytes, so their
+/// simulated times stay out of the hash).
+const EXPECTED_CODEC_SCHEDULE: &[(u64, f64)] = &[
+    (0x1030fbca7621ae6d, 0.1), // codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40
+    (0x5cda96196f1737c7, 0.16), // codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8
+    (0x3b78daed6ef64177, 0.08), // codec/ef-qsgd:4:rc
+    (0x3b78daed6ef64177, 0.13), // codec/ef-threshold+qsgd:6
+];
+
+/// Print one run's `(schedule hash, final accuracy)` pin under `FP_PRINT`.
+fn print_schedule_pin(name: &str, records: &[RoundRecord], analytic: bool) {
+    println!(
+        "    ({:#018x}, {:?}), // {name}",
+        schedule_fingerprint(records, analytic),
+        records.last().expect("a run has records").test_accuracy
+    );
+}
+
 #[test]
 fn round_record_fingerprints_are_pinned() {
     let mut got = Vec::new();
@@ -343,16 +433,24 @@ fn round_record_fingerprints_are_pinned() {
         ));
     }
     if std::env::var("FP_PRINT").is_ok() {
-        for (name, fp) in &got {
-            println!("    (\"{name}\", {fp:#018x}),");
+        for (name, records) in &got {
+            println!("    (\"{name}\", {:#018x}),", fingerprint(records));
+        }
+        for (name, records) in &got {
+            print_schedule_pin(name, records, true);
         }
         return;
     }
     assert_eq!(got.len(), EXPECTED.len());
-    for ((name, fp), (exp_name, exp_fp)) in got.iter().zip(EXPECTED) {
+    assert_eq!(got.len(), EXPECTED_SCHEDULE.len());
+    for (((name, records), (exp_name, exp_fp)), pin) in
+        got.iter().zip(EXPECTED).zip(EXPECTED_SCHEDULE)
+    {
         assert_eq!(name, exp_name, "fingerprint matrix order changed");
+        assert_schedule_pinned(name, records, true, *pin);
         assert_eq!(
-            fp, exp_fp,
+            fingerprint(records),
+            *exp_fp,
             "{name}: round-record trajectory is no longer bit-identical"
         );
     }
@@ -360,22 +458,34 @@ fn round_record_fingerprints_are_pinned() {
 
 #[test]
 fn codec_path_fingerprints_are_pinned() {
-    let got: Vec<(u64, u64)> = CODEC_CASES.iter().map(run_codec_case).collect();
+    let got: Vec<Vec<RoundRecord>> = CODEC_CASES.iter().map(run_codec_case).collect();
     if std::env::var("FP_PRINT").is_ok() {
-        for (case, (fp, _)) in CODEC_CASES.iter().zip(&got) {
-            println!("    {fp:#018x}, // {}", case.name);
+        for (case, records) in CODEC_CASES.iter().zip(&got) {
+            println!("    {:#018x}, // {}", fingerprint(records), case.name);
         }
-        for (case, (_, trajectory)) in CODEC_CASES.iter().zip(&got) {
+        for (case, records) in CODEC_CASES.iter().zip(&got) {
             if case.name.contains(":rc") {
+                let trajectory = trajectory_fingerprint(records);
                 println!("    (\"{}\", {trajectory:#018x}),", case.name);
             }
+        }
+        for (case, records) in CODEC_CASES.iter().zip(&got) {
+            print_schedule_pin(case.name, records, false);
         }
         return;
     }
     assert_eq!(got.len(), EXPECTED_CODEC.len());
-    for ((case, (fp, _)), exp) in CODEC_CASES.iter().zip(&got).zip(EXPECTED_CODEC) {
+    assert_eq!(got.len(), EXPECTED_CODEC_SCHEDULE.len());
+    for (((case, records), exp), pin) in CODEC_CASES
+        .iter()
+        .zip(&got)
+        .zip(EXPECTED_CODEC)
+        .zip(EXPECTED_CODEC_SCHEDULE)
+    {
+        assert_schedule_pinned(case.name, records, false, *pin);
         assert_eq!(
-            fp, exp,
+            fingerprint(records),
+            *exp,
             "{}: round-record trajectory is no longer bit-identical",
             case.name
         );
@@ -386,7 +496,8 @@ fn codec_path_fingerprints_are_pinned() {
             .position(|c| c.name == *name)
             .expect("pinned trajectory names a codec case");
         assert_eq!(
-            got[at].1, *exp,
+            trajectory_fingerprint(&got[at]),
+            *exp,
             "{name}: the byte-independent trajectory moved"
         );
     }
