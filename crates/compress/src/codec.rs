@@ -60,8 +60,9 @@ impl CodecCtx {
 /// [`EfCodec`] owns a model-sized residual vector), the engine extracts the
 /// state with [`UpdateCodec::take_residual`] when a client leaves the active
 /// cohort, parks it in a [`crate::residual_store::ResidualStore`] keyed by
-/// client id, and re-injects it with [`UpdateCodec::restore_residual`] into a
-/// freshly built codec the next time the client is selected.
+/// client id, and re-injects it with [`UpdateCodec::restore_residual`] the
+/// next time the client is selected — into a freshly built codec, or into
+/// another client's drained one when it is [`UpdateCodec::reusable`].
 ///
 /// The snapshot is an ordered list of residual vectors — one per stateful
 /// component, in the codec's canonical component order (a flat [`EfCodec`]
@@ -178,6 +179,19 @@ pub trait UpdateCodec: Send {
             state.parts.len()
         );
     }
+
+    /// True when an instance whose residual has just been
+    /// [taken](Self::take_residual) is indistinguishable from one newly built
+    /// for *any* client: it keeps nothing from its [`CodecCtx`] but the
+    /// update length and nothing across encodes but the residual. The engine
+    /// then hands such an instance from client to client instead of building
+    /// one per checkout. The default is `false` — a custom codec that seeds
+    /// itself from [`CodecCtx::seed`] or keeps other per-client state is
+    /// rebuilt every time without having to say so. Every built-in returns
+    /// `true` (wrappers: when what they wrap does).
+    fn reusable(&self) -> bool {
+        false
+    }
 }
 
 /// Debug-build check of the [`UpdateCodec::encode_sent`] contract at the
@@ -221,6 +235,10 @@ impl UpdateCodec for TopKCodec {
         "topk".into()
     }
 
+    fn reusable(&self) -> bool {
+        true
+    }
+
     fn encode_sent(
         &mut self,
         dense: &[f32],
@@ -248,6 +266,10 @@ pub struct DenseCodec;
 impl UpdateCodec for DenseCodec {
     fn name(&self) -> String {
         "dense".into()
+    }
+
+    fn reusable(&self) -> bool {
+        true
     }
 
     fn encode_sent(
@@ -280,6 +302,10 @@ impl UpdateCodec for RandKCodec {
         "randk".into()
     }
 
+    fn reusable(&self) -> bool {
+        true
+    }
+
     fn encode_sent(
         &mut self,
         dense: &[f32],
@@ -305,6 +331,10 @@ impl UpdateCodec for ThresholdCodec {
             Some(t) => format!("threshold:{t}"),
             None => "threshold".into(),
         }
+    }
+
+    fn reusable(&self) -> bool {
+        true
     }
 
     fn encode_sent(
@@ -399,6 +429,10 @@ impl UpdateCodec for QsgdCodec {
         }
     }
 
+    fn reusable(&self) -> bool {
+        true
+    }
+
     fn encode_sent(
         &mut self,
         dense: &[f32],
@@ -441,6 +475,10 @@ impl ComposedCodec {
 impl UpdateCodec for ComposedCodec {
     fn name(&self) -> String {
         format!("{}+{}", self.sparsifier.name(), self.quantizer.name())
+    }
+
+    fn reusable(&self) -> bool {
+        self.sparsifier.reusable()
     }
 
     fn encode_sent(
@@ -522,6 +560,10 @@ impl EfCodec {
 impl UpdateCodec for EfCodec {
     fn name(&self) -> String {
         format!("ef-{}", self.inner.name())
+    }
+
+    fn reusable(&self) -> bool {
+        self.inner.reusable()
     }
 
     fn encode_sent(

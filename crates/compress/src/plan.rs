@@ -491,6 +491,10 @@ impl UpdateCodec for PlannedCodec {
         self.plan_display.clone()
     }
 
+    fn reusable(&self) -> bool {
+        self.segments.iter().all(|s| s.codec.reusable())
+    }
+
     fn encode_sent(
         &mut self,
         dense: &[f32],
@@ -547,10 +551,10 @@ impl UpdateCodec for PlannedCodec {
         }
         let mut remaining = state.parts.into_iter();
         for seg in &mut self.segments {
-            // Probe how many parts this (freshly built) segment codec owns by
-            // taking its pristine residual state — harmless, since restore
-            // only runs on just-constructed codecs — then feed it that many
-            // parts from the flattened snapshot.
+            // Probe how many parts this segment codec owns by taking its
+            // pristine residual state — harmless, since restore only runs on
+            // codecs that are new or have just had their residual taken —
+            // then feed it that many parts from the flattened snapshot.
             let want = seg.codec.take_residual().parts.len();
             if want == 0 {
                 continue;

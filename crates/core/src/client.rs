@@ -28,7 +28,11 @@ pub struct LocalTrainOutput {
     pub train_time_s: f64,
 }
 
-/// One simulated client.
+/// One simulated client — and, between two clients, the reusable shell the
+/// [`crate::roster::ClientRoster`] rebinds: everything below except `id`,
+/// `rng`, the dataset's *contents* and the codec's residual is either
+/// overwritten before it is read (model parameters, gradients, batch and
+/// workspace buffers, the delta) or reset in place (optimizer velocity).
 pub struct ClientState {
     /// Client id in `[0, N)`.
     pub id: usize,
@@ -38,9 +42,11 @@ pub struct ClientState {
     loader: BatchLoader,
     rng: Xoshiro256,
     codec: Box<dyn UpdateCodec>,
-    local_lr: f32,
-    momentum: f32,
-    weight_decay: f32,
+    /// The roster's plan key ([`crate::roster::ClientRoster`] bumps it with
+    /// every plan or scale change; 0 on the static path) `codec` was built
+    /// under.
+    codec_key: u64,
+    optimizer: Sgd,
     local_epochs: usize,
     // Reusable training buffers: after the first batch warms them up, a
     // steady-state local-training batch performs no heap allocation.
@@ -50,7 +56,15 @@ pub struct ClientState {
     order: Vec<usize>,
     batch_x: Tensor,
     batch_y: Vec<usize>,
+    /// The buffer the next [`local_update`](Self::local_update) returns its
+    /// delta in, when the previous one was handed back through
+    /// [`recycle_delta`](Self::recycle_delta).
+    delta: Vec<f32>,
 }
+
+/// A plan decided this round (with its optional per-segment ratio scales)
+/// that replaces the configuration's static codec spec.
+pub(crate) type PlanChoice<'a> = Option<(&'a LayerPlan, Option<&'a [f64]>)>;
 
 impl ClientState {
     /// Create a client from the experiment configuration and its local shard.
@@ -59,80 +73,36 @@ impl ClientState {
     /// segment) or [`ExperimentConfig::compressor`] spec (or the
     /// algorithm-implied default) through the built-in [`CodecRegistry`].
     pub fn new(id: usize, dataset: Dataset, config: &ExperimentConfig, rng: Xoshiro256) -> Self {
-        Self::with_registry(id, dataset, config, rng, &CodecRegistry::with_builtins())
+        let registry = CodecRegistry::with_builtins();
+        Self::build(id, dataset, config, rng, &registry, None, 0)
     }
 
-    /// Like [`new`](Self::new), resolving the codec spec through a
-    /// caller-supplied registry (the seam
-    /// [`crate::session::SessionBuilder::codec_registry`] uses to run custom
-    /// codecs through the round engine).
-    pub fn with_registry(
+    /// Build a client from nothing, resolving its codec through `registry`
+    /// (the seam [`crate::session::SessionBuilder::codec_registry`] uses to
+    /// run custom codecs through the round engine) — from `plan` when a
+    /// [`crate::policy::PlanPolicy`] decided one *this round*, else from the
+    /// configuration's static spec. With `scales: None` a plan resolves
+    /// exactly like a static [`ExperimentConfig::layer_compressors`] plan
+    /// (uniform plans collapse to the flat codec); with per-segment ratio
+    /// scales the codec is always segment-framed, so per-layer byte telemetry
+    /// stays available.
+    pub(crate) fn build(
         id: usize,
         dataset: Dataset,
         config: &ExperimentConfig,
         rng: Xoshiro256,
         registry: &CodecRegistry,
-    ) -> Self {
-        Self::build(id, dataset, config, rng, registry, None)
-    }
-
-    /// Like [`with_registry`](Self::with_registry) but resolving the uplink
-    /// codec from a plan decided *this round* by a
-    /// [`crate::policy::PlanPolicy`] instead of the configuration's static
-    /// spec. With `scales: None` the plan resolves exactly like a static
-    /// [`ExperimentConfig::layer_compressors`] plan (uniform plans collapse
-    /// to the flat codec); with per-segment ratio scales the codec is always
-    /// segment-framed, so per-layer byte telemetry stays available.
-    pub fn with_plan_override(
-        id: usize,
-        dataset: Dataset,
-        config: &ExperimentConfig,
-        rng: Xoshiro256,
-        registry: &CodecRegistry,
-        plan: &LayerPlan,
-        scales: Option<&[f64]>,
-    ) -> Self {
-        Self::build(id, dataset, config, rng, registry, Some((plan, scales)))
-    }
-
-    fn build(
-        id: usize,
-        dataset: Dataset,
-        config: &ExperimentConfig,
-        rng: Xoshiro256,
-        registry: &CodecRegistry,
-        plan_override: Option<(&LayerPlan, Option<&[f64]>)>,
+        plan: PlanChoice<'_>,
+        codec_key: u64,
     ) -> Self {
         // The replica's parameters are always overwritten by the broadcast
         // global vector before training (`local_update` starts with
         // `unflatten_params`), so a zero init is bit-identical to the
         // server-seeded random init — and skips ~`num_params` normal draws
-        // on every checkout, a large share of small-model round time.
+        // whenever a client is built from nothing.
         let model = build_model_zeroed(&config.model, dataset.feature_dim(), dataset.num_classes());
-        let num_params = model.num_params();
         let layout = ParamLayout::of(&model);
-        let ctx = CodecCtx::new(num_params, config.seed ^ id as u64);
-        let codec = match (plan_override, &config.layer_compressors) {
-            (Some((plan, Some(scales))), _) => plan
-                .resolve_scaled(registry, &segment_defs(&layout), &ctx, scales)
-                .unwrap_or_else(|e| panic!("invalid adaptive plan {plan}: {e}")),
-            (Some((plan, None)), _) => plan
-                .resolve(registry, &segment_defs(&layout), &ctx)
-                .unwrap_or_else(|e| panic!("invalid adaptive plan {plan}: {e}")),
-            (None, Some(plan)) => {
-                // Layer-aware path: one codec per layout segment (a uniform
-                // plan collapses to the flat codec inside `resolve`, so the
-                // two paths stay bit-identical).
-                plan.resolve(registry, &segment_defs(&layout), &ctx)
-                    .unwrap_or_else(|e| panic!("invalid layer plan {plan}: {e}"))
-            }
-            (None, None) => {
-                let spec = resolve_codec_spec(config);
-                registry
-                    .build(&spec, &ctx)
-                    .unwrap_or_else(|e| panic!("invalid compressor spec {spec}: {e}"))
-            }
-        };
+        let codec = build_codec(id, config, registry, &layout, plan);
         Self {
             id,
             dataset,
@@ -141,9 +111,8 @@ impl ClientState {
             loader: BatchLoader::new(config.batch_size, false),
             rng,
             codec,
-            local_lr: config.local_lr,
-            momentum: config.momentum,
-            weight_decay: config.weight_decay,
+            codec_key,
+            optimizer: Sgd::new(config.local_lr, config.momentum, config.weight_decay),
             local_epochs: config.local_epochs,
             ws: Workspace::new(),
             loss_fn: SoftmaxCrossEntropy::new(),
@@ -151,6 +120,35 @@ impl ClientState {
             order: Vec::new(),
             batch_x: Tensor::empty(),
             batch_y: Vec::new(),
+            delta: Vec::new(),
+        }
+    }
+
+    /// Turn a spent shell into client `id`: its shard is copied out of
+    /// `train` into the shell's own dataset buffers and its RNG stream
+    /// installed; model, layout, workspaces and optimizer stay (see the
+    /// struct docs for why that is exact). Follow with
+    /// [`refresh_codec`](Self::refresh_codec).
+    pub(crate) fn rebind(&mut self, id: usize, rng: Xoshiro256, train: &Dataset, shard: &[usize]) {
+        self.id = id;
+        self.rng = rng;
+        train.subset_into(shard, &mut self.dataset);
+    }
+
+    /// Keep a rebound shell's codec when it is [`UpdateCodec::reusable`] and
+    /// was built under the same `codec_key`; otherwise rebuild it (and only
+    /// it), with this client's own [`CodecCtx`]. `config` and `registry`
+    /// must be the ones the shell was built from.
+    pub(crate) fn refresh_codec(
+        &mut self,
+        config: &ExperimentConfig,
+        registry: &CodecRegistry,
+        plan: PlanChoice<'_>,
+        codec_key: u64,
+    ) {
+        if !(self.codec.reusable() && self.codec_key == codec_key) {
+            self.codec = build_codec(self.id, config, registry, &self.layout, plan);
+            self.codec_key = codec_key;
         }
     }
 
@@ -175,7 +173,7 @@ impl ClientState {
     pub fn local_update(&mut self, global_params: &[f32]) -> LocalTrainOutput {
         let start = std::time::Instant::now();
         unflatten_params(&mut self.model, global_params);
-        let mut optimizer = Sgd::new(self.local_lr, self.momentum, self.weight_decay);
+        self.optimizer.reset_velocity();
         let mut loss_acc = 0.0f64;
         let mut loss_count = 0usize;
         for _ in 0..self.local_epochs {
@@ -196,14 +194,16 @@ impl ClientState {
                 self.loss_fn.backward_in(&mut self.grad);
                 // Nothing reads the gradient with respect to the batch.
                 self.model.backward_params_in(&self.grad, &mut self.ws);
-                optimizer.step(&mut self.model);
+                self.optimizer.step(&mut self.model);
                 loss_acc += loss as f64;
                 loss_count += 1;
             }
         }
         // `global − local` in one walk over the parameter tensors, in the
         // flat vector's order (that of `flatten_params`).
-        let mut delta = Vec::with_capacity(global_params.len());
+        let mut delta = std::mem::take(&mut self.delta);
+        delta.clear();
+        delta.reserve(global_params.len());
         for p in self.model.params() {
             let global = &global_params[delta.len()..][..p.numel()];
             delta.extend(global.iter().zip(p.data()).map(|(g, l)| g - l));
@@ -219,6 +219,13 @@ impl ClientState {
             num_samples: self.dataset.len(),
             train_time_s: start.elapsed().as_secs_f64(),
         }
+    }
+
+    /// Hand a delta produced by [`local_update`](Self::local_update) back
+    /// once it has been encoded, so the next local update (of this client or
+    /// of the next one bound to this shell) reuses its buffer.
+    pub fn recycle_delta(&mut self, delta: Vec<f32>) {
+        self.delta = delta;
     }
 
     /// Encode a delta at the given ratio with this client's codec, producing
@@ -259,10 +266,44 @@ impl ClientState {
         self.codec.restore_residual(state);
     }
 
-    /// Consume the client, returning its (advanced) RNG stream so a roster
-    /// can persist it across rounds while the rest of the state is dropped.
-    pub fn into_rng(self) -> Xoshiro256 {
-        self.rng
+    /// The client's (advanced) RNG stream, for a roster to persist across
+    /// rounds.
+    pub(crate) fn rng(&self) -> &Xoshiro256 {
+        &self.rng
+    }
+}
+
+/// Resolve client `id`'s uplink codec: from the plan decided this round, else
+/// the configuration's [`ExperimentConfig::layer_compressors`] plan (one
+/// codec per layout segment), else its flat spec.
+fn build_codec(
+    id: usize,
+    config: &ExperimentConfig,
+    registry: &CodecRegistry,
+    layout: &ParamLayout,
+    plan: PlanChoice<'_>,
+) -> Box<dyn UpdateCodec> {
+    let ctx = CodecCtx::new(layout.total_len(), config.seed ^ id as u64);
+    match (plan, &config.layer_compressors) {
+        (Some((plan, Some(scales))), _) => plan
+            .resolve_scaled(registry, &segment_defs(layout), &ctx, scales)
+            .unwrap_or_else(|e| panic!("invalid adaptive plan {plan}: {e}")),
+        (Some((plan, None)), _) => plan
+            .resolve(registry, &segment_defs(layout), &ctx)
+            .unwrap_or_else(|e| panic!("invalid adaptive plan {plan}: {e}")),
+        (None, Some(plan)) => {
+            // Layer-aware path: one codec per layout segment (a uniform
+            // plan collapses to the flat codec inside `resolve`, so the
+            // two paths stay bit-identical).
+            plan.resolve(registry, &segment_defs(layout), &ctx)
+                .unwrap_or_else(|e| panic!("invalid layer plan {plan}: {e}"))
+        }
+        (None, None) => {
+            let spec = resolve_codec_spec(config);
+            registry
+                .build(&spec, &ctx)
+                .unwrap_or_else(|e| panic!("invalid compressor spec {spec}: {e}"))
+        }
     }
 }
 

@@ -507,9 +507,18 @@ pub struct PlanCtx<'a> {
     /// aggregated delta restricted to each segment, in layout order (`None`
     /// on round 0).
     pub gradient_mass: Option<&'a [f64]>,
+    /// Computes [`residual_norm`](Self::residual_norm) when a policy asks:
+    /// the scan covers every parked residual, so it is not paid by policies
+    /// that never read it.
+    pub residual_norm: &'a dyn Fn() -> f64,
+}
+
+impl PlanCtx<'_> {
     /// Total L2 norm of all parked error-feedback residuals across the
     /// population (0 when no client carries dropped mass).
-    pub residual_norm: f64,
+    pub fn residual_norm(&self) -> f64 {
+        (self.residual_norm)()
+    }
 }
 
 /// One segment's resolved assignment inside a [`PlanDecision`] — recorded
@@ -1001,7 +1010,7 @@ mod tests {
             base_ratio: 0.1,
             prev_layer_bytes: None,
             gradient_mass: mass,
-            residual_norm: 0.0,
+            residual_norm: &|| 0.0,
         }
     }
 

@@ -1,13 +1,13 @@
-//! Virtualized client population: lazy [`ClientState`] construction keyed by
-//! client id, so a session over 10^5–10^6 clients instantiates only the
-//! selected cohort each round.
+//! Virtualized client population: [`ClientState`]s bound on demand by client
+//! id, so a session over 10^5–10^6 clients holds only as many as its worker
+//! threads train at once.
 //!
 //! The legacy engine materialized every client's [`ClientState`] — model
 //! replica, data shard, codec instance — up front, making session memory
 //! O(population). But almost none of that state actually persists across
 //! rounds: a client entering a round overwrites its model replica from the
-//! broadcast parameters, rebuilds its optimizer, and re-reads its immutable
-//! data shard. Only two things carry over:
+//! broadcast parameters, zeroes its optimizer's momentum, and re-reads its
+//! immutable data shard. Only two things carry over:
 //!
 //! 1. **the client's RNG stream** (batch shuffling, Rand-K draws, QSGD
 //!    rounding) — tiny: four `u64`s per client;
@@ -16,25 +16,42 @@
 //!    clients that have been selected under an EF codec and carried mass.
 //!
 //! [`ClientRoster`] keeps exactly those two, plus the shared immutable
-//! inputs (training data, partitions, config, codec registry), and
-//! materializes a full [`ClientState`] on demand:
+//! inputs (training data, partitions, config, codec registry) and a pool of
+//! spent [`ClientState`] *shells*:
 //!
-//! * [`checkout`](ClientRoster::checkout) builds the client — dataset shard
-//!   from its partition, model from the experiment seed, codec from the
-//!   registry — hands it its persistent RNG stream and restores any stored
-//!   residual;
+//! * [`checkout`](ClientRoster::checkout) pops a shell and **rebinds** it —
+//!   new id, the client's persistent RNG stream, its shard copied into the
+//!   shell's own dataset buffers, its stored residual restored. What the
+//!   shell owns stays: model replica and layout, workspace, batch and
+//!   gradient buffers, the optimizer (its velocity is zero-filled in place
+//!   by the next local update) and the delta buffer handed back after
+//!   encoding. Only when the pool is empty — the first `threads` checkouts
+//!   of a session — is a client built from nothing;
+//! * the shell's **codec is kept** when it declares itself
+//!   [`reusable`](fl_compress::UpdateCodec::reusable) (every built-in does:
+//!   once its residual is taken it holds nothing of its last client) *and*
+//!   the plan key — bumped by every [`set_plan_override`] that changes the
+//!   plan or its ratio scales, 0 on the static path — is the one it was
+//!   built under. Otherwise the codec alone is rebuilt, with this client's
+//!   own `CodecCtx` (`seed ^ id`), exactly as a from-nothing build would;
 //! * [`checkin`](ClientRoster::checkin) takes the (advanced) stream and the
-//!   codec's residual snapshot back and drops everything else.
+//!   codec's residual snapshot back and returns the shell to the pool. A
+//!   shell enters the pool only here and every checkout takes one if there
+//!   is one, so the pool never holds more shells than were checked out at
+//!   once; it has no size to configure.
 //!
-//! Because [`ClientState`] construction draws nothing from the client's own
-//! stream, a checkout/train/checkin cycle replays the exact draw sequence of
-//! a permanently resident client: the virtualized engine's records are
+//! Because neither building nor rebinding draws from the client's own
+//! stream, and everything a shell keeps is overwritten or reset before it is
+//! read, a checkout/train/checkin cycle replays the exact draw sequence of a
+//! permanently resident client: the virtualized engine's records are
 //! bit-identical to the eager engine's.
 //!
-//! The roster also counts instantiations (see
+//! The roster also counts checkouts (see
 //! [`round_instantiated`](ClientRoster::round_instantiated) and
 //! [`peak_resident`](ClientRoster::peak_resident)) so tests and the scaling
 //! harness can assert the O(cohort) property instead of trusting it.
+//!
+//! [`set_plan_override`]: ClientRoster::set_plan_override
 
 use crate::client::ClientState;
 use crate::config::ExperimentConfig;
@@ -50,9 +67,8 @@ use std::sync::Arc;
 
 /// The roster's current round-scoped codec plan, installed by the round
 /// engine when an adaptive [`crate::policy::PlanPolicy`] is active. While an
-/// override is set, [`ClientRoster::checkout`] builds clients through
-/// [`ClientState::with_plan_override`] instead of the configuration's static
-/// codec path.
+/// override is set, [`ClientRoster::checkout`] resolves codecs against it
+/// instead of the configuration's static codec path.
 #[derive(Clone)]
 struct PlanOverride {
     plan: LayerPlan,
@@ -62,6 +78,10 @@ struct PlanOverride {
     /// the epoch, because segment-aligned residual parts survive a ratio
     /// change untouched.
     epoch: u64,
+    /// Bumped every time the plan *or* its scales change, i.e. whenever a
+    /// codec built under the override would come out different: the key a
+    /// pooled shell's codec is kept or rebuilt by (0 is the static path).
+    codec_key: u64,
     part_counts: Vec<usize>,
     segment_lens: Vec<usize>,
 }
@@ -83,12 +103,17 @@ pub struct ClientRoster {
     /// The adaptive plan currently in force (`None` on the static path —
     /// checkout then resolves codecs from the configuration, bit-identically
     /// to pre-adaptive builds). Written only between rounds by the engine's
-    /// single-threaded select stage; checkout clones it before building.
-    plan_override: Mutex<Option<PlanOverride>>,
+    /// single-threaded select stage; checkout takes a handle to it.
+    plan_override: Mutex<Option<Arc<PlanOverride>>>,
     /// Residual part counts of every plan epoch ever installed, for lazy
     /// migration: a parked snapshot from epoch `e` is re-shaped against the
     /// current epoch's counts the next time its client is checked out.
     epoch_counts: Mutex<HashMap<u64, Vec<usize>>>,
+    /// Spent [`ClientState`] shells waiting to be rebound. Shells enter only
+    /// through [`checkin`](Self::checkin) and every checkout takes one when
+    /// there is one, so the pool never holds more than were checked out at
+    /// once — the worker-thread count inside the round engine.
+    pool: Mutex<Vec<ClientState>>,
     resident: AtomicUsize,
     peak_resident: AtomicUsize,
     round_instantiated: AtomicUsize,
@@ -119,6 +144,7 @@ impl ClientRoster {
             residuals: ResidualStore::new(),
             plan_override: Mutex::new(None),
             epoch_counts: Mutex::new(HashMap::new()),
+            pool: Mutex::new(Vec::new()),
             resident: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
             round_instantiated: AtomicUsize::new(0),
@@ -136,31 +162,35 @@ impl ClientRoster {
         self.partitions.is_empty()
     }
 
-    /// Materialise client `id` for one round of work: build its
-    /// [`ClientState`] from the shared inputs, hand it its persistent RNG
-    /// stream and restore its stored error-feedback residual (if any).
+    /// Materialise client `id` for one round of work: rebind a pooled shell
+    /// to it (or build a [`ClientState`] from the shared inputs when the pool
+    /// is empty), hand it its persistent RNG stream and restore its stored
+    /// error-feedback residual (if any).
     ///
     /// Every checkout must be paired with a [`checkin`](Self::checkin);
     /// checking the same id out twice concurrently would fork its stream and
     /// is a caller bug (cohorts are selected without replacement).
     pub fn checkout(&self, id: usize) -> ClientState {
         let stream = self.streams[id].lock().clone();
-        let local = self.partitions[id].dataset(&self.train);
         let over = self.plan_override.lock().clone();
-        let mut client = match &over {
-            Some(o) => ClientState::with_plan_override(
-                id,
-                local,
-                &self.config,
-                stream,
-                &self.registry,
-                &o.plan,
-                o.scales.as_deref(),
-            ),
-            None => ClientState::with_registry(id, local, &self.config, stream, &self.registry),
+        let plan = over.as_deref().map(|o| (&o.plan, o.scales.as_deref()));
+        let codec_key = over.as_deref().map_or(0, |o| o.codec_key);
+        let (config, registry) = (&self.config, &self.registry);
+        let shard = &self.partitions[id];
+        let shell = self.pool.lock().pop();
+        let mut client = match shell {
+            Some(mut shell) => {
+                shell.rebind(id, stream, &self.train, &shard.indices);
+                shell.refresh_codec(config, registry, plan, codec_key);
+                shell
+            }
+            None => {
+                let local = shard.dataset(&self.train);
+                ClientState::build(id, local, config, stream, registry, plan, codec_key)
+            }
         };
         if let Some((state, epoch)) = self.residuals.take_epoch(id as u64) {
-            let state = match &over {
+            let state = match over.as_deref() {
                 Some(o) if epoch != o.epoch => {
                     match self.epoch_counts.lock().get(&epoch) {
                         Some(old_counts) => migrate_planned_residual(
@@ -190,13 +220,15 @@ impl ClientRoster {
     /// Return a client after its round of work: persist the codec's residual
     /// snapshot into the store (all-zero snapshots are dropped, and the
     /// snapshot is tagged with the plan epoch it was taken under), write the
-    /// advanced RNG stream back, and drop the rest of the state.
+    /// advanced RNG stream back, and keep the rest as a shell for the next
+    /// checkout to rebind.
     pub fn checkin(&self, mut client: ClientState) {
         let id = client.id;
         let epoch = self.plan_epoch();
         self.residuals
             .put_epoch(id as u64, client.take_residual(), epoch);
-        *self.streams[id].lock() = client.into_rng();
+        *self.streams[id].lock() = client.rng().clone();
+        self.pool.lock().push(client);
         self.resident.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -214,9 +246,13 @@ impl ClientRoster {
         segments: &[SegmentDef],
     ) -> u64 {
         let mut over = self.plan_override.lock();
-        match over.as_mut() {
+        let codec_key = over.as_ref().map_or(0, |o| o.codec_key) + 1;
+        match over.as_mut().map(Arc::make_mut) {
             Some(o) if o.plan == plan => {
-                o.scales = scales;
+                if o.scales != scales {
+                    o.scales = scales;
+                    o.codec_key = codec_key;
+                }
                 o.epoch
             }
             _ => {
@@ -225,13 +261,14 @@ impl ClientRoster {
                 });
                 let epoch = over.as_ref().map(|o| o.epoch).unwrap_or(0) + 1;
                 self.epoch_counts.lock().insert(epoch, part_counts.clone());
-                *over = Some(PlanOverride {
+                *over = Some(Arc::new(PlanOverride {
                     plan,
                     scales,
                     epoch,
+                    codec_key,
                     part_counts,
                     segment_lens: segments.iter().map(|s| s.len).collect(),
-                });
+                }));
                 epoch
             }
         }
@@ -299,6 +336,13 @@ mod tests {
     fn build_roster(algorithm: Algorithm, num_clients: usize) -> (ClientRoster, Vec<f32>) {
         let mut config = ExperimentConfig::quick(algorithm);
         config.num_clients = num_clients;
+        build_roster_from(config, CodecRegistry::with_builtins())
+    }
+
+    fn build_roster_from(
+        config: ExperimentConfig,
+        registry: CodecRegistry,
+    ) -> (ClientRoster, Vec<f32>) {
         let (train, _) = config
             .dataset
             .spec(config.dataset_scale)
@@ -320,13 +364,7 @@ mod tests {
         );
         let global = flatten_params(&model);
         let mut root_rng = Xoshiro256::new(config.seed ^ 0xC11E);
-        let roster = ClientRoster::new(
-            train,
-            partitions,
-            config,
-            CodecRegistry::with_builtins(),
-            &mut root_rng,
-        );
+        let roster = ClientRoster::new(train, partitions, config, registry, &mut root_rng);
         (roster, global)
     }
 
@@ -354,6 +392,148 @@ mod tests {
         }
         assert_eq!(roster2.residual_clients(), 1, "EF residual persisted");
         assert!(roster2.residual_total_norm() > 0.0);
+    }
+
+    #[test]
+    fn one_shell_rebound_across_clients_replays_fresh_clients_byte_for_byte() {
+        // Reference: every client built from nothing, living through both of
+        // its rounds, never checked in — no shell is ever pooled.
+        let ids = [1usize, 3, 0];
+        let (fresh, global) = build_roster(Algorithm::EfTopK, 4);
+        let expected: Vec<Vec<Vec<u8>>> = ids
+            .iter()
+            .map(|&id| {
+                let mut resident = fresh.checkout(id);
+                (0..2)
+                    .map(|_| {
+                        let out = resident.local_update(&global);
+                        resident.encode(&out.delta, 0.05).as_bytes().to_vec()
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(fresh.pool.lock().is_empty());
+
+        // One shell, rebound to a different id at every checkout, with the
+        // delta buffer travelling along.
+        let (pooled, _) = build_roster(Algorithm::EfTopK, 4);
+        for round in 0..2 {
+            for (&id, expected) in ids.iter().zip(&expected) {
+                let mut client = pooled.checkout(id);
+                assert_eq!(client.id, id);
+                let out = client.local_update(&global);
+                let wire = client.encode(&out.delta, 0.05);
+                assert_eq!(wire.as_bytes(), expected[round].as_slice(), "client {id}");
+                client.recycle_delta(out.delta);
+                pooled.checkin(client);
+                assert_eq!(pooled.pool.lock().len(), 1, "one shell serves them all");
+            }
+        }
+        assert_eq!(pooled.total_instantiated(), 6);
+        assert_eq!(pooled.residual_clients(), 3);
+    }
+
+    #[test]
+    fn pool_never_exceeds_concurrent_checkouts() {
+        let (roster, _) = build_roster(Algorithm::TopK, 6);
+        let pooled = |r: &ClientRoster| r.pool.lock().len();
+        for _ in 0..3 {
+            let a = roster.checkout(0);
+            let b = roster.checkout(1);
+            assert_eq!(pooled(&roster), 0, "both shells are out");
+            roster.checkin(a);
+            roster.checkin(b);
+            assert_eq!(pooled(&roster), 2);
+        }
+        // Sequential checkouts afterwards keep drawing on the same two.
+        for id in 0..6 {
+            let c = roster.checkout(id);
+            assert_eq!(pooled(&roster), 1);
+            roster.checkin(c);
+        }
+        assert_eq!(pooled(&roster), roster.peak_resident());
+        // A client dropped instead of checked in takes its shell with it.
+        drop(roster.checkout(2));
+        assert_eq!(pooled(&roster), 1);
+    }
+
+    /// Seeds the `seeded` test codec's factory was called with (a factory is
+    /// a plain `fn`, so it cannot capture; one test uses it).
+    static SEEDS_SEEN: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
+
+    /// A custom codec that says nothing about reuse (`reusable()` stays
+    /// `false`): Top-K that remembers the seed it was built with.
+    struct Seeded(u64);
+
+    impl fl_compress::UpdateCodec for Seeded {
+        fn name(&self) -> String {
+            format!("seeded:{}", self.0)
+        }
+        fn encode_sent(
+            &mut self,
+            dense: &[f32],
+            ratio: f64,
+            rng: &mut Xoshiro256,
+        ) -> (fl_compress::WireUpdate, fl_compress::CompressedUpdate) {
+            fl_compress::TopKCodec.encode_sent(dense, ratio, rng)
+        }
+    }
+
+    #[test]
+    fn non_reusable_custom_codec_is_rebuilt_for_every_checkout_with_its_own_seed() {
+        let mut config = ExperimentConfig::quick(Algorithm::TopK);
+        config.num_clients = 4;
+        config.compressor = Some("ef-seeded".parse().unwrap());
+        let mut registry = CodecRegistry::with_builtins();
+        registry.register("seeded", |_arg, ctx| {
+            SEEDS_SEEN.lock().unwrap().push(ctx.seed);
+            Ok(Box::new(Seeded(ctx.seed)))
+        });
+        let (roster, _) = build_roster_from(config.clone(), registry);
+        let ids = [2usize, 0, 2, 3];
+        for &id in &ids {
+            let client = roster.checkout(id);
+            assert_eq!(
+                client.codec_name(),
+                format!("ef-seeded:{}", config.seed ^ id as u64)
+            );
+            roster.checkin(client);
+        }
+        assert_eq!(roster.pool.lock().len(), 1, "the shell itself was reused");
+        let seen = SEEDS_SEEN.lock().unwrap().clone();
+        let want: Vec<u64> = ids.iter().map(|&id| config.seed ^ id as u64).collect();
+        assert_eq!(seen, want, "one build per checkout, each with its own seed");
+    }
+
+    #[test]
+    fn scale_change_rebuilds_the_codec_of_a_pooled_shell() {
+        // What a kept codec would get wrong: it would go on encoding at the
+        // scales it was built with. (That the model is *not* rebuilt along
+        // with it is `tests/alloc_growth.rs`'s to show.)
+        let (roster, global) = build_roster(Algorithm::TopK, 4);
+        let probe = roster.checkout(0);
+        let segments = crate::client::segment_defs(probe.layout());
+        roster.checkin(probe);
+        let plan = || "*.bias=topk;*=topk+qsgd:8".parse::<LayerPlan>().unwrap();
+        let kept_at = |scale: f64, id: usize| {
+            roster.set_plan_override(plan(), Some(vec![scale; segments.len()]), &segments);
+            let mut client = roster.checkout(id);
+            let out = client.local_update(&global);
+            let wire = client.encode(&out.delta, 0.2);
+            let kept = client.decode(&wire).unwrap().as_sparse().unwrap().nnz();
+            roster.checkin(client);
+            kept
+        };
+        let half = kept_at(0.5, 1);
+        assert_eq!(kept_at(0.5, 2), half, "same plan key, same budget");
+        let epoch = roster.plan_epoch();
+        let quarter = kept_at(0.25, 3);
+        assert_eq!(roster.plan_epoch(), epoch, "a scale change is no new epoch");
+        assert!(
+            quarter < half * 2 / 3,
+            "the shell's codec must follow the new scales ({half} -> {quarter})"
+        );
+        assert_eq!(roster.pool.lock().len(), 1);
     }
 
     #[test]

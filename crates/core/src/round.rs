@@ -26,6 +26,7 @@ use crate::aggregate::{
     aggregate_compressed_sharded, aggregate_sparse_sharded, data_fractions_or_uniform,
 };
 use crate::bcrs::BcrsSchedule;
+use crate::client::LocalTrainOutput;
 use crate::eval::{evaluate_with_threads, Evaluation};
 use crate::opwa::OpwaMask;
 use crate::overlap::OverlapCounts;
@@ -179,7 +180,7 @@ impl FederatedSession {
             base_ratio: self.config.compression_ratio,
             prev_layer_bytes: self.records.last().and_then(|r| r.layer_bytes.as_deref()),
             gradient_mass: self.last_gradient_mass.as_deref(),
-            residual_norm: self.roster.residual_total_norm(),
+            residual_norm: &|| self.roster.residual_total_norm(),
         };
         let decision = policy.decide(&ctx);
         let policy_name = policy.name();
@@ -258,9 +259,18 @@ impl FederatedSession {
         roster.begin_round();
         let outputs = parallel_map(work, self.threads, move |(client_idx, ratio)| {
             let mut client = roster.checkout(client_idx);
-            let train_out = client.local_update(global_ref);
+            let LocalTrainOutput {
+                delta,
+                train_loss,
+                num_samples,
+                train_time_s,
+                ..
+            } = client.local_update(global_ref);
             let c_start = std::time::Instant::now();
-            let wire = client.encode(&train_out.delta, ratio);
+            let wire = client.encode(&delta, ratio);
+            // The dense delta goes back to its shell here rather than living
+            // until the cohort finishes; only the (sparse) update is kept.
+            client.recycle_delta(delta);
             let wire_len = wire.len();
             let seg_lens = wire.segment_byte_lens();
             // Server side: reconstruct the update from the received bytes.
@@ -269,7 +279,8 @@ impl FederatedSession {
                 .expect("a codec must decode its own encoding");
             let compress_time = c_start.elapsed().as_secs_f64();
             roster.checkin(client);
-            (train_out, update, wire_len, seg_lens, compress_time)
+            let trained = (num_samples, train_loss, train_time_s);
+            (trained, update, wire_len, seg_lens, compress_time)
         });
 
         let cohort_len = outputs.len();
@@ -280,10 +291,11 @@ impl FederatedSession {
         let mut loss_sum = 0.0f64;
         let mut max_train_time = 0.0f64;
         let mut total_compress_time = 0.0f64;
-        for (train_out, update, wire_len, seg_lens, compress_time) in outputs {
-            sample_counts.push(train_out.num_samples);
-            loss_sum += train_out.train_loss;
-            max_train_time = max_train_time.max(train_out.train_time_s);
+        for (trained, update, wire_len, seg_lens, compress_time) in outputs {
+            let (num_samples, train_loss, train_time_s) = trained;
+            sample_counts.push(num_samples);
+            loss_sum += train_loss;
+            max_train_time = max_train_time.max(train_time_s);
             total_compress_time += compress_time;
             updates.push(update);
             wire_bytes.push(wire_len);

@@ -139,10 +139,25 @@ impl Dataset {
     /// Dataset restricted to the given sample indices (copies the data).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset::empty(self.feature_dim, self.num_classes);
-        for &i in indices {
-            out.push(self.sample(i), self.labels[i]);
-        }
+        self.subset_into(indices, &mut out);
         out
+    }
+
+    /// [`subset`](Self::subset) into a reusable dataset: `out` is overwritten
+    /// (its previous samples and dimensions are forgotten) and keeps its
+    /// buffers, so no allocation happens once they have grown to the largest
+    /// subset.
+    pub fn subset_into(&self, indices: &[usize], out: &mut Dataset) {
+        out.feature_dim = self.feature_dim;
+        out.num_classes = self.num_classes;
+        out.features.clear();
+        out.labels.clear();
+        out.features.reserve(indices.len() * self.feature_dim);
+        out.labels.reserve(indices.len());
+        for &i in indices {
+            out.features.extend_from_slice(self.sample(i));
+            out.labels.push(self.labels[i]);
+        }
     }
 
     /// Per-class sample counts.
@@ -232,6 +247,23 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.sample(0), &[1.0, 1.1]);
         assert_eq!(s.labels(), &[1]);
+    }
+
+    #[test]
+    fn subset_into_overwrites_a_used_dataset_without_reallocating() {
+        let d = toy();
+        // A target of other dimensions holding stale samples.
+        let mut out = Dataset::new(vec![9.0; 12], vec![0; 4], 3, 1);
+        d.subset_into(&[2, 0, 1], &mut out);
+        assert_eq!(out.feature_dim(), 2);
+        assert_eq!(out.num_classes(), 3);
+        assert_eq!(out.labels(), &[1, 0, 1]);
+        assert_eq!(out.sample(0), &[2.0, 2.1]);
+        let ptr = out.sample(0).as_ptr();
+        d.subset_into(&[1], &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.sample(0), d.subset(&[1]).sample(0));
+        assert_eq!(ptr, out.sample(0).as_ptr(), "a smaller subset reuses");
     }
 
     #[test]

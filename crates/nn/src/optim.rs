@@ -36,6 +36,15 @@ impl Sgd {
         self.lr = lr;
     }
 
+    /// Forget the accumulated momentum: every velocity buffer is zero-filled
+    /// in place, so the next [`step`](Self::step) behaves exactly like the
+    /// first step of a new optimizer without allocating the buffers again.
+    pub fn reset_velocity(&mut self) {
+        for v in &mut self.velocity {
+            v.fill(0.0);
+        }
+    }
+
     /// Apply one update step using the gradients currently stored in `model`.
     ///
     /// Allocation-free: parameters and gradients are visited in place (no
@@ -139,6 +148,26 @@ mod tests {
             step2 > step1 * 1.5,
             "momentum should grow the step: {step1} vs {step2}"
         );
+    }
+
+    #[test]
+    fn reset_velocity_replays_a_new_optimizer_bit_for_bit() {
+        let x = Tensor::from_vec(Shape::matrix(1, 2), vec![1.0, -0.5]);
+        let two_steps = |opt: &mut Sgd| {
+            let mut model = one_layer_model();
+            for _ in 0..2 {
+                model.zero_grad();
+                let y = model.forward(&x);
+                model.backward(&Tensor::full(y.shape().clone(), 1.0));
+                opt.step(&mut model);
+            }
+            crate::flatten_params(&model)
+        };
+        let mut opt = Sgd::new(0.1, 0.9, 0.01);
+        let first = two_steps(&mut opt);
+        opt.reset_velocity();
+        assert_eq!(two_steps(&mut opt), first, "reused optimizer");
+        assert_eq!(two_steps(&mut Sgd::new(0.1, 0.9, 0.01)), first);
     }
 
     #[test]
