@@ -12,12 +12,17 @@
 //! either operand is ever materialised.
 //!
 //! Determinism contract: every output element accumulates its `k`
-//! contributions in ascending order into a single `f32` accumulator —
-//! exactly the order the original scalar loops used — and row blocks are
-//! disjoint, so results are bit-identical for any thread count and to the
-//! pre-tiled kernels (kept as the tests' oracle). `matmul` / `matmul_at_b`
-//! keep their historical skip of zero `A` entries; `matmul_a_bt` (which
-//! never skipped) does not.
+//! contributions in ascending order into a single `f32` accumulator, one
+//! [`f32::mul_add`] per contribution — an IEEE-754 fusedMultiplyAdd, which
+//! rounds `a·b + acc` once and is fully specified — and row blocks are
+//! disjoint. Results are therefore bit-identical for any thread count, build
+//! profile and target CPU (hardware without the instruction computes the
+//! same bits through libm's exact `fmaf`, slowly), and equal to the fused
+//! scalar loops the tests keep as their oracle. Nothing outside the register
+//! tile is fused: the element-wise kernels, the optimizer and aggregation are
+//! memory-bound and keep their separately rounded multiplies and adds.
+//! `matmul` / `matmul_at_b` keep their historical skip of zero `A` entries;
+//! `matmul_a_bt` (which never skipped) does not.
 
 use crate::parallel::{default_threads, parallel_row_blocks};
 use crate::shape::Shape;
@@ -163,9 +168,9 @@ pub fn matmul_a_bt_with_threads(a: &Tensor, b: &Tensor, max_threads: usize) -> T
     let (m, k) = as_matrix_dims(a, "matmul_a_bt lhs");
     let (n, k2) = as_matrix_dims(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
-    // The historical per-element dot product never skipped zero entries, so
-    // the non-skipping kernel keeps results bit-identical even for
-    // non-finite operands (0.0 * inf must still produce NaN here).
+    // The per-element dot product this computes never skipped zero entries,
+    // so the non-skipping kernel is the exact one even for non-finite
+    // operands (0.0 * inf must still produce NaN here).
     let mut out = vec![0.0f32; m * n];
     nt_parallel::<false, false, true>(a.data(), k, k, b.data(), n, &mut out, max_threads);
     Tensor::from_vec(Shape::matrix(m, n), out)
@@ -206,18 +211,27 @@ fn nt_parallel<const SKIP: bool, const AT: bool, const BT: bool>(
 /// `out_block` and return there after each `k` block, and the `k` blocks run
 /// in ascending order — so every output element still receives its `k`
 /// contributions in exactly the ascending single-accumulator order of the
-/// plain ikj loop, regardless of the blocking. Padded lanes never mix with
+/// plain ikj loop, one fused step each, regardless of the blocking. Padded lanes never mix with
 /// kept ones (each lane is its own accumulator) and are discarded.
 ///
 /// Zero skip (`SKIP`), decided per packed `B` panel: when every `B` entry of
 /// the panel is finite, skipping a zero `A` entry and accumulating its
-/// `a * b` contribution are bit-identical — the product is then `±0.0`,
-/// `x + (-0.0) == x` for every `x`, and `x + (+0.0)` differs only for
-/// `x == -0.0`, which an accumulator seeded from `+0.0` can never become,
-/// because a round-to-nearest sum is `-0.0` only when both addends are
-/// `-0.0`. So a finite panel runs the branch-free tile even on zero-heavy
-/// inputs (post-ReLU activations), and only a panel holding a non-finite
-/// value keeps the historical element-skipping tile.
+/// contribution agree — the product is then exactly `±0.0`, so the fused
+/// step `fma(0, b, x)` is the plain sum `x + (±0.0)`: `x + (-0.0) == x` for
+/// every `x`, and `x + (+0.0)` differs only for `x == -0.0`. So a finite
+/// panel runs the branch-free tile even on zero-heavy inputs (post-ReLU
+/// activations), and only a panel holding a non-finite value keeps the
+/// historical element-skipping tile.
+///
+/// The one way an accumulator seeded from `+0.0` becomes `-0.0` is a negative
+/// product too small for the subnormal range fused into an accumulator that
+/// is still zero: rounded once, it is `-0.0` (rounded separately the product
+/// would be `-0.0` and the sum `+0.0`). A zero `A` entry met while it is
+/// `-0.0` turns it into `+0.0` in the branch-free tile and leaves it in the
+/// skipping one, so the two tiles (and the skipping test oracle) can differ
+/// in the *sign of an exactly-zero output* and in nothing else. Which tile
+/// runs is a function of the `B` panel alone — not of threads or of how rows
+/// are blocked — so the determinism contract is unaffected.
 fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
@@ -394,6 +408,11 @@ fn row_band<const R: usize>(
 /// The register tile's `p` loop over one packed `B` stripe (`kc`
 /// consecutive `NR`-wide runs) and `R` rows of `A`, each `kc` long. `CHECK`
 /// selects the zero-skipping variant.
+///
+/// Each step is `f32::mul_add`, never `acc + a * b`: Rust does not contract
+/// the latter, and the two-instruction form was this kernel's ceiling. With
+/// the `fma` target feature (`.cargo/config.toml`) a lane's step is one
+/// instruction; without it the step is a libm call with the same result.
 #[inline(always)]
 fn nt_tile<const CHECK: bool, const R: usize>(
     a_rows: [&[f32]; R],
@@ -412,7 +431,7 @@ fn nt_tile<const CHECK: bool, const R: usize>(
                 continue;
             }
             for (o, &b_pj) in acc_row.iter_mut().zip(b_tile) {
-                *o += a_ip * b_pj;
+                *o = a_ip.mul_add(b_pj, *o);
             }
         }
     }
@@ -484,8 +503,9 @@ mod tests {
         Tensor::from_vec(Shape::matrix(n, m), out)
     }
 
-    /// Reference kernels: the pre-tiled scalar loops, verbatim. The tiled
-    /// kernels must reproduce them bit for bit at every shape.
+    /// Reference kernels: plain scalar loops that give every output element
+    /// its `k` contributions in ascending order, one fused step each. The
+    /// tiled kernels must reproduce them bit for bit at every shape.
     fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = as_matrix_dims(a, "matmul lhs");
         let (k2, n) = as_matrix_dims(b, "matmul rhs");
@@ -502,7 +522,7 @@ mod tests {
                 }
                 let b_row = &bd[p * n..(p + 1) * n];
                 for (o, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_ip * b_pj;
+                    *o = a_ip.mul_add(b_pj, *o);
                 }
             }
         }
@@ -522,7 +542,7 @@ mod tests {
                 let b_row = &bd[j * k..(j + 1) * k];
                 let mut acc = 0.0f32;
                 for (x, y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
+                    acc = x.mul_add(*y, acc);
                 }
                 *o = acc;
             }
@@ -658,6 +678,32 @@ mod tests {
         let a = mat(1, 2, &[0.0, 1.0]);
         let b = mat(2, 2, &[f32::INFINITY, f32::NAN, 2.0, 3.0]);
         assert_eq!(matmul(&a, &b).data(), &[2.0, 3.0]);
+    }
+
+    #[test]
+    fn underflowed_negative_zero_meets_a_zero_a_entry() {
+        // The corner `nt_rows` documents: a negative product below the
+        // subnormal range fuses into a zero accumulator as `-0.0`; the zero
+        // `A` entry that follows makes it `+0.0` on the branch-free tile,
+        // while a skipping loop (the oracle, or the tile facing a non-finite
+        // panel) leaves `-0.0`. Nothing but that sign may differ, at any
+        // thread count.
+        let a = mat(1, 3, &[-1e-30, 0.0, 0.0]);
+        let b = mat(3, 2, &[1e-30, 1e-30, 1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(
+            matmul_reference(&a, &b).data()[0].to_bits(),
+            (-0.0f32).to_bits()
+        );
+        let mut poisoned = b.clone();
+        poisoned.data_mut()[5] = f32::INFINITY;
+        for threads in 1..=3 {
+            let finite = matmul_with_threads(&a, &b, threads);
+            assert_eq!(finite.data()[0].to_bits(), 0.0f32.to_bits());
+            assert_eq!(finite.data()[1].to_bits(), 0.0f32.to_bits());
+            let skipping = matmul_with_threads(&a, &poisoned, threads);
+            assert_eq!(skipping.data()[0].to_bits(), (-0.0f32).to_bits());
+            assert_eq!(skipping.data()[1].to_bits(), (-0.0f32).to_bits());
+        }
     }
 
     #[test]

@@ -251,23 +251,23 @@ fn run(algorithm: Algorithm, plan: Option<&str>) -> Vec<RoundRecord> {
 /// mixed all-sparse layer plan, so the `Segmented` wire kind and per-layer
 /// byte breakdown are pinned too.
 const EXPECTED: &[(&str, u64)] = &[
-    ("fedavg/flat", 0xb03372fa5d801134),
-    ("topk/flat", 0x74df1c8affa07121),
-    ("eftopk/flat", 0x480d3c98c611db26),
-    ("randk/flat", 0x07a896ae8785aedd),
-    ("topk+opwa/flat", 0x0a67a817d12c0031),
-    ("bcrs/flat", 0x4f3aebe4bd2ce32e),
-    ("bcrs+opwa/flat", 0x097ba632d8c088d4),
-    ("fedavg/planned", 0x130241a04d7e503b),
+    ("fedavg/flat", 0xe8a6d8ea3df297e4),
+    ("topk/flat", 0x39c0d29d18be935c),
+    ("eftopk/flat", 0xc02cc5ce0bbc36f3),
+    ("randk/flat", 0xa5e532bf5551e276),
+    ("topk+opwa/flat", 0x30205b8feb7b2683),
+    ("bcrs/flat", 0xe2883127dbaa3e2d),
+    ("bcrs+opwa/flat", 0x0c286837df6bbfb0),
+    ("fedavg/planned", 0xb148ed5e8c72cefc),
     // The plan *is* the uplink codec, so the three plain sparsifier
     // algorithms collapse to the same planned trajectory — pinned anyway,
     // as three independent routes into the Segmented path.
-    ("topk/planned", 0x2c6540a4d381a969),
-    ("eftopk/planned", 0x2c6540a4d381a969),
-    ("randk/planned", 0x2c6540a4d381a969),
-    ("topk+opwa/planned", 0xbe6dff1853edfd1f),
-    ("bcrs/planned", 0x14f7511ec604d7de),
-    ("bcrs+opwa/planned", 0xb22f1151cba044f9),
+    ("topk/planned", 0x33a73c6b0388e8d1),
+    ("eftopk/planned", 0x33a73c6b0388e8d1),
+    ("randk/planned", 0x33a73c6b0388e8d1),
+    ("topk+opwa/planned", 0x80299cfee50a5d5c),
+    ("bcrs/planned", 0xd5da76cb2c645e58),
+    ("bcrs+opwa/planned", 0xd28d48b54a7337d2),
 ];
 
 const PLAN: &str = "*.bias=randk;*=topk";
@@ -364,10 +364,10 @@ fn run_codec_case(case: &CodecCase) -> Vec<RoundRecord> {
 /// binary range coder (kind 5): their encoded byte counts, and the simulated
 /// times priced from them, moved; [`EXPECTED_RC_TRAJECTORY`] did not.
 const EXPECTED_CODEC: &[u64] = &[
-    0x6b0ee68c1e1f63ad,
-    0x86eb0959684843a5,
-    0x80dc97538b4e2e01,
-    0xdb16491d4d446369,
+    0x4bb0cf5d26fdf227,
+    0x097864ad66e73d2e,
+    0x65059a0711c22be8,
+    0xf918a321b2835026,
 ];
 
 /// The `:rc` rows' [`trajectory_fingerprint`]s, captured at f6c336e (the
@@ -377,9 +377,9 @@ const EXPECTED_CODEC: &[u64] = &[
 const EXPECTED_RC_TRAJECTORY: &[(&str, u64)] = &[
     (
         "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
-        0x6cf3b07f4bb52719,
+        0xe56df7108cb6f517,
     ),
-    ("codec/ef-qsgd:4:rc", 0x62c684f0e38fa819),
+    ("codec/ef-qsgd:4:rc", 0x511a87c14c26ec0c),
 ];
 
 /// `(schedule hash, final test accuracy)` of the [`EXPECTED`] rows, in their
