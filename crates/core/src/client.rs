@@ -5,8 +5,8 @@
 use crate::config::{ExperimentConfig, ModelPreset};
 use crate::policy::resolve_codec_spec;
 use fl_compress::{
-    CodecCtx, CodecRegistry, CompressedUpdate, LayerPlan, ResidualState, SegmentDef, UpdateCodec,
-    WireError, WireUpdate,
+    CodecCtx, CodecRegistry, CompressedUpdate, DenseCodec, LayerPlan, ResidualState, SegmentDef,
+    UpdateCodec, WireError, WireUpdate,
 };
 use fl_data::{BatchLoader, Dataset};
 use fl_nn::{mlp, unflatten_params, ParamLayout, Sequential, Sgd, SoftmaxCrossEntropy, Workspace};
@@ -44,8 +44,8 @@ pub struct ClientState {
     codec: Box<dyn UpdateCodec>,
     /// The roster's plan key ([`crate::roster::ClientRoster`] bumps it with
     /// every plan or scale change; 0 on the static path) `codec` was built
-    /// under.
-    codec_key: u64,
+    /// under; `None` while the shell has never been bound.
+    codec_key: Option<u64>,
     optimizer: Sgd,
     local_epochs: usize,
     // Reusable training buffers: after the first batch warms them up, a
@@ -73,45 +73,34 @@ impl ClientState {
     /// segment) or [`ExperimentConfig::compressor`] spec (or the
     /// algorithm-implied default) through the built-in [`CodecRegistry`].
     pub fn new(id: usize, dataset: Dataset, config: &ExperimentConfig, rng: Xoshiro256) -> Self {
-        let registry = CodecRegistry::with_builtins();
-        Self::build(id, dataset, config, rng, &registry, None, 0)
+        // The one way to make a client, at the price of copying `dataset`
+        // once: nothing on a hot path comes through here.
+        let mut client = Self::shell(config, dataset.feature_dim(), dataset.num_classes());
+        let all: Vec<usize> = (0..dataset.len()).collect();
+        client.rebind(id, rng, &dataset, &all);
+        client.resolve_codec(config, &CodecRegistry::with_builtins(), None, 0);
+        client
     }
 
-    /// Build a client from nothing, resolving its codec through `registry`
-    /// (the seam [`crate::session::SessionBuilder::codec_registry`] uses to
-    /// run custom codecs through the round engine) — from `plan` when a
-    /// [`crate::policy::PlanPolicy`] decided one *this round*, else from the
-    /// configuration's static spec. With `scales: None` a plan resolves
-    /// exactly like a static [`ExperimentConfig::layer_compressors`] plan
-    /// (uniform plans collapse to the flat codec); with per-segment ratio
-    /// scales the codec is always segment-framed, so per-layer byte telemetry
-    /// stays available.
-    pub(crate) fn build(
-        id: usize,
-        dataset: Dataset,
-        config: &ExperimentConfig,
-        rng: Xoshiro256,
-        registry: &CodecRegistry,
-        plan: PlanChoice<'_>,
-        codec_key: u64,
-    ) -> Self {
+    /// A shell bound to no client yet: everything a client keeps between
+    /// bindings, sized by nothing but the model preset and the data's
+    /// dimensions. [`rebind`](Self::rebind) makes it a client.
+    pub(crate) fn shell(config: &ExperimentConfig, feature_dim: usize, num_classes: usize) -> Self {
         // The replica's parameters are always overwritten by the broadcast
         // global vector before training (`local_update` starts with
         // `unflatten_params`), so a zero init is bit-identical to the
-        // server-seeded random init — and skips ~`num_params` normal draws
-        // whenever a client is built from nothing.
-        let model = build_model_zeroed(&config.model, dataset.feature_dim(), dataset.num_classes());
+        // server-seeded random init — and skips ~`num_params` normal draws.
+        let model = build_model_zeroed(&config.model, feature_dim, num_classes);
         let layout = ParamLayout::of(&model);
-        let codec = build_codec(id, config, registry, &layout, plan);
         Self {
-            id,
-            dataset,
+            id: usize::MAX,
+            dataset: Dataset::empty(feature_dim, num_classes),
             model,
             layout,
             loader: BatchLoader::new(config.batch_size, false),
-            rng,
-            codec,
-            codec_key,
+            rng: Xoshiro256::new(0),
+            codec: Box::new(DenseCodec),
+            codec_key: None,
             optimizer: Sgd::new(config.local_lr, config.momentum, config.weight_decay),
             local_epochs: config.local_epochs,
             ws: Workspace::new(),
@@ -124,31 +113,39 @@ impl ClientState {
         }
     }
 
-    /// Turn a spent shell into client `id`: its shard is copied out of
-    /// `train` into the shell's own dataset buffers and its RNG stream
-    /// installed; model, layout, workspaces and optimizer stay (see the
-    /// struct docs for why that is exact). Follow with
-    /// [`refresh_codec`](Self::refresh_codec).
+    /// Turn a shell into client `id`: its shard is copied out of `train` into
+    /// the shell's own dataset buffers and its RNG stream installed; model,
+    /// layout, workspaces and optimizer stay (see the struct docs for why
+    /// that is exact). Follow with [`resolve_codec`](Self::resolve_codec).
     pub(crate) fn rebind(&mut self, id: usize, rng: Xoshiro256, train: &Dataset, shard: &[usize]) {
         self.id = id;
         self.rng = rng;
         train.subset_into(shard, &mut self.dataset);
     }
 
-    /// Keep a rebound shell's codec when it is [`UpdateCodec::reusable`] and
-    /// was built under the same `codec_key`; otherwise rebuild it (and only
-    /// it), with this client's own [`CodecCtx`]. `config` and `registry`
-    /// must be the ones the shell was built from.
-    pub(crate) fn refresh_codec(
+    /// Give the client its codec. A codec left by the shell's last client is
+    /// kept when it is [`UpdateCodec::reusable`] and was built under the same
+    /// `codec_key`; otherwise one is built with this client's own
+    /// [`CodecCtx`] (`seed ^ id`) through `registry` (the seam
+    /// [`crate::session::SessionBuilder::codec_registry`] uses to run custom
+    /// codecs through the round engine) — from `plan` when a
+    /// [`crate::policy::PlanPolicy`] decided one *this round*, else from the
+    /// configuration's static spec. With `scales: None` a plan resolves
+    /// exactly like a static [`ExperimentConfig::layer_compressors`] plan
+    /// (uniform plans collapse to the flat codec); with per-segment ratio
+    /// scales the codec is always segment-framed, so per-layer byte telemetry
+    /// stays available. `config` and `registry` must be the same at every
+    /// call on one shell.
+    pub(crate) fn resolve_codec(
         &mut self,
         config: &ExperimentConfig,
         registry: &CodecRegistry,
         plan: PlanChoice<'_>,
         codec_key: u64,
     ) {
-        if !(self.codec.reusable() && self.codec_key == codec_key) {
+        if !(self.codec.reusable() && self.codec_key == Some(codec_key)) {
             self.codec = build_codec(self.id, config, registry, &self.layout, plan);
-            self.codec_key = codec_key;
+            self.codec_key = Some(codec_key);
         }
     }
 

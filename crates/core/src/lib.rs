@@ -60,9 +60,10 @@
 //!
 //! Clients are virtualized ([`roster::ClientRoster`]): only each client's
 //! persistent state — its RNG stream and error-feedback residual, parked in
-//! a sharded `fl_compress::ResidualStore` — survives between rounds, and a
-//! full `ClientState` is materialised per *selected* client per round, so
-//! peak client memory is O(cohort) rather than O(population). The
+//! a sharded `fl_compress::ResidualStore` — survives between rounds, and
+//! one pooled `ClientState` shell per worker thread is rebound to each
+//! *selected* client in turn, so peak client memory is O(threads) rather
+//! than O(population). The
 //! [`aggregate`] tree reduces cohorts in fixed 32-client shards whose
 //! partial sums merge in a fixed order, keeping records bit-identical
 //! across thread counts. Populations of 10^5–10^6 clients are practical;

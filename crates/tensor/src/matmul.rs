@@ -16,9 +16,13 @@
 //! [`f32::mul_add`] per contribution — an IEEE-754 fusedMultiplyAdd, which
 //! rounds `a·b + acc` once and is fully specified — and row blocks are
 //! disjoint. Results are therefore bit-identical for any thread count, build
-//! profile and target CPU (hardware without the instruction computes the
-//! same bits through libm's exact `fmaf`, slowly), and equal to the fused
-//! scalar loops the tests keep as their oracle. Nothing outside the register
+//! profile and target CPU, and equal to the fused scalar loops the tests keep
+//! as their oracle. An x86_64 build without the `fma` target feature — one
+//! made under a `RUSTFLAGS` variable, say, which replaces the flags in
+//! `.cargo/config.toml` — calls libm's `fmaf` for every step instead: the
+//! same bits as long as that `fmaf` is correctly rounded (glibc's is, and CI
+//! checks it), many times slower than even an unfused SSE2 tile. Nothing
+//! outside the register
 //! tile is fused: the element-wise kernels, the optimizer and aggregation are
 //! memory-bound and keep their separately rounded multiplies and adds.
 //! `matmul` / `matmul_at_b` keep their historical skip of zero `A` entries;

@@ -1,13 +1,19 @@
 //! Round-record fingerprint regression: the full training + compression +
 //! communication trajectory of every algorithm, under both the flat codec
-//! path and a genuinely mixed layer plan (`Segmented` framing), hashed field
-//! by field and pinned to the values the pre-entropy-coding engine produced.
+//! path and a genuinely mixed layer plan (`Segmented` framing), plus four
+//! codec-path rows, hashed field by field and pinned.
 //!
 //! Any change to training numerics, codec bytes, aggregation order, or the
-//! simulated communication model shows up here as a hash mismatch. The
-//! expected values were captured at the commit preceding the entropy-coded
-//! wire kind and the blocked matmul kernels, so this suite is the proof that
-//! those rewrites left every existing record bit-identical.
+//! simulated communication model shows up here as a hash mismatch. The float
+//! hashes were last re-captured when the matmul register tile fused its
+//! multiply and add (`f32::mul_add`): every trajectory moved once, by that
+//! step's single rounding. What that change could *not* move is pinned
+//! separately and was captured before it — [`schedule_fingerprint`] (who was
+//! selected, at which ratio, plan epochs, analytic times) and each run's
+//! final accuracy to within [`ACCURACY_TOLERANCE`] — so a re-capture of the
+//! float hashes is checked against something that did not move with them.
+//! The hashes hold in debug and release and with or without hardware FMA (CI
+//! runs all three): the fused step is exactly specified.
 //!
 //! To re-capture after an *intentional* trajectory change:
 //! `FP_PRINT=1 cargo test --release --test fingerprints -- --nocapture`
@@ -246,10 +252,10 @@ fn run(algorithm: Algorithm, plan: Option<&str>) -> Vec<RoundRecord> {
         .records
 }
 
-/// Captured at the pre-PR commit (see module docs). `flat` is the
-/// algorithm's own codec; `planned` drives the same algorithm through a
-/// mixed all-sparse layer plan, so the `Segmented` wire kind and per-layer
-/// byte breakdown are pinned too.
+/// `flat` is the algorithm's own codec; `planned` drives the same algorithm
+/// through a mixed all-sparse layer plan, so the `Segmented` wire kind and
+/// per-layer byte breakdown are pinned too. Re-captured with the fused
+/// matmul tile (see module docs).
 const EXPECTED: &[(&str, u64)] = &[
     ("fedavg/flat", 0xe8a6d8ea3df297e4),
     ("topk/flat", 0x39c0d29d18be935c),
@@ -359,10 +365,11 @@ fn run_codec_case(case: &CodecCase) -> Vec<RoundRecord> {
         .records
 }
 
-/// Captured at df5cbb1, before the single-pass uplink codec — except the two
-/// `:rc` rows, re-pinned when adaptive-CDF rANS (wire kind 6) replaced the
-/// binary range coder (kind 5): their encoded byte counts, and the simulated
-/// times priced from them, moved; [`EXPECTED_RC_TRAJECTORY`] did not.
+/// Re-captured with the fused matmul tile (see module docs). Before that the
+/// two `:rc` rows had moved once on their own, when adaptive-CDF rANS (wire
+/// kind 6) replaced the binary range coder (kind 5): their encoded byte
+/// counts, and the simulated times priced from them, changed;
+/// [`EXPECTED_RC_TRAJECTORY`] did not.
 const EXPECTED_CODEC: &[u64] = &[
     0x4bb0cf5d26fdf227,
     0x097864ad66e73d2e,
@@ -370,10 +377,11 @@ const EXPECTED_CODEC: &[u64] = &[
     0xf918a321b2835026,
 ];
 
-/// The `:rc` rows' [`trajectory_fingerprint`]s, captured at f6c336e (the
-/// adaptive binary range coder). The entropy back end may change the bytes —
-/// and with them the full hashes above — but never these: quantization, RNG
-/// draws and dequantized values do not depend on the byte layout.
+/// The `:rc` rows' [`trajectory_fingerprint`]s. The entropy back end may
+/// change the bytes — and with them the full hashes above — but never these:
+/// quantization, RNG draws and dequantized values do not depend on the byte
+/// layout. (They are float hashes all the same, re-captured with the fused
+/// matmul tile.)
 const EXPECTED_RC_TRAJECTORY: &[(&str, u64)] = &[
     (
         "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
