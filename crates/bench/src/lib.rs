@@ -124,29 +124,15 @@ impl BenchArgs {
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--rounds" => {
-                    out.rounds = it.next().and_then(|v| v.parse().ok());
-                }
-                "--scale" => {
-                    out.scale = it.next().and_then(|v| v.parse().ok());
-                }
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        out.seed = v;
-                    }
-                }
+                "--rounds" => out.rounds = Some(number(&arg, it.next())),
+                "--scale" => out.scale = Some(number(&arg, it.next())),
+                "--seed" => out.seed = number(&arg, it.next()),
                 "--quick" => out.quick = true,
                 "--full" => out.full = true,
                 "--csv" => out.csv = true,
                 "--progress" => out.progress = true,
-                "--eval-every" => {
-                    out.eval_every = it.next().and_then(|v| v.parse().ok());
-                }
-                "--sweep-threads" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        out.sweep_threads = v;
-                    }
-                }
+                "--eval-every" => out.eval_every = Some(number(&arg, it.next())),
+                "--sweep-threads" => out.sweep_threads = number(&arg, it.next()),
                 "--cost-basis" => {
                     let value = it
                         .next()
@@ -241,6 +227,19 @@ impl BenchArgs {
             default_scale
         }
     }
+}
+
+/// The value of a numeric `flag`. A missing or unparsable value panics, as a
+/// bad spec flag does: a run with a mistyped `--seed` must not look like a run
+/// with the default one.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    let value = value.unwrap_or_else(|| panic!("{flag} needs a number"));
+    value
+        .parse()
+        .unwrap_or_else(|e| panic!("{flag}: cannot parse {value:?}: {e}"))
 }
 
 /// The benchmark-suite default configuration: the paper's hyper-parameters
@@ -485,6 +484,35 @@ mod tests {
     #[should_panic(expected = "--downlink")]
     fn bad_downlink_spec_panics() {
         parse(&["--downlink", "+nope"]);
+    }
+
+    #[test]
+    fn bad_or_missing_numeric_values_panic() {
+        let message = |args: &[&str]| -> String {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let payload = std::panic::catch_unwind(|| BenchArgs::from_args(args))
+                .expect_err("a bad numeric value must not be ignored");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        for (flag, bad) in [
+            ("--rounds", "abc"),
+            ("--rounds", "-3"),
+            ("--scale", "x"),
+            ("--seed", "1.5"),
+            ("--eval-every", "often"),
+            ("--sweep-threads", "two"),
+        ] {
+            let expected = format!("{flag}: cannot parse {bad:?}");
+            let got = message(&[flag, bad]);
+            assert!(got.starts_with(&expected), "{flag} {bad}: {got:?}");
+            assert_eq!(
+                message(&["--quick", flag]),
+                format!("{flag} needs a number")
+            );
+        }
     }
 
     #[test]

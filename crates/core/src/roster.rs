@@ -166,6 +166,12 @@ impl ClientRoster {
         self.partitions.is_empty()
     }
 
+    /// Number of training samples in client `id`'s shard — what its local
+    /// update costs in proportion to, known without checking it out.
+    pub(crate) fn shard_len(&self, id: usize) -> usize {
+        self.partitions[id].indices.len()
+    }
+
     /// Materialise client `id` for one round of work: rebind a pooled shell
     /// (a new, empty one when the pool has none) to it — its shard, its
     /// persistent RNG stream, its codec — and restore its stored

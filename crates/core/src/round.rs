@@ -38,6 +38,7 @@ use fl_netsim::{CostBasis, Link, RoundBreakdown, RoundTiming};
 use fl_nn::unflatten_params;
 use fl_tensor::parallel::parallel_map;
 use fl_tensor::rng::Rng;
+use std::cmp::Reverse;
 
 /// Everything produced by one round beyond the global-state mutation.
 #[derive(Clone, Debug)]
@@ -229,6 +230,17 @@ impl FederatedSession {
     /// only decode of that buffer — so the (lossy) update that is aggregated
     /// is what the bytes say, and the encoded length is what
     /// [`CostBasis::Encoded`] charges.
+    ///
+    /// Two orders are in play. The *hand-out order* — the order
+    /// [`parallel_map`]'s workers pull clients in — is descending shard
+    /// length (stable, ties by cohort position): local training costs in
+    /// proportion to the shard, so the big clients start first and the small
+    /// ones fill the tail instead of one worker finishing a straggler alone.
+    /// The *cohort order* — the selector's — is what ratios, links, sample
+    /// counts, wire sizes and the aggregation's coefficients are indexed by;
+    /// the outputs are put back into it before anything reads them, and a
+    /// client's work depends on nothing but its own id, stream and residual,
+    /// so the hand-out order changes when a client runs and nothing else.
     fn local_phase(&mut self, round: usize, selection: &Selection) -> LocalPhase {
         let decision = self.ratio_policy.decide(&RatioCtx {
             round,
@@ -241,12 +253,15 @@ impl FederatedSession {
             "ratio policy must produce one ratio per selected client"
         );
 
-        let work: Vec<(usize, f64)> = selection
+        let roster = &self.roster;
+        let mut work: Vec<(usize, usize, f64)> = selection
             .selected
             .iter()
-            .cloned()
-            .zip(decision.ratios.iter().cloned())
+            .zip(decision.ratios.iter())
+            .enumerate()
+            .map(|(pos, (&client_idx, &ratio))| (pos, client_idx, ratio))
             .collect();
+        work.sort_by_key(|&(_, client_idx, _)| Reverse(roster.shard_len(client_idx)));
         let global_ref: &[f32] = match &self.downlink {
             Some(channel) => channel.view(),
             None => &self.global_params,
@@ -255,9 +270,8 @@ impl FederatedSession {
         // own train/encode/decode slice of the round and checked back in
         // immediately, so at most `threads` full `ClientState`s exist at any
         // instant — the cohort streams through, the population never loads.
-        let roster = &self.roster;
         roster.begin_round();
-        let outputs = parallel_map(work, self.threads, move |(client_idx, ratio)| {
+        let mut outputs = parallel_map(work, self.threads, move |(pos, client_idx, ratio)| {
             let mut client = roster.checkout(client_idx);
             let LocalTrainOutput {
                 delta,
@@ -280,8 +294,10 @@ impl FederatedSession {
             let compress_time = c_start.elapsed().as_secs_f64();
             roster.checkin(client);
             let trained = (num_samples, train_loss, train_time_s);
-            (trained, update, wire_len, seg_lens, compress_time)
+            (pos, trained, update, wire_len, seg_lens, compress_time)
         });
+        // Back to cohort order before anything below indexes by position.
+        outputs.sort_unstable_by_key(|output| output.0);
 
         let cohort_len = outputs.len();
         let mut updates = Vec::with_capacity(cohort_len);
@@ -291,7 +307,7 @@ impl FederatedSession {
         let mut loss_sum = 0.0f64;
         let mut max_train_time = 0.0f64;
         let mut total_compress_time = 0.0f64;
-        for (trained, update, wire_len, seg_lens, compress_time) in outputs {
+        for (_, trained, update, wire_len, seg_lens, compress_time) in outputs {
             let (num_samples, train_loss, train_time_s) = trained;
             sample_counts.push(num_samples);
             loss_sum += train_loss;

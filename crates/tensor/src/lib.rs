@@ -16,7 +16,7 @@
 //!   (the Dirichlet sampler drives the paper's non-IID label-skew partition).
 //! * [`stats`] — mean / variance / histogram helpers used by the overlap
 //!   analysis and the experiment reports.
-//! * [`parallel`] — a tiny chunked `parallel_for` built on scoped threads.
+//! * [`parallel`] — a work-pulling `parallel_map` (and friends) on scoped threads.
 //! * [`kernels`] — fused in-place element-wise update kernels (axpy,
 //!   SGD steps) behind the allocation-free training hot path.
 

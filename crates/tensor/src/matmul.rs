@@ -44,7 +44,7 @@ const KC: usize = 256;
 /// `KC`×`NC` panel (128 KiB) L2-resident across all row tiles.
 const NC: usize = 128;
 /// Products with at least this many multiply–accumulates fan out over the
-/// worker pool; smaller ones (every per-client training step at the default
+/// worker threads; smaller ones (every per-client training step at the default
 /// model sizes) stay sequential, because clients already train in parallel.
 const PAR_MIN_MACS: usize = 1 << 25;
 

@@ -1,5 +1,7 @@
 //! Scale-out guarantees of the virtualized round engine: the sharded
-//! aggregation tree is thread-count invariant for every algorithm, client
+//! aggregation tree is thread-count invariant for every algorithm, the
+//! work-pulling scheduler leaves no trace in the records on skewed shards
+//! (flat and segmented codec paths) or in a sweep's result order, client
 //! instantiation is O(cohort) — not O(population) — at 10^5 clients, and
 //! error-feedback residuals survive in the roster's store across
 //! non-consecutive selections.
@@ -64,6 +66,95 @@ fn records_are_thread_count_invariant_across_shard_boundaries() {
         .build()
         .run();
     assert_eq!(serial.records, threaded.records);
+}
+
+/// Run `config` at 1, 2, 3, 5 and 8 worker threads: every run must produce
+/// the 1-thread records and never hold more clients resident than it has
+/// workers. Which worker pulls which client, and in what order they finish,
+/// differs from run to run; nothing recorded may. Returns those records.
+fn assert_schedule_leaves_no_trace(config: &ExperimentConfig) -> Vec<RoundRecord> {
+    let mut reference: Option<Vec<RoundRecord>> = None;
+    for threads in [1, 2, 3, 5, 8] {
+        let mut session = SessionBuilder::from_config(config).threads(threads).build();
+        while !session.is_finished() {
+            session.run_round();
+        }
+        let roster = session.roster();
+        assert!(
+            roster.peak_resident() <= threads,
+            "{} clients resident on {threads} threads",
+            roster.peak_resident()
+        );
+        assert_eq!(roster.resident(), 0, "clients leaked past checkin");
+        match &reference {
+            None => reference = Some(session.records().to_vec()),
+            Some(reference) => assert_eq!(
+                reference.as_slice(),
+                session.records(),
+                "records differ between 1 and {threads} threads (N = {})",
+                config.num_clients
+            ),
+        }
+    }
+    reference.expect("at least one run")
+}
+
+/// β = 0.1 shards (a few large clients, many small ones — what the
+/// largest-first hand-out reorders) at cohorts of 5 and 40: below one
+/// `AGG_SHARD` and across two.
+fn skewed(algorithm: Algorithm, num_clients: usize) -> ExperimentConfig {
+    let mut config = quick(algorithm);
+    config.beta = 0.1;
+    config.num_clients = num_clients;
+    config
+}
+
+#[test]
+fn skewed_shards_on_a_flat_codec_are_thread_count_invariant() {
+    for num_clients in [10, 80] {
+        assert_schedule_leaves_no_trace(&skewed(Algorithm::BcrsOpwa, num_clients));
+    }
+}
+
+#[test]
+fn skewed_shards_on_an_adaptive_plan_under_churn_are_thread_count_invariant() {
+    // Segmented frames, per-round re-planning, residual migration and a
+    // fleet that changes under the selector.
+    for num_clients in [10, 80] {
+        let mut config = skewed(Algorithm::EfTopK, num_clients);
+        config.adaptive_plan = Some("layer-bcrs".parse().expect("valid spec"));
+        config.scenario = Some("churn:leave=0.05".parse().expect("valid spec"));
+        config.cost_basis = CostBasis::Encoded;
+        config.rounds = 4;
+        let records = assert_schedule_leaves_no_trace(&config);
+        assert!(records
+            .iter()
+            .all(|r| r.plan.is_some() && r.layer_bytes.is_some()));
+    }
+}
+
+#[test]
+fn sweep_results_keep_input_order_when_the_first_cells_are_the_slowest() {
+    // Two workers pull six cells; the first two run ten times the rounds of
+    // the rest, so the others finish (and their slots fill) long before.
+    let configs: Vec<ExperimentConfig> = (0..6u64)
+        .map(|i| {
+            let mut config = ExperimentConfig::quick(Algorithm::TopK);
+            config.model = ModelPreset::Linear;
+            config.rounds = if i < 2 { 20 } else { 2 };
+            config.seed = 100 + i;
+            config.max_threads = 1;
+            config
+        })
+        .collect();
+    let threaded = run_sweep_threaded(&configs, 2);
+    let serial = run_sweep_threaded(&configs, 1);
+    assert_eq!(threaded.len(), configs.len());
+    for ((config, threaded), serial) in configs.iter().zip(&threaded).zip(&serial) {
+        assert_eq!(threaded.config.seed, config.seed);
+        assert_eq!(threaded.records.len(), config.rounds);
+        assert_eq!(threaded.records, serial.records);
+    }
 }
 
 #[test]
