@@ -164,7 +164,7 @@ fn main() {
     // --- The grid: every algorithm × every scenario row ---------------------
     let grid = SweepGrid::new(base.clone())
         .algorithms(ALL_ALGORITHMS)
-        .scenario_options(rows.clone());
+        .scenarios(rows.clone());
     let configs = grid.configs();
     let results = run_sweep_threaded_progress(&configs, args.sweep_threads, args.progress);
 

@@ -19,10 +19,10 @@
 //! server→client broadcast through a codec instead of teleporting it.
 //!
 //! `--layer-compressors PLAN` likewise appends layer-aware scenario rows
-//! (e.g. `'conv*=topk;*=qsgd:8'`): the plan runs through the grid as Top-K
-//! rows under the encoded basis (the main grid keeps the flat path — its
-//! OPWA rows reject dense-decoding plan rules), with the per-layer byte
-//! breakdown summarised on stderr.
+//! (e.g. `'linear0.weight=topk;*=qsgd:8'`): the plan runs through the grid
+//! as Top-K rows under the encoded basis (the main grid keeps the flat path
+//! — its OPWA rows reject dense-decoding plan rules), with the per-layer
+//! byte breakdown summarised on stderr.
 //!
 //! `cargo run --release -p fl-bench --bin table2_main [-- --all-datasets --full]`
 

@@ -23,9 +23,10 @@
 //!   given codec spec (e.g. `topk`, `ef-topk`, `qsgd:8`) instead of
 //!   teleporting it for free;
 //! * `--layer-compressors PLAN` — assign uplink codecs per model layer with a
-//!   first-match glob plan (e.g. `'conv*=topk;*.bias=dense;*=qsgd:8'`).
-//!   Applied to every run `bench_config` builds; `table2_main` instead adds
-//!   dedicated plan rows so its OPWA grid rows stay valid;
+//!   first-match glob plan (e.g.
+//!   `'linear0.weight=topk;*.bias=dense;*=qsgd:8'`). Applied to every run
+//!   `bench_config` builds; `table2_main` instead adds dedicated plan rows
+//!   so its OPWA grid rows stay valid;
 //! * `--adaptive-plan SPEC` — let a plan policy re-resolve the per-layer
 //!   codec assignment every round (`layer-bcrs`,
 //!   `layer-bcrs:efficiency=0.8`, or `static:PLAN` for the pinned
@@ -40,6 +41,8 @@
 //!
 //! The Criterion benches under `benches/` cover the micro-performance of the
 //! building blocks (compression, aggregation, scheduling, training step).
+
+#![forbid(unsafe_code)]
 
 use fl_compress::{CompressorSpec, LayerPlan};
 use fl_core::{AdaptivePlanSpec, Algorithm, ExperimentConfig, ExperimentResult, ModelPreset};
@@ -155,7 +158,9 @@ impl BenchArgs {
                 }
                 "--layer-compressors" => {
                     let value = it.next().unwrap_or_else(|| {
-                        panic!("--layer-compressors needs a plan, e.g. 'conv*=topk;*=qsgd:8'")
+                        panic!(
+                            "--layer-compressors needs a plan, e.g. 'linear0.weight=topk;*=qsgd:8'"
+                        )
                     });
                     out.layer_compressors = Some(value.parse().unwrap_or_else(|e| {
                         panic!("--layer-compressors: cannot parse {value:?}: {e}")
@@ -395,15 +400,15 @@ mod tests {
 
     #[test]
     fn parses_layer_compressors_flag() {
-        let a = parse(&["--layer-compressors", "conv*=topk;*=qsgd:8"]);
+        let a = parse(&["--layer-compressors", "linear0.weight=topk;*=qsgd:8"]);
         assert_eq!(
             a.layer_compressors.as_ref().unwrap().to_string(),
-            "conv*=topk;*=qsgd:8"
+            "linear0.weight=topk;*=qsgd:8"
         );
         let c = bench_config(Algorithm::TopK, DatasetPreset::Cifar10Like, 0.5, 0.1, &a);
         assert_eq!(
             c.layer_compressors.as_ref().unwrap().to_string(),
-            "conv*=topk;*=qsgd:8"
+            "linear0.weight=topk;*=qsgd:8"
         );
         assert!(c.validate().is_ok());
         // Unset leaves the flat path alone.

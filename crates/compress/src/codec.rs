@@ -282,20 +282,11 @@ impl UpdateCodec for DenseCodec {
     }
 }
 
-/// Uniform Rand-K sparsification. Draws one `u64` seed per round from the
-/// session stream — the same draw order the pre-codec engine used, so Rand-K
-/// trajectories replay bit-identically.
-#[derive(Clone, Copy, Debug)]
-pub struct RandKCodec {
-    /// Rescale retained values by `len/k` (unbiased estimator) when true.
-    pub unbiased: bool,
-}
-
-impl Default for RandKCodec {
-    fn default() -> Self {
-        Self { unbiased: true }
-    }
-}
+/// Uniform Rand-K sparsification, rescaled by `len/k` (unbiased). Draws one
+/// `u64` seed per round from the session stream — the same draw order the
+/// pre-codec engine used, so Rand-K trajectories replay bit-identically.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RandKCodec;
 
 impl UpdateCodec for RandKCodec {
     fn name(&self) -> String {
@@ -312,7 +303,7 @@ impl UpdateCodec for RandKCodec {
         ratio: f64,
         rng: &mut Xoshiro256,
     ) -> (WireUpdate, CompressedUpdate) {
-        sparse_sent(randk::select(dense, ratio, rng.next_u64(), self.unbiased))
+        sparse_sent(randk::select(dense, ratio, rng.next_u64()))
     }
 }
 
@@ -674,8 +665,8 @@ mod tests {
         // the Rand-K draw with it the way the pre-codec client did.
         let d = delta(200);
         let mut stream = rng();
-        let wire = RandKCodec::default().encode(&d, 0.1, &mut stream);
-        let legacy = randk::select(&d, 0.1, rng().next_u64(), true);
+        let wire = RandKCodec.encode(&d, 0.1, &mut stream);
+        let legacy = randk::select(&d, 0.1, rng().next_u64());
         assert_eq!(wire.decode().unwrap().into_sparse().unwrap(), legacy);
         // Exactly one draw: the stream's next value matches a twice-advanced
         // fresh stream.

@@ -24,7 +24,7 @@
 //!   codec encodes the global-parameter delta per round, recipients share the
 //!   view those bytes carry, and error-feedback residuals live server-side;
 //! * [`plan::LayerPlan`] — layer-aware codec plans: first-match
-//!   `pattern=spec` rules (`"conv*=topk;*.bias=dense;*=qsgd:8"`) assign one
+//!   `pattern=spec` rules (`"linear0.weight=topk;*.bias=dense;*=qsgd:8"`) assign one
 //!   codec per named parameter segment, resolved into a
 //!   [`plan::PlannedCodec`] that frames per-segment payloads into the
 //!   [`wire::KIND_SEGMENTED`] wire kind (uniform plans collapse to the flat
@@ -46,6 +46,8 @@
 //!   [`threshold::select`], each returning the [`sparse::SparseUpdate`] it
 //!   keeps, and the QSGD quantizer [`quantize::qsgd_levels`] /
 //!   [`quantize::qsgd_dequantize`].
+
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod downlink;

@@ -1,7 +1,7 @@
 //! Layer-aware codec plans: one codec per named parameter segment.
 //!
 //! The flat codec pipeline treats a model delta as one anonymous vector, but
-//! real models are wildly heterogeneous per layer — a conv/fc weight matrix
+//! real models are wildly heterogeneous per layer — a weight matrix
 //! tolerates aggressive Top-K while a handful of bias coordinates collapses
 //! under it. A [`LayerPlan`] assigns a [`CompressorSpec`] per segment of a
 //! named parameter layout with a small first-match rule grammar:
@@ -13,8 +13,9 @@
 //!
 //! where `pattern` is a glob over segment names (`*` any run, `?` one
 //! character) and `spec` is any [`CompressorSpec`] the registry resolves —
-//! so `"conv*=topk;*.bias=dense;*=ef-topk+qsgd:4"` sparsifies conv layers,
-//! ships biases raw, and error-feedback-quantizes everything else. Rules are
+//! so `"linear0.weight=topk;*.bias=dense;*=ef-topk+qsgd:4"` sparsifies the
+//! first layer's weights, ships biases raw, and error-feedback-quantizes
+//! everything else. Rules are
 //! tried in order; the first matching pattern wins, and a segment with no
 //! matching rule is an error (add a catch-all `*=<spec>`).
 //!
@@ -40,10 +41,9 @@ use crate::spec::{CompressorSpec, SpecError};
 use crate::update::CompressedUpdate;
 use crate::wire::{encode_segmented, splice_segment, WireUpdate};
 use fl_tensor::rng::Xoshiro256;
-use serde::{Deserialize, Serialize};
 
 /// One `pattern=spec` rule of a [`LayerPlan`].
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PlanRule {
     /// Glob over segment names (`*` matches any run, `?` one character).
     pub pattern: String,
@@ -78,21 +78,21 @@ impl SegmentDef {
 /// ```
 /// use fl_compress::plan::LayerPlan;
 ///
-/// let plan: LayerPlan = "conv*=topk;*.bias=dense;*=ef-topk+qsgd:4".parse().unwrap();
+/// let plan: LayerPlan = "linear0.weight=topk;*.bias=dense;*=ef-topk+qsgd:4".parse().unwrap();
 /// assert_eq!(plan.rules.len(), 3);
-/// assert_eq!(plan.to_string(), "conv*=topk;*.bias=dense;*=ef-topk+qsgd:4");
-/// assert_eq!(plan.spec_for("conv2d0.weight").unwrap().to_string(), "topk");
+/// assert_eq!(plan.to_string(), "linear0.weight=topk;*.bias=dense;*=ef-topk+qsgd:4");
+/// assert_eq!(plan.spec_for("linear0.weight").unwrap().to_string(), "topk");
 /// assert_eq!(plan.spec_for("linear1.bias").unwrap().to_string(), "dense");
 /// assert_eq!(plan.spec_for("linear1.weight").unwrap().to_string(), "ef-topk+qsgd:4");
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LayerPlan {
     /// The rules, tried in order; the first matching pattern wins.
     pub rules: Vec<PlanRule>,
 }
 
 impl LayerPlan {
-    /// Parse a plan string (`"conv*=topk;*=qsgd:8"`).
+    /// Parse a plan string (`"linear0.weight=topk;*=qsgd:8"`).
     pub fn parse(s: &str) -> Result<Self, SpecError> {
         let trimmed = s.trim();
         if trimmed.is_empty() {

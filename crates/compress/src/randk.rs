@@ -4,15 +4,14 @@ use crate::sparse::SparseUpdate;
 use crate::topk;
 use fl_tensor::rng::{Rng, SplitMix64};
 
-/// Retain `k = ceil(ratio * len)` uniformly random coordinates; with
-/// `unbiased` they are rescaled by `len / k` so the compressed update is an
-/// unbiased estimator of the original, without it they keep their raw values
-/// (biased, like Top-K).
+/// Retain `k = ceil(ratio * len)` uniformly random coordinates, rescaled by
+/// `len / k` so the compressed update is an unbiased estimator of the
+/// original.
 ///
 /// The coordinate choice is drawn from `seed` combined with a hash of the
 /// input — the same input and seed always compress identically (replayable
 /// experiments), while different rounds see different coordinate sets.
-pub fn select(dense: &[f32], ratio: f64, seed: u64, unbiased: bool) -> SparseUpdate {
+pub fn select(dense: &[f32], ratio: f64, seed: u64) -> SparseUpdate {
     let k = topk::k_for(dense.len(), ratio);
     if k == 0 {
         return SparseUpdate::empty(dense.len());
@@ -20,11 +19,7 @@ pub fn select(dense: &[f32], ratio: f64, seed: u64, unbiased: bool) -> SparseUpd
     let mut rng = SplitMix64::new(seed ^ input_fingerprint(dense));
     let mut chosen = rng.sample_without_replacement(dense.len(), k);
     chosen.sort_unstable();
-    let scale = if unbiased {
-        dense.len() as f32 / k as f32
-    } else {
-        1.0
-    };
+    let scale = dense.len() as f32 / k as f32;
     let indices: Vec<u32> = chosen.iter().map(|&i| i as u32).collect();
     let values: Vec<f32> = chosen.iter().map(|&i| dense[i] * scale).collect();
     SparseUpdate::new(indices, values, dense.len())
@@ -49,14 +44,14 @@ mod tests {
     #[test]
     fn retains_requested_count() {
         let dense: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        assert_eq!(select(&dense, 0.1, 1, true).nnz(), 10);
+        assert_eq!(select(&dense, 0.1, 1).nnz(), 10);
     }
 
     #[test]
     fn same_input_same_output() {
         let dense: Vec<f32> = (0..50).map(|i| (i as f32).sin()).collect();
-        let a = select(&dense, 0.2, 7, true);
-        let b = select(&dense, 0.2, 7, true);
+        let a = select(&dense, 0.2, 7);
+        let b = select(&dense, 0.2, 7);
         assert_eq!(a.indices(), b.indices());
     }
 
@@ -64,8 +59,8 @@ mod tests {
     fn different_inputs_pick_different_coordinates() {
         let d1: Vec<f32> = (0..200).map(|i| (i as f32).sin()).collect();
         let d2: Vec<f32> = (0..200).map(|i| (i as f32).cos()).collect();
-        let a = select(&d1, 0.1, 7, true);
-        let b = select(&d2, 0.1, 7, true);
+        let a = select(&d1, 0.1, 7);
+        let b = select(&d2, 0.1, 7);
         assert_ne!(a.indices(), b.indices());
     }
 
@@ -74,7 +69,7 @@ mod tests {
         // Expectation over the randomness equals the original sum; with a
         // constant vector this holds exactly per draw.
         let dense = vec![2.0f32; 100];
-        let sum: f32 = select(&dense, 0.25, 3, true).to_dense().iter().sum();
+        let sum: f32 = select(&dense, 0.25, 3).to_dense().iter().sum();
         let orig: f32 = dense.iter().sum();
         assert!((sum - orig).abs() < 1e-3);
     }
@@ -86,16 +81,9 @@ mod tests {
         // through untouched: same count, deterministic coordinate choice.
         let mut dense: Vec<f32> = (0..100).map(|i| (i as f32).sin()).collect();
         dense[17] = f32::NAN;
-        let a = select(&dense, 0.1, 7, true);
-        let b = select(&dense, 0.1, 7, true);
+        let a = select(&dense, 0.1, 7);
+        let b = select(&dense, 0.1, 7);
         assert_eq!(a.nnz(), 10);
         assert_eq!(a.indices(), b.indices());
-    }
-
-    #[test]
-    fn biased_variant_keeps_raw_values() {
-        let dense = vec![2.0f32; 10];
-        let s = select(&dense, 0.5, 3, false);
-        assert!(s.values().iter().all(|&v| v == 2.0));
     }
 }

@@ -54,7 +54,7 @@ impl CodecRegistry {
         });
         r.register("randk", |arg, _ctx| {
             no_arg("randk", arg)?;
-            Ok(Box::new(RandKCodec::default()))
+            Ok(Box::new(RandKCodec))
         });
         r.register("threshold", |arg, _ctx| {
             let tau = match arg {

@@ -1,7 +1,5 @@
 //! Sparse (COO) representation of a compressed model update.
 
-use serde::{Deserialize, Serialize};
-
 /// A sparse model update: the retained coordinates of a dense vector of
 /// length `dense_len`, stored as parallel `indices` / `values` arrays.
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// retained coordinate) — the factor-of-two overhead relative to pure values
 /// is exactly the `2 × V × CR` term in the paper's communication model
 /// (Alg. 2, line 7).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SparseUpdate {
     indices: Vec<u32>,
     values: Vec<f32>,

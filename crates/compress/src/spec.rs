@@ -14,11 +14,9 @@
 //! registry, so specs for custom codecs round-trip through configuration
 //! freely.
 
-use serde::{Deserialize, Serialize};
-
 /// One stage of a codec pipeline: a registered codec name plus its optional
 /// `:arg` parameter (kept as a string; the factory parses it).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CodecStage {
     /// Registered codec name (`"topk"`, `"qsgd"`, …).
     pub name: String,
@@ -64,7 +62,7 @@ impl std::fmt::Display for CodecStage {
 /// assert_eq!(spec.stages.len(), 2);
 /// assert_eq!(spec.to_string(), "ef-topk+qsgd:4");
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CompressorSpec {
     /// Wrap the pipeline in error feedback (`"ef-"` prefix).
     pub error_feedback: bool,

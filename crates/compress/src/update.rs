@@ -1,7 +1,6 @@
 //! [`CompressedUpdate`] — the lossy in-memory update a wire buffer stands for.
 
 use crate::sparse::SparseUpdate;
-use serde::{Deserialize, Serialize};
 
 /// The result of compressing one client's dense model delta.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// coordinate but at reduced precision, so they produce
 /// [`CompressedUpdate::Quantized`]. What either costs on the wire is the
 /// length of the [`crate::wire::WireUpdate`] it was decoded from.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CompressedUpdate {
     /// A sparsified update (Top-K, Rand-K, Threshold, …).
     Sparse(SparseUpdate),

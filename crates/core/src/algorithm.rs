@@ -1,9 +1,7 @@
 //! The algorithms compared in the paper's evaluation.
 
-use serde::{Deserialize, Serialize};
-
 /// The five algorithms of Table 2 (plus Rand-K, included for ablations).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Uncompressed FedAvg (McMahan et al. 2017) — the accuracy reference.
     FedAvg,
@@ -38,11 +36,6 @@ impl Algorithm {
         }
     }
 
-    /// True if this algorithm sparsifies the uplink.
-    pub fn is_compressed(&self) -> bool {
-        !matches!(self, Algorithm::FedAvg)
-    }
-
     /// True if this algorithm schedules per-client compression ratios
     /// (as opposed to a uniform ratio).
     pub fn uses_bcrs(&self) -> bool {
@@ -74,20 +67,6 @@ impl Algorithm {
             Algorithm::BcrsOpwa,
         ]
     }
-
-    /// Parse from the report name.
-    pub fn from_name(name: &str) -> Option<Algorithm> {
-        match name {
-            "fedavg" => Some(Algorithm::FedAvg),
-            "topk" => Some(Algorithm::TopK),
-            "eftopk" => Some(Algorithm::EfTopK),
-            "randk" => Some(Algorithm::RandK),
-            "bcrs" => Some(Algorithm::Bcrs),
-            "bcrs+opwa" | "bcrs_opwa" | "opwa" => Some(Algorithm::BcrsOpwa),
-            "topk+opwa" | "topk_opwa" => Some(Algorithm::TopKOpwa),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -95,25 +74,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn name_roundtrip() {
-        for alg in [
-            Algorithm::FedAvg,
-            Algorithm::TopK,
-            Algorithm::EfTopK,
-            Algorithm::RandK,
-            Algorithm::Bcrs,
-            Algorithm::BcrsOpwa,
-            Algorithm::TopKOpwa,
-        ] {
-            assert_eq!(Algorithm::from_name(alg.name()), Some(alg));
-        }
-        assert_eq!(Algorithm::from_name("nope"), None);
-    }
-
-    #[test]
     fn capability_flags() {
-        assert!(!Algorithm::FedAvg.is_compressed());
-        assert!(Algorithm::TopK.is_compressed());
         assert!(Algorithm::Bcrs.uses_bcrs());
         assert!(!Algorithm::TopK.uses_bcrs());
         assert!(Algorithm::BcrsOpwa.uses_opwa());

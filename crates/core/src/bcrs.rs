@@ -14,10 +14,9 @@
 //!    the client's share of the cohort's total ratio.
 
 use fl_netsim::{CommModel, Link};
-use serde::{Deserialize, Serialize};
 
 /// The per-round output of the BCRS scheduler.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BcrsSchedule {
     /// Benchmark time `T_bench` (seconds): the slowest client's compressed
     /// uplink time under the uniform base ratio.

@@ -4,10 +4,9 @@ use crate::algorithm::Algorithm;
 use fl_compress::{CodecRegistry, CompressorSpec, LayerPlan};
 use fl_data::DatasetPreset;
 use fl_netsim::{CostBasis, LinkGenerator, ScenarioSpec};
-use serde::{Deserialize, Serialize};
 
 /// Which model architecture the clients train.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ModelPreset {
     /// Multi-layer perceptron with two hidden layers (default; it stands in
     /// for the paper's ResNet-18, as the synthetic datasets of `fl-data`
@@ -63,7 +62,7 @@ impl ModelPreset {
 /// assert_eq!(config.rounds, 200);
 /// assert_eq!(config.clients_per_round(), 5);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExperimentConfig {
     /// Algorithm under evaluation.
     pub algorithm: Algorithm,
@@ -137,7 +136,7 @@ pub struct ExperimentConfig {
     /// (default) keeps the flat, whole-vector codec path. `Some(plan)`
     /// assigns one codec per named parameter segment of the model's
     /// [`fl_nn::ParamLayout`] via first-match glob rules —
-    /// `"conv*=topk;*.bias=dense;*=ef-topk+qsgd:4"` — resolved through the
+    /// `"linear0.weight=topk;*.bias=dense;*=ef-topk+qsgd:4"` — resolved through the
     /// same [`CodecRegistry`] as flat specs. Mutually exclusive with
     /// [`compressor`](Self::compressor): a plan *is* the uplink codec
     /// assignment. A uniform plan (`"*=topk"`) collapses to the flat codec
@@ -295,8 +294,17 @@ impl ExperimentConfig {
         ((self.num_clients as f64 * self.participation).round() as usize).clamp(1, self.num_clients)
     }
 
-    /// Validate parameter ranges, returning a description of the first problem.
+    /// Validate parameter ranges, codec specs, the scenario and the codec
+    /// knobs' combinations, returning a description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_with_registry(&CodecRegistry::with_builtins())
+    }
+
+    /// Like [`validate`](Self::validate), but resolving codec specs against
+    /// a caller-supplied registry instead of the built-ins.
+    /// [`crate::session::SessionBuilder`] calls this with its configured
+    /// registry so custom codecs pass validation.
+    pub fn validate_with_registry(&self, registry: &CodecRegistry) -> Result<(), String> {
         if self.num_clients == 0 {
             return Err("num_clients must be positive".into());
         }
@@ -339,14 +347,13 @@ impl ExperimentConfig {
         if !(0.0..1.0).contains(&self.server_momentum) {
             return Err("server_momentum must be in [0, 1)".into());
         }
-        let registry = CodecRegistry::with_builtins();
         if let Some(spec) = &self.compressor {
             registry
                 .validate(spec)
                 .map_err(|e| format!("invalid compressor spec {spec}: {e}"))?;
         }
         if let Some(plan) = &self.layer_compressors {
-            plan.validate(&registry)
+            plan.validate(registry)
                 .map_err(|e| format!("invalid layer plan {plan}: {e}"))?;
         }
         if let Some(spec) = &self.downlink_compressor {
@@ -355,58 +362,17 @@ impl ExperimentConfig {
                 .map_err(|e| format!("invalid downlink compressor spec {spec}: {e}"))?;
         }
         if let Some(plan) = &self.downlink_layer_compressors {
-            plan.validate(&registry)
+            plan.validate(registry)
                 .map_err(|e| format!("invalid downlink layer plan {plan}: {e}"))?;
         }
         if let Some(crate::policy::AdaptivePlanSpec::Static(plan)) = &self.adaptive_plan {
-            plan.validate(&registry)
+            plan.validate(registry)
                 .map_err(|e| format!("invalid adaptive plan {plan}: {e}"))?;
         }
         if let Some(spec) = &self.scenario {
             spec.validate()
                 .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
         }
-        self.validate_compressor_semantics()
-    }
-
-    /// Like [`validate`](Self::validate), but resolving the compressor spec
-    /// against a caller-supplied registry instead of the built-ins.
-    /// [`crate::session::SessionBuilder`] calls this with its configured
-    /// registry so custom codecs pass validation.
-    pub fn validate_with_registry(&self, registry: &CodecRegistry) -> Result<(), String> {
-        if let Some(spec) = &self.compressor {
-            registry
-                .validate(spec)
-                .map_err(|e| format!("invalid compressor spec {spec}: {e}"))?;
-        }
-        if let Some(plan) = &self.layer_compressors {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid layer plan {plan}: {e}"))?;
-        }
-        if let Some(spec) = &self.downlink_compressor {
-            registry
-                .validate(spec)
-                .map_err(|e| format!("invalid downlink compressor spec {spec}: {e}"))?;
-        }
-        if let Some(plan) = &self.downlink_layer_compressors {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid downlink layer plan {plan}: {e}"))?;
-        }
-        if let Some(crate::policy::AdaptivePlanSpec::Static(plan)) = &self.adaptive_plan {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid adaptive plan {plan}: {e}"))?;
-        }
-        let mut without_spec = self.clone();
-        without_spec.compressor = None;
-        without_spec.layer_compressors = None;
-        without_spec.downlink_compressor = None;
-        without_spec.downlink_layer_compressors = None;
-        without_spec.adaptive_plan = match &self.adaptive_plan {
-            // Keep the non-spec variants so their semantics are re-checked.
-            Some(crate::policy::AdaptivePlanSpec::Static(_)) | None => None,
-            other => other.clone(),
-        };
-        without_spec.validate()?;
         self.validate_compressor_semantics()
     }
 
@@ -879,6 +845,98 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("mutually exclusive"));
+    }
+
+    /// `validate` is `validate_with_registry` over the built-in registry:
+    /// both accept and reject exactly the same configs — every config the
+    /// tests above build.
+    #[test]
+    fn both_validators_agree_on_every_test_config() {
+        fn with(f: impl FnOnce(&mut ExperimentConfig)) -> ExperimentConfig {
+            let mut c = ExperimentConfig::default();
+            f(&mut c);
+            c
+        }
+        fn spec(s: &str) -> Option<CompressorSpec> {
+            Some(s.parse().unwrap())
+        }
+        fn plan(s: &str) -> Option<LayerPlan> {
+            Some(s.parse().unwrap())
+        }
+        fn adaptive(s: &str) -> Option<crate::policy::AdaptivePlanSpec> {
+            Some(s.parse().unwrap())
+        }
+        let configs = [
+            ExperimentConfig::default(),
+            ExperimentConfig::quick(Algorithm::TopK),
+            ExperimentConfig::paper_setting(Algorithm::TopK, DatasetPreset::SvhnLike, 0.1, 0.01),
+            with(|c| c.compression_ratio = 0.0),
+            with(|c| c.gamma = 0.5),
+            with(|c| c.participation = 0.0),
+            with(|c| c.rounds = 0),
+            with(|c| c.eval_every = 0),
+            with(|c| c.dropout_rate = 1.0),
+            with(|c| c.server_momentum = -0.1),
+            with(|c| (c.eval_every, c.dropout_rate, c.server_momentum) = (5, 0.3, 0.9)),
+            with(|c| c.scenario = Some("diurnal".parse().unwrap())),
+            with(|c| {
+                c.scenario = Some(ScenarioSpec::Diurnal {
+                    period: 8.0,
+                    min_up: 0.9,
+                    max_up: 0.1,
+                })
+            }),
+            with(|c| c.downlink_compressor = spec("no-such-codec")),
+            with(|c| c.downlink_compressor = spec("qsgd:8")),
+            with(|c| (c.downlink_compressor, c.cost_basis) = (spec("ef-topk"), CostBasis::Encoded)),
+            with(|c| (c.compressor, c.cost_basis) = (spec("topk+qsgd:4"), CostBasis::Encoded)),
+            with(|c| c.compressor = spec("no-such-codec")),
+            with(|c| c.compressor = spec("qsgd:8")),
+            with(|c| {
+                c.algorithm = Algorithm::TopK;
+                c.record_overlap = true;
+                c.compressor = spec("qsgd:8");
+            }),
+            with(|c| c.compressor = spec("topk+qsgd:4")),
+            with(|c| {
+                (c.algorithm, c.layer_compressors) = (Algorithm::TopK, plan("*.bias=dense;*=topk"))
+            }),
+            with(|c| c.layer_compressors = plan("*=no-such-codec")),
+            with(|c| (c.algorithm, c.layer_compressors) = (Algorithm::TopK, plan("conv*=topk"))),
+            with(|c| (c.compressor, c.layer_compressors) = (spec("topk"), plan("*=topk"))),
+            with(|c| c.layer_compressors = plan("conv*=topk;*=qsgd:8")),
+            with(|c| {
+                (c.record_overlap, c.layer_compressors) = (true, plan("*.bias=qsgd:4;*=topk"))
+            }),
+            with(|c| c.layer_compressors = plan("*.bias=dense;*=topk+qsgd:4")),
+            with(|c| c.downlink_layer_compressors = plan("*=no-such-codec")),
+            with(|c| c.downlink_layer_compressors = plan("conv*=topk")),
+            with(|c| c.downlink_layer_compressors = plan("*.bias=qsgd:8;*=ef-topk")),
+            with(|c| {
+                (c.downlink_compressor, c.downlink_layer_compressors) =
+                    (spec("topk"), plan("*=topk"))
+            }),
+            with(|c| (c.algorithm, c.adaptive_plan) = (Algorithm::TopK, adaptive("layer-bcrs"))),
+            with(|c| c.adaptive_plan = adaptive("static:*=no-such-codec")),
+            with(|c| {
+                (c.algorithm, c.adaptive_plan) = (Algorithm::TopK, adaptive("static:conv*=topk"))
+            }),
+            with(|c| c.adaptive_plan = adaptive("static:*.bias=qsgd:8;*=topk")),
+            with(|c| (c.compressor, c.adaptive_plan) = (spec("topk"), adaptive("layer-bcrs"))),
+            with(|c| {
+                (c.layer_compressors, c.adaptive_plan) = (plan("*=topk"), adaptive("static:*=topk"))
+            }),
+        ];
+        let builtins = CodecRegistry::with_builtins();
+        for c in &configs {
+            assert_eq!(
+                c.validate().is_ok(),
+                c.validate_with_registry(&builtins).is_ok(),
+                "{c:?}"
+            );
+        }
+        assert!(configs.iter().any(|c| c.validate().is_ok()));
+        assert!(configs.iter().any(|c| c.validate().is_err()));
     }
 
     #[test]

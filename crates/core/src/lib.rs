@@ -73,6 +73,8 @@
 //! [`sweep::run_sweep`] / [`sweep::SweepGrid`] (population is a grid axis:
 //! [`sweep::SweepGrid::client_counts`]).
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod algorithm;
 pub mod bcrs;

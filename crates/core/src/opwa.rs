@@ -7,7 +7,6 @@
 
 use crate::overlap::OverlapCounts;
 use fl_compress::SparseUpdate;
-use serde::{Deserialize, Serialize};
 
 /// The OPWA parameter mask for one round.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(mask.weights(), &[1.0, 3.0, 3.0, 1.0]);
 /// assert_eq!(mask.apply(&a).values(), &[1.0, 3.0]);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OpwaMask {
     weights: Vec<f32>,
     gamma: f32,

@@ -9,7 +9,6 @@
 
 use fl_compress::SparseUpdate;
 use fl_tensor::stats::Histogram;
-use serde::{Deserialize, Serialize};
 
 /// Per-coordinate overlap counts for one round's cohort.
 #[derive(Clone, Debug)]
@@ -79,7 +78,7 @@ impl OverlapCounts {
 
 /// The degree-of-overlap distribution of one round (Fig. 4): how many
 /// retained coordinates were kept by exactly 1, 2, …, |S_t| clients.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OverlapStats {
     /// Number of clients in the cohort (|S_t|).
     pub cohort_size: usize,

@@ -34,7 +34,6 @@ use crate::runner::LayerBytes;
 use fl_compress::{CompressorSpec, LayerPlan, SegmentDef, SpecError};
 use fl_netsim::{CommModel, Link};
 use fl_tensor::rng::{Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// Everything a [`ClientSelector`] may consult when picking a cohort.
 pub struct SelectionCtx<'a> {
@@ -401,7 +400,7 @@ pub fn resolve_codec_spec(config: &ExperimentConfig) -> CompressorSpec {
 /// * `layer-bcrs` or `layer-bcrs:efficiency=<f>` — the telemetry-driven
 ///   [`LayerBcrsPolicy`]; `efficiency ∈ (0, 1]` defaults to
 ///   [`AdaptivePlanSpec::DEFAULT_EFFICIENCY`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AdaptivePlanSpec {
     /// Re-emit the same [`LayerPlan`] every round.
     Static(LayerPlan),
@@ -523,7 +522,7 @@ impl PlanCtx<'_> {
 
 /// One segment's resolved assignment inside a [`PlanDecision`] — recorded
 /// into the round telemetry so per-layer decisions are inspectable.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlanAssignment {
     /// Segment name (`linear0.weight`, …).
     pub segment: String,

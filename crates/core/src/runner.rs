@@ -15,14 +15,13 @@ use fl_data::{Dataset, PartitionStats};
 use fl_netsim::{RoundBreakdown, ScenarioTelemetry};
 use fl_nn::{try_unflatten_params, LayoutError, Sequential};
 use fl_tensor::rng::Xoshiro256;
-use serde::{Deserialize, Serialize};
 
 /// One layer's share of a round's encoded traffic, reported when the uplink
 /// (or downlink) codec framed its payload per segment — i.e. when a genuinely
 /// mixed [`fl_compress::LayerPlan`] is active. Byte counts are the nested
 /// per-segment wire payloads; the `Segmented` framing overhead is the
 /// difference to the record's total and stays charged on the wire.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LayerBytes {
     /// Segment name from the model's [`fl_nn::ParamLayout`]
     /// (`linear0.weight`, …).
@@ -38,7 +37,7 @@ pub struct LayerBytes {
 /// into [`RoundRecord::plan`] so per-layer decisions are inspectable
 /// (`None` whenever `config.adaptive_plan` is `None` — the static,
 /// fingerprint-pinned path records exactly what it always has).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlanTelemetry {
     /// The deciding policy's name (`"static"` / `"layer-bcrs"`).
     pub policy: String,
@@ -53,7 +52,7 @@ pub struct PlanTelemetry {
 }
 
 /// Everything recorded about one communication round.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: usize,
@@ -164,7 +163,7 @@ impl PartialEq for RoundRecord {
 }
 
 /// The outcome of a full experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExperimentResult {
     /// The configuration that produced this result.
     pub config: ExperimentConfig,

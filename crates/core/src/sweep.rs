@@ -225,82 +225,50 @@ impl SweepGrid {
 
     /// Sweep over these layer-aware codec plans (each becomes the
     /// configuration's `layer_compressors`; the base's flat `compressor`
-    /// override must be `None` — the two knobs are mutually exclusive). Use
-    /// [`layer_plan_options`](Self::layer_plan_options) to include the flat
-    /// baseline (`None`) in the same grid.
-    pub fn layer_plans(mut self, plans: impl IntoIterator<Item = LayerPlan>) -> Self {
-        self.layer_plans = plans.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Like [`layer_plans`](Self::layer_plans) but taking `Option`s, so a
-    /// grid can compare layer-aware plans against the flat-codec baseline
-    /// side by side.
-    pub fn layer_plan_options(
+    /// override must be `None` — the two knobs are mutually exclusive).
+    /// Takes plans or `Option`s, so a grid can put the flat-codec baseline
+    /// (`None`) beside layer-aware plans.
+    pub fn layer_plans(
         mut self,
-        plans: impl IntoIterator<Item = Option<LayerPlan>>,
+        plans: impl IntoIterator<Item = impl Into<Option<LayerPlan>>>,
     ) -> Self {
-        self.layer_plans = plans.into_iter().collect();
+        self.layer_plans = plans.into_iter().map(Into::into).collect();
         self
     }
 
     /// Sweep over these adaptive plan policies (each becomes the
     /// configuration's `adaptive_plan`; the knob is mutually exclusive with
     /// the static `compressor` / `layer_compressors` overrides, so keep those
-    /// axes at `None` when this one is set). Use
-    /// [`adaptive_plan_options`](Self::adaptive_plan_options) to include the
-    /// static baseline (`None`) in the same grid.
-    pub fn adaptive_plans(mut self, specs: impl IntoIterator<Item = AdaptivePlanSpec>) -> Self {
-        self.adaptive_plans = specs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Like [`adaptive_plans`](Self::adaptive_plans) but taking `Option`s, so
-    /// a grid can compare adaptive scheduling against the static baseline
-    /// side by side.
-    pub fn adaptive_plan_options(
+    /// axes at `None` when this one is set). Takes specs or `Option`s, so a
+    /// grid can put the static baseline (`None`) beside adaptive policies.
+    pub fn adaptive_plans(
         mut self,
-        specs: impl IntoIterator<Item = Option<AdaptivePlanSpec>>,
+        specs: impl IntoIterator<Item = impl Into<Option<AdaptivePlanSpec>>>,
     ) -> Self {
-        self.adaptive_plans = specs.into_iter().collect();
+        self.adaptive_plans = specs.into_iter().map(Into::into).collect();
         self
     }
 
     /// Sweep over these broadcast codec specs (each becomes the
-    /// configuration's `downlink_compressor`). Use
-    /// [`downlink_compressor_options`](Self::downlink_compressor_options) to
-    /// include the free-broadcast baseline (`None`) in the same grid.
-    pub fn downlink_compressors(mut self, specs: impl IntoIterator<Item = CompressorSpec>) -> Self {
-        self.downlink_compressors = specs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Like [`downlink_compressors`](Self::downlink_compressors) but taking
-    /// `Option`s, so a grid can compare compressed broadcasts against the
-    /// paper's free-broadcast baseline side by side.
-    pub fn downlink_compressor_options(
+    /// configuration's `downlink_compressor`). Takes specs or `Option`s, so a
+    /// grid can put the paper's free-broadcast baseline (`None`) beside
+    /// compressed broadcasts.
+    pub fn downlink_compressors(
         mut self,
-        specs: impl IntoIterator<Item = Option<CompressorSpec>>,
+        specs: impl IntoIterator<Item = impl Into<Option<CompressorSpec>>>,
     ) -> Self {
-        self.downlink_compressors = specs.into_iter().collect();
+        self.downlink_compressors = specs.into_iter().map(Into::into).collect();
         self
     }
 
     /// Sweep over these fleet scenarios (each becomes the configuration's
-    /// `scenario`). Use [`scenario_options`](Self::scenario_options) to
-    /// include the paper's static fleet (`None`) in the same grid.
-    pub fn scenarios(mut self, specs: impl IntoIterator<Item = ScenarioSpec>) -> Self {
-        self.scenarios = specs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Like [`scenarios`](Self::scenarios) but taking `Option`s, so a grid
-    /// can compare dynamic fleets against the static baseline side by side.
-    pub fn scenario_options(
+    /// `scenario`). Takes specs or `Option`s, so a grid can put the paper's
+    /// static fleet (`None`) beside dynamic fleets.
+    pub fn scenarios(
         mut self,
-        specs: impl IntoIterator<Item = Option<ScenarioSpec>>,
+        specs: impl IntoIterator<Item = impl Into<Option<ScenarioSpec>>>,
     ) -> Self {
-        self.scenarios = specs.into_iter().collect();
+        self.scenarios = specs.into_iter().map(Into::into).collect();
         self
     }
 
@@ -491,7 +459,7 @@ mod tests {
     #[test]
     fn layer_plan_axis_expands_the_grid() {
         let grid = SweepGrid::new(quick_base())
-            .layer_plan_options([
+            .layer_plans([
                 None,
                 Some("*.bias=dense;*=topk".parse().unwrap()),
                 Some("*=topk+qsgd:4".parse().unwrap()),
@@ -509,7 +477,7 @@ mod tests {
             "*=topk+qsgd:4"
         );
         assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // The plain builder takes owned plans.
+        // Bare plans need the item type spelled out.
         let owned = SweepGrid::new(quick_base())
             .layer_plans(["*=topk".parse::<fl_compress::LayerPlan>().unwrap()]);
         assert!(owned.configs()[0].layer_compressors.is_some());
@@ -522,7 +490,7 @@ mod tests {
     #[test]
     fn adaptive_plan_axis_expands_the_grid() {
         let grid = SweepGrid::new(quick_base())
-            .adaptive_plan_options([
+            .adaptive_plans([
                 None,
                 Some("layer-bcrs".parse().unwrap()),
                 Some("static:*=topk".parse().unwrap()),
@@ -540,7 +508,7 @@ mod tests {
             "static:*=topk"
         );
         assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // The plain builder takes owned specs.
+        // Bare specs need the item type spelled out.
         let owned = SweepGrid::new(quick_base())
             .adaptive_plans(["layer-bcrs".parse::<AdaptivePlanSpec>().unwrap()]);
         assert!(owned.configs()[0].adaptive_plan.is_some());
@@ -553,7 +521,7 @@ mod tests {
     #[test]
     fn downlink_axis_expands_the_grid() {
         let grid = SweepGrid::new(quick_base())
-            .downlink_compressor_options([
+            .downlink_compressors([
                 None,
                 Some("topk".parse().unwrap()),
                 Some("ef-topk".parse().unwrap()),
@@ -580,7 +548,7 @@ mod tests {
     #[test]
     fn scenario_axis_expands_the_grid() {
         let grid = SweepGrid::new(quick_base())
-            .scenario_options([
+            .scenarios([
                 None,
                 Some("diurnal".parse().unwrap()),
                 Some("churn:leave=0.1".parse().unwrap()),
@@ -596,8 +564,8 @@ mod tests {
         assert_eq!(configs[3].algorithm, Algorithm::TopK);
         assert!(configs[3].scenario.is_none());
         assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // The plain builder takes owned specs; the default grid keeps the
-        // base's (absent) scenario.
+        // Bare specs need the item type spelled out; the default grid keeps
+        // the base's (absent) scenario.
         let owned =
             SweepGrid::new(quick_base()).scenarios(["towers".parse::<ScenarioSpec>().unwrap()]);
         assert!(owned.configs()[0].scenario.is_some());

@@ -1,11 +1,10 @@
 //! In-memory classification dataset.
 
 use fl_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A classification dataset: a dense `[n, feature_dim]` feature matrix plus
 /// integer class labels.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dataset {
     features: Vec<f32>,
     labels: Vec<usize>,

@@ -14,6 +14,8 @@
 //!   the client × class count matrix of Fig. 5.
 //! * [`loader`] — shuffled mini-batch iteration.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod loader;
 pub mod partition;

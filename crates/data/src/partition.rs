@@ -8,10 +8,9 @@
 use crate::dataset::Dataset;
 use fl_tensor::dist::Dirichlet;
 use fl_tensor::rng::{Rng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 /// One client's shard of the training data.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClientPartition {
     /// Client index in `[0, N)`.
     pub client_id: usize,
@@ -37,7 +36,7 @@ impl ClientPartition {
 }
 
 /// Summary statistics of a partition (the client × class matrix of Fig. 5).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PartitionStats {
     /// `counts[client][class]` = number of samples of `class` on `client`.
     pub counts: Vec<Vec<usize>>,

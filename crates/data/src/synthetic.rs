@@ -11,10 +11,9 @@
 use crate::dataset::Dataset;
 use fl_tensor::dist::Normal;
 use fl_tensor::rng::Xoshiro256;
-use serde::{Deserialize, Serialize};
 
 /// Named dataset presets mirroring the paper's three benchmarks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DatasetPreset {
     /// 10 classes, moderate difficulty — stands in for CIFAR-10.
     Cifar10Like,
@@ -76,7 +75,7 @@ impl DatasetPreset {
 }
 
 /// Parameters of the synthetic class-conditional generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SyntheticSpec {
     /// Number of classes.
     pub num_classes: usize,

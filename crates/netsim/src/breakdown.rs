@@ -1,9 +1,7 @@
 //! Per-round time breakdown (the four bars of the paper's Fig. 6).
 
-use serde::{Deserialize, Serialize};
-
 /// How one FL round's wall-clock time splits across phases.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoundBreakdown {
     /// Time spent compressing and decompressing updates (seconds).
     pub compress_s: f64,

@@ -1,7 +1,6 @@
 //! The latency/bandwidth communication cost model (paper Eq. 4 and Alg. 2).
 
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
 
 /// What the simulator charges for a compressed uplink.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// `2 × V × CR` bytes regardless of what any encoder actually produces.
 /// Since the codec pipeline emits real byte buffers, the simulator can
 /// alternatively charge the bytes that were actually encoded.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CostBasis {
     /// The paper's closed-form `2·V·CR` accounting (default; keeps results
     /// bit-identical to the analytic reproduction).
@@ -28,7 +27,7 @@ pub enum CostBasis {
 /// in bytes. Under [`CostBasis::Encoded`] the round engine bypasses the
 /// analytic formula and prices each upload via [`CommModel::transfer_time`]
 /// on the encoded buffer's length.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CommModel {
     /// If true (default, matches the paper) sparse transfers pay the 2× index
     /// overhead. Exposed so the ablation bench can quantify its impact.

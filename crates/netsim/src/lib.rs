@@ -20,6 +20,8 @@
 //!   churn, tiered links, correlated dropout) layered on top of the static
 //!   link draw.
 
+#![forbid(unsafe_code)]
+
 pub mod breakdown;
 pub mod cost;
 pub mod link;

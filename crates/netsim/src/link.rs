@@ -2,11 +2,10 @@
 
 use fl_tensor::dist::{Normal, Uniform};
 use fl_tensor::rng::Xoshiro256;
-use serde::{Deserialize, Serialize};
 
 /// The uplink of one client: bandwidth in bits per second and latency in
 /// seconds.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Link {
     /// Uplink bandwidth in bits per second.
     pub bandwidth_bps: f64,
@@ -44,7 +43,7 @@ impl Link {
 /// Random generator of client links following the paper's Section 5.2:
 /// bandwidth `~ N(mean, std)` truncated to stay positive, latency
 /// `~ U(lo, hi]`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinkGenerator {
     /// Mean bandwidth in Mbit/s (paper: 1.0).
     pub bandwidth_mean_mbps: f64,

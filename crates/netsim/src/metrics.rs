@@ -1,8 +1,6 @@
 //! The paper's three communication-time metrics (Section 5.2) and their
 //! accumulation across rounds.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-round communication timing.
 ///
 /// * `actual` — the time the round actually took under the algorithm being
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// * `max` — the slowest client's time under uniform compression — the
 ///   straggler-bound duration that plain FedAvg would experience;
 /// * `min` — the fastest client's time, the unattainable ideal.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoundTiming {
     /// Actual communication time of this round (seconds).
     pub actual: f64,
@@ -51,7 +49,7 @@ impl RoundTiming {
 
 /// Accumulates [`RoundTiming`] values over the course of training, yielding
 /// the cumulative Actual / Max / Min times the paper reports in Table 3.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeAccumulator {
     rounds: Vec<RoundTiming>,
     cumulative_actual: Vec<f64>,

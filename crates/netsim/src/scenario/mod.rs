@@ -36,7 +36,6 @@
 //!   and CLI flags.
 
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -57,7 +56,7 @@ pub use trace::{RecordingScenario, TimedEvent, TraceError, TraceReader, TraceSce
 /// (device asleep, tower outage); `Join`/`Leave` are churn — a departed
 /// client holds no link override and cannot come back except via `Join`;
 /// `LinkSet` rebinds a client's link (tier move, jitter resample).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FleetEvent {
     /// Client becomes unavailable (stays enrolled).
     Down {
@@ -276,7 +275,7 @@ impl FleetState {
 
 /// Per-round participation/churn counters derived from a round's events,
 /// surfaced as `RoundRecord` telemetry columns.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScenarioTelemetry {
     /// Reachable clients after this round's events (before any i.i.d.
     /// dropout the selector may add on top).

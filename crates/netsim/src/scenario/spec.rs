@@ -21,7 +21,6 @@ use super::generators::{
 };
 use super::trace::{TraceError, TraceScenario};
 use super::Scenario;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -61,7 +60,7 @@ impl std::error::Error for ScenarioError {}
 /// A parsed, validated-on-demand scenario description — the form experiment
 /// configs store and sweep axes enumerate. [`build`](Self::build) turns it
 /// into a live [`Scenario`] for one session.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioSpec {
     /// Diurnal sine-wave participation
     /// ([`DiurnalScenario`]).

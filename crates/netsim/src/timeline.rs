@@ -5,10 +5,8 @@
 //! into a busy phase (training + uploading) and a waiting phase (idle until
 //! the straggler finishes).
 
-use serde::{Deserialize, Serialize};
-
 /// One client's view of a communication round.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClientTimeline {
     /// Client index within the selected cohort.
     pub client_id: usize,
@@ -35,7 +33,7 @@ impl ClientTimeline {
 }
 
 /// The timeline of one full round across the selected clients.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RoundTimeline {
     clients: Vec<ClientTimeline>,
 }

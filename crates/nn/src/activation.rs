@@ -1,4 +1,4 @@
-//! Parameter-free activation layers.
+//! The parameter-free activation layer.
 
 use crate::layer::Layer;
 use crate::workspace::LayerWs;
@@ -76,69 +76,9 @@ impl Layer for Relu {
     }
 }
 
-/// Hyperbolic tangent activation.
-#[derive(Default)]
-pub struct Tanh {
-    fallback: LayerWs,
-}
-
-impl Tanh {
-    /// New Tanh layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward_in(&self, input: &Tensor, out: &mut Tensor, ws: &mut LayerWs) {
-        out.copy_from(input);
-        out.map_inplace(|x| x.tanh());
-        ws.ensure_bufs(1);
-        ws.bufs[0].copy_from(out);
-        ws.ready = true;
-    }
-
-    fn backward_in(&mut self, grad_output: &Tensor, grad_input: &mut Tensor, ws: &mut LayerWs) {
-        assert!(ws.ready, "Tanh backward called before forward");
-        grad_input.copy_from(grad_output);
-        for (g, &y) in grad_input
-            .data_mut()
-            .iter_mut()
-            .zip(ws.bufs[0].data().iter())
-        {
-            *g *= 1.0 - y * y;
-        }
-    }
-
-    fn fallback_ws(&mut self) -> &mut LayerWs {
-        &mut self.fallback
-    }
-
-    fn visit_params_and_grads(&mut self, _f: &mut dyn FnMut(&mut Tensor, &Tensor)) {}
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![]
-    }
-
-    fn zero_grad(&mut self) {}
-
-    fn name(&self) -> &'static str {
-        "Tanh"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fl_tensor::Shape;
 
     #[test]
     fn relu_forward_clamps_negatives() {
@@ -162,43 +102,5 @@ mod tests {
         let r = Relu::new();
         assert!(r.params().is_empty());
         assert_eq!(r.num_params(), 0);
-    }
-
-    #[test]
-    fn tanh_forward_range() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_slice(&[-100.0, 0.0, 100.0]);
-        let y = t.forward(&x);
-        assert!((y.data()[0] + 1.0).abs() < 1e-5);
-        assert_eq!(y.data()[1], 0.0);
-        assert!((y.data()[2] - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn tanh_gradient_at_zero_is_identity() {
-        let mut t = Tanh::new();
-        let x = Tensor::zeros(Shape::vector(3));
-        t.forward(&x);
-        let g = t.backward(&Tensor::from_slice(&[1.0, 2.0, 3.0]));
-        assert_eq!(g.data(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn tanh_numerical_gradient() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_slice(&[0.3, -0.7]);
-        t.forward(&x);
-        let analytic = t.backward(&Tensor::from_slice(&[1.0, 1.0]));
-        let eps = 1e-3f32;
-        for i in 0..2 {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let fp = t.forward(&xp).data()[i];
-            let fm = t.forward(&xm).data()[i];
-            let numeric = (fp - fm) / (2.0 * eps);
-            assert!((analytic.data()[i] - numeric).abs() < 1e-3);
-        }
     }
 }

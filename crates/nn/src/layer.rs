@@ -20,8 +20,7 @@ use fl_tensor::Tensor;
 ///   trainable state so the optimizer and the federated-learning parameter
 ///   flattening can reach it.
 ///
-/// Inputs are rank-2 tensors `[batch, features]` for dense layers and rank-4
-/// tensors `[batch, channels, height, width]` for convolutional layers.
+/// Inputs are rank-2 tensors `[batch, features]`.
 ///
 /// `forward_in` takes `&self`: all cross-pass state lives in the workspace, so
 /// a shared model can run concurrent forward passes over per-thread
@@ -99,7 +98,7 @@ pub trait Layer: Send + Sync {
     /// override this (`["weight", "bias"]`); the default names parameters
     /// positionally (`p0`, `p1`, …). [`crate::params::ParamLayout`] combines
     /// these with a per-kind layer counter into segment names like
-    /// `linear0.weight` or `conv2d1.bias`.
+    /// `linear0.weight` or `linear1.bias`.
     fn param_names(&self) -> Vec<String> {
         (0..self.params().len()).map(|i| format!("p{i}")).collect()
     }

@@ -2,14 +2,14 @@
 //! federated-learning simulator.
 //!
 //! The paper trains ResNet-18 with PyTorch; this crate is the from-scratch
-//! substitute: a small set of layers (fully-connected, ReLU, 2-D convolution,
-//! pooling), a softmax cross-entropy loss, plain SGD with momentum/weight
-//! decay, and utilities for flattening a model's parameters into the single
-//! dense vector that the compression pipeline operates on.
+//! substitute for the flat feature vectors `fl-data` generates: fully-connected
+//! and ReLU layers, a softmax cross-entropy loss, plain SGD with
+//! momentum/weight decay, and utilities for flattening a model's parameters
+//! into the single dense vector that the compression pipeline operates on.
 //!
 //! Layers follow a classic explicit forward/backward contract
 //! ([`layer::Layer`]); models are built with [`model::Sequential`] or the
-//! convenience constructors [`model::mlp`] and [`model::small_cnn`].
+//! convenience constructor [`model::mlp`].
 //!
 //! The training hot path is allocation-free: a [`workspace::Workspace`] owns
 //! every intermediate buffer, and the `forward_in` / `backward_in` methods on
@@ -17,8 +17,9 @@
 //! batch (the allocating `forward` / `backward` wrappers remain for
 //! convenience and compute bit-identical results).
 
+#![forbid(unsafe_code)]
+
 pub mod activation;
-pub mod conv;
 pub mod layer;
 pub mod linear;
 pub mod loss;
@@ -27,10 +28,9 @@ pub mod optim;
 pub mod params;
 pub mod workspace;
 
-pub use conv::ConvShapeError;
 pub use layer::Layer;
 pub use loss::SoftmaxCrossEntropy;
-pub use model::{mlp, mlp_zeroed, small_cnn, small_cnn_flat, Sequential};
+pub use model::{mlp, mlp_zeroed, Sequential};
 pub use optim::Sgd;
 pub use params::{
     flatten_params, num_params, segment_l1_masses, try_unflatten_params, unflatten_params,

@@ -1,7 +1,6 @@
 //! Sequential model container and the model presets used by the experiments.
 
 use crate::activation::Relu;
-use crate::conv::{Conv2d, Flatten, GlobalAvgPool, Unflatten};
 use crate::layer::Layer;
 use crate::linear::Linear;
 use crate::workspace::Workspace;
@@ -153,11 +152,6 @@ impl Sequential {
         self.params().iter().map(|p| p.numel()).sum()
     }
 
-    /// Layer names (for reports).
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
     /// Iterate over the layers themselves (used by
     /// [`crate::params::ParamLayout`] to derive named parameter segments).
     pub fn layers(&self) -> impl Iterator<Item = &dyn Layer> {
@@ -204,58 +198,6 @@ pub fn mlp_zeroed(input_dim: usize, hidden: &[usize], classes: usize) -> Sequent
     model.push(Box::new(Linear::zeroed(prev, classes)))
 }
 
-/// A compact CNN for `[batch, channels, size, size]` image-shaped inputs:
-/// two 3x3 conv + ReLU stages, global average pooling, then a linear head.
-pub fn small_cnn<R: Rng>(
-    channels: usize,
-    size: usize,
-    conv_channels: usize,
-    classes: usize,
-    rng: &mut R,
-) -> Sequential {
-    assert!(size >= 3, "small_cnn needs inputs of at least 3x3");
-    Sequential::new()
-        .push(Box::new(Conv2d::new(channels, conv_channels, 3, 1, rng)))
-        .push(Box::new(Relu::new()))
-        .push(Box::new(Conv2d::new(
-            conv_channels,
-            conv_channels,
-            3,
-            1,
-            rng,
-        )))
-        .push(Box::new(Relu::new()))
-        .push(Box::new(GlobalAvgPool::new()))
-        .push(Box::new(Linear::new(conv_channels, classes, rng)))
-}
-
-/// A compact CNN that consumes *flat* feature vectors of length
-/// `channels * size * size` (as produced by [`fl_data`]'s datasets), reshapes
-/// them to image form and applies [`small_cnn`]'s architecture. This is the
-/// convolutional counterpart of [`mlp`] for the experiment runner.
-pub fn small_cnn_flat<R: Rng>(
-    channels: usize,
-    size: usize,
-    conv_channels: usize,
-    classes: usize,
-    rng: &mut R,
-) -> Sequential {
-    Sequential::new()
-        .push(Box::new(Unflatten::new(channels, size, size)))
-        .push(Box::new(Conv2d::new(channels, conv_channels, 3, 1, rng)))
-        .push(Box::new(Relu::new()))
-        .push(Box::new(Conv2d::new(
-            conv_channels,
-            conv_channels,
-            3,
-            1,
-            rng,
-        )))
-        .push(Box::new(Relu::new()))
-        .push(Box::new(GlobalAvgPool::new()))
-        .push(Box::new(Linear::new(conv_channels, classes, rng)))
-}
-
 /// A logistic-regression model (single linear layer); the cheapest preset,
 /// used by quick tests.
 pub fn logistic_regression<R: Rng>(input_dim: usize, classes: usize, rng: &mut R) -> Sequential {
@@ -265,12 +207,6 @@ pub fn logistic_regression<R: Rng>(input_dim: usize, classes: usize, rng: &mut R
 /// [`logistic_regression`] with all-zero parameters (see [`mlp_zeroed`]).
 pub fn logistic_regression_zeroed(input_dim: usize, classes: usize) -> Sequential {
     Sequential::new().push(Box::new(Linear::zeroed(input_dim, classes)))
-}
-
-/// Unused flatten re-export kept for model builders that consume raw images
-/// with dense models.
-pub fn flatten_layer() -> Box<dyn Layer> {
-    Box::new(Flatten::new())
 }
 
 #[cfg(test)]
@@ -289,16 +225,6 @@ mod tests {
         let x = Tensor::zeros(Shape::matrix(5, 8));
         let y = m.forward(&x);
         assert_eq!(y.shape().dims(), &[5, 4]);
-    }
-
-    #[test]
-    fn cnn_forward_shape() {
-        let mut rng = Xoshiro256::new(2);
-        let mut m = small_cnn(3, 8, 6, 10, &mut rng);
-        let x = Tensor::zeros(Shape::new(&[2, 3, 8, 8]));
-        let y = m.forward(&x);
-        assert_eq!(y.shape().dims(), &[2, 10]);
-        assert!(m.num_params() > 0);
     }
 
     #[test]
@@ -349,20 +275,6 @@ mod tests {
         );
         let acc = SoftmaxCrossEntropy::accuracy(&model.forward(&x), &labels);
         assert!(acc > 0.9, "accuracy after training was {acc}");
-    }
-
-    #[test]
-    fn flat_cnn_accepts_flat_features() {
-        let mut rng = Xoshiro256::new(6);
-        let mut m = small_cnn_flat(2, 8, 4, 10, &mut rng);
-        let x = Tensor::zeros(Shape::matrix(3, 2 * 8 * 8));
-        let y = m.forward(&x);
-        assert_eq!(y.shape().dims(), &[3, 10]);
-        // Backward runs end to end (shapes are consistent through Unflatten).
-        m.zero_grad();
-        m.forward(&x);
-        let dx = m.backward(&Tensor::full(Shape::matrix(3, 10), 1.0));
-        assert_eq!(dx.shape().dims(), &[3, 128]);
     }
 
     #[test]

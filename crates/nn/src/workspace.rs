@@ -3,8 +3,8 @@
 //! A [`Workspace`] owns every intermediate buffer a forward/backward pass
 //! needs — the activation and gradient ping-pong buffers threaded between
 //! layers by [`crate::model::Sequential`], plus one [`LayerWs`] slot per layer
-//! holding that layer's cross-pass state (cached inputs, im2col columns, ReLU
-//! masks, …). Buffers are grown on first use and reused verbatim afterwards,
+//! holding that layer's cross-pass state (cached inputs, gradient scratch,
+//! ReLU masks). Buffers are grown on first use and reused verbatim afterwards,
 //! so a steady-state training batch performs no heap allocation at all.
 //!
 //! Ownership: the *caller* of the `_in` training API owns the workspace and
@@ -15,17 +15,14 @@
 
 use fl_tensor::Tensor;
 
-/// Per-layer scratch slot: reusable tensors, a boolean mask (ReLU), and a
-/// cached shape (reshape/pooling layers), all owned by the enclosing
-/// [`Workspace`] rather than the layer.
+/// Per-layer scratch slot: reusable tensors and a boolean mask (ReLU), both
+/// owned by the enclosing [`Workspace`] rather than the layer.
 #[derive(Default)]
 pub struct LayerWs {
     /// Generic tensor scratch, indexed by a layer-private channel number.
     pub bufs: Vec<Tensor>,
     /// Boolean element mask (ReLU keeps its activation mask here).
     pub mask: Vec<bool>,
-    /// Cached input dimensions for layers whose backward needs them.
-    pub dims: Vec<usize>,
     /// Set by `forward_in` once this slot holds a valid cached state;
     /// `backward_in` asserts it for a clear backward-before-forward panic.
     pub ready: bool,
@@ -44,12 +41,6 @@ impl LayerWs {
         }
     }
 
-    /// Record the input dimensions for the backward pass (reuses the buffer).
-    pub fn set_dims(&mut self, dims: &[usize]) {
-        self.dims.clear();
-        self.dims.extend_from_slice(dims);
-    }
-
     /// Two distinct scratch tensors borrowed simultaneously (split borrow).
     pub fn buf_pair(&mut self, i: usize, j: usize) -> (&mut Tensor, &mut Tensor) {
         assert_ne!(i, j, "buf_pair needs two distinct channels");
@@ -61,24 +52,6 @@ impl LayerWs {
             let (left, right) = self.bufs.split_at_mut(i);
             (&mut right[0], &mut left[j])
         }
-    }
-
-    /// Three distinct scratch tensors borrowed simultaneously (split borrow).
-    pub fn buf_triple(
-        &mut self,
-        i: usize,
-        j: usize,
-        k: usize,
-    ) -> (&mut Tensor, &mut Tensor, &mut Tensor) {
-        assert!(
-            i != j && j != k && i != k,
-            "buf_triple needs three distinct channels"
-        );
-        self.ensure_bufs(i.max(j).max(k) + 1);
-        let ptr = self.bufs.as_mut_ptr();
-        // SAFETY: the three indices are pairwise distinct and in bounds, so
-        // the raw-pointer borrows never alias.
-        unsafe { (&mut *ptr.add(i), &mut *ptr.add(j), &mut *ptr.add(k)) }
     }
 }
 

@@ -6,8 +6,10 @@
 //! failure mode they guard against is stale workspace state (a buffer kept
 //! from a previous, differently-shaped batch) leaking into a later pass.
 
+use fl_nn::activation::Relu;
+use fl_nn::linear::Linear;
 use fl_nn::model::logistic_regression;
-use fl_nn::{mlp, small_cnn_flat, Sequential, Sgd, SoftmaxCrossEntropy, Workspace};
+use fl_nn::{mlp, Sequential, Sgd, SoftmaxCrossEntropy, Workspace};
 use fl_tensor::rng::Xoshiro256;
 use fl_tensor::{Shape, Tensor};
 use proptest::prelude::*;
@@ -18,17 +20,10 @@ fn build_model(arch: u8, input_dim: usize, classes: usize, seed: u64) -> Sequent
         0 => logistic_regression(input_dim, classes, &mut rng),
         1 => mlp(input_dim, &[9], classes, &mut rng),
         2 => mlp(input_dim, &[7, 5], classes, &mut rng),
-        // Flat CNN: input_dim must be channels * size * size; the caller
-        // passes input_dim = 2 * 4 * 4 for this arch.
-        _ => small_cnn_flat(2, 4, 3, classes, &mut rng),
-    }
-}
-
-fn arch_input_dim(arch: u8, dense_dim: usize) -> usize {
-    if arch % 4 == 3 {
-        2 * 4 * 4
-    } else {
-        dense_dim
+        // A first layer without a `backward_params_in` override.
+        _ => Sequential::new()
+            .push(Box::new(Relu::new()))
+            .push(Box::new(Linear::new(input_dim, classes, &mut rng))),
     }
 }
 
@@ -56,8 +51,7 @@ proptest! {
     ) {
         let mut ws = Workspace::new(); // deliberately shared across everything
         let classes = 3usize;
-        for (i, &(arch, batch, dense_dim)) in steps.iter().enumerate() {
-            let input_dim = arch_input_dim(arch, dense_dim);
+        for (i, &(arch, batch, input_dim)) in steps.iter().enumerate() {
             let model_seed = seed.wrapping_add(i as u64);
             let mut reference = build_model(arch, input_dim, classes, model_seed);
             let mut subject = build_model(arch, input_dim, classes, model_seed);
@@ -90,7 +84,7 @@ proptest! {
         n_steps in 1usize..5,
     ) {
         let classes = 3usize;
-        let input_dim = arch_input_dim(arch, 5);
+        let input_dim = 5;
         let mut reference = build_model(arch, input_dim, classes, seed);
         let mut subject = build_model(arch, input_dim, classes, seed);
         let mu = if momentum_sel == 1 { 0.9 } else { 0.0 };
@@ -129,7 +123,7 @@ proptest! {
     /// The params-only backward of a training step accumulates every
     /// parameter gradient bit-identically to the full backward — where the
     /// first layer overrides it (`Linear`, alone or under a stack) and where
-    /// it falls back to the default (the flat CNN starts with `Unflatten`).
+    /// it falls back to the default (`Relu → Linear` starts with `Relu`).
     #[test]
     fn params_only_backward_matches_full_backward(
         seed in 0u64..1_000_000,
@@ -138,7 +132,7 @@ proptest! {
         steps in 1usize..4,
     ) {
         let classes = 3usize;
-        let input_dim = arch_input_dim(arch, 6);
+        let input_dim = 6;
         let mut full = build_model(arch, input_dim, classes, seed);
         let mut params_only = build_model(arch, input_dim, classes, seed);
         let (mut full_ws, mut ws) = (Workspace::new(), Workspace::new());

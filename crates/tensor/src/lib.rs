@@ -20,6 +20,8 @@
 //! * [`kernels`] — fused in-place element-wise update kernels (axpy,
 //!   SGD steps) behind the allocation-free training hot path.
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod kernels;
 pub mod matmul;

@@ -1,12 +1,11 @@
 //! Tensor shapes and row-major index arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The shape of a dense tensor (up to 4 dimensions are used in practice:
 /// `[batch, channels, height, width]` for images, `[rows, cols]` for
 /// matrices, `[len]` for vectors).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

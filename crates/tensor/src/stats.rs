@@ -2,8 +2,6 @@
 //! histograms (for the overlap-degree distribution of Fig. 4) and simple
 //! summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean of a slice (0 when empty).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -38,7 +36,7 @@ pub fn max(xs: &[f64]) -> f64 {
 }
 
 /// Online mean/variance accumulator (Welford's algorithm).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -91,7 +89,7 @@ impl RunningStats {
 /// An integer-bucket histogram over values `1..=max_value`, used to summarise
 /// the degree-of-overlap distribution (how many clients retained each
 /// parameter after Top-K).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     counts: Vec<u64>,
 }

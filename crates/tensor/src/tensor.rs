@@ -2,7 +2,6 @@
 
 use crate::rng::Rng;
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major tensor of `f32` values.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// the federated-learning simulator. It deliberately supports just the
 /// operations required by a feed-forward training loop; anything fancier
 /// (views, broadcasting beyond scalars) is out of scope.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -104,11 +103,6 @@ impl Tensor {
     /// Mutable view of the underlying buffer.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consume the tensor and return its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Reshape in place; the element count must be preserved.
@@ -242,11 +236,6 @@ impl Tensor {
             shape: self.shape.clone(),
             data,
         }
-    }
-
-    /// Apply a function to every element in place.
-    pub fn map_inplace<F: Fn(f32) -> f32>(&mut self, f: F) {
-        self.data.iter_mut().for_each(|x| *x = f(*x));
     }
 
     // ---- reductions --------------------------------------------------------------

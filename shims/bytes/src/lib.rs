@@ -1,59 +1,18 @@
 //! Offline functional shim for the `bytes` crate.
 //!
 //! Implements the subset of the `bytes` API the workspace uses — [`Bytes`],
-//! [`BytesMut`], and the little-endian accessors of the [`Buf`] / [`BufMut`]
-//! traits — with real behaviour (the wire-format round-trip tests exercise
-//! it). [`Bytes`] is a cheaply cloneable `Arc`-backed slice, as upstream.
+//! [`BytesMut`], and the write-side [`BufMut`] accessors the wire encoder
+//! calls — with real behaviour (the wire-format round-trip tests exercise
+//! it). [`Bytes`] is a cheaply cloneable `Arc`-backed buffer, as upstream.
 
-use std::ops::RangeBounds;
 use std::sync::Arc;
 
-/// Read-side trait: consume numeric values from the front of a buffer.
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-    /// Consume `cnt` bytes, returning them as a slice.
-    fn take_bytes(&mut self, cnt: usize) -> &[u8];
-
-    fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take_bytes(4).try_into().unwrap())
-    }
-
-    fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take_bytes(8).try_into().unwrap())
-    }
-
-    fn get_f32_le(&mut self) -> f32 {
-        f32::from_le_bytes(self.take_bytes(4).try_into().unwrap())
-    }
-
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.take_bytes(8).try_into().unwrap())
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        self.take_bytes(1)[0]
-    }
-}
-
-/// Write-side trait: append numeric values to the end of a buffer.
+/// Write-side trait: append values to the end of a buffer.
 pub trait BufMut {
     /// Append raw bytes.
     fn put_slice(&mut self, src: &[u8]);
 
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
     fn put_f32_le(&mut self, v: f32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_f64_le(&mut self, v: f64) {
         self.put_slice(&v.to_le_bytes());
     }
 
@@ -62,7 +21,7 @@ pub trait BufMut {
     }
 }
 
-/// An immutable, cheaply cloneable byte buffer (an `Arc`-backed slice view).
+/// An immutable, cheaply cloneable byte buffer.
 ///
 /// Backed by an `Arc<Vec<u8>>` rather than an `Arc<[u8]>` so that
 /// [`BytesMut::freeze`] (and `Bytes::from(Vec<u8>)`) is a pointer move —
@@ -72,16 +31,9 @@ pub trait BufMut {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Borrow a static slice (copied here; upstream borrows it zero-copy).
     pub fn from_static(src: &'static [u8]) -> Self {
         Self::from(src.to_vec())
@@ -91,72 +43,18 @@ impl Bytes {
     pub fn copy_from_slice(src: &[u8]) -> Self {
         Self::from(src.to_vec())
     }
-
-    /// Length of the view in bytes.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A sub-view of this buffer sharing the same backing storage.
-    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
-        let lo = match range.start_bound() {
-            std::ops::Bound::Included(&n) => n,
-            std::ops::Bound::Excluded(&n) => n + 1,
-            std::ops::Bound::Unbounded => 0,
-        };
-        let hi = match range.end_bound() {
-            std::ops::Bound::Included(&n) => n + 1,
-            std::ops::Bound::Excluded(&n) => n,
-            std::ops::Bound::Unbounded => self.len(),
-        };
-        assert!(lo <= hi && hi <= self.len(), "slice out of range");
-        Self {
-            data: Arc::clone(&self.data),
-            start: self.start + lo,
-            end: self.start + hi,
-        }
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Self {
-            data: Arc::new(v),
-            start: 0,
-            end,
-        }
+        Self { data: Arc::new(v) }
     }
 }
 
 impl std::ops::Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.as_ref()
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn take_bytes(&mut self, cnt: usize) -> &[u8] {
-        assert!(cnt <= self.len(), "buffer underflow");
-        let at = self.start;
-        self.start += cnt;
-        &self.data[at..at + cnt]
+        &self.data
     }
 }
 
@@ -207,30 +105,15 @@ mod tests {
 
     #[test]
     fn write_freeze_read_roundtrip() {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u64_le(7);
-        buf.put_u32_le(42);
+        let mut buf = BytesMut::with_capacity(8);
+        buf.put_u8(7);
         buf.put_f32_le(1.5);
-        let mut b = buf.freeze();
-        assert_eq!(b.len(), 16);
-        assert_eq!(b.get_u64_le(), 7);
-        assert_eq!(b.get_u32_le(), 42);
-        assert_eq!(b.get_f32_le(), 1.5);
-        assert_eq!(b.remaining(), 0);
-    }
-
-    #[test]
-    fn slice_shares_storage() {
-        let b = Bytes::from(vec![0, 1, 2, 3, 4, 5]);
-        let s = b.slice(2..5);
-        assert_eq!(&*s, &[2, 3, 4]);
-        assert_eq!(&*s.slice(1..), &[3, 4]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn underflow_panics() {
-        let mut b = Bytes::from(vec![1, 2]);
-        b.get_u32_le();
+        buf.put_slice(&[1, 2]);
+        assert_eq!(buf.len(), 7);
+        let b = buf.freeze();
+        assert_eq!(b[0], 7);
+        assert_eq!(f32::from_le_bytes(b[1..5].try_into().unwrap()), 1.5);
+        assert_eq!(&b[5..], &[1, 2]);
+        assert_eq!(b, Bytes::copy_from_slice(&b));
     }
 }

@@ -112,6 +112,8 @@
 //! assert!(fleet.available <= 16);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fl_compress as compress;
 pub use fl_core as core;
 pub use fl_data as data;
@@ -148,8 +150,8 @@ pub mod prelude {
         TimeAccumulator, TimedEvent, TraceReader, TraceScenario,
     };
     pub use fl_nn::{
-        flatten_params, mlp, segment_l1_masses, small_cnn, try_unflatten_params, unflatten_params,
-        Layer, LayoutError, ParamLayout, ParamSegment, Sequential, Sgd, SoftmaxCrossEntropy,
+        flatten_params, mlp, segment_l1_masses, try_unflatten_params, unflatten_params, Layer,
+        LayoutError, ParamLayout, ParamSegment, Sequential, Sgd, SoftmaxCrossEntropy,
     };
     pub use fl_tensor::{Rng, Shape, SplitMix64, Tensor, Xoshiro256};
 }

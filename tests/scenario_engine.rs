@@ -68,7 +68,7 @@ fn scenario_sweeps_are_thread_count_invariant_and_match_direct_runs() {
     base.max_threads = 1;
     let configs = SweepGrid::new(base)
         .algorithms([Algorithm::FedAvg, Algorithm::Bcrs])
-        .scenario_options([
+        .scenarios([
             None,
             Some("diurnal:period=4".parse().unwrap()),
             Some("towers:groups=4,outage=0.3,repair=0.4".parse().unwrap()),
