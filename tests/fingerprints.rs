@@ -1,7 +1,9 @@
 //! Round-record fingerprint regression: the full training + compression +
 //! communication trajectory of every algorithm, under both the flat codec
 //! path and a genuinely mixed layer plan (`Segmented` framing), plus four
-//! codec-path rows, hashed field by field and pinned.
+//! codec-path rows and seven round-engine rows (dropout, server momentum,
+//! scenarios, a `static:` plan, a plan-driven downlink), hashed field by
+//! field and pinned.
 //!
 //! Any change to training numerics, codec bytes, aggregation order, or the
 //! simulated communication model shows up here as a hash mismatch. The float
@@ -419,6 +421,107 @@ const EXPECTED_CODEC_SCHEDULE: &[(u64, f64)] = &[
     (0x3b78daed6ef64177, 0.13), // codec/ef-threshold+qsgd:6
 ];
 
+/// Third pinned matrix: the round-engine paths the first two never reach —
+/// client dropout (at 0.999 the whole fleet is down in most rounds and the
+/// cohort falls back to one uniformly drawn client), server momentum,
+/// scenario-driven cohorts, a `static:` adaptive plan and a plan-driven
+/// downlink. Every row is a 16-client, 6-round quick run of `algorithm` with
+/// `configure` applied; `encoded` rows are priced on encoded bytes.
+struct EngineCase {
+    name: &'static str,
+    algorithm: Algorithm,
+    encoded: bool,
+    configure: fn(&mut ExperimentConfig),
+}
+
+const ENGINE_CASES: &[EngineCase] = &[
+    EngineCase {
+        name: "engine/dropout=0.3",
+        algorithm: Algorithm::Bcrs,
+        encoded: false,
+        configure: |c| c.dropout_rate = 0.3,
+    },
+    EngineCase {
+        name: "engine/dropout=0.999",
+        algorithm: Algorithm::TopK,
+        encoded: false,
+        configure: |c| c.dropout_rate = 0.999,
+    },
+    EngineCase {
+        name: "engine/server_momentum=0.9",
+        algorithm: Algorithm::TopKOpwa,
+        encoded: false,
+        configure: |c| c.server_momentum = 0.9,
+    },
+    EngineCase {
+        name: "engine/diurnal|dropout=0.2",
+        algorithm: Algorithm::BcrsOpwa,
+        encoded: false,
+        configure: |c| {
+            c.scenario = Some("diurnal".parse().expect("scenario parses"));
+            c.dropout_rate = 0.2;
+        },
+    },
+    EngineCase {
+        name: "engine/churn:leave=0.05",
+        algorithm: Algorithm::EfTopK,
+        encoded: false,
+        configure: |c| c.scenario = Some("churn:leave=0.05".parse().expect("scenario parses")),
+    },
+    EngineCase {
+        name: "engine/static:*.bias=dense;*=ef-topk",
+        algorithm: Algorithm::TopK,
+        encoded: false,
+        configure: |c| {
+            c.adaptive_plan = Some(
+                "static:*.bias=dense;*=ef-topk"
+                    .parse()
+                    .expect("policy parses"),
+            )
+        },
+    },
+    EngineCase {
+        name: "engine/topk+qsgd:4|down=*=ef-topk|encoded",
+        algorithm: Algorithm::TopK,
+        encoded: true,
+        configure: |c| {
+            c.compressor = Some("topk+qsgd:4".parse().expect("spec parses"));
+            c.downlink_layer_compressors = Some("*=ef-topk".parse().expect("plan parses"));
+        },
+    },
+];
+
+fn run_engine_case(case: &EngineCase) -> Vec<RoundRecord> {
+    let mut config = ExperimentConfig::quick(case.algorithm);
+    config.num_clients = 16;
+    config.rounds = 6;
+    if case.encoded {
+        config.cost_basis = CostBasis::Encoded;
+    }
+    (case.configure)(&mut config);
+    config
+        .validate()
+        .expect("engine fingerprint config is valid");
+    SessionBuilder::from_config(&config)
+        .threads(1)
+        .build()
+        .run()
+        .records
+}
+
+/// `(full hash, schedule hash, final test accuracy)` of [`ENGINE_CASES`], in
+/// their order, captured while cohort selection, ratio assignment, the server
+/// step and plan choice were still trait-object policies.
+const EXPECTED_ENGINE: &[(u64, u64, f64)] = &[
+    (0x55e13ef654e48a47, 0x0604d15401392a02, 0.15), // engine/dropout=0.3
+    (0x81517cd897066e16, 0x3a28bab5aa147e65, 0.12), // engine/dropout=0.999
+    (0x7aa5825de57f1f1e, 0x62145d1ca90a5f59, 0.21), // engine/server_momentum=0.9
+    (0x9143ba6776f7f38b, 0xd5ba940842e2a137, 0.19), // engine/diurnal|dropout=0.2
+    (0x87633024a217fff1, 0xfb4fdbfbf02c4751, 0.1),  // engine/churn:leave=0.05
+    (0x9462f8e886b4be1f, 0x6a1355ea66403181, 0.13), // engine/static:*.bias=dense;*=ef-topk
+    (0x38b5a4aca70e08d3, 0x1ca3ced6df284db1, 0.09), // engine/topk+qsgd:4|down=*=ef-topk|encoded
+];
+
 /// Print one run's `(schedule hash, final accuracy)` pin under `FP_PRINT`.
 fn print_schedule_pin(name: &str, records: &[RoundRecord], analytic: bool) {
     println!(
@@ -507,6 +610,35 @@ fn codec_path_fingerprints_are_pinned() {
             trajectory_fingerprint(&got[at]),
             *exp,
             "{name}: the byte-independent trajectory moved"
+        );
+    }
+}
+
+#[test]
+fn engine_path_fingerprints_are_pinned() {
+    let got: Vec<Vec<RoundRecord>> = ENGINE_CASES.iter().map(run_engine_case).collect();
+    if std::env::var("FP_PRINT").is_ok() {
+        for (case, records) in ENGINE_CASES.iter().zip(&got) {
+            println!(
+                "    ({:#018x}, {:#018x}, {:?}), // {}",
+                fingerprint(records),
+                schedule_fingerprint(records, !case.encoded),
+                records.last().expect("a run has records").test_accuracy,
+                case.name
+            );
+        }
+        return;
+    }
+    assert_eq!(got.len(), EXPECTED_ENGINE.len());
+    for ((case, records), &(full, schedule, accuracy)) in
+        ENGINE_CASES.iter().zip(&got).zip(EXPECTED_ENGINE)
+    {
+        assert_schedule_pinned(case.name, records, !case.encoded, (schedule, accuracy));
+        assert_eq!(
+            fingerprint(records),
+            full,
+            "{}: round-record trajectory is no longer bit-identical",
+            case.name
         );
     }
 }
