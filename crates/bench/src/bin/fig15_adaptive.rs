@@ -2,9 +2,9 @@
 //!
 //! The paper schedules one compression ratio per client per round (BCRS);
 //! every per-layer plan in the repo so far was pinned for the whole run. This
-//! harness closes the telemetry loop: a `LayerBcrsPolicy` re-resolves the
-//! per-layer codec assignment every round from the previous round's byte
-//! telemetry, aggregated gradient mass and the cohort's link snapshot, and is
+//! harness closes the telemetry loop: the `layer-bcrs` adaptive plan
+//! re-decides the per-layer codec assignment every round from the previous
+//! round's aggregated gradient mass and the cohort's link snapshot, and is
 //! raced against the best *static* uniform plan at the same base ratio under
 //! `CostBasis::Encoded` (real encoded bytes, not the analytic formula).
 //!

@@ -3,7 +3,7 @@
 //! residuals) the client encodes its uplink with.
 
 use crate::config::{ExperimentConfig, ModelPreset};
-use crate::policy::resolve_codec_spec;
+use crate::policy::uplink_plan;
 use fl_compress::{
     CodecCtx, CodecRegistry, CompressedUpdate, DenseCodec, LayerPlan, ResidualState, SegmentDef,
     UpdateCodec, WireError, WireUpdate,
@@ -62,23 +62,19 @@ pub struct ClientState {
     delta: Vec<f32>,
 }
 
-/// A plan decided this round (with its optional per-segment ratio scales)
-/// that replaces the configuration's static codec spec.
-pub(crate) type PlanChoice<'a> = Option<(&'a LayerPlan, Option<&'a [f64]>)>;
-
 impl ClientState {
     /// Create a client from the experiment configuration and its local shard.
     /// The uplink codec is resolved from the configuration's
-    /// [`ExperimentConfig::layer_compressors`] plan (one codec per parameter
-    /// segment) or [`ExperimentConfig::compressor`] spec (or the
-    /// algorithm-implied default) through the built-in [`CodecRegistry`].
+    /// [`uplink_plan`] (one codec per parameter segment, or one flat codec
+    /// when the plan is uniform) through the built-in [`CodecRegistry`].
     pub fn new(id: usize, dataset: Dataset, config: &ExperimentConfig, rng: Xoshiro256) -> Self {
         // The one way to make a client, at the price of copying `dataset`
         // once: nothing on a hot path comes through here.
         let mut client = Self::shell(config, dataset.feature_dim(), dataset.num_classes());
         let all: Vec<usize> = (0..dataset.len()).collect();
         client.rebind(id, rng, &dataset, &all);
-        client.resolve_codec(config, &CodecRegistry::with_builtins(), None, 0);
+        let registry = CodecRegistry::with_builtins();
+        client.resolve_codec(config.seed, &registry, &uplink_plan(config), None, 0);
         client
     }
 
@@ -125,26 +121,30 @@ impl ClientState {
 
     /// Give the client its codec. A codec left by the shell's last client is
     /// kept when it is [`UpdateCodec::reusable`] and was built under the same
-    /// `codec_key`; otherwise one is built with this client's own
-    /// [`CodecCtx`] (`seed ^ id`) through `registry` (the seam
+    /// `codec_key`; otherwise `plan` is resolved against the client's layout
+    /// with its own [`CodecCtx`] (`seed ^ id`) through `registry` (the seam
     /// [`crate::session::SessionBuilder::codec_registry`] uses to run custom
-    /// codecs through the round engine) — from `plan` when a
-    /// [`crate::policy::PlanPolicy`] decided one *this round*, else from the
-    /// configuration's static spec. With `scales: None` a plan resolves
-    /// exactly like a static [`ExperimentConfig::layer_compressors`] plan
-    /// (uniform plans collapse to the flat codec); with per-segment ratio
-    /// scales the codec is always segment-framed, so per-layer byte telemetry
-    /// stays available. `config` and `registry` must be the same at every
-    /// call on one shell.
+    /// codecs through the round engine). With `scales: None` a uniform plan
+    /// collapses to its flat codec; with per-segment ratio scales the codec
+    /// is always segment-framed, so per-layer byte telemetry stays
+    /// available. `seed` and `registry` must be the same at every call on
+    /// one shell, and `codec_key` must change whenever `plan` or `scales` do.
     pub(crate) fn resolve_codec(
         &mut self,
-        config: &ExperimentConfig,
+        seed: u64,
         registry: &CodecRegistry,
-        plan: PlanChoice<'_>,
+        plan: &LayerPlan,
+        scales: Option<&[f64]>,
         codec_key: u64,
     ) {
         if !(self.codec.reusable() && self.codec_key == Some(codec_key)) {
-            self.codec = build_codec(self.id, config, registry, &self.layout, plan);
+            let ctx = CodecCtx::new(self.layout.total_len(), seed ^ self.id as u64);
+            let segments = segment_defs(&self.layout);
+            let codec = match scales {
+                Some(scales) => plan.resolve_scaled(registry, &segments, &ctx, scales),
+                None => plan.resolve(registry, &segments, &ctx),
+            };
+            self.codec = codec.unwrap_or_else(|e| panic!("invalid uplink plan {plan}: {e}"));
             self.codec_key = Some(codec_key);
         }
     }
@@ -267,40 +267,6 @@ impl ClientState {
     /// rounds.
     pub(crate) fn rng(&self) -> &Xoshiro256 {
         &self.rng
-    }
-}
-
-/// Resolve client `id`'s uplink codec: from the plan decided this round, else
-/// the configuration's [`ExperimentConfig::layer_compressors`] plan (one
-/// codec per layout segment), else its flat spec.
-fn build_codec(
-    id: usize,
-    config: &ExperimentConfig,
-    registry: &CodecRegistry,
-    layout: &ParamLayout,
-    plan: PlanChoice<'_>,
-) -> Box<dyn UpdateCodec> {
-    let ctx = CodecCtx::new(layout.total_len(), config.seed ^ id as u64);
-    match (plan, &config.layer_compressors) {
-        (Some((plan, Some(scales))), _) => plan
-            .resolve_scaled(registry, &segment_defs(layout), &ctx, scales)
-            .unwrap_or_else(|e| panic!("invalid adaptive plan {plan}: {e}")),
-        (Some((plan, None)), _) => plan
-            .resolve(registry, &segment_defs(layout), &ctx)
-            .unwrap_or_else(|e| panic!("invalid adaptive plan {plan}: {e}")),
-        (None, Some(plan)) => {
-            // Layer-aware path: one codec per layout segment (a uniform
-            // plan collapses to the flat codec inside `resolve`, so the
-            // two paths stay bit-identical).
-            plan.resolve(registry, &segment_defs(layout), &ctx)
-                .unwrap_or_else(|e| panic!("invalid layer plan {plan}: {e}"))
-        }
-        (None, None) => {
-            let spec = resolve_codec_spec(config);
-            registry
-                .build(&spec, &ctx)
-                .unwrap_or_else(|e| panic!("invalid compressor spec {spec}: {e}"))
-        }
     }
 }
 

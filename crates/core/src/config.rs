@@ -1,6 +1,7 @@
 //! Experiment configuration: one struct that fully determines a run.
 
 use crate::algorithm::Algorithm;
+use crate::policy::{downlink_plan, uplink_plan};
 use fl_compress::{CodecRegistry, CompressorSpec, LayerPlan};
 use fl_data::DatasetPreset;
 use fl_netsim::{CostBasis, LinkGenerator, ScenarioSpec};
@@ -120,8 +121,10 @@ pub struct ExperimentConfig {
     /// the first evaluation point). Larger values speed up long sweeps.
     pub eval_every: usize,
     /// Per-round, per-client dropout probability in `[0, 1)`. When positive
-    /// the session uses the availability-aware selector (cohorts shrink when
-    /// clients are down); `0.0` is the paper's always-available setting.
+    /// every reachable client flips an availability coin each round and the
+    /// cohort is drawn from those that are up (see
+    /// [`crate::policy::select_cohort`]); `0.0` is the paper's
+    /// always-available setting.
     pub dropout_rate: f64,
     /// Server momentum `β` in `[0, 1)` (FedAvgM-style heavy ball applied to
     /// the aggregated update); `0.0` is the paper's plain server update.
@@ -130,36 +133,34 @@ pub struct ExperimentConfig {
     /// uses the algorithm-implied codec (`topk`, `ef-topk` or `randk`, see
     /// [`crate::policy::default_codec_spec`]); any parseable
     /// [`CompressorSpec`] — `"qsgd:8"`, `"threshold:0.01"`, `"topk+qsgd:4"`,
-    /// … — runs the same algorithm over that codec instead.
+    /// … — runs the same algorithm over that codec instead. It is the uniform
+    /// plan `"*=<spec>"` of [`crate::policy::uplink_plan`].
     pub compressor: Option<CompressorSpec>,
-    /// Layer-aware codec plan for the clients' uplink compression. `None`
-    /// (default) keeps the flat, whole-vector codec path. `Some(plan)`
-    /// assigns one codec per named parameter segment of the model's
-    /// [`fl_nn::ParamLayout`] via first-match glob rules —
-    /// `"linear0.weight=topk;*.bias=dense;*=ef-topk+qsgd:4"` — resolved through the
-    /// same [`CodecRegistry`] as flat specs. Mutually exclusive with
-    /// [`compressor`](Self::compressor): a plan *is* the uplink codec
-    /// assignment. A uniform plan (`"*=topk"`) collapses to the flat codec
-    /// and reproduces its records bit for bit; a genuinely mixed plan frames
-    /// per-segment payloads into the `Segmented` wire kind, `RoundRecord`
-    /// gains a per-layer byte breakdown, and the framing overhead is charged
-    /// exactly under [`CostBasis::Encoded`]. The flat pipeline's
-    /// OPWA/overlap restrictions apply **per rule**: any rule whose spec
-    /// decodes dense (pure quantizers) is rejected in combination with OPWA
-    /// algorithms or `record_overlap`.
+    /// Layer-aware codec plan for the clients' uplink compression: one codec
+    /// per named parameter segment of the model's [`fl_nn::ParamLayout`] via
+    /// first-match glob rules —
+    /// `"linear0.weight=topk;*.bias=dense;*=ef-topk+qsgd:4"` — resolved through
+    /// the session's [`CodecRegistry`]. Mutually exclusive with
+    /// [`compressor`](Self::compressor). A uniform plan (`"*=topk"`)
+    /// collapses to the flat codec and reproduces its records bit for bit; a
+    /// genuinely mixed plan frames per-segment payloads into the `Segmented`
+    /// wire kind, `RoundRecord` gains a per-layer byte breakdown, and the
+    /// framing overhead is charged exactly under [`CostBasis::Encoded`]. Any
+    /// uplink rule whose spec decodes dense (pure quantizers) is rejected in
+    /// combination with OPWA algorithms or `record_overlap`.
     pub layer_compressors: Option<LayerPlan>,
     /// Codec for the server→client broadcast (downlink) leg. `None` (default,
     /// the paper's setting) teleports the global model to the clients for
-    /// free, exactly as the analytic reproduction always has. `Some(spec)`
-    /// simulates the broadcast honestly: each round the aggregated global
-    /// delta is encoded once through this codec (resolved via the same
-    /// [`CodecRegistry`] as the uplink, at the base `compression_ratio`),
-    /// clients train from the decoded — lossy — view, `RoundRecord` reports
-    /// the encoded buffer's length as `downlink_bytes`, and the per-client
-    /// download time joins the round's straggler bound. Error-feedback specs
-    /// (`"ef-topk"`, …) keep their residual server-side. Dense-decoding specs
-    /// (`"qsgd:8"`) are fine here even with OPWA algorithms — the overlap
-    /// machinery concerns the *uplink* updates only.
+    /// free. `Some(spec)` simulates the broadcast honestly: each round the
+    /// aggregated global delta is encoded once through this codec (at the
+    /// base `compression_ratio`), clients train from the decoded — lossy —
+    /// view, `RoundRecord` reports the encoded buffer's length as
+    /// `downlink_bytes`, and the per-client download time joins the round's
+    /// straggler bound. Error-feedback specs (`"ef-topk"`, …) keep their
+    /// residual server-side. Dense-decoding specs (`"qsgd:8"`) are fine here
+    /// even with OPWA algorithms — the overlap machinery concerns the
+    /// *uplink* updates only. It is the uniform plan `"*=<spec>"` of
+    /// [`crate::policy::downlink_plan`].
     pub downlink_compressor: Option<CompressorSpec>,
     /// How the network simulator prices transfers:
     /// [`CostBasis::Analytic`] (default) charges the paper's `2·V·CR`
@@ -172,9 +173,8 @@ pub struct ExperimentConfig {
     /// without the scenario engine. `Some(spec)` drives per-round
     /// [`fl_netsim::FleetEvent`]s (diurnal participation waves, Poisson
     /// churn, tiered link jitter, correlated tower outages, or a recorded
-    /// `trace:<file>` replay; see [`ScenarioSpec`]): the session selects its
-    /// cohorts from the currently reachable clients via
-    /// [`crate::scenario::ScenarioSelector`], prices transfers over the
+    /// `trace:<file>` replay; see [`ScenarioSpec`]): the session draws its
+    /// cohorts from the currently reachable clients, prices transfers over the
     /// scenario's per-round link overrides, and reports participation/churn
     /// telemetry in each [`crate::runner::RoundRecord`]. Scenario randomness
     /// draws from a dedicated seed stream
@@ -182,33 +182,24 @@ pub struct ExperimentConfig {
     /// perturbs the training/data/selection streams.
     pub scenario: Option<ScenarioSpec>,
     /// Layer-aware codec plan for the server→client broadcast (downlink)
-    /// leg. `None` (default) keeps the flat downlink path
-    /// ([`downlink_compressor`](Self::downlink_compressor), or the free
-    /// teleport when that is `None` too). `Some(plan)` resolves one codec
-    /// per named parameter segment — exactly like
-    /// [`layer_compressors`](Self::layer_compressors), but for the broadcast
-    /// — and always frames the broadcast as a `Segmented` wire buffer, so
-    /// [`crate::runner::RoundRecord::layer_bytes`] reports honest per-layer
-    /// downlink splits. Mutually exclusive with
-    /// [`downlink_compressor`](Self::downlink_compressor). Rules are
-    /// validated per rule against the codec registry and must cover every
-    /// model segment; dense-decoding rules (pure quantizers) are fine here
-    /// even with OPWA algorithms — the overlap machinery concerns the
-    /// *uplink* updates only.
+    /// leg, exactly like [`layer_compressors`](Self::layer_compressors) but
+    /// for the broadcast, and mutually exclusive with
+    /// [`downlink_compressor`](Self::downlink_compressor). A uniform plan
+    /// (`"*=ef-topk"`) collapses to the flat codec and reproduces the
+    /// `downlink_compressor` run record for record, with no per-layer split;
+    /// a genuinely mixed plan frames the broadcast as a `Segmented` wire
+    /// buffer, so [`crate::runner::RoundRecord::layer_bytes`] reports honest
+    /// per-layer downlink splits. Dense-decoding rules are fine here even
+    /// with OPWA algorithms.
     pub downlink_layer_compressors: Option<LayerPlan>,
-    /// Adaptive per-layer plan policy for the clients' uplink compression
-    /// (see [`crate::policy::AdaptivePlanSpec`]). `None` (default) keeps
-    /// every static path bit-identical. `Some(spec)` re-resolves the
-    /// per-segment codec plan every round in the select stage:
-    /// `static:<plan>` pins a fixed plan (record fields other than the plan
-    /// telemetry match a `layer_compressors` run exactly), `layer-bcrs`
-    /// re-splits the round's coordinate budget by observed per-layer
-    /// gradient mass through the BCRS scheduler. Mutually exclusive with
-    /// [`compressor`](Self::compressor) and
-    /// [`layer_compressors`](Self::layer_compressors): an adaptive plan *is*
-    /// the uplink codec assignment. Static plans are validated exactly like
-    /// `layer_compressors` plans (per-rule registry + OPWA/dense checks,
-    /// full segment coverage).
+    /// Adaptive per-layer plan for the clients' uplink compression (see
+    /// [`crate::policy::AdaptivePlanSpec`]), decided every round in the
+    /// select stage: `static:<plan>` pins a fixed plan (record fields other
+    /// than the plan telemetry match a `layer_compressors` run exactly, and
+    /// it is validated like one), `layer-bcrs` re-splits the round's
+    /// coordinate budget by observed per-layer gradient mass through the
+    /// BCRS scheduler. Mutually exclusive with [`compressor`](Self::compressor)
+    /// and [`layer_compressors`](Self::layer_compressors).
     pub adaptive_plan: Option<crate::policy::AdaptivePlanSpec>,
 }
 
@@ -347,123 +338,65 @@ impl ExperimentConfig {
         if !(0.0..1.0).contains(&self.server_momentum) {
             return Err("server_momentum must be in [0, 1)".into());
         }
-        if let Some(spec) = &self.compressor {
-            registry
-                .validate(spec)
-                .map_err(|e| format!("invalid compressor spec {spec}: {e}"))?;
-        }
-        if let Some(plan) = &self.layer_compressors {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid layer plan {plan}: {e}"))?;
-        }
-        if let Some(spec) = &self.downlink_compressor {
-            registry
-                .validate(spec)
-                .map_err(|e| format!("invalid downlink compressor spec {spec}: {e}"))?;
-        }
-        if let Some(plan) = &self.downlink_layer_compressors {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid downlink layer plan {plan}: {e}"))?;
-        }
-        if let Some(crate::policy::AdaptivePlanSpec::Static(plan)) = &self.adaptive_plan {
-            plan.validate(registry)
-                .map_err(|e| format!("invalid adaptive plan {plan}: {e}"))?;
-        }
         if let Some(spec) = &self.scenario {
             spec.validate()
                 .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
         }
-        self.validate_compressor_semantics()
+        self.validate_codec_plans(registry)
     }
 
-    fn validate_compressor_semantics(&self) -> Result<(), String> {
-        if let Some(spec) = &self.compressor {
-            if spec.produces_dense() && self.algorithm.uses_opwa() {
+    /// The codec fields' mutual exclusions, then each leg's one plan
+    /// ([`uplink_plan`], [`downlink_plan`]): every rule resolvable through
+    /// `registry` and every model segment covered — a validation error, not
+    /// a construction panic. On the uplink, whose updates the overlap
+    /// machinery reads, no rule may decode dense under OPWA or
+    /// `record_overlap`; a flat `compressor` spec is its uniform plan's one
+    /// rule.
+    fn validate_codec_plans(&self, registry: &CodecRegistry) -> Result<(), String> {
+        if self.layer_compressors.is_some() && self.compressor.is_some() {
+            return Err(
+                "layer_compressors and compressor are mutually exclusive: a layer plan \
+                 is the uplink codec assignment (use a uniform \"*=<spec>\" plan for a \
+                 single codec)"
+                    .into(),
+            );
+        }
+        if self.adaptive_plan.is_some()
+            && (self.compressor.is_some() || self.layer_compressors.is_some())
+        {
+            return Err("adaptive_plan is mutually exclusive with compressor and \
+                 layer_compressors: the plan policy owns the uplink codec \
+                 assignment (use adaptive_plan = \"static:<plan>\" for a fixed \
+                 plan)"
+                .into());
+        }
+        if self.downlink_layer_compressors.is_some() && self.downlink_compressor.is_some() {
+            return Err(
+                "downlink_layer_compressors and downlink_compressor are mutually \
+                 exclusive: a downlink layer plan is the broadcast codec assignment \
+                 (use a uniform \"*=<spec>\" plan for a single codec)"
+                    .into(),
+            );
+        }
+        let (uplink, downlink) = (uplink_plan(self), downlink_plan(self));
+        let segments = self.model.segment_names();
+        let legs = [("uplink", Some(&uplink)), ("downlink", downlink.as_ref())];
+        for (leg, plan) in legs {
+            let Some(plan) = plan else { continue };
+            plan.validate(registry)
+                .map_err(|e| format!("invalid {leg} plan {plan}: {e}"))?;
+            if let Some(name) = segments.iter().find(|name| plan.spec_for(name).is_none()) {
                 return Err(format!(
-                    "algorithm {} applies the OPWA overlap mask, but compressor {spec} \
-                     decodes to dense updates with no overlap structure",
-                    self.algorithm.name()
-                ));
-            }
-            if spec.produces_dense() && self.record_overlap {
-                return Err(format!(
-                    "record_overlap is set, but compressor {spec} decodes to dense \
-                     updates with no overlap structure"
-                ));
-            }
-        }
-        if let Some(plan) = &self.layer_compressors {
-            if self.compressor.is_some() {
-                return Err(
-                    "layer_compressors and compressor are mutually exclusive: a layer plan \
-                     is the uplink codec assignment (use a uniform \"*=<spec>\" plan for a \
-                     single codec)"
-                        .into(),
-                );
-            }
-            self.validate_uplink_plan_semantics(plan, "layer-plan")?;
-        }
-        if let Some(plan) = &self.downlink_layer_compressors {
-            if self.downlink_compressor.is_some() {
-                return Err(
-                    "downlink_layer_compressors and downlink_compressor are mutually \
-                     exclusive: a downlink layer plan is the broadcast codec assignment \
-                     (use a uniform \"*=<spec>\" plan for a single codec)"
-                        .into(),
-                );
-            }
-            // The same per-rule coverage discipline as the uplink — a
-            // downlink plan must assign every model segment a codec. Only
-            // the OPWA/dense exemptions stay: the overlap machinery analyses
-            // uplink updates, so dense-decoding broadcast rules are fine.
-            for name in self.model.segment_names() {
-                if plan.spec_for(&name).is_none() {
-                    return Err(format!(
-                        "downlink layer plan {plan} leaves segment {name:?} without a \
-                         matching rule (add a catch-all \"*=<spec>\")"
-                    ));
-                }
-            }
-        }
-        match &self.adaptive_plan {
-            None => {}
-            Some(spec) => {
-                if self.compressor.is_some() || self.layer_compressors.is_some() {
-                    return Err("adaptive_plan is mutually exclusive with compressor and \
-                         layer_compressors: the plan policy owns the uplink codec \
-                         assignment (use adaptive_plan = \"static:<plan>\" for a fixed \
-                         plan)"
-                        .into());
-                }
-                if let crate::policy::AdaptivePlanSpec::Static(plan) = spec {
-                    self.validate_uplink_plan_semantics(plan, "adaptive-plan")?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Coverage and per-rule overlap checks every uplink layer plan — static
-    /// `layer_compressors` or an `adaptive_plan = "static:…"` — must pass.
-    fn validate_uplink_plan_semantics(&self, plan: &LayerPlan, what: &str) -> Result<(), String> {
-        // Coverage is a validation error, not a construction panic: every
-        // segment of the configured model preset must match some rule.
-        for name in self.model.segment_names() {
-            if plan.spec_for(&name).is_none() {
-                return Err(format!(
-                    "layer plan {plan} leaves segment {name:?} without a matching \
-                     rule (add a catch-all \"*=<spec>\")"
+                    "{leg} plan {plan} leaves segment {name:?} without a matching rule \
+                     (add a catch-all \"*=<spec>\")"
                 ));
             }
         }
-        // The flat pipeline's restrictions apply per rule: any rule that
-        // could hand a segment a dense-decoding codec breaks the overlap
-        // analysis for the whole update.
-        for rule in &plan.rules {
+        for rule in &uplink.rules {
             if rule.spec.produces_dense() && self.algorithm.uses_opwa() {
                 return Err(format!(
-                    "algorithm {} applies the OPWA overlap mask, but {what} rule \
-                     {}={} decodes to dense segments with no overlap structure",
+                    "algorithm {} applies the OPWA overlap mask, but uplink rule \
+                     {}={} decodes to dense updates with no overlap structure",
                     self.algorithm.name(),
                     rule.pattern,
                     rule.spec
@@ -471,8 +404,8 @@ impl ExperimentConfig {
             }
             if rule.spec.produces_dense() && self.record_overlap {
                 return Err(format!(
-                    "record_overlap is set, but {what} rule {}={} decodes to \
-                     dense segments with no overlap structure",
+                    "record_overlap is set, but uplink rule {}={} decodes to \
+                     dense updates with no overlap structure",
                     rule.pattern, rule.spec
                 ));
             }
@@ -684,7 +617,7 @@ mod tests {
             ..Default::default()
         };
         let err = bad.validate().unwrap_err();
-        assert!(err.contains("layer plan"), "{err}");
+        assert!(err.contains("uplink plan"), "{err}");
         assert!(err.contains("no-such-codec"), "{err}");
     }
 
@@ -767,13 +700,13 @@ mod tests {
             ..Default::default()
         };
         let err = bad.validate().unwrap_err();
-        assert!(err.contains("downlink layer plan"), "{err}");
+        assert!(err.contains("downlink plan"), "{err}");
         let gap = ExperimentConfig {
             downlink_layer_compressors: Some("conv*=topk".parse().unwrap()),
             ..Default::default()
         };
         let err = gap.validate().unwrap_err();
-        assert!(err.contains("downlink layer plan"), "{err}");
+        assert!(err.contains("downlink plan"), "{err}");
         assert!(err.contains("without a matching rule"), "{err}");
         // … while only the OPWA exemption stays: dense-decoding broadcast
         // rules are fine even under OPWA algorithms.
@@ -810,7 +743,7 @@ mod tests {
             adaptive_plan: Some("static:*=no-such-codec".parse().unwrap()),
             ..Default::default()
         };
-        assert!(bad_spec.validate().unwrap_err().contains("adaptive plan"));
+        assert!(bad_spec.validate().unwrap_err().contains("uplink plan"));
         let gap = ExperimentConfig {
             algorithm: Algorithm::TopK,
             adaptive_plan: Some("static:conv*=topk".parse().unwrap()),

@@ -32,21 +32,27 @@
 //! long-lived state (the client roster, links, global parameters, RNG
 //! streams, time accumulators) built by [`session::SessionBuilder`],
 //! advanced one round at a time through the explicit stages of [`round`]
-//! (`select → downlink → local → aggregate → timing → eval`). Three policy
-//! seams make the engine pluggable without touching the loop ([`policy`]):
+//! (`select → downlink → local → aggregate → timing → eval`). Each step
+//! follows one rule, a plain function of the configuration ([`policy`]):
 //!
-//! * [`policy::ClientSelector`] — uniform sampling (paper) or
-//!   availability/dropout-aware selection;
-//! * [`policy::RatioPolicy`] — a uniform ratio or the BCRS scheduler;
-//! * [`policy::ServerOpt`] — plain SGD update (paper) or server momentum;
-//! * [`policy::PlanPolicy`] — the adaptive per-layer codec plan
-//!   ([`config::ExperimentConfig::adaptive_plan`]): each round, after the
-//!   cohort and its links are known, the policy re-resolves which codec and
-//!   effective ratio every parameter segment encodes under, feeding on the
-//!   previous round's per-layer bytes and gradient mass (the closed
-//!   telemetry loop; see [`policy::LayerBcrsPolicy`]).
+//! * [`policy::select_cohort`] — uniform sampling without replacement
+//!   (paper), from the reachable clients that survive the configured
+//!   `dropout_rate`;
+//! * [`policy::assign_ratios`] — a uniform ratio, dense FedAvg, or the BCRS
+//!   scheduler;
+//! * [`policy::server_step`] — the plain update (paper) or server momentum;
+//! * [`policy::static_plan`] / [`policy::layer_bcrs_plan`] — the adaptive
+//!   per-layer codec plan ([`config::ExperimentConfig::adaptive_plan`]):
+//!   each round, after the cohort and its links are known, it decides which
+//!   codec and effective ratio every parameter segment encodes under,
+//!   `layer-bcrs` feeding on the previous round's gradient mass (the closed
+//!   telemetry loop).
 //!
-//! An optional further seam layers trace-driven fleet dynamics on top:
+//! Each leg's codec fields resolve to one `fl_compress::LayerPlan`
+//! ([`policy::uplink_plan`], [`policy::downlink_plan`]); a flat spec is the
+//! uniform plan, which resolves to that flat codec bit for bit.
+//!
+//! Trace-driven fleet dynamics layer on top:
 //! [`config::ExperimentConfig::scenario`] names a generator (diurnal
 //! participation waves, Poisson churn, tiered link jitter, correlated tower
 //! outages) or a recorded trace file, and [`scenario::ScenarioHandle`]
@@ -98,15 +104,12 @@ pub use config::{ExperimentConfig, ModelPreset};
 pub use opwa::OpwaMask;
 pub use overlap::{OverlapCounts, OverlapStats};
 pub use policy::{
-    allocate_layer_budgets, default_codec_spec, default_plan_policy, plan_weights,
-    resolve_codec_spec, AdaptivePlanSpec, AvailabilitySelector, BcrsRatioPolicy, ClientSelector,
-    LayerBcrsPolicy, MomentumServer, PlanAssignment, PlanCtx, PlanDecision, PlanPolicy, RatioCtx,
-    RatioDecision, RatioPolicy, SelectionCtx, ServerOpt, SgdServer, StaticPlanPolicy, UniformRatio,
-    UniformSelector,
+    allocate_layer_budgets, default_codec_spec, plan_weights, resolve_codec_spec, AdaptivePlanSpec,
+    PlanAssignment, PlanCtx, PlanDecision,
 };
 pub use roster::ClientRoster;
 pub use round::RoundOutput;
 pub use runner::{run_experiment, ExperimentResult, LayerBytes, PlanTelemetry, RoundRecord};
-pub use scenario::{record_scenario_trace, scenario_seed, ScenarioHandle, ScenarioSelector};
+pub use scenario::{record_scenario_trace, scenario_seed, ScenarioHandle};
 pub use session::{FederatedSession, SessionBuilder};
 pub use sweep::{run_sweep, run_sweep_threaded, run_sweep_threaded_progress, SweepGrid};

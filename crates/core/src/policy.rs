@@ -1,365 +1,120 @@
-//! Pluggable per-round policies of the [`crate::session::FederatedSession`]
-//! round engine.
+//! The per-round rules of the [`crate::session::FederatedSession`] round
+//! engine, as plain functions of the configuration and the round's inputs:
 //!
-//! The experiment loop is decomposed into three policy seams, each a trait
-//! with the paper's behaviour as the default implementation:
-//!
-//! * [`ClientSelector`] — which clients participate this round. The paper
-//!   samples uniformly without replacement ([`UniformSelector`]); the
-//!   [`AvailabilitySelector`] models client dropout, where each client is
-//!   independently unavailable with a configured probability.
-//! * [`RatioPolicy`] — which compression ratio each selected client gets.
-//!   [`UniformRatio`] covers FedAvg (dense) and the uniform sparsifiers;
-//!   [`BcrsRatioPolicy`] wraps the paper's bandwidth-aware scheduler (Alg. 2).
-//! * [`ServerOpt`] — how the aggregated delta is applied to the global model.
-//!   [`SgdServer`] is the paper's plain update `w ← w − η·Δ`;
-//!   [`MomentumServer`] adds heavy-ball server momentum (FedAvgM-style).
-//! * [`PlanPolicy`] — which per-layer codec plan the cohort encodes under
-//!   this round. [`StaticPlanPolicy`] re-emits a fixed [`LayerPlan`] (the
-//!   bit-identical fallback); [`LayerBcrsPolicy`] closes the telemetry loop,
-//!   re-splitting the round's coordinate budget across layers in proportion
-//!   to the observed gradient mass and checking each layer's budget against
-//!   the BCRS straggler envelope.
-//!
-//! Custom policies plug in through
-//! [`crate::session::SessionBuilder`]; the defaults are derived from the
-//! [`ExperimentConfig`] so that `run_experiment` reproduces the paper's
-//! Algorithm 1 exactly.
+//! * [`select_cohort`] — who participates (Alg. 1 line 3): uniform sampling
+//!   without replacement from the scenario's reachable clients (all `N` on
+//!   the paper's static fleet), thinned by the i.i.d. `dropout_rate`;
+//! * [`assign_ratios`] — each selected client's compression ratio: dense for
+//!   FedAvg, the BCRS schedule (Alg. 2) for the BCRS algorithms, the base
+//!   ratio for every uniform sparsifier;
+//! * [`server_step`] — the global update `w ← w − η·Δ` (Alg. 1 line 18), or
+//!   heavy-ball server momentum (FedAvgM) when `server_momentum > 0`;
+//! * [`static_plan`] / [`layer_bcrs_plan`] — the per-layer codec plan the
+//!   cohort encodes under when [`ExperimentConfig::adaptive_plan`] is set:
+//!   a fixed plan, or one re-split every round by observed gradient mass
+//!   and checked against the BCRS straggler envelope;
+//! * [`uplink_plan`] / [`downlink_plan`] — the one [`LayerPlan`] each leg's
+//!   codec fields resolve to.
 
 use crate::aggregate::apply_update;
 use crate::algorithm::Algorithm;
 use crate::bcrs::{BcrsSchedule, BcrsScheduler};
 use crate::config::ExperimentConfig;
-use crate::runner::LayerBytes;
 use fl_compress::{CompressorSpec, LayerPlan, SegmentDef, SpecError};
 use fl_netsim::{CommModel, Link};
 use fl_tensor::rng::{Rng, Xoshiro256};
 
-/// Everything a [`ClientSelector`] may consult when picking a cohort.
-pub struct SelectionCtx<'a> {
-    /// Round index (0-based).
-    pub round: usize,
-    /// Total number of clients `N`.
-    pub num_clients: usize,
-    /// Target cohort size `max(1, round(N · C))`.
-    pub cohort_size: usize,
-    /// Network link of every client (indexed by client id).
-    pub links: &'a [Link],
-}
-
-/// Picks the cohort of participating clients each round.
+/// Draw a round's cohort of at most `cohort` distinct client ids.
 ///
-/// Implementations draw all randomness from the passed `rng` (the session's
-/// dedicated selection stream) so runs stay reproducible.
-pub trait ClientSelector: Send {
-    /// Return the ids of the clients participating this round. The result
-    /// must contain no duplicates and every id must be in
-    /// `[0, num_clients)`. It may be smaller than `cohort_size` (e.g. under
-    /// dropout); if it comes back empty the round engine backstops it with
-    /// one uniformly drawn client, so a round always has a participant.
-    fn select(&mut self, ctx: &SelectionCtx<'_>, rng: &mut Xoshiro256) -> Vec<usize>;
-
-    /// Short name used in reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The paper's selector: `cohort_size` clients uniformly at random without
-/// replacement (Alg. 1 line 3).
+/// The pool is `active` (the scenario's reachable clients, ascending) or all
+/// `num_clients` clients. A positive `dropout_rate` then flips one
+/// availability coin per pool member, in order, and drops those it hits —
+/// the scenario models structural unavailability (outages, churn), the
+/// dropout rate residual flakiness on top. The cohort is drawn uniformly
+/// without replacement from what is left, shrinking below `cohort` when too
+/// few clients are up; if nobody is, one client is drawn uniformly from all
+/// `num_clients`, so a round always has a participant.
 ///
-/// Cost at population scale: one partial Fisher–Yates over an index vector,
-/// i.e. O(N) time and memory per round. At the N = 10^5–10^6 populations the
-/// virtualized [`crate::roster::ClientRoster`] supports this is a single
-/// `usize` vector — negligible next to client training, and nothing about
-/// the draw instantiates client state (only the `cohort_size` *selected*
-/// clients are ever materialised).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UniformSelector;
-
-impl ClientSelector for UniformSelector {
-    fn select(&mut self, ctx: &SelectionCtx<'_>, rng: &mut Xoshiro256) -> Vec<usize> {
-        rng.sample_without_replacement(ctx.num_clients, ctx.cohort_size)
+/// Without a scenario or dropout this is one partial Fisher–Yates over `N`
+/// indices — O(N) per round, and only the selected clients are ever
+/// materialised.
+pub fn select_cohort(
+    rng: &mut Xoshiro256,
+    num_clients: usize,
+    cohort: usize,
+    active: Option<Vec<usize>>,
+    dropout_rate: f64,
+) -> Vec<usize> {
+    assert!(
+        (0.0..1.0).contains(&dropout_rate),
+        "dropout_rate must be in [0, 1), got {dropout_rate}"
+    );
+    if active.is_none() && dropout_rate == 0.0 {
+        return rng.sample_without_replacement(num_clients, cohort);
     }
-
-    fn name(&self) -> &'static str {
-        "uniform"
+    let mut pool = active.unwrap_or_else(|| (0..num_clients).collect());
+    if dropout_rate > 0.0 {
+        pool.retain(|_| !rng.next_bool(dropout_rate));
     }
+    if pool.is_empty() {
+        return vec![rng.next_below(num_clients)];
+    }
+    rng.sample_without_replacement(pool.len(), cohort.min(pool.len()))
+        .into_iter()
+        .map(|i| pool[i])
+        .collect()
 }
 
-/// Dropout-aware selector: every client is independently unavailable with
-/// probability `dropout_rate` each round, and the cohort is drawn uniformly
-/// from the available clients (shrinking below the target size when too few
-/// are up). If no client is available at all, exactly one client is drawn
-/// uniformly so the round still has a participant — previously this case
-/// fell back to a *full* target-size cohort, i.e. the rounds where the most
-/// clients were down were the ones with the largest cohorts, and downstream
-/// per-client averages were computed over clients that never participated.
+/// Each selected client's compression ratio, in cohort order (one per entry
+/// of `links`), and the BCRS schedule when the algorithm schedules ratios
+/// (used for Eq. 6 coefficient adjustment and exact uplink timing).
 ///
-/// Like [`UniformSelector`] this is O(N) per round (one availability draw
-/// per client), which stays cheap even at roster-scale populations.
-#[derive(Clone, Copy, Debug)]
-pub struct AvailabilitySelector {
-    /// Per-round, per-client probability of being unavailable, in `[0, 1)`.
-    pub dropout_rate: f64,
-}
-
-impl AvailabilitySelector {
-    /// New availability selector. Panics unless `dropout_rate ∈ [0, 1)`.
-    pub fn new(dropout_rate: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&dropout_rate),
-            "dropout_rate must be in [0, 1), got {dropout_rate}"
-        );
-        Self { dropout_rate }
-    }
-}
-
-impl ClientSelector for AvailabilitySelector {
-    fn select(&mut self, ctx: &SelectionCtx<'_>, rng: &mut Xoshiro256) -> Vec<usize> {
-        let available: Vec<usize> = (0..ctx.num_clients)
-            .filter(|_| !rng.next_bool(self.dropout_rate))
-            .collect();
-        if available.is_empty() {
-            return vec![rng.next_below(ctx.num_clients)];
+/// FedAvg transmits at ratio 1.0 over the dense wire format, the BCRS
+/// algorithms give every client the largest ratio that still finishes within
+/// the slowest client's compressed upload time (Alg. 2), and every other
+/// algorithm uses `config.compression_ratio` for everyone.
+pub fn assign_ratios(
+    config: &ExperimentConfig,
+    comm: CommModel,
+    links: &[Link],
+    model_bytes: f64,
+) -> (Vec<f64>, Option<BcrsSchedule>) {
+    match config.algorithm {
+        Algorithm::FedAvg => (vec![1.0; links.len()], None),
+        a if a.uses_bcrs() => {
+            let schedule =
+                BcrsScheduler::new(comm).schedule(links, model_bytes, config.compression_ratio);
+            (schedule.ratios.clone(), Some(schedule))
         }
-        let k = ctx.cohort_size.min(available.len());
-        rng.sample_without_replacement(available.len(), k)
-            .into_iter()
-            .map(|i| available[i])
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "availability"
+        _ => (vec![config.compression_ratio; links.len()], None),
     }
 }
 
-/// Everything a [`RatioPolicy`] may consult when assigning ratios.
-pub struct RatioCtx<'a> {
-    /// Round index (0-based).
-    pub round: usize,
-    /// Links of the *selected* clients, in cohort order.
-    pub links: &'a [Link],
-    /// Dense model size in bytes (`V` of the communication model).
-    pub model_bytes: f64,
-}
-
-/// The per-round outcome of a [`RatioPolicy`].
-pub struct RatioDecision {
-    /// Compression ratio per selected client, in cohort order.
-    pub ratios: Vec<f64>,
-    /// The BCRS schedule, when the policy ran the bandwidth-aware scheduler
-    /// (used for Eq. 6 coefficient adjustment and exact uplink timing).
-    pub schedule: Option<BcrsSchedule>,
-    /// True when updates travel uncompressed (dense wire format without the
-    /// 2× index overhead of sparse transmission) — FedAvg's case.
-    pub dense_uplink: bool,
-}
-
-/// Assigns each selected client its compression ratio for the round.
-pub trait RatioPolicy: Send {
-    /// Decide the cohort's ratios (one per entry of `ctx.links`).
-    fn decide(&self, ctx: &RatioCtx<'_>) -> RatioDecision;
-
-    /// Short name used in reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The same ratio for every client: `1.0` dense for FedAvg, or the base
-/// compression ratio for the uniform sparsifiers (Top-K, EF-Top-K, Rand-K).
-#[derive(Clone, Copy, Debug)]
-pub struct UniformRatio {
-    /// The ratio given to every selected client.
-    pub ratio: f64,
-    /// Whether updates are transmitted dense (no sparse index overhead).
-    pub dense_uplink: bool,
-}
-
-impl UniformRatio {
-    /// Uniform sparsification at `ratio`.
-    pub fn sparse(ratio: f64) -> Self {
-        Self {
-            ratio,
-            dense_uplink: false,
-        }
-    }
-
-    /// Uncompressed (FedAvg) transmission.
-    pub fn dense() -> Self {
-        Self {
-            ratio: 1.0,
-            dense_uplink: true,
-        }
-    }
-}
-
-impl RatioPolicy for UniformRatio {
-    fn decide(&self, ctx: &RatioCtx<'_>) -> RatioDecision {
-        RatioDecision {
-            ratios: vec![self.ratio; ctx.links.len()],
-            schedule: None,
-            dense_uplink: self.dense_uplink,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        if self.dense_uplink {
-            "dense"
-        } else {
-            "uniform"
-        }
-    }
-}
-
-/// The paper's bandwidth-aware compression-ratio scheduling (Alg. 2): every
-/// client gets the largest ratio that still finishes within the slowest
-/// client's compressed upload time.
-#[derive(Clone, Debug)]
-pub struct BcrsRatioPolicy {
-    scheduler: BcrsScheduler,
-    base_ratio: f64,
-}
-
-impl BcrsRatioPolicy {
-    /// BCRS over the given communication model at the given base ratio `CR*`.
-    pub fn new(comm: CommModel, base_ratio: f64) -> Self {
-        Self {
-            scheduler: BcrsScheduler::new(comm),
-            base_ratio,
-        }
-    }
-}
-
-impl RatioPolicy for BcrsRatioPolicy {
-    fn decide(&self, ctx: &RatioCtx<'_>) -> RatioDecision {
-        let schedule = self
-            .scheduler
-            .schedule(ctx.links, ctx.model_bytes, self.base_ratio);
-        RatioDecision {
-            ratios: schedule.ratios.clone(),
-            schedule: Some(schedule),
-            dense_uplink: false,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "bcrs"
-    }
-}
-
-/// Applies the aggregated cohort delta to the global parameters.
+/// Apply the aggregated descent direction `delta` to `global`: the paper's
+/// plain `w ← w − η·Δ` when `momentum` is 0, heavy-ball server momentum
+/// (FedAvgM) `v ← β·v + Δ`, `w ← w − η·v` otherwise, with `velocity` the
+/// session's buffer (zero-filled on first use).
 ///
-/// Implementations may keep state across rounds (momentum buffers, adaptive
-/// moments, …); the session calls `apply` exactly once per round.
-pub trait ServerOpt: Send {
-    /// Update `global` in place from the aggregated descent direction
-    /// `aggregated_delta` at server learning rate `server_lr`.
-    fn apply(&mut self, global: &mut [f32], aggregated_delta: &[f32], server_lr: f32);
-
-    /// Short name used in reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The paper's plain server update `w ← w − η_server · Δ` (Alg. 1 line 18).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SgdServer;
-
-impl ServerOpt for SgdServer {
-    fn apply(&mut self, global: &mut [f32], aggregated_delta: &[f32], server_lr: f32) {
-        apply_update(global, aggregated_delta, server_lr);
-    }
-
-    fn name(&self) -> &'static str {
-        "sgd"
-    }
-}
-
-/// Heavy-ball server momentum (FedAvgM): `v ← β·v + Δ`, `w ← w − η_server·v`.
-/// With `β = 0` this degrades to [`SgdServer`].
-#[derive(Clone, Debug)]
-pub struct MomentumServer {
+/// The plain update is not the momentum loop at `β = 0`: `0·v + (−0.0)` is
+/// `+0.0`, so the loop would give some zero coordinates the other sign.
+pub fn server_step(
+    global: &mut [f32],
+    velocity: &mut Vec<f32>,
+    delta: &[f32],
     momentum: f32,
-    velocity: Vec<f32>,
-}
-
-impl MomentumServer {
-    /// New momentum server optimizer. Panics unless `momentum ∈ [0, 1)`.
-    pub fn new(momentum: f32) -> Self {
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "server momentum must be in [0, 1), got {momentum}"
-        );
-        Self {
-            momentum,
-            velocity: Vec::new(),
+    server_lr: f32,
+) {
+    if momentum > 0.0 {
+        assert_eq!(global.len(), delta.len(), "parameter length mismatch");
+        if velocity.len() != delta.len() {
+            *velocity = vec![0.0; delta.len()];
         }
-    }
-
-    /// Current L2 norm of the velocity buffer (0 before the first round).
-    pub fn velocity_norm(&self) -> f64 {
-        self.velocity
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt()
-    }
-}
-
-impl ServerOpt for MomentumServer {
-    fn apply(&mut self, global: &mut [f32], aggregated_delta: &[f32], server_lr: f32) {
-        assert_eq!(
-            global.len(),
-            aggregated_delta.len(),
-            "parameter length mismatch"
-        );
-        if self.velocity.len() != aggregated_delta.len() {
-            self.velocity = vec![0.0; aggregated_delta.len()];
-        }
-        for ((w, v), &d) in global
-            .iter_mut()
-            .zip(self.velocity.iter_mut())
-            .zip(aggregated_delta.iter())
-        {
-            *v = self.momentum * *v + d;
+        for ((w, v), &d) in global.iter_mut().zip(velocity.iter_mut()).zip(delta) {
+            *v = momentum * *v + d;
             *w -= server_lr * *v;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "momentum"
-    }
-}
-
-/// The selector implied by a configuration: [`AvailabilitySelector`] when
-/// `dropout_rate > 0`, the paper's [`UniformSelector`] otherwise.
-pub fn default_selector(config: &ExperimentConfig) -> Box<dyn ClientSelector> {
-    if config.dropout_rate > 0.0 {
-        Box::new(AvailabilitySelector::new(config.dropout_rate))
     } else {
-        Box::new(UniformSelector)
-    }
-}
-
-/// The ratio policy implied by a configuration's algorithm (the former
-/// `match config.algorithm` block of the monolithic runner).
-pub fn default_ratio_policy(config: &ExperimentConfig, comm: CommModel) -> Box<dyn RatioPolicy> {
-    match config.algorithm {
-        Algorithm::FedAvg => Box::new(UniformRatio::dense()),
-        Algorithm::TopK | Algorithm::EfTopK | Algorithm::RandK | Algorithm::TopKOpwa => {
-            Box::new(UniformRatio::sparse(config.compression_ratio))
-        }
-        Algorithm::Bcrs | Algorithm::BcrsOpwa => {
-            Box::new(BcrsRatioPolicy::new(comm, config.compression_ratio))
-        }
-    }
-}
-
-/// The server optimizer implied by a configuration: [`MomentumServer`] when
-/// `server_momentum > 0`, the paper's plain [`SgdServer`] otherwise.
-pub fn default_server_opt(config: &ExperimentConfig) -> Box<dyn ServerOpt> {
-    if config.server_momentum > 0.0 {
-        Box::new(MomentumServer::new(config.server_momentum))
-    } else {
-        Box::new(SgdServer)
+        apply_update(global, delta, server_lr);
     }
 }
 
@@ -376,10 +131,9 @@ pub fn default_codec_spec(algorithm: Algorithm) -> CompressorSpec {
     }
 }
 
-/// The codec spec a configuration resolves to: the explicit
+/// The flat codec spec a configuration resolves to: the explicit
 /// [`ExperimentConfig::compressor`] override when present, the
-/// algorithm-implied default otherwise. This is the fourth policy seam of the
-/// round engine — any algorithm can run over any codec.
+/// algorithm-implied default otherwise.
 pub fn resolve_codec_spec(config: &ExperimentConfig) -> CompressorSpec {
     config
         .compressor
@@ -387,18 +141,40 @@ pub fn resolve_codec_spec(config: &ExperimentConfig) -> CompressorSpec {
         .unwrap_or_else(|| default_codec_spec(config.algorithm))
 }
 
-/// Parseable description of the plan policy driving adaptive per-layer
-/// compression (the [`ExperimentConfig::adaptive_plan`] knob and the bench
-/// harness `--adaptive-plan` flag).
+/// The one plan the clients' uplink codecs resolve from:
+/// [`ExperimentConfig::layer_compressors`], else an `adaptive_plan =
+/// "static:…"` plan, else the uniform plan over [`resolve_codec_spec`]
+/// (which [`LayerPlan::resolve`] collapses to that flat codec, bit for bit).
+/// A `layer-bcrs` policy replaces it round by round.
+pub fn uplink_plan(config: &ExperimentConfig) -> LayerPlan {
+    match (&config.layer_compressors, &config.adaptive_plan) {
+        (Some(plan), _) | (None, Some(AdaptivePlanSpec::Static(plan))) => plan.clone(),
+        _ => LayerPlan::uniform(resolve_codec_spec(config)),
+    }
+}
+
+/// The one plan the server's broadcast codec resolves from, when the
+/// downlink leg is simulated: [`ExperimentConfig::downlink_compressor`] as a
+/// uniform plan, else [`ExperimentConfig::downlink_layer_compressors`].
+pub fn downlink_plan(config: &ExperimentConfig) -> Option<LayerPlan> {
+    match &config.downlink_compressor {
+        Some(spec) => Some(LayerPlan::uniform(spec.clone())),
+        None => config.downlink_layer_compressors.clone(),
+    }
+}
+
+/// Parseable description of the adaptive per-layer plan (the
+/// [`ExperimentConfig::adaptive_plan`] knob and the bench harness
+/// `--adaptive-plan` flag).
 ///
 /// Grammar (round-trips through `Display`):
 ///
 /// * `static:<plan>` — re-emit the given [`LayerPlan`] every round
-///   ([`StaticPlanPolicy`]). Record fields other than the plan telemetry are
+///   ([`static_plan`]). Record fields other than the plan telemetry are
 ///   bit-identical to running the same plan through
 ///   [`ExperimentConfig::layer_compressors`];
 /// * `layer-bcrs` or `layer-bcrs:efficiency=<f>` — the telemetry-driven
-///   [`LayerBcrsPolicy`]; `efficiency ∈ (0, 1]` defaults to
+///   [`layer_bcrs_plan`]; `efficiency ∈ (0, 1]` defaults to
 ///   [`AdaptivePlanSpec::DEFAULT_EFFICIENCY`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum AdaptivePlanSpec {
@@ -418,9 +194,21 @@ impl AdaptivePlanSpec {
     /// Default budget fraction of [`AdaptivePlanSpec::LayerBcrs`].
     pub const DEFAULT_EFFICIENCY: f64 = 0.9;
 
+    /// Short policy name (`"static"` / `"layer-bcrs"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Static(_) => "static",
+            Self::LayerBcrs { .. } => "layer-bcrs",
+        }
+    }
+}
+
+impl std::str::FromStr for AdaptivePlanSpec {
+    type Err = SpecError;
+
     /// Parse a spec string (`"static:*=topk"`, `"layer-bcrs"`,
     /// `"layer-bcrs:efficiency=0.8"`).
-    pub fn parse(s: &str) -> Result<Self, SpecError> {
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
         let trimmed = s.trim();
         if let Some(plan) = trimmed.strip_prefix("static:") {
             return Ok(Self::Static(LayerPlan::parse(plan)?));
@@ -451,14 +239,6 @@ impl AdaptivePlanSpec {
         }
         Ok(Self::LayerBcrs { efficiency })
     }
-
-    /// Short policy name (`"static"` / `"layer-bcrs"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Static(_) => "static",
-            Self::LayerBcrs { .. } => "layer-bcrs",
-        }
-    }
 }
 
 impl std::fmt::Display for AdaptivePlanSpec {
@@ -476,20 +256,9 @@ impl std::fmt::Display for AdaptivePlanSpec {
     }
 }
 
-impl std::str::FromStr for AdaptivePlanSpec {
-    type Err = SpecError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s)
-    }
-}
-
-/// Everything a [`PlanPolicy`] may consult when re-resolving the per-layer
-/// plan for a round: the model's segment layout, the round's cohort links,
-/// and the telemetry the previous round left behind.
+/// What a round's plan decision reads: the model's segment layout, the
+/// round's cohort links and the previous round's gradient mass.
 pub struct PlanCtx<'a> {
-    /// Round index (0-based).
-    pub round: usize,
     /// The model's parameter segments (names + lengths, layout order) — the
     /// `fl-nn` `ParamLayout` bridged through [`SegmentDef`].
     pub segments: &'a [SegmentDef],
@@ -499,25 +268,10 @@ pub struct PlanCtx<'a> {
     pub model_bytes: f64,
     /// The run's base compression ratio `CR*`.
     pub base_ratio: f64,
-    /// Previous round's per-layer uplink/downlink byte split (`None` on
-    /// round 0 or when the engine recorded no per-layer telemetry).
-    pub prev_layer_bytes: Option<&'a [LayerBytes]>,
     /// Previous round's per-segment gradient mass — the L1 norm of the
     /// aggregated delta restricted to each segment, in layout order (`None`
     /// on round 0).
     pub gradient_mass: Option<&'a [f64]>,
-    /// Computes [`residual_norm`](Self::residual_norm) when a policy asks:
-    /// the scan covers every parked residual, so it is not paid by policies
-    /// that never read it.
-    pub residual_norm: &'a dyn Fn() -> f64,
-}
-
-impl PlanCtx<'_> {
-    /// Total L2 norm of all parked error-feedback residuals across the
-    /// population (0 when no client carries dropped mass).
-    pub fn residual_norm(&self) -> f64 {
-        (self.residual_norm)()
-    }
 }
 
 /// One segment's resolved assignment inside a [`PlanDecision`] — recorded
@@ -533,7 +287,7 @@ pub struct PlanAssignment {
     pub ratio: f64,
 }
 
-/// The per-round outcome of a [`PlanPolicy`].
+/// A round's plan decision.
 pub struct PlanDecision {
     /// The plan the cohort's codecs resolve against this round.
     pub plan: LayerPlan,
@@ -546,74 +300,43 @@ pub struct PlanDecision {
     pub assignments: Vec<PlanAssignment>,
 }
 
-/// Re-resolves the cohort's per-layer codec plan each round.
-///
-/// Advanced by the round engine in the select stage — after the cohort and
-/// its link snapshot are known, before any client trains — so a decision can
-/// react to the previous round's telemetry and to the links it must schedule
-/// over. Unlike [`RatioPolicy`], implementations may keep state across
-/// rounds (hence `&mut self`).
-pub trait PlanPolicy: Send {
-    /// Decide the round's plan.
-    fn decide(&mut self, ctx: &PlanCtx<'_>) -> PlanDecision;
-
-    /// Short name used in reports.
-    fn name(&self) -> &'static str;
-}
-
-/// The bit-identical fallback: re-emit a fixed [`LayerPlan`] every round.
-///
-/// Emits no ratio scales, so the codec resolution path is exactly the one a
-/// static [`ExperimentConfig::layer_compressors`] run takes — uniform plans
-/// collapse to the flat codec and the fingerprint suite pins the records.
-#[derive(Clone, Debug)]
-pub struct StaticPlanPolicy {
-    plan: LayerPlan,
-}
-
-impl StaticPlanPolicy {
-    /// Wrap `plan` as an (unchanging) plan policy.
-    pub fn new(plan: LayerPlan) -> Self {
-        Self { plan }
+/// The `static:<plan>` decision: re-emit `plan` with no ratio scales, so the
+/// codecs resolve exactly as a [`ExperimentConfig::layer_compressors`] plan
+/// does (uniform plans collapse to the flat codec).
+pub fn static_plan(plan: &LayerPlan, ctx: &PlanCtx<'_>) -> PlanDecision {
+    let assignments = ctx
+        .segments
+        .iter()
+        .map(|seg| PlanAssignment {
+            segment: seg.name.clone(),
+            spec: plan
+                .spec_for(&seg.name)
+                .map_or_else(|| "<unmatched>".to_string(), |s| s.to_string()),
+            ratio: ctx.base_ratio,
+        })
+        .collect();
+    PlanDecision {
+        plan: plan.clone(),
+        scales: None,
+        assignments,
     }
 }
 
-impl PlanPolicy for StaticPlanPolicy {
-    fn decide(&mut self, ctx: &PlanCtx<'_>) -> PlanDecision {
-        let assignments = ctx
-            .segments
-            .iter()
-            .map(|seg| PlanAssignment {
-                segment: seg.name.clone(),
-                spec: self
-                    .plan
-                    .spec_for(&seg.name)
-                    .map_or_else(|| "<unmatched>".to_string(), |s| s.to_string()),
-                ratio: ctx.base_ratio,
-            })
-            .collect();
-        PlanDecision {
-            plan: self.plan.clone(),
-            scales: None,
-            assignments,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "static"
-    }
-}
-
-/// Normalized per-segment weights a [`LayerBcrsPolicy`] splits the round's
-/// coordinate budget by: the observed per-segment gradient mass when the
-/// telemetry loop has produced any (round ≥ 1 and not all-zero), segment
-/// lengths otherwise (round 0 degrades to a uniform split).
+/// Normalized per-segment weights [`layer_bcrs_plan`] splits the round's
+/// coordinate budget by: the observed per-segment gradient mass when it is
+/// usable — one finite, non-negative entry per segment with a positive
+/// finite sum — and segment lengths otherwise (round 0, a dead model, or a
+/// diverging run whose aggregate overflowed).
 pub fn plan_weights(lens: &[usize], gradient_mass: Option<&[f64]>) -> Vec<f64> {
     assert!(!lens.is_empty(), "plan weights need at least one segment");
-    let from_mass = gradient_mass.filter(|m| {
-        m.len() == lens.len() && m.iter().all(|&x| x >= 0.0) && m.iter().any(|&x| x > 0.0)
-    });
-    let raw: Vec<f64> = match from_mass {
+    let usable = |m: &&[f64]| {
+        let sum: f64 = m.iter().sum();
+        m.len() == lens.len()
+            && m.iter().all(|x| x.is_finite() && *x >= 0.0)
+            && sum > 0.0
+            && sum.is_finite()
+    };
+    let raw: Vec<f64> = match gradient_mass.filter(usable) {
         Some(mass) => mass.to_vec(),
         None => lens.iter().map(|&l| l as f64).collect(),
     };
@@ -655,146 +378,91 @@ pub fn allocate_layer_budgets(
         .collect()
 }
 
-/// The telemetry-driven plan policy: spend the bandwidth budget where the
-/// gradient mass is, layer by layer, round by round.
+/// The `layer-bcrs` decision: spend the bandwidth budget where the gradient
+/// mass is, layer by layer, round by round.
 ///
-/// Each round the policy (1) splits `efficiency · CR* · num_params`
-/// coordinates across segments in proportion to the previous round's
-/// per-segment gradient mass ([`plan_weights`] / [`allocate_layer_budgets`];
-/// segment lengths stand in on round 0), (2) runs the existing
-/// [`BcrsScheduler`] over each layer's byte budget and trims any layer whose
-/// straggler upload time would exceed its mass-proportional share of the
-/// uniform plan's BCRS envelope, and (3) assigns `qsgd` bit widths by mass
-/// rank — the heaviest third of segments quantize at 8 bits, the middle at
-/// 6, the lightest at 4 — emitting one exact-name
-/// `<segment>=ef-topk+qsgd:<bits>` rule per segment plus per-segment ratio
-/// scales.
-pub struct LayerBcrsPolicy {
-    scheduler: BcrsScheduler,
-    base_ratio: f64,
-    efficiency: f64,
-}
+/// It (1) splits `efficiency · CR* · num_params` coordinates across segments
+/// in proportion to the previous round's per-segment gradient mass
+/// ([`plan_weights`] / [`allocate_layer_budgets`]; segment lengths stand in
+/// on round 0), (2) runs the [`BcrsScheduler`] over `comm` for each layer's
+/// byte budget and trims any layer whose straggler upload time would exceed
+/// its mass-proportional share of the uniform plan's BCRS envelope, and (3)
+/// assigns `qsgd` bit widths by mass rank — the heaviest third of segments
+/// quantize at 8 bits, the middle at 6, the lightest at 4 — emitting one
+/// exact-name `<segment>=ef-topk+qsgd:<bits>` rule per segment plus
+/// per-segment ratio scales.
+pub fn layer_bcrs_plan(ctx: &PlanCtx<'_>, comm: CommModel, efficiency: f64) -> PlanDecision {
+    let n = ctx.segments.len();
+    assert!(n > 0, "a plan decision needs at least one segment");
+    let scheduler = BcrsScheduler::new(comm);
+    let lens: Vec<usize> = ctx.segments.iter().map(|s| s.len).collect();
+    let weights = plan_weights(&lens, ctx.gradient_mass);
+    let budgets = allocate_layer_budgets(&lens, &weights, ctx.base_ratio, efficiency);
 
-impl LayerBcrsPolicy {
-    /// Layer-BCRS over the given communication model at base ratio `CR*`,
-    /// spending `efficiency ∈ (0, 1]` of the uniform coordinate budget.
-    pub fn new(comm: CommModel, base_ratio: f64, efficiency: f64) -> Self {
-        assert!(
-            base_ratio > 0.0 && base_ratio <= 1.0,
-            "base ratio must be in (0, 1], got {base_ratio}"
-        );
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "efficiency must be in (0, 1], got {efficiency}"
-        );
-        Self {
-            scheduler: BcrsScheduler::new(comm),
-            base_ratio,
-            efficiency,
-        }
+    // Bit widths by mass rank: heaviest third 8 bits, middle 6, rest 4.
+    // Ties break on layout order so the decision is deterministic.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]).then(a.cmp(&b)));
+    let mut bits = vec![4u8; n];
+    for (rank, &i) in order.iter().enumerate() {
+        bits[i] = if rank * 3 < n {
+            8
+        } else if rank * 3 < 2 * n {
+            6
+        } else {
+            4
+        };
     }
-}
 
-impl PlanPolicy for LayerBcrsPolicy {
-    fn decide(&mut self, ctx: &PlanCtx<'_>) -> PlanDecision {
-        let n = ctx.segments.len();
-        assert!(n > 0, "plan policy needs at least one segment");
-        let lens: Vec<usize> = ctx.segments.iter().map(|s| s.len).collect();
-        let weights = plan_weights(&lens, ctx.gradient_mass);
-        let budgets = allocate_layer_budgets(&lens, &weights, self.base_ratio, self.efficiency);
+    // The straggler envelope the uniform plan would spend: any layer whose
+    // slowest-client upload time exceeds its mass share of it gets trimmed
+    // back, so the adaptive plan never worsens the round's straggler beyond
+    // BCRS's own discipline.
+    let envelope = (!ctx.links.is_empty())
+        .then(|| {
+            scheduler
+                .schedule(ctx.links, ctx.model_bytes, ctx.base_ratio)
+                .t_bench
+        })
+        .filter(|t| *t > 0.0);
 
-        // Bit widths by mass rank: heaviest third 8 bits, middle 6, rest 4.
-        // Ties break on layout order so the decision is deterministic.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            weights[b]
-                .partial_cmp(&weights[a])
-                .expect("plan weights are finite")
-                .then(a.cmp(&b))
+    let mut rules = String::new();
+    let mut scales = Vec::with_capacity(n);
+    let mut assignments = Vec::with_capacity(n);
+    for (i, seg) in ctx.segments.iter().enumerate() {
+        let len = seg.len.max(1);
+        let floor = 1.0 / len as f64;
+        let mut ratio = budgets[i] as f64 / len as f64;
+        if let Some(envelope) = envelope {
+            let layer_bytes = len as f64 * 4.0;
+            let straggler = scheduler
+                .schedule(ctx.links, layer_bytes, ratio.clamp(floor, 1.0))
+                .t_bench;
+            let share = weights[i] * envelope;
+            if straggler > share && straggler > 0.0 {
+                ratio = (ratio * share / straggler).clamp(floor, 1.0);
+            }
+        }
+        let ratio = ratio.clamp(floor, 1.0);
+        let spec = format!("ef-topk+qsgd:{}", bits[i]);
+        if i > 0 {
+            rules.push(';');
+        }
+        rules.push_str(&seg.name);
+        rules.push('=');
+        rules.push_str(&spec);
+        scales.push(ratio / ctx.base_ratio);
+        assignments.push(PlanAssignment {
+            segment: seg.name.clone(),
+            spec,
+            ratio,
         });
-        let mut bits = vec![4u8; n];
-        for (rank, &i) in order.iter().enumerate() {
-            bits[i] = if rank * 3 < n {
-                8
-            } else if rank * 3 < 2 * n {
-                6
-            } else {
-                4
-            };
-        }
-
-        // The straggler envelope the uniform plan would spend: any layer
-        // whose slowest-client upload time exceeds its mass share of it gets
-        // trimmed back, so the adaptive plan never worsens the round's
-        // straggler beyond BCRS's own discipline.
-        let envelope = (!ctx.links.is_empty())
-            .then(|| {
-                self.scheduler
-                    .schedule(ctx.links, ctx.model_bytes, self.base_ratio)
-                    .t_bench
-            })
-            .filter(|t| *t > 0.0);
-
-        let mut rules = String::new();
-        let mut scales = Vec::with_capacity(n);
-        let mut assignments = Vec::with_capacity(n);
-        for (i, seg) in ctx.segments.iter().enumerate() {
-            let len = seg.len.max(1);
-            let floor = 1.0 / len as f64;
-            let mut ratio = budgets[i] as f64 / len as f64;
-            if let Some(envelope) = envelope {
-                let layer_bytes = len as f64 * 4.0;
-                let straggler = self
-                    .scheduler
-                    .schedule(ctx.links, layer_bytes, ratio.clamp(floor, 1.0))
-                    .t_bench;
-                let share = weights[i] * envelope;
-                if straggler > share && straggler > 0.0 {
-                    ratio = (ratio * share / straggler).clamp(floor, 1.0);
-                }
-            }
-            let ratio = ratio.clamp(floor, 1.0);
-            let spec = format!("ef-topk+qsgd:{}", bits[i]);
-            if i > 0 {
-                rules.push(';');
-            }
-            rules.push_str(&seg.name);
-            rules.push('=');
-            rules.push_str(&spec);
-            scales.push(ratio / self.base_ratio);
-            assignments.push(PlanAssignment {
-                segment: seg.name.clone(),
-                spec,
-                ratio,
-            });
-        }
-        let plan = LayerPlan::parse(&rules).expect("generated rules always parse");
-        PlanDecision {
-            plan,
-            scales: Some(scales),
-            assignments,
-        }
     }
-
-    fn name(&self) -> &'static str {
-        "layer-bcrs"
-    }
-}
-
-/// The plan policy implied by a configuration's `adaptive_plan` knob:
-/// `None` (the static, fingerprint-pinned path) unless the knob is set.
-pub fn default_plan_policy(
-    config: &ExperimentConfig,
-    comm: CommModel,
-) -> Option<Box<dyn PlanPolicy>> {
-    match &config.adaptive_plan {
-        None => None,
-        Some(AdaptivePlanSpec::Static(plan)) => Some(Box::new(StaticPlanPolicy::new(plan.clone()))),
-        Some(AdaptivePlanSpec::LayerBcrs { efficiency }) => Some(Box::new(LayerBcrsPolicy::new(
-            comm,
-            config.compression_ratio,
-            *efficiency,
-        ))),
+    let plan = LayerPlan::parse(&rules).expect("generated rules always parse");
+    PlanDecision {
+        plan,
+        scales: Some(scales),
+        assignments,
     }
 }
 
@@ -802,59 +470,56 @@ pub fn default_plan_policy(
 mod tests {
     use super::*;
 
-    fn ctx(links: &[Link]) -> SelectionCtx<'_> {
-        SelectionCtx {
-            round: 0,
-            num_clients: links.len(),
-            cohort_size: links.len() / 2,
-            links,
-        }
-    }
-
     fn links(n: usize) -> Vec<Link> {
         (0..n)
             .map(|i| Link::from_mbps_ms(1.0 + i as f64, 50.0))
             .collect()
     }
 
+    /// Half of a 10-client fleet, the quick config's cohort.
+    fn draw(rng: &mut Xoshiro256, active: Option<Vec<usize>>, dropout_rate: f64) -> Vec<usize> {
+        select_cohort(rng, 10, 5, active, dropout_rate)
+    }
+
+    fn assert_valid_cohort(picked: &[usize], cohort: usize, num_clients: usize) {
+        assert!(!picked.is_empty() && picked.len() <= cohort);
+        assert!(picked.iter().all(|&c| c < num_clients));
+        let mut dedup = picked.to_vec();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), picked.len(), "duplicate client in {picked:?}");
+    }
+
     #[test]
     fn uniform_selector_matches_raw_sampling() {
-        let links = links(10);
-        let mut a = Xoshiro256::new(99);
-        let mut b = Xoshiro256::new(99);
-        let picked = UniformSelector.select(&ctx(&links), &mut a);
-        assert_eq!(picked, b.sample_without_replacement(10, 5));
+        // No scenario, no dropout: one draw over all N — the same draw, and
+        // the same stream state after it, as an explicit full pool.
+        let mut raw_rng = Xoshiro256::new(99);
+        let raw = raw_rng.sample_without_replacement(10, 5);
+        for active in [None, Some((0..10).collect())] {
+            let mut rng = Xoshiro256::new(99);
+            assert_eq!(draw(&mut rng, active, 0.0), raw);
+            assert_eq!(rng, raw_rng);
+        }
     }
 
     #[test]
     fn availability_selector_is_deterministic_and_valid() {
-        let links = links(10);
-        let mut sel = AvailabilitySelector::new(0.4);
         let mut a = Xoshiro256::new(3);
         let mut b = Xoshiro256::new(3);
-        let pa = sel.select(&ctx(&links), &mut a);
-        let pb = sel.select(&ctx(&links), &mut b);
-        assert_eq!(pa, pb);
-        assert!(!pa.is_empty() && pa.len() <= 5);
-        let mut dedup = pa.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), pa.len());
-        assert!(pa.iter().all(|&c| c < 10));
+        let pa = draw(&mut a, None, 0.4);
+        assert_eq!(pa, draw(&mut b, None, 0.4));
+        assert_valid_cohort(&pa, 5, 10);
     }
 
     #[test]
     fn availability_selector_shrinks_cohort_under_heavy_dropout() {
-        let links = links(10);
-        let mut sel = AvailabilitySelector::new(0.9);
         let mut rng = Xoshiro256::new(5);
         let mut shrunk = false;
         for _ in 0..50 {
-            let picked = sel.select(&ctx(&links), &mut rng);
-            assert!(!picked.is_empty());
-            if picked.len() < 5 {
-                shrunk = true;
-            }
+            let picked = draw(&mut rng, None, 0.9);
+            assert_valid_cohort(&picked, 5, 10);
+            shrunk |= picked.len() < 5;
         }
         assert!(shrunk, "90% dropout should shrink the cohort at least once");
     }
@@ -862,7 +527,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn availability_selector_rejects_certain_dropout() {
-        AvailabilitySelector::new(1.0);
+        draw(&mut Xoshiro256::new(1), None, 1.0);
     }
 
     #[test]
@@ -871,16 +536,12 @@ mod tests {
         // hit almost every round. It must produce exactly one valid
         // participant — never an empty cohort (which would break the round's
         // straggler max and per-client byte averages downstream) and never
-        // the old full-target-size fallback.
-        let links = links(10);
-        let mut sel = AvailabilitySelector::new(0.999);
+        // a full target-size fallback.
         let mut rng = Xoshiro256::new(17);
         let mut singleton_rounds = 0;
         for _ in 0..300 {
-            let picked = sel.select(&ctx(&links), &mut rng);
-            assert!(!picked.is_empty(), "empty cohort at dropout ≈ 1.0");
-            assert!(picked.len() <= 5);
-            assert!(picked.iter().all(|&c| c < 10));
+            let picked = draw(&mut rng, None, 0.999);
+            assert_valid_cohort(&picked, 5, 10);
             if picked.len() == 1 {
                 singleton_rounds += 1;
             }
@@ -895,18 +556,15 @@ mod tests {
     #[test]
     fn uniform_ratio_decision() {
         let links = links(4);
-        let rctx = RatioCtx {
-            round: 0,
-            links: &links,
-            model_bytes: 1e5,
-        };
-        let d = UniformRatio::sparse(0.1).decide(&rctx);
-        assert_eq!(d.ratios, vec![0.1; 4]);
-        assert!(d.schedule.is_none());
-        assert!(!d.dense_uplink);
-        let d = UniformRatio::dense().decide(&rctx);
-        assert_eq!(d.ratios, vec![1.0; 4]);
-        assert!(d.dense_uplink);
+        let mut c = ExperimentConfig::quick(Algorithm::TopK);
+        let comm = CommModel::paper_default();
+        let (ratios, schedule) = assign_ratios(&c, comm, &links, 1e5);
+        assert_eq!(ratios, vec![c.compression_ratio; 4]);
+        assert!(schedule.is_none());
+        c.algorithm = Algorithm::FedAvg;
+        let (ratios, schedule) = assign_ratios(&c, comm, &links, 1e5);
+        assert_eq!(ratios, vec![1.0; 4]);
+        assert!(schedule.is_none());
     }
 
     #[test]
@@ -915,45 +573,49 @@ mod tests {
             Link::from_mbps_ms(4.0, 40.0),
             Link::from_mbps_ms(0.5, 150.0),
         ];
-        let rctx = RatioCtx {
-            round: 0,
-            links: &links,
-            model_bytes: 1e5,
-        };
-        let d = BcrsRatioPolicy::new(CommModel::paper_default(), 0.05).decide(&rctx);
-        let s = d.schedule.expect("BCRS must emit a schedule");
-        assert_eq!(d.ratios, s.ratios);
-        assert!(d.ratios[0] > d.ratios[1], "fast client gets a larger ratio");
+        let mut c = ExperimentConfig::quick(Algorithm::Bcrs);
+        c.compression_ratio = 0.05;
+        let (ratios, schedule) = assign_ratios(&c, CommModel::paper_default(), &links, 1e5);
+        let s = schedule.expect("BCRS must emit a schedule");
+        assert_eq!(ratios, s.ratios);
+        assert!(ratios[0] > ratios[1], "fast client gets a larger ratio");
     }
 
     #[test]
     fn sgd_server_matches_apply_update() {
         let mut a = vec![1.0f32, 2.0, 3.0];
         let mut b = a.clone();
-        SgdServer.apply(&mut a, &[0.5, 0.5, 0.5], 0.2);
+        let mut velocity = Vec::new();
+        server_step(&mut a, &mut velocity, &[0.5, 0.5, 0.5], 0.0, 0.2);
         apply_update(&mut b, &[0.5, 0.5, 0.5], 0.2);
         assert_eq!(a, b);
+        assert!(velocity.is_empty(), "the plain update keeps no velocity");
     }
 
     #[test]
     fn momentum_server_accumulates_velocity() {
-        let mut opt = MomentumServer::new(0.5);
         let mut w = vec![0.0f32; 2];
-        opt.apply(&mut w, &[1.0, 2.0], 1.0); // v = [1, 2], w = [-1, -2]
+        let mut v = Vec::new();
+        server_step(&mut w, &mut v, &[1.0, 2.0], 0.5, 1.0); // v = [1, 2]
         assert_eq!(w, vec![-1.0, -2.0]);
-        opt.apply(&mut w, &[1.0, 2.0], 1.0); // v = [1.5, 3], w = [-2.5, -5]
+        server_step(&mut w, &mut v, &[1.0, 2.0], 0.5, 1.0); // v = [1.5, 3]
         assert_eq!(w, vec![-2.5, -5.0]);
-        assert!(opt.velocity_norm() > 0.0);
+        assert_eq!(v, vec![1.5, 3.0]);
     }
 
     #[test]
     fn momentum_zero_equals_sgd() {
-        let delta = [0.25f32, -0.75, 0.5];
-        let mut a = vec![1.0f32; 3];
+        // Bit for bit, signed zeros included: the momentum loop at β = 0
+        // would compute v = 0·0 + (−0.0) = +0.0 and leave w = −0.0, where
+        // the plain update gives −0.0 − 0.7·(−0.0) = +0.0.
+        let delta = [0.25f32, -0.75, -0.0];
+        let mut a = vec![1.0f32, 1.0, -0.0];
         let mut b = a.clone();
-        MomentumServer::new(0.0).apply(&mut a, &delta, 0.7);
-        SgdServer.apply(&mut b, &delta, 0.7);
-        assert_eq!(a, b);
+        server_step(&mut a, &mut Vec::new(), &delta, 0.0, 0.7);
+        apply_update(&mut b, &delta, 0.7);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a[2].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]
@@ -974,22 +636,29 @@ mod tests {
 
     #[test]
     fn defaults_follow_config() {
-        let mut c = ExperimentConfig::quick(Algorithm::FedAvg);
-        assert_eq!(default_selector(&c).name(), "uniform");
-        assert_eq!(default_server_opt(&c).name(), "sgd");
-        assert_eq!(
-            default_ratio_policy(&c, CommModel::paper_default()).name(),
-            "dense"
-        );
-        c.dropout_rate = 0.2;
-        c.server_momentum = 0.9;
-        c.algorithm = Algorithm::Bcrs;
-        assert_eq!(default_selector(&c).name(), "availability");
-        assert_eq!(default_server_opt(&c).name(), "momentum");
-        assert_eq!(
-            default_ratio_policy(&c, CommModel::paper_default()).name(),
-            "bcrs"
-        );
+        // Every uplink codec field lands in one plan; no field set is the
+        // algorithm's own codec as a uniform plan.
+        let mut c = ExperimentConfig::quick(Algorithm::EfTopK);
+        assert_eq!(uplink_plan(&c).to_string(), "*=ef-topk");
+        c.compressor = Some("topk+qsgd:4".parse().unwrap());
+        assert_eq!(uplink_plan(&c).to_string(), "*=topk+qsgd:4");
+        c.compressor = None;
+        c.layer_compressors = Some("*.bias=dense;*=topk".parse().unwrap());
+        assert_eq!(uplink_plan(&c).to_string(), "*.bias=dense;*=topk");
+        c.layer_compressors = None;
+        c.adaptive_plan = Some("static:*.bias=dense;*=randk".parse().unwrap());
+        assert_eq!(uplink_plan(&c).to_string(), "*.bias=dense;*=randk");
+        c.adaptive_plan = Some("layer-bcrs".parse().unwrap());
+        assert_eq!(uplink_plan(&c).to_string(), "*=ef-topk");
+
+        // The downlink leg exists only when a downlink field is set.
+        assert_eq!(downlink_plan(&c), None);
+        c.downlink_compressor = Some("ef-topk+qsgd:8".parse().unwrap());
+        assert_eq!(downlink_plan(&c).unwrap().to_string(), "*=ef-topk+qsgd:8");
+        c.downlink_compressor = None;
+        c.downlink_layer_compressors = Some("*.bias=dense;*=ef-topk".parse().unwrap());
+        let plan = downlink_plan(&c).unwrap();
+        assert_eq!(plan.to_string(), "*.bias=dense;*=ef-topk");
     }
 
     fn segs(defs: &[(&str, usize)]) -> Vec<SegmentDef> {
@@ -1000,16 +669,14 @@ mod tests {
         segments: &'a [SegmentDef],
         links: &'a [Link],
         mass: Option<&'a [f64]>,
+        base_ratio: f64,
     ) -> PlanCtx<'a> {
         PlanCtx {
-            round: 1,
             segments,
             links,
             model_bytes: segments.iter().map(|s| s.len as f64 * 4.0).sum(),
-            base_ratio: 0.1,
-            prev_layer_bytes: None,
+            base_ratio,
             gradient_mass: mass,
-            residual_norm: &|| 0.0,
         }
     }
 
@@ -1053,10 +720,9 @@ mod tests {
     #[test]
     fn static_plan_policy_re_emits_the_plan_without_scales() {
         let plan: LayerPlan = "*.bias=dense;*=ef-topk".parse().unwrap();
-        let mut policy = StaticPlanPolicy::new(plan.clone());
         let segments = segs(&[("l0.weight", 100), ("l0.bias", 10)]);
         let links = links(3);
-        let d = policy.decide(&plan_ctx(&segments, &links, None));
+        let d = static_plan(&plan, &plan_ctx(&segments, &links, None, 0.1));
         assert_eq!(d.plan, plan);
         assert!(d.scales.is_none(), "static path must not scale ratios");
         assert_eq!(d.assignments.len(), 2);
@@ -1080,6 +746,36 @@ mod tests {
         // Length mismatch is ignored (stale telemetry after a layout change).
         let w = plan_weights(&lens, Some(&[1.0]));
         assert!((w[0] - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_gradient_mass_falls_back_to_lengths() {
+        // Regression: a diverging run's aggregate overflows, its segment L1
+        // mass is ∞, and ∞/∞ made the weights NaN — which then panicked the
+        // layer-bcrs bit-width ranking.
+        let lens = [300usize, 100];
+        for mass in [
+            [f64::INFINITY, 1.0],
+            [f64::NAN, 1.0],
+            [f64::MAX, f64::MAX],
+            [-1.0, 2.0],
+        ] {
+            let w = plan_weights(&lens, Some(&mass));
+            assert_eq!(w, vec![0.75, 0.25], "{mass:?}");
+        }
+        let segments = segs(&[("a", 300), ("b", 100)]);
+        let links = links(3);
+        let mass = [f64::INFINITY, 1.0];
+        let d = layer_bcrs_plan(
+            &plan_ctx(&segments, &links, Some(&mass), 0.1),
+            CommModel::paper_default(),
+            0.9,
+        );
+        assert!(d
+            .assignments
+            .iter()
+            .all(|a| a.ratio > 0.0 && a.ratio <= 1.0));
+        assert_eq!(d.assignments[0].spec, "ef-topk+qsgd:8");
     }
 
     #[test]
@@ -1118,11 +814,14 @@ mod tests {
 
     #[test]
     fn layer_bcrs_policy_emits_covering_rules_scales_and_bits() {
-        let mut policy = LayerBcrsPolicy::new(CommModel::paper_default(), 0.1, 0.9);
         let segments = segs(&[("l0.weight", 784), ("l0.bias", 16), ("l1.weight", 160)]);
         let links = links(4);
         let mass = [50.0, 0.5, 5.0];
-        let d = policy.decide(&plan_ctx(&segments, &links, Some(&mass)));
+        let d = layer_bcrs_plan(
+            &plan_ctx(&segments, &links, Some(&mass), 0.1),
+            CommModel::paper_default(),
+            0.9,
+        );
 
         // Every segment is covered by an exact-name rule.
         for seg in &segments {
@@ -1159,32 +858,11 @@ mod tests {
         let segments = segs(&[("a", 100), ("b", 200)]);
         let links = links(3);
         let mass = [1.0, 2.0];
-        let mut p1 = LayerBcrsPolicy::new(CommModel::paper_default(), 0.2, 0.9);
-        let mut p2 = LayerBcrsPolicy::new(CommModel::paper_default(), 0.2, 0.9);
-        let d1 = p1.decide(&plan_ctx(&segments, &links, Some(&mass)));
-        let d2 = p2.decide(&plan_ctx(&segments, &links, Some(&mass)));
+        let ctx = plan_ctx(&segments, &links, Some(&mass), 0.2);
+        let d1 = layer_bcrs_plan(&ctx, CommModel::paper_default(), 0.9);
+        let d2 = layer_bcrs_plan(&ctx, CommModel::paper_default(), 0.9);
         assert_eq!(d1.plan, d2.plan);
         assert_eq!(d1.scales, d2.scales);
         assert_eq!(d1.assignments, d2.assignments);
-    }
-
-    #[test]
-    fn default_plan_policy_follows_the_knob() {
-        let mut c = ExperimentConfig::quick(Algorithm::TopK);
-        assert!(default_plan_policy(&c, CommModel::paper_default()).is_none());
-        c.adaptive_plan = Some("static:*=topk".parse().unwrap());
-        assert_eq!(
-            default_plan_policy(&c, CommModel::paper_default())
-                .unwrap()
-                .name(),
-            "static"
-        );
-        c.adaptive_plan = Some("layer-bcrs".parse().unwrap());
-        assert_eq!(
-            default_plan_policy(&c, CommModel::paper_default())
-                .unwrap()
-                .name(),
-            "layer-bcrs"
-        );
     }
 }

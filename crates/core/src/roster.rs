@@ -16,8 +16,9 @@
 //!    clients that have been selected under an EF codec and carried mass.
 //!
 //! [`ClientRoster`] keeps exactly those two, plus the shared immutable
-//! inputs (training data, partitions, config, codec registry) and a pool of
-//! spent [`ClientState`] *shells*:
+//! inputs (training data, partitions, config, codec registry, the
+//! configuration's [`uplink_plan`]) and a pool of spent [`ClientState`]
+//! *shells*:
 //!
 //! * [`checkout`](ClientRoster::checkout) pops a shell and **rebinds** it —
 //!   new id, the client's persistent RNG stream, its shard copied into the
@@ -33,8 +34,9 @@
 //!   once its residual is taken it holds nothing of its last client) *and*
 //!   the plan key — bumped by every [`set_plan_override`] that changes the
 //!   plan or its ratio scales, 0 on the static path — is the one it was
-//!   built under. Otherwise the codec alone is rebuilt, with this client's
-//!   own `CodecCtx` (`seed ^ id`). Rebuilding it at every checkout instead
+//!   built under. Otherwise the codec alone is rebuilt from the plan in
+//!   force (the override, else the static plan), with this client's own
+//!   `CodecCtx` (`seed ^ id`). Rebuilding it at every checkout instead
 //!   was measured: `adaptive_churn` ran 9 % fewer rounds per second, in 10
 //!   of 10 alternating pairs (a plan codec is six parsed, boxed segment
 //!   codecs and their warm scratch);
@@ -59,6 +61,7 @@
 
 use crate::client::ClientState;
 use crate::config::ExperimentConfig;
+use crate::policy::uplink_plan;
 use fl_compress::{
     migrate_planned_residual, CodecRegistry, LayerPlan, ResidualState, ResidualStore, SegmentDef,
 };
@@ -70,9 +73,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The roster's current round-scoped codec plan, installed by the round
-/// engine when an adaptive [`crate::policy::PlanPolicy`] is active. While an
-/// override is set, [`ClientRoster::checkout`] resolves codecs against it
-/// instead of the configuration's static codec path.
+/// engine when `config.adaptive_plan` is set. While an override is set,
+/// [`ClientRoster::checkout`] resolves codecs against it instead of the
+/// configuration's static plan.
 #[derive(Clone)]
 struct PlanOverride {
     plan: LayerPlan,
@@ -99,14 +102,16 @@ pub struct ClientRoster {
     partitions: Arc<Vec<ClientPartition>>,
     config: ExperimentConfig,
     registry: CodecRegistry,
+    /// The configuration's [`uplink_plan`], resolved once.
+    plan: LayerPlan,
     /// One persistent RNG stream per client, forked from the session's client
     /// root in id order at build time (the same fork loop — and therefore the
     /// same streams — as the legacy eager construction).
     streams: Vec<Mutex<Xoshiro256>>,
     residuals: ResidualStore,
     /// The adaptive plan currently in force (`None` on the static path —
-    /// checkout then resolves codecs from the configuration, bit-identically
-    /// to pre-adaptive builds). Written only between rounds by the engine's
+    /// checkout then resolves codecs from `plan`, bit-identically to
+    /// pre-adaptive builds). Written only between rounds by the engine's
     /// single-threaded select stage; checkout takes a handle to it.
     plan_override: Mutex<Option<Arc<PlanOverride>>>,
     /// Residual part counts of every plan epoch ever installed, for lazy
@@ -142,6 +147,7 @@ impl ClientRoster {
         Self {
             train,
             partitions,
+            plan: uplink_plan(&config),
             config,
             registry,
             streams,
@@ -183,15 +189,17 @@ impl ClientRoster {
     pub fn checkout(&self, id: usize) -> ClientState {
         let stream = self.streams[id].lock().clone();
         let over = self.plan_override.lock().clone();
-        let plan = over.as_deref().map(|o| (&o.plan, o.scales.as_deref()));
-        let codec_key = over.as_deref().map_or(0, |o| o.codec_key);
+        let (plan, scales, codec_key) = match over.as_deref() {
+            Some(o) => (&o.plan, o.scales.as_deref(), o.codec_key),
+            None => (&self.plan, None, 0),
+        };
         let (config, train) = (&self.config, &self.train);
         let shell = self.pool.lock().pop();
         let mut client = shell.unwrap_or_else(|| {
             ClientState::shell(config, train.feature_dim(), train.num_classes())
         });
         client.rebind(id, stream, train, &self.partitions[id].indices);
-        client.resolve_codec(config, &self.registry, plan, codec_key);
+        client.resolve_codec(config.seed, &self.registry, plan, scales, codec_key);
         if let Some((state, epoch)) = self.residuals.take_epoch(id as u64) {
             let state = match over.as_deref() {
                 Some(o) if epoch != o.epoch => {

@@ -1,18 +1,20 @@
 //! One communication round of the [`FederatedSession`] engine, decomposed
 //! into explicit stages (Alg. 1 lines 3–19):
 //!
-//! 1. **select** — the [`crate::policy::ClientSelector`] picks the cohort
-//!    (guaranteed non-empty: an empty selection falls back to one uniformly
-//!    drawn client so the round's averages and stragglers stay defined);
+//! 1. **select** — [`crate::policy::select_cohort`] draws the cohort from the
+//!    reachable, non-dropped clients (never empty: with nobody up it falls
+//!    back to one uniformly drawn client so the round's averages and
+//!    stragglers stay defined), and an adaptive plan, when configured,
+//!    decides the cohort's per-layer codec plan;
 //! 2. **downlink phase** — when a broadcast codec is configured, the server
 //!    encodes the global-parameter delta since the last broadcast once into
 //!    a [`fl_compress::WireUpdate`]; the selected clients decode it before
 //!    training (one shared decode — every recipient gets the same bytes);
-//! 3. **local phase** — the [`crate::policy::RatioPolicy`] assigns ratios,
-//!    then every selected client trains (from the broadcast view) and
-//!    compresses in parallel;
+//! 3. **local phase** — [`crate::policy::assign_ratios`] gives each client
+//!    its ratio, then every selected client trains (from the broadcast view)
+//!    and compresses in parallel;
 //! 4. **aggregate phase** — overlap analysis, optional OPWA mask, weighted
-//!    aggregation and the [`crate::policy::ServerOpt`] global update;
+//!    aggregation and the [`crate::policy::server_step`] global update;
 //! 5. **timing phase** — the network simulator prices the round's transfers:
 //!    every client's upload, plus its download of the broadcast when the
 //!    downlink leg is simulated (the straggler bound covers both legs);
@@ -25,19 +27,22 @@
 use crate::aggregate::{
     aggregate_compressed_sharded, aggregate_sparse_sharded, data_fractions_or_uniform,
 };
+use crate::algorithm::Algorithm;
 use crate::bcrs::BcrsSchedule;
-use crate::client::LocalTrainOutput;
+use crate::client::{segment_defs, LocalTrainOutput};
 use crate::eval::{evaluate_with_threads, Evaluation};
 use crate::opwa::OpwaMask;
 use crate::overlap::OverlapCounts;
-use crate::policy::{PlanCtx, RatioCtx, SelectionCtx};
+use crate::policy::{
+    assign_ratios, layer_bcrs_plan, select_cohort, server_step, static_plan, AdaptivePlanSpec,
+    PlanCtx,
+};
 use crate::runner::{LayerBytes, PlanTelemetry, RoundRecord};
 use crate::session::FederatedSession;
 use fl_compress::{CompressedUpdate, SparseUpdate};
 use fl_netsim::{CostBasis, Link, RoundBreakdown, RoundTiming};
 use fl_nn::unflatten_params;
 use fl_tensor::parallel::parallel_map;
-use fl_tensor::rng::Rng;
 use std::cmp::Reverse;
 
 /// Everything produced by one round beyond the global-state mutation.
@@ -45,7 +50,7 @@ use std::cmp::Reverse;
 pub struct RoundOutput {
     /// The round's record (also appended to the session's history).
     pub record: RoundRecord,
-    /// The BCRS schedule, when the ratio policy produced one.
+    /// The BCRS schedule, when the algorithm schedules ratios.
     pub schedule: Option<BcrsSchedule>,
     /// Slowest selected client's local training wall time (seconds).
     pub train_time_s: f64,
@@ -60,10 +65,11 @@ pub struct RoundOutput {
     pub downlink_wire_bytes: usize,
 }
 
-/// Stage 1 output: the cohort and its links.
+/// Stage 1 output: the cohort, its links and the adaptive plan's decision.
 struct Selection {
     selected: Vec<usize>,
     links: Vec<Link>,
+    plan: Option<PlanTelemetry>,
 }
 
 /// Stage 2 output: the broadcast leg. `wire_bytes` is `None` when no
@@ -89,7 +95,6 @@ struct LocalPhase {
     total_compress_time: f64,
     ratios: Vec<f64>,
     schedule: Option<BcrsSchedule>,
-    dense_uplink: bool,
 }
 
 /// Stage 4 output: the overlap analysis retained for the record.
@@ -116,7 +121,7 @@ impl FederatedSession {
         let round = self.next_round;
         let selection = self.select(round);
         let downlink = self.downlink_phase();
-        let local = self.local_phase(round, &selection);
+        let local = self.local_phase(&selection);
         let aggregate = self.aggregate_phase(&local);
         let timing = self.timing_phase(&selection, &local, &downlink);
         let output = self.eval_phase(round, selection, local, aggregate, downlink, timing);
@@ -124,31 +129,21 @@ impl FederatedSession {
         output
     }
 
-    /// Stage 1: pick this round's cohort via the selection policy.
-    ///
-    /// The engine guarantees a non-empty cohort: a selector that comes back
-    /// empty (a custom policy, or an availability model with every client
-    /// down) is backstopped by one uniformly drawn client, so the round's
-    /// loss/ratio averages, the straggler `max` and any per-client byte
-    /// arithmetic downstream never operate on an empty set.
+    /// Stage 1: advance the scenario's fleet to this round, draw the cohort
+    /// (see [`select_cohort`]) and snapshot its links, then let the adaptive
+    /// plan (if any) decide the round's codec plan.
     fn select(&mut self, round: usize) -> Selection {
-        // Advance the scenario's fleet to this round *before* the selector
-        // runs, in the engine rather than inside the selector: a custom
-        // selector override can change who is picked but can never skip (or
-        // double-apply — `advance` is idempotent) a round's fleet events.
-        if let Some(handle) = &self.scenario {
+        let active = self.scenario.as_mut().map(|handle| {
             handle.advance(round);
-        }
-        let ctx = SelectionCtx {
-            round,
-            num_clients: self.config.num_clients,
-            cohort_size: self.cohort,
-            links: &self.links,
-        };
-        let mut selected = self.selector.select(&ctx, &mut self.selection_rng);
-        if selected.is_empty() {
-            selected.push(self.selection_rng.next_below(self.config.num_clients));
-        }
+            handle.active_clients()
+        });
+        let selected = select_cohort(
+            &mut self.selection_rng,
+            self.config.num_clients,
+            self.cohort,
+            active,
+            self.config.dropout_rate,
+        );
         // Cohort links honour the scenario's per-round overrides (tier
         // resampling, rejoin links); without a scenario this is exactly the
         // static draw.
@@ -159,41 +154,45 @@ impl FederatedSession {
                 .collect(),
             None => selected.iter().map(|&i| self.links[i]).collect(),
         };
-        self.plan_phase(round, &links);
-        Selection { selected, links }
+        let plan = self.plan_phase(&links);
+        Selection {
+            selected,
+            links,
+            plan,
+        }
     }
 
-    /// Advance the adaptive plan policy (when one is configured): hand it the
-    /// round's link snapshot and the previous round's telemetry, install its
-    /// decision as the roster's codec plan for this round's checkouts, and
-    /// stash the decision for the record. A no-op on the static path — no
-    /// policy, no override, no telemetry, bit-identical to pre-adaptive runs.
-    fn plan_phase(&mut self, round: usize, links: &[Link]) {
-        let Some(policy) = self.plan_policy.as_mut() else {
-            return;
-        };
-        let segments = crate::client::segment_defs(&self.layout);
+    /// Decide the round's plan when `config.adaptive_plan` is set: hand the
+    /// round's link snapshot and the previous round's gradient mass to the
+    /// configured rule, install the decision as the roster's codec plan for
+    /// this round's checkouts, and return it for the record. A no-op on the
+    /// static path — no override, no telemetry, bit-identical to
+    /// pre-adaptive runs.
+    fn plan_phase(&self, links: &[Link]) -> Option<PlanTelemetry> {
+        let spec = self.config.adaptive_plan.as_ref()?;
+        let segments = segment_defs(&self.layout);
         let ctx = PlanCtx {
-            round,
             segments: &segments,
             links,
             model_bytes: self.model_bytes as f64,
             base_ratio: self.config.compression_ratio,
-            prev_layer_bytes: self.records.last().and_then(|r| r.layer_bytes.as_deref()),
             gradient_mass: self.last_gradient_mass.as_deref(),
-            residual_norm: &|| self.roster.residual_total_norm(),
         };
-        let decision = policy.decide(&ctx);
-        let policy_name = policy.name();
+        let decision = match spec {
+            AdaptivePlanSpec::Static(plan) => static_plan(plan, &ctx),
+            AdaptivePlanSpec::LayerBcrs { efficiency } => {
+                layer_bcrs_plan(&ctx, self.comm, *efficiency)
+            }
+        };
         let epoch =
             self.roster
                 .set_plan_override(decision.plan.clone(), decision.scales, &segments);
-        self.plan_telemetry = Some(PlanTelemetry {
-            policy: policy_name.to_string(),
+        Some(PlanTelemetry {
+            policy: spec.name().to_string(),
             plan: decision.plan.to_string(),
             epoch,
             assignments: decision.assignments,
-        });
+        })
     }
 
     /// Stage 2: broadcast the global parameters. With a downlink codec the
@@ -236,28 +235,24 @@ impl FederatedSession {
     /// length (stable, ties by cohort position): local training costs in
     /// proportion to the shard, so the big clients start first and the small
     /// ones fill the tail instead of one worker finishing a straggler alone.
-    /// The *cohort order* — the selector's — is what ratios, links, sample
+    /// The *cohort order* — the draw's — is what ratios, links, sample
     /// counts, wire sizes and the aggregation's coefficients are indexed by;
     /// the outputs are put back into it before anything reads them, and a
     /// client's work depends on nothing but its own id, stream and residual,
     /// so the hand-out order changes when a client runs and nothing else.
-    fn local_phase(&mut self, round: usize, selection: &Selection) -> LocalPhase {
-        let decision = self.ratio_policy.decide(&RatioCtx {
-            round,
-            links: &selection.links,
-            model_bytes: self.model_bytes as f64,
-        });
-        assert_eq!(
-            decision.ratios.len(),
-            selection.selected.len(),
-            "ratio policy must produce one ratio per selected client"
+    fn local_phase(&mut self, selection: &Selection) -> LocalPhase {
+        let (ratios, schedule) = assign_ratios(
+            &self.config,
+            self.comm,
+            &selection.links,
+            self.model_bytes as f64,
         );
 
         let roster = &self.roster;
         let mut work: Vec<(usize, usize, f64)> = selection
             .selected
             .iter()
-            .zip(decision.ratios.iter())
+            .zip(ratios.iter())
             .enumerate()
             .map(|(pos, (&client_idx, &ratio))| (pos, client_idx, ratio))
             .collect();
@@ -338,15 +333,14 @@ impl FederatedSession {
             train_loss: loss_sum / cohort_len as f64,
             max_train_time,
             total_compress_time,
-            ratios: decision.ratios,
-            schedule: decision.schedule,
-            dense_uplink: decision.dense_uplink,
+            ratios,
+            schedule,
         }
     }
 
     /// Stage 4: compute averaging coefficients (Eq. 6 under BCRS), apply the
-    /// OPWA mask when active, aggregate, and let the server optimizer update
-    /// the global parameters. Overlap analysis and OPWA apply when the whole
+    /// OPWA mask when active, aggregate, and take the server step on the
+    /// global parameters. Overlap analysis and OPWA apply when the whole
     /// cohort decoded to sparse updates (quantized codecs retain every
     /// coordinate, so overlap degrees are not defined for them).
     ///
@@ -398,12 +392,17 @@ impl FederatedSession {
         };
         // Telemetry for the next round's plan decision: where the aggregated
         // update's mass concentrated, per layout segment. Computed only when
-        // a plan policy is consuming it — the static path does no extra work.
-        if self.plan_policy.is_some() {
+        // `layer-bcrs` reads it — every other path does no extra work.
+        if let Some(AdaptivePlanSpec::LayerBcrs { .. }) = self.config.adaptive_plan {
             self.last_gradient_mass = Some(fl_nn::segment_l1_masses(&self.layout, &aggregated));
         }
-        self.server_opt
-            .apply(&mut self.global_params, &aggregated, self.config.server_lr);
+        server_step(
+            &mut self.global_params,
+            &mut self.server_velocity,
+            &aggregated,
+            self.config.server_momentum,
+            self.config.server_lr,
+        );
         AggregatePhase { overlap }
     }
 
@@ -440,7 +439,7 @@ impl FederatedSession {
                 .collect(),
             CostBasis::Analytic => match &local.schedule {
                 Some(s) => s.scheduled_times.clone(),
-                None if local.dense_uplink => dense_times.clone(),
+                None if self.config.algorithm == Algorithm::FedAvg => dense_times.clone(),
                 None => selection
                     .links
                     .iter()
@@ -552,7 +551,7 @@ impl FederatedSession {
             overlap: aggregate.overlap.map(|c| c.stats()),
             layer_bytes,
             scenario: self.scenario.as_ref().map(|h| h.telemetry()),
-            plan: self.plan_telemetry.take(),
+            plan: selection.plan,
         };
         RoundOutput {
             record,
@@ -855,20 +854,28 @@ mod tests {
 
     #[test]
     fn uniform_layer_plan_is_bit_identical_to_the_flat_codec() {
-        // `"*=topk"` collapses to the flat Top-K codec: every field of every
-        // record — bytes, times, trajectory — matches the flat path exactly,
-        // and no per-layer breakdown appears.
+        // `"*=S"` collapses to the flat codec `S` on either leg: every field
+        // of every record — bytes, times, trajectory — matches the flat path
+        // exactly, and no per-layer breakdown appears.
         let mut flat = ExperimentConfig::quick(Algorithm::TopK);
         flat.rounds = 3;
         flat.max_threads = 1;
+        flat.cost_basis = CostBasis::Encoded;
         flat.compressor = Some("topk".parse().unwrap());
-        let mut planned = flat.clone();
-        planned.compressor = None;
-        planned.layer_compressors = Some("*=topk".parse().unwrap());
+        flat.downlink_compressor = Some("ef-topk".parse().unwrap());
+        let mut uplink = flat.clone();
+        uplink.compressor = None;
+        uplink.layer_compressors = Some("*=topk".parse().unwrap());
+        let mut downlink = flat.clone();
+        downlink.downlink_compressor = None;
+        downlink.downlink_layer_compressors = Some("*=ef-topk".parse().unwrap());
         let a = FederatedSession::from_config(&flat).run();
-        let b = FederatedSession::from_config(&planned).run();
-        assert_eq!(a.records, b.records);
-        assert!(b.records.iter().all(|r| r.layer_bytes.is_none()));
+        assert!(a.records.iter().all(|r| r.downlink_bytes > 0));
+        for planned in [uplink, downlink] {
+            let b = FederatedSession::from_config(&planned).run();
+            assert_eq!(a.records, b.records);
+            assert!(b.records.iter().all(|r| r.layer_bytes.is_none()));
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`crate::round`] engine; this module keeps the stable public surface —
 //! [`run_experiment`], the per-round [`RoundRecord`] and the aggregate
 //! [`ExperimentResult`] — as thin wrappers over a [`crate::session::FederatedSession`] built
-//! with the configuration's default policies.
+//! from the configuration.
 
 use crate::client::build_model;
 use crate::config::ExperimentConfig;
@@ -45,7 +45,7 @@ pub struct PlanTelemetry {
     pub plan: String,
     /// The plan epoch the cohort encoded under. Bumped whenever the decision
     /// changes the codec layout, driving lazy error-feedback residual
-    /// migration; a static policy stays at epoch 0 forever.
+    /// migration; a `static:` plan stays at epoch 1 for the whole run.
     pub epoch: u64,
     /// Per-segment assignments (spec + effective ratio), in layout order.
     pub assignments: Vec<crate::policy::PlanAssignment>,

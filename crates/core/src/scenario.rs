@@ -1,16 +1,15 @@
 //! Scenario-driven fleet dynamics wired into the round engine.
 //!
 //! The `fl-netsim` [`Scenario`] machinery produces per-round
-//! [`FleetEvent`] streams; this module connects them
-//! to the session's seams:
+//! [`FleetEvent`] streams; this module connects them to the round engine:
 //!
 //! * [`ScenarioHandle`] — owns the scenario and the materialised
 //!   [`FleetState`], advanced exactly once per round by the round engine
-//!   (idempotently, so custom drivers stepping the session manually cannot
-//!   double-apply a round's events);
-//! * [`ScenarioSelector`] — a [`ClientSelector`] that samples the cohort
-//!   uniformly from the *currently reachable* clients (optionally thinning
-//!   them further with the config's i.i.d. `dropout_rate`);
+//!   (idempotently, so no round's events are ever applied twice). The
+//!   engine draws each cohort from its
+//!   [`active_clients`](ScenarioHandle::active_clients) (see
+//!   [`crate::policy::select_cohort`]) and prices transfers over its
+//!   [`link_for`](ScenarioHandle::link_for) overrides;
 //! * [`scenario_seed`] / [`record_scenario_trace`] — the dedicated seed
 //!   stream and the trace-capture helper used to replay a run's exact fleet
 //!   evolution from a text file.
@@ -20,11 +19,8 @@
 //! scenarios stay practical at roster-scale populations.
 
 use crate::config::ExperimentConfig;
-use crate::policy::{ClientSelector, SelectionCtx};
 use fl_netsim::scenario::FleetEvent;
 use fl_netsim::{FleetState, Link, RecordingScenario, Scenario, ScenarioTelemetry};
-use fl_tensor::rng::{Rng, Xoshiro256};
-use std::sync::{Arc, Mutex};
 
 /// The dedicated seed stream for scenario randomness: `config.seed ^ 0x5CE0`.
 ///
@@ -35,22 +31,14 @@ pub fn scenario_seed(config: &ExperimentConfig) -> u64 {
     config.seed ^ 0x5CE0
 }
 
-/// The driver state behind a [`ScenarioHandle`]: the event source, the
-/// materialised fleet view, and the last advanced round's telemetry.
-struct DriverState {
+/// A running scenario: the event source, the materialised fleet view, and
+/// the last advanced round's telemetry.
+pub struct ScenarioHandle {
     scenario: Box<dyn Scenario>,
     fleet: FleetState,
     buf: Vec<FleetEvent>,
     next_round: usize,
     last: ScenarioTelemetry,
-}
-
-/// Shared handle to a running scenario: the session holds one clone and the
-/// [`ScenarioSelector`] another, so the selector reads the fleet view the
-/// engine has already advanced for the round.
-#[derive(Clone)]
-pub struct ScenarioHandle {
-    inner: Arc<Mutex<DriverState>>,
 }
 
 impl ScenarioHandle {
@@ -62,13 +50,11 @@ impl ScenarioHandle {
             ..ScenarioTelemetry::default()
         };
         Self {
-            inner: Arc::new(Mutex::new(DriverState {
-                scenario,
-                fleet,
-                buf: Vec::new(),
-                next_round: 0,
-                last,
-            })),
+            scenario,
+            fleet,
+            buf: Vec::new(),
+            next_round: 0,
+            last,
         }
     }
 
@@ -78,112 +64,48 @@ impl ScenarioHandle {
     /// for an earlier one) is a no-op. Panics on a corrupt event stream
     /// (an event naming a client outside the fleet), matching the engine's
     /// fail-fast posture on invalid configuration.
-    pub fn advance(&self, round: usize) {
-        let mut guard = self.inner.lock().expect("scenario driver poisoned");
-        let state = &mut *guard;
-        while state.next_round <= round {
-            let r = state.next_round;
-            state.buf.clear();
-            state.scenario.events_for_round(r, &mut state.buf);
+    pub fn advance(&mut self, round: usize) {
+        while self.next_round <= round {
+            let r = self.next_round;
+            self.buf.clear();
+            self.scenario.events_for_round(r, &mut self.buf);
             let mut telemetry = ScenarioTelemetry::default();
-            for event in &state.buf {
+            for event in &self.buf {
                 match event {
                     FleetEvent::Join { .. } => telemetry.joined += 1,
                     FleetEvent::Leave { .. } => telemetry.departed += 1,
                     FleetEvent::LinkSet { .. } => telemetry.link_changes += 1,
                     FleetEvent::Down { .. } | FleetEvent::Up { .. } => {}
                 }
-                state
-                    .fleet
+                self.fleet
                     .apply(event)
                     .unwrap_or_else(|e| panic!("invalid scenario event at round {r}: {e}"));
             }
-            telemetry.available = state.fleet.active_count();
-            state.last = telemetry;
-            state.next_round = r + 1;
+            telemetry.available = self.fleet.active_count();
+            self.last = telemetry;
+            self.next_round = r + 1;
         }
     }
 
     /// The link `client` communicates over right now: the scenario's override
     /// when one is in force, the static `base` draw otherwise.
     pub fn link_for(&self, client: usize, base: &[Link]) -> Link {
-        self.inner
-            .lock()
-            .expect("scenario driver poisoned")
-            .fleet
-            .link_for(client, base)
+        self.fleet.link_for(client, base)
     }
 
     /// Telemetry of the most recently advanced round.
     pub fn telemetry(&self) -> ScenarioTelemetry {
-        self.inner.lock().expect("scenario driver poisoned").last
+        self.last
     }
 
     /// Indices of the currently reachable clients, ascending.
     pub fn active_clients(&self) -> Vec<usize> {
-        self.inner
-            .lock()
-            .expect("scenario driver poisoned")
-            .fleet
-            .active_clients()
+        self.fleet.active_clients()
     }
 
     /// The wrapped scenario's short name (`"diurnal"`, `"trace"`, …).
     pub fn scenario_name(&self) -> &'static str {
-        self.inner
-            .lock()
-            .expect("scenario driver poisoned")
-            .scenario
-            .name()
-    }
-}
-
-/// Cohort selection over a dynamic fleet: sample uniformly (without
-/// replacement) from the clients the scenario currently reports reachable.
-///
-/// A positive `dropout_rate` additionally flips one i.i.d. availability coin
-/// per *reachable* client — the scenario models structural unavailability
-/// (outages, churn), the dropout rate residual flakiness on top. When nobody
-/// is reachable the selector returns an empty cohort and the round engine's
-/// backstop drafts one uniformly drawn client, exactly as for every other
-/// selector.
-pub struct ScenarioSelector {
-    handle: ScenarioHandle,
-    dropout_rate: f64,
-}
-
-impl ScenarioSelector {
-    /// Selector over `handle`'s fleet. Panics unless `dropout_rate ∈ [0, 1)`.
-    pub fn new(handle: ScenarioHandle, dropout_rate: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&dropout_rate),
-            "dropout_rate must be in [0, 1), got {dropout_rate}"
-        );
-        Self {
-            handle,
-            dropout_rate,
-        }
-    }
-}
-
-impl ClientSelector for ScenarioSelector {
-    fn select(&mut self, ctx: &SelectionCtx<'_>, rng: &mut Xoshiro256) -> Vec<usize> {
-        let mut available = self.handle.active_clients();
-        if self.dropout_rate > 0.0 {
-            available.retain(|_| !rng.next_bool(self.dropout_rate));
-        }
-        if available.is_empty() {
-            return Vec::new();
-        }
-        let k = ctx.cohort_size.min(available.len());
-        rng.sample_without_replacement(available.len(), k)
-            .into_iter()
-            .map(|i| available[i])
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "scenario"
+        self.scenario.name()
     }
 }
 
@@ -216,7 +138,9 @@ pub fn record_scenario_trace(config: &ExperimentConfig, rounds: usize) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::select_cohort;
     use fl_netsim::{DiurnalScenario, ScenarioSpec, TraceScenario};
+    use fl_tensor::rng::{Rng, Xoshiro256};
 
     fn diurnal(n: usize, seed: u64) -> Box<dyn Scenario> {
         Box::new(DiurnalScenario::new(n, seed, 8.0, 0.25, 0.95))
@@ -224,7 +148,7 @@ mod tests {
 
     #[test]
     fn advance_is_idempotent() {
-        let handle = ScenarioHandle::new(diurnal(16, 7), 16);
+        let mut handle = ScenarioHandle::new(diurnal(16, 7), 16);
         handle.advance(3);
         let active = handle.active_clients();
         let telemetry = handle.telemetry();
@@ -237,8 +161,8 @@ mod tests {
 
     #[test]
     fn advance_catches_up_skipped_rounds() {
-        let a = ScenarioHandle::new(diurnal(16, 7), 16);
-        let b = ScenarioHandle::new(diurnal(16, 7), 16);
+        let mut a = ScenarioHandle::new(diurnal(16, 7), 16);
+        let mut b = ScenarioHandle::new(diurnal(16, 7), 16);
         for r in 0..=5 {
             a.advance(r);
         }
@@ -248,7 +172,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_available_after_events() {
-        let handle = ScenarioHandle::new(diurnal(32, 3), 32);
+        let mut handle = ScenarioHandle::new(diurnal(32, 3), 32);
         handle.advance(0);
         let t = handle.telemetry();
         assert_eq!(t.available, handle.active_clients().len());
@@ -257,23 +181,15 @@ mod tests {
 
     #[test]
     fn selector_samples_only_active_clients() {
-        let handle = ScenarioHandle::new(diurnal(32, 11), 32);
+        let mut handle = ScenarioHandle::new(diurnal(32, 11), 32);
         handle.advance(4);
         let active = handle.active_clients();
         assert!(
             active.len() < 32,
             "the diurnal trough should take some down"
         );
-        let mut sel = ScenarioSelector::new(handle, 0.0);
-        let links = vec![Link::from_mbps_ms(1.0, 50.0); 32];
-        let ctx = SelectionCtx {
-            round: 4,
-            num_clients: 32,
-            cohort_size: 8,
-            links: &links,
-        };
         let mut rng = Xoshiro256::new(5);
-        let picked = sel.select(&ctx, &mut rng);
+        let picked = select_cohort(&mut rng, 32, 8, Some(active.clone()), 0.0);
         assert!(!picked.is_empty() && picked.len() <= 8);
         assert!(picked.iter().all(|c| active.contains(c)));
         let mut dedup = picked.clone();
@@ -283,21 +199,16 @@ mod tests {
     }
 
     #[test]
-    fn selector_returns_empty_when_nobody_reachable() {
+    fn nobody_reachable_draws_one_client_from_the_whole_fleet() {
         // min_up ≈ max_up ≈ 0 keeps the whole fleet down once the wave is
-        // established; the engine backstop (not the selector) drafts a client.
-        let handle = ScenarioHandle::new(Box::new(DiurnalScenario::new(8, 1, 4.0, 1e-9, 2e-9)), 8);
+        // established; the cohort falls back to one uniformly drawn client.
+        let mut handle =
+            ScenarioHandle::new(Box::new(DiurnalScenario::new(8, 1, 4.0, 1e-9, 2e-9)), 8);
         handle.advance(0);
         assert!(handle.active_clients().is_empty());
-        let mut sel = ScenarioSelector::new(handle, 0.0);
-        let links = vec![Link::from_mbps_ms(1.0, 50.0); 8];
-        let ctx = SelectionCtx {
-            round: 0,
-            num_clients: 8,
-            cohort_size: 4,
-            links: &links,
-        };
-        assert!(sel.select(&ctx, &mut Xoshiro256::new(1)).is_empty());
+        let mut rng = Xoshiro256::new(1);
+        let picked = select_cohort(&mut rng, 8, 4, Some(handle.active_clients()), 0.0);
+        assert_eq!(picked, vec![Xoshiro256::new(1).next_below(8)]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The [`FederatedSession`] round engine: long-lived experiment state plus a
-//! builder that wires in the pluggable policies.
+//! The [`FederatedSession`] round engine: long-lived experiment state plus
+//! the builder that materialises it from a configuration.
 //!
 //! A session owns everything that persists across communication rounds —
 //! client states, network links, the global model, RNG streams and the time
@@ -24,13 +24,10 @@
 use crate::client::{build_model, segment_defs};
 use crate::config::ExperimentConfig;
 use crate::eval::Evaluation;
-use crate::policy::{
-    default_plan_policy, default_ratio_policy, default_selector, default_server_opt,
-    ClientSelector, PlanPolicy, RatioPolicy, ServerOpt,
-};
+use crate::policy::downlink_plan;
 use crate::roster::ClientRoster;
-use crate::runner::{ExperimentResult, PlanTelemetry, RoundRecord};
-use crate::scenario::{scenario_seed, ScenarioHandle, ScenarioSelector};
+use crate::runner::{ExperimentResult, RoundRecord};
+use crate::scenario::{scenario_seed, ScenarioHandle};
 use fl_compress::{CodecCtx, CodecRegistry, DownlinkChannel};
 use fl_data::{dirichlet_partition, Dataset, PartitionStats};
 use fl_netsim::{CommModel, Link, RoundBreakdown, TimeAccumulator};
@@ -40,27 +37,21 @@ use fl_tensor::rng::Xoshiro256;
 use std::sync::Arc;
 
 /// Builds a [`FederatedSession`] from a configuration, optionally overriding
-/// the datasets (shared generation in sweeps) and the round policies.
+/// the datasets (shared generation in sweeps), the codec registry and the
+/// worker-thread count.
 pub struct SessionBuilder {
     config: ExperimentConfig,
     data: Option<(Arc<Dataset>, Arc<Dataset>)>,
-    selector: Option<Box<dyn ClientSelector>>,
-    ratio_policy: Option<Box<dyn RatioPolicy>>,
-    server_opt: Option<Box<dyn ServerOpt>>,
     registry: Option<CodecRegistry>,
     threads: Option<usize>,
 }
 
 impl SessionBuilder {
-    /// Start from a configuration; policies default to the configuration's
-    /// implied choices (see [`crate::policy`]).
+    /// Start from a configuration.
     pub fn from_config(config: &ExperimentConfig) -> Self {
         Self {
             config: config.clone(),
             data: None,
-            selector: None,
-            ratio_policy: None,
-            server_opt: None,
             registry: None,
             threads: None,
         }
@@ -81,27 +72,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Override the client-selection policy.
-    pub fn selector(mut self, selector: Box<dyn ClientSelector>) -> Self {
-        self.selector = Some(selector);
-        self
-    }
-
-    /// Override the compression-ratio policy.
-    pub fn ratio_policy(mut self, policy: Box<dyn RatioPolicy>) -> Self {
-        self.ratio_policy = Some(policy);
-        self
-    }
-
-    /// Override the server optimizer.
-    pub fn server_opt(mut self, opt: Box<dyn ServerOpt>) -> Self {
-        self.server_opt = Some(opt);
-        self
-    }
-
-    /// Use a custom codec registry when resolving the configuration's
-    /// compressor spec — custom [`fl_compress::UpdateCodec`]s registered by
-    /// name become usable from `config.compressor` (see
+    /// Use a custom codec registry when resolving the configuration's codec
+    /// plans — custom [`fl_compress::UpdateCodec`]s registered by name become
+    /// usable from `config.compressor` or any plan rule (see
     /// `examples/custom_compressor.rs` for registering one).
     pub fn codec_registry(mut self, registry: CodecRegistry) -> Self {
         self.registry = Some(registry);
@@ -192,27 +165,15 @@ impl SessionBuilder {
         // --- Downlink (broadcast) channel --------------------------------------
         // Dedicated seeds keep the broadcast codec's randomness off the
         // selection and uplink streams, so enabling the downlink leg never
-        // perturbs an otherwise-identical run's trajectory. A downlink layer
-        // plan resolves against the same layout the uplink plans use, so a
-        // mixed plan's broadcast ships `Segmented` frames and the per-layer
+        // perturbs an otherwise-identical run's trajectory. The downlink plan
+        // resolves against the same layout the uplink plans use, so a mixed
+        // plan's broadcast ships `Segmented` frames and the per-layer
         // downlink byte split in the records is honest.
-        let downlink_ctx = CodecCtx::new(model_params, config.seed ^ 0xD0C0);
-        let downlink_codec = match (
-            &config.downlink_compressor,
-            &config.downlink_layer_compressors,
-        ) {
-            (Some(spec), _) => Some(
-                registry
-                    .build(spec, &downlink_ctx)
-                    .unwrap_or_else(|e| panic!("invalid downlink compressor spec {spec}: {e}")),
-            ),
-            (None, Some(plan)) => Some(
-                plan.resolve(&registry, &segment_defs(&layout), &downlink_ctx)
-                    .unwrap_or_else(|e| panic!("invalid downlink layer plan {plan}: {e}")),
-            ),
-            (None, None) => None,
-        };
-        let downlink = downlink_codec.map(|codec| {
+        let downlink = downlink_plan(&config).map(|plan| {
+            let ctx = CodecCtx::new(model_params, config.seed ^ 0xD0C0);
+            let codec = plan
+                .resolve(&registry, &segment_defs(&layout), &ctx)
+                .unwrap_or_else(|e| panic!("invalid downlink plan {plan}: {e}"));
             DownlinkChannel::new(
                 codec,
                 &global_params,
@@ -230,29 +191,14 @@ impl SessionBuilder {
 
         // --- Scenario (dynamic fleet) -------------------------------------------
         // Built only when configured: with `scenario: None` no handle exists,
-        // no extra RNG stream is consumed and the selector resolution below
-        // falls through to the config-implied default — records stay
-        // bit-identical to pre-scenario builds. An explicit selector override
-        // still wins over the scenario selector (the handle keeps advancing
-        // the fleet either way, so link overrides and telemetry remain live).
+        // no extra RNG stream is consumed and cohorts are drawn from all N
+        // clients — records stay bit-identical to pre-scenario builds.
         let scenario = config.scenario.as_ref().map(|spec| {
             let generator = spec
                 .build(config.num_clients, scenario_seed(&config))
                 .unwrap_or_else(|e| panic!("invalid scenario spec {spec}: {e}"));
             ScenarioHandle::new(generator, config.num_clients)
         });
-
-        let selector = self.selector.unwrap_or_else(|| match &scenario {
-            Some(handle) => Box::new(ScenarioSelector::new(handle.clone(), config.dropout_rate)),
-            None => default_selector(&config),
-        });
-        let ratio_policy = self
-            .ratio_policy
-            .unwrap_or_else(|| default_ratio_policy(&config, comm));
-        let server_opt = self
-            .server_opt
-            .unwrap_or_else(|| default_server_opt(&config));
-        let plan_policy = default_plan_policy(&config, comm);
         let records = Vec::with_capacity(config.rounds);
 
         FederatedSession {
@@ -267,12 +213,8 @@ impl SessionBuilder {
             model_params,
             model_bytes,
             layout,
-            selector,
-            ratio_policy,
-            server_opt,
-            plan_policy,
+            server_velocity: Vec::new(),
             last_gradient_mass: None,
-            plan_telemetry: None,
             downlink,
             scenario,
             selection_rng,
@@ -307,19 +249,11 @@ pub struct FederatedSession {
     pub(crate) model_params: usize,
     pub(crate) model_bytes: usize,
     pub(crate) layout: ParamLayout,
-    pub(crate) selector: Box<dyn ClientSelector>,
-    pub(crate) ratio_policy: Box<dyn RatioPolicy>,
-    pub(crate) server_opt: Box<dyn ServerOpt>,
-    /// The adaptive plan policy, when `config.adaptive_plan` is set. Advanced
-    /// once per round in the select stage; `None` keeps the engine on the
-    /// static, fingerprint-pinned codec path.
-    pub(crate) plan_policy: Option<Box<dyn PlanPolicy>>,
+    /// The server-momentum buffer (empty unless `config.server_momentum > 0`).
+    pub(crate) server_velocity: Vec<f32>,
     /// Per-segment L1 mass of the previous round's aggregated update
     /// (layout order) — the telemetry the next round's plan decision reads.
     pub(crate) last_gradient_mass: Option<Vec<f64>>,
-    /// The pending round's plan decision, recorded into its [`RoundRecord`]
-    /// by the eval stage.
-    pub(crate) plan_telemetry: Option<PlanTelemetry>,
     pub(crate) downlink: Option<DownlinkChannel>,
     pub(crate) scenario: Option<ScenarioHandle>,
     pub(crate) selection_rng: Xoshiro256,
@@ -334,7 +268,7 @@ pub struct FederatedSession {
 }
 
 impl FederatedSession {
-    /// Session with the configuration's default policies.
+    /// Session built from the configuration alone.
     pub fn from_config(config: &ExperimentConfig) -> Self {
         SessionBuilder::from_config(config).build()
     }
@@ -465,7 +399,6 @@ impl FederatedSession {
 mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
-    use crate::policy::{AvailabilitySelector, MomentumServer, UniformRatio};
     use crate::runner::run_experiment;
 
     fn quick(algorithm: Algorithm) -> ExperimentConfig {
@@ -563,43 +496,33 @@ mod tests {
 
     #[test]
     fn empty_custom_selector_is_backstopped_by_the_engine() {
-        // A (buggy or extreme) custom selector that returns an empty cohort
-        // must not panic the round engine or poison the averages: the engine
-        // falls back to one uniformly drawn client.
-        struct NobodySelector;
-        impl crate::policy::ClientSelector for NobodySelector {
-            fn select(
-                &mut self,
-                _ctx: &crate::policy::SelectionCtx<'_>,
-                _rng: &mut Xoshiro256,
-            ) -> Vec<usize> {
-                Vec::new()
-            }
-            fn name(&self) -> &'static str {
-                "nobody"
-            }
-        }
+        // A trace that takes the whole fleet down before round 0: no client
+        // is reachable in any round, yet every round runs on one uniformly
+        // drawn client instead of panicking or poisoning the averages.
         let mut config = quick(Algorithm::TopK);
         config.rounds = 3;
-        let result = SessionBuilder::from_config(&config)
-            .selector(Box::new(NobodySelector))
-            .build()
-            .run();
+        let mut trace = format!("bwfl-trace-v1 clients={}\n", config.num_clients);
+        for client in 0..config.num_clients {
+            trace.push_str(&format!("0 down {client}\n"));
+        }
+        let path = std::env::temp_dir().join(format!(
+            "bwfl_session_all_down_{}.trace",
+            std::process::id()
+        ));
+        std::fs::write(&path, trace).expect("trace file writes");
+        config.scenario = Some(
+            format!("trace:{}", path.display())
+                .parse()
+                .expect("trace spec parses"),
+        );
+        let result = FederatedSession::from_config(&config).run();
+        let _ = std::fs::remove_file(&path);
         for r in &result.records {
+            assert_eq!(r.scenario.expect("scenario telemetry").available, 0);
             assert_eq!(r.selected_clients.len(), 1);
             assert!(r.selected_clients[0] < config.num_clients);
             assert!(r.train_loss.is_finite());
         }
-    }
-
-    #[test]
-    fn custom_selector_overrides_config() {
-        let config = quick(Algorithm::TopK);
-        let result = SessionBuilder::from_config(&config)
-            .selector(Box::new(AvailabilitySelector::new(0.5)))
-            .build()
-            .run();
-        assert_eq!(result.records.len(), config.rounds);
     }
 
     #[test]
@@ -615,17 +538,6 @@ mod tests {
             "momentum should alter the optimisation trajectory"
         );
         assert!(b.final_accuracy >= 0.0 && b.final_accuracy <= 1.0);
-    }
-
-    #[test]
-    fn momentum_server_opt_plugs_into_builder() {
-        let config = quick(Algorithm::FedAvg);
-        let result = SessionBuilder::from_config(&config)
-            .server_opt(Box::new(MomentumServer::new(0.5)))
-            .ratio_policy(Box::new(UniformRatio::dense()))
-            .build()
-            .run();
-        assert_eq!(result.records.len(), config.rounds);
     }
 
     #[test]

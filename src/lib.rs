@@ -28,11 +28,12 @@
 //!
 //! ## The round engine and sweeps
 //!
-//! Experiments execute on a pluggable [`core::session::FederatedSession`]
-//! round engine: client selection, compression-ratio assignment and the
-//! server update are policy traits ([`core::policy`]) wired by
-//! [`core::session::SessionBuilder`], and whole experiment grids run in
-//! parallel with shared dataset generation via [`core::sweep`]:
+//! Experiments execute on the [`core::session::FederatedSession`] round
+//! engine, built by [`core::session::SessionBuilder`]: client selection,
+//! compression-ratio assignment, the server update and the adaptive codec
+//! plan each follow one rule of the configuration ([`core::policy`]), and
+//! whole experiment grids run in parallel with shared dataset generation via
+//! [`core::sweep`]:
 //!
 //! ```
 //! use bwfl::prelude::*;
@@ -130,15 +131,12 @@ pub mod prelude {
     };
     pub use fl_core::runner::{evaluate_params, run_experiment_with};
     pub use fl_core::{
-        allocate_layer_budgets, default_codec_spec, default_plan_policy, plan_weights,
-        record_scenario_trace, resolve_codec_spec, run_experiment, run_sweep, run_sweep_threaded,
-        scenario_seed, segment_defs, AdaptivePlanSpec, Algorithm, AvailabilitySelector,
-        BcrsRatioPolicy, BcrsSchedule, BcrsScheduler, ClientRoster, ClientSelector,
-        ExperimentConfig, ExperimentResult, FederatedSession, LayerBcrsPolicy, LayerBytes,
-        ModelPreset, MomentumServer, OpwaMask, OverlapCounts, OverlapStats, PlanAssignment,
-        PlanCtx, PlanDecision, PlanPolicy, PlanTelemetry, RatioDecision, RatioPolicy, RoundOutput,
-        RoundRecord, ScenarioHandle, ScenarioSelector, ServerOpt, SessionBuilder, SgdServer,
-        StaticPlanPolicy, SweepGrid, UniformRatio, UniformSelector,
+        allocate_layer_budgets, default_codec_spec, plan_weights, record_scenario_trace,
+        resolve_codec_spec, run_experiment, run_sweep, run_sweep_threaded, scenario_seed,
+        segment_defs, AdaptivePlanSpec, Algorithm, BcrsSchedule, BcrsScheduler, ClientRoster,
+        ExperimentConfig, ExperimentResult, FederatedSession, LayerBytes, ModelPreset, OpwaMask,
+        OverlapCounts, OverlapStats, PlanAssignment, PlanTelemetry, RoundOutput, RoundRecord,
+        ScenarioHandle, SessionBuilder, SweepGrid,
     };
     pub use fl_data::{
         dirichlet_partition, BatchLoader, ClientPartition, Dataset, DatasetPreset, PartitionStats,

@@ -6,7 +6,6 @@
 //! error-feedback residuals survive in the roster's store across
 //! non-consecutive selections.
 
-use bwfl::core::policy::SelectionCtx;
 use bwfl::prelude::*;
 
 fn quick(algorithm: Algorithm) -> ExperimentConfig {
@@ -190,40 +189,33 @@ fn client_instantiation_is_bounded_by_the_cohort_at_1e5_clients() {
     assert_eq!(roster.total_instantiated(), 2 * 64);
 }
 
-/// Selects a fixed cohort per round: {0, 1}, then {2, 3}, then {0, 1} again.
-struct ScriptedSelector {
-    round: usize,
-}
-
-impl ClientSelector for ScriptedSelector {
-    fn select(&mut self, _ctx: &SelectionCtx<'_>, _rng: &mut Xoshiro256) -> Vec<usize> {
-        let cohort = match self.round {
-            0 | 2 => vec![0, 1],
-            _ => vec![2, 3],
-        };
-        self.round += 1;
-        cohort
-    }
-
-    fn name(&self) -> &'static str {
-        "scripted"
-    }
-}
-
 #[test]
 fn residuals_persist_across_non_consecutive_selections() {
     // Error-feedback residuals belong to the *client*, not to the round: a
     // client selected in rounds 0 and 2 (but not 1) must resume round 2 from
     // the residual it accumulated in round 0.
+    // The committed trace keeps exactly {0, 1} up in rounds 0 and 2 and
+    // exactly {2, 3} in round 1; a cohort of 2 takes whoever is up.
     let mut config = quick(Algorithm::EfTopK);
     config.num_clients = 4;
     config.rounds = 3;
+    config.scenario = Some(ScenarioSpec::Trace {
+        path: concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/alternating_n4.trace"
+        )
+        .into(),
+    });
+    let cohort = |session: &FederatedSession| {
+        let mut ids = session.records().last().unwrap().selected_clients.clone();
+        ids.sort_unstable();
+        ids
+    };
 
-    let mut session = SessionBuilder::from_config(&config)
-        .selector(Box::new(ScriptedSelector { round: 0 }))
-        .build();
+    let mut session = SessionBuilder::from_config(&config).build();
 
     session.run_round();
+    assert_eq!(cohort(&session), [0, 1]);
     let roster_norm_after_0 = session.roster().residual_total_norm();
     assert_eq!(
         session.roster().residual_clients(),
@@ -233,11 +225,13 @@ fn residuals_persist_across_non_consecutive_selections() {
     assert!(roster_norm_after_0 > 0.0);
 
     session.run_round();
+    assert_eq!(cohort(&session), [2, 3]);
     // Round 1 selected {2, 3}; clients 0 and 1's residuals are untouched and
     // still parked in the store alongside the new ones.
     assert_eq!(session.roster().residual_clients(), 4);
 
     session.run_round();
+    assert_eq!(cohort(&session), [0, 1]);
     // Round 2 re-selected {0, 1}: their residuals were taken out, updated and
     // re-parked — the store still covers all four clients but the total norm
     // moved, which it could only do if checkout restored the old state.
