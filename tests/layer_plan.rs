@@ -24,32 +24,43 @@ const ALL_ALGORITHMS: [Algorithm; 7] = [
     Algorithm::TopKOpwa,
 ];
 
-/// A uniform plan (`"*=<spec>"`) is bit-identical to the flat `<spec>` codec
-/// path — every field of every record, with no per-layer breakdown — for all
-/// seven algorithms, and for a stateful (error-feedback) spec too.
+/// The acceptance-criterion regression: a uniform plan (`"*=<spec>"`) is
+/// bit-identical to the flat `<spec>` codec path — every field of every
+/// record, for all seven algorithms, under the Analytic basis.
 #[test]
 fn uniform_plan_records_match_flat_codec_for_all_seven_algorithms() {
-    let ef = (Algorithm::TopK, "ef-topk");
-    for (alg, spec) in ALL_ALGORITHMS
-        .map(|alg| (alg, "topk"))
-        .into_iter()
-        .chain([ef])
-    {
+    for alg in ALL_ALGORITHMS {
         let mut flat = ExperimentConfig::quick(alg);
         flat.rounds = 3;
         flat.max_threads = 1;
-        flat.compressor = Some(spec.parse().unwrap());
+        flat.compressor = Some("topk".parse().unwrap());
         let mut planned = flat.clone();
         planned.compressor = None;
-        planned.layer_compressors = Some(format!("*={spec}").parse().unwrap());
+        planned.layer_compressors = Some("*=topk".parse().unwrap());
         let a = run_experiment(&flat);
         let b = run_experiment(&planned);
-        assert_eq!(a.records, b.records, "{alg:?} over {spec}");
+        assert_eq!(a.records, b.records, "{alg:?}");
         assert!(
             b.records.iter().all(|r| r.layer_bytes.is_none()),
             "{alg:?}: uniform plans must not record a per-layer breakdown"
         );
     }
+}
+
+/// The same identity holds for a stateful (error-feedback) uniform plan.
+#[test]
+fn uniform_ef_plan_matches_flat_ef_codec() {
+    let mut flat = ExperimentConfig::quick(Algorithm::TopK);
+    flat.rounds = 3;
+    flat.max_threads = 1;
+    flat.compressor = Some("ef-topk".parse().unwrap());
+    let mut planned = flat.clone();
+    planned.compressor = None;
+    planned.layer_compressors = Some("*=ef-topk".parse().unwrap());
+    assert_eq!(
+        run_experiment(&flat).records,
+        run_experiment(&planned).records
+    );
 }
 
 /// Mixed plans stay deterministic across thread counts (the per-segment RNG
