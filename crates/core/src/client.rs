@@ -185,7 +185,6 @@ impl ClientState {
                     &mut self.batch_x,
                     &mut self.batch_y,
                 );
-                self.model.zero_grad();
                 let logits = self.model.forward_in(&self.batch_x, &mut self.ws);
                 let loss = self.loss_fn.forward(logits, &self.batch_y);
                 self.loss_fn.backward_in(&mut self.grad);

@@ -114,7 +114,11 @@ impl SessionBuilder {
         // Guarantee every client a fraction of a batch — until the population
         // outgrows the dataset (train.len()/N < 2), where forcing a floor is
         // impossible and `min_samples = 0` lets the raw Dirichlet draw stand
-        // (clients may legitimately own zero samples at 10^5+ clients).
+        // (clients may legitimately own zero samples at 10^5+ clients). The
+        // partition draws once and tops up clients below the floor from the
+        // largest ones. The floor is capped at the mean shard; where it
+        // reaches it (e.g. 2,000 clients over 20,000 samples) the top-up
+        // levels every shard to exactly the floor.
         let per_client_cap = (train.len() / config.num_clients).max(1);
         let min_samples = if per_client_cap < 2 {
             0

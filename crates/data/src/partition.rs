@@ -8,6 +8,7 @@
 use crate::dataset::Dataset;
 use fl_tensor::dist::Dirichlet;
 use fl_tensor::rng::{Rng, Xoshiro256};
+use std::collections::BTreeSet;
 
 /// One client's shard of the training data.
 #[derive(Clone, Debug)]
@@ -97,9 +98,17 @@ impl PartitionStats {
 }
 
 /// Split `dataset` across `num_clients` clients with Dirichlet label skew
-/// `beta`. Every client is guaranteed at least `min_samples` samples
-/// (re-sampling the allocation if needed, as is standard in non-IID FL
-/// benchmarks), so no client ends up untrainable.
+/// `beta`, then guarantee every client at least `min_samples` samples so no
+/// client ends up untrainable.
+///
+/// The allocation is drawn once: each class's indices are shuffled and split
+/// by one `p_k ~ Dir(beta)` draw, class by class. Clients left below the
+/// floor are then topped up one sample at a time: the smallest client (lowest
+/// id on ties) takes the last index of the largest client (highest id on
+/// ties), until the smallest meets the floor. A draw that already meets the
+/// floor is returned untouched. Redrawing instead, as NIID-Bench does, cannot
+/// succeed once the floor nears the mean shard, and each redraw is distributed
+/// exactly like the first.
 pub fn dirichlet_partition(
     dataset: &Dataset,
     num_clients: usize,
@@ -122,72 +131,64 @@ pub fn dirichlet_partition(
         by_class[y].push(i);
     }
 
-    const MAX_TRIES: usize = 100;
-    for attempt in 0..MAX_TRIES {
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); num_clients];
-        for class_indices in by_class.iter() {
-            if class_indices.is_empty() {
-                continue;
-            }
-            let mut shuffled = class_indices.clone();
-            rng.shuffle(&mut shuffled);
-            let props = dirichlet.sample(&mut rng);
-            // Convert proportions into split points over this class's samples.
-            let n = shuffled.len();
-            let mut cum = 0.0f64;
-            let mut start = 0usize;
-            for (client, &p) in props.iter().enumerate() {
-                cum += p;
-                let end = if client + 1 == num_clients {
-                    n
-                } else {
-                    ((cum * n as f64).round() as usize).min(n)
-                };
-                if end > start {
-                    assignment[client].extend_from_slice(&shuffled[start..end]);
-                }
-                start = end;
-            }
+    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); num_clients];
+    for class_indices in by_class.iter_mut() {
+        if class_indices.is_empty() {
+            continue;
         }
-        let smallest = assignment.iter().map(Vec::len).min().unwrap_or(0);
-        if smallest >= min_samples || attempt + 1 == MAX_TRIES {
-            if smallest < min_samples {
-                // Last resort: steal samples from the largest clients so every
-                // client can run at least one mini-batch.
-                rebalance_minimum(&mut assignment, min_samples);
+        rng.shuffle(class_indices);
+        let props = dirichlet.sample(&mut rng);
+        // Convert proportions into split points over this class's samples.
+        let n = class_indices.len();
+        let mut cum = 0.0f64;
+        let mut start = 0usize;
+        for (client, &p) in props.iter().enumerate() {
+            cum += p;
+            let end = if client + 1 == num_clients {
+                n
+            } else {
+                ((cum * n as f64).round() as usize).min(n)
+            };
+            if end > start {
+                assignment[client].extend_from_slice(&class_indices[start..end]);
             }
-            return assignment
-                .into_iter()
-                .enumerate()
-                .map(|(client_id, indices)| ClientPartition { client_id, indices })
-                .collect();
+            start = end;
         }
     }
-    unreachable!("partition loop always returns within MAX_TRIES");
+    top_up_minimum(&mut assignment, min_samples);
+    assignment
+        .into_iter()
+        .enumerate()
+        .map(|(client_id, indices)| ClientPartition { client_id, indices })
+        .collect()
 }
 
-fn rebalance_minimum(assignment: &mut [Vec<usize>], min_samples: usize) {
+/// Move samples from the largest clients to the smallest until every client
+/// holds `min_samples` (or no donor could give one without dropping to the
+/// floor). Each move takes the smallest client, lowest id on ties, and the
+/// largest, highest id on ties, from a set ordered by `(len, id)`: O(log N)
+/// per move instead of two scans of all N clients.
+fn top_up_minimum(assignment: &mut [Vec<usize>], min_samples: usize) {
+    if assignment.iter().all(|v| v.len() >= min_samples) {
+        return;
+    }
+    let mut by_len: BTreeSet<(usize, usize)> = assignment
+        .iter()
+        .enumerate()
+        .map(|(id, v)| (v.len(), id))
+        .collect();
     loop {
-        let (small_idx, small_len) = assignment
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, v.len()))
-            .min_by_key(|&(_, l)| l)
-            .unwrap();
-        if small_len >= min_samples {
+        let (small_len, small) = *by_len.first().unwrap();
+        let (big_len, big) = *by_len.last().unwrap();
+        if small_len >= min_samples || big_len <= min_samples {
             break;
         }
-        let (big_idx, big_len) = assignment
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, v.len()))
-            .max_by_key(|&(_, l)| l)
-            .unwrap();
-        if big_len <= min_samples {
-            break; // nothing left to steal without violating the donor
-        }
-        let moved = assignment[big_idx].pop().unwrap();
-        assignment[small_idx].push(moved);
+        by_len.pop_first();
+        by_len.pop_last();
+        let moved = assignment[big].pop().unwrap();
+        assignment[small].push(moved);
+        by_len.insert((small_len + 1, small));
+        by_len.insert((big_len - 1, big));
     }
 }
 
@@ -231,9 +232,11 @@ mod tests {
     #[test]
     fn every_client_has_minimum_samples() {
         let ds = toy_dataset();
-        for &beta in &[0.1, 0.5] {
-            let parts = dirichlet_partition(&ds, 10, beta, 10, 2);
-            assert!(parts.iter().all(|p| p.len() >= 10));
+        for seed in 0..6 {
+            for &(clients, beta, floor) in &[(10, 0.1, 10), (10, 0.5, 10), (40, 0.5, 8)] {
+                let parts = dirichlet_partition(&ds, clients, beta, floor, seed);
+                assert_valid(&parts, ds.len(), floor);
+            }
         }
     }
 
@@ -253,10 +256,13 @@ mod tests {
     #[test]
     fn partition_is_deterministic() {
         let ds = toy_dataset();
-        let a = dirichlet_partition(&ds, 8, 0.5, 2, 9);
-        let b = dirichlet_partition(&ds, 8, 0.5, 2, 9);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.indices, y.indices);
+        // The second configuration's floor forces a top-up.
+        for &(clients, floor) in &[(8, 2), (40, 8)] {
+            let a = dirichlet_partition(&ds, clients, 0.5, floor, 9);
+            let b = dirichlet_partition(&ds, clients, 0.5, floor, 9);
+            for (x, y) in a.iter().zip(b.iter()) {
+                assert_eq!(x.indices, y.indices);
+            }
         }
     }
 
@@ -294,6 +300,108 @@ mod tests {
         let local = parts[0].dataset(&ds);
         assert_eq!(local.len(), parts[0].len());
         assert_eq!(local.feature_dim(), ds.feature_dim());
+    }
+
+    /// The linear-scan top-up the ordered set replaced: two scans of every
+    /// client per moved sample. Kept as the oracle for `top_up_minimum`.
+    fn rebalance_minimum(assignment: &mut [Vec<usize>], min_samples: usize) {
+        loop {
+            let (small_idx, small_len) = assignment
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (i, v.len()))
+                .min_by_key(|&(_, l)| l)
+                .unwrap();
+            if small_len >= min_samples {
+                break;
+            }
+            let (big_idx, big_len) = assignment
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (i, v.len()))
+                .max_by_key(|&(_, l)| l)
+                .unwrap();
+            if big_len <= min_samples {
+                break;
+            }
+            let moved = assignment[big_idx].pop().unwrap();
+            assignment[small_idx].push(moved);
+        }
+    }
+
+    fn assert_valid(parts: &[ClientPartition], len: usize, min_samples: usize) {
+        let mut seen = vec![false; len];
+        for p in parts {
+            assert!(
+                p.len() >= min_samples,
+                "client {} holds {}",
+                p.client_id,
+                p.len()
+            );
+            for &i in &p.indices {
+                assert!(!seen[i], "index {i} assigned twice");
+                seen[i] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "an index was dropped");
+    }
+
+    #[test]
+    fn top_up_makes_the_linear_scans_moves() {
+        let mut rng = Xoshiro256::new(17);
+        for case in 0..300 {
+            let clients = 1 + rng.next_below(40);
+            // Lengths from a narrow range, so ties on both ends are common.
+            let mut next = 0usize;
+            let assignment: Vec<Vec<usize>> = (0..clients)
+                .map(|_| {
+                    let len = rng.next_below(12);
+                    next += len;
+                    (next - len..next).collect()
+                })
+                .collect();
+            let min_samples = rng.next_below(10);
+            let mut oracle = assignment.clone();
+            rebalance_minimum(&mut oracle, min_samples);
+            let mut subject = assignment;
+            top_up_minimum(&mut subject, min_samples);
+            assert_eq!(
+                subject, oracle,
+                "case {case}: {clients} clients, floor {min_samples}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_draw_that_meets_the_floor_is_returned_untouched() {
+        let ds = toy_dataset();
+        let raw = dirichlet_partition(&ds, 10, 0.5, 0, 21);
+        let smallest = raw.iter().map(ClientPartition::len).min().unwrap();
+        assert!(smallest > 0, "seed 21 should give every client a sample");
+        let floored = dirichlet_partition(&ds, 10, 0.5, smallest, 21);
+        assert!(raw
+            .iter()
+            .zip(&floored)
+            .all(|(x, y)| x.indices == y.indices));
+        // One more than the smallest shard forces a top-up, which moves only
+        // the donors' tails onto the recipients' ends.
+        let topped = dirichlet_partition(&ds, 10, 0.5, smallest + 1, 21);
+        assert!(raw.iter().zip(&topped).any(|(x, y)| x.indices != y.indices));
+        for (x, y) in raw.iter().zip(&topped) {
+            let keep = x.len().min(y.len());
+            assert_eq!(x.indices[..keep], y.indices[..keep]);
+        }
+    }
+
+    #[test]
+    fn fleet_scale_floor_at_the_mean_shard() {
+        // 20,000 samples over 2,000 clients with a floor of 10: only a
+        // perfectly even draw meets it, so the top-up levels every shard.
+        let labels: Vec<usize> = (0..20_000).map(|i| i % 10).collect();
+        let ds = Dataset::new(vec![0.0; labels.len()], labels, 1, 10);
+        let parts = dirichlet_partition(&ds, 2_000, 0.5, 10, 42);
+        assert_valid(&parts, ds.len(), 10);
+        assert!(parts.iter().all(|p| p.len() == 10));
     }
 
     #[test]

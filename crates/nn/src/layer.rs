@@ -11,8 +11,9 @@ use fl_tensor::Tensor;
 ///   caller-provided tensor, caching whatever the backward pass needs in the
 ///   caller-provided [`LayerWs`] scratch slot;
 /// * `backward_in` receives `dL/d(output)` and writes `dL/d(input)` into a
-///   caller-provided tensor, while accumulating `dL/d(params)` into the
-///   layer's gradient buffers;
+///   caller-provided tensor, while writing `dL/d(params)` into the layer's
+///   gradient buffers (over whatever they held: no `zero_grad` is needed
+///   between batches);
 /// * the allocating [`forward`](Layer::forward) / [`backward`](Layer::backward)
 ///   wrappers run the same code over a private fallback workspace and return
 ///   fresh tensors, so callers that don't manage workspaces keep working;
@@ -32,12 +33,12 @@ pub trait Layer: Send + Sync {
 
     /// Backward pass. `grad_output` is `dL/d(output)` for the most recent
     /// `forward_in` through `ws`; writes `dL/d(input)` into `grad_input` and
-    /// accumulates parameter gradients.
+    /// the parameter gradients into the layer's gradient buffers.
     fn backward_in(&mut self, grad_output: &Tensor, grad_input: &mut Tensor, ws: &mut LayerWs);
 
     /// [`backward_in`](Layer::backward_in) for a caller that will not read
     /// `dL/d(input)` — the first layer of a training step, whose input is
-    /// data. Parameter gradients accumulate exactly as in `backward_in`;
+    /// data. Parameter gradients are written exactly as in `backward_in`;
     /// `grad_input` is scratch whose contents are unspecified afterwards.
     /// The default runs the full backward; layers override it to skip the
     /// input-gradient work.

@@ -10,9 +10,7 @@ use fl_tensor::{Shape, Tensor};
 
 // Workspace scratch channels.
 const WS_INPUT: usize = 0; // cached forward input
-const WS_DW: usize = 1; // weight-gradient scratch
-const WS_DB: usize = 2; // bias-gradient scratch
-const WS_WT: usize = 3; // `matmul_a_bt_into`'s unused scratch argument (stays empty)
+const WS_WT: usize = 1; // `matmul_a_bt_into`'s unused scratch argument (stays empty)
 
 /// `y = x @ W + b` with `W: [in, out]`, `b: [out]`.
 pub struct Linear {
@@ -96,15 +94,10 @@ impl Layer for Linear {
         ws: &mut LayerWs,
     ) {
         assert!(ws.ready, "Linear backward called before forward");
-        // dW = X^T @ dY ; db = column sums of dY
-        {
-            let (input, dw) = ws.buf_pair(WS_INPUT, WS_DW);
-            matmul_at_b_into(input, grad_output, dw);
-            self.grad_weight.add_assign(dw);
-        }
-        let db = &mut ws.bufs[WS_DB];
-        sum_rows_into(grad_output, db);
-        self.grad_bias.add_assign(db);
+        // dW = X^T @ dY ; db = column sums of dY, each written over the
+        // previous gradient (both kernels zero-fill their output first).
+        matmul_at_b_into(&ws.bufs[WS_INPUT], grad_output, &mut self.grad_weight);
+        sum_rows_into(grad_output, &mut self.grad_bias);
     }
 
     fn fallback_ws(&mut self) -> &mut LayerWs {

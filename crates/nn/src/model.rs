@@ -65,7 +65,7 @@ impl Sequential {
     }
 
     /// [`backward_in`](Self::backward_in) for a training step: every
-    /// parameter gradient is accumulated bit-identically, but the first
+    /// parameter gradient is written bit-identically, but the first
     /// layer is told nobody reads `dL/d(input)` (its input is data) and may
     /// skip computing it.
     pub fn backward_params_in(&mut self, grad_output: &Tensor, ws: &mut Workspace) {

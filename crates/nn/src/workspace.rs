@@ -3,9 +3,9 @@
 //! A [`Workspace`] owns every intermediate buffer a forward/backward pass
 //! needs — the activation and gradient ping-pong buffers threaded between
 //! layers by [`crate::model::Sequential`], plus one [`LayerWs`] slot per layer
-//! holding that layer's cross-pass state (cached inputs, gradient scratch,
-//! ReLU masks). Buffers are grown on first use and reused verbatim afterwards,
-//! so a steady-state training batch performs no heap allocation at all.
+//! holding that layer's cross-pass state (cached inputs, ReLU masks).
+//! Buffers are grown on first use and reused verbatim afterwards, so a
+//! steady-state training batch performs no heap allocation at all.
 //!
 //! Ownership: the *caller* of the `_in` training API owns the workspace and
 //! threads it through `forward_in` / `backward_in`; layers never allocate
@@ -40,19 +40,6 @@ impl LayerWs {
             self.bufs.resize_with(n, Tensor::empty);
         }
     }
-
-    /// Two distinct scratch tensors borrowed simultaneously (split borrow).
-    pub fn buf_pair(&mut self, i: usize, j: usize) -> (&mut Tensor, &mut Tensor) {
-        assert_ne!(i, j, "buf_pair needs two distinct channels");
-        self.ensure_bufs(i.max(j) + 1);
-        if i < j {
-            let (left, right) = self.bufs.split_at_mut(j);
-            (&mut left[i], &mut right[0])
-        } else {
-            let (left, right) = self.bufs.split_at_mut(i);
-            (&mut right[0], &mut left[j])
-        }
-    }
 }
 
 /// Scratch arena for one model: activation/gradient ping-pong buffers plus a
@@ -78,33 +65,5 @@ impl Workspace {
         if self.layers.len() < n {
             self.layers.resize_with(n, LayerWs::default);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn buf_pair_returns_distinct_buffers() {
-        let mut ws = LayerWs::new();
-        {
-            let (a, b) = ws.buf_pair(0, 2);
-            a.resize_to(&[2]);
-            a.fill(1.0);
-            b.resize_to(&[3]);
-            b.fill(2.0);
-        }
-        assert_eq!(ws.bufs[0].data(), &[1.0, 1.0]);
-        assert_eq!(ws.bufs[2].data(), &[2.0, 2.0, 2.0]);
-        let (hi, lo) = ws.buf_pair(2, 0);
-        assert_eq!(hi.data(), &[2.0, 2.0, 2.0]);
-        assert_eq!(lo.data(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct channels")]
-    fn buf_pair_rejects_aliasing() {
-        LayerWs::new().buf_pair(1, 1);
     }
 }

@@ -120,8 +120,8 @@ proptest! {
         }
     }
 
-    /// The params-only backward of a training step accumulates every
-    /// parameter gradient bit-identically to the full backward — where the
+    /// The params-only backward of a training step writes every parameter
+    /// gradient bit-identically to the full backward — where the
     /// first layer overrides it (`Linear`, alone or under a stack) and where
     /// it falls back to the default (`Relu → Linear` starts with `Relu`).
     #[test]
@@ -138,7 +138,7 @@ proptest! {
         let (mut full_ws, mut ws) = (Workspace::new(), Workspace::new());
         let mut data_rng = Xoshiro256::new(seed ^ 0x51ed);
         // No zero_grad between steps: the comparison also covers gradients
-        // accumulating onto non-zero buffers.
+        // written over non-zero buffers.
         for _ in 0..steps {
             let x = Tensor::rand_normal(Shape::matrix(batch, input_dim), 0.0, 1.0, &mut data_rng);
             let g = Tensor::rand_normal(Shape::matrix(batch, classes), 0.0, 1.0, &mut data_rng);

@@ -371,9 +371,13 @@ fn run_codec_case(case: &CodecCase) -> Vec<RoundRecord> {
 /// two `:rc` rows had moved once on their own, when adaptive-CDF rANS (wire
 /// kind 6) replaced the binary range coder (kind 5): their encoded byte
 /// counts, and the simulated times priced from them, changed;
-/// [`EXPECTED_RC_TRAJECTORY`] did not.
+/// [`EXPECTED_RC_TRAJECTORY`] did not. The cohort-40 row was re-captured
+/// once more, with its trajectory hash and final accuracy but not its
+/// schedule hash, when `dirichlet_partition` stopped redrawing: its first
+/// draw misses the floor, and the top-up now levels that draw rather than
+/// the 100th.
 const EXPECTED_CODEC: &[u64] = &[
-    0x4bb0cf5d26fdf227,
+    0x1fae51f0776bcca4,
     0x097864ad66e73d2e,
     0x65059a0711c22be8,
     0xf918a321b2835026,
@@ -387,7 +391,7 @@ const EXPECTED_CODEC: &[u64] = &[
 const EXPECTED_RC_TRAJECTORY: &[(&str, u64)] = &[
     (
         "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
-        0xe56df7108cb6f517,
+        0x793ba62c0cae7cc9,
     ),
     ("codec/ef-qsgd:4:rc", 0x511a87c14c26ec0c),
 ];
@@ -415,7 +419,7 @@ const EXPECTED_SCHEDULE: &[(u64, f64)] = &[
 /// The same pins for [`CODEC_CASES`] (priced on encoded bytes, so their
 /// simulated times stay out of the hash).
 const EXPECTED_CODEC_SCHEDULE: &[(u64, f64)] = &[
-    (0x1030fbca7621ae6d, 0.1), // codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40
+    (0x1030fbca7621ae6d, 0.11), // codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40
     (0x5cda96196f1737c7, 0.16), // codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8
     (0x3b78daed6ef64177, 0.08), // codec/ef-qsgd:4:rc
     (0x3b78daed6ef64177, 0.13), // codec/ef-threshold+qsgd:6
