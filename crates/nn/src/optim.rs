@@ -9,9 +9,6 @@ pub struct Sgd {
     momentum: f32,
     weight_decay: f32,
     velocity: Vec<Tensor>,
-    /// Set by [`reset_velocity`](Self::reset_velocity): the velocity is
-    /// logically zero, and the next step writes it without reading it.
-    fresh: bool,
 }
 
 impl Sgd {
@@ -25,7 +22,6 @@ impl Sgd {
             momentum,
             weight_decay,
             velocity: Vec::new(),
-            fresh: false,
         }
     }
 
@@ -40,12 +36,13 @@ impl Sgd {
         self.lr = lr;
     }
 
-    /// Forget the accumulated momentum, so the next [`step`](Self::step)
-    /// behaves exactly like the first step of a new optimizer. Nothing is
-    /// touched here: that step overwrites every velocity buffer without
-    /// reading it ([`kernels::sgd_momentum_first_step`]).
+    /// Forget the accumulated momentum: every velocity buffer is zero-filled
+    /// in place, so the next [`step`](Self::step) behaves exactly like the
+    /// first step of a new optimizer without allocating the buffers again.
     pub fn reset_velocity(&mut self) {
-        self.fresh = true;
+        for v in &mut self.velocity {
+            v.fill(0.0);
+        }
     }
 
     /// Apply one update step using the gradients currently stored in `model`.
@@ -62,20 +59,10 @@ impl Sgd {
             });
         }
         let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
-        let fresh = std::mem::replace(&mut self.fresh, false);
         let velocity = &mut self.velocity;
         let mut i = 0usize;
         model.visit_params_and_grads(&mut |param, grad| {
-            if mu > 0.0 && fresh {
-                // v <- 0 + g + wd * p ; p <- p - lr * v
-                kernels::sgd_momentum_first_step(
-                    lr,
-                    wd,
-                    param.data_mut(),
-                    velocity[i].data_mut(),
-                    grad.data(),
-                );
-            } else if mu > 0.0 {
+            if mu > 0.0 {
                 // v <- mu * v + g + wd * p ; p <- p - lr * v
                 kernels::sgd_momentum_step(
                     lr,
@@ -184,10 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn first_step_after_reset_matches_a_new_optimizer_on_signed_zeros() {
+    fn step_after_reset_matches_zeroed_accumulation_on_signed_zeros() {
         // Weights of `-0.0` and `+0.0`; the tiny input and output gradient
-        // underflow `dW[0]`'s product to `-0.0`, so the step meets a signed
-        // zero in the parameter, the gradient and (at wd = 0) `wd * p`.
+        // underflow `dW[0]` to `-0.0`. Backward writes that `-0.0`, where
+        // `zero_grad` + `add_assign` gave `0.0 + dW = +0.0`; the momentum
+        // step's `mu * 0.0 + g` erases the difference.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let step_from = |opt: &mut Sgd, x: &[f32], dy: &[f32]| {
             let mut model = one_layer_model();
             model.params_mut()[0]
@@ -196,10 +185,12 @@ mod tests {
             model.params_mut()[1].data_mut().copy_from_slice(&[-0.0]);
             model.forward(&Tensor::from_vec(Shape::matrix(2, 2), x.to_vec()));
             model.backward(&Tensor::from_vec(Shape::matrix(2, 1), dy.to_vec()));
-            let grads = crate::params::flatten_grads(&model);
+            let before = (
+                crate::flatten_params(&model),
+                crate::params::flatten_grads(&model),
+            );
             opt.step(&mut model);
-            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
-            (bits(grads), bits(crate::flatten_params(&model)))
+            (before, crate::flatten_params(&model))
         };
         let (x, dy) = ([-1e-30, 0.0, 1e-30, -0.0], [1e-30, -0.0]);
         for wd in [0.0, 0.5] {
@@ -207,10 +198,14 @@ mod tests {
             // Leave a non-zero velocity behind, then forget it.
             step_from(&mut used, &[1.0, -2.0, 0.5, 3.0], &[0.7, -1.1]);
             used.reset_velocity();
-            let (grads, reused) = step_from(&mut used, &x, &dy);
-            assert_eq!(grads[0], (-0.0f32).to_bits(), "dW[0] must be -0.0");
+            let ((mut p, g), reused) = step_from(&mut used, &x, &dy);
+            assert_eq!(g[0].to_bits(), (-0.0f32).to_bits(), "dW[0] must be -0.0");
             let (_, fresh) = step_from(&mut Sgd::new(0.1, 0.9, wd), &x, &dy);
-            assert_eq!(reused, fresh, "wd={wd}");
+            assert_eq!(bits(&reused), bits(&fresh), "new optimizer, wd={wd}");
+            let accumulated: Vec<f32> = g.iter().map(|&d| 0.0 + d).collect();
+            let mut v = vec![0.0; p.len()];
+            kernels::sgd_momentum_step(0.1, 0.9, wd, &mut p, &mut v, &accumulated);
+            assert_eq!(bits(&reused), bits(&p), "zeroed accumulation, wd={wd}");
         }
     }
 

@@ -86,29 +86,6 @@ pub fn sgd_momentum_step(lr: f32, mu: f32, wd: f32, p: &mut [f32], v: &mut [f32]
     }
 }
 
-/// [`sgd_momentum_step`] over an all-zero velocity, without reading it:
-/// `v[i] = 0.0 + g[i] + wd * p[i]`, then `p[i] += -lr * v[i]`. For a finite
-/// `mu > 0`, `mu * 0.0` is `+0.0`, so this is the momentum step's expression
-/// operation for operation — equal for every input, `-0.0` and NaN included.
-/// The `0.0 +` stays: it maps a `-0.0` gradient to `+0.0` as the momentum
-/// step does.
-pub fn sgd_momentum_first_step(lr: f32, wd: f32, p: &mut [f32], v: &mut [f32], g: &[f32]) {
-    assert_eq!(
-        p.len(),
-        g.len(),
-        "sgd_momentum_first_step: param/grad size mismatch"
-    );
-    assert_eq!(
-        p.len(),
-        v.len(),
-        "sgd_momentum_first_step: param/velocity size mismatch"
-    );
-    for ((pv, vv), gv) in p.iter_mut().zip(v.iter_mut()).zip(g) {
-        *vv = 0.0 + *gv + wd * *pv;
-        *pv += -lr * *vv;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,36 +166,6 @@ mod tests {
             let vb: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
             let evb: Vec<u32> = ev.iter().map(|x| x.to_bits()).collect();
             assert_eq!(vb, evb, "velocity n={n}");
-        }
-    }
-
-    #[test]
-    fn momentum_first_step_is_the_momentum_step_from_zero_velocity() {
-        // Every pair of awkward values, each as parameter and as gradient; the
-        // first step's velocity buffer starts as garbage it must not read.
-        let specials = [
-            0.0,
-            -0.0,
-            1.0,
-            -1.5,
-            f32::MIN_POSITIVE / 8.0,
-            -1e30,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-        ];
-        let (p0, g): (Vec<f32>, Vec<f32>) = specials
-            .iter()
-            .flat_map(|&p| specials.iter().map(move |&g| (p, g)))
-            .unzip();
-        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        for wd in [0.0, 0.5] {
-            let (mut p, mut v) = (p0.clone(), vec![f32::NAN; p0.len()]);
-            sgd_momentum_first_step(0.1, wd, &mut p, &mut v, &g);
-            let (mut ep, mut ev) = (p0.clone(), vec![0.0; p0.len()]);
-            sgd_momentum_step(0.1, 0.9, wd, &mut ep, &mut ev, &g);
-            assert_eq!(bits(&p), bits(&ep), "params wd={wd}");
-            assert_eq!(bits(&v), bits(&ev), "velocity wd={wd}");
         }
     }
 
