@@ -24,7 +24,7 @@
 //! preset, heterogeneity `β`, compression ratio, algorithm, network model,
 //! …); [`runner::run_experiment`] executes it and returns per-round records
 //! (accuracy, loss, communication times) from which every table and figure of
-//! the paper is regenerated (see the `fl-bench` crate).
+//! the paper is regenerated (the `fl-bench` crate's `figures` driver).
 //!
 //! # The round engine
 //!

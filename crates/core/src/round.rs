@@ -1009,23 +1009,25 @@ mod tests {
     fn layer_bcrs_plan_beats_the_uniform_plan_on_encoded_bytes() {
         // The telemetry loop pays off: under the encoded cost basis the
         // adaptive policy's mass-proportional budgets upload strictly fewer
-        // bytes than the same run on the uniform EF plan, at equal rounds.
+        // bytes than the same run on each uniform EF plan — full precision
+        // and its 8-bit twin — at equal rounds.
         let mut uniform = ExperimentConfig::quick(Algorithm::TopK);
         uniform.rounds = 4;
         uniform.max_threads = 1;
         uniform.cost_basis = CostBasis::Encoded;
-        uniform.layer_compressors = Some("*=ef-topk".parse().unwrap());
         let mut adaptive = uniform.clone();
-        adaptive.layer_compressors = None;
         adaptive.adaptive_plan = Some("layer-bcrs".parse().unwrap());
-        let u = FederatedSession::from_config(&uniform).run();
         let a = FederatedSession::from_config(&adaptive).run();
-        let u_bytes: usize = u.records.iter().map(|r| r.uplink_bytes).sum();
         let a_bytes: usize = a.records.iter().map(|r| r.uplink_bytes).sum();
-        assert!(
-            a_bytes < u_bytes,
-            "adaptive {a_bytes} must beat uniform {u_bytes}"
-        );
+        for plan in ["*=ef-topk", "*=ef-topk+qsgd:8"] {
+            uniform.layer_compressors = Some(plan.parse().unwrap());
+            let u = FederatedSession::from_config(&uniform).run();
+            let u_bytes: usize = u.records.iter().map(|r| r.uplink_bytes).sum();
+            assert!(
+                a_bytes < u_bytes,
+                "adaptive {a_bytes} must beat {plan} {u_bytes}"
+            );
+        }
         // Decisions are visible: per-layer telemetry plus per-layer bytes in
         // every record (scaled plans always frame segments).
         for r in &a.records {

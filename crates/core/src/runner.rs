@@ -191,28 +191,6 @@ impl ExperimentResult {
         self.records.iter().map(|r| r.test_accuracy).collect()
     }
 
-    /// Cumulative actual communication-time series over rounds.
-    pub fn comm_time_series(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.cumulative_actual_s).collect()
-    }
-
-    /// First round (and the cumulative actual / max / min communication time
-    /// at that round) where test accuracy reaches `target`. `None` if never.
-    /// This is the quantity reported in Table 3.
-    pub fn time_to_accuracy(&self, target: f64) -> Option<(usize, f64, f64, f64)> {
-        self.records
-            .iter()
-            .find(|r| r.test_accuracy >= target)
-            .map(|r| {
-                (
-                    r.round,
-                    r.cumulative_actual_s,
-                    r.cumulative_max_s,
-                    r.cumulative_min_s,
-                )
-            })
-    }
-
     /// Merge the per-round overlap statistics into a single distribution.
     pub fn merged_overlap(&self) -> Option<OverlapStats> {
         let mut merged: Option<OverlapStats> = None;
@@ -309,9 +287,10 @@ impl ExperimentResult {
 
 /// Run an experiment, invoking `on_round` after every communication round.
 ///
-/// This is a thin loop over a [`crate::session::FederatedSession`] built with
-/// the configuration's default policies; use [`SessionBuilder`] directly to
-/// plug in custom selection, ratio or server-optimizer policies.
+/// This is a thin loop over a [`crate::session::FederatedSession`] built
+/// from the configuration; use [`SessionBuilder`] directly to step rounds
+/// yourself, share generated data, pin the thread count or register custom
+/// codecs.
 pub fn run_experiment_with<F: FnMut(&RoundRecord)>(
     config: &ExperimentConfig,
     on_round: F,
@@ -478,16 +457,6 @@ mod tests {
         let merged = r.merged_overlap().unwrap();
         assert!(merged.total_retained > 0);
         assert_eq!(merged.cohort_size, r.config.clients_per_round());
-    }
-
-    #[test]
-    fn time_to_accuracy_reports_cumulative_time() {
-        let r = run_experiment(&quick(Algorithm::FedAvg));
-        // A trivially low target is reached in the first round.
-        let hit = r.time_to_accuracy(0.0).unwrap();
-        assert_eq!(hit.0, 0);
-        assert!(hit.1 > 0.0);
-        assert!(r.time_to_accuracy(2.0).is_none());
     }
 
     #[test]

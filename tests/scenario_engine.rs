@@ -98,12 +98,29 @@ fn scenarios_produce_distinct_fleet_trajectories_under_one_seed() {
         config.scenario = Some(spec.parse().unwrap());
         let result = run_experiment(&config);
         trajectories.push(trajectory(&result.records, 16));
+        // The fleet stream is seeded apart from the algorithm, so another
+        // algorithm sees the same fleet under the same spec.
+        config.algorithm = Algorithm::BcrsOpwa;
+        let other = run_experiment(&config);
+        assert_eq!(
+            trajectory(&other.records, 16),
+            trajectories[trajectories.len() - 1],
+            "{spec}"
+        );
     }
     for (i, a) in trajectories.iter().enumerate() {
         for b in &trajectories[i + 1..] {
             assert_ne!(a, b, "two scenarios share a fleet trajectory");
         }
     }
+    // The diurnal wave actually moves the fleet size.
+    let mut diurnal = trajectories[0].clone();
+    diurnal.dedup();
+    assert!(
+        diurnal.len() >= 2,
+        "diurnal fleet never changed: {:?}",
+        trajectories[0]
+    );
 }
 
 // --- Record-then-replay ----------------------------------------------------
