@@ -1,9 +1,10 @@
 //! Round-record fingerprint regression: the full training + compression +
 //! communication trajectory of every algorithm, under both the flat codec
 //! path and a genuinely mixed layer plan (`Segmented` framing), plus four
-//! codec-path rows and seven round-engine rows (dropout, server momentum,
-//! scenarios, a `static:` plan, a plan-driven downlink), hashed field by
-//! field and pinned.
+//! codec-path rows and thirteen round-engine rows (dropout, server momentum,
+//! scenarios, a replayed trace, a `static:` plan, a plan-driven downlink,
+//! `randk` and `threshold:τ` specs, `eval_every`), hashed field by field and
+//! pinned.
 //!
 //! Any change to training numerics, codec bytes, aggregation order, or the
 //! simulated communication model shows up here as a hash mismatch. The float
@@ -428,8 +429,10 @@ const EXPECTED_CODEC_SCHEDULE: &[(u64, f64)] = &[
 /// Third pinned matrix: the round-engine paths the first two never reach —
 /// client dropout (at 0.999 the whole fleet is down in most rounds and the
 /// cohort falls back to one uniformly drawn client), server momentum,
-/// scenario-driven cohorts, a `static:` adaptive plan and a plan-driven
-/// downlink. Every row is a 16-client, 6-round quick run of `algorithm` with
+/// scenario-driven cohorts (every generator and a replayed trace), a
+/// `static:` adaptive plan, a plan-driven downlink, `randk` and `threshold:τ`
+/// as `compressor` specs and a sparse evaluation schedule. Every row is a
+/// 16-client, 6-round quick run of `algorithm` with
 /// `configure` applied; `encoded` rows are priced on encoded bytes.
 struct EngineCase {
     name: &'static str,
@@ -493,6 +496,49 @@ const ENGINE_CASES: &[EngineCase] = &[
             c.downlink_layer_compressors = Some("*=ef-topk".parse().expect("plan parses"));
         },
     },
+    EngineCase {
+        name: "engine/tiered",
+        algorithm: Algorithm::Bcrs,
+        encoded: false,
+        configure: |c| c.scenario = Some("tiered".parse().expect("scenario parses")),
+    },
+    EngineCase {
+        name: "engine/towers",
+        algorithm: Algorithm::BcrsOpwa,
+        encoded: false,
+        configure: |c| c.scenario = Some("towers".parse().expect("scenario parses")),
+    },
+    // The committed golden trace, replayed (16 clients, 6 rounds).
+    EngineCase {
+        name: "engine/trace:towers_n16_seed7",
+        algorithm: Algorithm::TopK,
+        encoded: false,
+        configure: |c| {
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/fixtures/towers_n16_seed7.trace"
+            );
+            c.scenario = Some(format!("trace:{path}").parse().expect("scenario parses"));
+        },
+    },
+    EngineCase {
+        name: "engine/compressor=randk",
+        algorithm: Algorithm::TopK,
+        encoded: false,
+        configure: |c| c.compressor = Some("randk".parse().expect("spec parses")),
+    },
+    EngineCase {
+        name: "engine/compressor=threshold:0.01|encoded",
+        algorithm: Algorithm::TopK,
+        encoded: true,
+        configure: |c| c.compressor = Some("threshold:0.01".parse().expect("spec parses")),
+    },
+    EngineCase {
+        name: "engine/eval_every=2",
+        algorithm: Algorithm::BcrsOpwa,
+        encoded: false,
+        configure: |c| c.eval_every = 2,
+    },
 ];
 
 fn run_engine_case(case: &EngineCase) -> Vec<RoundRecord> {
@@ -524,6 +570,12 @@ const EXPECTED_ENGINE: &[(u64, u64, f64)] = &[
     (0x87633024a217fff1, 0xfb4fdbfbf02c4751, 0.1),  // engine/churn:leave=0.05
     (0x9462f8e886b4be1f, 0x6a1355ea66403181, 0.13), // engine/static:*.bias=dense;*=ef-topk
     (0x38b5a4aca70e08d3, 0x1ca3ced6df284db1, 0.09), // engine/topk+qsgd:4|down=*=ef-topk|encoded
+    (0x8ac2cc0cd7d30035, 0xb019a5e72b39734c, 0.21), // engine/tiered
+    (0x43611ed61e33e3ca, 0xee6b39b966231df6, 0.17), // engine/towers
+    (0x14e178c16d226508, 0x0660842b3d9ac53d, 0.11), // engine/trace:towers_n16_seed7
+    (0x3e440c74dbe2af84, 0x62145d1ca90a5f59, 0.11), // engine/compressor=randk
+    (0xfc17ff4dd16c5639, 0x1ca3ced6df284db1, 0.13), // engine/compressor=threshold:0.01|encoded
+    (0xd27a63586a185b30, 0x16ff6185a02fbbc9, 0.22), // engine/eval_every=2
 ];
 
 /// Print one run's `(schedule hash, final accuracy)` pin under `FP_PRINT`.
