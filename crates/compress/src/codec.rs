@@ -98,17 +98,6 @@ impl ResidualState {
             .map(|&v| (v as f64).powi(2))
             .sum()
     }
-
-    /// L2 norm over all parts (0 for a trivial snapshot).
-    pub fn l2_norm(&self) -> f64 {
-        self.norm_sq().sqrt()
-    }
-
-    /// Total number of `f32` scalars held (the snapshot's memory footprint
-    /// in 4-byte units).
-    pub fn num_scalars(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
-    }
 }
 
 /// A stateful encoder/decoder of model updates with a byte-level wire format.

@@ -69,9 +69,7 @@ pub use codec::{
     ThresholdCodec, TopKCodec, UpdateCodec,
 };
 pub use downlink::DownlinkChannel;
-pub use plan::{
-    glob_match, migrate_planned_residual, LayerPlan, PlanRule, PlannedCodec, SegmentDef,
-};
+pub use plan::{glob_match, LayerPlan, PlanRule, PlannedCodec, SegmentDef};
 pub use registry::{CodecFactory, CodecRegistry};
 pub use residual_store::ResidualStore;
 pub use sparse::SparseUpdate;

@@ -152,25 +152,6 @@ impl LayerPlan {
         self.rules.iter().any(|r| r.spec.produces_dense())
     }
 
-    /// How many residual-snapshot parts each segment's codec contributes, in
-    /// layout order: 1 for an error-feedback (`ef-…`) spec, 0 otherwise.
-    ///
-    /// This is the part layout [`PlannedCodec::take_residual`] produces,
-    /// derived from the plan alone — no codec needs to be instantiated — so a
-    /// stored snapshot can be re-shaped when the plan changes mid-run (see
-    /// [`migrate_planned_residual`]). An unmatched segment is an error, as in
-    /// [`LayerPlan::resolve`].
-    pub fn part_counts(&self, segments: &[SegmentDef]) -> Result<Vec<usize>, SpecError> {
-        segments
-            .iter()
-            .map(|seg| {
-                self.spec_for(&seg.name)
-                    .map(|spec| usize::from(spec.error_feedback))
-                    .ok_or_else(|| SpecError::UnmatchedSegment(seg.name.clone()))
-            })
-            .collect()
-    }
-
     /// Check that every rule's spec resolves through `registry` without
     /// instantiating per-model state.
     pub fn validate(&self, registry: &CodecRegistry) -> Result<(), SpecError> {
@@ -394,96 +375,6 @@ pub struct PlannedCodec {
     segments: Vec<PlannedSegment>,
     dense_len: usize,
     plan_display: String,
-}
-
-impl PlannedCodec {
-    /// The resolved `(segment name, codec name)` pairs, in layout order.
-    pub fn assignments(&self) -> Vec<(String, String)> {
-        self.segments
-            .iter()
-            .map(|s| (s.name.clone(), s.codec.name()))
-            .collect()
-    }
-
-    /// Number of segments.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// The per-segment ratio multipliers, in layout order (all 1.0 for a
-    /// statically resolved plan).
-    pub fn segment_ratio_scales(&self) -> Vec<f64> {
-        self.segments.iter().map(|s| s.ratio_scale).collect()
-    }
-}
-
-/// Re-shape a [`PlannedCodec`] residual snapshot taken under one plan so it
-/// restores into a codec resolved under another plan over the *same* layout.
-///
-/// `old_counts` / `new_counts` are the per-segment part counts of the two
-/// plans (see [`LayerPlan::part_counts`]) and `segment_lens` the layout's
-/// segment lengths; all three must have one entry per segment. The migration
-/// rules are explicit and lossless where losslessness is meaningful:
-///
-/// * **EF → EF** (1 part → 1 part): the residual part is carried verbatim (a
-///   zero-length part, meaning all-zero, included) —
-///   coordinates are segment-aligned, so a change of inner codec kind or
-///   `qsgd` bit width does not invalidate the accumulated error;
-/// * **EF → stateless** (1 → 0): the part is dropped — the new codec has
-///   nowhere to hold it, and re-applying it later would double-count;
-/// * **stateless → EF** (0 → 1): an all-zero part of the segment's length is
-///   inserted — a fresh EF codec starts from zero accumulated error.
-///
-/// An empty snapshot (the old codec had no residual state, or the store
-/// dropped a trivial one) migrates to an empty snapshot.
-pub fn migrate_planned_residual(
-    snapshot: ResidualState,
-    old_counts: &[usize],
-    new_counts: &[usize],
-    segment_lens: &[usize],
-) -> ResidualState {
-    assert_eq!(
-        old_counts.len(),
-        segment_lens.len(),
-        "old part counts must cover every segment"
-    );
-    assert_eq!(
-        new_counts.len(),
-        segment_lens.len(),
-        "new part counts must cover every segment"
-    );
-    if snapshot.parts.is_empty() {
-        return ResidualState::empty();
-    }
-    let expected: usize = old_counts.iter().sum();
-    assert_eq!(
-        snapshot.parts.len(),
-        expected,
-        "snapshot has {} parts but the old plan owns {expected}",
-        snapshot.parts.len()
-    );
-    let mut old_parts = snapshot.parts.into_iter();
-    let mut parts = Vec::with_capacity(new_counts.iter().sum());
-    for ((&old, &new), &len) in old_counts.iter().zip(new_counts).zip(segment_lens) {
-        assert!(old <= 1 && new <= 1, "plan segments own at most one part");
-        let carried = if old == 1 { old_parts.next() } else { None };
-        if new == 0 {
-            continue;
-        }
-        match carried {
-            Some(part) => {
-                // A zero-length part is an all-zero residual (see
-                // `ResidualState`) and carries over as such.
-                assert!(
-                    part.is_empty() || part.len() == len,
-                    "residual part length does not match its segment"
-                );
-                parts.push(part);
-            }
-            None => parts.push(vec![0.0; len]),
-        }
-    }
-    ResidualState { parts }
 }
 
 impl UpdateCodec for PlannedCodec {
@@ -850,20 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn part_counts_follow_the_ef_rules() {
-        let plan: LayerPlan = "*.bias=dense;a*=ef-topk;*=topk+qsgd:4".parse().unwrap();
-        let layout = segs(&[("a.weight", 100), ("a.bias", 4), ("b.weight", 50)]);
-        assert_eq!(plan.part_counts(&layout).unwrap(), vec![1, 0, 0]);
-        let all_ef: LayerPlan = "*=ef-topk+qsgd:8".parse().unwrap();
-        assert_eq!(all_ef.part_counts(&layout).unwrap(), vec![1, 1, 1]);
-        let narrow: LayerPlan = "conv*=topk".parse().unwrap();
-        assert_eq!(
-            narrow.part_counts(&layout),
-            Err(SpecError::UnmatchedSegment("a.weight".into()))
-        );
-    }
-
-    #[test]
     fn scaled_resolve_applies_per_segment_ratios() {
         // A *uniform* plan with scales still resolves to a segmented codec
         // (no flat collapse) and each segment sparsifies at its own scaled
@@ -899,76 +776,6 @@ mod tests {
             .into_sparse()
             .unwrap();
         assert_eq!(all.indices().len(), 300, "ratio clamps at 1.0");
-    }
-
-    #[test]
-    fn residual_migration_rules_carry_drop_and_zero_fill() {
-        let lens = [100usize, 4, 50];
-        let snap = ResidualState {
-            parts: vec![vec![1.0; 100], vec![2.0; 50]],
-        };
-        // EF→EF carries verbatim, EF→stateless drops, stateless→EF zero-fills.
-        let migrated = migrate_planned_residual(snap, &[1, 0, 1], &[1, 1, 0], &lens);
-        assert_eq!(migrated.parts.len(), 2);
-        assert_eq!(migrated.parts[0], vec![1.0; 100]);
-        assert_eq!(migrated.parts[1], vec![0.0; 4]);
-        // An empty snapshot stays empty regardless of the target layout.
-        let empty = migrate_planned_residual(ResidualState::empty(), &[1, 0, 1], &[1, 1, 1], &lens);
-        assert!(empty.parts.is_empty());
-        // Dropping every part yields a trivial snapshot.
-        let all_dropped = migrate_planned_residual(
-            ResidualState {
-                parts: vec![vec![1.0; 100], vec![2.0; 50]],
-            },
-            &[1, 0, 1],
-            &[0, 0, 0],
-            &lens,
-        );
-        assert!(all_dropped.is_trivial());
-    }
-
-    #[test]
-    fn migrated_residual_restores_into_a_replanned_codec() {
-        // Accumulate EF error under plan A, migrate the snapshot to plan B
-        // (different bit width on one segment, EF newly added on another) and
-        // restore: the carried segment resumes from exactly its accumulated
-        // residual.
-        let registry = CodecRegistry::with_builtins();
-        let layout = segs(&[("a.weight", 100), ("a.bias", 4), ("b.weight", 50)]);
-        let lens: Vec<usize> = layout.iter().map(|s| s.len).collect();
-        let plan_a: LayerPlan = "*.bias=dense;*=ef-topk+qsgd:8".parse().unwrap();
-        let plan_b: LayerPlan = "*.bias=ef-topk;*=ef-topk+qsgd:4".parse().unwrap();
-        let d = delta(154);
-
-        let mut old = plan_a
-            .resolve(&registry, &layout, &CodecCtx::new(154, 5))
-            .unwrap();
-        let _ = old.encode(&d, 0.05, &mut rng());
-        let before = old.residual_norm();
-        assert!(before > 0.0);
-        let snap = old.take_residual();
-        assert_eq!(snap.parts.len(), 2);
-        let carried: Vec<Vec<f32>> = snap.parts.clone();
-
-        let migrated = migrate_planned_residual(
-            snap,
-            &plan_a.part_counts(&layout).unwrap(),
-            &plan_b.part_counts(&layout).unwrap(),
-            &lens,
-        );
-        assert_eq!(migrated.parts.len(), 3, "bias gained a zero EF part");
-        assert_eq!(migrated.parts[0], carried[0]);
-        assert_eq!(migrated.parts[1], vec![0.0; 4]);
-        assert_eq!(migrated.parts[2], carried[1]);
-
-        let mut new = plan_b
-            .resolve(&registry, &layout, &CodecCtx::new(154, 5))
-            .unwrap();
-        new.restore_residual(migrated);
-        assert!(
-            (new.residual_norm() - before).abs() < 1e-12,
-            "carried residual mass survives the re-plan"
-        );
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! mutex-guarded shards so concurrent round workers checking clients in and
 //! out rarely contend. Trivial (all-zero) snapshots are dropped on `put`, so
 //! populations running stateless codecs cost nothing here.
+//!
+//! A snapshot is handed back exactly as it was parked. That stays right
+//! across an adaptive plan change: a `static:` plan never changes, and
+//! `layer-bcrs` gives every segment an `ef-…` codec of one residual part,
+//! whatever its bit width, so the part layout a snapshot was taken under is
+//! the one it is restored into.
 
 use crate::codec::ResidualState;
 use std::collections::HashMap;
@@ -43,15 +49,8 @@ pub struct ResidualStore {
     shards: Vec<Mutex<HashMap<u64, Entry>>>,
 }
 
-/// One stored residual, tagged with the plan epoch it was taken under.
-///
-/// The epoch lets an adaptive-plan engine migrate snapshots **lazily**: when
-/// the plan changes the engine bumps its epoch instead of rewriting every
-/// parked residual, and a checkout that takes an entry from an older epoch
-/// re-shapes it (see `fl_compress::plan::migrate_planned_residual`) before
-/// restoring. Static runs only ever use epoch 0.
+/// One stored residual.
 struct Entry {
-    epoch: u64,
     state: ResidualState,
     /// Sum of squares of `state`, filled in by the first
     /// [`ResidualStore::total_norm`] that sees the entry: a parked residual
@@ -75,30 +74,17 @@ impl ResidualStore {
 
     /// Remove and return `client_id`'s residual, if one is stored.
     pub fn take(&self, client_id: u64) -> Option<ResidualState> {
-        self.take_epoch(client_id).map(|(state, _)| state)
-    }
-
-    /// Remove and return `client_id`'s residual together with the plan epoch
-    /// it was stored under (0 unless [`ResidualStore::put_epoch`] tagged it).
-    pub fn take_epoch(&self, client_id: u64) -> Option<(ResidualState, u64)> {
         self.shard(client_id)
             .lock()
             .expect("residual store shard poisoned")
             .remove(&client_id)
-            .map(|e| (e.state, e.epoch))
+            .map(|e| e.state)
     }
 
     /// Persist `client_id`'s residual. All-zero (trivial) states are dropped
     /// instead of stored — they restore identically to a fresh codec — so the
     /// store only grows with clients that have real carried-over mass.
     pub fn put(&self, client_id: u64, state: ResidualState) {
-        self.put_epoch(client_id, state, 0);
-    }
-
-    /// Persist `client_id`'s residual tagged with the plan `epoch` it was
-    /// taken under. Trivial states are dropped exactly as in
-    /// [`ResidualStore::put`].
-    pub fn put_epoch(&self, client_id: u64, state: ResidualState, epoch: u64) {
         if state.is_trivial() {
             return;
         }
@@ -108,7 +94,6 @@ impl ResidualStore {
             .insert(
                 client_id,
                 Entry {
-                    epoch,
                     state,
                     norm_sq: None,
                 },
@@ -236,19 +221,6 @@ mod tests {
             backward.total_norm().to_bits()
         );
         assert_ne!(forward.total_norm().to_bits(), norm.to_bits());
-    }
-
-    #[test]
-    fn epochs_tag_entries_and_default_to_zero() {
-        let store = ResidualStore::new();
-        store.put(1, state(&[1.0]));
-        store.put_epoch(2, state(&[2.0]), 7);
-        assert_eq!(store.take_epoch(1).unwrap(), (state(&[1.0]), 0));
-        assert_eq!(store.take_epoch(2).unwrap(), (state(&[2.0]), 7));
-        // The epoch-less take drops the tag.
-        store.put_epoch(3, state(&[3.0]), 9);
-        assert_eq!(store.take(3).unwrap(), state(&[3.0]));
-        assert!(store.is_empty());
     }
 
     #[test]

@@ -11,8 +11,7 @@
 
 use fl_compress::wire::{KIND_ENTROPY, KIND_QUANTIZED, KIND_SPARSE_QUANTIZED};
 use fl_compress::{
-    migrate_planned_residual, CodecCtx, CodecRegistry, CompressorSpec, LayerPlan, SegmentDef,
-    UpdateCodec, WireUpdate,
+    CodecCtx, CodecRegistry, CompressorSpec, LayerPlan, SegmentDef, UpdateCodec, WireUpdate,
 };
 use fl_tensor::rng::{Rng, Xoshiro256};
 use proptest::prelude::*;
@@ -365,83 +364,44 @@ proptest! {
         prop_assert_eq!(snapshotted.residual_norm(), straight.residual_norm());
     }
 
-    /// Residual migration across an adaptive re-plan: a bit-width change on
-    /// an error-feedback rule carries every accumulated coordinate verbatim —
-    /// none dropped, none duplicated, none zeroed — and the migrated snapshot
-    /// restores cleanly into the new plan's codec. EF → stateless drops the
-    /// segment's residual; stateless → EF inserts an exact-length zero part.
+    /// What an adaptive re-plan relies on: a `layer-bcrs` plan gives every
+    /// segment an `ef-topk+qsgd:<bits>` codec of one residual part, so a
+    /// snapshot parked under one bit assignment restores verbatim into the
+    /// codec of another — every coordinate carried, none dropped, none
+    /// zeroed — with no re-shaping in between.
     #[test]
-    fn prop_residual_migration_preserves_ef_coordinates(
+    fn prop_ef_snapshot_restores_verbatim_across_bit_widths(
         seed in 0u64..1 << 32,
         w0 in 8usize..300,
         b0 in 1usize..30,
         w1 in 8usize..300,
-        new_bits in 2u8..8,
+        bits in collection::vec(2u8..9, 6),
     ) {
         let layout = vec![
             SegmentDef::new("l0.weight", w0),
             SegmentDef::new("l0.bias", b0),
             SegmentDef::new("l1.weight", w1),
         ];
-        let lens = [w0, b0, w1];
         let n = w0 + b0 + w1;
         let ctx = CodecCtx::new(n, 1);
         let registry = CodecRegistry::with_builtins();
+        let resolve = |bits: &[u8]| {
+            let rules: Vec<String> = layout
+                .iter()
+                .zip(bits)
+                .map(|(seg, b)| format!("{}=ef-topk+qsgd:{b}", seg.name))
+                .collect();
+            let plan: LayerPlan = rules.join(";").parse().expect("plan parses");
+            plan.resolve_scaled(&registry, &layout, &ctx, &[0.5, 2.0, 1.0])
+                .expect("plan resolves")
+        };
 
-        // Park a residual under EF weights + a stateless bias rule.
-        let old_plan: LayerPlan = "*.bias=topk;*=ef-topk+qsgd:8".parse().expect("plan parses");
-        let old_counts = old_plan.part_counts(&layout).expect("plan covers layout");
-        prop_assert_eq!(&old_counts[..], &[1, 0, 1]);
-        let mut old = old_plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
+        let mut old = resolve(&bits[..3]);
         old.encode(&gradient(seed, n), 0.05, &mut Xoshiro256::new(seed ^ 6));
         let snapshot = old.take_residual();
-        let before: Vec<u32> =
-            snapshot.parts.iter().flatten().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(snapshot.parts.len(), 2);
-
-        // Bit-width change, same part structure: coordinates carried verbatim.
-        let new_plan: LayerPlan = format!("*.bias=topk;*=ef-topk+qsgd:{new_bits}")
-            .parse()
-            .expect("plan parses");
-        let new_counts = new_plan.part_counts(&layout).expect("plan covers layout");
-        let migrated =
-            migrate_planned_residual(snapshot.clone(), &old_counts, &new_counts, &lens);
-        let after: Vec<u32> =
-            migrated.parts.iter().flatten().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(&after, &before, "bit-width migration altered residual coordinates");
-        let mut new = new_plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
-        let norm_before = {
-            let mut probe = old_plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
-            probe.restore_residual(snapshot.clone());
-            probe.residual_norm()
-        };
-        new.restore_residual(migrated);
-        prop_assert_eq!(new.residual_norm(), norm_before, "restored norm drifted");
-
-        // EF everywhere: the bias segment gains a fresh all-zero part of
-        // exactly its length; the weight parts still carry verbatim.
-        let wide_plan: LayerPlan = "*=ef-topk".parse().expect("plan parses");
-        let wide_counts = wide_plan.part_counts(&layout).expect("plan covers layout");
-        prop_assert_eq!(&wide_counts[..], &[1, 1, 1]);
-        let widened =
-            migrate_planned_residual(snapshot.clone(), &old_counts, &wide_counts, &lens);
-        prop_assert_eq!(widened.parts.len(), 3);
-        prop_assert_eq!(widened.parts[1].len(), b0);
-        prop_assert!(widened.parts[1].iter().all(|&v| v == 0.0), "fresh EF part must be zero");
-        let widened_coords: Vec<u32> = widened.parts[0]
-            .iter()
-            .chain(&widened.parts[2])
-            .map(|v| v.to_bits())
-            .collect();
-        prop_assert_eq!(&widened_coords, &before, "widening migration altered EF coordinates");
-
-        // Fully stateless: every residual part is dropped, none re-applied.
-        let stateless_plan: LayerPlan = "*=topk".parse().expect("plan parses");
-        let stateless_counts =
-            stateless_plan.part_counts(&layout).expect("plan covers layout");
-        prop_assert_eq!(&stateless_counts[..], &[0, 0, 0]);
-        let dropped =
-            migrate_planned_residual(snapshot, &old_counts, &stateless_counts, &lens);
-        prop_assert!(dropped.parts.is_empty(), "stateless plan must hold no residual");
+        prop_assert_eq!(snapshot.parts.len(), 3, "one part per EF segment");
+        let mut new = resolve(&bits[3..]);
+        new.restore_residual(snapshot.clone());
+        prop_assert_eq!(new.take_residual(), snapshot, "a re-plan altered the residual");
     }
 }

@@ -3,7 +3,6 @@
 //! residuals) the client encodes its uplink with.
 
 use crate::config::{ExperimentConfig, ModelPreset};
-use crate::policy::uplink_plan;
 use fl_compress::{
     CodecCtx, CodecRegistry, CompressedUpdate, DenseCodec, LayerPlan, ResidualState, SegmentDef,
     UpdateCodec, WireError, WireUpdate,
@@ -63,24 +62,10 @@ pub struct ClientState {
 }
 
 impl ClientState {
-    /// Create a client from the experiment configuration and its local shard.
-    /// The uplink codec is resolved from the configuration's
-    /// [`uplink_plan`] (one codec per parameter segment, or one flat codec
-    /// when the plan is uniform) through the built-in [`CodecRegistry`].
-    pub fn new(id: usize, dataset: Dataset, config: &ExperimentConfig, rng: Xoshiro256) -> Self {
-        // The one way to make a client, at the price of copying `dataset`
-        // once: nothing on a hot path comes through here.
-        let mut client = Self::shell(config, dataset.feature_dim(), dataset.num_classes());
-        let all: Vec<usize> = (0..dataset.len()).collect();
-        client.rebind(id, rng, &dataset, &all);
-        let registry = CodecRegistry::with_builtins();
-        client.resolve_codec(config.seed, &registry, &uplink_plan(config), None, 0);
-        client
-    }
-
     /// A shell bound to no client yet: everything a client keeps between
     /// bindings, sized by nothing but the model preset and the data's
-    /// dimensions. [`rebind`](Self::rebind) makes it a client.
+    /// dimensions. [`rebind`](Self::rebind) makes it a client; a
+    /// [`crate::roster::ClientRoster`] checkout is the one way to get one.
     pub(crate) fn shell(config: &ExperimentConfig, feature_dim: usize, num_classes: usize) -> Self {
         // The replica's parameters are always overwritten by the broadcast
         // global vector before training (`local_update` starts with
@@ -174,8 +159,7 @@ impl ClientState {
         let mut loss_acc = 0.0f64;
         let mut loss_count = 0usize;
         for _ in 0..self.local_epochs {
-            // One shuffle per epoch, same draw order and batch boundaries as
-            // `BatchLoader::epoch_batches`, but gathered into reusable
+            // One shuffle per epoch, gathered batch by batch into reusable
             // buffers: the steady-state batch loop below allocates nothing.
             self.loader
                 .shuffle_epoch(&self.dataset, &mut self.rng, &mut self.order);
@@ -311,24 +295,35 @@ pub fn build_model_zeroed(preset: &ModelPreset, input_dim: usize, classes: usize
 mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
+    use crate::policy::uplink_plan;
     use fl_nn::flatten_params;
 
-    fn quick_client(algorithm: Algorithm) -> (ClientState, Vec<f32>, ExperimentConfig) {
-        let config = ExperimentConfig::quick(algorithm);
+    /// Client 0 bound, as a roster checkout binds it, to the first 64
+    /// training samples of `config`'s dataset.
+    fn bind(config: &ExperimentConfig) -> ClientState {
         let (train, _) = config
             .dataset
             .spec(config.dataset_scale)
             .generate(config.seed);
-        let local = train.subset(&(0..64).collect::<Vec<_>>());
+        let mut client = ClientState::shell(config, train.feature_dim(), train.num_classes());
+        let shard: Vec<usize> = (0..64).collect();
+        client.rebind(0, Xoshiro256::new(7), &train, &shard);
+        let registry = CodecRegistry::with_builtins();
+        client.resolve_codec(config.seed, &registry, &uplink_plan(config), None, 0);
+        client
+    }
+
+    fn quick_client(algorithm: Algorithm) -> (ClientState, Vec<f32>, ExperimentConfig) {
+        let config = ExperimentConfig::quick(algorithm);
+        let client = bind(&config);
         let mut rng = Xoshiro256::new(config.seed);
         let global_model = build_model(
             &config.model,
-            local.feature_dim(),
-            local.num_classes(),
+            client.dataset().feature_dim(),
+            client.dataset().num_classes(),
             &mut rng,
         );
         let global = flatten_params(&global_model);
-        let client = ClientState::new(0, local, &config, Xoshiro256::new(7));
         (client, global, config)
     }
 
@@ -364,11 +359,13 @@ mod tests {
             &mut rng,
         );
         let mut loss_fn = SoftmaxCrossEntropy::new();
-        let (x, y) = client.dataset().full_batch();
+        let (mut x, mut y, mut ws) = (Tensor::empty(), Vec::new(), Workspace::new());
+        let data = client.dataset();
+        data.gather_range_into(0, data.len(), &mut x, &mut y);
         unflatten_params(&mut probe, &global);
-        let loss_global = loss_fn.forward(&probe.forward(&x), &y);
+        let loss_global = loss_fn.forward(probe.forward_in(&x, &mut ws), &y);
         unflatten_params(&mut probe, &local_params);
-        let loss_local = loss_fn.forward(&probe.forward(&x), &y);
+        let loss_local = loss_fn.forward(probe.forward_in(&x, &mut ws), &y);
         assert!(
             loss_local < loss_global,
             "local training should reduce local loss ({loss_global} -> {loss_local})"
@@ -427,12 +424,7 @@ mod tests {
     fn compressor_override_changes_the_wire_format() {
         let mut config = ExperimentConfig::quick(Algorithm::TopK);
         config.compressor = Some("topk+qsgd:4".parse().unwrap());
-        let (train, _) = config
-            .dataset
-            .spec(config.dataset_scale)
-            .generate(config.seed);
-        let local = train.subset(&(0..64).collect::<Vec<_>>());
-        let mut client = ClientState::new(0, local, &config, Xoshiro256::new(7));
+        let mut client = bind(&config);
         assert_eq!(client.codec_name(), "topk+qsgd:4");
         let mut rng = Xoshiro256::new(1);
         let global = {

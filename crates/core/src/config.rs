@@ -314,20 +314,29 @@ impl ExperimentConfig {
         if !(self.compression_ratio > 0.0 && self.compression_ratio <= 1.0) {
             return Err("compression_ratio must be in (0, 1]".into());
         }
-        if self.beta <= 0.0 {
-            return Err("beta must be positive".into());
+        // Every comparison below is false for NaN, and `is_finite` also
+        // rejects the infinities (β = +∞ would hang the Gamma sampler).
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.beta) {
+            return Err("beta must be positive and finite".into());
         }
-        if self.alpha <= 0.0 {
-            return Err("alpha must be positive".into());
+        if !positive(self.alpha) {
+            return Err("alpha must be positive and finite".into());
         }
-        if self.gamma < 1.0 {
-            return Err("gamma must be >= 1".into());
+        if !(self.gamma.is_finite() && self.gamma >= 1.0) {
+            return Err("gamma must be finite and >= 1".into());
         }
-        if self.local_lr <= 0.0 || self.server_lr <= 0.0 {
-            return Err("learning rates must be positive".into());
+        if !(positive(self.local_lr.into()) && positive(self.server_lr.into())) {
+            return Err("learning rates must be positive and finite".into());
         }
-        if self.dataset_scale <= 0.0 {
-            return Err("dataset_scale must be positive".into());
+        if !(0.0..1.0).contains(&self.momentum) {
+            return Err("momentum must be in [0, 1)".into());
+        }
+        if !(self.weight_decay.is_finite() && self.weight_decay >= 0.0) {
+            return Err("weight_decay must be finite and non-negative".into());
+        }
+        if !positive(self.dataset_scale) {
+            return Err("dataset_scale must be positive and finite".into());
         }
         if self.eval_every == 0 {
             return Err("eval_every must be positive".into());
@@ -870,6 +879,38 @@ mod tests {
         }
         assert!(configs.iter().any(|c| c.validate().is_ok()));
         assert!(configs.iter().any(|c| c.validate().is_err()));
+    }
+
+    #[test]
+    fn non_finite_and_out_of_range_values_fail_validation() {
+        type Set = fn(&mut ExperimentConfig, f64);
+        let fields: [(&str, Set); 8] = [
+            ("beta", |c, x| c.beta = x),
+            ("alpha", |c, x| c.alpha = x),
+            ("gamma", |c, x| c.gamma = x as f32),
+            ("local_lr", |c, x| c.local_lr = x as f32),
+            ("server_lr", |c, x| c.server_lr = x as f32),
+            ("dataset_scale", |c, x| c.dataset_scale = x),
+            ("momentum", |c, x| c.momentum = x as f32),
+            ("weight_decay", |c, x| c.weight_decay = x as f32),
+        ];
+        assert!(ExperimentConfig::quick(Algorithm::TopK).validate().is_ok());
+        for (name, set) in fields {
+            for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut c = ExperimentConfig::quick(Algorithm::TopK);
+                set(&mut c, x);
+                assert!(c.validate().is_err(), "{name} = {x} validated");
+            }
+        }
+        for (name, set, x) in [
+            ("momentum", fields[6].1, 1.0),
+            ("momentum", fields[6].1, -0.1),
+            ("weight_decay", fields[7].1, -1e-4),
+        ] {
+            let mut c = ExperimentConfig::quick(Algorithm::TopK);
+            set(&mut c, x);
+            assert!(c.validate().is_err(), "{name} = {x} validated");
+        }
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //!
 //! * [`checkout`](ClientRoster::checkout) pops a shell and **rebinds** it —
 //!   new id, the client's persistent RNG stream, its shard copied into the
-//!   shell's own dataset buffers, its stored residual restored. What the
+//!   shell's own dataset buffers, its stored residual restored — verbatim,
+//!   even when the plan changed since it was parked (why that is exact is in
+//!   [`fl_compress::residual_store`]'s docs). What the
 //!   shell owns stays: model replica and layout, workspace, batch and
 //!   gradient buffers, the optimizer (its velocity is zero-filled in place
 //!   by the next local update) and the delta buffer handed back after
@@ -62,13 +64,10 @@
 use crate::client::ClientState;
 use crate::config::ExperimentConfig;
 use crate::policy::uplink_plan;
-use fl_compress::{
-    migrate_planned_residual, CodecRegistry, LayerPlan, ResidualState, ResidualStore, SegmentDef,
-};
+use fl_compress::{CodecRegistry, LayerPlan, ResidualStore};
 use fl_data::{ClientPartition, Dataset};
 use fl_tensor::rng::Xoshiro256;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -80,17 +79,13 @@ use std::sync::Arc;
 struct PlanOverride {
     plan: LayerPlan,
     scales: Option<Vec<f64>>,
-    /// Bumped every time the *plan* (and therefore the residual part
-    /// structure a codec snapshot carries) changes; scale-only updates keep
-    /// the epoch, because segment-aligned residual parts survive a ratio
-    /// change untouched.
+    /// Bumped every time the *plan* changes (scale-only updates keep it): the
+    /// plan epoch a round's telemetry reports.
     epoch: u64,
     /// Bumped every time the plan *or* its scales change, i.e. whenever a
     /// codec built under the override would come out different: the key a
     /// pooled shell's codec is kept or rebuilt by (0 is the static path).
     codec_key: u64,
-    part_counts: Vec<usize>,
-    segment_lens: Vec<usize>,
 }
 
 /// The persistent, population-wide client substrate of a
@@ -114,10 +109,6 @@ pub struct ClientRoster {
     /// pre-adaptive builds). Written only between rounds by the engine's
     /// single-threaded select stage; checkout takes a handle to it.
     plan_override: Mutex<Option<Arc<PlanOverride>>>,
-    /// Residual part counts of every plan epoch ever installed, for lazy
-    /// migration: a parked snapshot from epoch `e` is re-shaped against the
-    /// current epoch's counts the next time its client is checked out.
-    epoch_counts: Mutex<HashMap<u64, Vec<usize>>>,
     /// Spent [`ClientState`] shells waiting to be rebound. Shells enter only
     /// through [`checkin`](Self::checkin) and every checkout takes one when
     /// there is one, so the pool never holds more than were checked out at
@@ -153,7 +144,6 @@ impl ClientRoster {
             streams,
             residuals: ResidualStore::new(),
             plan_override: Mutex::new(None),
-            epoch_counts: Mutex::new(HashMap::new()),
             pool: Mutex::new(Vec::new()),
             resident: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
@@ -200,25 +190,7 @@ impl ClientRoster {
         });
         client.rebind(id, stream, train, &self.partitions[id].indices);
         client.resolve_codec(config.seed, &self.registry, plan, scales, codec_key);
-        if let Some((state, epoch)) = self.residuals.take_epoch(id as u64) {
-            let state = match over.as_deref() {
-                Some(o) if epoch != o.epoch => {
-                    match self.epoch_counts.lock().get(&epoch) {
-                        Some(old_counts) => migrate_planned_residual(
-                            state,
-                            old_counts,
-                            &o.part_counts,
-                            &o.segment_lens,
-                        ),
-                        // A snapshot from before the first plan decision has
-                        // no per-segment part structure to migrate (it came
-                        // from a flat codec); the adaptive codec starts from
-                        // zero accumulated error instead.
-                        None => ResidualState::empty(),
-                    }
-                }
-                _ => state,
-            };
+        if let Some(state) = self.residuals.take(id as u64) {
             client.restore_residual(state);
         }
         let resident = self.resident.fetch_add(1, Ordering::SeqCst) + 1;
@@ -229,15 +201,12 @@ impl ClientRoster {
     }
 
     /// Return a client after its round of work: persist the codec's residual
-    /// snapshot into the store (all-zero snapshots are dropped, and the
-    /// snapshot is tagged with the plan epoch it was taken under), write the
+    /// snapshot into the store (all-zero snapshots are dropped), write the
     /// advanced RNG stream back, and keep the rest as a shell for the next
     /// checkout to rebind.
     pub fn checkin(&self, mut client: ClientState) {
         let id = client.id;
-        let epoch = self.plan_epoch();
-        self.residuals
-            .put_epoch(id as u64, client.take_residual(), epoch);
+        self.residuals.put(id as u64, client.take_residual());
         *self.streams[id].lock() = client.rng().clone();
         self.pool.lock().push(client);
         self.resident.fetch_sub(1, Ordering::SeqCst);
@@ -245,17 +214,12 @@ impl ClientRoster {
 
     /// Install (or refresh) the adaptive codec plan every subsequent
     /// [`checkout`](Self::checkout) resolves against, returning the plan
-    /// epoch now in force. Same plan → same epoch (scale-only updates are
-    /// applied in place); a changed plan bumps the epoch, which drives the
-    /// lazy migration of parked error-feedback residuals on their owners'
-    /// next checkout. Called by the round engine's select stage, between
-    /// rounds — never concurrently with checkouts.
-    pub fn set_plan_override(
-        &self,
-        plan: LayerPlan,
-        scales: Option<Vec<f64>>,
-        segments: &[SegmentDef],
-    ) -> u64 {
+    /// epoch now in force: same plan → same epoch (scale-only updates are
+    /// applied in place), a changed plan → the next epoch. Parked residuals
+    /// restore verbatim across an epoch change (see
+    /// [`fl_compress::residual_store`]). Called by the round engine's select
+    /// stage, between rounds — never concurrently with checkouts.
+    pub fn set_plan_override(&self, plan: LayerPlan, scales: Option<Vec<f64>>) -> u64 {
         let mut over = self.plan_override.lock();
         let codec_key = over.as_ref().map_or(0, |o| o.codec_key) + 1;
         match over.as_mut().map(Arc::make_mut) {
@@ -267,32 +231,16 @@ impl ClientRoster {
                 o.epoch
             }
             _ => {
-                let part_counts = plan.part_counts(segments).unwrap_or_else(|e| {
-                    panic!("adaptive plan {plan} does not cover the layout: {e}")
-                });
-                let epoch = over.as_ref().map(|o| o.epoch).unwrap_or(0) + 1;
-                self.epoch_counts.lock().insert(epoch, part_counts.clone());
+                let epoch = over.as_ref().map_or(0, |o| o.epoch) + 1;
                 *over = Some(Arc::new(PlanOverride {
                     plan,
                     scales,
                     epoch,
                     codec_key,
-                    part_counts,
-                    segment_lens: segments.iter().map(|s| s.len).collect(),
                 }));
                 epoch
             }
         }
-    }
-
-    /// The plan epoch currently in force (0 when no adaptive override is
-    /// installed — the static path tags residuals with epoch 0 forever).
-    pub fn plan_epoch(&self) -> u64 {
-        self.plan_override
-            .lock()
-            .as_ref()
-            .map(|o| o.epoch)
-            .unwrap_or(0)
     }
 
     /// Number of `ClientState`s currently checked out (resident in memory).
@@ -527,19 +475,18 @@ mod tests {
         roster.checkin(probe);
         let plan = || "*.bias=topk;*=topk+qsgd:8".parse::<LayerPlan>().unwrap();
         let kept_at = |scale: f64, id: usize| {
-            roster.set_plan_override(plan(), Some(vec![scale; segments.len()]), &segments);
+            let epoch = roster.set_plan_override(plan(), Some(vec![scale; segments.len()]));
             let mut client = roster.checkout(id);
             let out = client.local_update(&global);
             let wire = client.encode(&out.delta, 0.2);
             let kept = client.decode(&wire).unwrap().as_sparse().unwrap().nnz();
             roster.checkin(client);
-            kept
+            (kept, epoch)
         };
-        let half = kept_at(0.5, 1);
-        assert_eq!(kept_at(0.5, 2), half, "same plan key, same budget");
-        let epoch = roster.plan_epoch();
-        let quarter = kept_at(0.25, 3);
-        assert_eq!(roster.plan_epoch(), epoch, "a scale change is no new epoch");
+        let (half, epoch) = kept_at(0.5, 1);
+        assert_eq!(kept_at(0.5, 2), (half, epoch), "same plan key, same budget");
+        let (quarter, scaled_epoch) = kept_at(0.25, 3);
+        assert_eq!(scaled_epoch, epoch, "a scale change is no new epoch");
         assert!(
             quarter < half * 2 / 3,
             "the shell's codec must follow the new scales ({half} -> {quarter})"
@@ -566,65 +513,35 @@ mod tests {
     }
 
     #[test]
-    fn plan_override_migrates_residuals_across_plan_changes() {
+    fn plan_change_restores_parked_residuals_verbatim() {
+        // The plans `layer-bcrs` installs: an `ef-…` codec on every segment,
+        // resolved with ratio scales. A new bit width is a new epoch, and the
+        // snapshot parked under the old one comes back bit for bit.
         let (roster, global) = build_roster(Algorithm::TopK, 4);
-        // A mixed plan (never collapses): EF on the weights, stateless bias.
-        let segments = {
-            let probe = roster.checkout(0);
-            let s = crate::client::segment_defs(probe.layout());
-            roster.checkin(probe);
-            s
+        let probe = roster.checkout(0);
+        let scales = vec![1.0; crate::client::segment_defs(probe.layout()).len()];
+        roster.checkin(probe);
+        let install = |plan: &str, scales: Vec<f64>| {
+            roster.set_plan_override(plan.parse().unwrap(), Some(scales))
         };
-        let e1 = roster.set_plan_override(
-            "*.bias=topk;*=ef-topk+qsgd:8".parse().unwrap(),
-            None,
-            &segments,
-        );
-        assert_eq!(e1, 1);
-        assert_eq!(roster.plan_epoch(), 1);
+        assert_eq!(install("*=ef-topk+qsgd:8", scales.clone()), 1);
         let mut client = roster.checkout(1);
         let out = client.local_update(&global);
         let _ = client.encode(&out.delta, 0.05);
-        let norm = client.residual_norm();
-        assert!(norm > 0.0, "EF segments must carry dropped mass");
+        let parked = client.take_residual();
+        assert!(!parked.is_trivial(), "EF segments must carry dropped mass");
+        client.restore_residual(parked.clone());
         roster.checkin(client);
         assert_eq!(roster.residual_clients(), 1);
 
-        // Re-installing the same plan (even with fresh ratio scales) keeps
-        // the epoch: the parked snapshot restores verbatim.
-        let scales = vec![0.5; segments.len()];
-        let e_same = roster.set_plan_override(
-            "*.bias=topk;*=ef-topk+qsgd:8".parse().unwrap(),
-            Some(scales),
-            &segments,
-        );
-        assert_eq!(e_same, 1);
-        let client = roster.checkout(1);
-        assert!((client.residual_norm() - norm).abs() < 1e-12);
+        // Fresh ratio scales on the same plan keep the epoch.
+        assert_eq!(install("*=ef-topk+qsgd:8", vec![0.5; scales.len()]), 1);
+        // A bit-width change is a new plan and a new epoch.
+        assert_eq!(install("*.bias=ef-topk+qsgd:4;*=ef-topk+qsgd:6", scales), 2);
+        let mut client = roster.checkout(1);
+        assert_eq!(client.take_residual(), parked);
         roster.checkin(client);
-
-        // A bit-width change is a new plan: the epoch bumps and the EF→EF
-        // migration carries every residual coordinate across unchanged.
-        let e2 = roster.set_plan_override(
-            "*.bias=topk;*=ef-topk+qsgd:4".parse().unwrap(),
-            None,
-            &segments,
-        );
-        assert_eq!(e2, 2);
-        let client = roster.checkout(1);
-        assert!(
-            (client.residual_norm() - norm).abs() < 1e-12,
-            "EF→EF migration must carry the residual verbatim"
-        );
-        roster.checkin(client);
-
-        // EF → stateless drops the carried mass (nowhere to hold it).
-        let e3 = roster.set_plan_override("*=topk;*.bias=topk".parse().unwrap(), None, &segments);
-        assert_eq!(e3, 3);
-        let client = roster.checkout(1);
-        assert_eq!(client.residual_norm(), 0.0);
-        roster.checkin(client);
-        assert_eq!(roster.residual_clients(), 0);
+        assert_eq!(roster.residual_clients(), 0, "the residual was taken");
     }
 
     #[test]

@@ -184,9 +184,9 @@ impl FederatedSession {
                 layer_bcrs_plan(&ctx, self.comm, *efficiency)
             }
         };
-        let epoch =
-            self.roster
-                .set_plan_override(decision.plan.clone(), decision.scales, &segments);
+        let epoch = self
+            .roster
+            .set_plan_override(decision.plan.clone(), decision.scales);
         Some(PlanTelemetry {
             policy: spec.name().to_string(),
             plan: decision.plan.to_string(),
@@ -1040,6 +1040,55 @@ mod tests {
         // And the model still learns (above the 10-class chance rate after
         // only four heavily quantized rounds).
         assert!(a.final_accuracy > 0.1, "{}", a.final_accuracy);
+    }
+
+    #[test]
+    fn parked_residuals_restore_bit_for_bit_across_plan_epochs() {
+        // The pinned `codec/layer-bcrs|…` fingerprint row's configuration.
+        // After every round each client is checked out and back in under
+        // that round's plan; a client the next round leaves out is checked
+        // out again under the next plan and must hold exactly what it parked.
+        // Probing draws no randomness and re-parks what it took, so the run
+        // is the pinned one.
+        let mut config = ExperimentConfig::quick(Algorithm::EfTopK);
+        config.num_clients = 16;
+        config.participation = 0.5;
+        config.rounds = 8;
+        config.max_threads = 1;
+        config.cost_basis = CostBasis::Encoded;
+        config.downlink_layer_compressors = Some("*.bias=dense;*=ef-topk+qsgd:8".parse().unwrap());
+        config.adaptive_plan = Some("layer-bcrs".parse().unwrap());
+        let mut session = FederatedSession::from_config(&config);
+        let mut parked = vec![None; config.num_clients];
+        let mut crossings = 0;
+        while !session.is_finished() {
+            let out = session.run_round();
+            let epoch = out.record.plan.as_ref().expect("plan telemetry").epoch;
+            for (id, last) in parked.iter_mut().enumerate() {
+                let mut client = session.roster().checkout(id);
+                let norm = client.residual_norm();
+                let state = client.take_residual();
+                if let Some((then, then_norm, then_state)) = last.take() {
+                    if !out.record.selected_clients.contains(&id) {
+                        assert_eq!(norm.to_bits(), f64::to_bits(then_norm), "client {id}");
+                        assert_eq!(state, then_state, "client {id}");
+                        crossings += usize::from(then != epoch);
+                    }
+                }
+                client.restore_residual(state.clone());
+                if !state.is_trivial() {
+                    *last = Some((epoch, client.residual_norm(), state));
+                }
+                session.roster().checkin(client);
+            }
+        }
+        assert!(crossings > 0, "no parked residual crossed a plan epoch");
+        let unprobed = FederatedSession::from_config(&config).run();
+        assert_eq!(
+            session.records(),
+            &unprobed.records[..],
+            "probing moved the run"
+        );
     }
 
     #[test]

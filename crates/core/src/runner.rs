@@ -43,9 +43,9 @@ pub struct PlanTelemetry {
     pub policy: String,
     /// The resolved plan string (`"linear0.weight=ef-topk+qsgd:8;…"`).
     pub plan: String,
-    /// The plan epoch the cohort encoded under. Bumped whenever the decision
-    /// changes the codec layout, driving lazy error-feedback residual
-    /// migration; a `static:` plan stays at epoch 1 for the whole run.
+    /// The plan epoch the cohort encoded under: a count of plan changes (new
+    /// ratio scales on the same plan are none). A `static:` plan stays at
+    /// epoch 1 for the whole run.
     pub epoch: u64,
     /// Per-segment assignments (spec + effective ratio), in layout order.
     pub assignments: Vec<crate::policy::PlanAssignment>,

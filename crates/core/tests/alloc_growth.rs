@@ -303,15 +303,15 @@ fn second_round_checkouts_allocate_no_model_workspace_velocity_or_delta() {
     // codec is rebuilt once — and only the codec.
     let plan = || "*.bias=topk;*=topk+qsgd:8".parse().unwrap();
     let scales = |s: f64| Some(vec![s; segments.len()]);
-    roster.set_plan_override(plan(), scales(0.5), &segments);
+    roster.set_plan_override(plan(), scales(0.5));
     round();
-    roster.set_plan_override(plan(), scales(0.5), &segments);
+    roster.set_plan_override(plan(), scales(0.5));
     assert_eq!(
         round().checkout_allocs,
         0,
         "an unchanged plan key keeps the codec"
     );
-    roster.set_plan_override(plan(), scales(0.25), &segments);
+    roster.set_plan_override(plan(), scales(0.25));
     let rescaled = round();
     assert!(rescaled.checkout_allocs > 0, "new scales need a new codec");
     assert!(

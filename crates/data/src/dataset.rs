@@ -82,15 +82,6 @@ impl Dataset {
         self.labels.push(label);
     }
 
-    /// Build a `[k, feature_dim]` batch tensor plus label vector for the given
-    /// sample indices.
-    pub fn gather_batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let mut x = Tensor::empty();
-        let mut y = Vec::new();
-        self.gather_batch_into(indices, &mut x, &mut y);
-        (x, y)
-    }
-
     /// Gather the given sample indices into reusable buffers: `x` becomes the
     /// `[k, feature_dim]` batch tensor and `y` the label vector. Steady-state
     /// calls with a same-sized batch perform no heap allocation.
@@ -106,17 +97,9 @@ impl Dataset {
         }
     }
 
-    /// Batch over the contiguous index range `start..end` — a single
-    /// `memcpy` of the feature rows instead of a per-sample gather. Used by
-    /// evaluation and other sequential scans.
-    pub fn gather_range(&self, start: usize, end: usize) -> (Tensor, Vec<usize>) {
-        let mut x = Tensor::empty();
-        let mut y = Vec::new();
-        self.gather_range_into(start, end, &mut x, &mut y);
-        (x, y)
-    }
-
-    /// [`gather_range`](Self::gather_range) into reusable buffers.
+    /// The batch over the contiguous index range `start..end`, into reusable
+    /// buffers — a single `memcpy` of the feature rows instead of a
+    /// per-sample gather. Used by evaluation's sequential scan.
     pub fn gather_range_into(&self, start: usize, end: usize, x: &mut Tensor, y: &mut Vec<usize>) {
         assert!(
             start <= end && end <= self.len(),
@@ -128,11 +111,6 @@ impl Dataset {
             .copy_from_slice(&self.features[start * self.feature_dim..end * self.feature_dim]);
         y.clear();
         y.extend_from_slice(&self.labels[start..end]);
-    }
-
-    /// The whole dataset as one batch.
-    pub fn full_batch(&self) -> (Tensor, Vec<usize>) {
-        self.gather_range(0, self.len())
     }
 
     /// Dataset restricted to the given sample indices (copies the data).
@@ -177,6 +155,18 @@ mod tests {
         Dataset::new(vec![0.0, 0.1, 1.0, 1.1, 2.0, 2.1], vec![0, 1, 1], 2, 3)
     }
 
+    fn gather(d: &Dataset, indices: &[usize]) -> (Tensor, Vec<usize>) {
+        let (mut x, mut y) = (Tensor::empty(), Vec::new());
+        d.gather_batch_into(indices, &mut x, &mut y);
+        (x, y)
+    }
+
+    fn range(d: &Dataset, start: usize, end: usize) -> (Tensor, Vec<usize>) {
+        let (mut x, mut y) = (Tensor::empty(), Vec::new());
+        d.gather_range_into(start, end, &mut x, &mut y);
+        (x, y)
+    }
+
     #[test]
     fn basic_accessors() {
         let d = toy();
@@ -195,7 +185,7 @@ mod tests {
     #[test]
     fn gather_batch_shapes() {
         let d = toy();
-        let (x, y) = d.gather_batch(&[2, 0]);
+        let (x, y) = gather(&d, &[2, 0]);
         assert_eq!(x.shape().dims(), &[2, 2]);
         assert_eq!(x.data(), &[2.0, 2.1, 0.0, 0.1]);
         assert_eq!(y, vec![1, 0]);
@@ -206,8 +196,8 @@ mod tests {
         let d = toy();
         for (start, end) in [(0, 3), (1, 3), (0, 0), (2, 2), (1, 2)] {
             let indices: Vec<usize> = (start..end).collect();
-            let (xi, yi) = d.gather_batch(&indices);
-            let (xr, yr) = d.gather_range(start, end);
+            let (xi, yi) = gather(&d, &indices);
+            let (xr, yr) = range(&d, start, end);
             assert_eq!(xr.shape().dims(), xi.shape().dims());
             assert_eq!(xr.data(), xi.data());
             assert_eq!(yr, yi);
@@ -217,7 +207,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn gather_range_rejects_overrun() {
-        toy().gather_range(1, 4);
+        range(&toy(), 1, 4);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 
 use crate::dataset::Dataset;
 use fl_tensor::rng::Rng;
-use fl_tensor::Tensor;
 
 /// Iterates over a dataset in shuffled mini-batches.
 ///
-/// Shuffling happens once per epoch via [`BatchLoader::epoch_batches`]; the
-/// caller supplies the RNG so the full experiment stays seed-deterministic.
+/// Shuffling happens once per epoch via [`BatchLoader::shuffle_epoch`]; the
+/// caller supplies the RNG so the full experiment stays seed-deterministic,
+/// and gathers each [`batch_ranges`](BatchLoader::batch_ranges) slice of the
+/// shuffled order with [`Dataset::gather_batch_into`].
 #[derive(Clone, Debug)]
 pub struct BatchLoader {
     batch_size: usize,
@@ -29,43 +30,10 @@ impl BatchLoader {
         self.batch_size
     }
 
-    /// Number of batches one epoch over `n` samples will produce.
-    pub fn num_batches(&self, n: usize) -> usize {
-        if self.drop_last {
-            n / self.batch_size
-        } else {
-            n.div_ceil(self.batch_size)
-        }
-    }
-
-    /// Produce the shuffled batches (feature tensor + labels) for one epoch.
-    pub fn epoch_batches<R: Rng>(
-        &self,
-        dataset: &Dataset,
-        rng: &mut R,
-    ) -> Vec<(Tensor, Vec<usize>)> {
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        rng.shuffle(&mut order);
-        let mut batches = Vec::with_capacity(self.num_batches(dataset.len()));
-        let mut start = 0usize;
-        while start < order.len() {
-            let end = (start + self.batch_size).min(order.len());
-            if self.drop_last && end - start < self.batch_size {
-                break;
-            }
-            batches.push(dataset.gather_batch(&order[start..end]));
-            start = end;
-        }
-        batches
-    }
-
     /// Shuffle one epoch's sample order into the caller's reusable `order`
-    /// buffer — the allocation-free counterpart of
-    /// [`epoch_batches`](Self::epoch_batches). The caller walks the returned
-    /// order in `batch_size` strides (honouring `drop_last` via
-    /// [`batch_ranges`](Self::batch_ranges)) and gathers each slice with
-    /// [`Dataset::gather_batch_into`]. Shuffle draw order and batch
-    /// boundaries are identical to `epoch_batches`.
+    /// buffer. The caller walks the returned order in `batch_size` strides
+    /// (honouring `drop_last` via [`batch_ranges`](Self::batch_ranges)) and
+    /// gathers each slice with [`Dataset::gather_batch_into`].
     pub fn shuffle_epoch<R: Rng>(&self, dataset: &Dataset, rng: &mut R, order: &mut Vec<usize>) {
         order.clear();
         order.extend(0..dataset.len());
@@ -86,6 +54,7 @@ impl BatchLoader {
 mod tests {
     use super::*;
     use fl_tensor::rng::Xoshiro256;
+    use fl_tensor::Tensor;
 
     fn toy() -> Dataset {
         let mut d = Dataset::empty(1, 2);
@@ -95,11 +64,23 @@ mod tests {
         d
     }
 
+    /// One epoch's batches, gathered into fresh tensors.
+    fn epoch(loader: &BatchLoader, d: &Dataset, rng: &mut Xoshiro256) -> Vec<(Tensor, Vec<usize>)> {
+        let mut order = Vec::new();
+        loader.shuffle_epoch(d, rng, &mut order);
+        let batch = |(s, e): (usize, usize)| {
+            let (mut x, mut y) = (Tensor::empty(), Vec::new());
+            d.gather_batch_into(&order[s..e], &mut x, &mut y);
+            (x, y)
+        };
+        loader.batch_ranges(d.len()).map(batch).collect()
+    }
+
     #[test]
     fn batches_cover_all_samples() {
         let loader = BatchLoader::new(3, false);
         let mut rng = Xoshiro256::new(1);
-        let batches = loader.epoch_batches(&toy(), &mut rng);
+        let batches = epoch(&loader, &toy(), &mut rng);
         assert_eq!(batches.len(), 4);
         let total: usize = batches.iter().map(|(_, y)| y.len()).sum();
         assert_eq!(total, 10);
@@ -115,59 +96,28 @@ mod tests {
     fn drop_last_discards_partial() {
         let loader = BatchLoader::new(3, true);
         let mut rng = Xoshiro256::new(1);
-        let batches = loader.epoch_batches(&toy(), &mut rng);
+        let batches = epoch(&loader, &toy(), &mut rng);
         assert_eq!(batches.len(), 3);
         assert!(batches.iter().all(|(_, y)| y.len() == 3));
     }
 
     #[test]
-    fn num_batches_formula() {
-        let l = BatchLoader::new(4, false);
-        assert_eq!(l.num_batches(10), 3);
-        let l2 = BatchLoader::new(4, true);
-        assert_eq!(l2.num_batches(10), 2);
-        assert_eq!(l.num_batches(0), 0);
-    }
-
-    #[test]
     fn shuffling_depends_on_rng() {
         let loader = BatchLoader::new(10, false);
-        let mut r1 = Xoshiro256::new(1);
-        let mut r2 = Xoshiro256::new(2);
-        let b1 = loader.epoch_batches(&toy(), &mut r1);
-        let b2 = loader.epoch_batches(&toy(), &mut r2);
-        assert_ne!(b1[0].0.data(), b2[0].0.data());
+        let first = |seed: u64| {
+            epoch(&loader, &toy(), &mut Xoshiro256::new(seed))[0]
+                .0
+                .clone()
+        };
+        assert_ne!(first(1).data(), first(2).data());
         // Same seed, same order.
-        let mut r3 = Xoshiro256::new(1);
-        let b3 = loader.epoch_batches(&toy(), &mut r3);
-        assert_eq!(b1[0].0.data(), b3[0].0.data());
+        assert_eq!(first(1).data(), first(1).data());
     }
 
     #[test]
     #[should_panic]
     fn zero_batch_size_rejected() {
         BatchLoader::new(0, false);
-    }
-
-    #[test]
-    fn in_place_epoch_matches_epoch_batches() {
-        let d = toy();
-        let loader = BatchLoader::new(3, false);
-        let mut r1 = Xoshiro256::new(7);
-        let reference = loader.epoch_batches(&d, &mut r1);
-
-        let mut r2 = Xoshiro256::new(7);
-        let mut order = Vec::new();
-        loader.shuffle_epoch(&d, &mut r2, &mut order);
-        let mut x = Tensor::empty();
-        let mut y = Vec::new();
-        let ranges: Vec<_> = loader.batch_ranges(d.len()).collect();
-        assert_eq!(ranges.len(), reference.len());
-        for ((s, e), (rx, ry)) in ranges.into_iter().zip(reference.iter()) {
-            d.gather_batch_into(&order[s..e], &mut x, &mut y);
-            assert_eq!(x.data(), rx.data());
-            assert_eq!(&y, ry);
-        }
     }
 
     #[test]

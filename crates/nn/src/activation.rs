@@ -6,14 +6,12 @@ use fl_tensor::Tensor;
 
 /// Rectified linear unit, `y = max(x, 0)`.
 #[derive(Default)]
-pub struct Relu {
-    fallback: LayerWs,
-}
+pub struct Relu;
 
 impl Relu {
     /// New ReLU layer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -51,10 +49,6 @@ impl Layer for Relu {
         }
     }
 
-    fn fallback_ws(&mut self) -> &mut LayerWs {
-        &mut self.fallback
-    }
-
     fn visit_params_and_grads(&mut self, _f: &mut dyn FnMut(&mut Tensor, &Tensor)) {}
 
     fn params(&self) -> Vec<&Tensor> {
@@ -82,18 +76,18 @@ mod tests {
 
     #[test]
     fn relu_forward_clamps_negatives() {
-        let mut r = Relu::new();
         let x = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
-        let y = r.forward(&x);
+        let mut y = Tensor::empty();
+        Relu::new().forward_in(&x, &mut y, &mut LayerWs::new());
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn relu_backward_masks_gradient() {
         let mut r = Relu::new();
-        let x = Tensor::from_slice(&[-1.0, 0.5, 2.0]);
-        r.forward(&x);
-        let g = r.backward(&Tensor::from_slice(&[10.0, 10.0, 10.0]));
+        let (mut ws, mut y, mut g) = (LayerWs::new(), Tensor::empty(), Tensor::empty());
+        r.forward_in(&Tensor::from_slice(&[-1.0, 0.5, 2.0]), &mut y, &mut ws);
+        r.backward_in(&Tensor::from_slice(&[10.0, 10.0, 10.0]), &mut g, &mut ws);
         assert_eq!(g.data(), &[0.0, 10.0, 10.0]);
     }
 

@@ -1,5 +1,6 @@
-//! The [`Layer`] trait: explicit forward/backward with per-layer parameter
-//! and gradient accessors.
+//! The [`Layer`] trait: forward and backward passes that write into
+//! caller-owned tensors and a caller-owned [`LayerWs`] slot (there is no
+//! allocating form), with per-layer parameter and gradient accessors.
 
 use crate::workspace::LayerWs;
 use fl_tensor::Tensor;
@@ -14,9 +15,6 @@ use fl_tensor::Tensor;
 ///   caller-provided tensor, while writing `dL/d(params)` into the layer's
 ///   gradient buffers (over whatever they held: no `zero_grad` is needed
 ///   between batches);
-/// * the allocating [`forward`](Layer::forward) / [`backward`](Layer::backward)
-///   wrappers run the same code over a private fallback workspace and return
-///   fresh tensors, so callers that don't manage workspaces keep working;
 /// * `params` / `params_mut` / `grads` / `visit_params_and_grads` expose the
 ///   trainable state so the optimizer and the federated-learning parameter
 ///   flattening can reach it.
@@ -49,28 +47,6 @@ pub trait Layer: Send + Sync {
         ws: &mut LayerWs,
     ) {
         self.backward_in(grad_output, grad_input, ws);
-    }
-
-    /// The layer's private fallback workspace slot backing the allocating
-    /// [`forward`](Layer::forward) / [`backward`](Layer::backward) wrappers.
-    fn fallback_ws(&mut self) -> &mut LayerWs;
-
-    /// Allocating forward wrapper over [`forward_in`](Layer::forward_in).
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut ws = std::mem::take(self.fallback_ws());
-        let mut out = Tensor::empty();
-        self.forward_in(input, &mut out, &mut ws);
-        *self.fallback_ws() = ws;
-        out
-    }
-
-    /// Allocating backward wrapper over [`backward_in`](Layer::backward_in).
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut ws = std::mem::take(self.fallback_ws());
-        let mut grad_input = Tensor::empty();
-        self.backward_in(grad_output, &mut grad_input, &mut ws);
-        *self.fallback_ws() = ws;
-        grad_input
     }
 
     /// Immutable references to the trainable parameter tensors (possibly empty).

@@ -11,11 +11,10 @@
 //! ([`layer::Layer`]); models are built with [`model::Sequential`] or the
 //! convenience constructor [`model::mlp`].
 //!
-//! The training hot path is allocation-free: a [`workspace::Workspace`] owns
-//! every intermediate buffer, and the `forward_in` / `backward_in` methods on
-//! [`model::Sequential`] and [`layer::Layer`] reuse those buffers batch after
-//! batch (the allocating `forward` / `backward` wrappers remain for
-//! convenience and compute bit-identical results).
+//! The training path is allocation-free and there is only that one: a
+//! [`workspace::Workspace`] owns every intermediate buffer, and the
+//! `forward_in` / `backward_in` methods on [`model::Sequential`] and
+//! [`layer::Layer`] reuse those buffers batch after batch.
 
 #![forbid(unsafe_code)]
 

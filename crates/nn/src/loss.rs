@@ -4,9 +4,9 @@ use fl_tensor::Tensor;
 
 /// Combined softmax + cross-entropy over integer class labels.
 ///
-/// `forward` returns the mean loss over the batch; `backward` returns
+/// `forward` returns the mean loss over the batch; `backward_in` writes
 /// `dL/d(logits)` already divided by the batch size, so it can be fed straight
-/// into the last layer's `backward`.
+/// into the last layer's `backward_in`.
 #[derive(Default)]
 pub struct SoftmaxCrossEntropy {
     probs: Tensor,
@@ -44,14 +44,7 @@ impl SoftmaxCrossEntropy {
         }
     }
 
-    /// Numerically stable softmax over the rows of a `[batch, classes]` tensor.
-    pub fn softmax(logits: &Tensor) -> Tensor {
-        let mut out = Tensor::empty();
-        Self::softmax_into(logits, &mut out);
-        out
-    }
-
-    /// Mean cross-entropy loss; caches what `backward` needs in reusable
+    /// Mean cross-entropy loss; caches what `backward_in` needs in reusable
     /// internal buffers (steady-state calls perform no heap allocation).
     pub fn forward(&mut self, logits: &Tensor, labels: &[usize]) -> f32 {
         let dims = logits.shape().dims();
@@ -86,13 +79,6 @@ impl SoftmaxCrossEntropy {
         }
         let scale = 1.0 / b as f32;
         gd.iter_mut().for_each(|x| *x *= scale);
-    }
-
-    /// Gradient of the mean loss w.r.t. the logits.
-    pub fn backward(&self) -> Tensor {
-        let mut grad = Tensor::empty();
-        self.backward_in(&mut grad);
-        grad
     }
 
     /// Classification accuracy of logits against labels.
@@ -131,7 +117,8 @@ mod tests {
     #[test]
     fn softmax_rows_sum_to_one() {
         let logits = Tensor::from_vec(Shape::matrix(2, 3), vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let p = SoftmaxCrossEntropy::softmax(&logits);
+        let mut p = Tensor::empty();
+        SoftmaxCrossEntropy::softmax_into(&logits, &mut p);
         for i in 0..2 {
             let s: f32 = p.data()[i * 3..(i + 1) * 3].iter().sum();
             assert!((s - 1.0).abs() < 1e-6);
@@ -142,8 +129,9 @@ mod tests {
     fn softmax_is_shift_invariant() {
         let a = Tensor::from_vec(Shape::matrix(1, 3), vec![1.0, 2.0, 3.0]);
         let b = Tensor::from_vec(Shape::matrix(1, 3), vec![101.0, 102.0, 103.0]);
-        let pa = SoftmaxCrossEntropy::softmax(&a);
-        let pb = SoftmaxCrossEntropy::softmax(&b);
+        let (mut pa, mut pb) = (Tensor::empty(), Tensor::empty());
+        SoftmaxCrossEntropy::softmax_into(&a, &mut pa);
+        SoftmaxCrossEntropy::softmax_into(&b, &mut pb);
         for (x, y) in pa.data().iter().zip(pb.data().iter()) {
             assert!((x - y).abs() < 1e-6);
         }
@@ -174,7 +162,8 @@ mod tests {
         let logits = Tensor::from_vec(Shape::matrix(2, 3), vec![0.5, -0.2, 0.1, 1.0, 0.0, -1.0]);
         let labels = [2usize, 0];
         loss.forward(&logits, &labels);
-        let analytic = loss.backward();
+        let mut analytic = Tensor::empty();
+        loss.backward_in(&mut analytic);
         let eps = 1e-3f32;
         for idx in 0..6 {
             let mut lp = logits.clone();
@@ -201,7 +190,8 @@ mod tests {
             vec![1.0, 2.0, 0.5, -1.0, 0.0, 0.0, 3.0, 1.0],
         );
         loss.forward(&logits, &[0, 2]);
-        let g = loss.backward();
+        let mut g = Tensor::empty();
+        loss.backward_in(&mut g);
         for i in 0..2 {
             let s: f32 = g.data()[i * 4..(i + 1) * 4].iter().sum();
             assert!(s.abs() < 1e-6);

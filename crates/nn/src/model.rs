@@ -8,18 +8,15 @@ use fl_tensor::rng::Rng;
 use fl_tensor::Tensor;
 
 /// A plain sequential stack of layers.
+#[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    ws: Workspace,
 }
 
 impl Sequential {
     /// Empty model.
     pub fn new() -> Self {
-        Self {
-            layers: Vec::new(),
-            ws: Workspace::new(),
-        }
+        Self::default()
     }
 
     /// Append a layer (builder style).
@@ -95,24 +92,6 @@ impl Sequential {
         }
     }
 
-    /// Forward pass through every layer (allocating wrapper over
-    /// [`forward_in`](Self::forward_in) using the model's private workspace).
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut ws = std::mem::take(&mut self.ws);
-        let out = self.forward_in(input, &mut ws).clone();
-        self.ws = ws;
-        out
-    }
-
-    /// Backward pass; `grad_output` is `dL/d(model output)` (allocating
-    /// wrapper over [`backward_in`](Self::backward_in)).
-    pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut ws = std::mem::take(&mut self.ws);
-        let g = self.backward_in(grad_output, &mut ws).clone();
-        self.ws = ws;
-        g
-    }
-
     /// Zero every layer's gradient buffers.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
@@ -156,12 +135,6 @@ impl Sequential {
     /// [`crate::params::ParamLayout`] to derive named parameter segments).
     pub fn layers(&self) -> impl Iterator<Item = &dyn Layer> {
         self.layers.iter().map(|l| l.as_ref())
-    }
-}
-
-impl Default for Sequential {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -220,11 +193,11 @@ mod tests {
     #[test]
     fn mlp_shapes_and_param_count() {
         let mut rng = Xoshiro256::new(1);
-        let mut m = mlp(8, &[16, 16], 4, &mut rng);
+        let m = mlp(8, &[16, 16], 4, &mut rng);
         assert_eq!(m.num_params(), 8 * 16 + 16 + 16 * 16 + 16 + 16 * 4 + 4);
         let x = Tensor::zeros(Shape::matrix(5, 8));
-        let y = m.forward(&x);
-        assert_eq!(y.shape().dims(), &[5, 4]);
+        let mut ws = Workspace::new();
+        assert_eq!(m.forward_in(&x, &mut ws).shape().dims(), &[5, 4]);
     }
 
     #[test]
@@ -259,21 +232,21 @@ mod tests {
         let mut model = mlp(dim, &[16], 2, &mut rng);
         let mut loss = SoftmaxCrossEntropy::new();
         let mut opt = Sgd::new(0.1, 0.0, 0.0);
-        let initial = loss.forward(&model.forward(&x), &labels);
+        let (mut ws, mut g) = (Workspace::new(), Tensor::empty());
+        let initial = loss.forward(model.forward_in(&x, &mut ws), &labels);
         for _ in 0..30 {
-            model.zero_grad();
-            let logits = model.forward(&x);
-            loss.forward(&logits, &labels);
-            let g = loss.backward();
-            model.backward(&g);
+            let logits = model.forward_in(&x, &mut ws);
+            loss.forward(logits, &labels);
+            loss.backward_in(&mut g);
+            model.backward_in(&g, &mut ws);
             opt.step(&mut model);
         }
-        let fin = loss.forward(&model.forward(&x), &labels);
+        let fin = loss.forward(model.forward_in(&x, &mut ws), &labels);
         assert!(
             fin < initial * 0.5,
             "training did not reduce loss: {initial} -> {fin}"
         );
-        let acc = SoftmaxCrossEntropy::accuracy(&model.forward(&x), &labels);
+        let acc = SoftmaxCrossEntropy::accuracy(model.forward_in(&x, &mut ws), &labels);
         assert!(acc > 0.9, "accuracy after training was {acc}");
     }
 
@@ -287,9 +260,9 @@ mod tests {
 
     #[test]
     fn empty_model_is_identity() {
-        let mut m = Sequential::new();
+        let m = Sequential::new();
         assert!(m.is_empty());
         let x = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(m.forward(&x).data(), x.data());
+        assert_eq!(m.forward_in(&x, &mut Workspace::new()).data(), x.data());
     }
 }

@@ -84,6 +84,7 @@ impl Sgd {
 mod tests {
     use super::*;
     use crate::linear::Linear;
+    use crate::workspace::Workspace;
     use fl_tensor::rng::Xoshiro256;
     use fl_tensor::{Shape, Tensor};
 
@@ -92,14 +93,25 @@ mod tests {
         Sequential::new().push(Box::new(Linear::new(2, 1, &mut rng)))
     }
 
+    /// Write the gradients of one forward/backward pass of `x` under the
+    /// output gradient `dy` into `model`.
+    fn backprop(model: &mut Sequential, x: &Tensor, dy: &Tensor) {
+        let mut ws = Workspace::new();
+        model.forward_in(x, &mut ws);
+        model.backward_in(dy, &mut ws);
+    }
+
+    /// `dL/dy = 1` for every output of a one-sample batch.
+    fn ones() -> Tensor {
+        Tensor::full(Shape::matrix(1, 1), 1.0)
+    }
+
     #[test]
     fn step_moves_against_gradient() {
         let mut model = one_layer_model();
         let x = Tensor::from_vec(Shape::matrix(1, 2), vec![1.0, 1.0]);
-        model.zero_grad();
-        let y = model.forward(&x);
         // dL/dy = 1 => dW = x, db = 1
-        model.backward(&Tensor::full(y.shape().clone(), 1.0));
+        backprop(&mut model, &x, &ones());
         let w_before: Vec<f32> = model.params()[0].data().to_vec();
         let mut opt = Sgd::new(0.5, 0.0, 0.0);
         opt.step(&mut model);
@@ -130,15 +142,11 @@ mod tests {
         let mut opt = Sgd::new(0.1, 0.9, 0.0);
         let x = Tensor::from_vec(Shape::matrix(1, 2), vec![1.0, 1.0]);
 
-        model.zero_grad();
-        let y = model.forward(&x);
-        model.backward(&Tensor::full(y.shape().clone(), 1.0));
+        backprop(&mut model, &x, &ones());
         opt.step(&mut model);
         let after_one = model.params()[0].data()[0];
 
-        model.zero_grad();
-        let y = model.forward(&x);
-        model.backward(&Tensor::full(y.shape().clone(), 1.0));
+        backprop(&mut model, &x, &ones());
         opt.step(&mut model);
         let after_two = model.params()[0].data()[0];
 
@@ -156,9 +164,7 @@ mod tests {
         let two_steps = |opt: &mut Sgd| {
             let mut model = one_layer_model();
             for _ in 0..2 {
-                model.zero_grad();
-                let y = model.forward(&x);
-                model.backward(&Tensor::full(y.shape().clone(), 1.0));
+                backprop(&mut model, &x, &ones());
                 opt.step(&mut model);
             }
             crate::flatten_params(&model)
@@ -183,12 +189,13 @@ mod tests {
                 .data_mut()
                 .copy_from_slice(&[-0.0, 0.0]);
             model.params_mut()[1].data_mut().copy_from_slice(&[-0.0]);
-            model.forward(&Tensor::from_vec(Shape::matrix(2, 2), x.to_vec()));
-            model.backward(&Tensor::from_vec(Shape::matrix(2, 1), dy.to_vec()));
-            let before = (
-                crate::flatten_params(&model),
-                crate::params::flatten_grads(&model),
+            backprop(
+                &mut model,
+                &Tensor::from_vec(Shape::matrix(2, 2), x.to_vec()),
+                &Tensor::from_vec(Shape::matrix(2, 1), dy.to_vec()),
             );
+            let grads = model.grads().into_iter().flat_map(|g| g.data()).copied();
+            let before = (crate::flatten_params(&model), grads.collect::<Vec<f32>>());
             opt.step(&mut model);
             (before, crate::flatten_params(&model))
         };

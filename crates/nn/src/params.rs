@@ -254,16 +254,6 @@ pub fn segment_l1_masses(layout: &ParamLayout, flat: &[f32]) -> Vec<f64> {
         .collect()
 }
 
-/// Concatenate every gradient tensor into one flat vector, aligned with
-/// [`flatten_params`].
-pub fn flatten_grads(model: &Sequential) -> Vec<f32> {
-    let mut out = Vec::with_capacity(model.num_params());
-    for g in model.grads() {
-        out.extend_from_slice(g.data());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,15 +307,6 @@ mod tests {
         let ok = vec![0.5; expected];
         try_unflatten_params(&mut model, &ok).unwrap();
         assert_eq!(flatten_params(&model), ok);
-    }
-
-    #[test]
-    fn flatten_grads_matches_param_layout() {
-        let mut rng = Xoshiro256::new(4);
-        let model = mlp(5, &[7], 3, &mut rng);
-        let grads = flatten_grads(&model);
-        assert_eq!(grads.len(), num_params(&model));
-        assert!(grads.iter().all(|&g| g == 0.0));
     }
 
     #[test]

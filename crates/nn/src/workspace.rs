@@ -8,10 +8,10 @@
 //! steady-state training batch performs no heap allocation at all.
 //!
 //! Ownership: the *caller* of the `_in` training API owns the workspace and
-//! threads it through `forward_in` / `backward_in`; layers never allocate
-//! cross-pass state of their own on that path. The allocating `forward` /
-//! `backward` wrappers keep a private fallback workspace per layer/model so
-//! existing callers observe identical behaviour.
+//! threads it through `forward_in` / `backward_in`; layers and models hold
+//! no cross-pass state of their own. A workspace is reusable across models
+//! and batch shapes: every buffer is resized and overwritten before it is
+//! read, so a reused workspace computes what a fresh one does.
 
 use fl_tensor::Tensor;
 

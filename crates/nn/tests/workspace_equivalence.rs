@@ -1,10 +1,11 @@
-//! Property tests pinning the workspace training path to the allocating one.
+//! Property tests pinning a reused workspace to fresh ones.
 //!
 //! The `forward_in` / `backward_in` methods reuse buffers batch after batch;
 //! these tests drive ONE workspace across randomly shaped models and batches
-//! and assert the results stay bit-identical to fresh allocating calls — the
-//! failure mode they guard against is stale workspace state (a buffer kept
-//! from a previous, differently-shaped batch) leaking into a later pass.
+//! and assert the results stay bit-identical to passes through a fresh
+//! `Workspace::new()` each — the failure mode they guard against is stale
+//! workspace state (a buffer kept from a previous, differently-shaped batch)
+//! leaking into a later pass.
 
 use fl_nn::activation::Relu;
 use fl_nn::linear::Linear;
@@ -42,10 +43,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// One reused workspace over a sequence of random (model, batch) pairs
-    /// computes the same logits and input gradients as the allocating
-    /// wrappers with fresh per-model state.
+    /// computes the same logits and input gradients as a fresh workspace
+    /// per forward/backward pair.
     #[test]
-    fn reused_workspace_matches_allocating_paths(
+    fn reused_workspace_matches_fresh_workspaces(
         seed in 0u64..1_000_000,
         steps in collection::vec((0u8..4, 1usize..6, 2usize..7), 2..6),
     ) {
@@ -59,8 +60,9 @@ proptest! {
             let x = Tensor::rand_normal(Shape::matrix(batch, input_dim), 0.0, 1.0, &mut data_rng);
             let g = Tensor::rand_normal(Shape::matrix(batch, classes), 0.0, 1.0, &mut data_rng);
 
-            let ref_logits = reference.forward(&x);
-            let ref_dx = reference.backward(&g);
+            let mut fresh = Workspace::new();
+            let ref_logits = reference.forward_in(&x, &mut fresh).clone();
+            let ref_dx = reference.backward_in(&g, &mut fresh).clone();
 
             let logits = subject.forward_in(&x, &mut ws).clone();
             assert_bits_eq(&logits, &ref_logits, "forward");
@@ -72,9 +74,9 @@ proptest! {
         }
     }
 
-    /// A full multi-step SGD training loop through the workspace path lands
-    /// on bit-identical parameters to the allocating path, including with
-    /// momentum and weight decay.
+    /// A full multi-step SGD training loop through one reused workspace lands
+    /// on bit-identical parameters to one through a fresh workspace per
+    /// step, including with momentum and weight decay.
     #[test]
     fn training_loop_bitwise_equivalent(
         seed in 0u64..1_000_000,
@@ -93,20 +95,18 @@ proptest! {
         let mut ref_loss = SoftmaxCrossEntropy::new();
         let mut sub_loss = SoftmaxCrossEntropy::new();
         let mut ws = Workspace::new();
-        let mut grad = Tensor::empty();
+        let (mut grad, mut ref_g) = (Tensor::empty(), Tensor::empty());
         let mut data_rng = Xoshiro256::new(seed ^ 0xabcd);
         for step in 0..n_steps {
             let x = Tensor::rand_normal(Shape::matrix(batch, input_dim), 0.0, 1.0, &mut data_rng);
             let labels: Vec<usize> = (0..batch).map(|i| (i + step) % classes).collect();
 
-            reference.zero_grad();
-            let ref_logits = reference.forward(&x);
-            let ref_l = ref_loss.forward(&ref_logits, &labels);
-            let ref_g = ref_loss.backward();
-            reference.backward(&ref_g);
+            let mut fresh = Workspace::new();
+            let ref_l = ref_loss.forward(reference.forward_in(&x, &mut fresh), &labels);
+            ref_loss.backward_in(&mut ref_g);
+            reference.backward_in(&ref_g, &mut fresh);
             ref_opt.step(&mut reference);
 
-            subject.zero_grad();
             let logits = subject.forward_in(&x, &mut ws);
             let sub_l = sub_loss.forward(logits, &labels);
             sub_loss.backward_in(&mut grad);

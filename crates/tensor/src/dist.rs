@@ -1,9 +1,8 @@
 //! Probability distributions built on top of the [`Rng`] trait.
 //!
 //! The simulator needs: Uniform and Normal draws for the network model
-//! (bandwidth ~ N(1 Mbit/s, 0.2), latency ~ U(50 ms, 200 ms]), Gamma/Dirichlet
-//! for the non-IID label-skew partition (`p_k ~ Dir(beta)`), and categorical
-//! sampling for synthetic data generation.
+//! (bandwidth ~ N(1 Mbit/s, 0.2), latency ~ U(50 ms, 200 ms]) and
+//! Gamma/Dirichlet for the non-IID label-skew partition (`p_k ~ Dir(beta)`).
 
 use crate::rng::Rng;
 
@@ -72,9 +71,14 @@ pub struct Gamma {
 }
 
 impl Gamma {
-    /// Create a Gamma(alpha, 1) distribution; requires `alpha > 0`.
+    /// Create a Gamma(alpha, 1) distribution; requires a finite `alpha > 0`
+    /// (at `alpha = ∞` the sampler's acceptance test is NaN and never
+    /// accepts).
     pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0, "Gamma requires alpha > 0 (got {alpha})");
+        assert!(
+            alpha.is_finite() && alpha > 0.0,
+            "Gamma requires a finite alpha > 0 (got {alpha})"
+        );
         Self { alpha }
     }
 
@@ -115,9 +119,13 @@ pub struct Dirichlet {
 }
 
 impl Dirichlet {
-    /// Create a symmetric Dirichlet; requires `beta > 0` and `k >= 1`.
+    /// Create a symmetric Dirichlet; requires a finite `beta > 0` and
+    /// `k >= 1`.
     pub fn new(beta: f64, k: usize) -> Self {
-        assert!(beta > 0.0, "Dirichlet requires beta > 0 (got {beta})");
+        assert!(
+            beta.is_finite() && beta > 0.0,
+            "Dirichlet requires a finite beta > 0 (got {beta})"
+        );
         assert!(k >= 1, "Dirichlet requires at least one category");
         Self { beta, k }
     }
@@ -133,51 +141,6 @@ impl Dirichlet {
         }
         draws.iter_mut().for_each(|x| *x /= total);
         draws
-    }
-}
-
-/// Categorical distribution over arbitrary non-negative weights.
-#[derive(Clone, Debug)]
-pub struct Categorical {
-    cumulative: Vec<f64>,
-}
-
-impl Categorical {
-    /// Create from (unnormalised) non-negative weights; at least one must be positive.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(
-            !weights.is_empty(),
-            "Categorical requires at least one weight"
-        );
-        assert!(
-            weights.iter().all(|&w| w >= 0.0 && w.is_finite()),
-            "Categorical weights must be finite and non-negative"
-        );
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "Categorical requires a positive total weight");
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            acc += w / total;
-            cumulative.push(acc);
-        }
-        // Guard against floating-point shortfall in the last bucket.
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
-        Self { cumulative }
-    }
-
-    /// Draw one category index.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).unwrap())
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
     }
 }
 
@@ -256,27 +219,22 @@ mod tests {
     }
 
     #[test]
-    fn categorical_frequency_matches_weights() {
-        let mut rng = Xoshiro256::new(6);
-        let d = Categorical::new(&[1.0, 3.0, 6.0]);
-        let mut counts = [0usize; 3];
-        for _ in 0..60_000 {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        assert!((counts[0] as f64 / 60_000.0 - 0.1).abs() < 0.02);
-        assert!((counts[1] as f64 / 60_000.0 - 0.3).abs() < 0.02);
-        assert!((counts[2] as f64 / 60_000.0 - 0.6).abs() < 0.02);
-    }
-
-    #[test]
-    #[should_panic]
-    fn categorical_rejects_zero_total() {
-        Categorical::new(&[0.0, 0.0]);
-    }
-
-    #[test]
     #[should_panic]
     fn dirichlet_rejects_nonpositive_beta() {
         Dirichlet::new(0.0, 3);
+    }
+
+    #[test]
+    fn non_finite_shapes_are_rejected_instead_of_hanging() {
+        for shape in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+            assert!(
+                std::panic::catch_unwind(|| Gamma::new(shape)).is_err(),
+                "{shape}"
+            );
+            assert!(
+                std::panic::catch_unwind(|| Dirichlet::new(shape, 3)).is_err(),
+                "{shape}"
+            );
+        }
     }
 }

@@ -29,21 +29,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// `y[i] = beta * y[i] + x[i]` (scale-and-add), fused and unrolled.
-pub fn scale_add(beta: f32, y: &mut [f32], x: &[f32]) {
-    assert_eq!(x.len(), y.len(), "scale_add: size mismatch");
-    let mut yc = y.chunks_exact_mut(UNROLL);
-    let mut xc = x.chunks_exact(UNROLL);
-    for (yv, xv) in yc.by_ref().zip(xc.by_ref()) {
-        for j in 0..UNROLL {
-            yv[j] = beta * yv[j] + xv[j];
-        }
-    }
-    for (yv, xv) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *yv = beta * *yv + *xv;
-    }
-}
-
 /// Plain SGD with L2 weight decay: `p[i] -= lr * (g[i] + wd * p[i])`.
 ///
 /// Exactly the expression the allocating optimizer used, fused over the
@@ -109,20 +94,6 @@ mod tests {
             let yb: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
             let eb: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
             assert_eq!(yb, eb, "n={n}");
-        }
-    }
-
-    #[test]
-    fn scale_add_matches_scalar_loop() {
-        for n in [0, 3, 8, 17, 100] {
-            let x = ramp(n, 0.5);
-            let mut y = ramp(n, 1.25);
-            let mut expect = y.clone();
-            for (e, xv) in expect.iter_mut().zip(x.iter()) {
-                *e = 0.9 * *e + *xv;
-            }
-            scale_add(0.9, &mut y, &x);
-            assert_eq!(y, expect, "n={n}");
         }
     }
 

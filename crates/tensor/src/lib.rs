@@ -8,14 +8,14 @@
 //!
 //! # Overview
 //!
-//! * [`Shape`] / [`Tensor`] — row-major dense `f32` tensors with the small set
-//!   of operations a feed-forward training loop needs (element-wise ops,
-//!   matrix multiplication, reductions).
+//! * [`Shape`] / [`Tensor`] — row-major dense `f32` tensors: construction,
+//!   random initialisation and the reusable-buffer resizing the
+//!   allocation-free training path needs; the arithmetic lives in
+//!   [`matmul`] and [`kernels`].
 //! * [`rng::SplitMix64`] / [`rng::Xoshiro256`] — counter-seedable PRNGs.
-//! * [`dist`] — Uniform, Normal, Gamma, Dirichlet and categorical samplers
-//!   (the Dirichlet sampler drives the paper's non-IID label-skew partition).
-//! * [`stats`] — mean / variance / histogram helpers used by the overlap
-//!   analysis and the experiment reports.
+//! * [`dist`] — Uniform, Normal, Gamma and Dirichlet samplers (the Dirichlet
+//!   sampler drives the paper's non-IID label-skew partition).
+//! * [`stats`] — the histogram behind the overlap-degree distribution.
 //! * [`parallel`] — a work-pulling `parallel_map` (and friends) on scoped threads.
 //! * [`kernels`] — fused in-place element-wise update kernels (axpy,
 //!   SGD steps) behind the allocation-free training hot path.
@@ -31,7 +31,7 @@ pub mod shape;
 pub mod stats;
 pub mod tensor;
 
-pub use dist::{Categorical, Dirichlet, Gamma, Normal, Uniform};
+pub use dist::{Dirichlet, Gamma, Normal, Uniform};
 pub use rng::{Rng, SplitMix64, Xoshiro256};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -6,10 +6,11 @@
 //! remainder runs the same tile with fewer rows, a ragged last column stripe
 //! runs it zero-padded, and large products are parallelised over disjoint
 //! row blocks of the output via [`crate::parallel`]. The gradient variants
-//! differ only in how operands are read — `matmul_at_b` gathers its `A`
-//! panels out of the stored `[k, m]` matrix, `matmul_a_bt` packs its `B`
-//! stripes out of the stored `[n, k]` matrix — so no transposed copy of
-//! either operand is ever materialised.
+//! differ only in how operands are read — `matmul_at_b_into` gathers its
+//! `A` panels out of the stored `[k, m]` matrix, `matmul_a_bt_into` packs its
+//! `B` stripes out of the stored `[n, k]` matrix — so no transposed copy of
+//! either operand is ever materialised. Each writes into a caller-owned
+//! output tensor; there is no allocating form.
 //!
 //! Determinism contract: every output element accumulates its `k`
 //! contributions in ascending order into a single `f32` accumulator, one
@@ -25,11 +26,10 @@
 //! outside the register
 //! tile is fused: the element-wise kernels, the optimizer and aggregation are
 //! memory-bound and keep their separately rounded multiplies and adds.
-//! `matmul` / `matmul_at_b` keep their historical skip of zero `A` entries;
-//! `matmul_a_bt` (which never skipped) does not.
+//! `matmul_into` / `matmul_at_b_into` keep their historical skip of zero `A`
+//! entries; `matmul_a_bt_into` (which never skipped) does not.
 
 use crate::parallel::{default_threads, parallel_row_blocks};
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// Register-tile height (output rows held in accumulators at once).
@@ -56,15 +56,9 @@ fn auto_threads(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
-/// `C = A @ B` where `A` is `[m, k]` and `B` is `[k, n]`.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = as_matrix_dims(a, "matmul lhs");
-    let (_, n) = as_matrix_dims(b, "matmul rhs");
-    matmul_with_threads(a, b, auto_threads(m, k, n))
-}
-
-/// [`matmul`] writing into a reusable output tensor (resized as needed; no
-/// allocation once `out` has capacity). Bit-identical to [`matmul`].
+/// `C = A @ B` where `A` is `[m, k]` and `B` is `[k, n]`, written into a
+/// reusable output tensor (resized as needed; no allocation once `out` has
+/// capacity).
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (m, k) = as_matrix_dims(a, "matmul lhs");
     let (k2, n) = as_matrix_dims(b, "matmul rhs");
@@ -82,27 +76,8 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     );
 }
 
-/// [`matmul`] with an explicit thread cap (the auto-picked count is a pure
-/// performance choice; results are bit-identical for any value).
-pub fn matmul_with_threads(a: &Tensor, b: &Tensor, max_threads: usize) -> Tensor {
-    let (m, k) = as_matrix_dims(a, "matmul lhs");
-    let (k2, n) = as_matrix_dims(b, "matmul rhs");
-    assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
-    let mut out = vec![0.0f32; m * n];
-    nt_parallel::<true, false, false>(a.data(), k, k, b.data(), n, &mut out, max_threads);
-    Tensor::from_vec(Shape::matrix(m, n), out)
-}
-
 /// `C = A^T @ B` where `A` is `[k, m]` and `B` is `[k, n]` — used for weight
-/// gradients (`dW = X^T @ dY`).
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, m) = as_matrix_dims(a, "matmul_at_b lhs");
-    let (_, n) = as_matrix_dims(b, "matmul_at_b rhs");
-    matmul_at_b_with_threads(a, b, auto_threads(m, k, n))
-}
-
-/// [`matmul_at_b`] writing into a reusable output tensor. Bit-identical to
-/// [`matmul_at_b`].
+/// gradients (`dW = X^T @ dY`) — written into a reusable output tensor.
 pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (k, m) = as_matrix_dims(a, "matmul_at_b lhs");
     let (k2, n) = as_matrix_dims(b, "matmul_at_b rhs");
@@ -123,29 +98,10 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     );
 }
 
-/// [`matmul_at_b`] with an explicit thread cap.
-pub fn matmul_at_b_with_threads(a: &Tensor, b: &Tensor, max_threads: usize) -> Tensor {
-    let (k, m) = as_matrix_dims(a, "matmul_at_b lhs");
-    let (k2, n) = as_matrix_dims(b, "matmul_at_b rhs");
-    assert_eq!(
-        k, k2,
-        "matmul_at_b: leading dimensions differ ({k} vs {k2})"
-    );
-    let mut out = vec![0.0f32; m * n];
-    nt_parallel::<true, true, false>(a.data(), m, k, b.data(), n, &mut out, max_threads);
-    Tensor::from_vec(Shape::matrix(m, n), out)
-}
-
 /// `C = A @ B^T` where `A` is `[m, k]` and `B` is `[n, k]` — used for input
-/// gradients (`dX = dY @ W^T` with `W` stored `[in, out]` transposed access).
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = as_matrix_dims(a, "matmul_a_bt lhs");
-    let (n, _) = as_matrix_dims(b, "matmul_a_bt rhs");
-    matmul_a_bt_with_threads(a, b, auto_threads(m, k, n))
-}
-
-/// [`matmul_a_bt`] writing into a reusable output tensor. Bit-identical to
-/// [`matmul_a_bt`].
+/// gradients (`dX = dY @ W^T` with `W` stored `[in, out]`) — written into a
+/// reusable output tensor. It never skips zero `A` entries, so `0.0 * inf`
+/// still produces NaN here.
 ///
 /// `_bt_scratch` is never read or written: the kernel packs its stripes
 /// straight out of the `[n, k]` operand, so no `B^T` copy exists. The
@@ -165,19 +121,6 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, _bt_scratch: &mut Tensor, out: &
         out.data_mut(),
         auto_threads(m, k, n),
     );
-}
-
-/// [`matmul_a_bt`] with an explicit thread cap.
-pub fn matmul_a_bt_with_threads(a: &Tensor, b: &Tensor, max_threads: usize) -> Tensor {
-    let (m, k) = as_matrix_dims(a, "matmul_a_bt lhs");
-    let (n, k2) = as_matrix_dims(b, "matmul_a_bt rhs");
-    assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
-    // The per-element dot product this computes never skipped zero entries,
-    // so the non-skipping kernel is the exact one even for non-finite
-    // operands (0.0 * inf must still produce NaN here).
-    let mut out = vec![0.0f32; m * n];
-    nt_parallel::<false, false, true>(a.data(), k, k, b.data(), n, &mut out, max_threads);
-    Tensor::from_vec(Shape::matrix(m, n), out)
 }
 
 /// Split `out` into contiguous row blocks and run the blocked kernel on
@@ -453,15 +396,8 @@ pub fn add_bias_rows(a: &mut Tensor, bias: &Tensor) {
     }
 }
 
-/// Sum over rows of a `[m, n]` matrix, producing a `[n]` vector
-/// (used for bias gradients).
-pub fn sum_rows(a: &Tensor) -> Tensor {
-    let mut out = Tensor::empty();
-    sum_rows_into(a, &mut out);
-    out
-}
-
-/// [`sum_rows`] writing into a reusable output tensor.
+/// Sum over rows of a `[m, n]` matrix into a reusable `[n]` vector (used
+/// for bias gradients).
 pub fn sum_rows_into(a: &Tensor, out: &mut Tensor) {
     let (_, n) = as_matrix_dims(a, "sum_rows");
     out.resize_to(&[n]);
@@ -489,9 +425,36 @@ fn as_matrix_dims(t: &Tensor, what: &str) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256;
+    use crate::shape::Shape;
 
     fn mat(rows: usize, cols: usize, data: &[f32]) -> Tensor {
         Tensor::from_vec(Shape::matrix(rows, cols), data.to_vec())
+    }
+
+    /// The three products through [`nt_parallel`] at an explicit thread
+    /// count (the `*_into` entry points pick theirs from the product's size):
+    /// `A @ B` with `a: [m, k]`, `b: [k, n]`.
+    fn ab(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
+        let ((m, k), (_, n)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
+        let mut out = vec![0.0f32; m * n];
+        nt_parallel::<true, false, false>(a.data(), k, k, b.data(), n, &mut out, threads);
+        Tensor::from_vec(Shape::matrix(m, n), out)
+    }
+
+    /// `A^T @ B` with `a: [k, m]` (see [`ab`]).
+    fn at_b(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
+        let ((k, m), (_, n)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
+        let mut out = vec![0.0f32; m * n];
+        nt_parallel::<true, true, false>(a.data(), m, k, b.data(), n, &mut out, threads);
+        Tensor::from_vec(Shape::matrix(m, n), out)
+    }
+
+    /// `A @ B^T` with `b: [n, k]` (see [`ab`]).
+    fn a_bt(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
+        let ((m, k), (n, _)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
+        let mut out = vec![0.0f32; m * n];
+        nt_parallel::<false, false, true>(a.data(), k, k, b.data(), n, &mut out, threads);
+        Tensor::from_vec(Shape::matrix(m, n), out)
     }
 
     /// Plain `[m, n]` → `[n, m]` copy, to hand each entry point its operand
@@ -558,7 +521,7 @@ mod tests {
     fn matmul_small_known() {
         let a = mat(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = mat(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = matmul(&a, &b);
+        let c = ab(&a, &b, 1);
         assert_eq!(c.shape().dims(), &[2, 2]);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
@@ -567,8 +530,8 @@ mod tests {
     fn matmul_identity() {
         let a = mat(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let eye = mat(2, 2, &[1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(matmul(&a, &eye).data(), a.data());
-        assert_eq!(matmul(&eye, &a).data(), a.data());
+        assert_eq!(ab(&a, &eye, 1).data(), a.data());
+        assert_eq!(ab(&eye, &a, 1).data(), a.data());
     }
 
     /// `C = A^T @ B` through the scalar kernel (the accumulation order per
@@ -586,8 +549,8 @@ mod tests {
     }
 
     /// All three kernels at 1, 2 and 3 threads against the scalar references,
-    /// with `a: [m, k]`, `b: [k, n]` as `matmul` sees them (`matmul_at_b`
-    /// gets `a^T`, `matmul_a_bt` gets `b^T`).
+    /// with `a: [m, k]`, `b: [k, n]` as [`ab`] sees them ([`at_b`] gets
+    /// `a^T`, [`a_bt`] gets `b^T`).
     fn assert_kernels_match_references(a: &Tensor, b: &Tensor, what: &str) {
         let (a_km, b_nk) = (transpose(a), transpose(b));
         let want = matmul_reference(a, b);
@@ -595,11 +558,11 @@ mod tests {
         let want_a_bt = a_bt_reference(a, &b_nk);
         for threads in 1..=3 {
             let what = format!("{what}, {threads} threads");
-            let got = matmul_with_threads(a, b, threads);
+            let got = ab(a, b, threads);
             assert_bits_eq(&got, &want, &format!("matmul {what}"));
-            let got = matmul_at_b_with_threads(&a_km, b, threads);
+            let got = at_b(&a_km, b, threads);
             assert_bits_eq(&got, &want_at_b, &format!("matmul_at_b {what}"));
-            let got = matmul_a_bt_with_threads(a, &b_nk, threads);
+            let got = a_bt(a, &b_nk, threads);
             assert_bits_eq(&got, &want_a_bt, &format!("matmul_a_bt {what}"));
         }
     }
@@ -681,7 +644,7 @@ mod tests {
         // A fully zero A row must stay zero even against an all-inf B row.
         let a = mat(1, 2, &[0.0, 1.0]);
         let b = mat(2, 2, &[f32::INFINITY, f32::NAN, 2.0, 3.0]);
-        assert_eq!(matmul(&a, &b).data(), &[2.0, 3.0]);
+        assert_eq!(ab(&a, &b, 1).data(), &[2.0, 3.0]);
     }
 
     #[test]
@@ -701,10 +664,10 @@ mod tests {
         let mut poisoned = b.clone();
         poisoned.data_mut()[5] = f32::INFINITY;
         for threads in 1..=3 {
-            let finite = matmul_with_threads(&a, &b, threads);
+            let finite = ab(&a, &b, threads);
             assert_eq!(finite.data()[0].to_bits(), 0.0f32.to_bits());
             assert_eq!(finite.data()[1].to_bits(), 0.0f32.to_bits());
-            let skipping = matmul_with_threads(&a, &poisoned, threads);
+            let skipping = ab(&a, &poisoned, threads);
             assert_eq!(skipping.data()[0].to_bits(), (-0.0f32).to_bits());
             assert_eq!(skipping.data()[1].to_bits(), (-0.0f32).to_bits());
         }
@@ -731,19 +694,13 @@ mod tests {
         let b = Tensor::rand_uniform(Shape::matrix(23, 41), -1.0, 1.0, &mut rng);
         let b_nk = Tensor::rand_uniform(Shape::matrix(41, 23), -1.0, 1.0, &mut rng);
         let a_t = Tensor::rand_uniform(Shape::matrix(23, 37), -1.0, 1.0, &mut rng);
-        let one = matmul_with_threads(&a, &b, 1);
-        let one_bt = matmul_a_bt_with_threads(&a, &b_nk, 1);
-        let one_at = matmul_at_b_with_threads(&a_t, &b, 1);
+        let one = ab(&a, &b, 1);
+        let one_bt = a_bt(&a, &b_nk, 1);
+        let one_at = at_b(&a_t, &b, 1);
         for threads in [2, 3, 8] {
-            assert_eq!(matmul_with_threads(&a, &b, threads).data(), one.data());
-            assert_eq!(
-                matmul_a_bt_with_threads(&a, &b_nk, threads).data(),
-                one_bt.data()
-            );
-            assert_eq!(
-                matmul_at_b_with_threads(&a_t, &b, threads).data(),
-                one_at.data()
-            );
+            assert_eq!(ab(&a, &b, threads).data(), one.data());
+            assert_eq!(a_bt(&a, &b_nk, threads).data(), one_bt.data());
+            assert_eq!(at_b(&a_t, &b, threads).data(), one_at.data());
         }
     }
 
@@ -751,8 +708,8 @@ mod tests {
     fn at_b_matches_explicit_transpose() {
         let a = mat(3, 2, &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]); // A is [3,2]
         let b = mat(3, 2, &[7.0, 10.0, 8.0, 11.0, 9.0, 12.0]);
-        let via_helper = matmul_at_b(&a, &b);
-        let via_transpose = matmul(&transpose(&a), &b);
+        let via_helper = at_b(&a, &b, 1);
+        let via_transpose = ab(&transpose(&a), &b, 1);
         assert_eq!(via_helper.data(), via_transpose.data());
     }
 
@@ -764,8 +721,8 @@ mod tests {
             3,
             &[1.0, 0.0, 2.0, 3.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 1.0, 0.0],
         );
-        let via_helper = matmul_a_bt(&a, &b);
-        let via_transpose = matmul(&a, &transpose(&b));
+        let via_helper = a_bt(&a, &b, 1);
+        let via_transpose = ab(&a, &transpose(&b), 1);
         assert_eq!(via_helper.data(), via_transpose.data());
     }
 
@@ -775,15 +732,17 @@ mod tests {
         let bias = Tensor::from_slice(&[1.0, 2.0, 3.0]);
         add_bias_rows(&mut a, &bias);
         assert_eq!(a.data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-        let s = sum_rows(&a);
+        let mut s = Tensor::empty();
+        sum_rows_into(&a, &mut s);
         assert_eq!(s.data(), &[2.0, 4.0, 6.0]);
     }
 
     #[test]
-    fn into_variants_match_allocating_ones_bit_for_bit() {
+    fn into_variants_reused_across_shapes_match_fresh_products() {
         let mut rng = Xoshiro256::new(21);
         let mut out = Tensor::empty();
         let mut bt = Tensor::empty();
+        let mut sums = Tensor::empty();
         // Reused across shapes on purpose: stale sizes/contents must not leak.
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
@@ -794,20 +753,21 @@ mod tests {
             let a = Tensor::rand_uniform(Shape::matrix(m, k), -1.0, 1.0, &mut rng);
             let b = Tensor::rand_uniform(Shape::matrix(k, n), -1.0, 1.0, &mut rng);
             matmul_into(&a, &b, &mut out);
-            assert_eq!(out, matmul(&a, &b), "matmul_into {m}x{k}x{n}");
+            assert_eq!(out, ab(&a, &b, 1), "matmul_into {m}x{k}x{n}");
 
             let a_km = Tensor::rand_uniform(Shape::matrix(k, m), -1.0, 1.0, &mut rng);
             matmul_at_b_into(&a_km, &b, &mut out);
-            assert_eq!(out, matmul_at_b(&a_km, &b), "matmul_at_b_into {m}x{k}x{n}");
+            assert_eq!(out, at_b(&a_km, &b, 1), "matmul_at_b_into {m}x{k}x{n}");
 
             let b_nk = Tensor::rand_uniform(Shape::matrix(n, k), -1.0, 1.0, &mut rng);
             matmul_a_bt_into(&a, &b_nk, &mut bt, &mut out);
-            assert_eq!(out, matmul_a_bt(&a, &b_nk), "matmul_a_bt_into {m}x{k}x{n}");
+            assert_eq!(out, a_bt(&a, &b_nk, 1), "matmul_a_bt_into {m}x{k}x{n}");
             assert_eq!(bt, Tensor::empty(), "bt_scratch must stay untouched");
 
-            let mut sums = Tensor::empty();
+            let mut fresh = Tensor::empty();
             sum_rows_into(&a, &mut sums);
-            assert_eq!(sums, sum_rows(&a), "sum_rows_into {m}x{k}");
+            sum_rows_into(&a, &mut fresh);
+            assert_eq!(sums, fresh, "sum_rows_into {m}x{k}");
         }
     }
 
@@ -816,6 +776,6 @@ mod tests {
     fn matmul_dim_mismatch_panics() {
         let a = mat(2, 3, &[0.0; 6]);
         let b = mat(2, 2, &[0.0; 4]);
-        matmul(&a, &b);
+        matmul_into(&a, &b, &mut Tensor::empty());
     }
 }

@@ -163,139 +163,6 @@ impl Tensor {
         self.resize_to(src.shape.dims());
         self.data.copy_from_slice(&src.data);
     }
-
-    // ---- element-wise arithmetic -------------------------------------------------
-
-    /// `self += other` (element-wise). Shapes must hold the same element count.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.numel(), other.numel(), "add_assign: size mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += *b;
-        }
-    }
-
-    /// `self -= other` (element-wise).
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.numel(), other.numel(), "sub_assign: size mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= *b;
-        }
-    }
-
-    /// `self *= scalar`.
-    pub fn scale(&mut self, s: f32) {
-        self.data.iter_mut().for_each(|x| *x *= s);
-    }
-
-    /// `self += alpha * other` (BLAS axpy), via the fused unrolled kernel.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.numel(), other.numel(), "axpy: size mismatch");
-        crate::kernels::axpy(alpha, &other.data, &mut self.data);
-    }
-
-    /// Element-wise difference `self - other` as a new tensor.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.numel(), other.numel(), "sub: size mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a - b)
-            .collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
-    /// Element-wise sum `self + other` as a new tensor.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.numel(), other.numel(), "add: size mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a + b)
-            .collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
-    /// Element-wise (Hadamard) product as a new tensor.
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.numel(), other.numel(), "hadamard: size mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Tensor {
-            shape: self.shape.clone(),
-            data,
-        }
-    }
-
-    // ---- reductions --------------------------------------------------------------
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Dot product between two tensors of equal element count.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.numel(), other.numel(), "dot: size mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .sum()
-    }
-
-    /// Euclidean (L2) norm.
-    pub fn norm_l2(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f32 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
-    /// Maximum absolute value (0 for an empty tensor).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0_f32, |m, x| m.max(x.abs()))
-    }
-
-    /// Index of the maximum element (ties broken towards the lower index).
-    pub fn argmax(&self) -> usize {
-        let mut best = 0usize;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Count of non-zero elements.
-    pub fn count_nonzero(&self) -> usize {
-        self.data.iter().filter(|x| **x != 0.0).count()
-    }
 }
 
 #[cfg(test)]
@@ -316,37 +183,6 @@ mod tests {
     #[should_panic]
     fn from_vec_rejects_bad_length() {
         Tensor::from_vec(Shape::new(&[2, 2]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn elementwise_ops() {
-        let a = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        let b = Tensor::from_slice(&[4.0, 5.0, 6.0]);
-        assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(a.dot(&b), 32.0);
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut a = Tensor::from_slice(&[1.0, 1.0]);
-        let b = Tensor::from_slice(&[2.0, 4.0]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[2.0, 3.0]);
-        a.scale(2.0);
-        assert_eq!(a.data(), &[4.0, 6.0]);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = Tensor::from_slice(&[3.0, -4.0, 0.0]);
-        assert_eq!(a.sum(), -1.0);
-        assert_eq!(a.norm_l2(), 5.0);
-        assert_eq!(a.norm_l1(), 7.0);
-        assert_eq!(a.max_abs(), 4.0);
-        assert_eq!(a.argmax(), 0);
-        assert_eq!(a.count_nonzero(), 2);
     }
 
     #[test]

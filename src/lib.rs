@@ -115,6 +115,11 @@
 
 #![forbid(unsafe_code)]
 
+/// README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use fl_compress as compress;
 pub use fl_core as core;
 pub use fl_data as data;
@@ -125,9 +130,9 @@ pub use fl_tensor as tensor;
 /// The types most users need, in one import.
 pub mod prelude {
     pub use fl_compress::{
-        migrate_planned_residual, CodecCtx, CodecRegistry, CodecStage, CompressedUpdate,
-        CompressorSpec, DownlinkChannel, LayerPlan, PlanRule, PlannedCodec, ResidualState,
-        ResidualStore, SegmentDef, SparseUpdate, SpecError, UpdateCodec, WireError, WireUpdate,
+        CodecCtx, CodecRegistry, CodecStage, CompressedUpdate, CompressorSpec, DownlinkChannel,
+        LayerPlan, PlanRule, PlannedCodec, ResidualState, ResidualStore, SegmentDef, SparseUpdate,
+        SpecError, UpdateCodec, WireError, WireUpdate,
     };
     pub use fl_core::runner::{evaluate_params, run_experiment_with};
     pub use fl_core::{

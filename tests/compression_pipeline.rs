@@ -4,6 +4,7 @@
 //! from `fl-netsim`.
 
 use bwfl::compress::topk;
+use bwfl::nn::Workspace;
 use bwfl::prelude::*;
 
 /// A registry-built codec for `spec`, sized for `n` coordinates.
@@ -29,12 +30,19 @@ fn realistic_delta(seed: u64) -> Vec<f32> {
     let mut loss = SoftmaxCrossEntropy::new();
     let mut opt = Sgd::new(0.05, 0.9, 0.0);
     let loader = BatchLoader::new(32, false);
-    for (x, y) in loader.epoch_batches(&train, &mut rng) {
-        model.zero_grad();
-        let logits = model.forward(&x);
-        loss.forward(&logits, &y);
-        let g = loss.backward();
-        model.backward(&g);
+    let (mut ws, mut order, mut x, mut y, mut g) = (
+        Workspace::new(),
+        Vec::new(),
+        Tensor::empty(),
+        Vec::new(),
+        Tensor::empty(),
+    );
+    loader.shuffle_epoch(&train, &mut rng, &mut order);
+    for (s, e) in loader.batch_ranges(train.len()) {
+        train.gather_batch_into(&order[s..e], &mut x, &mut y);
+        loss.forward(model.forward_in(&x, &mut ws), &y);
+        loss.backward_in(&mut g);
+        model.backward_in(&g, &mut ws);
         opt.step(&mut model);
     }
     let after = flatten_params(&model);

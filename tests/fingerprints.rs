@@ -309,9 +309,10 @@ const CODEC_CASES: &[CodecCase] = &[
         downlink_plan: None,
         adaptive_plan: None,
     },
-    // Adaptive per-layer plan (segmented frames, plan epochs, lazy residual
-    // migration) with a segmented EF downlink; 8 of 16 clients a round for
-    // 8 rounds, so every client's residual is restored several times.
+    // Adaptive per-layer plan (segmented frames, plan epochs, residuals
+    // parked under one epoch restored under the next) with a segmented EF
+    // downlink; 8 of 16 clients a round for 8 rounds, so every client's
+    // residual is restored several times.
     CodecCase {
         name: "codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8",
         num_clients: 16,

@@ -117,8 +117,8 @@ fn skewed_shards_on_a_flat_codec_are_thread_count_invariant() {
 
 #[test]
 fn skewed_shards_on_an_adaptive_plan_under_churn_are_thread_count_invariant() {
-    // Segmented frames, per-round re-planning, residual migration and a
-    // fleet that changes under the selector.
+    // Segmented frames, per-round re-planning, residuals restored across
+    // plan epochs and a fleet that changes under the selector.
     for num_clients in [10, 80] {
         let mut config = skewed(Algorithm::EfTopK, num_clients);
         config.adaptive_plan = Some("layer-bcrs".parse().expect("valid spec"));
