@@ -124,6 +124,92 @@ const BUILTIN_SPECS: [&str; 19] = [
     "ef-threshold:0.5+qsgd:6",
 ];
 
+/// One FNV-1a hash per spec shape: [`BUILTIN_SPECS`] plus the shapes no
+/// session pin reaches otherwise. Re-capture only for an intended change:
+/// `SHAPE_PRINT=1 cargo test -p fl-compress --test roundtrip_prop spec_shapes -- --nocapture`.
+const SHAPE_PINS: [(&str, u64); 23] = [
+    ("topk", 0x581efaf35e7a35be),
+    ("randk", 0xaa0c3b5326d72a8c),
+    ("threshold", 0xe257f51518bc96e3),
+    ("threshold:0.5", 0xc8e55e5d2b628086),
+    ("dense", 0x8030a5ff921146d9),
+    ("qsgd:2", 0x0b5872aad2c61a31),
+    ("qsgd:8", 0x56c5a8fa3397d4fb),
+    ("qsgd:4:rc", 0xd448984ad62c80a5),
+    ("qsgd:16:rc", 0x6a0042e85d9c83a0),
+    ("topk+qsgd:4", 0x90bcab730d0b44b6),
+    ("topk+qsgd:6:rc", 0xadb1ccaf241b464d),
+    ("randk+qsgd:8", 0x2029a7426b0a0b6e),
+    ("threshold:0.5+qsgd:3:rc", 0x4fc81e76b1e87408),
+    ("ef-topk", 0x90ed90bb5f095b6c),
+    ("ef-randk", 0x2673805fda86975a),
+    ("ef-qsgd:4:rc", 0xf538d49fb3d48c4a),
+    ("ef-topk+qsgd:4:rc", 0x13a7ab16b43a09db),
+    ("ef-topk+qsgd:8", 0x55812954724daa0c),
+    ("ef-threshold:0.5+qsgd:6", 0xaf4c05841d786f28),
+    ("dense+qsgd:4", 0x7a0d4e4d8b780de3),
+    ("ef-dense", 0x07d0fe0d68f861f7),
+    ("ef-threshold", 0x7c43fab2c1e9445f),
+    ("randk+qsgd:6:rc", 0x5f9f225100e6f9c8),
+];
+
+/// Every spec shape's bytes, sent updates and residuals, bit for bit: over
+/// n ∈ {1, 255, 256, 700, 4133}, ratio ∈ {0.01, 0.3, 1.0} and every
+/// `awkward_gradient` flavour, three rounds on one codec instance each (so
+/// error-feedback state carries), each folding the wire bytes, the sent
+/// update's `to_bits` and the residual snapshot into one FNV-1a hash.
+#[test]
+fn spec_shapes_are_pinned() {
+    fn fold(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash = (*hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    fn fold_f32s(hash: &mut u64, values: &[f32]) {
+        fold(hash, &(values.len() as u64).to_le_bytes());
+        values
+            .iter()
+            .for_each(|v| fold(hash, &v.to_bits().to_le_bytes()));
+    }
+    let print = std::env::var_os("SHAPE_PRINT").is_some();
+    let mut mismatches = Vec::new();
+    for (spec, pinned) in SHAPE_PINS {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for n in [1usize, 255, 256, 700, 4133] {
+            for ratio in [0.01, 0.3, 1.0] {
+                for flavour in 0..7u8 {
+                    let mut codec = build(spec, n);
+                    let mut rng = Xoshiro256::new(n as u64 ^ ((flavour as u64) << 20));
+                    for round in 0..3u64 {
+                        let d = awkward_gradient(round * 31 + flavour as u64, n, flavour);
+                        let (wire, sent) = codec.encode_sent(&d, ratio, &mut rng);
+                        fold(&mut hash, wire.as_bytes());
+                        if let Some(s) = sent.as_sparse() {
+                            s.indices()
+                                .iter()
+                                .for_each(|i| fold(&mut hash, &i.to_le_bytes()));
+                        }
+                        fold_f32s(&mut hash, &sent.to_dense());
+                        let residual = codec.take_residual();
+                        residual.parts.iter().for_each(|p| fold_f32s(&mut hash, p));
+                        codec.restore_residual(residual);
+                    }
+                }
+            }
+        }
+        if print {
+            println!("    ({spec:?}, {hash:#018x}),");
+        } else if hash != pinned {
+            mismatches.push(format!("{spec}: {hash:#018x} != pinned {pinned:#018x}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "spec shapes moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
