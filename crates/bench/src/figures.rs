@@ -180,8 +180,9 @@ fn paper(args: &BenchArgs) -> Output {
 
 /// Table 2's grid as Top-K rows per `--compressors` spec, then for the
 /// `--layer-compressors` plan, priced from the encoded bytes unless
-/// `--cost-basis` says otherwise. A codec that ignores the target ratio (a
-/// pure quantizer, or a plan of only those and `dense`) runs at CR 0.1 only.
+/// `--cost-basis` says otherwise. A codec that ignores the target ratio
+/// ([`CompressorSpec::ignores_ratio`], or a plan of only those) runs at CR 0.1
+/// only.
 fn codecs(args: &BenchArgs) -> Output {
     let mut base = bench_config(TopK, Cifar10Like, 0.1, 0.1, args);
     base.cost_basis = args.cost_basis.unwrap_or(CostBasis::Encoded);
@@ -191,7 +192,7 @@ fn codecs(args: &BenchArgs) -> Output {
         .compressors
         .iter()
         .cloned()
-        .partition(CompressorSpec::produces_dense);
+        .partition(CompressorSpec::ignores_ratio);
     let mut configs = Vec::new();
     for (specs, free) in [(bound, false), (free, true)] {
         if !specs.is_empty() {
@@ -203,13 +204,11 @@ fn codecs(args: &BenchArgs) -> Output {
         }
     }
     if let Some(plan) = &args.layer_compressors {
-        let ignores_ratio = |s: &CompressorSpec| {
-            s.produces_dense() || (s.stages.len() == 1 && s.stages[0].name == "dense")
-        };
         let segments = base.model.segment_names();
-        let free = segments
-            .iter()
-            .all(|name| plan.spec_for(name).is_some_and(ignores_ratio));
+        let free = segments.iter().all(|name| {
+            plan.spec_for(name)
+                .is_some_and(CompressorSpec::ignores_ratio)
+        });
         base.compressor = None;
         configs.extend(
             paper_grid(base, args, &ratios(free))
@@ -513,6 +512,23 @@ mod tests {
         // topk over β × CR; both quantizers and the ratio-free plan over β.
         assert_eq!(codecs.len(), 4 + 4 + 2);
         assert!(codecs.iter().all(|c| c.validate().is_ok()));
+        // `dense` and an absolute threshold ignore the ratio too: one CR grid
+        // each, against Top-K's two.
+        let codecs = configs("codecs --compressors dense,threshold:0.01,topk");
+        let grids = |spec: &str| {
+            let runs = codecs
+                .iter()
+                .filter(|c| c.compressor.as_ref().unwrap().to_string() == spec);
+            let mut crs: Vec<f64> = runs.map(|c| c.compression_ratio).collect();
+            crs.sort_by(f64::total_cmp);
+            crs.dedup();
+            crs.len()
+        };
+        assert_eq!(
+            [grids("dense"), grids("threshold:0.01"), grids("topk")],
+            [1, 1, 2]
+        );
+        assert_eq!(codecs.len(), 2 * (1 + 1 + 2), "each grid over β");
     }
 
     #[test]

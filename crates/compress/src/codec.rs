@@ -1,29 +1,33 @@
 //! The [`UpdateCodec`] trait — stateful encoder/decoders producing the
-//! byte-level [`WireUpdate`] format — and the built-in codec implementations.
+//! byte-level [`WireUpdate`] format — and `Pipeline`, the one codec every
+//! built-in spec builds.
 //!
 //! * **A codec emits real bytes** — [`UpdateCodec::encode_sent`] returns a
 //!   versioned [`WireUpdate`] buffer (varint-delta sparse indices, bit-packed
 //!   QSGD levels) whose length is what the network simulator can charge.
 //! * **It owns its cross-round state** — encoding takes `&mut self`, so
-//!   error-feedback residuals ([`EfCodec`]) live inside the codec instead of
-//!   being special-cased in the client.
+//!   error-feedback residuals live inside the codec instead of being
+//!   special-cased in the client.
 //! * **Encoding is one forward pass** — `encode_sent` returns the bytes *and*
 //!   the lossy update those bytes stand for, built from the selection and
-//!   quantization levels the encoder already holds. Wrappers that need to
-//!   know what was sent (error feedback, composition, the downlink channel)
-//!   take it from there; nothing on the encode side ever decodes its own
-//!   bytes. The only decode of a round is the receiver's.
+//!   quantization levels the encoder already holds. Whatever needs to know
+//!   what was sent (error feedback, layer plans, the downlink channel) takes
+//!   it from there; nothing on the encode side ever decodes its own bytes.
+//!   The only decode of a round is the receiver's.
 //! * **Per-round randomness is explicit** — encoding draws from the caller's
 //!   [`Xoshiro256`] stream (one stream per simulated client), so experiment
 //!   replays stay bit-exact no matter which codec runs.
 //!
-//! Codecs are normally built from a parsed [`crate::spec::CompressorSpec`]
-//! through the [`crate::registry::CodecRegistry`]; the types here are public
-//! so custom codecs can wrap or compose them.
+//! A `Pipeline` is the paper's uplink as one struct: optional error
+//! feedback, one selection stage, then an optional QSGD quantizer. It is
+//! built from a parsed [`crate::spec::CompressorSpec`] by
+//! [`crate::registry::CodecRegistry::build`]. Custom codecs implement
+//! [`UpdateCodec`] and take the selection stage's place.
 
 use crate::quantize::{max_level_for_bits, qsgd_dequantize, qsgd_levels};
 use crate::rans::RansEncoder;
 use crate::sparse::SparseUpdate;
+use crate::spec::{CodecStage, CompressorSpec};
 use crate::update::CompressedUpdate;
 use crate::wire::{
     encode_dense, encode_quantized, encode_quantized_rc, encode_sparse, encode_sparse_quantized,
@@ -56,8 +60,8 @@ impl CodecCtx {
 /// codec instance that produced it.
 ///
 /// This is the seam that lets a simulator keep millions of clients *virtual*:
-/// instead of holding one live codec per client forever (each
-/// [`EfCodec`] owns a model-sized residual vector), the engine extracts the
+/// instead of holding one live codec per client forever (each `ef-`
+/// pipeline owns a model-sized residual vector), the engine extracts the
 /// state with [`UpdateCodec::take_residual`] when a client leaves the active
 /// cohort, parks it in a [`crate::residual_store::ResidualStore`] keyed by
 /// client id, and re-injects it with [`UpdateCodec::restore_residual`] the
@@ -65,12 +69,13 @@ impl CodecCtx {
 /// another client's drained one when it is [`UpdateCodec::reusable`].
 ///
 /// The snapshot is an ordered list of residual vectors — one per stateful
-/// component, in the codec's canonical component order (a flat [`EfCodec`]
-/// contributes one part; a [`crate::plan::PlannedCodec`] concatenates its
-/// segments' parts in segment order). Stateless codecs produce an empty
-/// snapshot. A zero-length part stands for an all-zero residual of its
-/// component's length — what a component that has not encoded yet holds — so
-/// a fresh codec can be snapshotted without materialising model-sized zeros.
+/// component, in the codec's canonical component order (a flat `ef-`
+/// pipeline contributes one part; a [`crate::plan::PlannedCodec`]
+/// concatenates its segments' parts in segment order). Stateless codecs
+/// produce an empty snapshot. A zero-length part stands for an all-zero
+/// residual of its component's length — what a component that has not
+/// encoded yet holds — so a fresh codec can be snapshotted without
+/// materialising model-sized zeros.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResidualState {
     /// Residual vectors in canonical component order.
@@ -114,7 +119,7 @@ pub trait UpdateCodec: Send {
     /// was sent: the lossy update [`decode`](Self::decode) reconstructs from
     /// those bytes, bit for bit.
     ///
-    /// Error feedback, codec composition and the downlink channel need the
+    /// Error feedback, a quantizer stage and the downlink channel need the
     /// sent update, and an encoder already holds it (the selected
     /// coordinates, the quantization levels) before it writes a byte — so
     /// nothing on the sending side decodes its own bytes.
@@ -176,16 +181,16 @@ pub trait UpdateCodec: Send {
     /// then hands such an instance from client to client instead of building
     /// one per checkout. The default is `false` — a custom codec that seeds
     /// itself from [`CodecCtx::seed`] or keeps other per-client state is
-    /// rebuilt every time without having to say so. Every built-in returns
-    /// `true` (wrappers: when what they wrap does).
+    /// rebuilt every time without having to say so. A built-in pipeline
+    /// returns `true` unless its custom stage says otherwise.
     fn reusable(&self) -> bool {
         false
     }
 }
 
 /// Debug-build check of the [`UpdateCodec::encode_sent`] contract at the
-/// point a built-in assembles its answer: the bytes must decode to exactly
-/// the update returned beside them.
+/// point a codec assembles its answer: the bytes must decode to exactly the
+/// update returned beside them.
 pub(crate) fn debug_assert_sent(wire: &WireUpdate, sent: &CompressedUpdate) {
     debug_assert!(
         wire.decode().is_ok_and(|decoded| decoded.bit_eq(sent)),
@@ -193,357 +198,193 @@ pub(crate) fn debug_assert_sent(wire: &WireUpdate, sent: &CompressedUpdate) {
     );
 }
 
-/// `encode_sent` of a sparsifier: the `KIND_SPARSE` bytes and the selection
-/// they carry verbatim.
-fn sparse_sent(sparse: SparseUpdate) -> (WireUpdate, CompressedUpdate) {
-    let wire = encode_sparse(&sparse);
-    let sent = CompressedUpdate::Sparse(sparse);
-    debug_assert_sent(&wire, &sent);
-    (wire, sent)
+/// The selection stage of a [`Pipeline`]. `C` is what a custom stage holds:
+/// the built codec in a pipeline, the parsed stage while a spec is read.
+pub(crate) enum Select<C> {
+    /// Magnitude Top-K, the paper's primary compressor.
+    TopK,
+    /// Uniform Rand-K, rescaled by `len/k` (unbiased). Draws one `u64` seed
+    /// per round, before any quantizer draw.
+    RandK,
+    /// Hard threshold: keep `|x| >= tau`, or, without a `tau`, the
+    /// `1 − ratio` magnitude quantile ([`threshold::threshold_for`]).
+    Threshold(Option<f32>),
+    /// Every coordinate, whatever the ratio. Layer plans use it for
+    /// segments that collapse under sparsification (`"*.bias=dense"`).
+    Dense,
+    /// No selection: the pure quantizer (`"qsgd:<bits>"`) codes every
+    /// coordinate in the dense quantized kinds.
+    None,
+    /// A registered codec. Its selection is reachable only through its own
+    /// [`UpdateCodec::encode_sent`].
+    Custom(C),
 }
 
-/// `encode_sent` of an uncompressed upload: the `KIND_DENSE` bytes, which
-/// decode to the full-density sparse form.
-fn dense_sent(dense: &[f32]) -> (WireUpdate, CompressedUpdate) {
-    let wire = encode_dense(dense);
-    let sent = CompressedUpdate::Sparse(SparseUpdate::new(
-        (0..dense.len() as u32).collect(),
-        dense.to_vec(),
-        dense.len(),
-    ));
-    debug_assert_sent(&wire, &sent);
-    (wire, sent)
-}
-
-/// Magnitude Top-K sparsification (the paper's primary compressor).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TopKCodec;
-
-impl UpdateCodec for TopKCodec {
-    fn name(&self) -> String {
-        "topk".into()
-    }
-
-    fn reusable(&self) -> bool {
-        true
-    }
-
-    fn encode_sent(
-        &mut self,
-        dense: &[f32],
-        ratio: f64,
-        _rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
-        // A ratio-1.0 upload retains everything: ship the dense wire format
-        // (raw f32s, no per-coordinate index overhead) so uncompressed
-        // baselines like FedAvg are charged honest dense bytes.
-        if topk::k_for(dense.len(), ratio) == dense.len() {
-            return dense_sent(dense);
-        }
-        sparse_sent(topk::select(dense, ratio))
-    }
-}
-
-/// The explicit "don't compress this" codec: every coordinate ships as a raw
-/// f32 in the dense wire kind, ignoring the target ratio. Layer plans use it
-/// for segments that collapse under sparsification (biases, norm scales) —
-/// `"*.bias=dense"` keeps those few coordinates exact while the big layers
-/// stay aggressively compressed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DenseCodec;
-
-impl UpdateCodec for DenseCodec {
-    fn name(&self) -> String {
-        "dense".into()
-    }
-
-    fn reusable(&self) -> bool {
-        true
-    }
-
-    fn encode_sent(
-        &mut self,
-        dense: &[f32],
-        _ratio: f64,
-        _rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
-        dense_sent(dense)
-    }
-}
-
-/// Uniform Rand-K sparsification, rescaled by `len/k` (unbiased). Draws one
-/// `u64` seed per round from the session stream — the same draw order the
-/// pre-codec engine used, so Rand-K trajectories replay bit-identically.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RandKCodec;
-
-impl UpdateCodec for RandKCodec {
-    fn name(&self) -> String {
-        "randk".into()
-    }
-
-    fn reusable(&self) -> bool {
-        true
-    }
-
-    fn encode_sent(
-        &mut self,
-        dense: &[f32],
-        ratio: f64,
-        rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
-        sparse_sent(randk::select(dense, ratio, rng.next_u64()))
-    }
-}
-
-/// Hard-threshold sparsification. With an absolute `tau` the target ratio is
-/// ignored; without one the threshold is derived from the `1 − ratio`
-/// magnitude quantile ([`threshold::threshold_for`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThresholdCodec {
-    /// Optional absolute magnitude threshold (`"threshold:0.01"`).
-    pub tau: Option<f32>,
-}
-
-impl UpdateCodec for ThresholdCodec {
-    fn name(&self) -> String {
-        match self.tau {
-            Some(t) => format!("threshold:{t}"),
-            None => "threshold".into(),
-        }
-    }
-
-    fn reusable(&self) -> bool {
-        true
-    }
-
-    fn encode_sent(
-        &mut self,
-        dense: &[f32],
-        ratio: f64,
-        _rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
-        sparse_sent(match self.tau {
-            Some(tau) => threshold::select_at(dense, tau),
-            None => threshold::select(dense, ratio),
-        })
-    }
-}
-
-/// QSGD stochastic quantization at a fixed bit width: every coordinate is
-/// transmitted as a sign plus `bits − 1` level bits, bit-packed on the wire
-/// — or, with the `:rc` suffix (`"qsgd:4:rc"`), entropy-coded through the
+/// The QSGD stage of a [`Pipeline`]: a sign plus `bits − 1` level bits per
+/// coordinate, bit-packed or, with `rc` (`"qsgd:4:rc"`), entropy-coded by the
 /// adaptive-CDF rANS coder, which never expands past the bit-packed size.
-/// The target ratio is ignored (the compression factor is `32 / bits`).
-#[derive(Clone, Debug)]
-pub struct QsgdCodec {
-    /// Bits per coordinate including the sign bit, in `2..=16`.
-    pub bits: u8,
-    /// Entropy-code the levels ([`crate::wire::KIND_ENTROPY`]) instead of
-    /// bit-packing them. Quantization itself — levels, norm, RNG draws — is
-    /// identical either way; only the byte layout (and count) changes.
-    pub entropy: bool,
+/// The levels, the norm and the RNG draws are the same either way.
+pub(crate) struct Quant {
+    bits: u8,
+    rc: bool,
     /// The entropy coder's scratch, kept so warm encodes allocate nothing
-    /// for it; empty (and never touched) while `entropy` is false.
+    /// for it; never touched while `rc` is false.
     coder: RansEncoder,
 }
 
-impl QsgdCodec {
-    /// New bit-packing QSGD codec at the given bit width. Panics unless
-    /// `bits ∈ 2..=16`.
-    pub fn new(bits: u8) -> Self {
-        let _ = max_level_for_bits(bits); // validates the range
+impl Quant {
+    /// A quantizer of `bits ∈ 2..=16` (the spec parse checks the range).
+    pub(crate) fn new(bits: u8, rc: bool) -> Self {
         Self {
             bits,
-            entropy: false,
+            rc,
             coder: RansEncoder::default(),
         }
     }
 
-    /// New entropy-coding QSGD codec (`"qsgd:<bits>:rc"`).
-    pub fn new_entropy(bits: u8) -> Self {
-        Self {
-            entropy: true,
-            ..Self::new(bits)
-        }
-    }
-
-    /// Quantize a value slice, returning `(norm, signed levels)`.
-    pub fn quantize(&self, values: &[f32], rng: &mut Xoshiro256) -> (f32, Vec<i32>) {
-        qsgd_levels(values, max_level_for_bits(self.bits), rng)
-    }
-
-    /// The dense quantized frame for `levels`, in this codec's byte layout.
-    fn dense_wire(&mut self, norm: f32, levels: &[i32]) -> WireUpdate {
-        if self.entropy {
-            encode_quantized_rc(&mut self.coder, levels.len(), self.bits, norm, levels)
+    /// The dense quantized frame of every coordinate of `x`.
+    fn quantize_all(&mut self, x: &[f32], rng: &mut Xoshiro256) -> (WireUpdate, CompressedUpdate) {
+        let max_level = max_level_for_bits(self.bits);
+        let (norm, levels) = qsgd_levels(x, max_level, rng);
+        let wire = if self.rc {
+            encode_quantized_rc(&mut self.coder, x.len(), self.bits, norm, &levels)
         } else {
-            encode_quantized(levels.len(), self.bits, norm, levels)
-        }
-    }
-
-    /// The sparse quantized frame for `levels` at `indices`, in this codec's
-    /// byte layout.
-    fn sparse_wire(
-        &mut self,
-        dense_len: usize,
-        indices: &[u32],
-        norm: f32,
-        levels: &[i32],
-    ) -> WireUpdate {
-        if self.entropy {
-            let bits = self.bits;
-            encode_sparse_quantized_rc(&mut self.coder, dense_len, indices, bits, norm, levels)
-        } else {
-            encode_sparse_quantized(dense_len, indices, self.bits, norm, levels)
-        }
-    }
-}
-
-impl UpdateCodec for QsgdCodec {
-    fn name(&self) -> String {
-        if self.entropy {
-            format!("qsgd:{}:rc", self.bits)
-        } else {
-            format!("qsgd:{}", self.bits)
-        }
-    }
-
-    fn reusable(&self) -> bool {
-        true
-    }
-
-    fn encode_sent(
-        &mut self,
-        dense: &[f32],
-        _ratio: f64,
-        rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
-        let (norm, levels) = self.quantize(dense, rng);
-        let wire = self.dense_wire(norm, &levels);
-        // The same `norm * level / max_level` both decoders evaluate, on the
-        // levels just written.
-        let sent = CompressedUpdate::Quantized {
-            values: qsgd_dequantize(norm, max_level_for_bits(self.bits), &levels),
+            encode_quantized(x.len(), self.bits, norm, &levels)
         };
-        debug_assert_sent(&wire, &sent);
-        (wire, sent)
-    }
-}
-
-/// Sparsify-then-quantize composition (`"topk+qsgd:4"`): the first stage
-/// picks the retained coordinates, the second bit-packs their values, so the
-/// wire carries varint-delta indices plus `bits`-wide levels instead of full
-/// `f32`s. The selection passes between the stages in memory, through the
-/// first stage's [`encode_sent`](UpdateCodec::encode_sent): the first stage's
-/// own bytes are never decoded, and never sent.
-pub struct ComposedCodec {
-    sparsifier: Box<dyn UpdateCodec>,
-    quantizer: QsgdCodec,
-}
-
-impl ComposedCodec {
-    /// Compose a sparsifying codec with a QSGD value quantizer.
-    pub fn new(sparsifier: Box<dyn UpdateCodec>, quantizer: QsgdCodec) -> Self {
-        Self {
-            sparsifier,
-            quantizer,
-        }
-    }
-}
-
-impl UpdateCodec for ComposedCodec {
-    fn name(&self) -> String {
-        format!("{}+{}", self.sparsifier.name(), self.quantizer.name())
+        let values = qsgd_dequantize(norm, max_level, &levels);
+        (wire, CompressedUpdate::Quantized { values })
     }
 
-    fn reusable(&self) -> bool {
-        self.sparsifier.reusable()
-    }
-
-    fn encode_sent(
+    /// The sparse quantized frame of a selection's values.
+    fn quantize_selected(
         &mut self,
-        dense: &[f32],
-        ratio: f64,
+        mut sel: SparseUpdate,
         rng: &mut Xoshiro256,
     ) -> (WireUpdate, CompressedUpdate) {
-        // Only the first stage's selection is used; its own bytes never
-        // reach the wire.
-        let (_, selection) = self.sparsifier.encode_sent(dense, ratio, rng);
-        let mut sparse = selection
-            .into_sparse()
-            .expect("the first stage of a composed codec must produce a sparse update");
-        let (norm, levels) = self.quantizer.quantize(sparse.values(), rng);
-        let wire = self
-            .quantizer
-            .sparse_wire(sparse.dense_len(), sparse.indices(), norm, &levels);
+        let max_level = max_level_for_bits(self.bits);
+        let (norm, levels) = qsgd_levels(sel.values(), max_level, rng);
+        let (n, indices, bits) = (sel.dense_len(), sel.indices(), self.bits);
+        let wire = if self.rc {
+            encode_sparse_quantized_rc(&mut self.coder, n, indices, bits, norm, &levels)
+        } else {
+            encode_sparse_quantized(n, indices, bits, norm, &levels)
+        };
         // What was sent keeps the selection's indices; its values become the
         // dequantized levels (the arithmetic of `qsgd_dequantize`, in place).
-        let max_level = max_level_for_bits(self.quantizer.bits) as f32;
-        for (v, &level) in sparse.values_mut().iter_mut().zip(&levels) {
-            *v = norm * level as f32 / max_level;
+        for (v, &level) in sel.values_mut().iter_mut().zip(&levels) {
+            *v = norm * level as f32 / max_level as f32;
         }
-        let sent = CompressedUpdate::Sparse(sparse);
-        debug_assert_sent(&wire, &sent);
-        (wire, sent)
-    }
-
-    fn residual_norm(&self) -> f64 {
-        self.sparsifier.residual_norm()
-    }
-
-    fn take_residual(&mut self) -> ResidualState {
-        self.sparsifier.take_residual()
-    }
-
-    fn restore_residual(&mut self, state: ResidualState) {
-        self.sparsifier.restore_residual(state);
+        (wire, CompressedUpdate::Sparse(sel))
     }
 }
 
-/// Error-feedback wrapper around any codec: the part of the update the inner
-/// codec's lossy encode did not send is remembered and added back before the
-/// next round's encode (`ef-topk` is the paper's EFTOPK baseline).
+/// The codec of every built-in spec: optional error feedback (`ef-`), one
+/// selection stage, and an optional QSGD stage (`+qsgd:<bits>[:rc]`), in one
+/// encode pass.
 ///
-/// What was sent comes from the inner codec's
-/// [`encode_sent`](UpdateCodec::encode_sent), never from decoding the bytes
-/// just written. The residual is the only model-sized buffer: it is empty
-/// (meaning all-zero) until the first encode, is corrected and reduced in
-/// place, and moves in and out of the codec by
-/// [`restore_residual`](UpdateCodec::restore_residual) /
+/// Error feedback (`ef-topk` is the paper's EFTOPK baseline) remembers the
+/// part of the update the lossy stages did not send and adds it back before
+/// the next encode: `corrected = d + r`, then `r = corrected − sent`, both in
+/// place over the residual. The residual is the only model-sized buffer: it
+/// is empty (meaning all-zero) until the first encode, and moves in and out
+/// by [`restore_residual`](UpdateCodec::restore_residual) /
 /// [`take_residual`](UpdateCodec::take_residual) without a copy or a refill.
-pub struct EfCodec {
-    inner: Box<dyn UpdateCodec>,
-    /// Empty while all-zero (fresh, or just taken); `dense_len` long after.
-    residual: Vec<f32>,
+///
+/// The quantizer codes the selected values, so the wire carries varint-delta
+/// indices plus `bits`-wide levels instead of full `f32`s. Only a custom
+/// first stage writes a frame of its own; when a quantizer follows it, that
+/// frame is discarded.
+pub(crate) struct Pipeline {
+    /// The spec string, with a custom stage spelled by its codec's `name()`.
+    name: String,
+    /// `Some` iff the spec has `ef-`: empty while all-zero (fresh, or just
+    /// taken), `dense_len` long after.
+    residual: Option<Vec<f32>>,
     dense_len: usize,
+    select: Select<Box<dyn UpdateCodec>>,
+    quant: Option<Quant>,
 }
 
-impl EfCodec {
-    /// Wrap `inner` for updates of length `dense_len`.
-    pub fn new(inner: Box<dyn UpdateCodec>, dense_len: usize) -> Self {
+impl Pipeline {
+    /// The pipeline `spec` reads as, for updates of length `dense_len`.
+    pub(crate) fn new(
+        spec: &CompressorSpec,
+        select: Select<Box<dyn UpdateCodec>>,
+        quant: Option<Quant>,
+        dense_len: usize,
+    ) -> Self {
+        let mut name = spec.clone();
+        if let Select::Custom(codec) = &select {
+            name.stages[0] = CodecStage::new(codec.name());
+        }
         Self {
-            inner,
-            residual: Vec::new(),
+            name: name.to_string(),
+            residual: spec.error_feedback.then(Vec::new),
             dense_len,
+            select,
+            quant,
         }
     }
-
-    /// The current residual vector; an empty slice while it is all-zero
-    /// (before the first encode, or after
-    /// [`take_residual`](UpdateCodec::take_residual)).
-    pub fn residual(&self) -> &[f32] {
-        &self.residual
-    }
 }
 
-impl UpdateCodec for EfCodec {
+/// The selection and quantizer stages of [`Pipeline::encode_sent`], over the
+/// error-corrected update `x`.
+fn encode_stages(
+    select: &mut Select<Box<dyn UpdateCodec>>,
+    quant: Option<&mut Quant>,
+    x: &[f32],
+    ratio: f64,
+    rng: &mut Xoshiro256,
+) -> (WireUpdate, CompressedUpdate) {
+    let n = x.len();
+    let every = || Some(SparseUpdate::new((0..n as u32).collect(), x.to_vec(), n));
+    // `whole` selections keep every coordinate and, unquantized, ship the
+    // dense kind (raw f32s, no per-coordinate index overhead), so
+    // uncompressed baselines like FedAvg are charged honest dense bytes.
+    let (selection, whole) = match select {
+        Select::TopK if topk::k_for(n, ratio) == n => (every(), true),
+        Select::TopK => (Some(topk::select(x, ratio)), false),
+        Select::RandK => (Some(randk::select(x, ratio, rng.next_u64())), false),
+        Select::Threshold(Some(tau)) => (Some(threshold::select_at(x, *tau)), false),
+        Select::Threshold(None) => (Some(threshold::select(x, ratio)), false),
+        Select::Dense => (every(), true),
+        Select::None => (None, false),
+        Select::Custom(codec) => {
+            let (wire, sent) = codec.encode_sent(x, ratio, rng);
+            if quant.is_none() {
+                return (wire, sent);
+            }
+            let sparse = sent.into_sparse().unwrap_or_else(|| {
+                panic!(
+                    "custom stage {} must produce a sparse update for the quantizer",
+                    codec.name()
+                )
+            });
+            (Some(sparse), false)
+        }
+    };
+    let (wire, sent) = match (selection, quant) {
+        (None, quant) => quant
+            .expect("a pipeline without a selection stage quantizes")
+            .quantize_all(x, rng),
+        (Some(sel), Some(quant)) => quant.quantize_selected(sel, rng),
+        (Some(sel), None) if whole => (encode_dense(x), CompressedUpdate::Sparse(sel)),
+        (Some(sel), None) => (encode_sparse(&sel), CompressedUpdate::Sparse(sel)),
+    };
+    debug_assert_sent(&wire, &sent);
+    (wire, sent)
+}
+
+impl UpdateCodec for Pipeline {
     fn name(&self) -> String {
-        format!("ef-{}", self.inner.name())
+        self.name.clone()
     }
 
     fn reusable(&self) -> bool {
-        self.inner.reusable()
+        match &self.select {
+            Select::Custom(codec) => codec.reusable(),
+            _ => true,
+        }
     }
 
     fn encode_sent(
@@ -552,6 +393,9 @@ impl UpdateCodec for EfCodec {
         ratio: f64,
         rng: &mut Xoshiro256,
     ) -> (WireUpdate, CompressedUpdate) {
+        let Some(residual) = &mut self.residual else {
+            return encode_stages(&mut self.select, self.quant.as_mut(), dense, ratio, rng);
+        };
         assert_eq!(
             dense.len(),
             self.dense_len,
@@ -560,58 +404,76 @@ impl UpdateCodec for EfCodec {
         // Corrected = dense + residual, written over the residual. An empty
         // residual still adds its `+0.0` (which turns a `-0.0` coordinate
         // into `+0.0`), so the corrected vector has the same bits either way.
-        if self.residual.is_empty() {
-            self.residual.extend(dense.iter().map(|&d| d + 0.0));
+        if residual.is_empty() {
+            residual.extend(dense.iter().map(|&d| d + 0.0));
         } else {
-            for (r, &d) in self.residual.iter_mut().zip(dense) {
+            for (r, &d) in residual.iter_mut().zip(dense) {
                 *r += d;
             }
         }
-        let (wire, sent) = self.inner.encode_sent(&self.residual, ratio, rng);
+        let (wire, sent) =
+            encode_stages(&mut self.select, self.quant.as_mut(), residual, ratio, rng);
         // New residual = corrected − sent.
-        sent.subtract_from(&mut self.residual);
+        sent.subtract_from(residual);
         (wire, sent)
     }
 
     fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
-        self.inner.decode(wire)
+        match (&self.select, &self.quant) {
+            // An unquantized custom stage's bytes are its own.
+            (Select::Custom(codec), None) => codec.decode(wire),
+            _ => wire.decode(),
+        }
     }
 
     fn residual_norm(&self) -> f64 {
-        self.residual
-            .iter()
-            .map(|&v| (v as f64).powi(2))
-            .sum::<f64>()
-            .sqrt()
+        match (&self.residual, &self.select) {
+            (Some(r), _) => r.iter().map(|&v| (v as f64).powi(2)).sum::<f64>().sqrt(),
+            (None, Select::Custom(codec)) => codec.residual_norm(),
+            (None, _) => 0.0,
+        }
     }
 
     fn take_residual(&mut self) -> ResidualState {
-        ResidualState {
-            parts: vec![std::mem::take(&mut self.residual)],
+        match (&mut self.residual, &mut self.select) {
+            (Some(r), _) => ResidualState {
+                parts: vec![std::mem::take(r)],
+            },
+            (None, Select::Custom(codec)) => codec.take_residual(),
+            (None, _) => ResidualState::empty(),
         }
     }
 
     fn restore_residual(&mut self, state: ResidualState) {
-        if state.parts.is_empty() {
-            return;
+        match (&mut self.residual, &mut self.select) {
+            (Some(_), _) if state.parts.is_empty() => {}
+            (Some(residual), _) => {
+                let [part]: [Vec<f32>; 1] = state
+                    .parts
+                    .try_into()
+                    .expect("ef codec residual snapshot must have exactly one part");
+                assert!(
+                    part.is_empty() || part.len() == self.dense_len,
+                    "ef codec residual snapshot length changed between checkouts"
+                );
+                *residual = part;
+            }
+            (None, Select::Custom(codec)) => codec.restore_residual(state),
+            (None, _) => assert!(
+                state.parts.is_empty(),
+                "stateless codec {} cannot restore a {}-part residual snapshot",
+                self.name,
+                state.parts.len()
+            ),
         }
-        assert_eq!(
-            state.parts.len(),
-            1,
-            "ef codec residual snapshot must have exactly one part"
-        );
-        let part = state.parts.into_iter().next().unwrap();
-        assert!(
-            part.is_empty() || part.len() == self.dense_len,
-            "ef codec residual snapshot length changed between checkouts"
-        );
-        self.residual = part;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::CodecRegistry;
+    use crate::spec::SpecError;
 
     fn rng() -> Xoshiro256 {
         Xoshiro256::new(7)
@@ -621,10 +483,63 @@ mod tests {
         (0..n).map(|i| ((i as f32) * 0.37).sin() * 0.1).collect()
     }
 
+    /// A codec with a private `decode`: receivers negate what the standard
+    /// format says, and `encode_sent` reports exactly that.
+    struct Negating;
+
+    impl UpdateCodec for Negating {
+        fn name(&self) -> String {
+            "negating".into()
+        }
+        fn encode_sent(
+            &mut self,
+            dense: &[f32],
+            _ratio: f64,
+            _rng: &mut Xoshiro256,
+        ) -> (WireUpdate, CompressedUpdate) {
+            let wire = encode_dense(dense);
+            let sent = self.decode(&wire).expect("own encoding");
+            (wire, sent)
+        }
+        fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
+            let mut sparse = wire.decode()?.into_sparse().expect("dense kind");
+            sparse.values_mut().iter_mut().for_each(|v| *v = -*v);
+            Ok(CompressedUpdate::Sparse(sparse))
+        }
+    }
+
+    /// The built-ins plus `neg` (a [`Negating`]), `inner-ef` (an `ef-topk`
+    /// pipeline as a custom stage) and `myq` (a `qsgd:4` pipeline, which
+    /// sends a dense update).
+    fn registry() -> CodecRegistry {
+        fn builtin(spec: &str, ctx: &CodecCtx) -> Result<Box<dyn UpdateCodec>, SpecError> {
+            CodecRegistry::with_builtins().build(&spec.parse()?, ctx)
+        }
+        let mut r = CodecRegistry::with_builtins();
+        r.register("neg", |_, _| Ok(Box::new(Negating)));
+        r.register("inner-ef", |_, ctx| builtin("ef-topk", ctx));
+        r.register("myq", |_, ctx| builtin("qsgd:4", ctx));
+        r
+    }
+
+    fn build(spec: &str, n: usize) -> Box<dyn UpdateCodec> {
+        registry()
+            .build(&spec.parse().unwrap(), &CodecCtx::new(n, 1))
+            .unwrap()
+    }
+
+    /// The residual of an `ef-` codec, left in place.
+    fn residual(codec: &mut dyn UpdateCodec) -> Vec<f32> {
+        let state = codec.take_residual();
+        let part = state.parts[0].clone();
+        codec.restore_residual(state);
+        part
+    }
+
     #[test]
     fn topk_codec_roundtrip_is_exact_on_retained() {
         let d = delta(500);
-        let wire = TopKCodec.encode(&d, 0.1, &mut rng());
+        let wire = build("topk", 500).encode(&d, 0.1, &mut rng());
         let s = wire.decode().unwrap().into_sparse().unwrap();
         assert_eq!(s.nnz(), 50);
         for (&i, &v) in s.indices().iter().zip(s.values().iter()) {
@@ -634,9 +549,9 @@ mod tests {
 
     #[test]
     fn topk_codec_ships_dense_format_at_full_ratio() {
-        use crate::wire::{KIND_DENSE, KIND_SPARSE};
+        use crate::wire::{KIND_DENSE, KIND_SPARSE, KIND_SPARSE_QUANTIZED};
         let d = delta(100);
-        let full = TopKCodec.encode(&d, 1.0, &mut rng());
+        let full = build("topk", 100).encode(&d, 1.0, &mut rng());
         assert_eq!(full.kind().unwrap(), KIND_DENSE);
         // Header + varint + 4 bytes/coordinate: honest dense accounting.
         assert!(full.len() <= 100 * 4 + 16);
@@ -644,8 +559,14 @@ mod tests {
         assert_eq!(s.nnz(), 100);
         assert_eq!(s.to_dense(), d);
         // A genuinely sparse ratio still uses the sparse format.
-        let sparse = TopKCodec.encode(&d, 0.5, &mut rng());
+        let sparse = build("topk", 100).encode(&d, 0.5, &mut rng());
         assert_eq!(sparse.kind().unwrap(), KIND_SPARSE);
+        // Quantized, a full selection is sparse-quantized over every index.
+        for spec in ["topk+qsgd:4", "dense+qsgd:4"] {
+            let wire = build(spec, 100).encode(&d, 1.0, &mut rng());
+            assert_eq!(wire.kind().unwrap(), KIND_SPARSE_QUANTIZED, "{spec}");
+            assert_eq!(wire.decode().unwrap().into_sparse().unwrap().nnz(), 100);
+        }
     }
 
     #[test]
@@ -654,7 +575,7 @@ mod tests {
         // the Rand-K draw with it the way the pre-codec client did.
         let d = delta(200);
         let mut stream = rng();
-        let wire = RandKCodec.encode(&d, 0.1, &mut stream);
+        let wire = build("randk", 200).encode(&d, 0.1, &mut stream);
         let legacy = randk::select(&d, 0.1, rng().next_u64());
         assert_eq!(wire.decode().unwrap().into_sparse().unwrap(), legacy);
         // Exactly one draw: the stream's next value matches a twice-advanced
@@ -667,8 +588,7 @@ mod tests {
     #[test]
     fn threshold_codec_absolute_tau() {
         let d = vec![0.005, 0.5, -0.02, 0.0, -0.8];
-        let mut c = ThresholdCodec { tau: Some(0.1) };
-        let s = c
+        let s = build("threshold:0.1", 5)
             .encode(&d, 1.0, &mut rng())
             .decode()
             .unwrap()
@@ -681,8 +601,7 @@ mod tests {
     fn qsgd_codec_bounds_error_and_beats_dense() {
         let d = delta(1000);
         let norm = d.iter().map(|v| v * v).sum::<f32>().sqrt();
-        let mut c = QsgdCodec::new(8); // 127 levels
-        let wire = c.encode(&d, 1.0, &mut rng());
+        let wire = build("qsgd:8", 1000).encode(&d, 1.0, &mut rng()); // 127 levels
         assert!(wire.len() < 1000 * 4 / 2, "8-bit wire beats f32 by >2x");
         let rec = wire.decode().unwrap().into_dense();
         for (a, b) in d.iter().zip(rec.iter()) {
@@ -693,8 +612,7 @@ mod tests {
     #[test]
     fn composed_codec_quantizes_retained_values() {
         let d = delta(2000);
-        let mut c = ComposedCodec::new(Box::new(TopKCodec), QsgdCodec::new(6));
-        let wire = c.encode(&d, 0.05, &mut rng());
+        let wire = build("topk+qsgd:6", 2000).encode(&d, 0.05, &mut rng());
         // 100 retained coords: ≤ ~2 bytes of index + 6 bits of value each,
         // far below the 8 bytes/coord of the f32 sparse format.
         assert!(wire.len() < 100 * 8 / 2);
@@ -711,12 +629,12 @@ mod tests {
         // The dense textbook recurrence: corrected = d + r, sent =
         // topk(corrected), r = corrected − sent.
         let d = delta(300);
-        let mut residual = vec![0.0f32; d.len()];
-        let mut codec = EfCodec::new(Box::new(TopKCodec), d.len());
+        let mut residual_legacy = vec![0.0f32; d.len()];
+        let mut codec = build("ef-topk", d.len());
         for _ in 0..4 {
-            let corrected: Vec<f32> = d.iter().zip(&residual).map(|(d, r)| d + r).collect();
+            let corrected: Vec<f32> = d.iter().zip(&residual_legacy).map(|(d, r)| d + r).collect();
             let sent_legacy = topk::select(&corrected, 0.1).to_dense();
-            for ((r, c), s) in residual.iter_mut().zip(&corrected).zip(&sent_legacy) {
+            for ((r, c), s) in residual_legacy.iter_mut().zip(&corrected).zip(&sent_legacy) {
                 *r = c - s;
             }
             let sent_codec = codec
@@ -725,26 +643,27 @@ mod tests {
                 .unwrap()
                 .into_dense();
             assert_eq!(sent_legacy, sent_codec);
-            assert_eq!(codec.residual(), residual);
+            assert_eq!(residual(codec.as_mut()), residual_legacy);
         }
     }
 
     #[test]
     fn ef_codec_conservation() {
         let d = delta(64);
-        let mut codec = EfCodec::new(Box::new(TopKCodec), d.len());
+        let mut codec = build("ef-topk", d.len());
         let mut stream = rng();
         for _ in 0..3 {
             // An empty residual is all-zero (nothing encoded yet).
-            let mut before = codec.residual().to_vec();
+            let mut before = residual(codec.as_mut());
             before.resize(d.len(), 0.0);
             let sent = codec
                 .encode(&d, 0.2, &mut stream)
                 .decode()
                 .unwrap()
                 .into_dense();
+            let after = residual(codec.as_mut());
             for i in 0..d.len() {
-                let lhs = sent[i] + codec.residual()[i];
+                let lhs = sent[i] + after[i];
                 let rhs = d[i] + before[i];
                 assert!((lhs - rhs).abs() < 1e-5);
             }
@@ -753,35 +672,13 @@ mod tests {
 
     #[test]
     fn error_feedback_sees_what_a_private_decode_says_was_sent() {
-        // A codec with a private `decode` (receivers negate what the
-        // standard format says) reports that from `encode_sent`, and error
-        // feedback on top of it must see exactly that.
-        struct Negating;
-        impl UpdateCodec for Negating {
-            fn name(&self) -> String {
-                "negating".into()
-            }
-            fn encode_sent(
-                &mut self,
-                dense: &[f32],
-                _ratio: f64,
-                _rng: &mut Xoshiro256,
-            ) -> (WireUpdate, CompressedUpdate) {
-                let wire = encode_dense(dense);
-                let sent = self.decode(&wire).expect("own encoding");
-                (wire, sent)
-            }
-            fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
-                let mut sparse = wire.decode()?.into_sparse().expect("dense kind");
-                sparse.values_mut().iter_mut().for_each(|v| *v = -*v);
-                Ok(CompressedUpdate::Sparse(sparse))
-            }
-        }
+        // Error feedback over a codec with a private `decode` must see what
+        // its `encode_sent` reports, and decode through it.
         let d = vec![1.0f32, -2.0, 0.5];
         // residual = corrected − sent = d − (−d).
-        let mut ef = EfCodec::new(Box::new(Negating), d.len());
+        let mut ef = build("ef-neg", d.len());
         let wire = ef.encode(&d, 1.0, &mut rng());
-        assert_eq!(ef.residual(), &[2.0, -4.0, 1.0]);
+        assert_eq!(residual(ef.as_mut()), [2.0, -4.0, 1.0]);
         assert_eq!(
             ef.decode(&wire).unwrap().into_dense(),
             vec![-1.0, 2.0, -0.5]
@@ -793,20 +690,20 @@ mod tests {
         // take → restore into a fresh codec must continue the trajectory
         // bit-for-bit: this is the contract client virtualization relies on.
         let d = delta(200);
-        let mut persistent = EfCodec::new(Box::new(TopKCodec), d.len());
+        let mut persistent = build("ef-topk", d.len());
         let _ = persistent.encode(&d, 0.05, &mut rng());
         let _ = persistent.encode(&d, 0.05, &mut rng());
 
-        let mut first = EfCodec::new(Box::new(TopKCodec), d.len());
+        let mut first = build("ef-topk", d.len());
         let _ = first.encode(&d, 0.05, &mut rng());
         let snapshot = first.take_residual();
         assert_eq!(snapshot.parts.len(), 1);
-        assert!(first.residual().iter().all(|&v| v == 0.0), "take resets");
-        let mut second = EfCodec::new(Box::new(TopKCodec), d.len());
+        assert_eq!(first.residual_norm(), 0.0, "take resets");
+        let mut second = build("ef-topk", d.len());
         second.restore_residual(snapshot);
         let wire_resumed = second.encode(&d, 0.05, &mut rng());
         let wire_straight = {
-            let mut reference = EfCodec::new(Box::new(TopKCodec), d.len());
+            let mut reference = build("ef-topk", d.len());
             let _ = reference.encode(&d, 0.05, &mut rng());
             reference.encode(&d, 0.05, &mut rng())
         };
@@ -816,54 +713,47 @@ mod tests {
 
     #[test]
     fn stateless_codecs_snapshot_empty() {
-        let mut codec = TopKCodec;
+        let mut codec = build("topk", 4);
         assert!(codec.take_residual().parts.is_empty());
         codec.restore_residual(ResidualState::empty());
-        let mut composed = ComposedCodec::new(Box::new(TopKCodec), QsgdCodec::new(8));
-        assert!(composed.take_residual().parts.is_empty());
+        assert!(build("topk+qsgd:8", 4).take_residual().parts.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "stateless codec")]
     fn stateless_codecs_reject_nontrivial_snapshots() {
-        TopKCodec.restore_residual(ResidualState {
+        build("topk", 1).restore_residual(ResidualState {
             parts: vec![vec![1.0]],
         });
     }
 
     #[test]
     fn composed_codec_delegates_residual_to_sparsifier() {
+        // A custom first stage keeps its own residual behind the quantizer.
         let d = delta(120);
-        let mut composed = ComposedCodec::new(
-            Box::new(EfCodec::new(Box::new(TopKCodec), d.len())),
-            QsgdCodec::new(8),
-        );
-        let mut stream = rng();
-        let _ = composed.encode(&d, 0.1, &mut stream);
+        let mut composed = build("inner-ef+qsgd:8", d.len());
+        let _ = composed.encode(&d, 0.1, &mut rng());
         let snap = composed.take_residual();
         assert_eq!(snap.parts.len(), 1);
-        assert!(
-            (composed.residual_norm() - 0.0).abs() < 1e-12,
-            "take resets"
-        );
+        assert_eq!(composed.residual_norm(), 0.0, "take resets");
         composed.restore_residual(snap);
         assert!(composed.residual_norm() > 0.0);
     }
 
     #[test]
+    #[should_panic(expected = "custom stage qsgd:4 must produce a sparse update")]
+    fn a_custom_stage_sending_a_dense_update_cannot_be_quantized() {
+        build("myq+qsgd:4", 8).encode(&delta(8), 0.5, &mut rng());
+    }
+
+    #[test]
     fn names_compose() {
-        assert_eq!(TopKCodec.name(), "topk");
-        assert_eq!(QsgdCodec::new(4).name(), "qsgd:4");
-        assert_eq!(QsgdCodec::new_entropy(4).name(), "qsgd:4:rc");
-        assert_eq!(
-            ComposedCodec::new(Box::new(TopKCodec), QsgdCodec::new(4)).name(),
-            "topk+qsgd:4"
-        );
-        assert_eq!(
-            ComposedCodec::new(Box::new(TopKCodec), QsgdCodec::new_entropy(6)).name(),
-            "topk+qsgd:6:rc"
-        );
-        assert_eq!(EfCodec::new(Box::new(TopKCodec), 1).name(), "ef-topk");
+        for spec in ["topk", "qsgd:4", "qsgd:4:rc", "topk+qsgd:6:rc", "ef-topk"] {
+            assert_eq!(build(spec, 1).name(), spec);
+        }
+        // A custom stage is spelled by its codec's name.
+        assert_eq!(build("neg", 1).name(), "negating");
+        assert_eq!(build("ef-neg+qsgd:4", 1).name(), "ef-negating+qsgd:4");
     }
 
     #[test]
@@ -872,8 +762,8 @@ mod tests {
         // the same lossy values as the bit-packing codec (quantization is
         // identical) in strictly fewer bytes on gradient-like data.
         let d = delta(4096);
-        let packed = QsgdCodec::new(4).encode(&d, 1.0, &mut rng());
-        let entropy = QsgdCodec::new_entropy(4).encode(&d, 1.0, &mut rng());
+        let packed = build("qsgd:4", 4096).encode(&d, 1.0, &mut rng());
+        let entropy = build("qsgd:4:rc", 4096).encode(&d, 1.0, &mut rng());
         assert_eq!(entropy.kind().unwrap(), crate::wire::KIND_ENTROPY);
         assert!(
             entropy.len() < packed.len(),
@@ -892,10 +782,8 @@ mod tests {
     #[test]
     fn composed_entropy_qsgd_shrinks_sparse_quantized_bytes() {
         let d = delta(4096);
-        let mut packed = ComposedCodec::new(Box::new(TopKCodec), QsgdCodec::new(6));
-        let mut entropy = ComposedCodec::new(Box::new(TopKCodec), QsgdCodec::new_entropy(6));
-        let wp = packed.encode(&d, 0.05, &mut rng());
-        let we = entropy.encode(&d, 0.05, &mut rng());
+        let wp = build("topk+qsgd:6", 4096).encode(&d, 0.05, &mut rng());
+        let we = build("topk+qsgd:6:rc", 4096).encode(&d, 0.05, &mut rng());
         assert_eq!(we.kind().unwrap(), crate::wire::KIND_ENTROPY);
         assert!(
             we.len() < wp.len(),

@@ -10,7 +10,10 @@
 //!   `"qsgd:8"`, `"threshold:0.01"`, `"ef-topk"` and the composed
 //!   `"topk+qsgd:4"`;
 //! * [`registry::CodecRegistry`] — resolves a spec into a boxed
-//!   [`codec::UpdateCodec`], with custom codecs pluggable by name;
+//!   [`codec::UpdateCodec`]: every built-in spec into one `Pipeline`
+//!   (optional error feedback, one selection stage, an
+//!   optional QSGD quantizer), with custom codecs pluggable by name in the
+//!   selection stage's place;
 //! * [`codec::UpdateCodec`] — stateful
 //!   `encode_sent(&mut self, dense, ratio, rng)` producing a real
 //!   [`wire::WireUpdate`] byte buffer (varint-delta sparse indices,
@@ -19,7 +22,7 @@
 //!   together with the lossy update those bytes
 //!   decode to, so nothing on the sending side decodes its own bytes;
 //!   `encode` is its bytes-only projection and `decode` the receiver's side.
-//!   Error-feedback residuals live inside [`codec::EfCodec`];
+//!   Error-feedback residuals live inside the `ef-` pipeline;
 //! * [`downlink::DownlinkChannel`] — the server-side broadcast wrapper: one
 //!   codec encodes the global-parameter delta per round, recipients share the
 //!   view those bytes carry, and error-feedback residuals live server-side;
@@ -64,10 +67,7 @@ pub mod topk;
 pub mod update;
 pub mod wire;
 
-pub use codec::{
-    CodecCtx, ComposedCodec, DenseCodec, EfCodec, QsgdCodec, RandKCodec, ResidualState,
-    ThresholdCodec, TopKCodec, UpdateCodec,
-};
+pub use codec::{CodecCtx, ResidualState, UpdateCodec};
 pub use downlink::DownlinkChannel;
 pub use plan::{glob_match, LayerPlan, PlanRule, PlannedCodec, SegmentDef};
 pub use registry::{CodecFactory, CodecRegistry};

@@ -1,9 +1,12 @@
 //! The [`CodecRegistry`] — resolves a parsed [`CompressorSpec`] into a boxed
 //! [`UpdateCodec`].
 //!
-//! Every stage name maps to a [`CodecFactory`]; the registry ships with the
-//! built-in codecs registered (`topk`, `randk`, `threshold`, `qsgd`) and
-//! custom codecs plug in through [`CodecRegistry::register`]:
+//! Every built-in spec — `topk`, `randk`, `threshold[:tau]`, `dense`,
+//! `qsgd:<bits>[:rc]`, a selection stage followed by `+qsgd:<bits>[:rc]`, and
+//! the `ef-` prefix on any of them — builds one `Pipeline` straight from
+//! the spec. Custom codecs plug in by name through
+//! [`CodecRegistry::register`] and take the selection stage's place, so they
+//! compose with `ef-` and `+qsgd:<bits>` like any built-in:
 //!
 //! ```
 //! use fl_compress::{CodecCtx, CodecRegistry, CompressorSpec};
@@ -14,120 +17,67 @@
 //! assert_eq!(codec.name(), "topk+qsgd:4");
 //! ```
 //!
-//! Composition rules: any registered codec can stand alone; a two-stage
-//! pipeline must be `sparsifier + qsgd:<bits>` (the quantizer bit-packs the
-//! sparsifier's retained values); the `ef-` prefix wraps the whole pipeline
-//! in an [`EfCodec`] error-feedback shell.
+//! Composition rules: one selection stage, optionally followed by one
+//! `qsgd:<bits>` quantizer of its retained values; `ef-` adds error feedback
+//! around both. A quantizer is never a first stage of a composition.
 
-use crate::codec::{
-    CodecCtx, ComposedCodec, DenseCodec, EfCodec, QsgdCodec, RandKCodec, ThresholdCodec, TopKCodec,
-    UpdateCodec,
-};
-use crate::spec::{CompressorSpec, SpecError};
+use crate::codec::{CodecCtx, Pipeline, UpdateCodec};
+use crate::spec::{CompressorSpec, SpecError, BUILTIN_STAGES};
 use std::collections::BTreeMap;
 
-/// Builds one codec stage from its optional `:arg` string and the context.
-/// Plain function pointers keep the registry `Clone + Send + Sync` for free.
+/// Builds one custom codec stage from its optional `:arg` string and the
+/// context. Plain function pointers keep the registry `Clone + Send + Sync`
+/// for free.
 pub type CodecFactory =
     fn(arg: Option<&str>, ctx: &CodecCtx) -> Result<Box<dyn UpdateCodec>, SpecError>;
 
-/// Name → factory table resolving [`CompressorSpec`]s into codecs.
-#[derive(Clone)]
+/// Resolves [`CompressorSpec`]s into codecs: the built-ins directly, custom
+/// stage names through their registered factories.
+#[derive(Clone, Default)]
 pub struct CodecRegistry {
-    entries: BTreeMap<String, CodecFactory>,
+    custom: BTreeMap<String, CodecFactory>,
 }
 
 impl CodecRegistry {
-    /// An empty registry (no names resolve).
-    pub fn empty() -> Self {
-        Self {
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// A registry with the built-in codecs registered.
+    /// A registry that resolves the built-in specs, and no custom codec yet.
     pub fn with_builtins() -> Self {
-        let mut r = Self::empty();
-        r.register("topk", |arg, _ctx| {
-            no_arg("topk", arg)?;
-            Ok(Box::new(TopKCodec))
-        });
-        r.register("randk", |arg, _ctx| {
-            no_arg("randk", arg)?;
-            Ok(Box::new(RandKCodec))
-        });
-        r.register("threshold", |arg, _ctx| {
-            let tau = match arg {
-                None => None,
-                Some(a) => Some(a.parse::<f32>().map_err(|_| SpecError::BadArg {
-                    codec: "threshold".into(),
-                    reason: format!("{a:?} is not a number"),
-                })?),
-            };
-            if tau.is_some_and(|t| t.is_nan() || t < 0.0) {
-                return Err(SpecError::BadArg {
-                    codec: "threshold".into(),
-                    reason: "tau must be non-negative".into(),
-                });
-            }
-            Ok(Box::new(ThresholdCodec { tau }))
-        });
-        r.register("qsgd", |arg, _ctx| Ok(Box::new(parse_qsgd(arg)?)));
-        r.register("dense", |arg, _ctx| {
-            no_arg("dense", arg)?;
-            Ok(Box::new(DenseCodec))
-        });
-        r
+        Self::default()
     }
 
-    /// Register (or replace) a codec factory under `name`.
+    /// Register (or replace) a custom codec factory under `name`. Panics on a
+    /// built-in name: the built-ins are read straight from the spec.
     pub fn register(&mut self, name: impl Into<String>, factory: CodecFactory) {
-        self.entries.insert(name.into(), factory);
+        let name = name.into();
+        assert!(
+            !BUILTIN_STAGES.contains(&name.as_str()),
+            "{name:?} is a built-in codec and cannot be registered"
+        );
+        self.custom.insert(name, factory);
     }
 
-    /// The registered names, sorted.
+    /// The stage names that resolve, built-ins included, sorted.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
+        let custom = self.custom.keys().map(String::as_str);
+        let mut names: Vec<&str> = BUILTIN_STAGES.into_iter().chain(custom).collect();
+        names.sort_unstable();
+        names.into_iter()
     }
 
-    /// True if `name` resolves.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
-    }
-
-    /// Resolve a spec into a ready-to-use codec.
+    /// Resolve a spec into a ready-to-use codec: one `Pipeline`, whose
+    /// custom first stage, if any, its registered factory builds.
     pub fn build(
         &self,
         spec: &CompressorSpec,
         ctx: &CodecCtx,
     ) -> Result<Box<dyn UpdateCodec>, SpecError> {
-        if spec.stages.len() > 2 {
-            return Err(SpecError::UnsupportedComposition(spec.to_string()));
-        }
-        let mut stages = spec.stages.iter();
-        let first = stages
-            .next()
-            .ok_or_else(|| SpecError::Parse(spec.to_string()))?;
-        let factory = self
-            .entries
-            .get(&first.name)
-            .ok_or_else(|| SpecError::UnknownCodec(first.name.clone()))?;
-        let mut codec = factory(first.arg.as_deref(), ctx)?;
-        for stage in stages {
-            // Only the `sparsifier + qsgd` composition has a wire format;
-            // anything else (including three or more stages) is rejected.
-            if stage.name != "qsgd" {
-                return Err(SpecError::UnsupportedComposition(spec.to_string()));
-            }
-            if !self.contains("qsgd") {
-                return Err(SpecError::UnknownCodec("qsgd".into()));
-            }
-            codec = Box::new(ComposedCodec::new(codec, parse_qsgd(stage.arg.as_deref())?));
-        }
-        if spec.error_feedback {
-            codec = Box::new(EfCodec::new(codec, ctx.dense_len));
-        }
-        Ok(codec)
+        let (select, quant) = spec.pipeline(|stage| {
+            let factory = self
+                .custom
+                .get(&stage.name)
+                .ok_or_else(|| SpecError::UnknownCodec(stage.name.clone()))?;
+            factory(stage.arg.as_deref(), ctx)
+        })?;
+        Ok(Box::new(Pipeline::new(spec, select, quant, ctx.dense_len)))
     }
 
     /// Check that a spec resolves without instantiating per-model state.
@@ -139,59 +89,9 @@ impl CodecRegistry {
 impl std::fmt::Debug for CodecRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CodecRegistry")
-            .field("names", &self.entries.keys().collect::<Vec<_>>())
+            .field("names", &self.names().collect::<Vec<_>>())
             .finish()
     }
-}
-
-impl Default for CodecRegistry {
-    fn default() -> Self {
-        Self::with_builtins()
-    }
-}
-
-fn no_arg(codec: &str, arg: Option<&str>) -> Result<(), SpecError> {
-    match arg {
-        None => Ok(()),
-        Some(a) => Err(SpecError::BadArg {
-            codec: codec.into(),
-            reason: format!("takes no argument, got {a:?}"),
-        }),
-    }
-}
-
-fn parse_qsgd(arg: Option<&str>) -> Result<QsgdCodec, SpecError> {
-    let arg = arg.ok_or_else(|| SpecError::BadArg {
-        codec: "qsgd".into(),
-        reason: "needs a bit width, e.g. \"qsgd:8\"".into(),
-    })?;
-    // `"4"` bit-packs; `"4:rc"` entropy-codes the levels with adaptive-CDF
-    // rANS (same quantization, never-expanding byte layout).
-    let (width, entropy) = match arg.split_once(':') {
-        None => (arg, false),
-        Some((width, "rc")) => (width, true),
-        Some((_, other)) => {
-            return Err(SpecError::BadArg {
-                codec: "qsgd".into(),
-                reason: format!("unknown coding mode {other:?}, expected \"rc\""),
-            })
-        }
-    };
-    let bits: u8 = width.parse().map_err(|_| SpecError::BadArg {
-        codec: "qsgd".into(),
-        reason: "bit width must be an integer".into(),
-    })?;
-    if !(2..=16).contains(&bits) {
-        return Err(SpecError::BadArg {
-            codec: "qsgd".into(),
-            reason: format!("bit width {bits} out of range 2..=16"),
-        });
-    }
-    Ok(if entropy {
-        QsgdCodec::new_entropy(bits)
-    } else {
-        QsgdCodec::new(bits)
-    })
 }
 
 #[cfg(test)]
@@ -219,6 +119,8 @@ mod tests {
             "topk+qsgd:4:rc",
             "ef-randk+qsgd:6",
             "ef-topk+qsgd:6:rc",
+            "dense+qsgd:4",
+            "ef-threshold",
         ] {
             let spec: CompressorSpec = raw.parse().unwrap();
             let codec = r.build(&spec, &ctx()).unwrap();
@@ -267,7 +169,15 @@ mod tests {
     #[test]
     fn unsupported_compositions_are_rejected() {
         let r = CodecRegistry::with_builtins();
-        for raw in ["qsgd:4+topk", "topk+randk", "topk+qsgd:4+qsgd:4"] {
+        for raw in [
+            "qsgd:4+topk",
+            "topk+randk",
+            "topk+qsgd:4+qsgd:4",
+            // A quantizer first sends no selection to quantize.
+            "qsgd:4+qsgd:4",
+            "qsgd:4:rc+qsgd:8",
+            "ef-qsgd:4+qsgd:4",
+        ] {
             assert!(
                 matches!(
                     r.validate(&raw.parse().unwrap()),
@@ -276,6 +186,12 @@ mod tests {
                 "{raw} should be unsupported"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "\"topk\" is a built-in codec")]
+    fn builtin_names_cannot_be_registered() {
+        CodecRegistry::with_builtins().register("topk", |_, _| unreachable!());
     }
 
     #[test]
@@ -306,7 +222,7 @@ mod tests {
         }
         let mut r = CodecRegistry::with_builtins();
         r.register("empty", always_empty);
-        assert!(r.contains("empty"));
+        assert!(r.names().any(|name| name == "empty"));
         let mut codec = r.build(&"empty+qsgd:4".parse().unwrap(), &ctx()).unwrap();
         let mut rng = Xoshiro256::new(0);
         let wire = codec.encode(&[1.0, 2.0], 0.5, &mut rng);

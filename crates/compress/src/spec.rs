@@ -9,10 +9,17 @@
 //!
 //! so `"topk"`, `"randk"`, `"qsgd:8"`, `"threshold:0.01"`, `"ef-topk"` and
 //! the composed `"topk+qsgd:4"` all parse. A spec is *resolved* into a boxed
-//! [`crate::codec::UpdateCodec`] by a [`crate::registry::CodecRegistry`],
-//! which maps stage names to factories; parsing itself never consults the
+//! [`crate::codec::UpdateCodec`] by a [`crate::registry::CodecRegistry`]:
+//! the built-in stages become one `Pipeline`, and any other
+//! stage name a registered factory. Parsing itself never consults the
 //! registry, so specs for custom codecs round-trip through configuration
 //! freely.
+
+use crate::codec::{Quant, Select};
+
+/// The stage names [`CompressorSpec::pipeline`] reads itself; any other name
+/// is a custom codec a registry resolves.
+pub(crate) const BUILTIN_STAGES: [&str; 5] = ["dense", "qsgd", "randk", "threshold", "topk"];
 
 /// One stage of a codec pipeline: a registered codec name plus its optional
 /// `:arg` parameter (kept as a string; the factory parses it).
@@ -84,8 +91,8 @@ pub enum SpecError {
         /// Why it was rejected.
         reason: String,
     },
-    /// The stage combination is not supported (only `sparsifier + qsgd`
-    /// pipelines compose).
+    /// The stage combination is not supported (only a selection stage
+    /// followed by `qsgd` composes).
     UnsupportedComposition(String),
     /// A layer plan left a model segment without a matching rule
     /// (see [`crate::plan::LayerPlan`]).
@@ -186,13 +193,63 @@ impl CompressorSpec {
         self
     }
 
-    /// True when this spec is known to decode to a *dense* update (every
-    /// coordinate retained): currently the pure `qsgd` quantizer. Dense
+    /// True when this spec decodes to a *dense* update (every coordinate
+    /// retained): the pure `qsgd` quantizer, with or without `ef-`. Dense
     /// updates carry no overlap structure, so OPWA and overlap recording do
     /// not apply to them — configuration validation rejects the combination.
-    /// Custom codecs are assumed sparse (the registry cannot know).
+    /// Custom codecs, and specs that do not resolve, are assumed sparse.
     pub fn produces_dense(&self) -> bool {
-        self.stages.len() == 1 && self.stages[0].name == "qsgd"
+        matches!(self.pipeline(|_| Ok(())), Ok((Select::None, _)))
+    }
+
+    /// True when this spec encodes the same bytes at every target ratio:
+    /// `dense`, an absolute `threshold:<tau>` and the pure quantizer, each
+    /// with or without `ef-` and `+qsgd`. Custom codecs, and specs that do
+    /// not resolve, are assumed to use the ratio.
+    pub fn ignores_ratio(&self) -> bool {
+        matches!(
+            self.pipeline(|_| Ok(())),
+            Ok((Select::Dense | Select::Threshold(Some(_)) | Select::None, _))
+        )
+    }
+
+    /// Read the stages as a [`crate::codec::Pipeline`]: one selection stage,
+    /// then at most one `qsgd:<bits>[:rc]` quantizer. A first stage that is
+    /// not built in becomes what `custom` makes of it. This one reading is
+    /// what [`crate::registry::CodecRegistry::build`] builds and what
+    /// [`produces_dense`](Self::produces_dense) and
+    /// [`ignores_ratio`](Self::ignores_ratio) answer from.
+    pub(crate) fn pipeline<C>(
+        &self,
+        custom: impl FnOnce(&CodecStage) -> Result<C, SpecError>,
+    ) -> Result<(Select<C>, Option<Quant>), SpecError> {
+        let unsupported = || SpecError::UnsupportedComposition(self.to_string());
+        let (first, rest) = self
+            .stages
+            .split_first()
+            .ok_or_else(|| SpecError::Parse(self.to_string()))?;
+        let arg = first.arg.as_deref();
+        let no_arg = |select| match arg {
+            None => Ok(select),
+            Some(a) => Err(bad_arg(
+                &first.name,
+                format!("takes no argument, got {a:?}"),
+            )),
+        };
+        let (select, quant) = match first.name.as_str() {
+            "topk" => (no_arg(Select::TopK)?, None),
+            "randk" => (no_arg(Select::RandK)?, None),
+            "dense" => (no_arg(Select::Dense)?, None),
+            "threshold" => (Select::Threshold(arg.map(parse_tau).transpose()?), None),
+            "qsgd" if rest.is_empty() => (Select::None, Some(parse_qsgd(arg)?)),
+            "qsgd" => return Err(unsupported()),
+            _ => (Select::Custom(custom(first)?), None),
+        };
+        match rest {
+            [] => Ok((select, quant)),
+            [q] if q.name == "qsgd" => Ok((select, Some(parse_qsgd(q.arg.as_deref())?))),
+            _ => Err(unsupported()),
+        }
     }
 
     fn single(stage: CodecStage) -> Self {
@@ -201,6 +258,46 @@ impl CompressorSpec {
             stages: vec![stage],
         }
     }
+}
+
+fn bad_arg(codec: &str, reason: String) -> SpecError {
+    SpecError::BadArg {
+        codec: codec.into(),
+        reason,
+    }
+}
+
+/// An absolute `threshold:<tau>`: a non-negative number.
+fn parse_tau(arg: &str) -> Result<f32, SpecError> {
+    match arg.parse::<f32>() {
+        Ok(tau) if tau >= 0.0 => Ok(tau),
+        Ok(_) => Err(bad_arg("threshold", "tau must be non-negative".into())),
+        Err(_) => Err(bad_arg("threshold", format!("{arg:?} is not a number"))),
+    }
+}
+
+/// `"4"` bit-packs; `"4:rc"` entropy-codes the levels with adaptive-CDF rANS
+/// (same quantization, never-expanding byte layout).
+fn parse_qsgd(arg: Option<&str>) -> Result<Quant, SpecError> {
+    let arg = arg.ok_or_else(|| bad_arg("qsgd", "needs a bit width, e.g. \"qsgd:8\"".into()))?;
+    let (width, rc) = match arg.split_once(':') {
+        None => (arg, false),
+        Some((width, "rc")) => (width, true),
+        Some((_, other)) => {
+            let reason = format!("unknown coding mode {other:?}, expected \"rc\"");
+            return Err(bad_arg("qsgd", reason));
+        }
+    };
+    let bits: u8 = width
+        .parse()
+        .map_err(|_| bad_arg("qsgd", "bit width must be an integer".into()))?;
+    if !(2..=16).contains(&bits) {
+        return Err(bad_arg(
+            "qsgd",
+            format!("bit width {bits} out of range 2..=16"),
+        ));
+    }
+    Ok(Quant::new(bits, rc))
 }
 
 impl std::fmt::Display for CompressorSpec {

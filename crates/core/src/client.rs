@@ -4,8 +4,8 @@
 
 use crate::config::{ExperimentConfig, ModelPreset};
 use fl_compress::{
-    CodecCtx, CodecRegistry, CompressedUpdate, DenseCodec, LayerPlan, ResidualState, SegmentDef,
-    UpdateCodec, WireError, WireUpdate,
+    CodecCtx, CodecRegistry, CompressedUpdate, CompressorSpec, LayerPlan, ResidualState,
+    SegmentDef, UpdateCodec, WireError, WireUpdate,
 };
 use fl_data::{BatchLoader, Dataset};
 use fl_nn::{mlp, unflatten_params, ParamLayout, Sequential, Sgd, SoftmaxCrossEntropy, Workspace};
@@ -80,7 +80,10 @@ impl ClientState {
             layout,
             loader: BatchLoader::new(config.batch_size, false),
             rng: Xoshiro256::new(0),
-            codec: Box::new(DenseCodec),
+            // A placeholder: `codec_key` is `None`, so `resolve_codec` replaces it.
+            codec: CodecRegistry::with_builtins()
+                .build(&CompressorSpec::topk(), &CodecCtx::new(0, 0))
+                .expect("a built-in spec"),
             codec_key: None,
             optimizer: Sgd::new(config.local_lr, config.momentum, config.weight_decay),
             local_epochs: config.local_epochs,

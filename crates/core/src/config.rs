@@ -586,6 +586,16 @@ mod tests {
     }
 
     #[test]
+    fn a_quantizer_first_composition_fails_validation_not_round_zero() {
+        let config = ExperimentConfig {
+            compressor: Some("qsgd:4+qsgd:4".parse().unwrap()),
+            ..Default::default()
+        };
+        let err = config.validate().unwrap_err();
+        assert!(err.contains("unsupported codec composition"), "{err}");
+    }
+
+    #[test]
     fn dense_codecs_cannot_pair_with_overlap_machinery() {
         // Pure quantizers decode dense — no overlap degrees exist, so OPWA
         // algorithms and overlap recording reject them up front.

@@ -432,9 +432,11 @@ mod tests {
             &mut self,
             dense: &[f32],
             ratio: f64,
-            rng: &mut Xoshiro256,
+            _rng: &mut Xoshiro256,
         ) -> (fl_compress::WireUpdate, fl_compress::CompressedUpdate) {
-            fl_compress::TopKCodec.encode_sent(dense, ratio, rng)
+            let sent = fl_compress::topk::select(dense, ratio);
+            let wire = fl_compress::wire::encode_sparse(&sent);
+            (wire, fl_compress::CompressedUpdate::Sparse(sent))
         }
     }
 

@@ -568,12 +568,12 @@ mod tests {
 
     #[test]
     fn custom_codec_registry_reaches_the_round_engine() {
-        use fl_compress::{CodecCtx, CodecRegistry, SpecError, TopKCodec, UpdateCodec};
+        use fl_compress::{CodecCtx, CodecRegistry, CompressorSpec, SpecError, UpdateCodec};
 
         // Register the built-in Top-K codec under a custom name: the spec
         // resolves only through the custom registry.
-        fn my_topk(_arg: Option<&str>, _ctx: &CodecCtx) -> Result<Box<dyn UpdateCodec>, SpecError> {
-            Ok(Box::new(TopKCodec))
+        fn my_topk(_arg: Option<&str>, ctx: &CodecCtx) -> Result<Box<dyn UpdateCodec>, SpecError> {
+            CodecRegistry::with_builtins().build(&CompressorSpec::topk(), ctx)
         }
         let mut registry = CodecRegistry::with_builtins();
         registry.register("my-topk", my_topk);
