@@ -11,9 +11,9 @@
 //!   `"topk+qsgd:4"`;
 //! * [`registry::CodecRegistry`] — resolves a spec into a boxed
 //!   [`codec::UpdateCodec`]: every built-in spec into one `Pipeline`
-//!   (optional error feedback, one selection stage, an
-//!   optional QSGD quantizer), with custom codecs pluggable by name in the
-//!   selection stage's place;
+//!   (optional error feedback, one selection stage, an optional QSGD
+//!   quantizer), with custom codecs pluggable by name in the selection
+//!   stage's place;
 //! * [`codec::UpdateCodec`] — stateful
 //!   `encode_sent(&mut self, dense, ratio, rng)` producing a real
 //!   [`wire::WireUpdate`] byte buffer (varint-delta sparse indices,
