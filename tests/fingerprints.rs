@@ -540,6 +540,25 @@ const ENGINE_CASES: &[EngineCase] = &[
         encoded: false,
         configure: |c| c.eval_every = 2,
     },
+    // A dense upload plus an analytic downlink.
+    EngineCase {
+        name: "engine/fedavg|down=ef-topk",
+        algorithm: Algorithm::FedAvg,
+        encoded: false,
+        configure: |c| c.downlink_compressor = Some("ef-topk".parse().expect("spec parses")),
+    },
+    EngineCase {
+        name: "engine/bcrs+opwa|down=topk+qsgd:8",
+        algorithm: Algorithm::BcrsOpwa,
+        encoded: false,
+        configure: |c| c.downlink_compressor = Some("topk+qsgd:8".parse().expect("spec parses")),
+    },
+    EngineCase {
+        name: "engine/bcrs|encoded",
+        algorithm: Algorithm::Bcrs,
+        encoded: true,
+        configure: |_| {},
+    },
 ];
 
 fn run_engine_case(case: &EngineCase) -> Vec<RoundRecord> {
@@ -577,6 +596,9 @@ const EXPECTED_ENGINE: &[(u64, u64, f64)] = &[
     (0x3e440c74dbe2af84, 0x62145d1ca90a5f59, 0.11), // engine/compressor=randk
     (0xfc17ff4dd16c5639, 0x1ca3ced6df284db1, 0.13), // engine/compressor=threshold:0.01|encoded
     (0xd27a63586a185b30, 0x16ff6185a02fbbc9, 0.22), // engine/eval_every=2
+    (0x175589bca3685d33, 0x617715aa7081fbd1, 0.12), // engine/fedavg|down=ef-topk
+    (0x5528e01cb568e12d, 0xca2314338d5c97b5, 0.21), // engine/bcrs+opwa|down=topk+qsgd:8
+    (0x6cc375eee7313ba6, 0x8c12ea3090a27b7f, 0.21), // engine/bcrs|encoded
 ];
 
 /// Print one run's `(schedule hash, final accuracy)` pin under `FP_PRINT`.
