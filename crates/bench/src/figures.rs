@@ -364,27 +364,19 @@ fn timeline(args: &BenchArgs) -> Output {
     let links =
         [(1.6, 60.0), (1.0, 100.0), (0.5, 180.0)].map(|(mbps, ms)| Link::from_mbps_ms(mbps, ms));
     let (bytes, ratio, comm) = (101_672.0, 0.1, CommModel::paper_default()); // the default MLP
-    let per_link = |time: &dyn Fn(&Link) -> f64| links.iter().map(time).collect::<Vec<f64>>();
-    let download = |compressed: bool| match (args.downlink.is_some(), compressed) {
-        (false, _) => vec![0.5; 3],
-        (true, false) => per_link(&|l| comm.dense_downlink_time(l, bytes)),
-        (true, true) => per_link(&|l| comm.sparse_downlink_time(l, bytes, ratio)),
+    let sparse = CommModel::analytic_bytes(bytes, ratio);
+    let time = |payload: f64| links.map(|l| comm.transfer_time(&l, payload)).to_vec();
+    let download = |payload: f64| match args.downlink {
+        Some(_) => time(payload),
+        None => vec![0.5; 3],
     };
     let bcrs = BcrsScheduler::new(comm)
         .schedule(&links, bytes, ratio)
         .scheduled_times;
     let schemes = [
-        (
-            "uncompressed",
-            download(false),
-            per_link(&|l| comm.dense_uplink_time(l, bytes)),
-        ),
-        (
-            "uniform-compression",
-            download(true),
-            per_link(&|l| comm.sparse_uplink_time(l, bytes, ratio)),
-        ),
-        ("adaptive-compression (BCRS)", download(true), bcrs),
+        ("uncompressed", download(bytes), time(bytes)),
+        ("uniform-compression", download(sparse), time(sparse)),
+        ("adaptive-compression (BCRS)", download(sparse), bcrs),
     ];
     let mut out = String::new();
     for (name, download_s, upload_s) in schemes {
@@ -437,7 +429,7 @@ fn schedule(args: &BenchArgs) -> Output {
         let times = links
             .iter()
             .zip(&ratios)
-            .map(|(l, &r)| comm.sparse_uplink_time(l, bytes, r.max(1e-6)));
+            .map(|(l, &r)| comm.transfer_time(l, CommModel::analytic_bytes(bytes, r.max(1e-6))));
         let makespan = times.fold(0.0f64, f64::max);
         let mean_ratio = ratios.iter().sum::<f64>() / ratios.len() as f64;
         out.push_str(&format!(

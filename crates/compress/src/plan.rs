@@ -143,15 +143,6 @@ impl LayerPlan {
             .map(|r| &r.spec)
     }
 
-    /// True when any rule's spec decodes to dense updates (pure quantizers).
-    /// Configuration validation applies the flat pipeline's OPWA/overlap
-    /// restrictions *per rule*: a plan that could hand any segment a
-    /// dense-decoding codec is rejected in combination with overlap
-    /// machinery.
-    pub fn any_rule_produces_dense(&self) -> bool {
-        self.rules.iter().any(|r| r.spec.produces_dense())
-    }
-
     /// Check that every rule's spec resolves through `registry` without
     /// instantiating per-model state.
     pub fn validate(&self, registry: &CodecRegistry) -> Result<(), SpecError> {
@@ -702,11 +693,6 @@ mod tests {
             bad.validate(&registry),
             Err(SpecError::UnknownCodec("no-such-codec".into()))
         );
-        // A dense-decoding rule is flagged for the config-level OPWA checks.
-        let quant: LayerPlan = "*.bias=qsgd:8;*=topk".parse().unwrap();
-        assert!(quant.any_rule_produces_dense());
-        let sparse: LayerPlan = "*.bias=dense;*=topk".parse().unwrap();
-        assert!(!sparse.any_rule_produces_dense());
     }
 
     #[test]

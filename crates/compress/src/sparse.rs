@@ -103,11 +103,6 @@ impl SparseUpdate {
         self.nnz() * 8
     }
 
-    /// Bytes a dense transmission of the same vector would need.
-    pub fn dense_size_bytes(&self) -> usize {
-        self.dense_len * 4
-    }
-
     /// Expand into a dense vector (zeros elsewhere).
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.dense_len];
@@ -149,7 +144,6 @@ mod tests {
     fn wire_size_accounting() {
         let s = SparseUpdate::new(vec![0, 5, 9], vec![1.0, 2.0, 3.0], 10);
         assert_eq!(s.wire_size_bytes(), 24);
-        assert_eq!(s.dense_size_bytes(), 40);
         assert!((s.compression_ratio() - 0.3).abs() < 1e-12);
     }
 

@@ -1,4 +1,8 @@
-//! The algorithms compared in the paper's evaluation.
+//! The algorithms compared in the paper's evaluation, as presets: each one
+//! is a name, a default uplink codec, a ratio rule and an OPWA flag, and the
+//! round engine reads only those properties.
+
+use fl_compress::CompressorSpec;
 
 /// The five algorithms of Table 2 (plus Rand-K, included for ablations).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -22,6 +26,19 @@ pub enum Algorithm {
     TopKOpwa,
 }
 
+/// How an algorithm gives each selected client its compression ratio, and
+/// so how the analytic cost model sizes its upload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RatioRule {
+    /// Ratio 1 for everyone, uploaded as the dense model (`V` bytes).
+    Dense,
+    /// The base ratio `CR*` for everyone (`2·V·CR*` bytes).
+    Uniform,
+    /// The BCRS schedule (Alg. 2): the largest ratio that still finishes
+    /// within the slowest client's uniform upload time.
+    Bcrs,
+}
+
 impl Algorithm {
     /// Name used in experiment reports (matches the paper's tables).
     pub fn name(&self) -> &'static str {
@@ -36,25 +53,35 @@ impl Algorithm {
         }
     }
 
+    /// The uplink codec spec this algorithm implies when the configuration
+    /// does not override it (FedAvg transmits at ratio 1, which Top-K passes
+    /// through).
+    pub fn codec_spec(&self) -> CompressorSpec {
+        match self {
+            Algorithm::EfTopK => CompressorSpec::topk().with_error_feedback(),
+            Algorithm::RandK => CompressorSpec::randk(),
+            _ => CompressorSpec::topk(),
+        }
+    }
+
+    /// How this algorithm assigns per-client compression ratios.
+    pub fn ratio_rule(&self) -> RatioRule {
+        match self {
+            Algorithm::FedAvg => RatioRule::Dense,
+            Algorithm::Bcrs | Algorithm::BcrsOpwa => RatioRule::Bcrs,
+            _ => RatioRule::Uniform,
+        }
+    }
+
     /// True if this algorithm schedules per-client compression ratios
     /// (as opposed to a uniform ratio).
     pub fn uses_bcrs(&self) -> bool {
-        matches!(self, Algorithm::Bcrs | Algorithm::BcrsOpwa)
+        self.ratio_rule() == RatioRule::Bcrs
     }
 
     /// True if this algorithm applies the OPWA parameter mask.
     pub fn uses_opwa(&self) -> bool {
         matches!(self, Algorithm::BcrsOpwa | Algorithm::TopKOpwa)
-    }
-
-    /// True if this algorithm keeps per-client error-feedback residuals.
-    pub fn uses_error_feedback(&self) -> bool {
-        matches!(self, Algorithm::EfTopK)
-    }
-
-    /// True if this algorithm sparsifies with Rand-K instead of Top-K.
-    pub fn uses_randk(&self) -> bool {
-        matches!(self, Algorithm::RandK)
     }
 
     /// All algorithms evaluated in the paper's main table, in table order.
@@ -81,10 +108,9 @@ mod tests {
         assert!(Algorithm::TopKOpwa.uses_opwa());
         assert!(!Algorithm::TopKOpwa.uses_bcrs());
         assert!(!Algorithm::Bcrs.uses_opwa());
-        assert!(Algorithm::EfTopK.uses_error_feedback());
-        assert!(!Algorithm::BcrsOpwa.uses_error_feedback());
-        assert!(Algorithm::RandK.uses_randk());
-        assert!(!Algorithm::TopK.uses_randk());
+        assert_eq!(Algorithm::FedAvg.ratio_rule(), RatioRule::Dense);
+        assert_eq!(Algorithm::RandK.ratio_rule(), RatioRule::Uniform);
+        assert_eq!(Algorithm::BcrsOpwa.ratio_rule(), RatioRule::Bcrs);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! `CR*`, BCRS:
 //!
 //! 1. computes every client's uplink time under *uniform* compression,
-//!    `T_i = L_i + 2·V·CR*/B_i`;
+//!    `T_i = L_i + 2·V·CR*/B_i` — the one pricing path,
+//!    [`CommModel::transfer_time`] of [`CommModel::analytic_bytes`];
 //! 2. takes the slowest of those as the benchmark `T_bench` (Eq. 5);
 //! 3. gives every client the largest ratio that still finishes by `T_bench`,
 //!    `CR_i = (T_bench − L_i)/(2·V) · B_i` (clamped to `[CR*, 1]`);
@@ -102,18 +103,12 @@ impl BcrsSchedule {
 #[derive(Clone, Debug)]
 pub struct BcrsScheduler {
     comm: CommModel,
-    /// If true (default), per-client ratios never drop below the base ratio
-    /// and never exceed 1.
-    pub clamp_ratios: bool,
 }
 
 impl BcrsScheduler {
     /// Scheduler using the paper's communication model.
     pub fn new(comm: CommModel) -> Self {
-        Self {
-            comm,
-            clamp_ratios: true,
-        }
+        Self { comm }
     }
 
     /// Compute the schedule for one round.
@@ -129,34 +124,32 @@ impl BcrsScheduler {
             "base ratio must be in (0, 1]"
         );
 
+        let time = |l: &Link, r: f64| {
+            self.comm
+                .transfer_time(l, CommModel::analytic_bytes(model_bytes, r))
+        };
         // Step 1–2: uniform-compression times and the benchmark (Eq. 5).
-        let uniform_times: Vec<f64> = links
-            .iter()
-            .map(|l| self.comm.sparse_uplink_time(l, model_bytes, base_ratio))
-            .collect();
+        let uniform_times: Vec<f64> = links.iter().map(|l| time(l, base_ratio)).collect();
         let (benchmark_client, &t_bench) = uniform_times
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("non-empty cohort");
 
-        // Step 3: per-client ratios filling the benchmark budget (Alg. 2 l.13).
+        // Step 3: per-client ratios filling the benchmark budget (Alg. 2
+        // l.13), never below the base ratio and never above 1.
         let ratios: Vec<f64> = links
             .iter()
             .map(|l| {
-                let r = self.comm.ratio_for_budget(l, model_bytes, t_bench);
-                if self.clamp_ratios {
-                    r.clamp(base_ratio, 1.0)
-                } else {
-                    r.max(0.0)
-                }
+                self.comm
+                    .ratio_for_budget(l, model_bytes, t_bench)
+                    .clamp(base_ratio, 1.0)
             })
             .collect();
-
-        let scheduled_times: Vec<f64> = links
+        let scheduled_times = links
             .iter()
-            .zip(ratios.iter())
-            .map(|(l, &r)| self.comm.sparse_uplink_time(l, model_bytes, r))
+            .zip(&ratios)
+            .map(|(l, &r)| time(l, r))
             .collect();
 
         BcrsSchedule {

@@ -131,7 +131,7 @@ pub struct ExperimentConfig {
     pub server_momentum: f32,
     /// Codec override for the clients' uplink compression. `None` (default)
     /// uses the algorithm-implied codec (`topk`, `ef-topk` or `randk`, see
-    /// [`crate::policy::default_codec_spec`]); any parseable
+    /// [`crate::Algorithm::codec_spec`]); any parseable
     /// [`CompressorSpec`] — `"qsgd:8"`, `"threshold:0.01"`, `"topk+qsgd:4"`,
     /// … — runs the same algorithm over that codec instead. It is the uniform
     /// plan `"*=<spec>"` of [`crate::policy::uplink_plan`].
@@ -347,6 +347,9 @@ impl ExperimentConfig {
         if !(0.0..1.0).contains(&self.server_momentum) {
             return Err("server_momentum must be in [0, 1)".into());
         }
+        self.links
+            .validate()
+            .map_err(|e| format!("invalid links: {e}"))?;
         if let Some(spec) = &self.scenario {
             spec.validate()
                 .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
@@ -912,10 +915,16 @@ mod tests {
                 assert!(c.validate().is_err(), "{name} = {x} validated");
             }
         }
+        let mean_bw: Set = |c, x| c.links.bandwidth_mean_mbps = x;
+        let floor: Set = |c, x| c.links.bandwidth_floor_frac = x;
+        let latency_lo: Set = |c, x| c.links.latency_lo_ms = x;
         for (name, set, x) in [
             ("momentum", fields[6].1, 1.0),
             ("momentum", fields[6].1, -0.1),
             ("weight_decay", fields[7].1, -1e-4),
+            ("links.bandwidth_mean_mbps", mean_bw, f64::NAN),
+            ("links.bandwidth_floor_frac", floor, 1.5),
+            ("links.latency_lo_ms", latency_lo, -10.0),
         ] {
             let mut c = ExperimentConfig::quick(Algorithm::TopK);
             set(&mut c, x);

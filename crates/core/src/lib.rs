@@ -97,15 +97,15 @@ pub mod scenario;
 pub mod session;
 pub mod sweep;
 
-pub use algorithm::Algorithm;
+pub use algorithm::{Algorithm, RatioRule};
 pub use bcrs::{BcrsSchedule, BcrsScheduler};
 pub use client::segment_defs;
 pub use config::{ExperimentConfig, ModelPreset};
 pub use opwa::OpwaMask;
 pub use overlap::{OverlapCounts, OverlapStats};
 pub use policy::{
-    allocate_layer_budgets, default_codec_spec, plan_weights, resolve_codec_spec, AdaptivePlanSpec,
-    PlanAssignment, PlanCtx, PlanDecision,
+    allocate_layer_budgets, plan_weights, resolve_codec_spec, AdaptivePlanSpec, PlanAssignment,
+    PlanCtx, PlanDecision,
 };
 pub use roster::ClientRoster;
 pub use round::RoundOutput;

@@ -4,9 +4,9 @@
 //! * [`select_cohort`] — who participates (Alg. 1 line 3): uniform sampling
 //!   without replacement from the scenario's reachable clients (all `N` on
 //!   the paper's static fleet), thinned by the i.i.d. `dropout_rate`;
-//! * [`assign_ratios`] — each selected client's compression ratio: dense for
-//!   FedAvg, the BCRS schedule (Alg. 2) for the BCRS algorithms, the base
-//!   ratio for every uniform sparsifier;
+//! * [`assign_ratios`] — each selected client's compression ratio, by the
+//!   algorithm's [`RatioRule`]: 1 when dense, the base ratio when uniform,
+//!   the BCRS schedule (Alg. 2) otherwise;
 //! * [`server_step`] — the global update `w ← w − η·Δ` (Alg. 1 line 18), or
 //!   heavy-ball server momentum (FedAvgM) when `server_momentum > 0`;
 //! * [`static_plan`] / [`layer_bcrs_plan`] — the per-layer codec plan the
@@ -17,7 +17,7 @@
 //!   codec fields resolve to.
 
 use crate::aggregate::apply_update;
-use crate::algorithm::Algorithm;
+use crate::algorithm::RatioRule;
 use crate::bcrs::{BcrsSchedule, BcrsScheduler};
 use crate::config::ExperimentConfig;
 use fl_compress::{CompressorSpec, LayerPlan, SegmentDef, SpecError};
@@ -67,26 +67,26 @@ pub fn select_cohort(
 
 /// Each selected client's compression ratio, in cohort order (one per entry
 /// of `links`), and the BCRS schedule when the algorithm schedules ratios
-/// (used for Eq. 6 coefficient adjustment and exact uplink timing).
+/// (used for Eq. 6 coefficient adjustment).
 ///
-/// FedAvg transmits at ratio 1.0 over the dense wire format, the BCRS
-/// algorithms give every client the largest ratio that still finishes within
-/// the slowest client's compressed upload time (Alg. 2), and every other
-/// algorithm uses `config.compression_ratio` for everyone.
+/// A [`RatioRule::Dense`] algorithm transmits at ratio 1.0, a
+/// [`RatioRule::Uniform`] one at `config.compression_ratio` for everyone, and
+/// [`RatioRule::Bcrs`] gives every client the largest ratio that still
+/// finishes within the slowest client's compressed upload time (Alg. 2).
 pub fn assign_ratios(
     config: &ExperimentConfig,
     comm: CommModel,
     links: &[Link],
     model_bytes: f64,
 ) -> (Vec<f64>, Option<BcrsSchedule>) {
-    match config.algorithm {
-        Algorithm::FedAvg => (vec![1.0; links.len()], None),
-        a if a.uses_bcrs() => {
+    match config.algorithm.ratio_rule() {
+        RatioRule::Dense => (vec![1.0; links.len()], None),
+        RatioRule::Uniform => (vec![config.compression_ratio; links.len()], None),
+        RatioRule::Bcrs => {
             let schedule =
                 BcrsScheduler::new(comm).schedule(links, model_bytes, config.compression_ratio);
             (schedule.ratios.clone(), Some(schedule))
         }
-        _ => (vec![config.compression_ratio; links.len()], None),
     }
 }
 
@@ -118,27 +118,14 @@ pub fn server_step(
     }
 }
 
-/// The codec spec an algorithm implies when the configuration does not
-/// override it: `ef-topk` for EF-Top-K, `randk` for Rand-K, plain `topk` for
-/// everything else (FedAvg transmits at ratio 1, which Top-K passes through).
-pub fn default_codec_spec(algorithm: Algorithm) -> CompressorSpec {
-    if algorithm.uses_error_feedback() {
-        CompressorSpec::topk().with_error_feedback()
-    } else if algorithm.uses_randk() {
-        CompressorSpec::randk()
-    } else {
-        CompressorSpec::topk()
-    }
-}
-
 /// The flat codec spec a configuration resolves to: the explicit
-/// [`ExperimentConfig::compressor`] override when present, the
-/// algorithm-implied default otherwise.
+/// [`ExperimentConfig::compressor`] override when present, the algorithm's
+/// [`crate::Algorithm::codec_spec`] otherwise.
 pub fn resolve_codec_spec(config: &ExperimentConfig) -> CompressorSpec {
     config
         .compressor
         .clone()
-        .unwrap_or_else(|| default_codec_spec(config.algorithm))
+        .unwrap_or_else(|| config.algorithm.codec_spec())
 }
 
 /// The one plan the clients' uplink codecs resolve from:
@@ -469,6 +456,7 @@ pub fn layer_bcrs_plan(ctx: &PlanCtx<'_>, comm: CommModel, efficiency: f64) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Algorithm;
 
     fn links(n: usize) -> Vec<Link> {
         (0..n)
@@ -620,13 +608,13 @@ mod tests {
 
     #[test]
     fn codec_specs_follow_algorithm_and_override() {
-        assert_eq!(default_codec_spec(Algorithm::FedAvg).to_string(), "topk");
-        assert_eq!(default_codec_spec(Algorithm::TopK).to_string(), "topk");
-        assert_eq!(default_codec_spec(Algorithm::EfTopK).to_string(), "ef-topk");
-        assert_eq!(default_codec_spec(Algorithm::RandK).to_string(), "randk");
-        assert_eq!(default_codec_spec(Algorithm::Bcrs).to_string(), "topk");
-        assert_eq!(default_codec_spec(Algorithm::BcrsOpwa).to_string(), "topk");
-        assert_eq!(default_codec_spec(Algorithm::TopKOpwa).to_string(), "topk");
+        assert_eq!(Algorithm::FedAvg.codec_spec().to_string(), "topk");
+        assert_eq!(Algorithm::TopK.codec_spec().to_string(), "topk");
+        assert_eq!(Algorithm::EfTopK.codec_spec().to_string(), "ef-topk");
+        assert_eq!(Algorithm::RandK.codec_spec().to_string(), "randk");
+        assert_eq!(Algorithm::Bcrs.codec_spec().to_string(), "topk");
+        assert_eq!(Algorithm::BcrsOpwa.codec_spec().to_string(), "topk");
+        assert_eq!(Algorithm::TopKOpwa.codec_spec().to_string(), "topk");
 
         let mut c = ExperimentConfig::quick(Algorithm::EfTopK);
         assert_eq!(resolve_codec_spec(&c).to_string(), "ef-topk");

@@ -15,9 +15,11 @@
 //!    and compresses in parallel;
 //! 4. **aggregate phase** — overlap analysis, optional OPWA mask, weighted
 //!    aggregation and the [`crate::policy::server_step`] global update;
-//! 5. **timing phase** — the network simulator prices the round's transfers:
-//!    every client's upload, plus its download of the broadcast when the
-//!    downlink leg is simulated (the straggler bound covers both legs);
+//! 5. **timing phase** — each client's upload, and its download of the
+//!    broadcast when the downlink leg is simulated, becomes one byte count
+//!    (encoded or analytic, by the [`CostBasis`]) priced by the one
+//!    [`fl_netsim::CommModel::transfer_time`]; the straggler bound covers
+//!    both legs;
 //! 6. **eval phase** — the global model is evaluated on the held-out test set
 //!    (every `eval_every` rounds) and the [`RoundRecord`] is assembled.
 //!
@@ -27,7 +29,7 @@
 use crate::aggregate::{
     aggregate_compressed_sharded, aggregate_sparse_sharded, data_fractions_or_uniform,
 };
-use crate::algorithm::Algorithm;
+use crate::algorithm::RatioRule;
 use crate::bcrs::BcrsSchedule;
 use crate::client::{segment_defs, LocalTrainOutput};
 use crate::eval::{evaluate_with_threads, Evaluation};
@@ -40,7 +42,7 @@ use crate::policy::{
 use crate::runner::{LayerBytes, PlanTelemetry, RoundRecord};
 use crate::session::FederatedSession;
 use fl_compress::{CompressedUpdate, SparseUpdate};
-use fl_netsim::{CostBasis, Link, RoundBreakdown, RoundTiming};
+use fl_netsim::{CommModel, CostBasis, Link, RoundBreakdown, RoundTiming};
 use fl_nn::unflatten_params;
 use fl_tensor::parallel::parallel_map;
 use std::cmp::Reverse;
@@ -407,17 +409,17 @@ impl FederatedSession {
     }
 
     /// Stage 5: price the round's transfers under the evaluated algorithm and
-    /// under uncompressed transmission, and accumulate the running totals.
-    /// Under [`CostBasis::Analytic`] compressed uploads cost the paper's
-    /// `2·V·CR` formula (or the BCRS schedule's times); under
-    /// [`CostBasis::Encoded`] each upload costs exactly its encoded length.
+    /// under uncompressed transmission, and add them to the running totals.
     ///
-    /// When the downlink leg is simulated, every selected client additionally
-    /// pays for downloading the broadcast before it can train — analytically
-    /// the symmetric `2·V·CR` formula at the base ratio, or the encoded
-    /// broadcast buffer's exact length under [`CostBasis::Encoded`] — and the
-    /// uncompressed reference pays a dense download, so both sides of the
-    /// straggler comparison stay bidirectional.
+    /// Every transfer is [`CommModel::transfer_time`] of a byte count. Under
+    /// [`CostBasis::Encoded`] an upload is its encoded length; under
+    /// [`CostBasis::Analytic`] it is `V` for a [`RatioRule::Dense`] algorithm
+    /// and the paper's `2·V·CR_i` ([`CommModel::analytic_bytes`]) otherwise.
+    /// When the downlink leg is simulated, every selected client also pays
+    /// for downloading the broadcast before it can train — its encoded
+    /// length, or `2·V·CR*` analytically — and the uncompressed reference
+    /// pays a dense download, so both sides of the straggler comparison stay
+    /// bidirectional.
     fn timing_phase(
         &mut self,
         selection: &Selection,
@@ -425,51 +427,46 @@ impl FederatedSession {
         downlink: &DownlinkPhase,
     ) -> RoundTiming {
         let model_bytes = self.model_bytes as f64;
-        let mut dense_times: Vec<f64> = selection
-            .links
-            .iter()
-            .map(|l| self.comm.dense_uplink_time(l, model_bytes))
-            .collect();
-        let mut algorithm_times: Vec<f64> = match self.comm.cost_basis {
-            CostBasis::Encoded => selection
-                .links
-                .iter()
-                .zip(local.wire_bytes.iter())
-                .map(|(l, &b)| self.comm.transfer_time(l, b as f64))
-                .collect(),
-            CostBasis::Analytic => match &local.schedule {
-                Some(s) => s.scheduled_times.clone(),
-                None if self.config.algorithm == Algorithm::FedAvg => dense_times.clone(),
-                None => selection
-                    .links
-                    .iter()
-                    .zip(local.ratios.iter())
-                    .map(|(l, &r)| self.comm.sparse_uplink_time(l, model_bytes, r))
-                    .collect(),
-            },
+        let (up_bytes, down_bytes): (Vec<f64>, Option<f64>) = match self.comm.cost_basis {
+            CostBasis::Encoded => (
+                local.wire_bytes.iter().map(|&b| b as f64).collect(),
+                downlink.wire_bytes.map(|b| b as f64),
+            ),
+            CostBasis::Analytic => {
+                let dense = self.config.algorithm.ratio_rule() == RatioRule::Dense;
+                let analytic = |r: f64| CommModel::analytic_bytes(model_bytes, r);
+                (
+                    local
+                        .ratios
+                        .iter()
+                        .map(|&r| if dense { model_bytes } else { analytic(r) })
+                        .collect(),
+                    downlink
+                        .wire_bytes
+                        .map(|_| analytic(self.config.compression_ratio)),
+                )
+            }
         };
+        let cohort = selection.links.len();
+        let (mut algorithm_times, mut dense_times) =
+            (Vec::with_capacity(cohort), Vec::with_capacity(cohort));
         let mut downlink_straggler_s = 0.0f64;
-        if let Some(bytes) = downlink.wire_bytes {
-            for ((alg, dense), link) in algorithm_times
-                .iter_mut()
-                .zip(dense_times.iter_mut())
-                .zip(selection.links.iter())
-            {
-                let down = match self.comm.cost_basis {
-                    CostBasis::Encoded => self.comm.transfer_time(link, bytes as f64),
-                    CostBasis::Analytic => self.comm.sparse_downlink_time(
-                        link,
-                        model_bytes,
-                        self.config.compression_ratio,
-                    ),
-                };
-                *alg += down;
-                *dense += self.comm.dense_downlink_time(link, model_bytes);
+        for (link, &bytes) in selection.links.iter().zip(&up_bytes) {
+            let dense_s = self.comm.transfer_time(link, model_bytes);
+            let (mut alg, mut dense) = (self.comm.transfer_time(link, bytes), dense_s);
+            if let Some(down_bytes) = down_bytes {
+                let down = self.comm.transfer_time(link, down_bytes);
+                alg += down;
+                dense += dense_s;
                 downlink_straggler_s = downlink_straggler_s.max(down);
             }
+            algorithm_times.push(alg);
+            dense_times.push(dense);
         }
         let timing = RoundTiming::from_client_times(&algorithm_times, &dense_times);
-        self.time_acc.push(timing);
+        self.time_total.actual += timing.actual;
+        self.time_total.max += timing.max;
+        self.time_total.min += timing.min;
         self.breakdown_total.accumulate(&RoundBreakdown {
             compress_s: local.total_compress_time + downlink.codec_time_s,
             training_s: local.max_train_time,
@@ -544,9 +541,9 @@ impl FederatedSession {
             comm_actual_s: timing.actual,
             comm_max_s: timing.max,
             comm_min_s: timing.min,
-            cumulative_actual_s: self.time_acc.total_actual(),
-            cumulative_max_s: self.time_acc.total_max(),
-            cumulative_min_s: self.time_acc.total_min(),
+            cumulative_actual_s: self.time_total.actual,
+            cumulative_max_s: self.time_total.max,
+            cumulative_min_s: self.time_total.min,
             selected_clients: selection.selected,
             overlap: aggregate.overlap.map(|c| c.stats()),
             layer_bytes,
@@ -569,7 +566,7 @@ mod tests {
     use crate::algorithm::Algorithm;
     use crate::config::ExperimentConfig;
     use crate::session::FederatedSession;
-    use fl_netsim::CostBasis;
+    use fl_netsim::{CommModel, CostBasis};
 
     #[test]
     fn record_reports_the_exact_encoded_bytes() {
@@ -756,16 +753,9 @@ mod tests {
             .selected_clients
             .iter()
             .map(|&cid| {
-                let link = &session.links[cid];
-                let up_s =
-                    session
-                        .comm
-                        .sparse_uplink_time(link, model_bytes, config.compression_ratio);
-                up_s + session.comm.sparse_downlink_time(
-                    link,
-                    model_bytes,
-                    config.compression_ratio,
-                )
+                let bytes = CommModel::analytic_bytes(model_bytes, config.compression_ratio);
+                let leg_s = session.comm.transfer_time(&session.links[cid], bytes);
+                leg_s + leg_s
             })
             .collect();
         let expected_max = times.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

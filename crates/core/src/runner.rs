@@ -448,6 +448,19 @@ mod tests {
             topk.records.last().unwrap().cumulative_actual_s
                 < fedavg.records.last().unwrap().cumulative_actual_s
         );
+        // The cumulative times are the running sums of the per-round ones.
+        let mut total = [0.0f64; 3];
+        for r in &topk.records {
+            total[0] += r.comm_actual_s;
+            total[1] += r.comm_max_s;
+            total[2] += r.comm_min_s;
+            let cumulative = [
+                r.cumulative_actual_s,
+                r.cumulative_max_s,
+                r.cumulative_min_s,
+            ];
+            assert_eq!(cumulative, total, "round {}", r.round);
+        }
     }
 
     #[test]

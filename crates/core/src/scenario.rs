@@ -102,11 +102,6 @@ impl ScenarioHandle {
     pub fn active_clients(&self) -> Vec<usize> {
         self.fleet.active_clients()
     }
-
-    /// The wrapped scenario's short name (`"diurnal"`, `"trace"`, …).
-    pub fn scenario_name(&self) -> &'static str {
-        self.scenario.name()
-    }
 }
 
 /// Record the exact fleet-event trace a configuration's scenario will replay
@@ -139,7 +134,7 @@ pub fn record_scenario_trace(config: &ExperimentConfig, rounds: usize) -> Result
 mod tests {
     use super::*;
     use crate::policy::select_cohort;
-    use fl_netsim::{DiurnalScenario, ScenarioSpec, TraceScenario};
+    use fl_netsim::{DiurnalScenario, TraceScenario};
     use fl_tensor::rng::{Rng, Xoshiro256};
 
     fn diurnal(n: usize, seed: u64) -> Box<dyn Scenario> {
@@ -257,12 +252,5 @@ mod tests {
         ] {
             assert_ne!(s, other);
         }
-    }
-
-    #[test]
-    fn handle_reports_the_scenario_name() {
-        let spec: ScenarioSpec = "towers".parse().unwrap();
-        let handle = ScenarioHandle::new(spec.build(8, 1).unwrap(), 8);
-        assert_eq!(handle.scenario_name(), "towers");
     }
 }

@@ -30,7 +30,7 @@ use crate::runner::{ExperimentResult, RoundRecord};
 use crate::scenario::{scenario_seed, ScenarioHandle};
 use fl_compress::{CodecCtx, CodecRegistry, DownlinkChannel};
 use fl_data::{dirichlet_partition, Dataset, PartitionStats};
-use fl_netsim::{CommModel, Link, RoundBreakdown, TimeAccumulator};
+use fl_netsim::{CommModel, Link, RoundBreakdown, RoundTiming};
 use fl_nn::{flatten_params, ParamLayout, Sequential};
 use fl_tensor::parallel::default_threads;
 use fl_tensor::rng::Xoshiro256;
@@ -222,7 +222,7 @@ impl SessionBuilder {
             downlink,
             scenario,
             selection_rng,
-            time_acc: TimeAccumulator::new(),
+            time_total: RoundTiming::default(),
             breakdown_total: RoundBreakdown::default(),
             threads,
             cohort,
@@ -261,7 +261,8 @@ pub struct FederatedSession {
     pub(crate) downlink: Option<DownlinkChannel>,
     pub(crate) scenario: Option<ScenarioHandle>,
     pub(crate) selection_rng: Xoshiro256,
-    pub(crate) time_acc: TimeAccumulator,
+    /// Running sums of every round's Actual / Max / Min times.
+    pub(crate) time_total: RoundTiming,
     pub(crate) breakdown_total: RoundBreakdown,
     pub(crate) threads: usize,
     pub(crate) cohort: usize,

@@ -55,11 +55,6 @@ impl PartitionStats {
         Self { counts }
     }
 
-    /// Total samples per client.
-    pub fn client_totals(&self) -> Vec<usize> {
-        self.counts.iter().map(|row| row.iter().sum()).collect()
-    }
-
     /// A scalar heterogeneity measure: the mean, over clients, of the maximum
     /// class share on that client (1.0 = every client holds a single class,
     /// 1/num_classes = perfectly uniform).
@@ -192,24 +187,6 @@ fn top_up_minimum(assignment: &mut [Vec<usize>], min_samples: usize) {
     }
 }
 
-/// IID (uniform random) partition, used as a control in tests and ablations.
-pub fn iid_partition(dataset: &Dataset, num_clients: usize, seed: u64) -> Vec<ClientPartition> {
-    assert!(num_clients >= 1, "need at least one client");
-    let mut rng = Xoshiro256::new(seed);
-    let mut indices: Vec<usize> = (0..dataset.len()).collect();
-    rng.shuffle(&mut indices);
-    let mut parts: Vec<ClientPartition> = (0..num_clients)
-        .map(|client_id| ClientPartition {
-            client_id,
-            indices: Vec::new(),
-        })
-        .collect();
-    for (i, idx) in indices.into_iter().enumerate() {
-        parts[i % num_clients].indices.push(idx);
-    }
-    parts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,24 +250,9 @@ mod tests {
         let stats = PartitionStats::from_partition(&parts, &ds);
         assert_eq!(stats.counts.len(), 10);
         assert_eq!(stats.counts[0].len(), ds.num_classes());
-        assert_eq!(stats.client_totals().iter().sum::<usize>(), ds.len());
+        assert_eq!(stats.counts.iter().flatten().sum::<usize>(), ds.len());
         let csv = stats.to_csv();
         assert_eq!(csv.lines().count(), 10);
-    }
-
-    #[test]
-    fn iid_partition_is_balanced() {
-        let ds = toy_dataset();
-        let parts = iid_partition(&ds, 10, 4);
-        let sizes: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        assert!(max - min <= 1);
-        let skew = PartitionStats::from_partition(&parts, &ds).label_skew();
-        assert!(
-            skew < 0.25,
-            "IID skew should be near 1/num_classes, got {skew}"
-        );
     }
 
     #[test]

@@ -42,24 +42,6 @@ impl RoundBreakdown {
             downlink_comm_s: self.downlink_comm_s / d,
         }
     }
-
-    /// The communication time saved by the scheduler relative to no compression.
-    pub fn comm_saving_s(&self) -> f64 {
-        self.uncompressed_comm_s - self.scheduled_comm_s
-    }
-
-    /// CSV row
-    /// (`compress,training,uncompressed_comm,scheduled_comm,downlink_comm`).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{:.6},{:.6},{:.6},{:.6},{:.6}",
-            self.compress_s,
-            self.training_s,
-            self.uncompressed_comm_s,
-            self.scheduled_comm_s,
-            self.downlink_comm_s
-        )
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +66,6 @@ mod tests {
         assert_eq!(avg.compress_s, 0.25);
         assert_eq!(avg.uncompressed_comm_s, 48.0);
         assert_eq!(avg.downlink_comm_s, 0.5);
-        assert_eq!(avg.comm_saving_s(), 47.0);
     }
 
     #[test]
@@ -94,11 +75,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(b.averaged_over(0), b);
-    }
-
-    #[test]
-    fn csv_row_has_five_fields() {
-        let b = RoundBreakdown::default();
-        assert_eq!(b.to_csv_row().split(',').count(), 5);
     }
 }

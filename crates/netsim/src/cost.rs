@@ -1,8 +1,12 @@
-//! The latency/bandwidth communication cost model (paper Eq. 4 and Alg. 2).
+//! The latency/bandwidth communication cost model (paper Eq. 4 and Alg. 2):
+//! one pricing function, [`CommModel::transfer_time`], which the round
+//! engine, the BCRS scheduler and the figures all read, and one analytic
+//! byte model, [`CommModel::analytic_bytes`], with its inverse
+//! [`CommModel::ratio_for_budget`].
 
 use crate::link::Link;
 
-/// What the simulator charges for a compressed uplink.
+/// What the simulator charges for a compressed transfer.
 ///
 /// The paper's communication model is *analytic*: a sparsified update costs
 /// `2 × V × CR` bytes regardless of what any encoder actually produces.
@@ -19,48 +23,46 @@ pub enum CostBasis {
     Encoded,
 }
 
-/// Communication-time model: `T = L + bits / B`.
+/// Communication-time model: every transfer costs `T = L + bytes·8 / B`
+/// ([`CommModel::transfer_time`]).
 ///
-/// For sparsified uplinks the paper charges `2 × V × CR` bytes — each retained
-/// coordinate ships an index alongside its value — which is what
-/// [`CommModel::sparse_uplink_time`] implements. `V` is the dense model size
-/// in bytes. Under [`CostBasis::Encoded`] the round engine bypasses the
-/// analytic formula and prices each upload via [`CommModel::transfer_time`]
-/// on the encoded buffer's length.
+/// The paper charges a sparsified update `2 × V × CR` bytes — each retained
+/// coordinate ships an index alongside its value — which is
+/// [`CommModel::analytic_bytes`]; `V` is the dense model size in bytes and a
+/// dense transfer costs `V`. Under [`CostBasis::Encoded`] the round engine
+/// prices each upload and broadcast on the encoded buffer's length instead.
+/// Links are symmetric: the same latency and bandwidth govern both
+/// directions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CommModel {
-    /// If true (default, matches the paper) sparse transfers pay the 2× index
-    /// overhead. Exposed so the ablation bench can quantify its impact.
-    pub index_overhead: bool,
-    /// Whether uplinks are priced by the analytic formula or by the bytes a
-    /// codec actually produced.
+    /// Whether transfers are priced by the analytic formula or by the bytes
+    /// a codec actually produced.
     pub cost_basis: CostBasis,
 }
 
 /// Transfer time charged for a link with no usable bandwidth
 /// (`bandwidth_bps <= 0`, or NaN): roughly 31.7 years, i.e. "this round never
-/// finishes through that link". A finite saturation value keeps downstream
-/// accumulators (`TimeAccumulator`, straggler bounds) free of `inf`/NaN while
-/// still dominating any realistic transfer, so a dead link loses every
-/// straggler comparison.
+/// finishes through that link". A finite saturation value keeps the running
+/// totals and straggler bounds free of `inf`/NaN while still dominating any
+/// realistic transfer, so a dead link loses every straggler comparison.
 pub const SATURATED_TRANSFER_S: f64 = 1e9;
 
 impl CommModel {
-    /// Model with the paper's 2× index+value accounting.
+    /// The paper's model: analytic `2·V·CR` accounting.
     pub fn paper_default() -> Self {
         Self {
-            index_overhead: true,
             cost_basis: CostBasis::Analytic,
         }
     }
 
-    /// The same model pricing uplinks by encoded bytes.
+    /// The same model pricing transfers by encoded bytes.
     pub fn with_cost_basis(mut self, basis: CostBasis) -> Self {
         self.cost_basis = basis;
         self
     }
 
-    /// Time in seconds to transmit `payload_bytes` over `link`.
+    /// Time in seconds to transmit `payload_bytes` over `link`, in either
+    /// direction.
     ///
     /// A link with zero, negative or NaN bandwidth (possible when links come
     /// from a scenario trace rather than [`Link::new`]) charges the
@@ -73,52 +75,23 @@ impl CommModel {
         link.latency_s + payload_bytes * 8.0 / link.bandwidth_bps
     }
 
-    /// Uncompressed uplink time for a dense model of `model_bytes` bytes.
-    pub fn dense_uplink_time(&self, link: &Link, model_bytes: f64) -> f64 {
-        self.transfer_time(link, model_bytes)
+    /// The paper's analytic size of an update of a `model_bytes`-byte model
+    /// sparsified at ratio `cr`: `2·V·CR` bytes (Alg. 2 line 7).
+    pub fn analytic_bytes(model_bytes: f64, cr: f64) -> f64 {
+        2.0 * model_bytes * cr
     }
 
-    /// Uplink time for a sparsified update at compression ratio `cr` of a
-    /// dense model of `model_bytes` bytes: `L + 2·V·CR·8 / B` (Alg. 2 line 7).
-    pub fn sparse_uplink_time(&self, link: &Link, model_bytes: f64, cr: f64) -> f64 {
-        assert!(cr >= 0.0, "compression ratio must be non-negative");
-        let factor = if self.index_overhead { 2.0 } else { 1.0 };
-        self.transfer_time(link, factor * model_bytes * cr)
-    }
-
-    /// Uncompressed downlink (broadcast) time for a dense model of
-    /// `model_bytes` bytes. Links are symmetric in this simulator — the same
-    /// latency and bandwidth govern both directions — so this mirrors
-    /// [`dense_uplink_time`](Self::dense_uplink_time); it exists so the
-    /// round engine's download leg reads as what it is.
-    pub fn dense_downlink_time(&self, link: &Link, model_bytes: f64) -> f64 {
-        self.transfer_time(link, model_bytes)
-    }
-
-    /// Analytic downlink time for a compressed broadcast at ratio `cr`: the
-    /// paper's bidirectional cost model charges the server→client leg with
-    /// the same `L + 2·V·CR·8 / B` formula as the client upload (each
-    /// retained coordinate ships an index alongside its value in either
-    /// direction). Under `CostBasis::Encoded` the round engine bypasses this
-    /// and prices the broadcast via [`transfer_time`](Self::transfer_time) on
-    /// the encoded buffer's length.
-    pub fn sparse_downlink_time(&self, link: &Link, model_bytes: f64, cr: f64) -> f64 {
-        self.sparse_uplink_time(link, model_bytes, cr)
-    }
-
-    /// Invert the sparse uplink model: the compression ratio that makes the
-    /// transfer finish in exactly `budget_s` seconds (clamped to `>= 0`).
+    /// The inverse of [`analytic_bytes`](Self::analytic_bytes) through
+    /// [`transfer_time`](Self::transfer_time): the compression ratio whose
+    /// transfer finishes in exactly `budget_s` seconds (clamped to `>= 0`).
     /// This is the core of BCRS (Alg. 2 line 13). A link with no usable
-    /// bandwidth (zero/negative/NaN, mirroring
-    /// [`transfer_time`](Self::transfer_time)) can ship nothing in any
-    /// budget, so the ratio is 0.
+    /// bandwidth can ship nothing in any budget, so the ratio is 0.
     pub fn ratio_for_budget(&self, link: &Link, model_bytes: f64, budget_s: f64) -> f64 {
         if link.bandwidth_bps.is_nan() || link.bandwidth_bps <= 0.0 {
             return 0.0;
         }
-        let factor = if self.index_overhead { 2.0 } else { 1.0 };
         let usable = (budget_s - link.latency_s).max(0.0);
-        usable * link.bandwidth_bps / (factor * model_bytes * 8.0)
+        usable * link.bandwidth_bps / (Self::analytic_bytes(model_bytes, 1.0) * 8.0)
     }
 }
 
@@ -130,11 +103,16 @@ mod tests {
         Link::from_mbps_ms(1.0, 100.0)
     }
 
+    fn sparse_time(link: &Link, model_bytes: f64, cr: f64) -> f64 {
+        let m = CommModel::paper_default();
+        m.transfer_time(link, CommModel::analytic_bytes(model_bytes, cr))
+    }
+
     #[test]
     fn dense_transfer_time() {
         let m = CommModel::paper_default();
         // 1 Mbit/s, 125_000 bytes = 1 Mbit => 1 s + 0.1 s latency
-        let t = m.dense_uplink_time(&link_1mbps_100ms(), 125_000.0);
+        let t = m.transfer_time(&link_1mbps_100ms(), 125_000.0);
         assert!((t - 1.1).abs() < 1e-9);
     }
 
@@ -142,24 +120,11 @@ mod tests {
     fn sparse_pays_double() {
         let m = CommModel::paper_default();
         let link = link_1mbps_100ms();
-        let dense = m.dense_uplink_time(&link, 125_000.0);
-        let sparse_full = m.sparse_uplink_time(&link, 125_000.0, 1.0);
+        let dense = m.transfer_time(&link, 125_000.0);
         // CR = 1 with the 2x index overhead is slower than a dense transfer.
-        assert!(sparse_full > dense);
-        let sparse_tenth = m.sparse_uplink_time(&link, 125_000.0, 0.1);
-        assert!(sparse_tenth < dense);
-    }
-
-    #[test]
-    fn no_overhead_variant() {
-        let m = CommModel {
-            index_overhead: false,
-            ..CommModel::paper_default()
-        };
-        let link = link_1mbps_100ms();
-        let t1 = m.sparse_uplink_time(&link, 125_000.0, 1.0);
-        let t2 = m.dense_uplink_time(&link, 125_000.0);
-        assert!((t1 - t2).abs() < 1e-12);
+        assert!(sparse_time(&link, 125_000.0, 1.0) > dense);
+        assert!(sparse_time(&link, 125_000.0, 0.1) < dense);
+        assert_eq!(CommModel::analytic_bytes(125_000.0, 0.5), 125_000.0);
     }
 
     #[test]
@@ -169,7 +134,7 @@ mod tests {
         let v = 500_000.0;
         for &budget in &[0.2, 0.5, 2.0, 10.0] {
             let cr = m.ratio_for_budget(&link, v, budget);
-            let t = m.sparse_uplink_time(&link, v, cr);
+            let t = sparse_time(&link, v, cr);
             assert!((t - budget).abs() < 1e-9, "budget {budget} gave time {t}");
         }
     }
@@ -185,23 +150,9 @@ mod tests {
     fn cost_basis_defaults_to_analytic() {
         assert_eq!(CostBasis::default(), CostBasis::Analytic);
         assert_eq!(CommModel::paper_default().cost_basis, CostBasis::Analytic);
+        assert_eq!(CommModel::default().cost_basis, CostBasis::Analytic);
         let m = CommModel::paper_default().with_cost_basis(CostBasis::Encoded);
         assert_eq!(m.cost_basis, CostBasis::Encoded);
-        assert!(m.index_overhead, "basis switch leaves the formula intact");
-    }
-
-    #[test]
-    fn downlink_legs_mirror_the_symmetric_uplink() {
-        let m = CommModel::paper_default();
-        let link = link_1mbps_100ms();
-        assert_eq!(
-            m.dense_downlink_time(&link, 125_000.0),
-            m.dense_uplink_time(&link, 125_000.0)
-        );
-        assert_eq!(
-            m.sparse_downlink_time(&link, 125_000.0, 0.1),
-            m.sparse_uplink_time(&link, 125_000.0, 0.1)
-        );
     }
 
     #[test]
@@ -217,7 +168,7 @@ mod tests {
             let t = m.transfer_time(&dead, 125_000.0);
             assert_eq!(t, SATURATED_TRANSFER_S, "bw={bw}");
             assert!(t.is_finite());
-            assert_eq!(m.sparse_uplink_time(&dead, 125_000.0, 0.1), t);
+            assert_eq!(sparse_time(&dead, 125_000.0, 0.1), t);
             assert_eq!(m.ratio_for_budget(&dead, 1e6, 10.0), 0.0, "bw={bw}");
         }
     }
@@ -236,9 +187,8 @@ mod tests {
 
     #[test]
     fn higher_bandwidth_is_faster() {
-        let m = CommModel::paper_default();
         let fast = Link::from_mbps_ms(2.0, 100.0);
         let slow = Link::from_mbps_ms(0.5, 100.0);
-        assert!(m.sparse_uplink_time(&fast, 1e6, 0.1) < m.sparse_uplink_time(&slow, 1e6, 0.1));
+        assert!(sparse_time(&fast, 1e6, 0.1) < sparse_time(&slow, 1e6, 0.1));
     }
 }

@@ -8,10 +8,10 @@
 //! `N(1 Mbit/s, 0.2)` and latency from `U(50 ms, 200 ms]` (Section 5.2).
 //!
 //! * [`link::Link`] / [`link::LinkGenerator`] — per-client network parameters;
-//! * [`cost::CommModel`] — the uplink/downlink time model;
-//! * [`metrics::RoundTiming`] / [`metrics::TimeAccumulator`] — the paper's
-//!   Actual / Maximum / Minimum time metrics (Section 5.2) accumulated over
-//!   rounds;
+//! * [`cost::CommModel`] — the one pricing path: `transfer_time(link,
+//!   bytes)` for every transfer, `analytic_bytes` for the paper's `2·V·CR`;
+//! * [`metrics::RoundTiming`] — the paper's Actual / Maximum / Minimum time
+//!   metrics (Section 5.2), per round and as a session's running total;
 //! * [`timeline`] — per-client round timelines (waiting vs. transmitting),
 //!   the data behind Fig. 1;
 //! * [`breakdown::RoundBreakdown`] — compress / train / communicate time
@@ -32,7 +32,7 @@ pub mod timeline;
 pub use breakdown::RoundBreakdown;
 pub use cost::{CommModel, CostBasis, SATURATED_TRANSFER_S};
 pub use link::{Link, LinkGenerator};
-pub use metrics::{RoundTiming, TimeAccumulator};
+pub use metrics::RoundTiming;
 pub use scenario::{
     ChurnScenario, CorrelatedDropoutScenario, DiurnalScenario, FleetError, FleetEvent, FleetState,
     RecordingScenario, Scenario, ScenarioError, ScenarioSpec, ScenarioTelemetry, TierClass,

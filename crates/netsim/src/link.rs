@@ -100,24 +100,42 @@ impl LinkGenerator {
         Link::from_mbps_ms(bw, lat)
     }
 
-    /// Generate `n` client links deterministically from a seed.
+    /// Check that every draw yields a valid [`Link`]: all parameters
+    /// finite, a positive mean bandwidth, a non-negative standard deviation,
+    /// a non-empty latency range starting at or above 0 ms, and a floor
+    /// fraction in `[0, 1)`.
+    pub fn validate(&self) -> Result<(), String> {
+        let params = [
+            self.bandwidth_mean_mbps,
+            self.bandwidth_std_mbps,
+            self.latency_lo_ms,
+            self.latency_hi_ms,
+            self.bandwidth_floor_frac,
+        ];
+        if !params.iter().all(|x| x.is_finite()) {
+            return Err("link parameters must be finite".into());
+        }
+        if self.bandwidth_mean_mbps <= 0.0 {
+            return Err("mean bandwidth must be positive".into());
+        }
+        if self.bandwidth_std_mbps < 0.0 {
+            return Err("bandwidth std must be non-negative".into());
+        }
+        if self.latency_lo_ms < 0.0 || self.latency_hi_ms <= self.latency_lo_ms {
+            return Err("latency range must be non-empty and non-negative".into());
+        }
+        if !(0.0..1.0).contains(&self.bandwidth_floor_frac) {
+            return Err("bandwidth floor fraction must lie in [0, 1)".into());
+        }
+        Ok(())
+    }
+
+    /// Generate `n` client links deterministically from a seed. Panics on a
+    /// generator that fails [`validate`](Self::validate).
     pub fn generate(&self, n: usize, seed: u64) -> Vec<Link> {
-        assert!(
-            self.bandwidth_mean_mbps > 0.0,
-            "mean bandwidth must be positive"
-        );
-        assert!(
-            self.bandwidth_std_mbps >= 0.0,
-            "bandwidth std must be non-negative"
-        );
-        assert!(
-            self.latency_hi_ms > self.latency_lo_ms,
-            "latency range must be non-empty"
-        );
-        assert!(
-            self.bandwidth_floor_frac >= 0.0 && self.bandwidth_floor_frac < 1.0,
-            "bandwidth floor fraction must lie in [0, 1)"
-        );
+        if let Err(e) = self.validate() {
+            panic!("invalid link generator: {e}");
+        }
         let mut rng = Xoshiro256::new(seed);
         (0..n).map(|_| self.sample_with(&mut rng)).collect()
     }

@@ -1,5 +1,6 @@
-//! The paper's three communication-time metrics (Section 5.2) and their
-//! accumulation across rounds.
+//! The paper's three communication-time metrics (Section 5.2). A session
+//! keeps their running sums in one [`RoundTiming`] (Table 3's cumulative
+//! Actual / Max / Min).
 
 /// Per-round communication timing.
 ///
@@ -47,88 +48,6 @@ impl RoundTiming {
     }
 }
 
-/// Accumulates [`RoundTiming`] values over the course of training, yielding
-/// the cumulative Actual / Max / Min times the paper reports in Table 3.
-#[derive(Clone, Debug, Default)]
-pub struct TimeAccumulator {
-    rounds: Vec<RoundTiming>,
-    cumulative_actual: Vec<f64>,
-    cumulative_max: Vec<f64>,
-    cumulative_min: Vec<f64>,
-}
-
-impl TimeAccumulator {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one round.
-    pub fn push(&mut self, timing: RoundTiming) {
-        let prev_actual = self.cumulative_actual.last().copied().unwrap_or(0.0);
-        let prev_max = self.cumulative_max.last().copied().unwrap_or(0.0);
-        let prev_min = self.cumulative_min.last().copied().unwrap_or(0.0);
-        self.cumulative_actual.push(prev_actual + timing.actual);
-        self.cumulative_max.push(prev_max + timing.max);
-        self.cumulative_min.push(prev_min + timing.min);
-        self.rounds.push(timing);
-    }
-
-    /// Number of recorded rounds.
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// True if no rounds have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
-    /// Per-round timings.
-    pub fn rounds(&self) -> &[RoundTiming] {
-        &self.rounds
-    }
-
-    /// Cumulative actual time after each round.
-    pub fn cumulative_actual(&self) -> &[f64] {
-        &self.cumulative_actual
-    }
-
-    /// Cumulative maximum (straggler) time after each round.
-    pub fn cumulative_max(&self) -> &[f64] {
-        &self.cumulative_max
-    }
-
-    /// Cumulative minimum (fastest-client) time after each round.
-    pub fn cumulative_min(&self) -> &[f64] {
-        &self.cumulative_min
-    }
-
-    /// Total actual time so far.
-    pub fn total_actual(&self) -> f64 {
-        self.cumulative_actual.last().copied().unwrap_or(0.0)
-    }
-
-    /// Total maximum (straggler) time so far.
-    pub fn total_max(&self) -> f64 {
-        self.cumulative_max.last().copied().unwrap_or(0.0)
-    }
-
-    /// Total minimum time so far.
-    pub fn total_min(&self) -> f64 {
-        self.cumulative_min.last().copied().unwrap_or(0.0)
-    }
-
-    /// The cumulative *actual* time at the first round whose `reached`
-    /// predicate is true — used for "time to reach X% accuracy" (Table 3).
-    /// Returns `None` if the predicate never fires.
-    pub fn time_to<F: Fn(usize) -> bool>(&self, reached: F) -> Option<f64> {
-        (0..self.rounds.len())
-            .find(|&r| reached(r))
-            .map(|r| self.cumulative_actual[r])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,50 +64,5 @@ mod tests {
     #[should_panic]
     fn empty_client_times_rejected() {
         RoundTiming::from_client_times(&[], &[]);
-    }
-
-    #[test]
-    fn accumulation_is_prefix_sum() {
-        let mut acc = TimeAccumulator::new();
-        acc.push(RoundTiming {
-            actual: 1.0,
-            max: 2.0,
-            min: 0.5,
-        });
-        acc.push(RoundTiming {
-            actual: 1.5,
-            max: 3.0,
-            min: 0.25,
-        });
-        assert_eq!(acc.len(), 2);
-        assert_eq!(acc.cumulative_actual(), &[1.0, 2.5]);
-        assert_eq!(acc.cumulative_max(), &[2.0, 5.0]);
-        assert_eq!(acc.cumulative_min(), &[0.5, 0.75]);
-        assert_eq!(acc.total_actual(), 2.5);
-        assert_eq!(acc.total_max(), 5.0);
-        assert_eq!(acc.total_min(), 0.75);
-    }
-
-    #[test]
-    fn time_to_predicate() {
-        let mut acc = TimeAccumulator::new();
-        for i in 0..5 {
-            acc.push(RoundTiming {
-                actual: 1.0 + i as f64,
-                max: 0.0,
-                min: 0.0,
-            });
-        }
-        // Accuracy reaches the target at round index 2.
-        let t = acc.time_to(|r| r >= 2);
-        assert_eq!(t, Some(1.0 + 2.0 + 3.0));
-        assert_eq!(acc.time_to(|_| false), None);
-    }
-
-    #[test]
-    fn empty_accumulator_totals_zero() {
-        let acc = TimeAccumulator::new();
-        assert!(acc.is_empty());
-        assert_eq!(acc.total_actual(), 0.0);
     }
 }

@@ -75,22 +75,6 @@ impl RoundTimeline {
             .fold(0.0f64, f64::max)
     }
 
-    /// Total idle time summed over clients — the "wasted" resource BCRS
-    /// reclaims by letting fast clients send more data.
-    pub fn total_waiting_s(&self) -> f64 {
-        self.clients.iter().map(|c| c.waiting_s).sum()
-    }
-
-    /// Fraction of total client-time that is spent waiting.
-    pub fn waiting_fraction(&self) -> f64 {
-        let total: f64 = self.clients.iter().map(|c| c.total_s()).sum();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.total_waiting_s() / total
-        }
-    }
-
     /// Render as CSV (`client,download,training,upload,waiting`).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("client,download_s,training_s,upload_s,waiting_s\n");
@@ -120,16 +104,6 @@ mod tests {
         for c in tl.clients() {
             assert!((c.total_s() - 3.6).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn waiting_fraction_bounds() {
-        let tl = RoundTimeline::synchronous(&[0.0, 0.0], &[1.0, 1.0], &[1.0, 3.0]);
-        let f = tl.waiting_fraction();
-        assert!(f > 0.0 && f < 1.0);
-        // Homogeneous clients => no waiting.
-        let tl2 = RoundTimeline::synchronous(&[0.0; 3], &[1.0; 3], &[1.0; 3]);
-        assert_eq!(tl2.waiting_fraction(), 0.0);
     }
 
     #[test]

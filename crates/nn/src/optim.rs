@@ -30,12 +30,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Replace the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Forget the accumulated momentum: every velocity buffer is zero-filled
     /// in place, so the next [`step`](Self::step) behaves exactly like the
     /// first step of a new optimizer without allocating the buffers again.
@@ -214,13 +208,6 @@ mod tests {
             kernels::sgd_momentum_step(0.1, 0.9, wd, &mut p, &mut v, &accumulated);
             assert_eq!(bits(&reused), bits(&p), "zeroed accumulation, wd={wd}");
         }
-    }
-
-    #[test]
-    fn set_lr_changes_step_size() {
-        let mut opt = Sgd::new(0.1, 0.0, 0.0);
-        opt.set_lr(0.01);
-        assert_eq!(opt.lr(), 0.01);
     }
 
     #[test]

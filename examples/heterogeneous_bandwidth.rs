@@ -27,9 +27,10 @@ fn main() {
 
     // Uniform compression: every client uses CR*, the round ends when the
     // slowest client finishes.
+    let uniform_bytes = CommModel::analytic_bytes(model_bytes, base_ratio);
     let uniform: Vec<f64> = links
         .iter()
-        .map(|l| comm.sparse_uplink_time(l, model_bytes, base_ratio))
+        .map(|l| comm.transfer_time(l, uniform_bytes))
         .collect();
     let uniform_straggler = uniform.iter().cloned().fold(0.0, f64::max);
 

@@ -136,12 +136,12 @@ pub mod prelude {
     };
     pub use fl_core::runner::{evaluate_params, run_experiment_with};
     pub use fl_core::{
-        allocate_layer_budgets, default_codec_spec, plan_weights, record_scenario_trace,
-        resolve_codec_spec, run_experiment, run_sweep, run_sweep_threaded, scenario_seed,
-        segment_defs, AdaptivePlanSpec, Algorithm, BcrsSchedule, BcrsScheduler, ClientRoster,
-        ExperimentConfig, ExperimentResult, FederatedSession, LayerBytes, ModelPreset, OpwaMask,
-        OverlapCounts, OverlapStats, PlanAssignment, PlanTelemetry, RoundOutput, RoundRecord,
-        ScenarioHandle, SessionBuilder, SweepGrid,
+        allocate_layer_budgets, plan_weights, record_scenario_trace, resolve_codec_spec,
+        run_experiment, run_sweep, run_sweep_threaded, scenario_seed, segment_defs,
+        AdaptivePlanSpec, Algorithm, BcrsSchedule, BcrsScheduler, ClientRoster, ExperimentConfig,
+        ExperimentResult, FederatedSession, LayerBytes, ModelPreset, OpwaMask, OverlapCounts,
+        OverlapStats, PlanAssignment, PlanTelemetry, RoundOutput, RoundRecord, ScenarioHandle,
+        SessionBuilder, SweepGrid,
     };
     pub use fl_data::{
         dirichlet_partition, BatchLoader, ClientPartition, Dataset, DatasetPreset, PartitionStats,
@@ -150,7 +150,7 @@ pub mod prelude {
         ChurnScenario, CommModel, CorrelatedDropoutScenario, CostBasis, DiurnalScenario,
         FleetEvent, FleetState, Link, LinkGenerator, RecordingScenario, RoundBreakdown,
         RoundTiming, Scenario, ScenarioSpec, ScenarioTelemetry, TierClass, TieredScenario,
-        TimeAccumulator, TimedEvent, TraceReader, TraceScenario,
+        TimedEvent, TraceReader, TraceScenario,
     };
     pub use fl_nn::{
         flatten_params, mlp, segment_l1_masses, try_unflatten_params, unflatten_params, Layer,

@@ -80,7 +80,7 @@ fn compression_ratio_controls_wire_size_and_time() {
         let bytes = topk::select(&delta, ratio).wire_size_bytes();
         assert!(bytes < previous_bytes);
         previous_bytes = bytes;
-        let t = comm.sparse_uplink_time(&link, model_bytes, ratio);
+        let t = comm.transfer_time(&link, CommModel::analytic_bytes(model_bytes, ratio));
         assert!(t < previous_time);
         previous_time = t;
     }
