@@ -133,11 +133,7 @@ fn keyed(results: &[ExperimentResult], csv: fn(&ExperimentResult) -> String) -> 
     let mut out = String::new();
     for (i, result) in results.iter().enumerate() {
         let c = &result.config;
-        let codec = match (&c.adaptive_plan, &c.layer_compressors, &c.compressor) {
-            (Some(policy), _, _) => policy.to_string(),
-            (None, Some(plan), _) => plan.to_string(),
-            (None, None, spec) => spec.as_ref().map(ToString::to_string).unwrap_or_default(),
-        };
+        let codec = c.codec_label();
         let scenario = c.scenario.as_ref().map_or("static", ScenarioSpec::name);
         let (dataset, algorithm) = (c.dataset.name(), c.algorithm.name());
         let keys = format!(
@@ -164,16 +160,16 @@ fn paper_grid(base: ExperimentConfig, args: &BenchArgs, ratios: &[f64]) -> Sweep
         vec![Cifar10Like]
     };
     SweepGrid::new(base)
-        .datasets(datasets)
-        .betas([0.1, 0.5])
-        .compression_ratios(ratios.to_vec())
+        .axis(datasets, |c, &d| c.dataset = d)
+        .axis([0.1, 0.5], |c, &b| c.beta = b)
+        .axis(ratios.to_vec(), |c, &cr| c.compression_ratio = cr)
 }
 
 fn paper(args: &BenchArgs) -> Output {
     let base = bench_config(FedAvg, Cifar10Like, 0.1, 0.1, args);
     Output::Runs(
         paper_grid(base, args, &[0.1, 0.01])
-            .algorithms(Algorithm::paper_lineup())
+            .axis(Algorithm::paper_lineup(), |c, &a| c.algorithm = a)
             .configs(),
     )
 }
@@ -198,7 +194,7 @@ fn codecs(args: &BenchArgs) -> Output {
         if !specs.is_empty() {
             configs.extend(
                 paper_grid(base.clone(), args, &ratios(free))
-                    .compressors(specs)
+                    .axis(specs, |c, s| c.compressor = Some(s.clone()))
                     .configs(),
             );
         }
@@ -210,11 +206,8 @@ fn codecs(args: &BenchArgs) -> Output {
                 .is_some_and(CompressorSpec::ignores_ratio)
         });
         base.compressor = None;
-        configs.extend(
-            paper_grid(base, args, &ratios(free))
-                .layer_plans([plan.clone()])
-                .configs(),
-        );
+        base.layer_compressors = Some(plan.clone());
+        configs.extend(paper_grid(base, args, &ratios(free)).configs());
     }
     Output::Runs(configs)
 }
@@ -259,8 +252,8 @@ fn overlap(args: &BenchArgs) -> Output {
     base.rounds = args.effective_rounds(10);
     base.record_overlap = true;
     let configs = SweepGrid::new(base)
-        .betas([0.1, 0.5])
-        .compression_ratios([0.01, 0.1])
+        .axis([0.1, 0.5], |c, &b| c.beta = b)
+        .axis([0.01, 0.1], |c, &cr| c.compression_ratio = cr)
         .configs();
     Output::Rows(configs, "beta,cr,degree,count,fraction", |result| {
         let (beta, cr) = (result.config.beta, result.config.compression_ratio);
@@ -281,7 +274,7 @@ fn breakdown(args: &BenchArgs) -> Output {
     let mut base = bench_config(Bcrs, Cifar10Like, 0.1, 0.01, args);
     base.rounds = args.effective_rounds(10);
     let configs = SweepGrid::new(base)
-        .compression_ratios([0.01, 0.1])
+        .axis([0.01, 0.1], |c, &cr| c.compression_ratio = cr)
         .configs();
     let header = "cr,compress_s,training_s,uncompressed_comm_s,bcrs_comm_s,downlink_comm_s";
     Output::Rows(configs, header, |result| {
@@ -328,8 +321,8 @@ fn scenarios(args: &BenchArgs) -> Output {
     let algorithms = [FedAvg, TopK, EfTopK, RandK, TopKOpwa, Bcrs, BcrsOpwa];
     Output::Runs(
         SweepGrid::new(base)
-            .algorithms(algorithms)
-            .scenarios(rows)
+            .axis(algorithms, |c, &a| c.algorithm = a)
+            .axis(rows, |c, s| c.scenario = s.clone())
             .configs(),
     )
 }

@@ -31,7 +31,7 @@ pub struct BenchArgs {
     pub scale: Option<f64>,
     /// `--seed N`: master seed ([`BenchArgs::seed`] when unset).
     pub seed: Option<u64>,
-    /// `--quick`: small smoke-run settings.
+    /// `--quick`: small smoke-run settings (exclusive with `--full`).
     pub quick: bool,
     /// `--full`: the paper's settings (200 rounds, scale 1.0, all datasets).
     pub full: bool,
@@ -113,6 +113,9 @@ impl BenchArgs {
                     figure_names()
                 ),
             }
+        }
+        if out.quick && out.full {
+            panic!("--quick and --full are exclusive: pick the smoke run or the paper's settings");
         }
         out
     }
@@ -240,6 +243,12 @@ mod tests {
             message(&["--compressors"]),
             "--compressors needs codec specs, e.g. qsgd:4,topk"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "--quick and --full are exclusive")]
+    fn quick_and_full_together_panic() {
+        parse(&["scenarios", "--full", "--rounds", "3", "--quick"]);
     }
 
     #[test]

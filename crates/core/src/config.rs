@@ -285,6 +285,21 @@ impl ExperimentConfig {
         ((self.num_clients as f64 * self.participation).round() as usize).clamp(1, self.num_clients)
     }
 
+    /// The uplink codec override as one label: the adaptive policy, the
+    /// layer plan or the flat spec, whichever is set (they are mutually
+    /// exclusive), or `""` for the algorithm's own codec.
+    pub fn codec_label(&self) -> String {
+        match (
+            &self.adaptive_plan,
+            &self.layer_compressors,
+            &self.compressor,
+        ) {
+            (Some(policy), _, _) => policy.to_string(),
+            (None, Some(plan), _) => plan.to_string(),
+            (None, None, spec) => spec.as_ref().map(ToString::to_string).unwrap_or_default(),
+        }
+    }
+
     /// Validate parameter ranges, codec specs, the scenario and the codec
     /// knobs' combinations, returning a description of the first problem.
     pub fn validate(&self) -> Result<(), String> {

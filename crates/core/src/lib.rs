@@ -76,8 +76,8 @@
 //! see the repository's ARCHITECTURE.md and `tests/scale_out.rs`.
 //!
 //! Whole experiment grids run in parallel with shared dataset generation via
-//! [`sweep::run_sweep`] / [`sweep::SweepGrid`] (population is a grid axis:
-//! [`sweep::SweepGrid::client_counts`]).
+//! [`sweep::run_sweep_threaded`] / [`sweep::SweepGrid`], one
+//! [`sweep::SweepGrid::axis`] per swept field (population included).
 
 #![forbid(unsafe_code)]
 
@@ -112,4 +112,4 @@ pub use round::RoundOutput;
 pub use runner::{run_experiment, ExperimentResult, LayerBytes, PlanTelemetry, RoundRecord};
 pub use scenario::{record_scenario_trace, scenario_seed, ScenarioHandle};
 pub use session::{FederatedSession, SessionBuilder};
-pub use sweep::{run_sweep, run_sweep_threaded, run_sweep_threaded_progress, SweepGrid};
+pub use sweep::{run_sweep_threaded, run_sweep_threaded_progress, SweepGrid};

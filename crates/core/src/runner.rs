@@ -285,24 +285,12 @@ impl ExperimentResult {
     }
 }
 
-/// Run an experiment, invoking `on_round` after every communication round.
-///
-/// This is a thin loop over a [`crate::session::FederatedSession`] built
-/// from the configuration; use [`SessionBuilder`] directly to step rounds
-/// yourself, share generated data, pin the thread count or register custom
-/// codecs.
-pub fn run_experiment_with<F: FnMut(&RoundRecord)>(
-    config: &ExperimentConfig,
-    on_round: F,
-) -> ExperimentResult {
-    SessionBuilder::from_config(config)
-        .build()
-        .run_with(on_round)
-}
-
-/// Run an experiment to completion and return its result.
+/// Run an experiment to completion and return its result: a
+/// [`crate::session::FederatedSession`] built from the configuration. Use
+/// [`SessionBuilder`] directly to watch or step rounds, share generated data,
+/// pin the thread count or register custom codecs.
 pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
-    run_experiment_with(config, |_| {})
+    SessionBuilder::from_config(config).build().run()
 }
 
 /// Evaluate an externally trained flat parameter vector on a dataset

@@ -3,11 +3,11 @@
 //!
 //! The paper's evaluation is dozens of experiment variants (Tables 2–4,
 //! Figs. 1–12); running them one at a time wastes both wall clock and the
-//! repeated synthetic-dataset generation. [`run_sweep`] executes any list of
-//! configurations concurrently, generating each distinct dataset
+//! repeated synthetic-dataset generation. [`run_sweep_threaded`] executes any
+//! list of configurations concurrently, generating each distinct dataset
 //! (preset × scale × seed) exactly once and sharing it across the runs, and
-//! returns results in input order. [`SweepGrid`] builds the common
-//! cartesian-product grids.
+//! returns results in input order. [`SweepGrid`] builds cartesian-product
+//! grids, one [`SweepGrid::axis`] per swept field.
 //!
 //! Results are bit-identical to running each configuration through
 //! [`crate::runner::run_experiment`] sequentially, regardless of the sweep's
@@ -20,21 +20,17 @@
 //! let mut base = ExperimentConfig::quick(Algorithm::TopK);
 //! base.rounds = 2;
 //! let grid = SweepGrid::new(base)
-//!     .algorithms([Algorithm::FedAvg, Algorithm::TopK])
-//!     .compression_ratios([0.1, 0.01]);
+//!     .axis([0.1, 0.01], |c, &cr| c.compression_ratio = cr)
+//!     .axis([Algorithm::FedAvg, Algorithm::TopK], |c, &a| c.algorithm = a);
 //! assert_eq!(grid.len(), 4);
 //! let results = grid.run();
 //! assert_eq!(results.len(), 4);
 //! ```
 
-use crate::algorithm::Algorithm;
 use crate::config::ExperimentConfig;
-use crate::policy::AdaptivePlanSpec;
 use crate::runner::ExperimentResult;
 use crate::session::SessionBuilder;
-use fl_compress::{CompressorSpec, LayerPlan};
 use fl_data::{Dataset, DatasetPreset};
-use fl_netsim::ScenarioSpec;
 use fl_tensor::parallel::{default_threads, parallel_map};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -120,290 +116,250 @@ pub fn run_sweep_threaded_progress(
         let result = builder.build().run();
         if progress {
             let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            let codec = match (&config.compressor, &config.layer_compressors) {
-                (Some(spec), _) => format!(" codec={spec}"),
-                (None, Some(plan)) => format!(" plan={plan}"),
-                (None, None) => String::new(),
-            };
-            eprintln!(
-                "# sweep {n}/{total}: {} {} beta={} cr={}{codec} done in {:.1}s",
-                config.algorithm.name(),
-                config.dataset.name(),
-                config.beta,
-                config.compression_ratio,
-                start.elapsed().as_secs_f64(),
-            );
+            let (run, secs) = (progress_label(&config), start.elapsed().as_secs_f64());
+            eprintln!("# sweep {n}/{total}: {run} done in {secs:.1}s");
         }
         result
     })
 }
 
-/// [`run_sweep_threaded`] with the default thread count.
-pub fn run_sweep(configs: &[ExperimentConfig]) -> Vec<ExperimentResult> {
-    run_sweep_threaded(configs, 0)
+/// What a `--progress` line says about the run: algorithm, dataset, β, CR
+/// and, when one is set, the uplink codec override.
+fn progress_label(config: &ExperimentConfig) -> String {
+    let codec = config.codec_label();
+    let codec = if codec.is_empty() {
+        codec
+    } else {
+        format!(" codec={codec}")
+    };
+    format!(
+        "{} {} beta={} cr={}{codec}",
+        config.algorithm.name(),
+        config.dataset.name(),
+        config.beta,
+        config.compression_ratio,
+    )
 }
 
-/// A cartesian grid of experiment configurations over the axes the paper
-/// sweeps — dataset × heterogeneity `β` × compression ratio × algorithm ×
-/// codec × fleet scenario × seed. Unset axes stay at the base
-/// configuration's value.
+/// A cartesian grid of experiment configurations. Each [`axis`](Self::axis)
+/// call expands every configuration so far into one per value, so the first
+/// axis is the outermost loop and the nesting order is the call order (the
+/// paper's tables read population → dataset → β → CR → algorithm → codec →
+/// … → seed). Fields no axis sets keep the base configuration's value.
 #[derive(Clone, Debug)]
 pub struct SweepGrid {
-    base: ExperimentConfig,
-    client_counts: Vec<usize>,
-    datasets: Vec<DatasetPreset>,
-    betas: Vec<f64>,
-    compression_ratios: Vec<f64>,
-    algorithms: Vec<Algorithm>,
-    compressors: Vec<Option<CompressorSpec>>,
-    layer_plans: Vec<Option<LayerPlan>>,
-    adaptive_plans: Vec<Option<AdaptivePlanSpec>>,
-    downlink_compressors: Vec<Option<CompressorSpec>>,
-    scenarios: Vec<Option<ScenarioSpec>>,
-    seeds: Vec<u64>,
+    configs: Vec<ExperimentConfig>,
 }
 
 impl SweepGrid {
     /// A single-point grid at the base configuration.
     pub fn new(base: ExperimentConfig) -> Self {
         Self {
-            client_counts: vec![base.num_clients],
-            datasets: vec![base.dataset],
-            betas: vec![base.beta],
-            compression_ratios: vec![base.compression_ratio],
-            algorithms: vec![base.algorithm],
-            compressors: vec![base.compressor.clone()],
-            layer_plans: vec![base.layer_compressors.clone()],
-            adaptive_plans: vec![base.adaptive_plan.clone()],
-            downlink_compressors: vec![base.downlink_compressor.clone()],
-            scenarios: vec![base.scenario.clone()],
-            seeds: vec![base.seed],
-            base,
+            configs: vec![base],
         }
     }
 
-    /// Sweep over these population sizes `N` (each becomes the
-    /// configuration's `num_clients`; `participation` stays at the base
-    /// value, so the cohort grows with `N`). The outermost axis: the session
-    /// roster virtualizes client state, so grids over 10^5+ clients cost
-    /// O(population) only in partition bookkeeping, not client state.
-    pub fn client_counts(mut self, counts: impl IntoIterator<Item = usize>) -> Self {
-        self.client_counts = counts.into_iter().collect();
-        self
-    }
-
-    /// Sweep over these datasets.
-    pub fn datasets(mut self, datasets: impl IntoIterator<Item = DatasetPreset>) -> Self {
-        self.datasets = datasets.into_iter().collect();
-        self
-    }
-
-    /// Sweep over these Dirichlet heterogeneity levels.
-    pub fn betas(mut self, betas: impl IntoIterator<Item = f64>) -> Self {
-        self.betas = betas.into_iter().collect();
-        self
-    }
-
-    /// Sweep over these base compression ratios.
-    pub fn compression_ratios(mut self, ratios: impl IntoIterator<Item = f64>) -> Self {
-        self.compression_ratios = ratios.into_iter().collect();
-        self
-    }
-
-    /// Sweep over these algorithms.
-    pub fn algorithms(mut self, algorithms: impl IntoIterator<Item = Algorithm>) -> Self {
-        self.algorithms = algorithms.into_iter().collect();
-        self
-    }
-
-    /// Sweep over these codec specs (each becomes the configuration's
-    /// `compressor` override; see [`crate::policy::resolve_codec_spec`]).
-    pub fn compressors(mut self, specs: impl IntoIterator<Item = CompressorSpec>) -> Self {
-        self.compressors = specs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Sweep over these layer-aware codec plans (each becomes the
-    /// configuration's `layer_compressors`; the base's flat `compressor`
-    /// override must be `None` — the two knobs are mutually exclusive).
-    /// Takes plans or `Option`s, so a grid can put the flat-codec baseline
-    /// (`None`) beside layer-aware plans.
-    pub fn layer_plans(
+    /// Sweep one field: every configuration so far becomes one per value,
+    /// with `set` writing the value into it (`.axis([0.1, 0.5], |c, &b|
+    /// c.beta = b)`). An empty axis empties the grid.
+    pub fn axis<T>(
         mut self,
-        plans: impl IntoIterator<Item = impl Into<Option<LayerPlan>>>,
+        values: impl IntoIterator<Item = T>,
+        set: fn(&mut ExperimentConfig, &T),
     ) -> Self {
-        self.layer_plans = plans.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Sweep over these adaptive plan policies (each becomes the
-    /// configuration's `adaptive_plan`; the knob is mutually exclusive with
-    /// the static `compressor` / `layer_compressors` overrides, so keep those
-    /// axes at `None` when this one is set). Takes specs or `Option`s, so a
-    /// grid can put the static baseline (`None`) beside adaptive policies.
-    pub fn adaptive_plans(
-        mut self,
-        specs: impl IntoIterator<Item = impl Into<Option<AdaptivePlanSpec>>>,
-    ) -> Self {
-        self.adaptive_plans = specs.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Sweep over these broadcast codec specs (each becomes the
-    /// configuration's `downlink_compressor`). Takes specs or `Option`s, so a
-    /// grid can put the paper's free-broadcast baseline (`None`) beside
-    /// compressed broadcasts.
-    pub fn downlink_compressors(
-        mut self,
-        specs: impl IntoIterator<Item = impl Into<Option<CompressorSpec>>>,
-    ) -> Self {
-        self.downlink_compressors = specs.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Sweep over these fleet scenarios (each becomes the configuration's
-    /// `scenario`). Takes specs or `Option`s, so a grid can put the paper's
-    /// static fleet (`None`) beside dynamic fleets.
-    pub fn scenarios(
-        mut self,
-        specs: impl IntoIterator<Item = impl Into<Option<ScenarioSpec>>>,
-    ) -> Self {
-        self.scenarios = specs.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Sweep over these master seeds (for repeated trials).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
+        let values: Vec<T> = values.into_iter().collect();
+        let expand = |config: ExperimentConfig| {
+            values.iter().map(move |value| {
+                let mut c = config.clone();
+                set(&mut c, value);
+                c
+            })
+        };
+        self.configs = self.configs.into_iter().flat_map(expand).collect();
         self
     }
 
     /// Number of configurations in the grid.
     pub fn len(&self) -> usize {
-        self.client_counts.len()
-            * self.datasets.len()
-            * self.betas.len()
-            * self.compression_ratios.len()
-            * self.algorithms.len()
-            * self.compressors.len()
-            * self.layer_plans.len()
-            * self.adaptive_plans.len()
-            * self.downlink_compressors.len()
-            * self.scenarios.len()
-            * self.seeds.len()
+        self.configs.len()
     }
 
-    /// True when any axis is empty.
+    /// True when some axis was empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.configs.is_empty()
     }
 
-    /// Materialise the grid, nested population → dataset → β → ratio →
-    /// algorithm → codec → layer plan → adaptive plan → downlink codec →
-    /// scenario → seed (the paper's table ordering, with populations, codecs,
-    /// plans and fleet scenarios as extra rows).
+    /// The grid's configurations, outermost axis first.
     pub fn configs(&self) -> Vec<ExperimentConfig> {
-        let mut out = Vec::with_capacity(self.len());
-        for &num_clients in &self.client_counts {
-            for &dataset in &self.datasets {
-                for &beta in &self.betas {
-                    for &compression_ratio in &self.compression_ratios {
-                        for &algorithm in &self.algorithms {
-                            for compressor in &self.compressors {
-                                for plan in &self.layer_plans {
-                                    for adaptive in &self.adaptive_plans {
-                                        for downlink in &self.downlink_compressors {
-                                            for scenario in &self.scenarios {
-                                                for &seed in &self.seeds {
-                                                    let mut c = self.base.clone();
-                                                    c.num_clients = num_clients;
-                                                    c.dataset = dataset;
-                                                    c.beta = beta;
-                                                    c.compression_ratio = compression_ratio;
-                                                    c.algorithm = algorithm;
-                                                    c.compressor = compressor.clone();
-                                                    c.layer_compressors = plan.clone();
-                                                    c.adaptive_plan = adaptive.clone();
-                                                    c.downlink_compressor = downlink.clone();
-                                                    c.scenario = scenario.clone();
-                                                    c.seed = seed;
-                                                    out.push(c);
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.configs.clone()
     }
 
     /// Run the whole grid with the default thread count.
     pub fn run(&self) -> Vec<ExperimentResult> {
-        run_sweep(&self.configs())
+        run_sweep_threaded(&self.configs, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::Algorithm::{FedAvg, TopK};
     use crate::runner::run_experiment;
 
     fn quick_base() -> ExperimentConfig {
-        let mut c = ExperimentConfig::quick(Algorithm::TopK);
+        let mut c = ExperimentConfig::quick(TopK);
         c.rounds = 3;
         c.max_threads = 1;
         c
     }
 
-    #[test]
-    fn grid_covers_the_cartesian_product_in_order() {
-        let grid = SweepGrid::new(quick_base())
-            .algorithms([Algorithm::FedAvg, Algorithm::TopK])
-            .betas([0.1, 0.5])
-            .compression_ratios([0.1, 0.01]);
-        assert_eq!(grid.len(), 8);
-        let configs = grid.configs();
-        assert_eq!(configs.len(), 8);
-        // beta is the outer axis, then ratio, then algorithm.
-        assert_eq!(configs[0].beta, 0.1);
-        assert_eq!(configs[0].compression_ratio, 0.1);
-        assert_eq!(configs[0].algorithm, Algorithm::FedAvg);
-        assert_eq!(configs[1].algorithm, Algorithm::TopK);
-        assert_eq!(configs[2].compression_ratio, 0.01);
-        assert_eq!(configs[4].beta, 0.5);
+    /// The fields the axes below set, as `N β CR algorithm server_lr codec
+    /// scenario`.
+    fn key(c: &ExperimentConfig) -> String {
+        let scenario = c.scenario.as_ref().map_or("static", |s| s.name());
+        format!(
+            "{} {} {} {} {} {} {scenario}",
+            c.num_clients,
+            c.beta,
+            c.compression_ratio,
+            c.algorithm.name(),
+            c.server_lr,
+            c.codec_label(),
+        )
     }
 
     #[test]
-    fn client_count_axis_is_the_outermost_loop() {
-        let grid = SweepGrid::new(quick_base())
-            .client_counts([10, 1_000])
-            .algorithms([Algorithm::FedAvg, Algorithm::TopK]);
-        assert_eq!(grid.len(), 4);
-        let configs = grid.configs();
-        assert_eq!(configs[0].num_clients, 10);
-        assert_eq!(configs[1].num_clients, 10);
-        assert_eq!(configs[2].num_clients, 1_000);
-        assert_eq!(configs[2].algorithm, Algorithm::FedAvg);
-        assert_eq!(configs[3].algorithm, Algorithm::TopK);
-        // Participation is untouched, so the cohort scales with N.
-        assert_eq!(configs[0].participation, configs[2].participation);
-        assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // The default grid keeps the base population.
-        assert_eq!(
-            SweepGrid::new(quick_base()).configs()[0].num_clients,
-            quick_base().num_clients
-        );
+    fn axes_nest_in_call_order_over_the_base() {
+        let grid = || SweepGrid::new(quick_base());
+        let algorithms = |g: SweepGrid| g.axis([FedAvg, TopK], |c, &a| c.algorithm = a);
+        let populations = |g: SweepGrid| g.axis([10, 1_000], |c, &n| c.num_clients = n);
+        let cases: Vec<(SweepGrid, &[usize], &[&str])> = vec![
+            // No axes: exactly the base.
+            (grid(), &[], &["10 0.5 0.1 topk 1  static"]),
+            // The first axis is the outermost loop...
+            (
+                algorithms(populations(grid())),
+                &[2, 2],
+                &[
+                    "10 0.5 0.1 fedavg 1  static",
+                    "10 0.5 0.1 topk 1  static",
+                    "1000 0.5 0.1 fedavg 1  static",
+                    "1000 0.5 0.1 topk 1  static",
+                ],
+            ),
+            // ...whichever axis that is.
+            (
+                populations(algorithms(grid())),
+                &[2, 2],
+                &[
+                    "10 0.5 0.1 fedavg 1  static",
+                    "1000 0.5 0.1 fedavg 1  static",
+                    "10 0.5 0.1 topk 1  static",
+                    "1000 0.5 0.1 topk 1  static",
+                ],
+            ),
+            (
+                grid()
+                    .axis([0.1, 0.5], |c, &b| c.beta = b)
+                    .axis([0.1, 0.01], |c, &cr| c.compression_ratio = cr)
+                    .axis([1.0, 0.5, 0.25], |c, &lr| c.server_lr = lr),
+                &[2, 2, 3],
+                &[
+                    "10 0.1 0.1 topk 1  static",
+                    "10 0.1 0.1 topk 0.5  static",
+                    "10 0.1 0.1 topk 0.25  static",
+                    "10 0.1 0.01 topk 1  static",
+                    "10 0.1 0.01 topk 0.5  static",
+                    "10 0.1 0.01 topk 0.25  static",
+                    "10 0.5 0.1 topk 1  static",
+                    "10 0.5 0.1 topk 0.5  static",
+                    "10 0.5 0.1 topk 0.25  static",
+                    "10 0.5 0.01 topk 1  static",
+                    "10 0.5 0.01 topk 0.5  static",
+                    "10 0.5 0.01 topk 0.25  static",
+                ],
+            ),
+            // Option-valued fields take `None` beside specs.
+            (
+                algorithms(grid())
+                    .axis([None, Some("topk+qsgd:4".parse().unwrap())], |c, s| {
+                        c.compressor = s.clone()
+                    })
+                    .axis([None, Some("churn:leave=0.1".parse().unwrap())], |c, s| {
+                        c.scenario = s.clone()
+                    }),
+                &[2, 2, 2],
+                &[
+                    "10 0.5 0.1 fedavg 1  static",
+                    "10 0.5 0.1 fedavg 1  churn",
+                    "10 0.5 0.1 fedavg 1 topk+qsgd:4 static",
+                    "10 0.5 0.1 fedavg 1 topk+qsgd:4 churn",
+                    "10 0.5 0.1 topk 1  static",
+                    "10 0.5 0.1 topk 1  churn",
+                    "10 0.5 0.1 topk 1 topk+qsgd:4 static",
+                    "10 0.5 0.1 topk 1 topk+qsgd:4 churn",
+                ],
+            ),
+            // An empty axis empties the grid, wherever it comes.
+            (
+                algorithms(grid().axis([], |c, &b: &f64| c.beta = b)),
+                &[0, 2],
+                &[],
+            ),
+        ];
+        let base = quick_base();
+        for (grid, sizes, expected) in cases {
+            let configs = grid.configs();
+            let keys: Vec<String> = configs.iter().map(key).collect();
+            assert_eq!(keys, expected);
+            assert_eq!(grid.len(), sizes.iter().product::<usize>());
+            assert_eq!(grid.is_empty(), expected.is_empty());
+            // Every field no axis set keeps the base value.
+            for mut c in configs {
+                c.num_clients = base.num_clients;
+                c.beta = base.beta;
+                c.compression_ratio = base.compression_ratio;
+                c.algorithm = base.algorithm;
+                c.server_lr = base.server_lr;
+                c.compressor = None;
+                c.scenario = None;
+                assert_eq!(format!("{c:?}"), format!("{base:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn progress_label_names_every_codec_knob() {
+        let label = |set: fn(&mut ExperimentConfig)| {
+            let mut c = quick_base();
+            set(&mut c);
+            progress_label(&c)
+        };
+        let prefix = "topk cifar10-like beta=0.5 cr=0.1";
+        assert_eq!(label(|_| {}), prefix);
+        for (set, codec) in [
+            (
+                (|c| c.compressor = Some("qsgd:8".parse().unwrap())) as fn(&mut ExperimentConfig),
+                "qsgd:8",
+            ),
+            (
+                |c| c.layer_compressors = Some("*=topk".parse().unwrap()),
+                "*=topk",
+            ),
+            (
+                |c| c.adaptive_plan = Some("layer-bcrs".parse().unwrap()),
+                "layer-bcrs",
+            ),
+        ] {
+            assert_eq!(label(set), format!("{prefix} codec={codec}"));
+        }
     }
 
     #[test]
     fn sweep_matches_sequential_runs() {
-        let grid = SweepGrid::new(quick_base()).algorithms([Algorithm::FedAvg, Algorithm::TopK]);
-        let configs = grid.configs();
+        let configs = SweepGrid::new(quick_base())
+            .axis([FedAvg, TopK], |c, &a| c.algorithm = a)
+            .configs();
         let swept = run_sweep_threaded(&configs, 4);
         for (config, result) in configs.iter().zip(swept.iter()) {
             let sequential = run_experiment(config);
@@ -414,7 +370,7 @@ mod tests {
     #[test]
     fn sweep_thread_count_does_not_change_results() {
         let configs = SweepGrid::new(quick_base())
-            .compression_ratios([0.1, 0.05])
+            .axis([0.1, 0.05], |c, &cr| c.compression_ratio = cr)
             .configs();
         let serial = run_sweep_threaded(&configs, 1);
         let parallel = run_sweep_threaded(&configs, 4);
@@ -430,158 +386,20 @@ mod tests {
         let mut base = quick_base();
         base.max_threads = 0;
         base.rounds = 2;
-        let results = run_sweep_threaded(std::slice::from_ref(&base), 2);
+        let results = SweepGrid::new(base).run();
         assert_eq!(results[0].config.max_threads, 0);
     }
 
     #[test]
-    fn compressor_axis_expands_the_grid() {
-        let grid = SweepGrid::new(quick_base())
-            .compressors(["topk+qsgd:4".parse().unwrap(), "qsgd:8".parse().unwrap()])
-            .compression_ratios([0.1, 0.05]);
-        assert_eq!(grid.len(), 4);
-        let configs = grid.configs();
-        assert_eq!(
-            configs[0].compressor.as_ref().unwrap().to_string(),
-            "topk+qsgd:4"
-        );
-        assert_eq!(
-            configs[1].compressor.as_ref().unwrap().to_string(),
-            "qsgd:8"
-        );
-        assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // The default grid keeps the base's (absent) override.
-        assert!(SweepGrid::new(quick_base()).configs()[0]
-            .compressor
-            .is_none());
-    }
-
-    #[test]
-    fn layer_plan_axis_expands_the_grid() {
-        let grid = SweepGrid::new(quick_base())
-            .layer_plans([
-                None,
-                Some("*.bias=dense;*=topk".parse().unwrap()),
-                Some("*=topk+qsgd:4".parse().unwrap()),
-            ])
-            .compression_ratios([0.1, 0.05]);
-        assert_eq!(grid.len(), 6);
-        let configs = grid.configs();
-        assert!(configs[0].layer_compressors.is_none());
-        assert_eq!(
-            configs[1].layer_compressors.as_ref().unwrap().to_string(),
-            "*.bias=dense;*=topk"
-        );
-        assert_eq!(
-            configs[2].layer_compressors.as_ref().unwrap().to_string(),
-            "*=topk+qsgd:4"
-        );
-        assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // Bare plans need the item type spelled out.
-        let owned = SweepGrid::new(quick_base())
-            .layer_plans(["*=topk".parse::<fl_compress::LayerPlan>().unwrap()]);
-        assert!(owned.configs()[0].layer_compressors.is_some());
-        // The default grid keeps the base's (absent) plan.
-        assert!(SweepGrid::new(quick_base()).configs()[0]
-            .layer_compressors
-            .is_none());
-    }
-
-    #[test]
-    fn adaptive_plan_axis_expands_the_grid() {
-        let grid = SweepGrid::new(quick_base())
-            .adaptive_plans([
-                None,
-                Some("layer-bcrs".parse().unwrap()),
-                Some("static:*=topk".parse().unwrap()),
-            ])
-            .compression_ratios([0.1, 0.05]);
-        assert_eq!(grid.len(), 6);
-        let configs = grid.configs();
-        assert!(configs[0].adaptive_plan.is_none());
-        assert_eq!(
-            configs[1].adaptive_plan.as_ref().unwrap().to_string(),
-            "layer-bcrs"
-        );
-        assert_eq!(
-            configs[2].adaptive_plan.as_ref().unwrap().to_string(),
-            "static:*=topk"
-        );
-        assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // Bare specs need the item type spelled out.
-        let owned = SweepGrid::new(quick_base())
-            .adaptive_plans(["layer-bcrs".parse::<AdaptivePlanSpec>().unwrap()]);
-        assert!(owned.configs()[0].adaptive_plan.is_some());
-        // The default grid keeps the base's (absent) adaptive policy.
-        assert!(SweepGrid::new(quick_base()).configs()[0]
-            .adaptive_plan
-            .is_none());
-    }
-
-    #[test]
-    fn downlink_axis_expands_the_grid() {
-        let grid = SweepGrid::new(quick_base())
-            .downlink_compressors([
-                None,
-                Some("topk".parse().unwrap()),
-                Some("ef-topk".parse().unwrap()),
-            ])
-            .compression_ratios([0.1, 0.05]);
-        assert_eq!(grid.len(), 6);
-        let configs = grid.configs();
-        assert!(configs[0].downlink_compressor.is_none());
-        assert_eq!(
-            configs[1].downlink_compressor.as_ref().unwrap().to_string(),
-            "topk"
-        );
-        assert_eq!(
-            configs[2].downlink_compressor.as_ref().unwrap().to_string(),
-            "ef-topk"
-        );
-        assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // The default grid keeps the base's (absent) downlink codec.
-        assert!(SweepGrid::new(quick_base()).configs()[0]
-            .downlink_compressor
-            .is_none());
-    }
-
-    #[test]
-    fn scenario_axis_expands_the_grid() {
-        let grid = SweepGrid::new(quick_base())
-            .scenarios([
-                None,
-                Some("diurnal".parse().unwrap()),
-                Some("churn:leave=0.1".parse().unwrap()),
-            ])
-            .algorithms([Algorithm::FedAvg, Algorithm::TopK]);
-        assert_eq!(grid.len(), 6);
-        let configs = grid.configs();
-        // Scenario is the innermost axis above seeds: the static baseline
-        // and both dynamic fleets appear per algorithm.
-        assert!(configs[0].scenario.is_none());
-        assert_eq!(configs[1].scenario.as_ref().unwrap().name(), "diurnal");
-        assert_eq!(configs[2].scenario.as_ref().unwrap().name(), "churn");
-        assert_eq!(configs[3].algorithm, Algorithm::TopK);
-        assert!(configs[3].scenario.is_none());
-        assert!(configs.iter().all(|c| c.validate().is_ok()));
-        // Bare specs need the item type spelled out; the default grid keeps
-        // the base's (absent) scenario.
-        let owned =
-            SweepGrid::new(quick_base()).scenarios(["towers".parse::<ScenarioSpec>().unwrap()]);
-        assert!(owned.configs()[0].scenario.is_some());
-        assert!(SweepGrid::new(quick_base()).configs()[0].scenario.is_none());
-    }
-
-    #[test]
     fn shared_dataset_generation_deduplicates() {
-        // Two configs differing only in algorithm share one dataset key; a
-        // third with a different seed does not.
-        let base = quick_base();
-        let mut other_seed = base.clone();
-        other_seed.seed = base.seed + 1;
-        let mut other_alg = base.clone();
-        other_alg.algorithm = Algorithm::FedAvg;
-        assert_eq!(data_key(&base), data_key(&other_alg));
-        assert_ne!(data_key(&base), data_key(&other_seed));
+        // Configs differing only in algorithm share one dataset key; one with
+        // a different seed does not.
+        let configs = SweepGrid::new(quick_base())
+            .axis([FedAvg, TopK], |c, &a| c.algorithm = a)
+            .axis([42, 43], |c, &s| c.seed = s)
+            .configs();
+        let keys: Vec<DataKey> = configs.iter().map(data_key).collect();
+        assert_eq!(keys[0], keys[2]);
+        assert_ne!(keys[0], keys[1]);
     }
 }

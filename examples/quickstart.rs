@@ -28,7 +28,8 @@ fn main() {
         config.dataset_scale = scale;
 
         print!("{:>10}: ", algorithm.name());
-        let result = run_experiment_with(&config, |r| {
+        let session = SessionBuilder::from_config(&config).build();
+        let result = session.run_with(|r| {
             if (r.round + 1) % 5 == 0 {
                 print!("[r{} acc {:.2}] ", r.round + 1, r.test_accuracy);
             }

@@ -41,7 +41,7 @@
 //! let mut base = ExperimentConfig::quick(Algorithm::TopK);
 //! base.rounds = 2;
 //! let results = SweepGrid::new(base)
-//!     .algorithms([Algorithm::FedAvg, Algorithm::TopK])
+//!     .axis([Algorithm::FedAvg, Algorithm::TopK], |c, &a| c.algorithm = a)
 //!     .run();
 //! assert_eq!(results.len(), 2);
 //! ```
@@ -134,14 +134,14 @@ pub mod prelude {
         LayerPlan, PlanRule, PlannedCodec, ResidualState, ResidualStore, SegmentDef, SparseUpdate,
         SpecError, UpdateCodec, WireError, WireUpdate,
     };
-    pub use fl_core::runner::{evaluate_params, run_experiment_with};
+    pub use fl_core::runner::evaluate_params;
     pub use fl_core::{
         allocate_layer_budgets, plan_weights, record_scenario_trace, resolve_codec_spec,
-        run_experiment, run_sweep, run_sweep_threaded, scenario_seed, segment_defs,
-        AdaptivePlanSpec, Algorithm, BcrsSchedule, BcrsScheduler, ClientRoster, ExperimentConfig,
-        ExperimentResult, FederatedSession, LayerBytes, ModelPreset, OpwaMask, OverlapCounts,
-        OverlapStats, PlanAssignment, PlanTelemetry, RoundOutput, RoundRecord, ScenarioHandle,
-        SessionBuilder, SweepGrid,
+        run_experiment, run_sweep_threaded, scenario_seed, segment_defs, AdaptivePlanSpec,
+        Algorithm, BcrsSchedule, BcrsScheduler, ClientRoster, ExperimentConfig, ExperimentResult,
+        FederatedSession, LayerBytes, ModelPreset, OpwaMask, OverlapCounts, OverlapStats,
+        PlanAssignment, PlanTelemetry, RoundOutput, RoundRecord, ScenarioHandle, SessionBuilder,
+        SweepGrid,
     };
     pub use fl_data::{
         dirichlet_partition, BatchLoader, ClientPartition, Dataset, DatasetPreset, PartitionStats,

@@ -210,8 +210,11 @@ fn session_engine_reproduces_run_experiment_through_the_facade() {
 fn sweep_driver_matches_individual_runs() {
     let mut base = quick(Algorithm::TopK);
     base.rounds = 3;
-    let grid = SweepGrid::new(base).algorithms([Algorithm::FedAvg, Algorithm::TopK]);
-    let configs = grid.configs();
+    let configs = SweepGrid::new(base)
+        .axis([Algorithm::FedAvg, Algorithm::TopK], |c, &a| {
+            c.algorithm = a
+        })
+        .configs();
     let swept = run_sweep_threaded(&configs, 2);
     assert_eq!(swept.len(), 2);
     for (config, result) in configs.iter().zip(swept.iter()) {

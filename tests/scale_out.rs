@@ -247,7 +247,7 @@ fn sweep_grid_population_axis_runs_end_to_end() {
     base.model = ModelPreset::Linear;
     base.rounds = 2;
     base.eval_every = 2;
-    let grid = SweepGrid::new(base).client_counts([10, 200]);
+    let grid = SweepGrid::new(base).axis([10, 200], |c, &n| c.num_clients = n);
     let results = run_sweep_threaded(&grid.configs(), 2);
     assert_eq!(results.len(), 2);
     assert_eq!(results[0].config.num_clients, 10);

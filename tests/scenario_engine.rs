@@ -67,12 +67,17 @@ fn scenario_sweeps_are_thread_count_invariant_and_match_direct_runs() {
     base.num_clients = 16;
     base.max_threads = 1;
     let configs = SweepGrid::new(base)
-        .algorithms([Algorithm::FedAvg, Algorithm::Bcrs])
-        .scenarios([
-            None,
-            Some("diurnal:period=4".parse().unwrap()),
-            Some("towers:groups=4,outage=0.3,repair=0.4".parse().unwrap()),
-        ])
+        .axis([Algorithm::FedAvg, Algorithm::Bcrs], |c, &a| {
+            c.algorithm = a
+        })
+        .axis(
+            [
+                None,
+                Some("diurnal:period=4".parse().unwrap()),
+                Some("towers:groups=4,outage=0.3,repair=0.4".parse().unwrap()),
+            ],
+            |c, s| c.scenario = s.clone(),
+        )
         .configs();
     let serial = run_sweep_threaded(&configs, 1);
     let threaded = run_sweep_threaded(&configs, 8);
