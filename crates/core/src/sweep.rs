@@ -204,7 +204,10 @@ impl SweepGrid {
 mod tests {
     use super::*;
     use crate::algorithm::Algorithm::{FedAvg, TopK};
+    use crate::policy::AdaptivePlanSpec;
     use crate::runner::run_experiment;
+    use fl_compress::{CompressorSpec, LayerPlan};
+    use fl_netsim::ScenarioSpec;
 
     fn quick_base() -> ExperimentConfig {
         let mut c = ExperimentConfig::quick(TopK);
@@ -326,6 +329,208 @@ mod tests {
                 assert_eq!(format!("{c:?}"), format!("{base:?}"));
             }
         }
+    }
+
+    #[test]
+    fn grid_covers_the_cartesian_product_in_order() {
+        let grid = SweepGrid::new(quick_base())
+            .axis([0.1, 0.5], |c, &b| c.beta = b)
+            .axis([0.1, 0.01], |c, &cr| c.compression_ratio = cr)
+            .axis([FedAvg, TopK], |c, &a| c.algorithm = a);
+        assert_eq!(grid.len(), 8);
+        let configs = grid.configs();
+        assert_eq!(configs.len(), 8);
+        // beta is the outer axis, then ratio, then algorithm.
+        assert_eq!(configs[0].beta, 0.1);
+        assert_eq!(configs[0].compression_ratio, 0.1);
+        assert_eq!(configs[0].algorithm, FedAvg);
+        assert_eq!(configs[1].algorithm, TopK);
+        assert_eq!(configs[2].compression_ratio, 0.01);
+        assert_eq!(configs[4].beta, 0.5);
+    }
+
+    #[test]
+    fn client_count_axis_is_the_outermost_loop() {
+        let grid = SweepGrid::new(quick_base())
+            .axis([10, 1_000], |c, &n| c.num_clients = n)
+            .axis([FedAvg, TopK], |c, &a| c.algorithm = a);
+        assert_eq!(grid.len(), 4);
+        let configs = grid.configs();
+        assert_eq!(configs[0].num_clients, 10);
+        assert_eq!(configs[1].num_clients, 10);
+        assert_eq!(configs[2].num_clients, 1_000);
+        assert_eq!(configs[2].algorithm, FedAvg);
+        assert_eq!(configs[3].algorithm, TopK);
+        // Participation is untouched, so the cohort scales with N.
+        assert_eq!(configs[0].participation, configs[2].participation);
+        assert!(configs.iter().all(|c| c.validate().is_ok()));
+        // The default grid keeps the base population.
+        assert_eq!(
+            SweepGrid::new(quick_base()).configs()[0].num_clients,
+            quick_base().num_clients
+        );
+    }
+
+    #[test]
+    fn compressor_axis_expands_the_grid() {
+        let grid = SweepGrid::new(quick_base())
+            .axis(
+                [
+                    "topk+qsgd:4".parse::<CompressorSpec>().unwrap(),
+                    "qsgd:8".parse().unwrap(),
+                ],
+                |c, s| c.compressor = Some(s.clone()),
+            )
+            .axis([0.1, 0.05], |c, &cr| c.compression_ratio = cr);
+        assert_eq!(grid.len(), 4);
+        let configs = grid.configs();
+        assert_eq!(
+            configs[0].compressor.as_ref().unwrap().to_string(),
+            "topk+qsgd:4"
+        );
+        assert_eq!(
+            configs[2].compressor.as_ref().unwrap().to_string(),
+            "qsgd:8"
+        );
+        assert!(configs.iter().all(|c| c.validate().is_ok()));
+        // The default grid keeps the base's (absent) override.
+        assert!(SweepGrid::new(quick_base()).configs()[0]
+            .compressor
+            .is_none());
+    }
+
+    #[test]
+    fn layer_plan_axis_expands_the_grid() {
+        let grid = SweepGrid::new(quick_base())
+            .axis(
+                [
+                    None,
+                    Some("*.bias=dense;*=topk".parse().unwrap()),
+                    Some("*=topk+qsgd:4".parse().unwrap()),
+                ],
+                |c, p| c.layer_compressors = p.clone(),
+            )
+            .axis([0.1, 0.05], |c, &cr| c.compression_ratio = cr);
+        assert_eq!(grid.len(), 6);
+        let configs = grid.configs();
+        assert!(configs[0].layer_compressors.is_none());
+        assert_eq!(
+            configs[2].layer_compressors.as_ref().unwrap().to_string(),
+            "*.bias=dense;*=topk"
+        );
+        assert_eq!(
+            configs[4].layer_compressors.as_ref().unwrap().to_string(),
+            "*=topk+qsgd:4"
+        );
+        assert!(configs.iter().all(|c| c.validate().is_ok()));
+        // A bare-plan axis wraps each value itself.
+        let owned = SweepGrid::new(quick_base())
+            .axis(["*=topk".parse::<LayerPlan>().unwrap()], |c, p| {
+                c.layer_compressors = Some(p.clone())
+            });
+        assert!(owned.configs()[0].layer_compressors.is_some());
+        // The default grid keeps the base's (absent) plan.
+        assert!(SweepGrid::new(quick_base()).configs()[0]
+            .layer_compressors
+            .is_none());
+    }
+
+    #[test]
+    fn adaptive_plan_axis_expands_the_grid() {
+        let grid = SweepGrid::new(quick_base())
+            .axis(
+                [
+                    None,
+                    Some("layer-bcrs".parse().unwrap()),
+                    Some("static:*=topk".parse().unwrap()),
+                ],
+                |c, p| c.adaptive_plan = p.clone(),
+            )
+            .axis([0.1, 0.05], |c, &cr| c.compression_ratio = cr);
+        assert_eq!(grid.len(), 6);
+        let configs = grid.configs();
+        assert!(configs[0].adaptive_plan.is_none());
+        assert_eq!(
+            configs[2].adaptive_plan.as_ref().unwrap().to_string(),
+            "layer-bcrs"
+        );
+        assert_eq!(
+            configs[4].adaptive_plan.as_ref().unwrap().to_string(),
+            "static:*=topk"
+        );
+        assert!(configs.iter().all(|c| c.validate().is_ok()));
+        // A bare-spec axis wraps each value itself.
+        let owned = SweepGrid::new(quick_base()).axis(
+            ["layer-bcrs".parse::<AdaptivePlanSpec>().unwrap()],
+            |c, p| c.adaptive_plan = Some(p.clone()),
+        );
+        assert!(owned.configs()[0].adaptive_plan.is_some());
+        // The default grid keeps the base's (absent) adaptive policy.
+        assert!(SweepGrid::new(quick_base()).configs()[0]
+            .adaptive_plan
+            .is_none());
+    }
+
+    #[test]
+    fn downlink_axis_expands_the_grid() {
+        let grid = SweepGrid::new(quick_base())
+            .axis(
+                [
+                    None,
+                    Some("topk".parse().unwrap()),
+                    Some("ef-topk".parse().unwrap()),
+                ],
+                |c, s| c.downlink_compressor = s.clone(),
+            )
+            .axis([0.1, 0.05], |c, &cr| c.compression_ratio = cr);
+        assert_eq!(grid.len(), 6);
+        let configs = grid.configs();
+        assert!(configs[0].downlink_compressor.is_none());
+        assert_eq!(
+            configs[2].downlink_compressor.as_ref().unwrap().to_string(),
+            "topk"
+        );
+        assert_eq!(
+            configs[4].downlink_compressor.as_ref().unwrap().to_string(),
+            "ef-topk"
+        );
+        assert!(configs.iter().all(|c| c.validate().is_ok()));
+        // The default grid keeps the base's (absent) downlink codec.
+        assert!(SweepGrid::new(quick_base()).configs()[0]
+            .downlink_compressor
+            .is_none());
+    }
+
+    #[test]
+    fn scenario_axis_expands_the_grid() {
+        let grid = SweepGrid::new(quick_base())
+            .axis([FedAvg, TopK], |c, &a| c.algorithm = a)
+            .axis(
+                [
+                    None,
+                    Some("diurnal".parse().unwrap()),
+                    Some("churn:leave=0.1".parse().unwrap()),
+                ],
+                |c, s| c.scenario = s.clone(),
+            );
+        assert_eq!(grid.len(), 6);
+        let configs = grid.configs();
+        // Scenario is the inner axis: the static baseline and both dynamic
+        // fleets appear per algorithm.
+        assert!(configs[0].scenario.is_none());
+        assert_eq!(configs[1].scenario.as_ref().unwrap().name(), "diurnal");
+        assert_eq!(configs[2].scenario.as_ref().unwrap().name(), "churn");
+        assert_eq!(configs[3].algorithm, TopK);
+        assert!(configs[3].scenario.is_none());
+        assert!(configs.iter().all(|c| c.validate().is_ok()));
+        // A bare-spec axis wraps each value itself; the default grid keeps
+        // the base's (absent) scenario.
+        let owned = SweepGrid::new(quick_base())
+            .axis(["towers".parse::<ScenarioSpec>().unwrap()], |c, s| {
+                c.scenario = Some(s.clone())
+            });
+        assert!(owned.configs()[0].scenario.is_some());
+        assert!(SweepGrid::new(quick_base()).configs()[0].scenario.is_none());
     }
 
     #[test]
