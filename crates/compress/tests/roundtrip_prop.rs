@@ -124,40 +124,44 @@ const BUILTIN_SPECS: [&str; 19] = [
     "ef-threshold:0.5+qsgd:6",
 ];
 
-/// One FNV-1a hash per spec shape: [`BUILTIN_SPECS`] plus the shapes no
-/// session pin reaches otherwise. Re-capture only for an intended change:
+/// Three FNV-1a hashes per spec shape — `(bytes, sent, residual)` — over
+/// [`BUILTIN_SPECS`] plus the shapes no session pin reaches otherwise.
+/// Re-capture only for an intended change:
 /// `SHAPE_PRINT=1 cargo test -p fl-compress --test roundtrip_prop spec_shapes -- --nocapture`.
-const SHAPE_PINS: [(&str, u64); 23] = [
-    ("topk", 0x581efaf35e7a35be),
-    ("randk", 0xaa0c3b5326d72a8c),
-    ("threshold", 0xe257f51518bc96e3),
-    ("threshold:0.5", 0xc8e55e5d2b628086),
-    ("dense", 0x8030a5ff921146d9),
-    ("qsgd:2", 0x0b5872aad2c61a31),
-    ("qsgd:8", 0x56c5a8fa3397d4fb),
-    ("qsgd:4:rc", 0xd448984ad62c80a5),
-    ("qsgd:16:rc", 0x6a0042e85d9c83a0),
-    ("topk+qsgd:4", 0x90bcab730d0b44b6),
-    ("topk+qsgd:6:rc", 0xadb1ccaf241b464d),
-    ("randk+qsgd:8", 0x2029a7426b0a0b6e),
-    ("threshold:0.5+qsgd:3:rc", 0x4fc81e76b1e87408),
-    ("ef-topk", 0x90ed90bb5f095b6c),
-    ("ef-randk", 0x2673805fda86975a),
-    ("ef-qsgd:4:rc", 0xf538d49fb3d48c4a),
-    ("ef-topk+qsgd:4:rc", 0x13a7ab16b43a09db),
-    ("ef-topk+qsgd:8", 0x55812954724daa0c),
-    ("ef-threshold:0.5+qsgd:6", 0xaf4c05841d786f28),
-    ("dense+qsgd:4", 0x7a0d4e4d8b780de3),
-    ("ef-dense", 0x07d0fe0d68f861f7),
-    ("ef-threshold", 0x7c43fab2c1e9445f),
-    ("randk+qsgd:6:rc", 0x5f9f225100e6f9c8),
+#[rustfmt::skip]
+const SHAPE_PINS: [(&str, u64, u64, u64); 23] = [
+    ("topk", 0xd8abff34a459a937, 0x2eae9862484edece, 0xcbf29ce484222325),
+    ("randk", 0xa3d5c79d1a7bf052, 0x5b9dff1cf74c08e7, 0xcbf29ce484222325),
+    ("threshold", 0x7f610ebcbd1e7d4b, 0x145ddc744841270d, 0xcbf29ce484222325),
+    ("threshold:0.5", 0xa357d7d4f16bda8a, 0x3d0cf38c95787779, 0xcbf29ce484222325),
+    ("dense", 0x8f653566f897487f, 0x662b951316d02a49, 0xcbf29ce484222325),
+    ("qsgd:2", 0xe927191243809920, 0x194becc60bf013fc, 0xcbf29ce484222325),
+    ("qsgd:8", 0xac72e8fe587f7237, 0x7188a11a15a651b1, 0xcbf29ce484222325),
+    ("qsgd:4:rc", 0x05017aabf1542e4e, 0x67654128b209033c, 0xcbf29ce484222325),
+    ("qsgd:16:rc", 0x80d10a40ea7f0c0e, 0xe2057c5444d1dc83, 0xcbf29ce484222325),
+    ("topk+qsgd:4", 0x5d13b92223c1c1ac, 0x31ee1d4579caf9bb, 0xcbf29ce484222325),
+    ("topk+qsgd:6:rc", 0x015a8113650afd05, 0x0f6c1f42639f5b85, 0xcbf29ce484222325),
+    ("randk+qsgd:8", 0x6419e55dd7b5281b, 0x2b521f205ff8b726, 0xcbf29ce484222325),
+    ("threshold:0.5+qsgd:3:rc", 0xacb7c4da8fc6d886, 0xf76936aab7c7aa41, 0xcbf29ce484222325),
+    ("ef-topk", 0xd3da20694e3e513b, 0x58abbc1da628bd37, 0x7adb2a565309ea7a),
+    ("ef-randk", 0x16f04a7c27cfb08f, 0x756ebe45053efd04, 0x269f1be881dee0f5),
+    ("ef-qsgd:4:rc", 0x4b1d487ce2842a4b, 0xc671afc9fc995027, 0x07043f382348cd24),
+    ("ef-topk+qsgd:4:rc", 0x51946485543c89c7, 0x6dbaeb448d184268, 0x2072020b0483708e),
+    ("ef-topk+qsgd:8", 0xda31e67fb5498c3f, 0x5a847cfe653415a0, 0x317e9ec3184284e1),
+    ("ef-threshold:0.5+qsgd:6", 0xdcff7c33444d40dd, 0x03cb0b57d99644b2, 0x9878501cc622e845),
+    ("dense+qsgd:4", 0xf75bb1a8bb460aee, 0x67654128b209033c, 0xcbf29ce484222325),
+    ("ef-dense", 0xafd4014d61e4cbef, 0x01430e2536ca7d95, 0xf027a1ded0458b37),
+    ("ef-threshold", 0x553ddf228ace20c5, 0xad819e1807d0995c, 0x0b1ad3552c97c17c),
+    ("randk+qsgd:6:rc", 0x99a9ecd424e04a60, 0x45d00826b6ea4a65, 0xcbf29ce484222325),
 ];
 
 /// Every spec shape's bytes, sent updates and residuals, bit for bit: over
 /// n ∈ {1, 255, 256, 700, 4133}, ratio ∈ {0.01, 0.3, 1.0} and every
 /// `awkward_gradient` flavour, three rounds on one codec instance each (so
-/// error-feedback state carries), each folding the wire bytes, the sent
-/// update's `to_bits` and the residual snapshot into one FNV-1a hash.
+/// error-feedback state carries). Each shape folds three FNV-1a hashes: the
+/// wire bytes with the sent update's indices, the sent update's dense
+/// `to_bits`, and the residual snapshot. A change to which coordinates a
+/// frame carries may move the first and leave the other two alone.
 #[test]
 fn spec_shapes_are_pinned() {
     fn fold(hash: &mut u64, bytes: &[u8]) {
@@ -173,8 +177,8 @@ fn spec_shapes_are_pinned() {
     }
     let print = std::env::var_os("SHAPE_PRINT").is_some();
     let mut mismatches = Vec::new();
-    for (spec, pinned) in SHAPE_PINS {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (spec, bytes_pin, sent_pin, residual_pin) in SHAPE_PINS {
+        let [mut bytes, mut sent_values, mut residual] = [0xcbf2_9ce4_8422_2325u64; 3];
         for n in [1usize, 255, 256, 700, 4133] {
             for ratio in [0.01, 0.3, 1.0] {
                 for flavour in 0..7u8 {
@@ -183,24 +187,28 @@ fn spec_shapes_are_pinned() {
                     for round in 0..3u64 {
                         let d = awkward_gradient(round * 31 + flavour as u64, n, flavour);
                         let (wire, sent) = codec.encode_sent(&d, ratio, &mut rng);
-                        fold(&mut hash, wire.as_bytes());
+                        fold(&mut bytes, wire.as_bytes());
                         if let Some(s) = sent.as_sparse() {
                             s.indices()
                                 .iter()
-                                .for_each(|i| fold(&mut hash, &i.to_le_bytes()));
+                                .for_each(|i| fold(&mut bytes, &i.to_le_bytes()));
                         }
-                        fold_f32s(&mut hash, &sent.to_dense());
-                        let residual = codec.take_residual();
-                        residual.parts.iter().for_each(|p| fold_f32s(&mut hash, p));
-                        codec.restore_residual(residual);
+                        fold_f32s(&mut sent_values, &sent.to_dense());
+                        let state = codec.take_residual();
+                        state.parts.iter().for_each(|p| fold_f32s(&mut residual, p));
+                        codec.restore_residual(state);
                     }
                 }
             }
         }
+        let got = (bytes, sent_values, residual);
         if print {
-            println!("    ({spec:?}, {hash:#018x}),");
-        } else if hash != pinned {
-            mismatches.push(format!("{spec}: {hash:#018x} != pinned {pinned:#018x}"));
+            println!("    ({spec:?}, {bytes:#018x}, {sent_values:#018x}, {residual:#018x}),");
+        } else if got != (bytes_pin, sent_pin, residual_pin) {
+            mismatches.push(format!(
+                "{spec}: {got:#018x?} != pinned {:#018x?}",
+                (bytes_pin, sent_pin, residual_pin)
+            ));
         }
     }
     assert!(

@@ -16,7 +16,10 @@
 //! final accuracy to within [`ACCURACY_TOLERANCE`] — so a re-capture of the
 //! float hashes is checked against something that did not move with them.
 //! The hashes hold in debug and release and with or without hardware FMA (CI
-//! runs all three): the fused step is exactly specified.
+//! runs all three): the fused step is exactly specified. Every run also pins
+//! a [`training_fingerprint`] — accuracy, losses, ratios and selection, no
+//! bytes — so a change that only moves what goes on the wire re-pins the
+//! full hashes against something that did not move with them.
 //!
 //! To re-capture after an *intentional* trajectory change:
 //! `FP_PRINT=1 cargo test --release --test fingerprints -- --nocapture`
@@ -185,6 +188,26 @@ fn trajectory_fingerprint(records: &[RoundRecord]) -> u64 {
     h.0
 }
 
+/// Hash only what training produced: per round, the test accuracy and loss,
+/// the train loss, the mean compression ratio and the selected clients — no
+/// bytes, no times priced from bytes, no overlap counts. A change to how an
+/// update is laid out on the wire, or to which of its coordinates the wire
+/// carries when the dropped ones decode to `0.0` anyway, moves
+/// [`fingerprint`] and must leave this untouched.
+fn training_fingerprint(records: &[RoundRecord]) -> u64 {
+    let mut h = Fnv::new();
+    h.usize(records.len());
+    for r in records {
+        h.usize(r.round);
+        h.f64(r.test_accuracy);
+        h.f64(r.test_loss);
+        h.f64(r.train_loss);
+        h.f64(r.mean_compression_ratio);
+        h.selected(&r.selected_clients);
+    }
+    h.0
+}
+
 /// Hash only what no floating-point kernel can reach: who was selected, at
 /// which ratio, the scenario and plan-epoch telemetry, and — when the run is
 /// priced analytically, from link draws and ratios alone — the simulated
@@ -225,6 +248,75 @@ fn schedule_fingerprint(records: &[RoundRecord], analytic: bool) -> u64 {
 /// (not the algorithm) changes: two of the quick test set's 100 samples. The
 /// `1e-9` keeps `0.13 − 0.11` (not exactly `0.02` in binary) inside.
 const ACCURACY_TOLERANCE: f64 = 0.02 + 1e-9;
+
+/// [`training_fingerprint`] of every pinned run, by name: the 14
+/// [`EXPECTED`] rows, the 4 [`CODEC_CASES`] and the 16 [`ENGINE_CASES`].
+const EXPECTED_TRAINING: &[(&str, u64)] = &[
+    ("fedavg/flat", 0x4bd033388251b501),
+    ("topk/flat", 0x11e6564c1f0feb92),
+    ("eftopk/flat", 0xd224469577e13b2f),
+    ("randk/flat", 0x7e49f8ea39d784e3),
+    ("topk+opwa/flat", 0xb02b199ca465b0ec),
+    ("bcrs/flat", 0x52284fe75689a7c2),
+    ("bcrs+opwa/flat", 0x5f89f99dccf0be95),
+    ("fedavg/planned", 0xa8c150548ec8e418),
+    ("topk/planned", 0x7f2633397f4bbdca),
+    ("eftopk/planned", 0x7f2633397f4bbdca),
+    ("randk/planned", 0x7f2633397f4bbdca),
+    ("topk+opwa/planned", 0x91b6c2a10f89fb29),
+    ("bcrs/planned", 0x9b75e5d50947c7f8),
+    ("bcrs+opwa/planned", 0xe43ddd4d39dcdb05),
+    (
+        "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
+        0xcb07c38943af978e,
+    ),
+    (
+        "codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8",
+        0x6d8c80743160ae13,
+    ),
+    ("codec/ef-qsgd:4:rc", 0xf60e81db17cf1acc),
+    ("codec/ef-threshold+qsgd:6", 0x3415567dd9314180),
+    ("engine/dropout=0.3", 0xb2065737a88860ea),
+    ("engine/dropout=0.999", 0x21a9dae36eadb1e5),
+    ("engine/server_momentum=0.9", 0x9c969008485436cb),
+    ("engine/diurnal|dropout=0.2", 0x8175ea51fa53d38f),
+    ("engine/churn:leave=0.05", 0x989276bcd109db37),
+    ("engine/static:*.bias=dense;*=ef-topk", 0x272113d2c6f8d583),
+    (
+        "engine/topk+qsgd:4|down=*=ef-topk|encoded",
+        0xdaf16ccb5bfd66ed,
+    ),
+    ("engine/tiered", 0xbeb9ea75469d4d1f),
+    ("engine/towers", 0x3ee931a47a401e43),
+    ("engine/trace:towers_n16_seed7", 0xaa3c886d72b43630),
+    ("engine/compressor=randk", 0xd69ede3d22555728),
+    (
+        "engine/compressor=threshold:0.01|encoded",
+        0x02308599454825bf,
+    ),
+    ("engine/eval_every=2", 0x4fab05d07e1a7795),
+    ("engine/fedavg|down=ef-topk", 0x0cd60b3f61210b9b),
+    ("engine/bcrs+opwa|down=topk+qsgd:8", 0x077ea71bc496538b),
+    ("engine/bcrs|encoded", 0xd135ffae21d4cc27),
+];
+
+/// Check one run against its [`EXPECTED_TRAINING`] pin.
+fn assert_training_pinned(name: &str, records: &[RoundRecord]) {
+    let &(_, pin) = EXPECTED_TRAINING
+        .iter()
+        .find(|(pinned, _)| *pinned == name)
+        .unwrap_or_else(|| panic!("{name}: no training pin"));
+    assert_eq!(
+        training_fingerprint(records),
+        pin,
+        "{name}: accuracy, loss, ratio or selection moved"
+    );
+}
+
+/// Print one run's [`EXPECTED_TRAINING`] row under `FP_PRINT`.
+fn print_training_pin(name: &str, records: &[RoundRecord]) {
+    println!("    ({name:?}, {:#018x}),", training_fingerprint(records));
+}
 
 /// Check one run against its `(schedule hash, final test accuracy)` pin.
 fn assert_schedule_pinned(name: &str, records: &[RoundRecord], analytic: bool, pin: (u64, f64)) {
@@ -629,6 +721,9 @@ fn round_record_fingerprints_are_pinned() {
         for (name, records) in &got {
             print_schedule_pin(name, records, true);
         }
+        for (name, records) in &got {
+            print_training_pin(name, records);
+        }
         return;
     }
     assert_eq!(got.len(), EXPECTED.len());
@@ -638,6 +733,7 @@ fn round_record_fingerprints_are_pinned() {
     {
         assert_eq!(name, exp_name, "fingerprint matrix order changed");
         assert_schedule_pinned(name, records, true, *pin);
+        assert_training_pinned(name, records);
         assert_eq!(
             fingerprint(records),
             *exp_fp,
@@ -662,6 +758,9 @@ fn codec_path_fingerprints_are_pinned() {
         for (case, records) in CODEC_CASES.iter().zip(&got) {
             print_schedule_pin(case.name, records, false);
         }
+        for (case, records) in CODEC_CASES.iter().zip(&got) {
+            print_training_pin(case.name, records);
+        }
         return;
     }
     assert_eq!(got.len(), EXPECTED_CODEC.len());
@@ -673,6 +772,7 @@ fn codec_path_fingerprints_are_pinned() {
         .zip(EXPECTED_CODEC_SCHEDULE)
     {
         assert_schedule_pinned(case.name, records, false, *pin);
+        assert_training_pinned(case.name, records);
         assert_eq!(
             fingerprint(records),
             *exp,
@@ -706,6 +806,9 @@ fn engine_path_fingerprints_are_pinned() {
                 case.name
             );
         }
+        for (case, records) in ENGINE_CASES.iter().zip(&got) {
+            print_training_pin(case.name, records);
+        }
         return;
     }
     assert_eq!(got.len(), EXPECTED_ENGINE.len());
@@ -713,6 +816,7 @@ fn engine_path_fingerprints_are_pinned() {
         ENGINE_CASES.iter().zip(&got).zip(EXPECTED_ENGINE)
     {
         assert_schedule_pinned(case.name, records, !case.encoded, (schedule, accuracy));
+        assert_training_pinned(case.name, records);
         assert_eq!(
             fingerprint(records),
             full,
