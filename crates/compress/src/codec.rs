@@ -255,25 +255,43 @@ impl Quant {
         (wire, CompressedUpdate::Quantized { values })
     }
 
-    /// The sparse quantized frame of a selection's values.
+    /// The sparse quantized frame of a selection's values, carrying only
+    /// the coordinates that dequantize to something other than zero.
+    ///
+    /// Each selected value becomes its dequantized level (the arithmetic of
+    /// `qsgd_dequantize`, in place), and every coordinate that comes out
+    /// `0.0` — level 0 under a finite norm — is dropped from the selection
+    /// and its level from the frame. Nothing downstream can tell: the
+    /// receiver decodes an absent coordinate as `+0.0`, subtracting `0.0`
+    /// leaves an error-feedback residual bitwise unchanged, and aggregation
+    /// accumulates from `+0.0`, so a scaled zero adds nothing. The levels
+    /// and RNG draws are those of the whole selection.
     fn quantize_selected(
         &mut self,
         mut sel: SparseUpdate,
         rng: &mut Xoshiro256,
     ) -> (WireUpdate, CompressedUpdate) {
         let max_level = max_level_for_bits(self.bits);
-        let (norm, levels) = qsgd_levels(sel.values(), max_level, rng);
+        let (norm, mut levels) = qsgd_levels(sel.values(), max_level, rng);
+        let (mut at, mut kept) = (0, 0);
+        sel.retain(|v| {
+            let level = levels[at];
+            at += 1;
+            *v = norm * level as f32 / max_level as f32;
+            if *v == 0.0 {
+                return false;
+            }
+            levels[kept] = level;
+            kept += 1;
+            true
+        });
+        levels.truncate(kept);
         let (n, indices, bits) = (sel.dense_len(), sel.indices(), self.bits);
         let wire = if self.rc {
             encode_sparse_quantized_rc(&mut self.coder, n, indices, bits, norm, &levels)
         } else {
             encode_sparse_quantized(n, indices, bits, norm, &levels)
         };
-        // What was sent keeps the selection's indices; its values become the
-        // dequantized levels (the arithmetic of `qsgd_dequantize`, in place).
-        for (v, &level) in sel.values_mut().iter_mut().zip(&levels) {
-            *v = norm * level as f32 / max_level as f32;
-        }
         (wire, CompressedUpdate::Sparse(sel))
     }
 }
@@ -561,11 +579,18 @@ mod tests {
         // A genuinely sparse ratio still uses the sparse format.
         let sparse = build("topk", 100).encode(&d, 0.5, &mut rng());
         assert_eq!(sparse.kind().unwrap(), KIND_SPARSE);
-        // Quantized, a full selection is sparse-quantized over every index.
+        // Quantized, a full selection is sparse-quantized over the indices
+        // whose level is not 0: the same levels the whole vector draws.
+        let (_, levels) = qsgd_levels(&d, max_level_for_bits(4), &mut rng());
+        let nonzero = levels.iter().filter(|&&l| l != 0).count();
+        assert!(0 < nonzero && nonzero < 100, "{nonzero} nonzero levels");
         for spec in ["topk+qsgd:4", "dense+qsgd:4"] {
-            let wire = build(spec, 100).encode(&d, 1.0, &mut rng());
+            let (wire, sent) = build(spec, 100).encode_sent(&d, 1.0, &mut rng());
             assert_eq!(wire.kind().unwrap(), KIND_SPARSE_QUANTIZED, "{spec}");
-            assert_eq!(wire.decode().unwrap().into_sparse().unwrap().nnz(), 100);
+            let decoded = wire.decode().unwrap().into_sparse().unwrap();
+            assert_eq!(decoded.nnz(), nonzero, "{spec}");
+            assert!(decoded.values().iter().all(|&v| v != 0.0), "{spec}");
+            assert_eq!(decoded.to_dense(), sent.to_dense(), "{spec}");
         }
     }
 

@@ -79,6 +79,22 @@ impl SparseUpdate {
         &mut self.values
     }
 
+    /// Keep only the coordinates whose value `keep` accepts, in order and in
+    /// place (no allocation). `keep` sees each value once, front to back,
+    /// and may rewrite it first.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&mut f32) -> bool) {
+        let mut kept = 0;
+        for at in 0..self.values.len() {
+            if keep(&mut self.values[at]) {
+                self.indices[kept] = self.indices[at];
+                self.values[kept] = self.values[at];
+                kept += 1;
+            }
+        }
+        self.indices.truncate(kept);
+        self.values.truncate(kept);
+    }
+
     /// Length of the original dense vector.
     pub fn dense_len(&self) -> usize {
         self.dense_len
@@ -153,6 +169,18 @@ mod tests {
         let mut target = vec![1.0; 4];
         s.add_scaled_into(&mut target, 0.5);
         assert_eq!(target, vec![1.0, 2.0, 1.0, 0.5]);
+    }
+
+    #[test]
+    fn retain_compacts_in_order_after_rewriting() {
+        let mut s = SparseUpdate::new(vec![1, 4, 6, 9], vec![1.0, -2.0, 3.0, -4.0], 10);
+        s.retain(|v| {
+            *v *= 2.0;
+            *v > 0.0
+        });
+        assert_eq!(s, SparseUpdate::new(vec![1, 6], vec![2.0, 6.0], 10));
+        s.retain(|_| false);
+        assert_eq!(s, SparseUpdate::empty(10));
     }
 
     #[test]

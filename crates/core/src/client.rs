@@ -299,6 +299,7 @@ mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
     use crate::policy::uplink_plan;
+    use fl_compress::quantize::{max_level_for_bits, qsgd_levels};
     use fl_nn::flatten_params;
 
     /// Client 0 bound, as a roster checkout binds it, to the first 64
@@ -440,12 +441,29 @@ mod tests {
             flatten_params(&model)
         };
         let out = client.local_update(&global);
-        let wire = client.encode(&out.delta, 0.1);
+        // The frame carries the Top-K selection's coordinates of nonzero
+        // level: the levels the codec draws from the client's stream.
         let k = (0.1 * global.len() as f64).ceil() as usize;
+        let selection = fl_compress::topk::select(&out.delta, 0.1);
+        assert_eq!(selection.nnz(), k);
+        let (_, levels) = qsgd_levels(
+            selection.values(),
+            max_level_for_bits(4),
+            &mut client.rng.clone(),
+        );
+        let nonzero = levels.iter().filter(|&&l| l != 0).count();
+        assert!(
+            0 < nonzero && nonzero < k,
+            "{nonzero} of {k} levels nonzero"
+        );
+        let (wire, sent) = client.codec.encode_sent(&out.delta, 0.1, &mut client.rng);
         assert!(
             wire.len() < k * 8 / 2,
             "4-bit quantized values should beat the f32 sparse format"
         );
-        assert_eq!(client.decode(&wire).unwrap().as_sparse().unwrap().nnz(), k);
+        let decoded = client.decode(&wire).unwrap().into_sparse().unwrap();
+        assert_eq!(decoded.nnz(), nonzero);
+        assert!(decoded.values().iter().all(|&v| v != 0.0));
+        assert_eq!(decoded.to_dense(), sent.to_dense());
     }
 }

@@ -469,23 +469,28 @@ fn run_codec_case(case: &CodecCase) -> Vec<RoundRecord> {
 /// once more, with its trajectory hash and final accuracy but not its
 /// schedule hash, when `dirichlet_partition` stopped redrawing: its first
 /// draw misses the floor, and the top-up now levels that draw rather than
-/// the 100th.
+/// the 100th. The three rows with a sparse quantized leg (all but
+/// `ef-qsgd:4:rc`) moved once more, alone, when those frames stopped
+/// carrying coordinates of level 0: their byte counts and the times priced
+/// from them changed, their [`EXPECTED_TRAINING`] rows did not.
 const EXPECTED_CODEC: &[u64] = &[
-    0x1fae51f0776bcca4,
-    0x097864ad66e73d2e,
+    0x707f80ddf8fdcadd,
+    0x140fb47049917fc1,
     0x65059a0711c22be8,
-    0xf918a321b2835026,
+    0x34d2e91045a3d5ff,
 ];
 
 /// The `:rc` rows' [`trajectory_fingerprint`]s. The entropy back end may
 /// change the bytes — and with them the full hashes above — but never these:
 /// quantization, RNG draws and dequantized values do not depend on the byte
 /// layout. (They are float hashes all the same, re-captured with the fused
-/// matmul tile.)
+/// matmul tile.) Each also hashes `downlink_bytes`, so the cohort-40 row,
+/// with its sparse quantized downlink, moved with its full hash when those
+/// frames stopped carrying coordinates of level 0.
 const EXPECTED_RC_TRAJECTORY: &[(&str, u64)] = &[
     (
         "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
-        0x793ba62c0cae7cc9,
+        0x9f8c6a84afb01c33,
     ),
     ("codec/ef-qsgd:4:rc", 0x511a87c14c26ec0c),
 ];
@@ -673,7 +678,10 @@ fn run_engine_case(case: &EngineCase) -> Vec<RoundRecord> {
 
 /// `(full hash, schedule hash, final test accuracy)` of [`ENGINE_CASES`], in
 /// their order, captured while cohort selection, ratio assignment, the server
-/// step and plan choice were still trait-object policies.
+/// step and plan choice were still trait-object policies. The two rows with a
+/// sparse quantized leg (`topk+qsgd:4` up, `topk+qsgd:8` down) re-pinned their
+/// full hashes alone when those frames stopped carrying coordinates of
+/// level 0.
 const EXPECTED_ENGINE: &[(u64, u64, f64)] = &[
     (0x55e13ef654e48a47, 0x0604d15401392a02, 0.15), // engine/dropout=0.3
     (0x81517cd897066e16, 0x3a28bab5aa147e65, 0.12), // engine/dropout=0.999
@@ -681,7 +689,7 @@ const EXPECTED_ENGINE: &[(u64, u64, f64)] = &[
     (0x9143ba6776f7f38b, 0xd5ba940842e2a137, 0.19), // engine/diurnal|dropout=0.2
     (0x87633024a217fff1, 0xfb4fdbfbf02c4751, 0.1),  // engine/churn:leave=0.05
     (0x9462f8e886b4be1f, 0x6a1355ea66403181, 0.13), // engine/static:*.bias=dense;*=ef-topk
-    (0x38b5a4aca70e08d3, 0x1ca3ced6df284db1, 0.09), // engine/topk+qsgd:4|down=*=ef-topk|encoded
+    (0x599d771638cab0f5, 0x1ca3ced6df284db1, 0.09), // engine/topk+qsgd:4|down=*=ef-topk|encoded
     (0x8ac2cc0cd7d30035, 0xb019a5e72b39734c, 0.21), // engine/tiered
     (0x43611ed61e33e3ca, 0xee6b39b966231df6, 0.17), // engine/towers
     (0x14e178c16d226508, 0x0660842b3d9ac53d, 0.11), // engine/trace:towers_n16_seed7
@@ -689,7 +697,7 @@ const EXPECTED_ENGINE: &[(u64, u64, f64)] = &[
     (0xfc17ff4dd16c5639, 0x1ca3ced6df284db1, 0.13), // engine/compressor=threshold:0.01|encoded
     (0xd27a63586a185b30, 0x16ff6185a02fbbc9, 0.22), // engine/eval_every=2
     (0x175589bca3685d33, 0x617715aa7081fbd1, 0.12), // engine/fedavg|down=ef-topk
-    (0x5528e01cb568e12d, 0xca2314338d5c97b5, 0.21), // engine/bcrs+opwa|down=topk+qsgd:8
+    (0xf718d1a53feb32d3, 0xca2314338d5c97b5, 0.21), // engine/bcrs+opwa|down=topk+qsgd:8
     (0x6cc375eee7313ba6, 0x8c12ea3090a27b7f, 0.21), // engine/bcrs|encoded
 ];
 
