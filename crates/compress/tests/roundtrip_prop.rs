@@ -237,6 +237,37 @@ proptest! {
         }
     }
 
+    /// A sparse quantized frame carries only coordinates of nonzero level:
+    /// every decoded value is nonzero (NaN counts, as under a non-finite
+    /// norm), and the indices are a subset of what the same selection stage
+    /// picks unquantized from the same stream — so `nnz ≤ k`.
+    #[test]
+    fn prop_sparse_quantized_frames_carry_only_nonzero_levels(
+        seed in 0u64..1 << 32,
+        n in 1usize..700,
+        flavour in 0u8..7,
+        ratio_pct in 1u32..101,
+    ) {
+        let ratio = ratio_pct as f64 / 100.0;
+        let d = awkward_gradient(seed, n, flavour);
+        for spec in BUILTIN_SPECS.into_iter().filter(|s| s.contains("+qsgd")) {
+            let selection = spec.split('+').next().expect("a selection stage");
+            let (wire, _) = build(spec, n).encode_sent(&d, ratio, &mut Xoshiro256::new(seed));
+            let (picked, _) = build(selection, n).encode_sent(&d, ratio, &mut Xoshiro256::new(seed));
+            let carried = wire.decode().expect("own bytes decode").into_sparse().expect("sparse kind");
+            let picked = picked.decode().expect("own bytes decode").into_sparse().expect("sparse kind");
+            prop_assert!(
+                carried.values().iter().all(|&v| v != 0.0),
+                "{}: a zero coordinate went on the wire (flavour {})", spec, flavour
+            );
+            prop_assert!(carried.nnz() <= picked.nnz(), "{}: nnz above k", spec);
+            prop_assert!(
+                carried.indices().iter().all(|i| picked.indices().binary_search(i).is_ok()),
+                "{}: an index outside the selection", spec
+            );
+        }
+    }
+
     /// The same contract through a mixed layer plan: the spliced update a
     /// `PlannedCodec` returns equals the decode of its `Segmented` frame,
     /// with error-feedback, dense, quantized and entropy-coded segments side

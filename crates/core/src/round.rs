@@ -565,7 +565,9 @@ impl FederatedSession {
 mod tests {
     use crate::algorithm::Algorithm;
     use crate::config::ExperimentConfig;
+    use crate::overlap::OverlapCounts;
     use crate::session::FederatedSession;
+    use fl_compress::SparseUpdate;
     use fl_netsim::{CommModel, CostBasis};
 
     #[test]
@@ -664,6 +666,45 @@ mod tests {
         config.compressor = Some("qsgd:8".parse().unwrap());
         let err = config.validate().unwrap_err();
         assert!(err.contains("OPWA"), "{err}");
+    }
+
+    #[test]
+    fn opwa_overlap_counts_exactly_the_coordinates_a_quantized_uplink_carries() {
+        // A `topk+qsgd:4` frame carries only the selected coordinates of
+        // nonzero level, so the overlap degrees OPWA weighs by count those
+        // and no others. A twin session's roster replays round 0's cohort to
+        // get each client's decoded update independently of the round.
+        let mut config = ExperimentConfig::quick(Algorithm::TopKOpwa);
+        config.rounds = 1;
+        config.max_threads = 1;
+        config.compressor = Some("topk+qsgd:4".parse().unwrap());
+        let record = FederatedSession::from_config(&config).run_round().record;
+        let twin = FederatedSession::from_config(&config);
+        twin.roster.begin_round();
+        let decoded: Vec<SparseUpdate> = record
+            .selected_clients
+            .iter()
+            .map(|&id| {
+                let mut client = twin.roster.checkout(id);
+                let delta = client.local_update(&twin.global_params).delta;
+                let wire = client.encode(&delta, config.compression_ratio);
+                let update = client.decode(&wire).unwrap().into_sparse().unwrap();
+                twin.roster.checkin(client);
+                update
+            })
+            .collect();
+        let k = fl_compress::topk::k_for(twin.model_params, config.compression_ratio);
+        let carried: usize = decoded.iter().map(SparseUpdate::nnz).sum();
+        assert!(carried < decoded.len() * k, "{carried} of {k} per client");
+        assert!(decoded.iter().all(|u| u.values().iter().all(|&v| v != 0.0)));
+        let refs: Vec<&SparseUpdate> = decoded.iter().collect();
+        let overlap = record.overlap.expect("OPWA records its overlap");
+        assert_eq!(overlap, OverlapCounts::from_updates(&refs).stats());
+        let degrees: u64 = (1..)
+            .zip(&overlap.histogram_counts)
+            .map(|(degree, &count)| degree * count)
+            .sum();
+        assert_eq!(degrees, carried as u64);
     }
 
     #[test]
