@@ -223,7 +223,10 @@ pub(crate) enum Select<C> {
 /// The QSGD stage of a [`Pipeline`]: a sign plus `bits − 1` level bits per
 /// coordinate, bit-packed or, with `rc` (`"qsgd:4:rc"`), entropy-coded by the
 /// adaptive-CDF rANS coder, which never expands past the bit-packed size.
-/// The levels, the norm and the RNG draws are the same either way.
+/// The levels, the norm and the RNG draws are the same either way. Alone it
+/// codes every coordinate (the dense quantized kinds); behind a selection
+/// stage it sends only the selected coordinates of nonzero level
+/// ([`quantize_selected`](Self::quantize_selected)).
 pub(crate) struct Quant {
     bits: u8,
     rc: bool,
@@ -264,8 +267,9 @@ impl Quant {
     /// and its level from the frame. Nothing downstream can tell: the
     /// receiver decodes an absent coordinate as `+0.0`, subtracting `0.0`
     /// leaves an error-feedback residual bitwise unchanged, and aggregation
-    /// accumulates from `+0.0`, so a scaled zero adds nothing. The levels
-    /// and RNG draws are those of the whole selection.
+    /// accumulates from `+0.0`, so a scaled zero adds nothing. The norm the
+    /// frame carries, the levels and the RNG draws are those of the whole
+    /// selection.
     fn quantize_selected(
         &mut self,
         mut sel: SparseUpdate,
@@ -273,19 +277,13 @@ impl Quant {
     ) -> (WireUpdate, CompressedUpdate) {
         let max_level = max_level_for_bits(self.bits);
         let (norm, mut levels) = qsgd_levels(sel.values(), max_level, rng);
-        let (mut at, mut kept) = (0, 0);
+        let dequantize = |level: i32| norm * level as f32 / max_level as f32;
+        let mut drawn = levels.iter();
         sel.retain(|v| {
-            let level = levels[at];
-            at += 1;
-            *v = norm * level as f32 / max_level as f32;
-            if *v == 0.0 {
-                return false;
-            }
-            levels[kept] = level;
-            kept += 1;
-            true
+            *v = dequantize(*drawn.next().expect("one level per selected value"));
+            *v != 0.0
         });
-        levels.truncate(kept);
+        levels.retain(|&level| dequantize(level) != 0.0);
         let (n, indices, bits) = (sel.dense_len(), sel.indices(), self.bits);
         let wire = if self.rc {
             encode_sparse_quantized_rc(&mut self.coder, n, indices, bits, norm, &levels)
@@ -309,7 +307,8 @@ impl Quant {
 /// [`take_residual`](UpdateCodec::take_residual) without a copy or a refill.
 ///
 /// The quantizer codes the selected values, so the wire carries varint-delta
-/// indices plus `bits`-wide levels instead of full `f32`s. Only a custom
+/// indices plus `bits`-wide levels instead of full `f32`s — and only for the
+/// selected coordinates whose level is not 0. Only a custom
 /// first stage writes a frame of its own; when a quantizer follows it, that
 /// frame is discarded.
 pub(crate) struct Pipeline {

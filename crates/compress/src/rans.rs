@@ -56,6 +56,14 @@
 //! old one took 183–199 / 217–228 µs. The old coder's previous-magnitude and
 //! previous-sign contexts bought 0.0003 bits each in the prototypes and were
 //! dropped.
+//!
+//! Those frames coded every selected coordinate, level 0 included. A sparse
+//! frame now carries only the coordinates of nonzero level (see
+//! `Quant::quantize_selected` in [`crate::codec`]): on `fleet_codec` about
+//! 300 of the 3,361 selected coordinates, so the per-coordinate figures
+//! above describe a magnitude distribution the sparse path no longer sees.
+//! Each remaining coordinate costs more bits — a larger gap, no cheap zero
+//! — while the frame costs far fewer.
 
 use crate::wire::WireError;
 

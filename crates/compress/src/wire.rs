@@ -21,10 +21,11 @@
 //! [f32 LE]             L2 norm of the vector
 //! [packed]             dense_len × bits, MSB-first
 //! ── kind 2 (sparse + quantized) ──────────────────────────────────
-//! [varint]             nnz
+//! [varint]             nnz (the built-in encoders send only nonzero
+//!                      levels; a level-0 entry still decodes, to +0.0)
 //! [varint × nnz]       delta-encoded indices
 //! [u8]                 bits per coordinate
-//! [f32 LE]             L2 norm of the retained values
+//! [f32 LE]             L2 norm of the selected values, sent or not
 //! [packed]             nnz × bits, MSB-first
 //! ── kind 3 (dense) ───────────────────────────────────────────────
 //! [f32 LE × dense_len] values (ratio-1.0 uploads: no index overhead)
@@ -39,8 +40,11 @@
 //! ── kind 6 (entropy) ─────────────────────────────────────────────
 //! [u8]                 flags (bit 0: sparse — indices beside the levels)
 //! [u8]                 bits per coordinate (sign + level), 2..=16
-//! [f32 LE]             L2 norm of the coded values
-//! [varint]             nnz (present only when the sparse flag is set)
+//! [f32 LE]             L2 norm of the quantized values (sparse: of the
+//!                      selected values, sent or not, as in kind 2)
+//! [varint]             nnz (present only when the sparse flag is set;
+//!                      as in kind 2, the built-in encoders count only
+//!                      nonzero levels)
 //! [varint]             byte length of the rANS stream
 //! [rANS stream]        two little-endian u32 states, then renormalisation
 //!                      bytes. Modelled symbols alternate between the two

@@ -343,8 +343,10 @@ impl FederatedSession {
     /// Stage 4: compute averaging coefficients (Eq. 6 under BCRS), apply the
     /// OPWA mask when active, aggregate, and take the server step on the
     /// global parameters. Overlap analysis and OPWA apply when the whole
-    /// cohort decoded to sparse updates (quantized codecs retain every
-    /// coordinate, so overlap degrees are not defined for them).
+    /// cohort decoded to sparse updates, and count only the coordinates the
+    /// server received — a sparse quantized frame carries just those of
+    /// nonzero level. Dense quantized codecs retain every coordinate, so
+    /// overlap degrees are not defined for them.
     ///
     /// Aggregation reduces over a fixed-shard tree
     /// ([`crate::aggregate::AGG_SHARD`] clients per shard): shard partials
