@@ -51,7 +51,8 @@ pub struct BenchArgs {
     /// glob rules (`'linear0.weight=topk;*.bias=dense;*=qsgd:8'`).
     pub layer_compressors: Option<LayerPlan>,
     /// `--adaptive-plan SPEC`: re-plan the per-layer codecs every round
-    /// (`layer-bcrs`, `layer-bcrs:efficiency=0.8`, `static:PLAN`).
+    /// (`layer-bcrs`, `layer-bcrs:efficiency=0.8`); a fixed plan is
+    /// `--layer-compressors`.
     pub adaptive_plan: Option<AdaptivePlanSpec>,
     /// `--layer-csv`: append the per-layer byte rows after a blank line.
     pub layer_csv: bool,
@@ -310,12 +311,12 @@ mod tests {
         let c = config(&a);
         assert_eq!(text(&c.adaptive_plan).as_deref(), Some("layer-bcrs"));
         assert!(c.validate().is_ok());
-        let b = parse(&["--adaptive-plan", "static:*.bias=dense;*=topk"]);
+        let b = parse(&["--adaptive-plan", "layer-bcrs:efficiency=0.8"]);
         assert_eq!(
             text(&b.adaptive_plan).as_deref(),
-            Some("static:*.bias=dense;*=topk")
+            Some("layer-bcrs:efficiency=0.8")
         );
-        // Unset keeps static plans and the per-round-only CSV.
+        // Unset keeps the configuration's plan and the per-round-only CSV.
         let d = parse(&[]);
         assert!(!d.layer_csv && config(&d).adaptive_plan.is_none());
     }

@@ -171,22 +171,7 @@ impl LayerPlan {
         segments: &[SegmentDef],
         ctx: &CodecCtx,
     ) -> Result<Box<dyn UpdateCodec>, SpecError> {
-        if segments.is_empty() {
-            return Err(SpecError::UnmatchedSegment("<empty layout>".into()));
-        }
-        let total: usize = segments.iter().map(|s| s.len).sum();
-        assert_eq!(
-            total, ctx.dense_len,
-            "layout covers {total} scalars but the codec context expects {}",
-            ctx.dense_len
-        );
-        let mut specs = Vec::with_capacity(segments.len());
-        for seg in segments {
-            let spec = self
-                .spec_for(&seg.name)
-                .ok_or_else(|| SpecError::UnmatchedSegment(seg.name.clone()))?;
-            specs.push(spec.clone());
-        }
+        let specs = self.segment_specs(segments, ctx)?;
         if specs.iter().all(|s| *s == specs[0]) {
             // Uniform plan: collapse to the flat codec over the whole vector
             // (same construction context, so the trajectory, the wire bytes
@@ -213,9 +198,7 @@ impl LayerPlan {
         ctx: &CodecCtx,
         scales: &[f64],
     ) -> Result<Box<dyn UpdateCodec>, SpecError> {
-        if segments.is_empty() {
-            return Err(SpecError::UnmatchedSegment("<empty layout>".into()));
-        }
+        let specs = self.segment_specs(segments, ctx)?;
         assert_eq!(
             scales.len(),
             segments.len(),
@@ -223,20 +206,35 @@ impl LayerPlan {
             segments.len(),
             scales.len()
         );
+        self.build_planned(registry, segments, ctx, &specs, Some(scales))
+    }
+
+    /// The spec of every segment, in layout order: the lookup
+    /// [`LayerPlan::resolve`] and [`LayerPlan::resolve_scaled`] share. An
+    /// empty layout or an unmatched segment is an error; a layout that does
+    /// not cover `ctx.dense_len` scalars is a caller bug.
+    fn segment_specs(
+        &self,
+        segments: &[SegmentDef],
+        ctx: &CodecCtx,
+    ) -> Result<Vec<CompressorSpec>, SpecError> {
+        if segments.is_empty() {
+            return Err(SpecError::UnmatchedSegment("<empty layout>".into()));
+        }
         let total: usize = segments.iter().map(|s| s.len).sum();
         assert_eq!(
             total, ctx.dense_len,
             "layout covers {total} scalars but the codec context expects {}",
             ctx.dense_len
         );
-        let mut specs = Vec::with_capacity(segments.len());
-        for seg in segments {
-            let spec = self
-                .spec_for(&seg.name)
-                .ok_or_else(|| SpecError::UnmatchedSegment(seg.name.clone()))?;
-            specs.push(spec.clone());
-        }
-        self.build_planned(registry, segments, ctx, &specs, Some(scales))
+        segments
+            .iter()
+            .map(|seg| {
+                self.spec_for(&seg.name)
+                    .cloned()
+                    .ok_or_else(|| SpecError::UnmatchedSegment(seg.name.clone()))
+            })
+            .collect()
     }
 
     /// Shared `PlannedCodec` construction for [`LayerPlan::resolve`] (scales

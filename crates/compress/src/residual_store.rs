@@ -14,10 +14,9 @@
 //! populations running stateless codecs cost nothing here.
 //!
 //! A snapshot is handed back exactly as it was parked. That stays right
-//! across an adaptive plan change: a `static:` plan never changes, and
-//! `layer-bcrs` gives every segment an `ef-…` codec of one residual part,
-//! whatever its bit width, so the part layout a snapshot was taken under is
-//! the one it is restored into.
+//! across an adaptive plan change: `layer-bcrs` gives every segment an
+//! `ef-…` codec of one residual part, whatever its bit width, so the part
+//! layout a snapshot was taken under is the one it is restored into.
 
 use crate::codec::ResidualState;
 use std::collections::HashMap;

@@ -42,8 +42,8 @@ pub struct ClientState {
     rng: Xoshiro256,
     codec: Box<dyn UpdateCodec>,
     /// The roster's plan key ([`crate::roster::ClientRoster`] bumps it with
-    /// every plan or scale change; 0 on the static path) `codec` was built
-    /// under; `None` while the shell has never been bound.
+    /// every plan or scale change; 0 for the configuration's plan) `codec`
+    /// was built under; `None` while the shell has never been bound.
     codec_key: Option<u64>,
     optimizer: Sgd,
     local_epochs: usize,

@@ -1,6 +1,6 @@
 //! Experiment configuration: one struct that fully determines a run.
 
-use crate::algorithm::Algorithm;
+use crate::algorithm::{Algorithm, RatioRule};
 use crate::policy::{downlink_plan, uplink_plan};
 use fl_compress::{CodecRegistry, CompressorSpec, LayerPlan};
 use fl_data::DatasetPreset;
@@ -194,12 +194,11 @@ pub struct ExperimentConfig {
     pub downlink_layer_compressors: Option<LayerPlan>,
     /// Adaptive per-layer plan for the clients' uplink compression (see
     /// [`crate::policy::AdaptivePlanSpec`]), decided every round in the
-    /// select stage: `static:<plan>` pins a fixed plan (record fields other
-    /// than the plan telemetry match a `layer_compressors` run exactly, and
-    /// it is validated like one), `layer-bcrs` re-splits the round's
-    /// coordinate budget by observed per-layer gradient mass through the
-    /// BCRS scheduler. Mutually exclusive with [`compressor`](Self::compressor)
-    /// and [`layer_compressors`](Self::layer_compressors).
+    /// select stage: `layer-bcrs` re-splits the round's coordinate budget by
+    /// observed per-layer gradient mass through the BCRS scheduler. A fixed
+    /// per-layer plan is [`layer_compressors`](Self::layer_compressors).
+    /// Mutually exclusive with [`compressor`](Self::compressor) and
+    /// [`layer_compressors`](Self::layer_compressors).
     pub adaptive_plan: Option<crate::policy::AdaptivePlanSpec>,
 }
 
@@ -377,8 +376,9 @@ impl ExperimentConfig {
     /// `registry` and every model segment covered — a validation error, not
     /// a construction panic. On the uplink, whose updates the overlap
     /// machinery reads, no rule may decode dense under OPWA or
-    /// `record_overlap`; a flat `compressor` spec is its uniform plan's one
-    /// rule.
+    /// `record_overlap`, and a BCRS algorithm needs at least one segment
+    /// whose rule reads the ratio it schedules; a flat `compressor` spec is
+    /// its uniform plan's one rule.
     fn validate_codec_plans(&self, registry: &CodecRegistry) -> Result<(), String> {
         if self.layer_compressors.is_some() && self.compressor.is_some() {
             return Err(
@@ -393,8 +393,7 @@ impl ExperimentConfig {
         {
             return Err("adaptive_plan is mutually exclusive with compressor and \
                  layer_compressors: the plan policy owns the uplink codec \
-                 assignment (use adaptive_plan = \"static:<plan>\" for a fixed \
-                 plan)"
+                 assignment (set a fixed plan through layer_compressors alone)"
                 .into());
         }
         if self.downlink_layer_compressors.is_some() && self.downlink_compressor.is_some() {
@@ -436,6 +435,23 @@ impl ExperimentConfig {
                     rule.pattern, rule.spec
                 ));
             }
+        }
+        // With no ratio read anywhere, the BCRS schedule changes no byte and
+        // its Eq. 6 coefficients `α · f_i / max(f_i, Norm(CR_i))` only
+        // inflate the aggregated step.
+        if self.algorithm.ratio_rule() == RatioRule::Bcrs
+            && segments.iter().all(|name| {
+                uplink
+                    .spec_for(name)
+                    .is_some_and(CompressorSpec::ignores_ratio)
+            })
+        {
+            return Err(format!(
+                "algorithm {} schedules per-client compression ratios, but every \
+                 segment's rule in uplink plan {uplink} ignores the ratio (use a \
+                 ratio-driven codec such as topk, or an algorithm with a uniform ratio)",
+                self.algorithm.name()
+            ));
         }
         Ok(())
     }
@@ -775,26 +791,7 @@ mod tests {
             ..Default::default()
         };
         assert!(good.validate().is_ok());
-        // Static plans are validated exactly like layer_compressors plans.
-        let bad_spec = ExperimentConfig {
-            adaptive_plan: Some("static:*=no-such-codec".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(bad_spec.validate().unwrap_err().contains("uplink plan"));
-        let gap = ExperimentConfig {
-            algorithm: Algorithm::TopK,
-            adaptive_plan: Some("static:conv*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        let err = gap.validate().unwrap_err();
-        assert!(err.contains("without a matching rule"), "{err}");
-        let opwa = ExperimentConfig {
-            algorithm: Algorithm::BcrsOpwa,
-            adaptive_plan: Some("static:*.bias=qsgd:8;*=topk".parse().unwrap()),
-            ..Default::default()
-        };
-        assert!(opwa.validate().unwrap_err().contains("OPWA"));
-        // Mutually exclusive with both static uplink codec knobs.
+        // Mutually exclusive with both fixed uplink codec knobs.
         let with_compressor = ExperimentConfig {
             algorithm: Algorithm::TopK,
             compressor: Some("topk".parse().unwrap()),
@@ -808,13 +805,40 @@ mod tests {
         let with_plan = ExperimentConfig {
             algorithm: Algorithm::TopK,
             layer_compressors: Some("*=topk".parse().unwrap()),
-            adaptive_plan: Some("static:*=topk".parse().unwrap()),
+            adaptive_plan: Some("layer-bcrs".parse().unwrap()),
             ..Default::default()
         };
         assert!(with_plan
             .validate()
             .unwrap_err()
             .contains("mutually exclusive"));
+    }
+
+    #[test]
+    fn bcrs_needs_an_uplink_rule_that_reads_the_ratio() {
+        let with = |algorithm, compressor: Option<&str>, plan: Option<&str>| ExperimentConfig {
+            algorithm,
+            compressor: compressor.map(|s| s.parse().unwrap()),
+            layer_compressors: plan.map(|s| s.parse().unwrap()),
+            ..ExperimentConfig::quick(algorithm)
+        };
+        let err = with(Algorithm::Bcrs, Some("qsgd:2"), None)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("*=qsgd:2"), "{err}");
+        assert!(err.contains("ignores the ratio"), "{err}");
+        let err = with(Algorithm::Bcrs, None, Some("*.bias=dense;*=threshold:0.01"))
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("ignores the ratio"), "{err}");
+        // One segment whose rule reads the ratio is enough …
+        assert!(with(Algorithm::Bcrs, None, Some("*.bias=dense;*=topk"))
+            .validate()
+            .is_ok());
+        // … and a uniform ratio has nothing to schedule.
+        assert!(with(Algorithm::TopK, Some("qsgd:2"), None)
+            .validate()
+            .is_ok());
     }
 
     /// `validate` is `validate_with_registry` over the built-in registry:
@@ -887,14 +911,13 @@ mod tests {
                     (spec("topk"), plan("*=topk"))
             }),
             with(|c| (c.algorithm, c.adaptive_plan) = (Algorithm::TopK, adaptive("layer-bcrs"))),
-            with(|c| c.adaptive_plan = adaptive("static:*=no-such-codec")),
-            with(|c| {
-                (c.algorithm, c.adaptive_plan) = (Algorithm::TopK, adaptive("static:conv*=topk"))
-            }),
-            with(|c| c.adaptive_plan = adaptive("static:*.bias=qsgd:8;*=topk")),
             with(|c| (c.compressor, c.adaptive_plan) = (spec("topk"), adaptive("layer-bcrs"))),
             with(|c| {
-                (c.layer_compressors, c.adaptive_plan) = (plan("*=topk"), adaptive("static:*=topk"))
+                (c.layer_compressors, c.adaptive_plan) = (plan("*=topk"), adaptive("layer-bcrs"))
+            }),
+            with(|c| (c.algorithm, c.compressor) = (Algorithm::Bcrs, spec("qsgd:2"))),
+            with(|c| {
+                (c.algorithm, c.layer_compressors) = (Algorithm::Bcrs, plan("*.bias=dense;*=topk"))
             }),
         ];
         let builtins = CodecRegistry::with_builtins();

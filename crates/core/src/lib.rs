@@ -41,12 +41,11 @@
 //! * [`policy::assign_ratios`] — a uniform ratio, dense FedAvg, or the BCRS
 //!   scheduler;
 //! * [`policy::server_step`] — the plain update (paper) or server momentum;
-//! * [`policy::static_plan`] / [`policy::layer_bcrs_plan`] — the adaptive
-//!   per-layer codec plan ([`config::ExperimentConfig::adaptive_plan`]):
-//!   each round, after the cohort and its links are known, it decides which
-//!   codec and effective ratio every parameter segment encodes under,
-//!   `layer-bcrs` feeding on the previous round's gradient mass (the closed
-//!   telemetry loop).
+//! * [`policy::layer_bcrs_plan`] — the adaptive per-layer codec plan
+//!   ([`config::ExperimentConfig::adaptive_plan`]): each round, after the
+//!   cohort and its links are known, it decides which codec and effective
+//!   ratio every parameter segment encodes under, feeding on the previous
+//!   round's gradient mass (the closed telemetry loop).
 //!
 //! Each leg's codec fields resolve to one `fl_compress::LayerPlan`
 //! ([`policy::uplink_plan`], [`policy::downlink_plan`]); a flat spec is the

@@ -9,10 +9,10 @@
 //!   the BCRS schedule (Alg. 2) otherwise;
 //! * [`server_step`] — the global update `w ← w − η·Δ` (Alg. 1 line 18), or
 //!   heavy-ball server momentum (FedAvgM) when `server_momentum > 0`;
-//! * [`static_plan`] / [`layer_bcrs_plan`] — the per-layer codec plan the
-//!   cohort encodes under when [`ExperimentConfig::adaptive_plan`] is set:
-//!   a fixed plan, or one re-split every round by observed gradient mass
-//!   and checked against the BCRS straggler envelope;
+//! * [`layer_bcrs_plan`] — the per-layer codec plan the cohort encodes
+//!   under when [`ExperimentConfig::adaptive_plan`] is set, re-split every
+//!   round by observed gradient mass and checked against the BCRS straggler
+//!   envelope;
 //! * [`uplink_plan`] / [`downlink_plan`] — the one [`LayerPlan`] each leg's
 //!   codec fields resolve to.
 
@@ -129,15 +129,15 @@ pub fn resolve_codec_spec(config: &ExperimentConfig) -> CompressorSpec {
 }
 
 /// The one plan the clients' uplink codecs resolve from:
-/// [`ExperimentConfig::layer_compressors`], else an `adaptive_plan =
-/// "static:…"` plan, else the uniform plan over [`resolve_codec_spec`]
-/// (which [`LayerPlan::resolve`] collapses to that flat codec, bit for bit).
-/// A `layer-bcrs` policy replaces it round by round.
+/// [`ExperimentConfig::layer_compressors`], else the uniform plan over
+/// [`resolve_codec_spec`] (which [`LayerPlan::resolve`] collapses to that
+/// flat codec, bit for bit). A `layer-bcrs` policy replaces it round by
+/// round.
 pub fn uplink_plan(config: &ExperimentConfig) -> LayerPlan {
-    match (&config.layer_compressors, &config.adaptive_plan) {
-        (Some(plan), _) | (None, Some(AdaptivePlanSpec::Static(plan))) => plan.clone(),
-        _ => LayerPlan::uniform(resolve_codec_spec(config)),
-    }
+    config
+        .layer_compressors
+        .clone()
+        .unwrap_or_else(|| LayerPlan::uniform(resolve_codec_spec(config)))
 }
 
 /// The one plan the server's broadcast codec resolves from, when the
@@ -154,19 +154,13 @@ pub fn downlink_plan(config: &ExperimentConfig) -> Option<LayerPlan> {
 /// [`ExperimentConfig::adaptive_plan`] knob and the bench harness
 /// `--adaptive-plan` flag).
 ///
-/// Grammar (round-trips through `Display`):
-///
-/// * `static:<plan>` — re-emit the given [`LayerPlan`] every round
-///   ([`static_plan`]). Record fields other than the plan telemetry are
-///   bit-identical to running the same plan through
-///   [`ExperimentConfig::layer_compressors`];
-/// * `layer-bcrs` or `layer-bcrs:efficiency=<f>` — the telemetry-driven
-///   [`layer_bcrs_plan`]; `efficiency ∈ (0, 1]` defaults to
-///   [`AdaptivePlanSpec::DEFAULT_EFFICIENCY`].
+/// Grammar (round-trips through `Display`): `layer-bcrs` or
+/// `layer-bcrs:efficiency=<f>` — the telemetry-driven [`layer_bcrs_plan`];
+/// `efficiency ∈ (0, 1]` defaults to
+/// [`AdaptivePlanSpec::DEFAULT_EFFICIENCY`]. A fixed per-layer plan is not a
+/// policy: it is [`ExperimentConfig::layer_compressors`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum AdaptivePlanSpec {
-    /// Re-emit the same [`LayerPlan`] every round.
-    Static(LayerPlan),
     /// Mass-proportional per-layer budgets through the BCRS scheduler.
     LayerBcrs {
         /// Fraction of the uniform plan's coordinate budget the allocator
@@ -181,24 +175,22 @@ impl AdaptivePlanSpec {
     /// Default budget fraction of [`AdaptivePlanSpec::LayerBcrs`].
     pub const DEFAULT_EFFICIENCY: f64 = 0.9;
 
-    /// Short policy name (`"static"` / `"layer-bcrs"`).
+    /// Short policy name (`"layer-bcrs"`).
     pub fn name(&self) -> &'static str {
-        match self {
-            Self::Static(_) => "static",
-            Self::LayerBcrs { .. } => "layer-bcrs",
-        }
+        "layer-bcrs"
     }
 }
 
 impl std::str::FromStr for AdaptivePlanSpec {
     type Err = SpecError;
 
-    /// Parse a spec string (`"static:*=topk"`, `"layer-bcrs"`,
-    /// `"layer-bcrs:efficiency=0.8"`).
+    /// Parse a spec string (`"layer-bcrs"`, `"layer-bcrs:efficiency=0.8"`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let trimmed = s.trim();
-        if let Some(plan) = trimmed.strip_prefix("static:") {
-            return Ok(Self::Static(LayerPlan::parse(plan)?));
+        if trimmed.starts_with("static:") {
+            return Err(SpecError::Parse(format!(
+                "{s}: a fixed layer plan is set through layer_compressors, not adaptive_plan"
+            )));
         }
         let (head, opts) = match trimmed.split_once(':') {
             Some((head, opts)) => (head, Some(opts)),
@@ -231,7 +223,6 @@ impl std::str::FromStr for AdaptivePlanSpec {
 impl std::fmt::Display for AdaptivePlanSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Static(plan) => write!(f, "static:{plan}"),
             Self::LayerBcrs { efficiency } => {
                 if *efficiency == Self::DEFAULT_EFFICIENCY {
                     write!(f, "layer-bcrs")
@@ -279,34 +270,11 @@ pub struct PlanDecision {
     /// The plan the cohort's codecs resolve against this round.
     pub plan: LayerPlan,
     /// Per-segment multipliers on each client's assigned ratio, in layout
-    /// order. `Some` resolves through `LayerPlan::resolve_scaled` (always
-    /// segment-framed); `None` resolves through `LayerPlan::resolve`, where
-    /// uniform plans collapse to the flat codec bit for bit.
-    pub scales: Option<Vec<f64>>,
+    /// order; the plan resolves through `LayerPlan::resolve_scaled`, so its
+    /// frames are always segment-framed.
+    pub scales: Vec<f64>,
     /// The resolved per-segment assignments, for telemetry.
     pub assignments: Vec<PlanAssignment>,
-}
-
-/// The `static:<plan>` decision: re-emit `plan` with no ratio scales, so the
-/// codecs resolve exactly as a [`ExperimentConfig::layer_compressors`] plan
-/// does (uniform plans collapse to the flat codec).
-pub fn static_plan(plan: &LayerPlan, ctx: &PlanCtx<'_>) -> PlanDecision {
-    let assignments = ctx
-        .segments
-        .iter()
-        .map(|seg| PlanAssignment {
-            segment: seg.name.clone(),
-            spec: plan
-                .spec_for(&seg.name)
-                .map_or_else(|| "<unmatched>".to_string(), |s| s.to_string()),
-            ratio: ctx.base_ratio,
-        })
-        .collect();
-    PlanDecision {
-        plan: plan.clone(),
-        scales: None,
-        assignments,
-    }
 }
 
 /// Normalized per-segment weights [`layer_bcrs_plan`] splits the round's
@@ -448,7 +416,7 @@ pub fn layer_bcrs_plan(ctx: &PlanCtx<'_>, comm: CommModel, efficiency: f64) -> P
     let plan = LayerPlan::parse(&rules).expect("generated rules always parse");
     PlanDecision {
         plan,
-        scales: Some(scales),
+        scales,
         assignments,
     }
 }
@@ -634,8 +602,6 @@ mod tests {
         c.layer_compressors = Some("*.bias=dense;*=topk".parse().unwrap());
         assert_eq!(uplink_plan(&c).to_string(), "*.bias=dense;*=topk");
         c.layer_compressors = None;
-        c.adaptive_plan = Some("static:*.bias=dense;*=randk".parse().unwrap());
-        assert_eq!(uplink_plan(&c).to_string(), "*.bias=dense;*=randk");
         c.adaptive_plan = Some("layer-bcrs".parse().unwrap());
         assert_eq!(uplink_plan(&c).to_string(), "*=ef-topk");
 
@@ -670,12 +636,8 @@ mod tests {
 
     #[test]
     fn adaptive_plan_spec_parses_and_round_trips() {
-        let s: AdaptivePlanSpec = "static:*.bias=dense;*=topk".parse().unwrap();
-        assert_eq!(s.name(), "static");
-        assert_eq!(s.to_string(), "static:*.bias=dense;*=topk");
-        assert_eq!(s.to_string().parse::<AdaptivePlanSpec>().unwrap(), s);
-
         let d: AdaptivePlanSpec = "layer-bcrs".parse().unwrap();
+        assert_eq!(d.name(), "layer-bcrs");
         assert_eq!(
             d,
             AdaptivePlanSpec::LayerBcrs {
@@ -694,7 +656,7 @@ mod tests {
     fn adaptive_plan_spec_rejects_garbage() {
         for bad in [
             "",
-            "static:",
+            "static",
             "bcrs-layer",
             "layer-bcrs:efficiency=0",
             "layer-bcrs:efficiency=1.5",
@@ -706,17 +668,9 @@ mod tests {
     }
 
     #[test]
-    fn static_plan_policy_re_emits_the_plan_without_scales() {
-        let plan: LayerPlan = "*.bias=dense;*=ef-topk".parse().unwrap();
-        let segments = segs(&[("l0.weight", 100), ("l0.bias", 10)]);
-        let links = links(3);
-        let d = static_plan(&plan, &plan_ctx(&segments, &links, None, 0.1));
-        assert_eq!(d.plan, plan);
-        assert!(d.scales.is_none(), "static path must not scale ratios");
-        assert_eq!(d.assignments.len(), 2);
-        assert_eq!(d.assignments[0].spec, "ef-topk");
-        assert_eq!(d.assignments[1].spec, "dense");
-        assert!(d.assignments.iter().all(|a| a.ratio == 0.1));
+    fn a_fixed_plan_is_not_an_adaptive_policy() {
+        let err = "static:*=topk".parse::<AdaptivePlanSpec>().unwrap_err();
+        assert!(err.to_string().contains("layer_compressors"), "{err}");
     }
 
     #[test]
@@ -819,8 +773,7 @@ mod tests {
                 seg.name
             );
         }
-        let scales = d.scales.as_ref().expect("adaptive plan scales ratios");
-        assert_eq!(scales.len(), 3);
+        assert_eq!(d.scales.len(), 3);
         assert_eq!(d.assignments.len(), 3);
         // Heaviest segment gets the widest quantizer and the largest ratio.
         assert_eq!(d.assignments[0].spec, "ef-topk+qsgd:8");
@@ -847,8 +800,7 @@ mod tests {
         /// What lets a parked residual restore verbatim across plan epochs:
         /// whatever the gradient mass, the cohort's links, the base ratio and
         /// the efficiency, `layer_bcrs_plan` gives every segment an
-        /// error-feedback rule (one residual part each), and `static_plan`
-        /// hands back exactly the plan it was given.
+        /// error-feedback rule (one residual part each).
         #[test]
         fn plans_keep_one_residual_part_per_segment(
             segs in proptest::collection::vec((1usize..500, 0.0f64..100.0), 1..8),
@@ -870,7 +822,6 @@ mod tests {
                 let spec = d.plan.spec_for(&seg.name).expect("every segment is covered");
                 proptest::prop_assert!(spec.error_feedback, "{}: {spec} keeps no residual", seg.name);
             }
-            proptest::prop_assert_eq!(static_plan(&d.plan, &ctx).plan, d.plan);
         }
     }
 

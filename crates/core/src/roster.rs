@@ -16,8 +16,9 @@
 //!    clients that have been selected under an EF codec and carried mass.
 //!
 //! [`ClientRoster`] keeps exactly those two, plus the shared immutable
-//! inputs (training data, partitions, config, codec registry, the
-//! configuration's [`uplink_plan`]) and a pool of spent [`ClientState`]
+//! inputs (training data, partitions, config, codec registry), the one codec
+//! plan in force — the configuration's [`uplink_plan`] until the round
+//! engine installs an adaptive one — and a pool of spent [`ClientState`]
 //! *shells*:
 //!
 //! * [`checkout`](ClientRoster::checkout) pops a shell and **rebinds** it —
@@ -34,14 +35,13 @@
 //! * the shell's **codec is kept** when it declares itself
 //!   [`reusable`](fl_compress::UpdateCodec::reusable) (every built-in does:
 //!   once its residual is taken it holds nothing of its last client) *and*
-//!   the plan key — bumped by every [`set_plan_override`] that changes the
-//!   plan or its ratio scales, 0 on the static path — is the one it was
-//!   built under. Otherwise the codec alone is rebuilt from the plan in
-//!   force (the override, else the static plan), with this client's own
-//!   `CodecCtx` (`seed ^ id`). Rebuilding it at every checkout instead
-//!   was measured: `adaptive_churn` ran 9 % fewer rounds per second, in 10
-//!   of 10 alternating pairs (a plan codec is six parsed, boxed segment
-//!   codecs and their warm scratch);
+//!   the plan key — 0 for the configuration's plan, bumped by every
+//!   [`set_plan_override`] that changes the plan or its ratio scales — is
+//!   the one it was built under. Otherwise the codec alone is rebuilt from
+//!   the plan in force, with this client's own `CodecCtx` (`seed ^ id`).
+//!   Rebuilding it at every checkout instead was measured: `adaptive_churn`
+//!   ran 9 % fewer rounds per second, in 10 of 10 alternating pairs (a plan
+//!   codec is six parsed, boxed segment codecs and their warm scratch);
 //! * [`checkin`](ClientRoster::checkin) takes the (advanced) stream and the
 //!   codec's residual snapshot back and returns the shell to the pool. A
 //!   shell enters the pool only here and every checkout takes one if there
@@ -71,20 +71,23 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The roster's current round-scoped codec plan, installed by the round
-/// engine when `config.adaptive_plan` is set. While an override is set,
-/// [`ClientRoster::checkout`] resolves codecs against it instead of the
-/// configuration's static plan.
+/// The codec plan every [`ClientRoster::checkout`] resolves against: the
+/// configuration's [`uplink_plan`] with no ratio scales (epoch 0, key 0)
+/// until the round engine installs an adaptive plan when
+/// `config.adaptive_plan` is set.
 #[derive(Clone)]
-struct PlanOverride {
+struct CurrentPlan {
     plan: LayerPlan,
+    /// Per-segment ratio scales: `None` resolves through
+    /// [`LayerPlan::resolve`], where a uniform plan collapses to its flat
+    /// codec bit for bit; installed plans always carry them.
     scales: Option<Vec<f64>>,
-    /// Bumped every time the *plan* changes (scale-only updates keep it): the
-    /// plan epoch a round's telemetry reports.
+    /// Bumped every time an installed *plan* changes (scale-only updates
+    /// keep it): the plan epoch a round's telemetry reports.
     epoch: u64,
     /// Bumped every time the plan *or* its scales change, i.e. whenever a
-    /// codec built under the override would come out different: the key a
-    /// pooled shell's codec is kept or rebuilt by (0 is the static path).
+    /// codec built under it would come out different: the key a pooled
+    /// shell's codec is kept or rebuilt by.
     codec_key: u64,
 }
 
@@ -97,18 +100,14 @@ pub struct ClientRoster {
     partitions: Arc<Vec<ClientPartition>>,
     config: ExperimentConfig,
     registry: CodecRegistry,
-    /// The configuration's [`uplink_plan`], resolved once.
-    plan: LayerPlan,
     /// One persistent RNG stream per client, forked from the session's client
     /// root in id order at build time (the same fork loop — and therefore the
     /// same streams — as the legacy eager construction).
     streams: Vec<Mutex<Xoshiro256>>,
     residuals: ResidualStore,
-    /// The adaptive plan currently in force (`None` on the static path —
-    /// checkout then resolves codecs from `plan`, bit-identically to
-    /// pre-adaptive builds). Written only between rounds by the engine's
+    /// The plan in force. Written only between rounds by the engine's
     /// single-threaded select stage; checkout takes a handle to it.
-    plan_override: Mutex<Option<Arc<PlanOverride>>>,
+    plan: Mutex<Arc<CurrentPlan>>,
     /// Spent [`ClientState`] shells waiting to be rebound. Shells enter only
     /// through [`checkin`](Self::checkin) and every checkout takes one when
     /// there is one, so the pool never holds more than were checked out at
@@ -135,15 +134,20 @@ impl ClientRoster {
             .iter()
             .map(|p| Mutex::new(root_rng.fork(p.client_id as u64)))
             .collect();
+        let plan = CurrentPlan {
+            plan: uplink_plan(&config),
+            scales: None,
+            epoch: 0,
+            codec_key: 0,
+        };
         Self {
             train,
             partitions,
-            plan: uplink_plan(&config),
             config,
             registry,
             streams,
             residuals: ResidualStore::new(),
-            plan_override: Mutex::new(None),
+            plan: Mutex::new(Arc::new(plan)),
             pool: Mutex::new(Vec::new()),
             resident: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
@@ -178,18 +182,20 @@ impl ClientRoster {
     /// is a caller bug (cohorts are selected without replacement).
     pub fn checkout(&self, id: usize) -> ClientState {
         let stream = self.streams[id].lock().clone();
-        let over = self.plan_override.lock().clone();
-        let (plan, scales, codec_key) = match over.as_deref() {
-            Some(o) => (&o.plan, o.scales.as_deref(), o.codec_key),
-            None => (&self.plan, None, 0),
-        };
+        let plan = self.plan.lock().clone();
         let (config, train) = (&self.config, &self.train);
         let shell = self.pool.lock().pop();
         let mut client = shell.unwrap_or_else(|| {
             ClientState::shell(config, train.feature_dim(), train.num_classes())
         });
         client.rebind(id, stream, train, &self.partitions[id].indices);
-        client.resolve_codec(config.seed, &self.registry, plan, scales, codec_key);
+        client.resolve_codec(
+            config.seed,
+            &self.registry,
+            &plan.plan,
+            plan.scales.as_deref(),
+            plan.codec_key,
+        );
         if let Some(state) = self.residuals.take(id as u64) {
             client.restore_residual(state);
         }
@@ -213,34 +219,31 @@ impl ClientRoster {
     }
 
     /// Install (or refresh) the adaptive codec plan every subsequent
-    /// [`checkout`](Self::checkout) resolves against, returning the plan
-    /// epoch now in force: same plan → same epoch (scale-only updates are
-    /// applied in place), a changed plan → the next epoch. Parked residuals
-    /// restore verbatim across an epoch change (see
-    /// [`fl_compress::residual_store`]). Called by the round engine's select
-    /// stage, between rounds — never concurrently with checkouts.
-    pub fn set_plan_override(&self, plan: LayerPlan, scales: Option<Vec<f64>>) -> u64 {
-        let mut over = self.plan_override.lock();
-        let codec_key = over.as_ref().map_or(0, |o| o.codec_key) + 1;
-        match over.as_mut().map(Arc::make_mut) {
-            Some(o) if o.plan == plan => {
-                if o.scales != scales {
-                    o.scales = scales;
-                    o.codec_key = codec_key;
-                }
-                o.epoch
+    /// [`checkout`](Self::checkout) resolves against, with its per-segment
+    /// ratio scales, returning the plan epoch now in force: the same
+    /// installed plan → the same epoch (scale-only updates are applied in
+    /// place), anything else → the next epoch, so the first install is
+    /// epoch 1. Parked residuals restore verbatim across an epoch change
+    /// (see [`fl_compress::residual_store`]). Called by the round engine's
+    /// select stage, between rounds — never concurrently with checkouts.
+    pub fn set_plan_override(&self, plan: LayerPlan, scales: Vec<f64>) -> u64 {
+        let mut current = self.plan.lock();
+        let scales = Some(scales);
+        if current.epoch > 0 && current.plan == plan {
+            if current.scales != scales {
+                let c = Arc::make_mut(&mut current);
+                c.scales = scales;
+                c.codec_key += 1;
             }
-            _ => {
-                let epoch = over.as_ref().map_or(0, |o| o.epoch) + 1;
-                *over = Some(Arc::new(PlanOverride {
-                    plan,
-                    scales,
-                    epoch,
-                    codec_key,
-                }));
-                epoch
-            }
+        } else {
+            *current = Arc::new(CurrentPlan {
+                plan,
+                scales,
+                epoch: current.epoch + 1,
+                codec_key: current.codec_key + 1,
+            });
         }
+        current.epoch
     }
 
     /// Number of `ClientState`s currently checked out (resident in memory).
@@ -477,7 +480,7 @@ mod tests {
         roster.checkin(probe);
         let plan = || "*.bias=topk;*=topk+qsgd:8".parse::<LayerPlan>().unwrap();
         let kept_at = |scale: f64, id: usize| {
-            let epoch = roster.set_plan_override(plan(), Some(vec![scale; segments.len()]));
+            let epoch = roster.set_plan_override(plan(), vec![scale; segments.len()]);
             let mut client = roster.checkout(id);
             let out = client.local_update(&global);
             let wire = client.encode(&out.delta, 0.2);
@@ -523,9 +526,8 @@ mod tests {
         let probe = roster.checkout(0);
         let scales = vec![1.0; crate::client::segment_defs(probe.layout()).len()];
         roster.checkin(probe);
-        let install = |plan: &str, scales: Vec<f64>| {
-            roster.set_plan_override(plan.parse().unwrap(), Some(scales))
-        };
+        let install =
+            |plan: &str, scales: Vec<f64>| roster.set_plan_override(plan.parse().unwrap(), scales);
         assert_eq!(install("*=ef-topk+qsgd:8", scales.clone()), 1);
         let mut client = roster.checkout(1);
         let out = client.local_update(&global);

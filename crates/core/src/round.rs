@@ -36,8 +36,7 @@ use crate::eval::{evaluate_with_threads, Evaluation};
 use crate::opwa::OpwaMask;
 use crate::overlap::OverlapCounts;
 use crate::policy::{
-    assign_ratios, layer_bcrs_plan, select_cohort, server_step, static_plan, AdaptivePlanSpec,
-    PlanCtx,
+    assign_ratios, layer_bcrs_plan, select_cohort, server_step, AdaptivePlanSpec, PlanCtx,
 };
 use crate::runner::{LayerBytes, PlanTelemetry, RoundRecord};
 use crate::session::FederatedSession;
@@ -165,13 +164,14 @@ impl FederatedSession {
     }
 
     /// Decide the round's plan when `config.adaptive_plan` is set: hand the
-    /// round's link snapshot and the previous round's gradient mass to the
-    /// configured rule, install the decision as the roster's codec plan for
-    /// this round's checkouts, and return it for the record. A no-op on the
-    /// static path — no override, no telemetry, bit-identical to
-    /// pre-adaptive runs.
+    /// round's link snapshot and the previous round's gradient mass to
+    /// [`layer_bcrs_plan`], install the decision as the roster's codec plan
+    /// for this round's checkouts, and return it for the record. A no-op
+    /// otherwise — the roster keeps the configuration's plan and the record
+    /// no telemetry.
     fn plan_phase(&self, links: &[Link]) -> Option<PlanTelemetry> {
         let spec = self.config.adaptive_plan.as_ref()?;
+        let AdaptivePlanSpec::LayerBcrs { efficiency } = spec;
         let segments = segment_defs(&self.layout);
         let ctx = PlanCtx {
             segments: &segments,
@@ -180,12 +180,7 @@ impl FederatedSession {
             base_ratio: self.config.compression_ratio,
             gradient_mass: self.last_gradient_mass.as_deref(),
         };
-        let decision = match spec {
-            AdaptivePlanSpec::Static(plan) => static_plan(plan, &ctx),
-            AdaptivePlanSpec::LayerBcrs { efficiency } => {
-                layer_bcrs_plan(&ctx, self.comm, *efficiency)
-            }
-        };
+        let decision = layer_bcrs_plan(&ctx, self.comm, *efficiency);
         let epoch = self
             .roster
             .set_plan_override(decision.plan.clone(), decision.scales);
@@ -396,8 +391,8 @@ impl FederatedSession {
         };
         // Telemetry for the next round's plan decision: where the aggregated
         // update's mass concentrated, per layout segment. Computed only when
-        // `layer-bcrs` reads it — every other path does no extra work.
-        if let Some(AdaptivePlanSpec::LayerBcrs { .. }) = self.config.adaptive_plan {
+        // the adaptive plan reads it — every other path does no extra work.
+        if self.config.adaptive_plan.is_some() {
             self.last_gradient_mass = Some(fl_nn::segment_l1_masses(&self.layout, &aggregated));
         }
         server_step(
@@ -1005,37 +1000,6 @@ mod tests {
         let out = FederatedSession::from_config(&config).run_round();
         assert!(out.record.overlap.is_some());
         assert!(out.record.layer_bytes.is_some());
-    }
-
-    #[test]
-    fn static_adaptive_plan_matches_layer_compressors_bit_for_bit() {
-        // `adaptive_plan: static:<plan>` routes every checkout through the
-        // plan-override path, but with no ratio scales the codec resolution
-        // is exactly the static `layer_compressors` one — every record field
-        // except the new plan telemetry must match bit for bit.
-        let plan = "*.bias=dense;*=ef-topk";
-        let mut fixed = ExperimentConfig::quick(Algorithm::TopK);
-        fixed.rounds = 3;
-        fixed.max_threads = 1;
-        fixed.cost_basis = CostBasis::Encoded;
-        fixed.layer_compressors = Some(plan.parse().unwrap());
-        let mut adaptive = fixed.clone();
-        adaptive.layer_compressors = None;
-        adaptive.adaptive_plan = Some(format!("static:{plan}").parse().unwrap());
-        let a = FederatedSession::from_config(&fixed).run();
-        let b = FederatedSession::from_config(&adaptive).run();
-        assert_eq!(a.records.len(), b.records.len());
-        for (ra, rb) in a.records.iter().zip(b.records.iter()) {
-            assert!(ra.plan.is_none());
-            let telemetry = rb.plan.as_ref().expect("adaptive runs record the plan");
-            assert_eq!(telemetry.policy, "static");
-            assert_eq!(telemetry.plan, plan);
-            assert_eq!(telemetry.epoch, 1, "one plan for the whole run");
-            assert_eq!(telemetry.assignments.len(), 6);
-            let mut rb = rb.clone();
-            rb.plan = None;
-            assert_eq!(*ra, rb, "round {}", ra.round);
-        }
     }
 
     #[test]

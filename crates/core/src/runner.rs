@@ -39,13 +39,12 @@ pub struct LayerBytes {
 /// fingerprint-pinned path records exactly what it always has).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlanTelemetry {
-    /// The deciding policy's name (`"static"` / `"layer-bcrs"`).
+    /// The deciding policy's name (`"layer-bcrs"`).
     pub policy: String,
     /// The resolved plan string (`"linear0.weight=ef-topk+qsgd:8;…"`).
     pub plan: String,
     /// The plan epoch the cohort encoded under: a count of plan changes (new
-    /// ratio scales on the same plan are none). A `static:` plan stays at
-    /// epoch 1 for the whole run.
+    /// ratio scales on the same plan are none), from 1 at the first round.
     pub epoch: u64,
     /// Per-segment assignments (spec + effective ratio), in layout order.
     pub assignments: Vec<crate::policy::PlanAssignment>,
@@ -105,7 +104,7 @@ pub struct RoundRecord {
     /// static fleet.
     pub scenario: Option<ScenarioTelemetry>,
     /// The adaptive plan policy's decision for this round, present when
-    /// `config.adaptive_plan` is set; `None` on every static path.
+    /// `config.adaptive_plan` is set; `None` otherwise.
     pub plan: Option<PlanTelemetry>,
 }
 

@@ -59,14 +59,9 @@ impl SessionBuilder {
 
     /// Use pre-generated train/test datasets instead of generating them from
     /// the config's seed. The datasets must match the config's preset shape
-    /// (feature dimension and class count).
-    pub fn with_data(self, train: Dataset, test: Dataset) -> Self {
-        self.with_shared_data(Arc::new(train), Arc::new(test))
-    }
-
-    /// Like [`with_data`](Self::with_data) but borrowing shared datasets —
-    /// sweeps generate each distinct dataset once and hand the same `Arc`s to
-    /// every session in the grid instead of deep-cloning per run.
+    /// (feature dimension and class count). They are shared: sweeps generate
+    /// each distinct dataset once and hand the same `Arc`s to every session
+    /// in the grid instead of deep-cloning per run.
     pub fn with_shared_data(mut self, train: Arc<Dataset>, test: Arc<Dataset>) -> Self {
         self.data = Some((train, test));
         self
@@ -443,7 +438,7 @@ mod tests {
             .spec(config.dataset_scale)
             .generate(config.seed);
         let shared = SessionBuilder::from_config(&config)
-            .with_data(train, test)
+            .with_shared_data(Arc::new(train), Arc::new(test))
             .build()
             .run();
         let fresh = run_experiment(&config);

@@ -442,7 +442,7 @@ mod tests {
                 [
                     None,
                     Some("layer-bcrs".parse().unwrap()),
-                    Some("static:*=topk".parse().unwrap()),
+                    Some("layer-bcrs:efficiency=0.5".parse().unwrap()),
                 ],
                 |c, p| c.adaptive_plan = p.clone(),
             )
@@ -456,7 +456,7 @@ mod tests {
         );
         assert_eq!(
             configs[4].adaptive_plan.as_ref().unwrap().to_string(),
-            "static:*=topk"
+            "layer-bcrs:efficiency=0.5"
         );
         assert!(configs.iter().all(|c| c.validate().is_ok()));
         // A bare-spec axis wraps each value itself.

@@ -302,7 +302,7 @@ fn second_round_checkouts_allocate_no_model_workspace_velocity_or_delta() {
     // Same plan and scales again: still nothing. New scales: each shell's
     // codec is rebuilt once — and only the codec.
     let plan = || "*.bias=topk;*=topk+qsgd:8".parse().unwrap();
-    let scales = |s: f64| Some(vec![s; segments.len()]);
+    let scales = |s: f64| vec![s; segments.len()];
     roster.set_plan_override(plan(), scales(0.5));
     round();
     roster.set_plan_override(plan(), scales(0.5));

@@ -1,10 +1,10 @@
 //! Round-record fingerprint regression: the full training + compression +
 //! communication trajectory of every algorithm, under both the flat codec
 //! path and a genuinely mixed layer plan (`Segmented` framing), plus four
-//! codec-path rows and thirteen round-engine rows (dropout, server momentum,
-//! scenarios, a replayed trace, a `static:` plan, a plan-driven downlink,
-//! `randk` and `threshold:τ` specs, `eval_every`), hashed field by field and
-//! pinned.
+//! codec-path rows and sixteen round-engine rows (dropout, server momentum,
+//! scenarios, a replayed trace, an error-feedback layer plan, plan-driven
+//! downlinks, `randk` and `threshold:τ` specs, `eval_every`, three pricing
+//! arms), hashed field by field and pinned.
 //!
 //! Any change to training numerics, codec bytes, aggregation order, or the
 //! simulated communication model shows up here as a hash mismatch. The float
@@ -281,7 +281,10 @@ const EXPECTED_TRAINING: &[(&str, u64)] = &[
     ("engine/server_momentum=0.9", 0x9c969008485436cb),
     ("engine/diurnal|dropout=0.2", 0x8175ea51fa53d38f),
     ("engine/churn:leave=0.05", 0x989276bcd109db37),
-    ("engine/static:*.bias=dense;*=ef-topk", 0x272113d2c6f8d583),
+    (
+        "engine/layer_compressors=*.bias=dense;*=ef-topk",
+        0x272113d2c6f8d583,
+    ),
     (
         "engine/topk+qsgd:4|down=*=ef-topk|encoded",
         0xdaf16ccb5bfd66ed,
@@ -527,11 +530,12 @@ const EXPECTED_CODEC_SCHEDULE: &[(u64, f64)] = &[
 /// Third pinned matrix: the round-engine paths the first two never reach —
 /// client dropout (at 0.999 the whole fleet is down in most rounds and the
 /// cohort falls back to one uniformly drawn client), server momentum,
-/// scenario-driven cohorts (every generator and a replayed trace), a
-/// `static:` adaptive plan, a plan-driven downlink, `randk` and `threshold:τ`
-/// as `compressor` specs and a sparse evaluation schedule. Every row is a
-/// 16-client, 6-round quick run of `algorithm` with
-/// `configure` applied; `encoded` rows are priced on encoded bytes.
+/// scenario-driven cohorts (every generator and a replayed trace), an
+/// error-feedback `layer_compressors` plan beside dense biases, plan-driven
+/// and flat downlinks, `randk` and `threshold:τ` as `compressor` specs, a
+/// sparse evaluation schedule and BCRS priced on encoded bytes. Every row is
+/// a 16-client, 6-round quick run of `algorithm` with `configure` applied;
+/// `encoded` rows are priced on encoded bytes.
 struct EngineCase {
     name: &'static str,
     algorithm: Algorithm,
@@ -574,15 +578,11 @@ const ENGINE_CASES: &[EngineCase] = &[
         configure: |c| c.scenario = Some("churn:leave=0.05".parse().expect("scenario parses")),
     },
     EngineCase {
-        name: "engine/static:*.bias=dense;*=ef-topk",
+        name: "engine/layer_compressors=*.bias=dense;*=ef-topk",
         algorithm: Algorithm::TopK,
         encoded: false,
         configure: |c| {
-            c.adaptive_plan = Some(
-                "static:*.bias=dense;*=ef-topk"
-                    .parse()
-                    .expect("policy parses"),
-            )
+            c.layer_compressors = Some("*.bias=dense;*=ef-topk".parse().expect("plan parses"))
         },
     },
     EngineCase {
@@ -681,14 +681,17 @@ fn run_engine_case(case: &EngineCase) -> Vec<RoundRecord> {
 /// step and plan choice were still trait-object policies. The two rows with a
 /// sparse quantized leg (`topk+qsgd:4` up, `topk+qsgd:8` down) re-pinned their
 /// full hashes alone when those frames stopped carrying coordinates of
-/// level 0.
+/// level 0. The `layer_compressors` row was first pinned as the same fixed
+/// plan spelled through `adaptive_plan`; when that spelling was retired it
+/// re-pinned its full and schedule hashes alone, which had hashed the
+/// spelling's plan telemetry — its training hash did not move.
 const EXPECTED_ENGINE: &[(u64, u64, f64)] = &[
     (0x55e13ef654e48a47, 0x0604d15401392a02, 0.15), // engine/dropout=0.3
     (0x81517cd897066e16, 0x3a28bab5aa147e65, 0.12), // engine/dropout=0.999
     (0x7aa5825de57f1f1e, 0x62145d1ca90a5f59, 0.21), // engine/server_momentum=0.9
     (0x9143ba6776f7f38b, 0xd5ba940842e2a137, 0.19), // engine/diurnal|dropout=0.2
     (0x87633024a217fff1, 0xfb4fdbfbf02c4751, 0.1),  // engine/churn:leave=0.05
-    (0x9462f8e886b4be1f, 0x6a1355ea66403181, 0.13), // engine/static:*.bias=dense;*=ef-topk
+    (0x6449da53e185eaa7, 0x62145d1ca90a5f59, 0.13), // engine/layer_compressors=*.bias=dense;*=ef-topk
     (0x599d771638cab0f5, 0x1ca3ced6df284db1, 0.09), // engine/topk+qsgd:4|down=*=ef-topk|encoded
     (0x8ac2cc0cd7d30035, 0xb019a5e72b39734c, 0.21), // engine/tiered
     (0x43611ed61e33e3ca, 0xee6b39b966231df6, 0.17), // engine/towers
