@@ -63,10 +63,11 @@ impl CodecCtx {
 /// instead of holding one live codec per client forever (each `ef-`
 /// pipeline owns a model-sized residual vector), the engine extracts the
 /// state with [`UpdateCodec::take_residual`] when a client leaves the active
-/// cohort, parks it in a [`crate::residual_store::ResidualStore`] keyed by
-/// client id, and re-injects it with [`UpdateCodec::restore_residual`] the
-/// next time the client is selected — into a freshly built codec, or into
-/// another client's drained one when it is [`UpdateCodec::reusable`].
+/// cohort, parks it in that client's slot of the population table (fl-core's
+/// `ClientRoster`), and re-injects it with
+/// [`UpdateCodec::restore_residual`] the next time the client is selected —
+/// into a freshly built codec, or into another client's drained one when it
+/// is [`UpdateCodec::reusable`].
 ///
 /// The snapshot is an ordered list of residual vectors — one per stateful
 /// component, in the codec's canonical component order (a flat `ef-`

@@ -32,13 +32,11 @@
 //!   [`plan::PlannedCodec`] that frames per-segment payloads into the
 //!   [`wire::KIND_SEGMENTED`] wire kind (uniform plans collapse to the flat
 //!   codec, bit for bit);
-//! * [`residual_store::ResidualStore`] — sharded, population-scale
-//!   persistence of error-feedback residuals keyed by client id. Codecs
-//!   snapshot their residuals through
-//!   [`codec::UpdateCodec::take_residual`]/`restore_residual`, so a round
-//!   engine can rebuild a client's codec from scratch on selection and hand
-//!   its carried-over mass back, keeping per-client state O(selected), not
-//!   O(population).
+//! * [`codec::ResidualState`] — a codec's error-feedback residuals detached
+//!   from it by [`codec::UpdateCodec::take_residual`] and handed back by
+//!   `restore_residual`, so a round engine can park a client's carried-over
+//!   mass beside the client's other persistent state (fl-core's roster keeps
+//!   one slot per client) and rebuild or reuse codecs freely.
 //!
 //! **The primitives** codecs are built from:
 //!
@@ -59,7 +57,6 @@ pub mod quantize;
 pub mod randk;
 pub mod rans;
 pub mod registry;
-pub mod residual_store;
 pub mod sparse;
 pub mod spec;
 pub mod threshold;
@@ -71,7 +68,6 @@ pub use codec::{CodecCtx, ResidualState, UpdateCodec};
 pub use downlink::DownlinkChannel;
 pub use plan::{glob_match, LayerPlan, PlanRule, PlannedCodec, SegmentDef};
 pub use registry::{CodecFactory, CodecRegistry};
-pub use residual_store::ResidualStore;
 pub use sparse::SparseUpdate;
 pub use spec::{CodecStage, CompressorSpec, SpecError};
 pub use update::CompressedUpdate;

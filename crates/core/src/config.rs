@@ -367,6 +367,15 @@ impl ExperimentConfig {
         if let Some(spec) = &self.scenario {
             spec.validate()
                 .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
+            if let ScenarioSpec::Towers { groups, .. } = spec {
+                if *groups > self.num_clients {
+                    return Err(format!(
+                        "invalid scenario spec {spec}: groups = {groups} exceeds num_clients = {} \
+                         (a tower beyond the fleet holds no client)",
+                        self.num_clients
+                    ));
+                }
+            }
         }
         self.validate_codec_plans(registry)
     }
@@ -566,6 +575,26 @@ mod tests {
         };
         let err = bad.validate().unwrap_err();
         assert!(err.contains("invalid scenario spec"), "{err}");
+    }
+
+    #[test]
+    fn towers_groups_beyond_the_fleet_are_rejected() {
+        let towers = |num_clients: usize, spec: &str| ExperimentConfig {
+            num_clients,
+            scenario: Some(spec.parse().unwrap()),
+            ..Default::default()
+        };
+        for groups in ["100000000000", "18446744073709551615"] {
+            let err = towers(16, &format!("towers:groups={groups}"))
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("groups"), "{err}");
+        }
+        assert!(towers(16, "towers:groups=17").validate().is_err());
+        assert!(towers(16, "towers:groups=16").validate().is_ok());
+        // The `engine/towers` fingerprint row and the `scenarios` figure.
+        assert!(towers(16, "towers").validate().is_ok());
+        assert!(towers(32, "towers:groups=4").validate().is_ok());
     }
 
     #[test]

@@ -64,8 +64,8 @@
 //! # Population scale
 //!
 //! Clients are virtualized ([`roster::ClientRoster`]): only each client's
-//! persistent state — its RNG stream and error-feedback residual, parked in
-//! a sharded `fl_compress::ResidualStore` — survives between rounds, and
+//! persistent state — its RNG stream and parked error-feedback residual,
+//! side by side in one per-client slot — survives between rounds, and
 //! one pooled `ClientState` shell per worker thread is rebound to each
 //! *selected* client in turn, so peak client memory is O(threads) rather
 //! than O(population). The

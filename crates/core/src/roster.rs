@@ -11,27 +11,28 @@
 //!
 //! 1. **the client's RNG stream** (batch shuffling, Rand-K draws, QSGD
 //!    rounding) — tiny: four `u64`s per client;
-//! 2. **error-feedback residuals** — stored in a sharded
-//!    [`fl_compress::ResidualStore`] keyed by client id, populated only for
-//!    clients that have been selected under an EF codec and carried mass.
+//! 2. **its error-feedback residual** — present only for clients that have
+//!    been selected under an EF codec and carried mass: an all-zero
+//!    snapshot restores identically to a fresh codec, so it is dropped.
 //!
-//! [`ClientRoster`] keeps exactly those two, plus the shared immutable
-//! inputs (training data, partitions, config, codec registry), the one codec
-//! plan in force — the configuration's [`uplink_plan`] until the round
-//! engine installs an adaptive one — and a pool of spent [`ClientState`]
-//! *shells*:
+//! [`ClientRoster`] keeps exactly those two, side by side in one slot per
+//! client, plus the shared immutable inputs (training data, partitions,
+//! config, codec registry), the one codec plan in force — the
+//! configuration's [`uplink_plan`] until the round engine installs an
+//! adaptive one — and a pool of spent [`ClientState`] *shells*:
 //!
 //! * [`checkout`](ClientRoster::checkout) pops a shell and **rebinds** it —
 //!   new id, the client's persistent RNG stream, its shard copied into the
-//!   shell's own dataset buffers, its stored residual restored — verbatim,
-//!   even when the plan changed since it was parked (why that is exact is in
-//!   [`fl_compress::residual_store`]'s docs). What the
-//!   shell owns stays: model replica and layout, workspace, batch and
-//!   gradient buffers, the optimizer (its velocity is zero-filled in place
-//!   by the next local update) and the delta buffer handed back after
-//!   encoding. When the pool is empty — the first `threads` checkouts of a
-//!   session — the shell rebound is a new, empty one: there is one way to
-//!   make a client;
+//!   shell's own dataset buffers, its parked residual restored — verbatim,
+//!   even when the plan changed since it was parked: `layer-bcrs` gives
+//!   every segment an `ef-…` codec of one residual part, whatever its bit
+//!   width, so the part layout a snapshot was taken under is the one it is
+//!   restored into. What the shell owns stays: model replica and layout,
+//!   workspace, batch and gradient buffers, the optimizer (its velocity is
+//!   zero-filled in place by the next local update) and the delta buffer
+//!   handed back after encoding. When the pool is empty — the first
+//!   `threads` checkouts of a session — the shell rebound is a new, empty
+//!   one: there is one way to make a client;
 //! * the shell's **codec is kept** when it declares itself
 //!   [`reusable`](fl_compress::UpdateCodec::reusable) (every built-in does:
 //!   once its residual is taken it holds nothing of its last client) *and*
@@ -42,11 +43,11 @@
 //!   Rebuilding it at every checkout instead was measured: `adaptive_churn`
 //!   ran 9 % fewer rounds per second, in 10 of 10 alternating pairs (a plan
 //!   codec is six parsed, boxed segment codecs and their warm scratch);
-//! * [`checkin`](ClientRoster::checkin) takes the (advanced) stream and the
-//!   codec's residual snapshot back and returns the shell to the pool. A
-//!   shell enters the pool only here and every checkout takes one if there
-//!   is one, so the pool never holds more shells than were checked out at
-//!   once; it has no size to configure.
+//! * [`checkin`](ClientRoster::checkin) writes the (advanced) stream and the
+//!   codec's residual snapshot back into the client's slot and returns the
+//!   shell to the pool. A shell enters the pool only here and every checkout
+//!   takes one if there is one, so the pool never holds more shells than
+//!   were checked out at once; it has no size to configure.
 //!
 //! Because neither building nor rebinding draws from the client's own
 //! stream, and everything a shell keeps is overwritten or reset before it is
@@ -64,12 +65,11 @@
 use crate::client::ClientState;
 use crate::config::ExperimentConfig;
 use crate::policy::uplink_plan;
-use fl_compress::{CodecRegistry, LayerPlan, ResidualStore};
+use fl_compress::{CodecRegistry, LayerPlan, ResidualState};
 use fl_data::{ClientPartition, Dataset};
 use fl_tensor::rng::Xoshiro256;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The codec plan every [`ClientRoster::checkout`] resolves against: the
 /// configuration's [`uplink_plan`] with no ratio scales (epoch 0, key 0)
@@ -91,20 +91,43 @@ struct CurrentPlan {
     codec_key: u64,
 }
 
+/// Everything of one client that outlives a round.
+struct ClientSlot {
+    /// The client's persistent RNG stream.
+    rng: Xoshiro256,
+    /// The error-feedback residual parked at the client's last check-in, if
+    /// it carried mass.
+    residual: Option<Parked>,
+}
+
+/// A parked residual snapshot.
+struct Parked {
+    state: ResidualState,
+    /// Sum of squares of `state`, filled in by the first
+    /// [`ClientRoster::residual_total_norm`] that sees it: a parked residual
+    /// is scanned at most once, and a roster nobody asks pays nothing.
+    norm_sq: Option<f64>,
+}
+
+/// Lock `m`, ignoring poison: no critical section in the roster can leave
+/// its data half-written.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The persistent, population-wide client substrate of a
-/// [`crate::session::FederatedSession`]: per-client RNG streams, the
-/// error-feedback [`ResidualStore`], and everything needed to rebuild a
-/// [`ClientState`] deterministically when its id is selected.
+/// [`crate::session::FederatedSession`]: one slot per client holding its
+/// RNG stream and parked error-feedback residual, and everything needed to
+/// rebuild a [`ClientState`] deterministically when its id is selected.
 pub struct ClientRoster {
     train: Arc<Dataset>,
     partitions: Arc<Vec<ClientPartition>>,
     config: ExperimentConfig,
     registry: CodecRegistry,
-    /// One persistent RNG stream per client, forked from the session's client
-    /// root in id order at build time (the same fork loop — and therefore the
-    /// same streams — as the legacy eager construction).
-    streams: Vec<Mutex<Xoshiro256>>,
-    residuals: ResidualStore,
+    /// One slot per client, indexed by id. The streams are forked from the
+    /// session's client root in id order at build time (the same fork loop
+    /// — and therefore the same streams — as the legacy eager construction).
+    slots: Vec<Mutex<ClientSlot>>,
     /// The plan in force. Written only between rounds by the engine's
     /// single-threaded select stage; checkout takes a handle to it.
     plan: Mutex<Arc<CurrentPlan>>,
@@ -130,9 +153,14 @@ impl ClientRoster {
         registry: CodecRegistry,
         root_rng: &mut Xoshiro256,
     ) -> Self {
-        let streams = partitions
+        let slots = partitions
             .iter()
-            .map(|p| Mutex::new(root_rng.fork(p.client_id as u64)))
+            .map(|p| {
+                Mutex::new(ClientSlot {
+                    rng: root_rng.fork(p.client_id as u64),
+                    residual: None,
+                })
+            })
             .collect();
         let plan = CurrentPlan {
             plan: uplink_plan(&config),
@@ -145,8 +173,7 @@ impl ClientRoster {
             partitions,
             config,
             registry,
-            streams,
-            residuals: ResidualStore::new(),
+            slots,
             plan: Mutex::new(Arc::new(plan)),
             pool: Mutex::new(Vec::new()),
             resident: AtomicUsize::new(0),
@@ -174,17 +201,20 @@ impl ClientRoster {
 
     /// Materialise client `id` for one round of work: rebind a pooled shell
     /// (a new, empty one when the pool has none) to it — its shard, its
-    /// persistent RNG stream, its codec — and restore its stored
+    /// persistent RNG stream, its codec — and restore its parked
     /// error-feedback residual (if any).
     ///
     /// Every checkout must be paired with a [`checkin`](Self::checkin);
     /// checking the same id out twice concurrently would fork its stream and
     /// is a caller bug (cohorts are selected without replacement).
     pub fn checkout(&self, id: usize) -> ClientState {
-        let stream = self.streams[id].lock().clone();
-        let plan = self.plan.lock().clone();
+        let (stream, parked) = {
+            let mut slot = lock(&self.slots[id]);
+            (slot.rng.clone(), slot.residual.take())
+        };
+        let plan = lock(&self.plan).clone();
         let (config, train) = (&self.config, &self.train);
-        let shell = self.pool.lock().pop();
+        let shell = lock(&self.pool).pop();
         let mut client = shell.unwrap_or_else(|| {
             ClientState::shell(config, train.feature_dim(), train.num_classes())
         });
@@ -196,8 +226,8 @@ impl ClientRoster {
             plan.scales.as_deref(),
             plan.codec_key,
         );
-        if let Some(state) = self.residuals.take(id as u64) {
-            client.restore_residual(state);
+        if let Some(parked) = parked {
+            client.restore_residual(parked.state);
         }
         let resident = self.resident.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak_resident.fetch_max(resident, Ordering::SeqCst);
@@ -206,15 +236,21 @@ impl ClientRoster {
         client
     }
 
-    /// Return a client after its round of work: persist the codec's residual
-    /// snapshot into the store (all-zero snapshots are dropped), write the
-    /// advanced RNG stream back, and keep the rest as a shell for the next
-    /// checkout to rebind.
+    /// Return a client after its round of work: write the advanced RNG
+    /// stream and the codec's residual snapshot back into its slot (an
+    /// all-zero snapshot is dropped), and keep the rest as a shell for the
+    /// next checkout to rebind.
     pub fn checkin(&self, mut client: ClientState) {
-        let id = client.id;
-        self.residuals.put(id as u64, client.take_residual());
-        *self.streams[id].lock() = client.rng().clone();
-        self.pool.lock().push(client);
+        let state = client.take_residual();
+        let residual = (!state.is_trivial()).then_some(Parked {
+            state,
+            norm_sq: None,
+        });
+        *lock(&self.slots[client.id]) = ClientSlot {
+            rng: client.rng().clone(),
+            residual,
+        };
+        lock(&self.pool).push(client);
         self.resident.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -224,10 +260,10 @@ impl ClientRoster {
     /// installed plan → the same epoch (scale-only updates are applied in
     /// place), anything else → the next epoch, so the first install is
     /// epoch 1. Parked residuals restore verbatim across an epoch change
-    /// (see [`fl_compress::residual_store`]). Called by the round engine's
+    /// (see the [module docs](self)). Called by the round engine's
     /// select stage, between rounds — never concurrently with checkouts.
     pub fn set_plan_override(&self, plan: LayerPlan, scales: Vec<f64>) -> u64 {
-        let mut current = self.plan.lock();
+        let mut current = lock(&self.plan);
         let scales = Some(scales);
         if current.epoch > 0 && current.plan == plan {
             if current.scales != scales {
@@ -276,15 +312,27 @@ impl ClientRoster {
         self.round_instantiated.store(0, Ordering::SeqCst);
     }
 
-    /// Number of clients with a stored error-feedback residual.
+    /// Number of clients with a parked error-feedback residual.
     pub fn residual_clients(&self) -> usize {
-        self.residuals.len()
+        self.slots
+            .iter()
+            .filter(|slot| lock(slot).residual.is_some())
+            .count()
     }
 
-    /// L2 norm over every stored residual scalar (the population's total
-    /// carried-over compression error).
+    /// L2 norm over every parked residual scalar (the population's total
+    /// carried-over compression error). The per-client squared norms are
+    /// summed in id order, each computed once per parked snapshot.
     pub fn residual_total_norm(&self) -> f64 {
-        self.residuals.total_norm()
+        self.slots
+            .iter()
+            .filter_map(|slot| {
+                let mut slot = lock(slot);
+                let parked = slot.residual.as_mut()?;
+                Some(*parked.norm_sq.get_or_insert_with(|| parked.state.norm_sq()))
+            })
+            .sum::<f64>()
+            .sqrt()
     }
 }
 
@@ -374,7 +422,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert!(fresh.pool.lock().is_empty());
+        assert!(lock(&fresh.pool).is_empty());
 
         // One shell, rebound to a different id at every checkout, with the
         // delta buffer travelling along.
@@ -388,7 +436,7 @@ mod tests {
                 assert_eq!(wire.as_bytes(), expected[round].as_slice(), "client {id}");
                 client.recycle_delta(out.delta);
                 pooled.checkin(client);
-                assert_eq!(pooled.pool.lock().len(), 1, "one shell serves them all");
+                assert_eq!(lock(&pooled.pool).len(), 1, "one shell serves them all");
             }
         }
         assert_eq!(pooled.total_instantiated(), 6);
@@ -398,7 +446,7 @@ mod tests {
     #[test]
     fn pool_never_exceeds_concurrent_checkouts() {
         let (roster, _) = build_roster(Algorithm::TopK, 6);
-        let pooled = || roster.pool.lock().len();
+        let pooled = || lock(&roster.pool).len();
         for _ in 0..3 {
             let a = roster.checkout(0);
             let b = roster.checkout(1);
@@ -463,7 +511,7 @@ mod tests {
             );
             roster.checkin(client);
         }
-        assert_eq!(roster.pool.lock().len(), 1, "the shell itself was reused");
+        assert_eq!(lock(&roster.pool).len(), 1, "the shell itself was reused");
         let seen = SEEDS_SEEN.lock().unwrap().clone();
         let want: Vec<u64> = ids.iter().map(|&id| config.seed ^ id as u64).collect();
         assert_eq!(seen, want, "one build per checkout, each with its own seed");
@@ -496,7 +544,7 @@ mod tests {
             quarter < half * 2 / 3,
             "the shell's codec must follow the new scales ({half} -> {quarter})"
         );
-        assert_eq!(roster.pool.lock().len(), 1);
+        assert_eq!(lock(&roster.pool).len(), 1);
     }
 
     #[test]
@@ -549,6 +597,65 @@ mod tests {
     }
 
     #[test]
+    fn all_zero_residual_is_not_parked() {
+        // An `ef-topk` client encoded at ratio 1 sends its whole accumulator
+        // and keeps nothing back; its snapshot replaces the one it restored.
+        let (roster, global) = build_roster(Algorithm::EfTopK, 4);
+        let round = |ratio: f64| {
+            let mut client = roster.checkout(2);
+            let out = client.local_update(&global);
+            let _ = client.encode(&out.delta, ratio);
+            roster.checkin(client);
+        };
+        round(0.05);
+        assert_eq!(roster.residual_clients(), 1);
+        round(1.0);
+        assert_eq!(roster.residual_clients(), 0);
+        assert_eq!(roster.residual_total_norm(), 0.0);
+    }
+
+    #[test]
+    fn residual_total_norm_sums_in_id_order() {
+        // One large term at id 0 and twelve tiny ones: in id order the tiny
+        // ones are each lost against the large one, summed the other way
+        // they add up to more than its rounding. Parked in descending order.
+        let (roster, global) = build_roster(Algorithm::EfTopK, 13);
+        let planted = |v: f32| ResidualState {
+            parts: vec![vec![v; global.len()]],
+        };
+        let park = |id: usize, v: f32| {
+            let mut client = roster.checkout(id);
+            client.restore_residual(planted(v));
+            roster.checkin(client);
+        };
+        let mut values = [1e-8f32; 13];
+        values[0] = 1.0;
+        for id in (0..13).rev() {
+            park(id, values[id]);
+        }
+        let terms = |values: &[f32]| {
+            values
+                .iter()
+                .map(|&v| planted(v).norm_sq())
+                .collect::<Vec<_>>()
+        };
+        let id_order = |values: &[f32]| terms(values).iter().sum::<f64>().sqrt();
+        let norm = roster.residual_total_norm();
+        assert_eq!(roster.residual_clients(), 13);
+        assert_eq!(norm.to_bits(), id_order(&values).to_bits());
+        let descending = terms(&values).iter().rev().sum::<f64>().sqrt();
+        assert_ne!(norm.to_bits(), descending.to_bits());
+        assert_eq!(norm.to_bits(), roster.residual_total_norm().to_bits());
+        // Re-parking a client replaces its cached term.
+        values[0] = 9.0;
+        park(0, values[0]);
+        assert_eq!(
+            roster.residual_total_norm().to_bits(),
+            id_order(&values).to_bits()
+        );
+    }
+
+    #[test]
     fn streams_are_the_legacy_fork_sequence() {
         // The roster forks client streams exactly like the eager engine:
         // root.fork(0), root.fork(1), … in partition order.
@@ -558,7 +665,7 @@ mod tests {
         let mut root = Xoshiro256::new(config.seed ^ 0xC11E);
         for id in 0..3 {
             let expected = root.fork(id as u64);
-            assert_eq!(*roster.streams[id as usize].lock(), expected);
+            assert_eq!(lock(&roster.slots[id as usize]).rng, expected);
         }
     }
 }

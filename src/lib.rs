@@ -131,8 +131,8 @@ pub use fl_tensor as tensor;
 pub mod prelude {
     pub use fl_compress::{
         CodecCtx, CodecRegistry, CodecStage, CompressedUpdate, CompressorSpec, DownlinkChannel,
-        LayerPlan, PlanRule, PlannedCodec, ResidualState, ResidualStore, SegmentDef, SparseUpdate,
-        SpecError, UpdateCodec, WireError, WireUpdate,
+        LayerPlan, PlanRule, PlannedCodec, ResidualState, SegmentDef, SparseUpdate, SpecError,
+        UpdateCodec, WireError, WireUpdate,
     };
     pub use fl_core::runner::evaluate_params;
     pub use fl_core::{
