@@ -69,9 +69,13 @@ impl ClientState {
     pub(crate) fn shell(config: &ExperimentConfig, feature_dim: usize, num_classes: usize) -> Self {
         // The replica's parameters are always overwritten by the broadcast
         // global vector before training (`local_update` starts with
-        // `unflatten_params`), so a zero init is bit-identical to the
-        // server-seeded random init — and skips ~`num_params` normal draws.
-        let model = build_model_zeroed(&config.model, feature_dim, num_classes);
+        // `unflatten_params`), so any init will do: a throwaway stream.
+        let model = build_model(
+            &config.model,
+            feature_dim,
+            num_classes,
+            &mut Xoshiro256::new(0),
+        );
         let layout = ParamLayout::of(&model);
         Self {
             id: usize::MAX,
@@ -279,18 +283,6 @@ pub fn build_model(
             mlp(input_dim, &[*hidden1, *hidden2], classes, rng)
         }
         ModelPreset::Linear => fl_nn::model::logistic_regression(input_dim, classes, rng),
-    }
-}
-
-/// Build the model described by a [`ModelPreset`] with all-zero parameters —
-/// for replicas whose parameters are immediately overwritten (client
-/// checkouts), where the random init would only burn normal draws.
-pub fn build_model_zeroed(preset: &ModelPreset, input_dim: usize, classes: usize) -> Sequential {
-    match preset {
-        ModelPreset::Mlp { hidden1, hidden2 } => {
-            fl_nn::mlp_zeroed(input_dim, &[*hidden1, *hidden2], classes)
-        }
-        ModelPreset::Linear => fl_nn::model::logistic_regression_zeroed(input_dim, classes),
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::algorithm::{Algorithm, RatioRule};
 use crate::policy::{downlink_plan, uplink_plan};
+use crate::scenario::scenario_seed;
 use fl_compress::{CodecRegistry, CompressorSpec, LayerPlan};
 use fl_data::DatasetPreset;
 use fl_netsim::{CostBasis, LinkGenerator, ScenarioSpec};
@@ -364,18 +365,11 @@ impl ExperimentConfig {
         self.links
             .validate()
             .map_err(|e| format!("invalid links: {e}"))?;
+        // Building is the one check: it validates the parameters, rejects
+        // towers beyond the fleet and opens a trace file to match its header.
         if let Some(spec) = &self.scenario {
-            spec.validate()
+            spec.build(self.num_clients, scenario_seed(self), &self.links)
                 .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
-            if let ScenarioSpec::Towers { groups, .. } = spec {
-                if *groups > self.num_clients {
-                    return Err(format!(
-                        "invalid scenario spec {spec}: groups = {groups} exceeds num_clients = {} \
-                         (a tower beyond the fleet holds no client)",
-                        self.num_clients
-                    ));
-                }
-            }
         }
         self.validate_codec_plans(registry)
     }
@@ -595,6 +589,24 @@ mod tests {
         // The `engine/towers` fingerprint row and the `scenarios` figure.
         assert!(towers(16, "towers").validate().is_ok());
         assert!(towers(32, "towers:groups=4").validate().is_ok());
+        // A trace spec fails here, not when the session builds: a missing
+        // file, and a 16-client recording under a 10-client fleet.
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/towers_n16_seed7.trace"
+        );
+        for spec in [
+            "trace:/nonexistent.trace".to_string(),
+            format!("trace:{fixture}"),
+        ] {
+            let err = towers(10, &spec).validate().unwrap_err();
+            assert!(err.contains("invalid scenario spec"), "{err}");
+        }
+        let mut replay = ExperimentConfig::quick(Algorithm::TopK);
+        replay.num_clients = 16;
+        replay.scenario = Some(format!("trace:{fixture}").parse().unwrap());
+        assert!(replay.validate().is_ok());
+        crate::FederatedSession::from_config(&replay).run_round();
     }
 
     #[test]

@@ -54,9 +54,9 @@
 //! Trace-driven fleet dynamics layer on top:
 //! [`config::ExperimentConfig::scenario`] names a generator (diurnal
 //! participation waves, Poisson churn, tiered link jitter, correlated tower
-//! outages) or a recorded trace file, and [`scenario::ScenarioHandle`]
-//! advances the resulting per-round `fl_netsim::FleetEvent` stream exactly
-//! once per round — cohorts come from the reachable clients, transfers are
+//! outages) or a recorded trace file, and the session's
+//! `fl_netsim::FleetState` advances the resulting per-round
+//! `fl_netsim::FleetEvent` stream exactly once per round — cohorts come from the reachable clients, transfers are
 //! priced over the scenario's link overrides, and each
 //! [`runner::RoundRecord`] carries participation/churn telemetry. With
 //! `scenario: None` every record is bit-identical to pre-scenario builds.
@@ -109,6 +109,6 @@ pub use policy::{
 pub use roster::ClientRoster;
 pub use round::RoundOutput;
 pub use runner::{run_experiment, ExperimentResult, LayerBytes, PlanTelemetry, RoundRecord};
-pub use scenario::{record_scenario_trace, scenario_seed, ScenarioHandle};
+pub use scenario::{record_scenario_trace, scenario_seed};
 pub use session::{FederatedSession, SessionBuilder};
 pub use sweep::{run_sweep_threaded, run_sweep_threaded_progress, SweepGrid};

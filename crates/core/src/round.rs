@@ -134,9 +134,9 @@ impl FederatedSession {
     /// (see [`select_cohort`]) and snapshot its links, then let the adaptive
     /// plan (if any) decide the round's codec plan.
     fn select(&mut self, round: usize) -> Selection {
-        let active = self.scenario.as_mut().map(|handle| {
-            handle.advance(round);
-            handle.active_clients()
+        let active = self.scenario.as_mut().map(|fleet| {
+            fleet.advance(round);
+            fleet.active_clients()
         });
         let selected = select_cohort(
             &mut self.selection_rng,
@@ -149,9 +149,9 @@ impl FederatedSession {
         // resampling, rejoin links); without a scenario this is exactly the
         // static draw.
         let links: Vec<Link> = match &self.scenario {
-            Some(handle) => selected
+            Some(fleet) => selected
                 .iter()
-                .map(|&i| handle.link_for(i, &self.links))
+                .map(|&i| fleet.link_for(i, &self.links))
                 .collect(),
             None => selected.iter().map(|&i| self.links[i]).collect(),
         };
@@ -544,7 +544,7 @@ impl FederatedSession {
             selected_clients: selection.selected,
             overlap: aggregate.overlap.map(|c| c.stats()),
             layer_bytes,
-            scenario: self.scenario.as_ref().map(|h| h.telemetry()),
+            scenario: self.scenario.as_ref().map(|fleet| fleet.telemetry()),
             plan: selection.plan,
         };
         RoundOutput {

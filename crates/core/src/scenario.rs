@@ -1,26 +1,19 @@
-//! Scenario-driven fleet dynamics wired into the round engine.
+//! Scenario plumbing between the configuration and the fleet driver.
 //!
-//! The `fl-netsim` [`Scenario`] machinery produces per-round
-//! [`FleetEvent`] streams; this module connects them to the round engine:
+//! A session's fleet dynamics run in one [`fl_netsim::FleetState`], built
+//! from [`ExperimentConfig::scenario`] and advanced exactly once per round
+//! by the round engine, which draws each cohort from its reachable clients
+//! (see [`crate::policy::select_cohort`]) and prices transfers over its
+//! link overrides. This module holds what the configuration adds on top:
 //!
-//! * [`ScenarioHandle`] — owns the scenario and the materialised
-//!   [`FleetState`], advanced exactly once per round by the round engine
-//!   (idempotently, so no round's events are ever applied twice). The
-//!   engine draws each cohort from its
-//!   [`active_clients`](ScenarioHandle::active_clients) (see
-//!   [`crate::policy::select_cohort`]) and prices transfers over its
-//!   [`link_for`](ScenarioHandle::link_for) overrides;
-//! * [`scenario_seed`] / [`record_scenario_trace`] — the dedicated seed
-//!   stream and the trace-capture helper used to replay a run's exact fleet
-//!   evolution from a text file.
-//!
-//! The handle's state is `O(cohort + deviations)`: the fleet view stores only
-//! the down/departed sets and link overrides, never per-client state, so
-//! scenarios stay practical at roster-scale populations.
+//! * [`scenario_seed`] — the dedicated seed stream of every scenario;
+//! * [`record_scenario_trace`] — the trace-capture helper used to replay a
+//!   run's exact fleet evolution from a text file.
 
 use crate::config::ExperimentConfig;
-use fl_netsim::scenario::FleetEvent;
-use fl_netsim::{FleetState, Link, RecordingScenario, Scenario, ScenarioTelemetry};
+use fl_netsim::scenario::trace::TRACE_MAGIC;
+use fl_netsim::TimedEvent;
+use std::fmt::Write;
 
 /// The dedicated seed stream for scenario randomness: `config.seed ^ 0x5CE0`.
 ///
@@ -31,86 +24,15 @@ pub fn scenario_seed(config: &ExperimentConfig) -> u64 {
     config.seed ^ 0x5CE0
 }
 
-/// A running scenario: the event source, the materialised fleet view, and
-/// the last advanced round's telemetry.
-pub struct ScenarioHandle {
-    scenario: Box<dyn Scenario>,
-    fleet: FleetState,
-    buf: Vec<FleetEvent>,
-    next_round: usize,
-    last: ScenarioTelemetry,
-}
-
-impl ScenarioHandle {
-    /// Wrap a scenario for a `num_clients`-client fleet (initially fully up).
-    pub fn new(scenario: Box<dyn Scenario>, num_clients: usize) -> Self {
-        let fleet = FleetState::new(num_clients);
-        let last = ScenarioTelemetry {
-            available: fleet.active_count(),
-            ..ScenarioTelemetry::default()
-        };
-        Self {
-            scenario,
-            fleet,
-            buf: Vec::new(),
-            next_round: 0,
-            last,
-        }
-    }
-
-    /// Advance the fleet through every round up to and including `round`,
-    /// applying each round's events in order. Idempotent: rounds already
-    /// advanced are skipped, so calling this twice for the same round (or
-    /// for an earlier one) is a no-op. Panics on a corrupt event stream
-    /// (an event naming a client outside the fleet), matching the engine's
-    /// fail-fast posture on invalid configuration.
-    pub fn advance(&mut self, round: usize) {
-        while self.next_round <= round {
-            let r = self.next_round;
-            self.buf.clear();
-            self.scenario.events_for_round(r, &mut self.buf);
-            let mut telemetry = ScenarioTelemetry::default();
-            for event in &self.buf {
-                match event {
-                    FleetEvent::Join { .. } => telemetry.joined += 1,
-                    FleetEvent::Leave { .. } => telemetry.departed += 1,
-                    FleetEvent::LinkSet { .. } => telemetry.link_changes += 1,
-                    FleetEvent::Down { .. } | FleetEvent::Up { .. } => {}
-                }
-                self.fleet
-                    .apply(event)
-                    .unwrap_or_else(|e| panic!("invalid scenario event at round {r}: {e}"));
-            }
-            telemetry.available = self.fleet.active_count();
-            self.last = telemetry;
-            self.next_round = r + 1;
-        }
-    }
-
-    /// The link `client` communicates over right now: the scenario's override
-    /// when one is in force, the static `base` draw otherwise.
-    pub fn link_for(&self, client: usize, base: &[Link]) -> Link {
-        self.fleet.link_for(client, base)
-    }
-
-    /// Telemetry of the most recently advanced round.
-    pub fn telemetry(&self) -> ScenarioTelemetry {
-        self.last
-    }
-
-    /// Indices of the currently reachable clients, ascending.
-    pub fn active_clients(&self) -> Vec<usize> {
-        self.fleet.active_clients()
-    }
-}
-
 /// Record the exact fleet-event trace a configuration's scenario will replay
-/// over the first `rounds` rounds, as `bwfl-trace-v1` text.
+/// over the first `rounds` rounds, as `bwfl-trace-v1` text: the
+/// `bwfl-trace-v1 clients=N` header, then one [`TimedEvent`] line per event.
 ///
 /// The generator is rebuilt from the config's [`ScenarioSpec`]
-/// (`config.scenario`) with the session's exact [`scenario_seed`], so a run
-/// driven from the returned trace (`scenario: "trace:<file>"`) reproduces the
-/// original run's fleet evolution bit for bit.
+/// (`config.scenario`) with the session's exact [`scenario_seed`] and link
+/// generator, so a run driven from the returned trace
+/// (`scenario: "trace:<file>"`) reproduces the original run's fleet
+/// evolution bit for bit.
 ///
 /// [`ScenarioSpec`]: fl_netsim::ScenarioSpec
 pub fn record_scenario_trace(config: &ExperimentConfig, rounds: usize) -> Result<String, String> {
@@ -118,67 +40,37 @@ pub fn record_scenario_trace(config: &ExperimentConfig, rounds: usize) -> Result
         .scenario
         .as_ref()
         .ok_or_else(|| "config has no scenario to record".to_string())?;
-    let inner = spec
-        .build(config.num_clients, scenario_seed(config))
+    let mut scenario = spec
+        .build(config.num_clients, scenario_seed(config), &config.links)
         .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
-    let mut recorder = RecordingScenario::new(inner, config.num_clients);
+    let mut trace = format!("{TRACE_MAGIC} clients={}\n", config.num_clients);
     let mut buf = Vec::new();
     for round in 0..rounds {
         buf.clear();
-        recorder.events_for_round(round, &mut buf);
+        scenario.events_for_round(round, &mut buf);
+        for &event in &buf {
+            writeln!(trace, "{}", TimedEvent { round, event })
+                .expect("writing to a String cannot fail");
+        }
     }
-    Ok(recorder.into_trace())
+    Ok(trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::select_cohort;
-    use fl_netsim::{DiurnalScenario, TraceScenario};
+    use fl_netsim::{
+        DiurnalScenario, FleetEvent, FleetState, LinkGenerator, Scenario, TraceScenario,
+    };
     use fl_tensor::rng::{Rng, Xoshiro256};
-
-    fn diurnal(n: usize, seed: u64) -> Box<dyn Scenario> {
-        Box::new(DiurnalScenario::new(n, seed, 8.0, 0.25, 0.95))
-    }
-
-    #[test]
-    fn advance_is_idempotent() {
-        let mut handle = ScenarioHandle::new(diurnal(16, 7), 16);
-        handle.advance(3);
-        let active = handle.active_clients();
-        let telemetry = handle.telemetry();
-        // Re-advancing the same (or an earlier) round changes nothing.
-        handle.advance(3);
-        handle.advance(1);
-        assert_eq!(handle.active_clients(), active);
-        assert_eq!(handle.telemetry(), telemetry);
-    }
-
-    #[test]
-    fn advance_catches_up_skipped_rounds() {
-        let mut a = ScenarioHandle::new(diurnal(16, 7), 16);
-        let mut b = ScenarioHandle::new(diurnal(16, 7), 16);
-        for r in 0..=5 {
-            a.advance(r);
-        }
-        b.advance(5); // one jump applies rounds 0..=5 in order
-        assert_eq!(a.active_clients(), b.active_clients());
-    }
-
-    #[test]
-    fn telemetry_counts_available_after_events() {
-        let mut handle = ScenarioHandle::new(diurnal(32, 3), 32);
-        handle.advance(0);
-        let t = handle.telemetry();
-        assert_eq!(t.available, handle.active_clients().len());
-        assert!(t.available <= 32);
-    }
 
     #[test]
     fn selector_samples_only_active_clients() {
-        let mut handle = ScenarioHandle::new(diurnal(32, 11), 32);
-        handle.advance(4);
-        let active = handle.active_clients();
+        let mut fleet =
+            FleetState::new(Box::new(DiurnalScenario::new(32, 11, 8.0, 0.25, 0.95)), 32);
+        fleet.advance(4);
+        let active = fleet.active_clients();
         assert!(
             active.len() < 32,
             "the diurnal trough should take some down"
@@ -197,13 +89,69 @@ mod tests {
     fn nobody_reachable_draws_one_client_from_the_whole_fleet() {
         // min_up ≈ max_up ≈ 0 keeps the whole fleet down once the wave is
         // established; the cohort falls back to one uniformly drawn client.
-        let mut handle =
-            ScenarioHandle::new(Box::new(DiurnalScenario::new(8, 1, 4.0, 1e-9, 2e-9)), 8);
-        handle.advance(0);
-        assert!(handle.active_clients().is_empty());
+        let mut fleet = FleetState::new(Box::new(DiurnalScenario::new(8, 1, 4.0, 1e-9, 2e-9)), 8);
+        fleet.advance(0);
+        assert!(fleet.active_clients().is_empty());
         let mut rng = Xoshiro256::new(1);
-        let picked = select_cohort(&mut rng, 8, 4, Some(handle.active_clients()), 0.0);
+        let picked = select_cohort(&mut rng, 8, 4, Some(fleet.active_clients()), 0.0);
         assert_eq!(picked, vec![Xoshiro256::new(1).next_below(8)]);
+    }
+
+    #[test]
+    fn recording_then_replaying_reproduces_events() {
+        // Tiered links carry arbitrary floats, rounds with no events leave
+        // gaps: the text must still replay event for event.
+        let mut config = ExperimentConfig::quick(crate::Algorithm::TopK);
+        config.num_clients = 4;
+        config.scenario = Some("tiered:resample=0.25".parse().unwrap());
+        let trace = record_scenario_trace(&config, 5).unwrap();
+        assert!(trace.starts_with("bwfl-trace-v1 clients=4\n"), "{trace}");
+
+        let mut live = config
+            .scenario
+            .as_ref()
+            .unwrap()
+            .build(4, scenario_seed(&config), &config.links)
+            .unwrap();
+        let mut replay =
+            TraceScenario::from_reader(std::io::BufReader::new(trace.as_bytes())).unwrap();
+        assert_eq!(replay.num_clients(), 4);
+        let mut events = 0;
+        for round in 0..5 {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            live.events_for_round(round, &mut a);
+            replay.events_for_round(round, &mut b);
+            assert_eq!(a, b, "round {round} (trace:\n{trace})");
+            events += a.len();
+        }
+        assert_eq!(trace.lines().count(), 1 + events, "one line per event");
+    }
+
+    #[test]
+    fn churn_rejoins_draw_from_the_configured_links() {
+        let mut config = ExperimentConfig::quick(crate::Algorithm::TopK);
+        config.links = LinkGenerator {
+            bandwidth_mean_mbps: 100.0,
+            ..LinkGenerator::paper_default()
+        };
+        config.scenario = Some("churn:leave=0.3,join=0.8".parse().unwrap());
+        let trace = record_scenario_trace(&config, 12).unwrap();
+        let floor = config.links.floor_mbps();
+        let rejoins: Vec<f64> = fl_netsim::TraceReader::new(trace.as_bytes())
+            .unwrap()
+            .filter_map(|ev| match ev.unwrap().event {
+                FleetEvent::Join { link, .. } => Some(link.bandwidth_mbps()),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            !rejoins.is_empty(),
+            "join=0.8 over 12 rounds re-joins someone"
+        );
+        assert!(
+            rejoins.iter().all(|&mbps| mbps >= floor),
+            "re-join links {rejoins:?} below the {floor} Mbit/s floor"
+        );
     }
 
     #[test]
@@ -217,7 +165,7 @@ mod tests {
             .scenario
             .as_ref()
             .unwrap()
-            .build(16, scenario_seed(&config))
+            .build(16, scenario_seed(&config), &config.links)
             .unwrap();
         let mut replay =
             TraceScenario::from_reader(std::io::BufReader::new(trace.as_bytes())).unwrap();

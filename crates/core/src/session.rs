@@ -27,10 +27,10 @@ use crate::eval::Evaluation;
 use crate::policy::downlink_plan;
 use crate::roster::ClientRoster;
 use crate::runner::{ExperimentResult, RoundRecord};
-use crate::scenario::{scenario_seed, ScenarioHandle};
+use crate::scenario::scenario_seed;
 use fl_compress::{CodecCtx, CodecRegistry, DownlinkChannel};
 use fl_data::{dirichlet_partition, Dataset, PartitionStats};
-use fl_netsim::{CommModel, Link, RoundBreakdown, RoundTiming};
+use fl_netsim::{CommModel, FleetState, Link, RoundBreakdown, RoundTiming};
 use fl_nn::{flatten_params, ParamLayout, Sequential};
 use fl_tensor::parallel::default_threads;
 use fl_tensor::rng::Xoshiro256;
@@ -189,16 +189,15 @@ impl SessionBuilder {
         let cohort = config.clients_per_round();
 
         // --- Scenario (dynamic fleet) -------------------------------------------
-        // Built only when configured: with `scenario: None` no handle exists,
+        // Built only when configured: with `scenario: None` no fleet exists,
         // no extra RNG stream is consumed and cohorts are drawn from all N
         // clients — records stay bit-identical to pre-scenario builds.
         let scenario = config.scenario.as_ref().map(|spec| {
             let generator = spec
-                .build(config.num_clients, scenario_seed(&config))
+                .build(config.num_clients, scenario_seed(&config), &config.links)
                 .unwrap_or_else(|e| panic!("invalid scenario spec {spec}: {e}"));
-            ScenarioHandle::new(generator, config.num_clients)
+            FleetState::new(generator, config.num_clients)
         });
-        let records = Vec::with_capacity(config.rounds);
 
         FederatedSession {
             config,
@@ -221,7 +220,9 @@ impl SessionBuilder {
             breakdown_total: RoundBreakdown::default(),
             threads,
             cohort,
-            records,
+            // Not reserved up front: `rounds` is only a horizon, and a
+            // manual stepper's "no horizon" is `usize::MAX`.
+            records: Vec::new(),
             last_eval: None,
             next_round: 0,
             wall_start,
@@ -254,7 +255,7 @@ pub struct FederatedSession {
     /// (layout order) — the telemetry the next round's plan decision reads.
     pub(crate) last_gradient_mass: Option<Vec<f64>>,
     pub(crate) downlink: Option<DownlinkChannel>,
-    pub(crate) scenario: Option<ScenarioHandle>,
+    pub(crate) scenario: Option<FleetState>,
     pub(crate) selection_rng: Xoshiro256,
     /// Running sums of every round's Actual / Max / Min times.
     pub(crate) time_total: RoundTiming,
@@ -334,10 +335,10 @@ impl FederatedSession {
         &self.roster
     }
 
-    /// The scenario handle driving this session's fleet dynamics (`None`
-    /// for the paper's static fleet). Exposes the current reachable-client
-    /// set and per-round telemetry to external drivers.
-    pub fn scenario(&self) -> Option<&ScenarioHandle> {
+    /// The fleet driving this session's dynamics (`None` for the paper's
+    /// static fleet). Exposes the current reachable-client set and per-round
+    /// telemetry to external drivers.
+    pub fn scenario(&self) -> Option<&FleetState> {
         self.scenario.as_ref()
     }
 
@@ -589,6 +590,16 @@ mod tests {
         builtin_config.compressor = Some("topk".parse().unwrap());
         let builtin = FederatedSession::from_config(&builtin_config).run();
         assert_eq!(custom.records, builtin.records);
+    }
+
+    #[test]
+    fn an_unbounded_horizon_builds_and_steps() {
+        let mut config = quick(Algorithm::TopK);
+        config.rounds = usize::MAX;
+        let mut session = FederatedSession::from_config(&config);
+        session.run_round();
+        assert_eq!(session.records().len(), 1);
+        assert!(!session.is_finished());
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   split of Fig. 6;
 //! * [`scenario`] — trace-driven fleet dynamics (diurnal participation,
 //!   churn, tiered links, correlated dropout) layered on top of the static
-//!   link draw.
+//!   link draw; [`scenario::FleetState`] owns a session's scenario and
+//!   advances it once per round.
 
 #![forbid(unsafe_code)]
 
@@ -34,8 +35,8 @@ pub use cost::{CommModel, CostBasis, SATURATED_TRANSFER_S};
 pub use link::{Link, LinkGenerator};
 pub use metrics::RoundTiming;
 pub use scenario::{
-    ChurnScenario, CorrelatedDropoutScenario, DiurnalScenario, FleetError, FleetEvent, FleetState,
-    RecordingScenario, Scenario, ScenarioError, ScenarioSpec, ScenarioTelemetry, TierClass,
-    TieredScenario, TimedEvent, TraceError, TraceReader, TraceScenario,
+    ChurnScenario, CorrelatedDropoutScenario, DiurnalScenario, FleetEvent, FleetState, Scenario,
+    ScenarioError, ScenarioSpec, ScenarioTelemetry, TieredScenario, TimedEvent, TraceError,
+    TraceReader, TraceScenario,
 };
 pub use timeline::{ClientTimeline, RoundTimeline};

@@ -2,7 +2,7 @@
 //! churn, tiered link classes with lognormal jitter, and spatially
 //! correlated (shared-tower) dropout.
 //!
-//! All generators are pure functions of `(num_clients, seed)`: every random
+//! All generators are pure functions of their constructor inputs: every random
 //! decision flows through either a private [`Xoshiro256`] stream or a
 //! per-client [`SplitMix64`] hash, so the same constructor inputs emit the
 //! same event stream forever — the property the trace recorder and the
@@ -105,10 +105,6 @@ impl DiurnalScenario {
 }
 
 impl Scenario for DiurnalScenario {
-    fn name(&self) -> &'static str {
-        "diurnal"
-    }
-
     fn events_for_round(&mut self, round: usize, out: &mut Vec<FleetEvent>) {
         let frac = self.up_fraction(round);
         let prev = self.prev_frac;
@@ -132,7 +128,8 @@ impl Scenario for DiurnalScenario {
 
 /// Poisson device churn: every round, `Poisson(leave_rate · present)`
 /// enrolled clients leave and `Poisson(join_rate · departed)` departed
-/// clients re-join with a freshly drawn link.
+/// clients re-join with a link freshly drawn from the fleet's own
+/// [`LinkGenerator`].
 ///
 /// `leave_rate` is a per-capita per-round departure probability;
 /// `join_rate` governs how quickly the departed pool drains back in, so the
@@ -141,17 +138,21 @@ pub struct ChurnScenario {
     num_clients: usize,
     leave_rate: f64,
     join_rate: f64,
-    /// Generator used to mint links for re-joining clients. Defaults to
-    /// [`LinkGenerator::paper_default`]; swap it to churn a tiered fleet.
-    pub links: LinkGenerator,
+    links: LinkGenerator,
     rng: Xoshiro256,
     departed: Vec<usize>,
 }
 
 impl ChurnScenario {
     /// Create a churn process with the given per-capita rates (both in
-    /// `[0, 1]`).
-    pub fn new(num_clients: usize, seed: u64, leave_rate: f64, join_rate: f64) -> Self {
+    /// `[0, 1]`); re-joining clients draw their links from `links`.
+    pub fn new(
+        num_clients: usize,
+        seed: u64,
+        leave_rate: f64,
+        join_rate: f64,
+        links: LinkGenerator,
+    ) -> Self {
         assert!(
             (0.0..=1.0).contains(&leave_rate) && (0.0..=1.0).contains(&join_rate),
             "churn rates must lie in [0, 1]"
@@ -160,7 +161,7 @@ impl ChurnScenario {
             num_clients,
             leave_rate,
             join_rate,
-            links: LinkGenerator::paper_default(),
+            links,
             rng: Xoshiro256::new(seed),
             departed: Vec::new(),
         }
@@ -168,10 +169,6 @@ impl ChurnScenario {
 }
 
 impl Scenario for ChurnScenario {
-    fn name(&self) -> &'static str {
-        "churn"
-    }
-
     fn events_for_round(&mut self, _round: usize, out: &mut Vec<FleetEvent>) {
         // Re-joins draw from the pool as it stood at round start, so a
         // client cannot leave and re-join within one round.
@@ -205,24 +202,41 @@ impl Scenario for ChurnScenario {
     }
 }
 
-/// One network tier: a named link-quality class with a population weight.
-#[derive(Clone, Debug)]
-pub struct TierClass {
-    /// Human-readable tier name (`"cellular"`, `"wifi"`, ...).
-    pub name: &'static str,
-    /// Link distribution for clients in this tier.
-    pub links: LinkGenerator,
-    /// Relative share of the fleet assigned to this tier.
-    pub weight: f64,
+/// One network tier: a link-quality class with a population weight.
+struct TierClass {
+    links: LinkGenerator,
+    weight: f64,
 }
 
-impl TierClass {
-    /// The default three-tier fleet: half cellular (0.5 Mbit/s, 80–300 ms),
-    /// a third wifi (2 Mbit/s, 20–100 ms), the rest datacenter
-    /// (100 Mbit/s, 1–10 ms).
-    pub fn default_tiers() -> Vec<TierClass> {
-        let tier = |name, mean, std, lo, hi, weight| TierClass {
-            name,
+/// Tiered links with lognormal jitter: each client is hashed into one of
+/// three tiers — half cellular (0.5 Mbit/s, 80–300 ms), a third wifi
+/// (2 Mbit/s, 20–100 ms), the rest datacenter (100 Mbit/s, 1–10 ms). Round 0
+/// rebinds every link to its tier draw, and every later round resamples a
+/// `resample` fraction of the fleet — new bandwidth is the client's
+/// tier-base value times a mean-one lognormal with shape `sigma`, clamped at
+/// the tier's [`LinkGenerator::floor_mbps`], with latency redrawn from the
+/// tier's range.
+pub struct TieredScenario {
+    num_clients: usize,
+    seed: u64,
+    resample: f64,
+    sigma: f64,
+    tiers: [TierClass; 3],
+    rng: Xoshiro256,
+}
+
+impl TieredScenario {
+    /// Create the three-tier fleet.
+    pub fn new(num_clients: usize, seed: u64, resample: f64, sigma: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&resample),
+            "resample fraction must lie in [0, 1]"
+        );
+        assert!(
+            sigma >= 0.0 && sigma.is_finite(),
+            "sigma must be finite and >= 0"
+        );
+        let tier = |mean, std, lo, hi, weight| TierClass {
             links: LinkGenerator {
                 bandwidth_mean_mbps: mean,
                 bandwidth_std_mbps: std,
@@ -232,100 +246,45 @@ impl TierClass {
             },
             weight,
         };
-        vec![
-            tier("cellular", 0.5, 0.15, 80.0, 300.0, 0.5),
-            tier("wifi", 2.0, 0.5, 20.0, 100.0, 0.35),
-            tier("datacenter", 100.0, 10.0, 1.0, 10.0, 0.15),
-        ]
-    }
-}
-
-/// Tiered links with lognormal jitter: each client is hashed into one
-/// [`TierClass`], round 0 rebinds every link to its tier draw, and every
-/// later round resamples a `resample` fraction of the fleet — new bandwidth
-/// is the client's tier-base value times a mean-one lognormal with shape
-/// `sigma`, clamped at the tier's [`LinkGenerator::floor_mbps`], with
-/// latency redrawn from the tier's range.
-pub struct TieredScenario {
-    num_clients: usize,
-    seed: u64,
-    resample: f64,
-    sigma: f64,
-    tiers: Vec<TierClass>,
-    rng: Xoshiro256,
-}
-
-impl TieredScenario {
-    /// Create the default three-tier fleet (see [`TierClass::default_tiers`]).
-    pub fn new(num_clients: usize, seed: u64, resample: f64, sigma: f64) -> Self {
-        Self::with_tiers(
-            num_clients,
-            seed,
-            resample,
-            sigma,
-            TierClass::default_tiers(),
-        )
-    }
-
-    /// Create a tiered fleet with custom tier classes.
-    pub fn with_tiers(
-        num_clients: usize,
-        seed: u64,
-        resample: f64,
-        sigma: f64,
-        tiers: Vec<TierClass>,
-    ) -> Self {
-        assert!(!tiers.is_empty(), "tiered scenario needs at least one tier");
-        assert!(
-            (0.0..=1.0).contains(&resample),
-            "resample fraction must lie in [0, 1]"
-        );
-        assert!(
-            sigma >= 0.0 && sigma.is_finite(),
-            "sigma must be finite and >= 0"
-        );
-        assert!(
-            tiers.iter().all(|t| t.weight > 0.0),
-            "tier weights must be positive"
-        );
         Self {
             num_clients,
             seed,
             resample,
             sigma,
-            tiers,
+            // Cellular, wifi, datacenter.
+            tiers: [
+                tier(0.5, 0.15, 80.0, 300.0, 0.5),
+                tier(2.0, 0.5, 20.0, 100.0, 0.35),
+                tier(100.0, 10.0, 1.0, 10.0, 0.15),
+            ],
             rng: Xoshiro256::new(seed),
         }
     }
 
-    /// The tier `client` is permanently assigned to.
-    pub fn tier_of(&self, client: usize) -> &TierClass {
+    /// The index of the tier `client` is permanently assigned to.
+    fn tier_of(&self, client: usize) -> usize {
         let total: f64 = self.tiers.iter().map(|t| t.weight).sum();
         let u = client_unit(self.seed, client, STREAM_TIER) * total;
         let mut acc = 0.0;
-        for tier in &self.tiers {
+        for (i, tier) in self.tiers.iter().enumerate() {
             acc += tier.weight;
             if u < acc {
-                return tier;
+                return i;
             }
         }
-        self.tiers.last().expect("tiers are non-empty")
+        self.tiers.len() - 1
     }
 
     /// The client's stable tier-base link (pure function of seed + client,
     /// so it is never stored).
     fn base_link(&self, client: usize) -> Link {
-        let tier = self.tier_of(client);
+        let tier = &self.tiers[self.tier_of(client)];
         let mut rng = Xoshiro256::new(client_hash(self.seed, client, STREAM_TIER ^ 0xBA5E));
         tier.links.sample_with(&mut rng)
     }
 }
 
 impl Scenario for TieredScenario {
-    fn name(&self) -> &'static str {
-        "tiered"
-    }
-
     fn events_for_round(&mut self, round: usize, out: &mut Vec<FleetEvent>) {
         if round == 0 {
             for client in 0..self.num_clients {
@@ -341,7 +300,7 @@ impl Scenario for TieredScenario {
         }
         let chosen = self.rng.sample_without_replacement(self.num_clients, count);
         for client in chosen {
-            let tier_links = self.tier_of(client).links.clone();
+            let tier_links = self.tiers[self.tier_of(client)].links.clone();
             let base = self.base_link(client);
             let jitter = lognormal_jitter(&mut self.rng, self.sigma);
             let bw_mbps = (base.bandwidth_mbps() * jitter).max(tier_links.floor_mbps());
@@ -398,10 +357,6 @@ impl CorrelatedDropoutScenario {
 }
 
 impl Scenario for CorrelatedDropoutScenario {
-    fn name(&self) -> &'static str {
-        "towers"
-    }
-
     fn events_for_round(&mut self, _round: usize, out: &mut Vec<FleetEvent>) {
         for tower in 0..self.groups {
             let flip = if self.down_towers[tower] {
@@ -435,16 +390,23 @@ mod tests {
 
     fn drive(mut s: impl Scenario, num_clients: usize, rounds: usize) -> Vec<Vec<FleetEvent>> {
         let mut all = Vec::new();
-        let mut state = FleetState::new(num_clients);
         for round in 0..rounds {
             let mut buf = Vec::new();
             s.events_for_round(round, &mut buf);
-            for ev in &buf {
-                state.apply(ev).expect("generators stay in range");
-            }
+            assert!(buf.iter().all(|ev| ev.client() < num_clients));
             all.push(buf);
         }
         all
+    }
+
+    fn churn(num_clients: usize, seed: u64, leave: f64, join: f64) -> ChurnScenario {
+        ChurnScenario::new(
+            num_clients,
+            seed,
+            leave,
+            join,
+            LinkGenerator::paper_default(),
+        )
     }
 
     #[test]
@@ -475,17 +437,13 @@ mod tests {
     #[test]
     fn diurnal_wave_tracks_the_sine() {
         let num = 400;
-        let mut s = DiurnalScenario::new(num, 7, 8.0, 0.3, 0.95);
-        let mut state = FleetState::new(num);
-        let mut buf = Vec::new();
+        let wave = DiurnalScenario::new(num, 7, 8.0, 0.3, 0.95);
+        let mut state =
+            FleetState::new(Box::new(DiurnalScenario::new(num, 7, 8.0, 0.3, 0.95)), num);
         let mut fracs = Vec::new();
         for round in 0..16 {
-            buf.clear();
-            let expected = s.up_fraction(round);
-            s.events_for_round(round, &mut buf);
-            for ev in &buf {
-                state.apply(ev).unwrap();
-            }
+            let expected = wave.up_fraction(round);
+            state.advance(round);
             let got = state.active_count() as f64 / num as f64;
             assert!(
                 (got - expected).abs() < 0.08,
@@ -514,24 +472,18 @@ mod tests {
     #[test]
     fn churn_departs_and_rejoins() {
         let num = 60;
-        let mut s = ChurnScenario::new(num, 11, 0.1, 0.3);
-        let mut state = FleetState::new(num);
-        let mut buf = Vec::new();
+        let mut state = FleetState::new(Box::new(churn(num, 11, 0.1, 0.3)), num);
         let mut saw_leave = false;
         let mut saw_join = false;
         for round in 0..40 {
-            buf.clear();
-            s.events_for_round(round, &mut buf);
-            for ev in &buf {
-                saw_leave |= matches!(ev, FleetEvent::Leave { .. });
-                saw_join |= matches!(ev, FleetEvent::Join { .. });
-                state.apply(ev).unwrap();
-            }
+            state.advance(round);
+            saw_leave |= state.telemetry().departed > 0;
+            saw_join |= state.telemetry().joined > 0;
             assert!(state.active_count() >= 1, "fleet never fully empties");
         }
         assert!(saw_leave && saw_join);
-        let again = drive(ChurnScenario::new(num, 11, 0.1, 0.3), num, 40);
-        let first = drive(ChurnScenario::new(num, 11, 0.1, 0.3), num, 40);
+        let again = drive(churn(num, 11, 0.1, 0.3), num, 40);
+        let first = drive(churn(num, 11, 0.1, 0.3), num, 40);
         assert_eq!(again, first, "churn is deterministic");
     }
 
@@ -542,17 +494,21 @@ mod tests {
         let mut buf = Vec::new();
         s.events_for_round(0, &mut buf);
         assert_eq!(buf.len(), num, "round 0 rebinds every client");
-        let mut by_tier: std::collections::BTreeMap<&str, Vec<f64>> = Default::default();
-        let tiers: Vec<&str> = (0..num).map(|c| s.tier_of(c).name).collect();
+        let mut by_tier: std::collections::BTreeMap<usize, Vec<f64>> = Default::default();
+        let tiers: Vec<usize> = (0..num).map(|c| s.tier_of(c)).collect();
         for (ev, tier) in buf.iter().zip(&tiers) {
             if let FleetEvent::LinkSet { link, .. } = ev {
-                by_tier.entry(tier).or_default().push(link.bandwidth_mbps());
+                by_tier
+                    .entry(*tier)
+                    .or_default()
+                    .push(link.bandwidth_mbps());
             }
         }
         assert_eq!(by_tier.len(), 3, "all three default tiers populated");
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        assert!(mean(&by_tier["datacenter"]) > 10.0 * mean(&by_tier["wifi"]));
-        assert!(mean(&by_tier["wifi"]) > 2.0 * mean(&by_tier["cellular"]));
+        let (cellular, wifi, datacenter) = (&by_tier[&0], &by_tier[&1], &by_tier[&2]);
+        assert!(mean(datacenter) > 10.0 * mean(wifi));
+        assert!(mean(wifi) > 2.0 * mean(cellular));
     }
 
     #[test]

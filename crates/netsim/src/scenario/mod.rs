@@ -14,24 +14,25 @@
 //!     │  events_for_round(r, &mut buf)        — streaming, O(events/round)
 //!     ▼
 //! FleetEvent  { Down | Up | LinkSet | Join | Leave }
-//!     │  FleetState::apply                    — O(deviations) state
+//!     │  FleetState::advance(r)               — once per round, O(deviations) state
 //!     ▼
-//! FleetState  { down set, departed set, link overrides }
-//!     │  is_active / link_for
+//! FleetState  { scenario, down set, departed set, link overrides, telemetry }
+//!     │  active_clients / link_for / telemetry
 //!     ▼
 //! round engine: client selection + per-round CommModel pricing
 //! ```
 //!
-//! Scenarios are deterministic functions of `(num_clients, seed)`: the same
+//! Scenarios are deterministic functions of their constructor inputs: the same
 //! inputs replay the same event stream forever, and a recorded trace (see
 //! [`trace`]) replays bit-identically through [`TraceScenario`].
 //!
 //! * [`Scenario`] — the event-source trait; [`FleetEvent`] its vocabulary;
-//! * [`FleetState`] — the materialised fleet view the round engine queries;
+//! * [`FleetState`] — the one fleet driver: it owns the scenario, advances
+//!   it exactly once per round and is the fleet view the round engine
+//!   queries;
 //! * [`generators`] — built-in diurnal / churn / tiered / correlated-dropout
 //!   sources;
-//! * [`trace`] — the `bwfl-trace-v1` text format, streaming reader and
-//!   recording wrapper;
+//! * [`trace`] — the `bwfl-trace-v1` text format and its streaming reader;
 //! * [`spec`] — the `name[:k=v,...]` string form used by experiment configs
 //!   and CLI flags.
 
@@ -43,11 +44,9 @@ pub mod generators;
 pub mod spec;
 pub mod trace;
 
-pub use generators::{
-    ChurnScenario, CorrelatedDropoutScenario, DiurnalScenario, TierClass, TieredScenario,
-};
+pub use generators::{ChurnScenario, CorrelatedDropoutScenario, DiurnalScenario, TieredScenario};
 pub use spec::{ScenarioError, ScenarioSpec};
-pub use trace::{RecordingScenario, TimedEvent, TraceError, TraceReader, TraceScenario};
+pub use trace::{TimedEvent, TraceError, TraceReader, TraceScenario};
 
 /// One mutation of the fleet, effective at the round it is emitted for.
 ///
@@ -138,74 +137,45 @@ impl fmt::Display for FleetEvent {
 /// caller clears) in a deterministic order — fleet evolution must be a pure
 /// function of the constructor inputs.
 pub trait Scenario: Send {
-    /// Short stable identifier (used in logs and telemetry).
-    fn name(&self) -> &'static str;
-
     /// Append the events effective at `round` to `out`.
     fn events_for_round(&mut self, round: usize, out: &mut Vec<FleetEvent>);
 }
 
-impl Scenario for Box<dyn Scenario> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn events_for_round(&mut self, round: usize, out: &mut Vec<FleetEvent>) {
-        (**self).events_for_round(round, out)
-    }
-}
-
-/// Error applying a [`FleetEvent`] to a [`FleetState`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FleetError {
-    /// The event names a client index `>= num_clients`.
-    ClientOutOfRange {
-        /// The offending client index.
-        client: usize,
-        /// The fleet size the index must stay below.
-        num_clients: usize,
-    },
-}
-
-impl fmt::Display for FleetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetError::ClientOutOfRange {
-                client,
-                num_clients,
-            } => write!(
-                f,
-                "event targets client {client} but the fleet has {num_clients} clients"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FleetError {}
-
-/// The materialised fleet view: which clients are reachable right now and
-/// which links deviate from the static base draw.
+/// The fleet as of the last advanced round: the scenario driving it, which
+/// clients are reachable, which links deviate from the static base draw,
+/// and that round's telemetry.
 ///
 /// State is O(deviations) — a fleet of a million clients where a thousand
 /// are down stores a thousand set entries, not a million flags. Iteration
 /// everywhere uses `BTree` collections so the order (and therefore every
 /// downstream RNG consumption) is deterministic.
-#[derive(Clone, Debug)]
 pub struct FleetState {
+    scenario: Box<dyn Scenario>,
     num_clients: usize,
     down: BTreeSet<usize>,
     departed: BTreeSet<usize>,
     overrides: BTreeMap<usize, Link>,
+    buf: Vec<FleetEvent>,
+    next_round: usize,
+    last: ScenarioTelemetry,
 }
 
 impl FleetState {
-    /// A fully-up fleet of `num_clients` clients with no link overrides.
-    pub fn new(num_clients: usize) -> Self {
+    /// A fully-up fleet of `num_clients` clients with no link overrides,
+    /// driven by `scenario` from round 0.
+    pub fn new(scenario: Box<dyn Scenario>, num_clients: usize) -> Self {
         Self {
+            scenario,
             num_clients,
             down: BTreeSet::new(),
             departed: BTreeSet::new(),
             overrides: BTreeMap::new(),
+            buf: Vec::new(),
+            next_round: 0,
+            last: ScenarioTelemetry {
+                available: num_clients,
+                ..ScenarioTelemetry::default()
+            },
         }
     }
 
@@ -214,15 +184,43 @@ impl FleetState {
         self.num_clients
     }
 
-    /// Apply one event, mutating the state.
-    pub fn apply(&mut self, event: &FleetEvent) -> Result<(), FleetError> {
-        let client = event.client();
-        if client >= self.num_clients {
-            return Err(FleetError::ClientOutOfRange {
-                client,
-                num_clients: self.num_clients,
-            });
+    /// Advance the fleet through every round up to and including `round`,
+    /// applying each round's events in order. Idempotent: rounds already
+    /// advanced are skipped, so calling this twice for the same round (or
+    /// for an earlier one) is a no-op. Panics on a corrupt event stream
+    /// (an event naming a client outside the fleet), matching the engine's
+    /// fail-fast posture on invalid configuration.
+    pub fn advance(&mut self, round: usize) {
+        while self.next_round <= round {
+            let r = self.next_round;
+            let mut buf = std::mem::take(&mut self.buf);
+            buf.clear();
+            self.scenario.events_for_round(r, &mut buf);
+            let mut telemetry = ScenarioTelemetry::default();
+            for event in &buf {
+                match event {
+                    FleetEvent::Join { .. } => telemetry.joined += 1,
+                    FleetEvent::Leave { .. } => telemetry.departed += 1,
+                    FleetEvent::LinkSet { .. } => telemetry.link_changes += 1,
+                    FleetEvent::Down { .. } | FleetEvent::Up { .. } => {}
+                }
+                self.apply(event);
+            }
+            self.buf = buf;
+            telemetry.available = self.active_count();
+            self.last = telemetry;
+            self.next_round = r + 1;
         }
+    }
+
+    /// Apply one event, mutating the state.
+    fn apply(&mut self, event: &FleetEvent) {
+        let client = event.client();
+        assert!(
+            client < self.num_clients,
+            "invalid scenario event: client {client} but the fleet has {} clients",
+            self.num_clients
+        );
         match event {
             FleetEvent::Down { client } => {
                 self.down.insert(*client);
@@ -243,7 +241,11 @@ impl FleetState {
                 self.overrides.remove(client);
             }
         }
-        Ok(())
+    }
+
+    /// Telemetry of the most recently advanced round.
+    pub fn telemetry(&self) -> ScenarioTelemetry {
+        self.last
     }
 
     /// Is `client` currently reachable (enrolled and up)?
@@ -292,72 +294,112 @@ pub struct ScenarioTelemetry {
 mod tests {
     use super::*;
 
+    /// A scenario that never emits: the tests below drive `apply` by hand.
+    struct Quiet;
+
+    impl Scenario for Quiet {
+        fn events_for_round(&mut self, _round: usize, _out: &mut Vec<FleetEvent>) {}
+    }
+
+    fn quiet(num_clients: usize) -> FleetState {
+        FleetState::new(Box::new(Quiet), num_clients)
+    }
+
+    fn diurnal(n: usize, seed: u64) -> FleetState {
+        FleetState::new(Box::new(DiurnalScenario::new(n, seed, 8.0, 0.25, 0.95)), n)
+    }
+
     fn link(mbps: f64) -> Link {
         Link::from_mbps_ms(mbps, 50.0)
     }
 
     #[test]
     fn fresh_fleet_is_fully_active() {
-        let s = FleetState::new(5);
+        let s = quiet(5);
         assert_eq!(s.active_count(), 5);
         assert_eq!(s.active_clients(), vec![0, 1, 2, 3, 4]);
         assert!(s.is_active(4));
         assert!(!s.is_active(5));
+        assert_eq!(s.telemetry().available, 5);
     }
 
     #[test]
     fn down_up_round_trip() {
-        let mut s = FleetState::new(4);
-        s.apply(&FleetEvent::Down { client: 2 }).unwrap();
+        let mut s = quiet(4);
+        s.apply(&FleetEvent::Down { client: 2 });
         assert!(!s.is_active(2));
         assert_eq!(s.active_count(), 3);
-        s.apply(&FleetEvent::Up { client: 2 }).unwrap();
+        s.apply(&FleetEvent::Up { client: 2 });
         assert!(s.is_active(2));
         assert_eq!(s.active_count(), 4);
     }
 
     #[test]
     fn leave_then_join_resets_everything() {
-        let mut s = FleetState::new(4);
+        let mut s = quiet(4);
         let base = vec![link(1.0); 4];
         s.apply(&FleetEvent::LinkSet {
             client: 1,
             link: link(9.0),
-        })
-        .unwrap();
-        s.apply(&FleetEvent::Down { client: 1 }).unwrap();
-        s.apply(&FleetEvent::Leave { client: 1 }).unwrap();
+        });
+        s.apply(&FleetEvent::Down { client: 1 });
+        s.apply(&FleetEvent::Leave { client: 1 });
         assert!(!s.is_active(1));
         // Leaving discards the override: a future naive query sees base.
         assert_eq!(s.link_for(1, &base), link(1.0));
         s.apply(&FleetEvent::Join {
             client: 1,
             link: link(3.0),
-        })
-        .unwrap();
+        });
         assert!(s.is_active(1), "join clears both departed and down");
         assert_eq!(s.link_for(1, &base), link(3.0));
     }
 
     #[test]
     fn down_and_departed_overlap_counts_once() {
-        let mut s = FleetState::new(3);
-        s.apply(&FleetEvent::Down { client: 0 }).unwrap();
-        s.apply(&FleetEvent::Leave { client: 0 }).unwrap();
+        let mut s = quiet(3);
+        s.apply(&FleetEvent::Down { client: 0 });
+        s.apply(&FleetEvent::Leave { client: 0 });
         assert_eq!(s.active_count(), 2, "one client, one unavailability");
     }
 
     #[test]
+    #[should_panic(expected = "client 3 but the fleet has 3 clients")]
     fn out_of_range_rejected() {
-        let mut s = FleetState::new(3);
-        let err = s.apply(&FleetEvent::Down { client: 3 }).unwrap_err();
-        assert_eq!(
-            err,
-            FleetError::ClientOutOfRange {
-                client: 3,
-                num_clients: 3
-            }
-        );
+        quiet(3).apply(&FleetEvent::Down { client: 3 });
+    }
+
+    #[test]
+    fn advance_is_idempotent() {
+        let mut fleet = diurnal(16, 7);
+        fleet.advance(3);
+        let active = fleet.active_clients();
+        let telemetry = fleet.telemetry();
+        // Re-advancing the same (or an earlier) round changes nothing.
+        fleet.advance(3);
+        fleet.advance(1);
+        assert_eq!(fleet.active_clients(), active);
+        assert_eq!(fleet.telemetry(), telemetry);
+    }
+
+    #[test]
+    fn advance_catches_up_skipped_rounds() {
+        let mut a = diurnal(16, 7);
+        let mut b = diurnal(16, 7);
+        for r in 0..=5 {
+            a.advance(r);
+        }
+        b.advance(5); // one jump applies rounds 0..=5 in order
+        assert_eq!(a.active_clients(), b.active_clients());
+    }
+
+    #[test]
+    fn telemetry_counts_available_after_events() {
+        let mut fleet = diurnal(32, 3);
+        fleet.advance(0);
+        let t = fleet.telemetry();
+        assert_eq!(t.available, fleet.active_clients().len());
+        assert!(t.available <= 32);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use super::generators::{
 };
 use super::trace::{TraceError, TraceScenario};
 use super::Scenario;
+use crate::link::LinkGenerator;
 use std::fmt;
 use std::str::FromStr;
 
@@ -186,9 +187,16 @@ impl ScenarioSpec {
     }
 
     /// Instantiate the scenario for a `num_clients`-client fleet seeded by
-    /// `seed`. Trace specs open the file here and insist its header matches
-    /// the fleet size.
-    pub fn build(&self, num_clients: usize, seed: u64) -> Result<Box<dyn Scenario>, ScenarioError> {
+    /// `seed`, whose links are drawn from `links` (churn re-joins draw from
+    /// it too). Everything the fleet size decides is checked here: towers
+    /// may not outnumber the clients, and trace specs open the file and
+    /// insist its header matches the fleet size.
+    pub fn build(
+        &self,
+        num_clients: usize,
+        seed: u64,
+        links: &LinkGenerator,
+    ) -> Result<Box<dyn Scenario>, ScenarioError> {
         self.validate()?;
         match self {
             ScenarioSpec::Diurnal {
@@ -207,6 +215,7 @@ impl ScenarioSpec {
                 seed,
                 *leave,
                 *join,
+                links.clone(),
             ))),
             ScenarioSpec::Tiered { resample, sigma } => Ok(Box::new(TieredScenario::new(
                 num_clients,
@@ -214,6 +223,15 @@ impl ScenarioSpec {
                 *resample,
                 *sigma,
             ))),
+            ScenarioSpec::Towers { groups, .. } if *groups > num_clients => {
+                Err(ScenarioError::BadParam {
+                    key: "groups".into(),
+                    reason: format!(
+                        "{groups} exceeds num_clients = {num_clients} \
+                         (a tower beyond the fleet holds no client)"
+                    ),
+                })
+            }
             ScenarioSpec::Towers {
                 groups,
                 outage,
@@ -476,8 +494,7 @@ mod tests {
         ] {
             let spec: ScenarioSpec = text.parse().unwrap();
             assert_eq!(spec.name(), name);
-            let scenario = spec.build(16, 42).unwrap();
-            assert_eq!(scenario.name(), name);
+            assert!(spec.build(16, 42, &LinkGenerator::paper_default()).is_ok());
         }
     }
 
@@ -486,7 +503,7 @@ mod tests {
         let spec = ScenarioSpec::Trace {
             path: "/nonexistent/definitely-not-here.trace".into(),
         };
-        let err = match spec.build(4, 1) {
+        let err = match spec.build(4, 1, &LinkGenerator::paper_default()) {
             Err(e) => e,
             Ok(_) => panic!("missing trace file must not build"),
         };

@@ -16,9 +16,8 @@
 //! a replay never needs to look ahead more than one line: [`TraceReader`]
 //! streams events from any [`BufRead`] without loading the file, and
 //! [`TraceScenario`] adapts that stream to the [`Scenario`] trait with a
-//! single-event peek buffer. [`RecordingScenario`] is the inverse — it wraps
-//! any scenario and tees its event stream into trace text, and replaying
-//! that text reproduces the original run bit-identically.
+//! single-event peek buffer. Each line is a [`TimedEvent`]'s `Display` form
+//! (floats via `{:?}`), so a recorded run replays bit-identically.
 
 use super::{FleetEvent, Scenario};
 use crate::link::Link;
@@ -335,10 +334,6 @@ impl<R: BufRead> TraceScenario<R> {
 }
 
 impl<R: BufRead + Send> Scenario for TraceScenario<R> {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
     fn events_for_round(&mut self, round: usize, out: &mut Vec<FleetEvent>) {
         while let Some(ev) = self.pull() {
             if ev.round > round {
@@ -349,53 +344,6 @@ impl<R: BufRead + Send> Scenario for TraceScenario<R> {
             // event is due now (events for skipped-over rounds cannot exist:
             // the driver visits every round).
             out.push(ev.event);
-        }
-    }
-}
-
-/// Wraps a scenario and tees every event it emits into `bwfl-trace-v1` text,
-/// so any generated run can be archived and replayed bit-identically via
-/// [`TraceScenario`].
-pub struct RecordingScenario<S: Scenario> {
-    inner: S,
-    trace: String,
-}
-
-impl<S: Scenario> RecordingScenario<S> {
-    /// Wrap `inner`, starting a trace for a `num_clients`-client fleet.
-    pub fn new(inner: S, num_clients: usize) -> Self {
-        Self {
-            inner,
-            trace: format!("{TRACE_MAGIC} clients={num_clients}\n"),
-        }
-    }
-
-    /// The trace text recorded so far.
-    pub fn trace(&self) -> &str {
-        &self.trace
-    }
-
-    /// Consume the recorder, returning the trace text.
-    pub fn into_trace(self) -> String {
-        self.trace
-    }
-}
-
-impl<S: Scenario> Scenario for RecordingScenario<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn events_for_round(&mut self, round: usize, out: &mut Vec<FleetEvent>) {
-        let start = out.len();
-        self.inner.events_for_round(round, out);
-        for event in &out[start..] {
-            use fmt::Write;
-            let timed = TimedEvent {
-                round,
-                event: *event,
-            };
-            writeln!(self.trace, "{timed}").expect("writing to a String cannot fail");
         }
     }
 }
@@ -542,47 +490,5 @@ mod tests {
         buf.clear();
         s.events_for_round(3, &mut buf);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn recording_then_replaying_reproduces_events() {
-        struct Scripted;
-        impl Scenario for Scripted {
-            fn name(&self) -> &'static str {
-                "scripted"
-            }
-            fn events_for_round(&mut self, round: usize, out: &mut Vec<FleetEvent>) {
-                if round == 0 {
-                    out.push(FleetEvent::Down { client: 1 });
-                    out.push(FleetEvent::LinkSet {
-                        client: 2,
-                        link: Link {
-                            bandwidth_bps: 987654.321,
-                            latency_s: 0.0625,
-                        },
-                    });
-                } else if round == 3 {
-                    out.push(FleetEvent::Up { client: 1 });
-                }
-            }
-        }
-
-        let mut rec = RecordingScenario::new(Scripted, 4);
-        let mut original: Vec<Vec<FleetEvent>> = Vec::new();
-        for round in 0..5 {
-            let mut buf = Vec::new();
-            rec.events_for_round(round, &mut buf);
-            original.push(buf);
-        }
-        let trace = rec.into_trace();
-
-        let mut replay =
-            TraceScenario::from_reader(Cursor::new(trace.clone().into_bytes())).unwrap();
-        assert_eq!(replay.num_clients(), 4);
-        for (round, expected) in original.iter().enumerate() {
-            let mut buf = Vec::new();
-            replay.events_for_round(round, &mut buf);
-            assert_eq!(&buf, expected, "round {round} (trace:\n{trace})");
-        }
     }
 }

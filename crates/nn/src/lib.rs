@@ -29,7 +29,7 @@ pub mod workspace;
 
 pub use layer::Layer;
 pub use loss::SoftmaxCrossEntropy;
-pub use model::{mlp, mlp_zeroed, Sequential};
+pub use model::{mlp, Sequential};
 pub use optim::Sgd;
 pub use params::{
     flatten_params, num_params, segment_l1_masses, try_unflatten_params, unflatten_params,

@@ -37,21 +37,6 @@ impl Linear {
         }
     }
 
-    /// New layer with all-zero weights and bias — for replicas whose
-    /// parameters are immediately overwritten (e.g. a federated client
-    /// receiving the global model), where a random init would only burn
-    /// normal draws.
-    pub fn zeroed(in_features: usize, out_features: usize) -> Self {
-        Self {
-            weight: Tensor::zeros(Shape::matrix(in_features, out_features)),
-            bias: Tensor::zeros(Shape::vector(out_features)),
-            grad_weight: Tensor::zeros(Shape::matrix(in_features, out_features)),
-            grad_bias: Tensor::zeros(Shape::vector(out_features)),
-            in_features,
-            out_features,
-        }
-    }
-
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.in_features

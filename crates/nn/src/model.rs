@@ -155,31 +155,10 @@ pub fn mlp<R: Rng>(input_dim: usize, hidden: &[usize], classes: usize, rng: &mut
     model.push(Box::new(Linear::new(prev, classes, rng)))
 }
 
-/// [`mlp`] with all-zero parameters — for replicas that are immediately
-/// overwritten with externally supplied parameters (a federated client
-/// receiving the broadcast model). Skipping the Kaiming draws makes replica
-/// construction O(params) copies instead of O(params) normal samples.
-pub fn mlp_zeroed(input_dim: usize, hidden: &[usize], classes: usize) -> Sequential {
-    let mut model = Sequential::new();
-    let mut prev = input_dim;
-    for &h in hidden {
-        model = model
-            .push(Box::new(Linear::zeroed(prev, h)))
-            .push(Box::new(Relu::new()));
-        prev = h;
-    }
-    model.push(Box::new(Linear::zeroed(prev, classes)))
-}
-
 /// A logistic-regression model (single linear layer); the cheapest preset,
 /// used by quick tests.
 pub fn logistic_regression<R: Rng>(input_dim: usize, classes: usize, rng: &mut R) -> Sequential {
     Sequential::new().push(Box::new(Linear::new(input_dim, classes, rng)))
-}
-
-/// [`logistic_regression`] with all-zero parameters (see [`mlp_zeroed`]).
-pub fn logistic_regression_zeroed(input_dim: usize, classes: usize) -> Sequential {
-    Sequential::new().push(Box::new(Linear::zeroed(input_dim, classes)))
 }
 
 #[cfg(test)]

@@ -140,17 +140,15 @@ pub mod prelude {
         run_experiment, run_sweep_threaded, scenario_seed, segment_defs, AdaptivePlanSpec,
         Algorithm, BcrsSchedule, BcrsScheduler, ClientRoster, ExperimentConfig, ExperimentResult,
         FederatedSession, LayerBytes, ModelPreset, OpwaMask, OverlapCounts, OverlapStats,
-        PlanAssignment, PlanTelemetry, RoundOutput, RoundRecord, ScenarioHandle, SessionBuilder,
-        SweepGrid,
+        PlanAssignment, PlanTelemetry, RoundOutput, RoundRecord, SessionBuilder, SweepGrid,
     };
     pub use fl_data::{
         dirichlet_partition, BatchLoader, ClientPartition, Dataset, DatasetPreset, PartitionStats,
     };
     pub use fl_netsim::{
         ChurnScenario, CommModel, CorrelatedDropoutScenario, CostBasis, DiurnalScenario,
-        FleetEvent, FleetState, Link, LinkGenerator, RecordingScenario, RoundBreakdown,
-        RoundTiming, Scenario, ScenarioSpec, ScenarioTelemetry, TierClass, TieredScenario,
-        TimedEvent, TraceReader, TraceScenario,
+        FleetEvent, FleetState, Link, LinkGenerator, RoundBreakdown, RoundTiming, Scenario,
+        ScenarioSpec, ScenarioTelemetry, TieredScenario, TimedEvent, TraceReader, TraceScenario,
     };
     pub use fl_nn::{
         flatten_params, mlp, segment_l1_masses, try_unflatten_params, unflatten_params, Layer,

@@ -262,5 +262,5 @@ fn corrupt_traces_are_rejected() {
     let spec = ScenarioSpec::Trace {
         path: "/nonexistent/bwfl.trace".to_string(),
     };
-    assert!(spec.build(8, 0).is_err());
+    assert!(spec.build(8, 0, &LinkGenerator::paper_default()).is_err());
 }
