@@ -97,13 +97,12 @@ mod tests {
 
     fn toy_dataset() -> Dataset {
         // Two trivially separable classes along the first coordinate.
-        let mut d = Dataset::empty(2, 2);
-        for i in 0..20 {
-            let class = i % 2;
-            let x0 = if class == 0 { -1.0 } else { 1.0 };
-            d.push(&[x0, 0.0], class);
-        }
-        d
+        let labels: Vec<usize> = (0..20).map(|i| i % 2).collect();
+        let features = labels
+            .iter()
+            .flat_map(|&class| [if class == 0 { -1.0 } else { 1.0 }, 0.0])
+            .collect();
+        Dataset::new(features, labels, 2, 2)
     }
 
     #[test]

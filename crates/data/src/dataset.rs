@@ -74,14 +74,6 @@ impl Dataset {
         &self.features[i * self.feature_dim..(i + 1) * self.feature_dim]
     }
 
-    /// Append one sample.
-    pub fn push(&mut self, features: &[f32], label: usize) {
-        assert_eq!(features.len(), self.feature_dim, "wrong feature length");
-        assert!(label < self.num_classes, "label out of range");
-        self.features.extend_from_slice(features);
-        self.labels.push(label);
-    }
-
     /// Gather the given sample indices into reusable buffers: `x` becomes the
     /// `[k, feature_dim]` batch tensor and `y` the label vector. Steady-state
     /// calls with a same-sized batch perform no heap allocation.
@@ -253,14 +245,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out.sample(0), d.subset(&[1]).sample(0));
         assert_eq!(ptr, out.sample(0).as_ptr(), "a smaller subset reuses");
-    }
-
-    #[test]
-    fn push_appends() {
-        let mut d = Dataset::empty(2, 3);
-        d.push(&[5.0, 6.0], 2);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d.sample(0), &[5.0, 6.0]);
     }
 
     #[test]

@@ -57,11 +57,8 @@ mod tests {
     use fl_tensor::Tensor;
 
     fn toy() -> Dataset {
-        let mut d = Dataset::empty(1, 2);
-        for i in 0..10 {
-            d.push(&[i as f32], i % 2);
-        }
-        d
+        let features = (0..10).map(|i| i as f32).collect();
+        Dataset::new(features, (0..10).map(|i| i % 2).collect(), 1, 2)
     }
 
     /// One epoch's batches, gathered into fresh tensors.

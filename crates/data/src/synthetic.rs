@@ -121,27 +121,31 @@ impl SyntheticSpec {
         let n_informative =
             ((self.feature_dim as f64 * self.informative_fraction).round() as usize).max(1);
 
-        // Class prototypes: signal only in the informative dimensions.
-        let mut prototypes = vec![vec![0.0f32; self.feature_dim]; self.num_classes];
-        for proto in prototypes.iter_mut() {
-            for slot in proto.iter_mut().take(n_informative) {
-                *slot = proto_dist.sample(&mut rng) as f32;
-            }
+        // Class prototypes, one row each: signal only in the informative
+        // dimensions.
+        let dim = self.feature_dim;
+        let mut prototypes = vec![0.0f32; self.num_classes * dim];
+        for proto in prototypes.chunks_exact_mut(dim) {
+            proto_dist.fill_f32(&mut rng, &mut proto[..n_informative]);
         }
 
+        // Class-major, sample-major: each class's noise is one run of draws,
+        // written straight into the split's exact-size feature buffer.
         let noise = Normal::new(0.0, self.noise_std);
         let gen_split = |per_class: usize, rng: &mut Xoshiro256| {
-            let mut ds = Dataset::empty(self.feature_dim, self.num_classes);
-            let mut buf = vec![0.0f32; self.feature_dim];
-            for (class, proto) in prototypes.iter().enumerate() {
-                for _ in 0..per_class {
-                    for (j, slot) in buf.iter_mut().enumerate() {
-                        *slot = proto[j] + noise.sample(rng) as f32;
-                    }
-                    ds.push(&buf, class);
+            let class_len = per_class * dim;
+            let mut features = vec![0.0f32; self.num_classes * class_len];
+            for (class, proto) in prototypes.chunks_exact(dim).enumerate() {
+                let rows = &mut features[class * class_len..(class + 1) * class_len];
+                noise.fill_f32(rng, rows);
+                for row in rows.chunks_exact_mut(dim) {
+                    row.iter_mut().zip(proto).for_each(|(x, &p)| *x += p);
                 }
             }
-            ds
+            let labels = (0..self.num_classes)
+                .flat_map(|class| std::iter::repeat_n(class, per_class))
+                .collect();
+            Dataset::new(features, labels, dim, self.num_classes)
         };
 
         let train = gen_split(self.train_per_class, &mut rng);

@@ -73,9 +73,8 @@ impl Tensor {
 
     /// Tensor with entries drawn i.i.d. from `N(mean, std^2)` (Box–Muller).
     pub fn rand_normal<R: Rng>(shape: Shape, mean: f32, std: f32, rng: &mut R) -> Self {
-        let n = shape.numel();
-        let normal = crate::dist::Normal::new(mean as f64, std as f64);
-        let data = (0..n).map(|_| normal.sample(rng) as f32).collect();
+        let mut data = vec![0.0f32; shape.numel()];
+        crate::dist::Normal::new(mean as f64, std as f64).fill_f32(rng, &mut data);
         Self { shape, data }
     }
 
