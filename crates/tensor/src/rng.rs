@@ -18,7 +18,8 @@ pub trait Rng {
 
     /// Uniform `f32` in `[0, 1)`.
     fn next_f32(&mut self) -> f32 {
-        self.next_f64() as f32
+        // A draw within 2^-25 of 1 rounds up to 1.0 in `f32`; keep it below.
+        (self.next_f64() as f32).min(1.0 - f32::EPSILON / 2.0)
     }
 
     /// Uniform integer in `[0, n)`. Panics if `n == 0`.
@@ -171,6 +172,26 @@ mod tests {
         for _ in 0..10_000 {
             let x = r.next_f64();
             assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn f32_stays_below_one_at_the_top_word() {
+        struct Top;
+        impl Rng for Top {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        assert_eq!(Top.next_f64(), 1.0 - f64::EPSILON / 2.0);
+        let x = Top.next_f32();
+        assert!(x < 1.0, "{x}");
+        assert_eq!(x, 1.0 - f32::EPSILON / 2.0);
+        // Every other value keeps its bits.
+        let mut r = Xoshiro256::new(7);
+        let mut s = r.clone();
+        for _ in 0..10_000 {
+            assert_eq!(r.next_f32().to_bits(), (s.next_f64() as f32).to_bits());
         }
     }
 
