@@ -70,7 +70,8 @@ pub struct ExperimentConfig {
     pub algorithm: Algorithm,
     /// Dataset preset (CIFAR-10-like, CIFAR-100-like, SVHN-like).
     pub dataset: DatasetPreset,
-    /// Dataset scale factor (1.0 = full synthetic size; smaller for quick runs).
+    /// Dataset scale factor (1.0 = full synthetic size; smaller for quick
+    /// runs), in `[0.01, 10]`.
     pub dataset_scale: f64,
     /// Model architecture.
     pub model: ModelPreset,
@@ -350,8 +351,10 @@ impl ExperimentConfig {
         if !(self.weight_decay.is_finite() && self.weight_decay >= 0.0) {
             return Err("weight_decay must be finite and non-negative".into());
         }
-        if !positive(self.dataset_scale) {
-            return Err("dataset_scale must be positive and finite".into());
+        // `DatasetPreset::spec` clamps to this range; outside it two scales
+        // would build one dataset under two names.
+        if !(0.01..=10.0).contains(&self.dataset_scale) {
+            return Err("dataset_scale must be in [0.01, 10]".into());
         }
         if self.eval_every == 0 {
             return Err("eval_every must be positive".into());
@@ -1004,10 +1007,23 @@ mod tests {
             ("links.bandwidth_mean_mbps", mean_bw, f64::NAN),
             ("links.bandwidth_floor_frac", floor, 1.5),
             ("links.latency_lo_ms", latency_lo, -10.0),
+            ("dataset_scale", fields[5].1, 20.0),
+            ("dataset_scale", fields[5].1, 0.001),
+            ("dataset_scale", fields[5].1, 0.0),
         ] {
             let mut c = ExperimentConfig::quick(Algorithm::TopK);
             set(&mut c, x);
             assert!(c.validate().is_err(), "{name} = {x} validated");
+        }
+        let mut c = ExperimentConfig::quick(Algorithm::TopK);
+        c.dataset_scale = 20.0;
+        assert_eq!(
+            c.validate().unwrap_err(),
+            "dataset_scale must be in [0.01, 10]"
+        );
+        for x in [0.01, 10.0] {
+            c.dataset_scale = x;
+            assert!(c.validate().is_ok(), "dataset_scale = {x} rejected");
         }
     }
 
