@@ -2,10 +2,10 @@
 
 use crate::algorithm::{Algorithm, RatioRule};
 use crate::policy::{downlink_plan, uplink_plan};
-use crate::scenario::scenario_seed;
+use crate::scenario::build_scenario;
 use fl_compress::{CodecRegistry, CompressorSpec, LayerPlan};
 use fl_data::DatasetPreset;
-use fl_netsim::{CostBasis, LinkGenerator, ScenarioSpec};
+use fl_netsim::{CostBasis, FleetState, LinkGenerator, ScenarioSpec};
 
 /// Which model architecture the clients train.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -33,10 +33,12 @@ impl ModelPreset {
     }
 
     /// The segment names of this preset's [`fl_nn::ParamLayout`]. They depend
-    /// only on the architecture, not the dataset dimensions, so validation
-    /// can check a layer plan's coverage before any data exists (a probe
-    /// model with unit dimensions is built to stay aligned with the real
-    /// layout derivation).
+    /// only on the architecture, not the dataset dimensions, so
+    /// [`ExperimentConfig::validate`] can check a layer plan's coverage before
+    /// any data exists: the check derives each leg's plan and builds the
+    /// scenario's fleet once, and the session adopts both (a probe model with
+    /// unit dimensions is built to stay aligned with the real layout
+    /// derivation).
     pub fn segment_names(&self) -> Vec<String> {
         let mut rng = fl_tensor::rng::Xoshiro256::new(0);
         let probe = crate::client::build_model(self, 1, 1, &mut rng);
@@ -204,6 +206,21 @@ pub struct ExperimentConfig {
     pub adaptive_plan: Option<crate::policy::AdaptivePlanSpec>,
 }
 
+/// What [`ExperimentConfig::compile`] derives from a valid configuration,
+/// for [`crate::session::SessionBuilder::build`] to adopt.
+pub(crate) struct CompiledConfig {
+    /// The registry both plans were checked against, and so resolve
+    /// through.
+    pub(crate) registry: CodecRegistry,
+    /// The clients' uplink plan ([`uplink_plan`]).
+    pub(crate) uplink: LayerPlan,
+    /// The broadcast plan ([`downlink_plan`]), when the downlink leg is
+    /// simulated.
+    pub(crate) downlink: Option<LayerPlan>,
+    /// The scenario's fleet at round 0; `None` for the paper's static fleet.
+    pub(crate) fleet: Option<FleetState>,
+}
+
 impl Default for ExperimentConfig {
     fn default() -> Self {
         Self {
@@ -302,16 +319,18 @@ impl ExperimentConfig {
     }
 
     /// Validate parameter ranges, codec specs, the scenario and the codec
-    /// knobs' combinations, returning a description of the first problem.
+    /// knobs' combinations against the built-in codecs, returning a
+    /// description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
-        self.validate_with_registry(&CodecRegistry::with_builtins())
+        self.compile(&CodecRegistry::with_builtins()).map(drop)
     }
 
-    /// Like [`validate`](Self::validate), but resolving codec specs against
-    /// a caller-supplied registry instead of the built-ins.
-    /// [`crate::session::SessionBuilder`] calls this with its configured
-    /// registry so custom codecs pass validation.
-    pub fn validate_with_registry(&self, registry: &CodecRegistry) -> Result<(), String> {
+    /// Check the configuration and derive, once, what a session is built
+    /// from: each leg's codec plan, resolvable through `registry`, and the
+    /// scenario's fleet. [`crate::session::SessionBuilder::build`] adopts the
+    /// result; [`validate`](Self::validate) drops it. Every configuration
+    /// this accepts builds a session that runs.
+    pub(crate) fn compile(&self, registry: &CodecRegistry) -> Result<CompiledConfig, String> {
         if self.num_clients == 0 {
             return Err("num_clients must be positive".into());
         }
@@ -327,6 +346,15 @@ impl ExperimentConfig {
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
         }
+        match self.model {
+            ModelPreset::Mlp { hidden1: 0, .. } => {
+                return Err("Mlp hidden1 must be positive".into())
+            }
+            ModelPreset::Mlp { hidden2: 0, .. } => {
+                return Err("Mlp hidden2 must be positive".into())
+            }
+            _ => {}
+        }
         if !(self.compression_ratio > 0.0 && self.compression_ratio <= 1.0) {
             return Err("compression_ratio must be in (0, 1]".into());
         }
@@ -341,6 +369,9 @@ impl ExperimentConfig {
         }
         if !(self.gamma.is_finite() && self.gamma >= 1.0) {
             return Err("gamma must be finite and >= 1".into());
+        }
+        if self.overlap_threshold == 0 {
+            return Err("overlap_threshold must be positive".into());
         }
         if !(positive(self.local_lr.into()) && positive(self.server_lr.into())) {
             return Err("learning rates must be positive and finite".into());
@@ -370,11 +401,19 @@ impl ExperimentConfig {
             .map_err(|e| format!("invalid links: {e}"))?;
         // Building is the one check: it validates the parameters, rejects
         // towers beyond the fleet and opens a trace file to match its header.
-        if let Some(spec) = &self.scenario {
-            spec.build(self.num_clients, scenario_seed(self), &self.links)
-                .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
-        }
-        self.validate_codec_plans(registry)
+        let fleet = self
+            .scenario
+            .as_ref()
+            .map(|spec| build_scenario(self, spec))
+            .transpose()?
+            .map(|scenario| FleetState::new(scenario, self.num_clients));
+        let (uplink, downlink) = self.codec_plans(registry)?;
+        Ok(CompiledConfig {
+            registry: registry.clone(),
+            uplink,
+            downlink,
+            fleet,
+        })
     }
 
     /// The codec fields' mutual exclusions, then each leg's one plan
@@ -385,7 +424,10 @@ impl ExperimentConfig {
     /// `record_overlap`, and a BCRS algorithm needs at least one segment
     /// whose rule reads the ratio it schedules; a flat `compressor` spec is
     /// its uniform plan's one rule.
-    fn validate_codec_plans(&self, registry: &CodecRegistry) -> Result<(), String> {
+    fn codec_plans(
+        &self,
+        registry: &CodecRegistry,
+    ) -> Result<(LayerPlan, Option<LayerPlan>), String> {
         if self.layer_compressors.is_some() && self.compressor.is_some() {
             return Err(
                 "layer_compressors and compressor are mutually exclusive: a layer plan \
@@ -459,7 +501,7 @@ impl ExperimentConfig {
                 self.algorithm.name()
             ));
         }
-        Ok(())
+        Ok((uplink, downlink))
     }
 }
 
@@ -499,41 +541,38 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_values() {
-        let c = ExperimentConfig {
-            compression_ratio: 0.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ExperimentConfig {
-            gamma: 0.5,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ExperimentConfig {
-            participation: 0.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ExperimentConfig {
-            rounds: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ExperimentConfig {
-            eval_every: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ExperimentConfig {
-            dropout_rate: 1.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = ExperimentConfig {
-            server_momentum: -0.1,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
+        // The last three would otherwise panic in round 0: the OPWA mask's
+        // threshold and a matmul over a zero-width layer.
+        fn mlp(hidden1: usize, hidden2: usize) -> ModelPreset {
+            ModelPreset::Mlp { hidden1, hidden2 }
+        }
+        type Set = fn(&mut ExperimentConfig);
+        let rows: [(Set, &str); 10] = [
+            (
+                |c| c.compression_ratio = 0.0,
+                "compression_ratio must be in (0, 1]",
+            ),
+            (|c| c.gamma = 0.5, "gamma must be finite and >= 1"),
+            (|c| c.participation = 0.0, "participation must be in (0, 1]"),
+            (|c| c.rounds = 0, "rounds must be positive"),
+            (|c| c.eval_every = 0, "eval_every must be positive"),
+            (|c| c.dropout_rate = 1.0, "dropout_rate must be in [0, 1)"),
+            (
+                |c| c.server_momentum = -0.1,
+                "server_momentum must be in [0, 1)",
+            ),
+            (
+                |c| c.overlap_threshold = 0,
+                "overlap_threshold must be positive",
+            ),
+            (|c| c.model = mlp(0, 64), "Mlp hidden1 must be positive"),
+            (|c| c.model = mlp(128, 0), "Mlp hidden2 must be positive"),
+        ];
+        for (set, message) in rows {
+            let mut c = ExperimentConfig::default();
+            set(&mut c);
+            assert_eq!(c.validate().unwrap_err(), message);
+        }
     }
 
     #[test]
@@ -883,97 +922,6 @@ mod tests {
         assert!(with(Algorithm::TopK, Some("qsgd:2"), None)
             .validate()
             .is_ok());
-    }
-
-    /// `validate` is `validate_with_registry` over the built-in registry:
-    /// both accept and reject exactly the same configs — every config the
-    /// tests above build.
-    #[test]
-    fn both_validators_agree_on_every_test_config() {
-        fn with(f: impl FnOnce(&mut ExperimentConfig)) -> ExperimentConfig {
-            let mut c = ExperimentConfig::default();
-            f(&mut c);
-            c
-        }
-        fn spec(s: &str) -> Option<CompressorSpec> {
-            Some(s.parse().unwrap())
-        }
-        fn plan(s: &str) -> Option<LayerPlan> {
-            Some(s.parse().unwrap())
-        }
-        fn adaptive(s: &str) -> Option<crate::policy::AdaptivePlanSpec> {
-            Some(s.parse().unwrap())
-        }
-        let configs = [
-            ExperimentConfig::default(),
-            ExperimentConfig::quick(Algorithm::TopK),
-            ExperimentConfig::paper_setting(Algorithm::TopK, DatasetPreset::SvhnLike, 0.1, 0.01),
-            with(|c| c.compression_ratio = 0.0),
-            with(|c| c.gamma = 0.5),
-            with(|c| c.participation = 0.0),
-            with(|c| c.rounds = 0),
-            with(|c| c.eval_every = 0),
-            with(|c| c.dropout_rate = 1.0),
-            with(|c| c.server_momentum = -0.1),
-            with(|c| (c.eval_every, c.dropout_rate, c.server_momentum) = (5, 0.3, 0.9)),
-            with(|c| c.scenario = Some("diurnal".parse().unwrap())),
-            with(|c| {
-                c.scenario = Some(ScenarioSpec::Diurnal {
-                    period: 8.0,
-                    min_up: 0.9,
-                    max_up: 0.1,
-                })
-            }),
-            with(|c| c.downlink_compressor = spec("no-such-codec")),
-            with(|c| c.downlink_compressor = spec("qsgd:8")),
-            with(|c| (c.downlink_compressor, c.cost_basis) = (spec("ef-topk"), CostBasis::Encoded)),
-            with(|c| (c.compressor, c.cost_basis) = (spec("topk+qsgd:4"), CostBasis::Encoded)),
-            with(|c| c.compressor = spec("no-such-codec")),
-            with(|c| c.compressor = spec("qsgd:8")),
-            with(|c| {
-                c.algorithm = Algorithm::TopK;
-                c.record_overlap = true;
-                c.compressor = spec("qsgd:8");
-            }),
-            with(|c| c.compressor = spec("topk+qsgd:4")),
-            with(|c| {
-                (c.algorithm, c.layer_compressors) = (Algorithm::TopK, plan("*.bias=dense;*=topk"))
-            }),
-            with(|c| c.layer_compressors = plan("*=no-such-codec")),
-            with(|c| (c.algorithm, c.layer_compressors) = (Algorithm::TopK, plan("conv*=topk"))),
-            with(|c| (c.compressor, c.layer_compressors) = (spec("topk"), plan("*=topk"))),
-            with(|c| c.layer_compressors = plan("conv*=topk;*=qsgd:8")),
-            with(|c| {
-                (c.record_overlap, c.layer_compressors) = (true, plan("*.bias=qsgd:4;*=topk"))
-            }),
-            with(|c| c.layer_compressors = plan("*.bias=dense;*=topk+qsgd:4")),
-            with(|c| c.downlink_layer_compressors = plan("*=no-such-codec")),
-            with(|c| c.downlink_layer_compressors = plan("conv*=topk")),
-            with(|c| c.downlink_layer_compressors = plan("*.bias=qsgd:8;*=ef-topk")),
-            with(|c| {
-                (c.downlink_compressor, c.downlink_layer_compressors) =
-                    (spec("topk"), plan("*=topk"))
-            }),
-            with(|c| (c.algorithm, c.adaptive_plan) = (Algorithm::TopK, adaptive("layer-bcrs"))),
-            with(|c| (c.compressor, c.adaptive_plan) = (spec("topk"), adaptive("layer-bcrs"))),
-            with(|c| {
-                (c.layer_compressors, c.adaptive_plan) = (plan("*=topk"), adaptive("layer-bcrs"))
-            }),
-            with(|c| (c.algorithm, c.compressor) = (Algorithm::Bcrs, spec("qsgd:2"))),
-            with(|c| {
-                (c.algorithm, c.layer_compressors) = (Algorithm::Bcrs, plan("*.bias=dense;*=topk"))
-            }),
-        ];
-        let builtins = CodecRegistry::with_builtins();
-        for c in &configs {
-            assert_eq!(
-                c.validate().is_ok(),
-                c.validate_with_registry(&builtins).is_ok(),
-                "{c:?}"
-            );
-        }
-        assert!(configs.iter().any(|c| c.validate().is_ok()));
-        assert!(configs.iter().any(|c| c.validate().is_err()));
     }
 
     #[test]

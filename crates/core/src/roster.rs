@@ -18,8 +18,9 @@
 //! [`ClientRoster`] keeps exactly those two, side by side in one slot per
 //! client, plus the shared immutable inputs (training data, partitions,
 //! config, codec registry), the one codec plan in force — the
-//! configuration's [`uplink_plan`] until the round engine installs an
-//! adaptive one — and a pool of spent [`ClientState`] *shells*:
+//! configuration's [`uplink_plan`](crate::policy::uplink_plan) until the
+//! round engine installs an adaptive one — and a pool of spent
+//! [`ClientState`] *shells*:
 //!
 //! * [`checkout`](ClientRoster::checkout) pops a shell and **rebinds** it —
 //!   new id, the client's persistent RNG stream, its shard copied into the
@@ -64,7 +65,6 @@
 
 use crate::client::ClientState;
 use crate::config::ExperimentConfig;
-use crate::policy::uplink_plan;
 use fl_compress::{CodecRegistry, LayerPlan, ResidualState};
 use fl_data::{ClientPartition, Dataset};
 use fl_tensor::rng::Xoshiro256;
@@ -72,9 +72,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The codec plan every [`ClientRoster::checkout`] resolves against: the
-/// configuration's [`uplink_plan`] with no ratio scales (epoch 0, key 0)
-/// until the round engine installs an adaptive plan when
-/// `config.adaptive_plan` is set.
+/// configuration's [`uplink_plan`](crate::policy::uplink_plan) with no ratio
+/// scales (epoch 0, key 0) until the round engine installs an adaptive plan
+/// when `config.adaptive_plan` is set.
 #[derive(Clone)]
 struct CurrentPlan {
     plan: LayerPlan,
@@ -143,14 +143,17 @@ pub struct ClientRoster {
 }
 
 impl ClientRoster {
-    /// Build the roster for a population. `root_rng` is the session's client
-    /// root stream (`seed ^ 0xC11E`); each client's persistent stream is
-    /// forked from it in partition order, exactly as the eager engine did.
+    /// Build the roster for a population, checking clients out under `plan`
+    /// (the configuration's uplink plan) until the round engine installs
+    /// another. `root_rng` is the session's client root stream
+    /// (`seed ^ 0xC11E`); each client's persistent stream is forked from it
+    /// in partition order, exactly as the eager engine did.
     pub fn new(
         train: Arc<Dataset>,
         partitions: Arc<Vec<ClientPartition>>,
         config: ExperimentConfig,
         registry: CodecRegistry,
+        plan: LayerPlan,
         root_rng: &mut Xoshiro256,
     ) -> Self {
         let slots = partitions
@@ -163,7 +166,7 @@ impl ClientRoster {
             })
             .collect();
         let plan = CurrentPlan {
-            plan: uplink_plan(&config),
+            plan,
             scales: None,
             epoch: 0,
             codec_key: 0,
@@ -374,7 +377,8 @@ mod tests {
         );
         let global = flatten_params(&model);
         let mut root_rng = Xoshiro256::new(config.seed ^ 0xC11E);
-        let roster = ClientRoster::new(train, partitions, config, registry, &mut root_rng);
+        let plan = crate::policy::uplink_plan(&config);
+        let roster = ClientRoster::new(train, partitions, config, registry, plan, &mut root_rng);
         (roster, global)
     }
 

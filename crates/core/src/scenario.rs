@@ -12,7 +12,7 @@
 
 use crate::config::ExperimentConfig;
 use fl_netsim::scenario::trace::TRACE_MAGIC;
-use fl_netsim::TimedEvent;
+use fl_netsim::{Scenario, ScenarioSpec, TimedEvent};
 use std::fmt::Write;
 
 /// The dedicated seed stream for scenario randomness: `config.seed ^ 0x5CE0`.
@@ -24,6 +24,16 @@ pub fn scenario_seed(config: &ExperimentConfig) -> u64 {
     config.seed ^ 0x5CE0
 }
 
+/// Build `spec`'s generator over `config`'s fleet size, [`scenario_seed`]
+/// and link generator: the one place a session's scenario is built.
+pub(crate) fn build_scenario(
+    config: &ExperimentConfig,
+    spec: &ScenarioSpec,
+) -> Result<Box<dyn Scenario>, String> {
+    spec.build(config.num_clients, scenario_seed(config), &config.links)
+        .map_err(|e| format!("invalid scenario spec {spec}: {e}"))
+}
+
 /// Record the exact fleet-event trace a configuration's scenario will replay
 /// over the first `rounds` rounds, as `bwfl-trace-v1` text: the
 /// `bwfl-trace-v1 clients=N` header, then one [`TimedEvent`] line per event.
@@ -33,16 +43,12 @@ pub fn scenario_seed(config: &ExperimentConfig) -> u64 {
 /// generator, so a run driven from the returned trace
 /// (`scenario: "trace:<file>"`) reproduces the original run's fleet
 /// evolution bit for bit.
-///
-/// [`ScenarioSpec`]: fl_netsim::ScenarioSpec
 pub fn record_scenario_trace(config: &ExperimentConfig, rounds: usize) -> Result<String, String> {
     let spec = config
         .scenario
         .as_ref()
         .ok_or_else(|| "config has no scenario to record".to_string())?;
-    let mut scenario = spec
-        .build(config.num_clients, scenario_seed(config), &config.links)
-        .map_err(|e| format!("invalid scenario spec {spec}: {e}"))?;
+    let mut scenario = build_scenario(config, spec)?;
     let mut trace = format!("{TRACE_MAGIC} clients={}\n", config.num_clients);
     let mut buf = Vec::new();
     for round in 0..rounds {
@@ -60,9 +66,7 @@ pub fn record_scenario_trace(config: &ExperimentConfig, rounds: usize) -> Result
 mod tests {
     use super::*;
     use crate::policy::select_cohort;
-    use fl_netsim::{
-        DiurnalScenario, FleetEvent, FleetState, LinkGenerator, Scenario, TraceScenario,
-    };
+    use fl_netsim::{DiurnalScenario, FleetEvent, FleetState, LinkGenerator, TraceScenario};
     use fl_tensor::rng::{Rng, Xoshiro256};
 
     #[test]

@@ -24,10 +24,8 @@
 use crate::client::{build_model, segment_defs};
 use crate::config::ExperimentConfig;
 use crate::eval::Evaluation;
-use crate::policy::downlink_plan;
 use crate::roster::ClientRoster;
 use crate::runner::{ExperimentResult, RoundRecord};
-use crate::scenario::scenario_seed;
 use fl_compress::{CodecCtx, CodecRegistry, DownlinkChannel};
 use fl_data::{dirichlet_partition, Dataset, PartitionStats};
 use fl_netsim::{CommModel, FleetState, Link, RoundBreakdown, RoundTiming};
@@ -85,16 +83,20 @@ impl SessionBuilder {
         self
     }
 
-    /// Materialise the session: generate (or adopt) the data, partition it,
-    /// initialise the global model, the per-client states, the network links
-    /// and the RNG streams. Panics on an invalid configuration, matching the
-    /// historical `run_experiment` behaviour.
+    /// Materialise the session: check the configuration, which derives each
+    /// leg's codec plan and builds the scenario's fleet once, then generate
+    /// (or adopt) the data, partition it, initialise the global model, the
+    /// per-client states, the network links and the RNG streams, adopting
+    /// those plans and that fleet. Panics on a configuration that fails
+    /// [`ExperimentConfig::validate`]'s checks (custom codecs resolving
+    /// through this builder's registry), matching the historical
+    /// `run_experiment` behaviour.
     pub fn build(self) -> FederatedSession {
         let config = self.config;
-        let registry = self.registry.unwrap_or_else(CodecRegistry::with_builtins);
-        config
-            .validate_with_registry(&registry)
+        let compiled = config
+            .compile(&self.registry.unwrap_or_else(CodecRegistry::with_builtins))
             .unwrap_or_else(|e| panic!("invalid experiment config: {e}"));
+        let registry = compiled.registry;
         let wall_start = std::time::Instant::now();
 
         // --- Data -------------------------------------------------------------
@@ -154,6 +156,7 @@ impl SessionBuilder {
             Arc::new(partitions),
             config.clone(),
             registry.clone(),
+            compiled.uplink,
             &mut root_rng,
         );
         let links: Vec<Link> = config
@@ -168,11 +171,11 @@ impl SessionBuilder {
         // resolves against the same layout the uplink plans use, so a mixed
         // plan's broadcast ships `Segmented` frames and the per-layer
         // downlink byte split in the records is honest.
-        let downlink = downlink_plan(&config).map(|plan| {
+        let downlink = compiled.downlink.map(|plan| {
             let ctx = CodecCtx::new(model_params, config.seed ^ 0xD0C0);
             let codec = plan
                 .resolve(&registry, &segment_defs(&layout), &ctx)
-                .unwrap_or_else(|e| panic!("invalid downlink plan {plan}: {e}"));
+                .expect("compile resolved every downlink rule and covered every segment");
             DownlinkChannel::new(
                 codec,
                 &global_params,
@@ -187,17 +190,6 @@ impl SessionBuilder {
             n => n,
         };
         let cohort = config.clients_per_round();
-
-        // --- Scenario (dynamic fleet) -------------------------------------------
-        // Built only when configured: with `scenario: None` no fleet exists,
-        // no extra RNG stream is consumed and cohorts are drawn from all N
-        // clients — records stay bit-identical to pre-scenario builds.
-        let scenario = config.scenario.as_ref().map(|spec| {
-            let generator = spec
-                .build(config.num_clients, scenario_seed(&config), &config.links)
-                .unwrap_or_else(|e| panic!("invalid scenario spec {spec}: {e}"));
-            FleetState::new(generator, config.num_clients)
-        });
 
         FederatedSession {
             config,
@@ -214,7 +206,11 @@ impl SessionBuilder {
             server_velocity: Vec::new(),
             last_gradient_mass: None,
             downlink,
-            scenario,
+            // Built by `compile` only when configured: with `scenario: None`
+            // no fleet exists, no extra RNG stream is consumed and cohorts
+            // are drawn from all N clients — records stay bit-identical to
+            // pre-scenario builds.
+            scenario: compiled.fleet,
             selection_rng,
             time_total: RoundTiming::default(),
             breakdown_total: RoundBreakdown::default(),
@@ -580,6 +576,7 @@ mod tests {
         config.compressor = Some("my-topk".parse().unwrap());
         // The built-in-only validation rejects the custom name…
         assert!(config.validate().is_err());
+        assert!(config.compile(&registry).is_ok());
         // …but a builder configured with the registry runs it end to end,
         // identically to the built-in Top-K (same codec, different name).
         let custom = SessionBuilder::from_config(&config)
@@ -600,6 +597,35 @@ mod tests {
         session.run_round();
         assert_eq!(session.records().len(), 1);
         assert!(!session.is_finished());
+    }
+
+    /// The contract of `compile`: every configuration it accepts builds a
+    /// session that runs a round. Each row sets values at the far end of
+    /// what it accepts.
+    #[test]
+    fn every_compiled_config_runs_one_round() {
+        type Set = fn(&mut ExperimentConfig);
+        let edges: [(Algorithm, Set); 5] = [
+            (Algorithm::BcrsOpwa, |c| c.overlap_threshold = usize::MAX),
+            (Algorithm::TopK, |c| c.eval_every = usize::MAX),
+            (Algorithm::TopK, |c| c.batch_size = usize::MAX),
+            (Algorithm::BcrsOpwa, |c| {
+                (c.gamma, c.alpha) = (f32::MAX, 1e300)
+            }),
+            (Algorithm::BcrsOpwa, |c| {
+                (c.beta, c.compression_ratio) = (1e-300, 1e-300)
+            }),
+        ];
+        let builtins = CodecRegistry::with_builtins();
+        for (algorithm, set) in edges {
+            let mut config = quick(algorithm);
+            set(&mut config);
+            if let Err(e) = config.compile(&builtins) {
+                panic!("{config:?} rejected: {e}");
+            }
+            let output = FederatedSession::from_config(&config).run_round();
+            assert_eq!(output.record.round, 0);
+        }
     }
 
     #[test]
