@@ -9,11 +9,15 @@
 //! to the single-pass contract: what `encode_sent` says it sent is, bit for
 //! bit, what its bytes decode to.
 
+#[path = "../../../tests/common/pins.rs"]
+mod pins;
+
 use fl_compress::wire::{KIND_ENTROPY, KIND_QUANTIZED, KIND_SPARSE_QUANTIZED};
 use fl_compress::{
     CodecCtx, CodecRegistry, CompressorSpec, LayerPlan, SegmentDef, UpdateCodec, WireUpdate,
 };
 use fl_tensor::rng::{Rng, Xoshiro256};
+use pins::{Fnv, Row};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 
@@ -124,61 +128,28 @@ const BUILTIN_SPECS: [&str; 19] = [
     "ef-threshold:0.5+qsgd:6",
 ];
 
-/// Three FNV-1a hashes per spec shape — `(bytes, sent, residual)` — over
-/// [`BUILTIN_SPECS`] plus the shapes no session pin reaches otherwise.
-/// Re-capture only for an intended change:
-/// `SHAPE_PRINT=1 cargo test -p fl-compress --test roundtrip_prop spec_shapes -- --nocapture`.
-#[rustfmt::skip]
-const SHAPE_PINS: [(&str, u64, u64, u64); 23] = [
-    ("topk", 0xd8abff34a459a937, 0x2eae9862484edece, 0xcbf29ce484222325),
-    ("randk", 0xa3d5c79d1a7bf052, 0x5b9dff1cf74c08e7, 0xcbf29ce484222325),
-    ("threshold", 0x7f610ebcbd1e7d4b, 0x145ddc744841270d, 0xcbf29ce484222325),
-    ("threshold:0.5", 0xa357d7d4f16bda8a, 0x3d0cf38c95787779, 0xcbf29ce484222325),
-    ("dense", 0x8f653566f897487f, 0x662b951316d02a49, 0xcbf29ce484222325),
-    ("qsgd:2", 0xe927191243809920, 0x194becc60bf013fc, 0xcbf29ce484222325),
-    ("qsgd:8", 0xac72e8fe587f7237, 0x7188a11a15a651b1, 0xcbf29ce484222325),
-    ("qsgd:4:rc", 0x05017aabf1542e4e, 0x67654128b209033c, 0xcbf29ce484222325),
-    ("qsgd:16:rc", 0x80d10a40ea7f0c0e, 0xe2057c5444d1dc83, 0xcbf29ce484222325),
-    ("topk+qsgd:4", 0x5465267d81e93a21, 0x31ee1d4579caf9bb, 0xcbf29ce484222325),
-    ("topk+qsgd:6:rc", 0x70fd8c9299c0f82e, 0x0f6c1f42639f5b85, 0xcbf29ce484222325),
-    ("randk+qsgd:8", 0x483e3d635aff316b, 0x2b521f205ff8b726, 0xcbf29ce484222325),
-    ("threshold:0.5+qsgd:3:rc", 0x09c1e8c5aa44cb23, 0xf76936aab7c7aa41, 0xcbf29ce484222325),
-    ("ef-topk", 0xd3da20694e3e513b, 0x58abbc1da628bd37, 0x7adb2a565309ea7a),
-    ("ef-randk", 0x16f04a7c27cfb08f, 0x756ebe45053efd04, 0x269f1be881dee0f5),
-    ("ef-qsgd:4:rc", 0x4b1d487ce2842a4b, 0xc671afc9fc995027, 0x07043f382348cd24),
-    ("ef-topk+qsgd:4:rc", 0xaeb3de92ce071fa4, 0x6dbaeb448d184268, 0x2072020b0483708e),
-    ("ef-topk+qsgd:8", 0x4ca95765532e7073, 0x5a847cfe653415a0, 0x317e9ec3184284e1),
-    ("ef-threshold:0.5+qsgd:6", 0x6fa3e4b35f26dd20, 0x03cb0b57d99644b2, 0x9878501cc622e845),
-    ("dense+qsgd:4", 0x594bfbb61f2c15ed, 0x67654128b209033c, 0xcbf29ce484222325),
-    ("ef-dense", 0xafd4014d61e4cbef, 0x01430e2536ca7d95, 0xf027a1ded0458b37),
-    ("ef-threshold", 0x553ddf228ace20c5, 0xad819e1807d0995c, 0x0b1ad3552c97c17c),
-    ("randk+qsgd:6:rc", 0x10a02990bd02f006, 0x45d00826b6ea4a65, 0xcbf29ce484222325),
+/// The spec shapes no session pin reaches otherwise, pinned beside
+/// [`BUILTIN_SPECS`].
+const MORE_SHAPES: [&str; 4] = [
+    "dense+qsgd:4",
+    "ef-dense",
+    "ef-threshold",
+    "randk+qsgd:6:rc",
 ];
 
 /// Every spec shape's bytes, sent updates and residuals, bit for bit: over
 /// n ∈ {1, 255, 256, 700, 4133}, ratio ∈ {0.01, 0.3, 1.0} and every
 /// `awkward_gradient` flavour, three rounds on one codec instance each (so
-/// error-feedback state carries). Each shape folds three FNV-1a hashes: the
-/// wire bytes with the sent update's indices, the sent update's dense
-/// `to_bits`, and the residual snapshot. A change to which coordinates a
-/// frame carries may move the first and leave the other two alone.
+/// error-feedback state carries). Each shape pins three hashes, as
+/// `shape/<spec>` in the pin manifest: the wire `bytes` with the sent
+/// update's indices, the `sent` update's dense `to_bits`, and the `residual`
+/// snapshot. A change to which coordinates a frame carries may move the
+/// first and leave the other two alone.
 #[test]
 fn spec_shapes_are_pinned() {
-    fn fold(hash: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *hash = (*hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    fn fold_f32s(hash: &mut u64, values: &[f32]) {
-        fold(hash, &(values.len() as u64).to_le_bytes());
-        values
-            .iter()
-            .for_each(|v| fold(hash, &v.to_bits().to_le_bytes()));
-    }
-    let print = std::env::var_os("SHAPE_PRINT").is_some();
-    let mut mismatches = Vec::new();
-    for (spec, bytes_pin, sent_pin, residual_pin) in SHAPE_PINS {
-        let [mut bytes, mut sent_values, mut residual] = [0xcbf2_9ce4_8422_2325u64; 3];
+    let mut got = Vec::new();
+    for spec in BUILTIN_SPECS.into_iter().chain(MORE_SHAPES) {
+        let [mut bytes, mut sent_values, mut residual] = [Fnv::new(), Fnv::new(), Fnv::new()];
         for n in [1usize, 255, 256, 700, 4133] {
             for ratio in [0.01, 0.3, 1.0] {
                 for flavour in 0..7u8 {
@@ -187,33 +158,28 @@ fn spec_shapes_are_pinned() {
                     for round in 0..3u64 {
                         let d = awkward_gradient(round * 31 + flavour as u64, n, flavour);
                         let (wire, sent) = codec.encode_sent(&d, ratio, &mut rng);
-                        fold(&mut bytes, wire.as_bytes());
+                        bytes.bytes(wire.as_bytes());
                         if let Some(s) = sent.as_sparse() {
                             s.indices()
                                 .iter()
-                                .for_each(|i| fold(&mut bytes, &i.to_le_bytes()));
+                                .for_each(|i| bytes.bytes(&i.to_le_bytes()));
                         }
-                        fold_f32s(&mut sent_values, &sent.to_dense());
+                        sent_values.f32s(&sent.to_dense());
                         let state = codec.take_residual();
-                        state.parts.iter().for_each(|p| fold_f32s(&mut residual, p));
+                        state.parts.iter().for_each(|p| residual.f32s(p));
                         codec.restore_residual(state);
                     }
                 }
             }
         }
-        let got = format!("{bytes:#018x}, {sent_values:#018x}, {residual:#018x}");
-        let pinned = format!("{bytes_pin:#018x}, {sent_pin:#018x}, {residual_pin:#018x}");
-        if print {
-            println!("    ({spec:?}, {got}),");
-        } else if got != pinned {
-            mismatches.push(format!("{spec}: ({got}) != pinned ({pinned})"));
-        }
+        got.push(
+            Row::new(format!("shape/{spec}"))
+                .hash("bytes", bytes.0)
+                .hash("sent", sent_values.0)
+                .hash("residual", residual.0),
+        );
     }
-    assert!(
-        mismatches.is_empty(),
-        "spec shapes moved:\n{}",
-        mismatches.join("\n")
-    );
+    pins::check(|name| name.starts_with("shape/"), &got);
 }
 
 proptest! {

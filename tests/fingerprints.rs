@@ -4,27 +4,32 @@
 //! codec-path rows and sixteen round-engine rows (dropout, server momentum,
 //! scenarios, a replayed trace, an error-feedback layer plan, plan-driven
 //! downlinks, `randk` and `threshold:τ` specs, `eval_every`, three pricing
-//! arms), hashed field by field and pinned.
+//! arms), hashed field by field and pinned by name in
+//! `tests/fixtures/pins.txt`.
 //!
 //! Any change to training numerics, codec bytes, aggregation order, or the
-//! simulated communication model shows up here as a hash mismatch. The float
-//! hashes were last re-captured when the matmul register tile fused its
-//! multiply and add (`f32::mul_add`): every trajectory moved once, by that
-//! step's single rounding. What that change could *not* move is pinned
-//! separately and was captured before it — [`schedule_fingerprint`] (who was
-//! selected, at which ratio, plan epochs, analytic times) and each run's
-//! final accuracy to within [`ACCURACY_TOLERANCE`] — so a re-capture of the
-//! float hashes is checked against something that did not move with them.
-//! The hashes hold in debug and release and with or without hardware FMA (CI
-//! runs all three): the fused step is exactly specified. Every run also pins
-//! a [`training_fingerprint`] — accuracy, losses, ratios and selection, no
-//! bytes — so a change that only moves what goes on the wire re-pins the
-//! full hashes against something that did not move with them.
+//! simulated communication model shows up here as a hash mismatch. Each run
+//! pins four things that move for different reasons: [`fingerprint`] (every
+//! record field), [`schedule_fingerprint`] (who was selected, at which ratio,
+//! plan epochs, analytic times — nothing a float kernel reaches), the final
+//! accuracy to within [`pins::ACCURACY_TOLERANCE`], and
+//! [`training_fingerprint`] (accuracy, losses, ratios and selection, no
+//! bytes). A change to training arithmetic may move the full and training
+//! hashes, never the schedule hash; a change to what goes on the wire may
+//! move the full hash, never the training hash. The entropy-coded rows also
+//! pin [`trajectory_fingerprint`], which their byte layout cannot move. The
+//! hashes hold in debug and release and with or without hardware FMA (CI runs
+//! all three): the matmul tile's fused step is exactly specified.
 //!
-//! To re-capture after an *intentional* trajectory change:
-//! `FP_PRINT=1 cargo test --release --test fingerprints -- --nocapture`
+//! To re-pin after an *intentional* trajectory change:
+//! `PIN_BLESS=1 cargo test --release --test fingerprints`, then review
+//! `git diff tests/fixtures/pins.txt`.
+
+#[path = "common/pins.rs"]
+mod pins;
 
 use bwfl::prelude::*;
+use pins::{Fnv, Row};
 
 const ALL_ALGORITHMS: [Algorithm; 7] = [
     Algorithm::FedAvg,
@@ -36,49 +41,26 @@ const ALL_ALGORITHMS: [Algorithm; 7] = [
     Algorithm::BcrsOpwa,
 ];
 
-/// FNV-1a, folded over a canonical little-endian byte stream. Float fields
-/// enter via `to_bits`, so the hash pins bit patterns, not approximations.
-struct Fnv(u64);
+fn hash_selected(h: &mut Fnv, clients: &[usize]) {
+    h.usize(clients.len());
+    for &c in clients {
+        h.usize(c);
+    }
+}
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= x as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn selected(&mut self, clients: &[usize]) {
-        self.usize(clients.len());
-        for &c in clients {
-            self.usize(c);
-        }
-    }
-    fn overlap(&mut self, overlap: &Option<OverlapStats>) {
-        match overlap {
-            None => self.u64(0),
-            Some(o) => {
-                self.u64(1);
-                self.usize(o.cohort_size);
-                self.u64(o.total_retained);
-                self.usize(o.histogram_counts.len());
-                for &c in &o.histogram_counts {
-                    self.u64(c);
-                }
-                for &f in &o.fractions {
-                    self.f64(f);
-                }
+fn hash_overlap(h: &mut Fnv, overlap: &Option<OverlapStats>) {
+    match overlap {
+        None => h.u64(0),
+        Some(o) => {
+            h.u64(1);
+            h.usize(o.cohort_size);
+            h.u64(o.total_retained);
+            h.usize(o.histogram_counts.len());
+            for &c in &o.histogram_counts {
+                h.u64(c);
+            }
+            for &f in &o.fractions {
+                h.f64(f);
             }
         }
     }
@@ -124,8 +106,8 @@ fn fingerprint(records: &[RoundRecord]) -> u64 {
         h.f64(*cumulative_actual_s);
         h.f64(*cumulative_max_s);
         h.f64(*cumulative_min_s);
-        h.selected(selected_clients);
-        h.overlap(overlap);
+        hash_selected(&mut h, selected_clients);
+        hash_overlap(&mut h, overlap);
         match layer_bytes {
             None => h.u64(0),
             Some(layers) => {
@@ -139,7 +121,7 @@ fn fingerprint(records: &[RoundRecord]) -> u64 {
             }
         }
         // Unlike the tags above, `scenario: None` hashes *nothing*: the
-        // field postdates the pinned EXPECTED table, and static-fleet runs
+        // field postdates the first pins, and static-fleet runs
         // must keep their original fingerprints.
         if let Some(t) = scenario {
             h.u64(1);
@@ -149,8 +131,8 @@ fn fingerprint(records: &[RoundRecord]) -> u64 {
             h.usize(t.link_changes);
         }
         // Same post-pin rule as `scenario`: `plan: None` (every static run)
-        // hashes nothing, so the EXPECTED table predating adaptive plans
-        // stays valid.
+        // hashes nothing, so the pins predating adaptive plans stay
+        // valid.
         if let Some(p) = plan {
             h.u64(1);
             h.bytes(p.policy.as_bytes());
@@ -181,8 +163,8 @@ fn trajectory_fingerprint(records: &[RoundRecord]) -> u64 {
         h.f64(r.test_loss);
         h.f64(r.train_loss);
         h.f64(r.mean_compression_ratio);
-        h.selected(&r.selected_clients);
-        h.overlap(&r.overlap);
+        hash_selected(&mut h, &r.selected_clients);
+        hash_overlap(&mut h, &r.overlap);
         h.usize(r.downlink_bytes);
     }
     h.0
@@ -203,7 +185,7 @@ fn training_fingerprint(records: &[RoundRecord]) -> u64 {
         h.f64(r.test_loss);
         h.f64(r.train_loss);
         h.f64(r.mean_compression_ratio);
-        h.selected(&r.selected_clients);
+        hash_selected(&mut h, &r.selected_clients);
     }
     h.0
 }
@@ -218,7 +200,7 @@ fn schedule_fingerprint(records: &[RoundRecord], analytic: bool) -> u64 {
     h.usize(records.len());
     for r in records {
         h.usize(r.round);
-        h.selected(&r.selected_clients);
+        hash_selected(&mut h, &r.selected_clients);
         h.f64(r.mean_compression_ratio);
         if let Some(t) = &r.scenario {
             h.u64(1);
@@ -244,597 +226,223 @@ fn schedule_fingerprint(records: &[RoundRecord], analytic: bool) -> u64 {
     h.0
 }
 
-/// How far a pinned final accuracy may move when the training arithmetic
-/// (not the algorithm) changes: two of the quick test set's 100 samples. The
-/// `1e-9` keeps `0.13 − 0.11` (not exactly `0.02` in binary) inside.
-const ACCURACY_TOLERANCE: f64 = 0.02 + 1e-9;
-
-/// [`training_fingerprint`] of every pinned run, by name: the 14
-/// [`EXPECTED`] rows, the 4 [`CODEC_CASES`] and the 16 [`ENGINE_CASES`].
-const EXPECTED_TRAINING: &[(&str, u64)] = &[
-    ("fedavg/flat", 0x4bd033388251b501),
-    ("topk/flat", 0x11e6564c1f0feb92),
-    ("eftopk/flat", 0xd224469577e13b2f),
-    ("randk/flat", 0x7e49f8ea39d784e3),
-    ("topk+opwa/flat", 0xb02b199ca465b0ec),
-    ("bcrs/flat", 0x52284fe75689a7c2),
-    ("bcrs+opwa/flat", 0x5f89f99dccf0be95),
-    ("fedavg/planned", 0xa8c150548ec8e418),
-    ("topk/planned", 0x7f2633397f4bbdca),
-    ("eftopk/planned", 0x7f2633397f4bbdca),
-    ("randk/planned", 0x7f2633397f4bbdca),
-    ("topk+opwa/planned", 0x91b6c2a10f89fb29),
-    ("bcrs/planned", 0x9b75e5d50947c7f8),
-    ("bcrs+opwa/planned", 0xe43ddd4d39dcdb05),
-    (
-        "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
-        0xcb07c38943af978e,
-    ),
-    (
-        "codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8",
-        0x6d8c80743160ae13,
-    ),
-    ("codec/ef-qsgd:4:rc", 0xf60e81db17cf1acc),
-    ("codec/ef-threshold+qsgd:6", 0x3415567dd9314180),
-    ("engine/dropout=0.3", 0xb2065737a88860ea),
-    ("engine/dropout=0.999", 0x21a9dae36eadb1e5),
-    ("engine/server_momentum=0.9", 0x9c969008485436cb),
-    ("engine/diurnal|dropout=0.2", 0x8175ea51fa53d38f),
-    ("engine/churn:leave=0.05", 0x989276bcd109db37),
-    (
-        "engine/layer_compressors=*.bias=dense;*=ef-topk",
-        0x272113d2c6f8d583,
-    ),
-    (
-        "engine/topk+qsgd:4|down=*=ef-topk|encoded",
-        0xdaf16ccb5bfd66ed,
-    ),
-    ("engine/tiered", 0xbeb9ea75469d4d1f),
-    ("engine/towers", 0x3ee931a47a401e43),
-    ("engine/trace:towers_n16_seed7", 0xaa3c886d72b43630),
-    ("engine/compressor=randk", 0xd69ede3d22555728),
-    (
-        "engine/compressor=threshold:0.01|encoded",
-        0x02308599454825bf,
-    ),
-    ("engine/eval_every=2", 0x4fab05d07e1a7795),
-    ("engine/fedavg|down=ef-topk", 0x0cd60b3f61210b9b),
-    ("engine/bcrs+opwa|down=topk+qsgd:8", 0x077ea71bc496538b),
-    ("engine/bcrs|encoded", 0xd135ffae21d4cc27),
-];
-
-/// Check one run against its [`EXPECTED_TRAINING`] pin.
-fn assert_training_pinned(name: &str, records: &[RoundRecord]) {
-    let &(_, pin) = EXPECTED_TRAINING
-        .iter()
-        .find(|(pinned, _)| *pinned == name)
-        .unwrap_or_else(|| panic!("{name}: no training pin"));
-    assert_eq!(
-        training_fingerprint(records),
-        pin,
-        "{name}: accuracy, loss, ratio or selection moved"
-    );
+fn parse<T: std::str::FromStr>(spec: &str) -> T
+where
+    T::Err: std::fmt::Debug,
+{
+    spec.parse().expect("pinned spec parses")
 }
 
-/// Print one run's [`EXPECTED_TRAINING`] row under `FP_PRINT`.
-fn print_training_pin(name: &str, records: &[RoundRecord]) {
-    println!("    ({name:?}, {:#018x}),", training_fingerprint(records));
-}
-
-/// Check one run against its `(schedule hash, final test accuracy)` pin.
-fn assert_schedule_pinned(name: &str, records: &[RoundRecord], analytic: bool, pin: (u64, f64)) {
-    assert_eq!(
-        schedule_fingerprint(records, analytic),
-        pin.0,
-        "{name}: selection, ratios, epochs or analytic times moved"
-    );
-    let accuracy = records.last().expect("a run has records").test_accuracy;
-    assert!(
-        (accuracy - pin.1).abs() <= ACCURACY_TOLERANCE,
-        "{name}: final accuracy {accuracy} left {} ± 0.02",
-        pin.1
-    );
-}
-
-fn run(algorithm: Algorithm, plan: Option<&str>) -> Vec<RoundRecord> {
-    let mut config = ExperimentConfig::quick(algorithm);
-    config.rounds = 3;
-    config.num_clients = 16;
-    if let Some(p) = plan {
-        config.layer_compressors = Some(p.parse().expect("fingerprint plan parses"));
+/// Every pinned session run, by its manifest name.
+fn cases() -> Vec<(String, ExperimentConfig)> {
+    let mut cases = Vec::new();
+    // The static matrix: each algorithm on its own codec (`flat`), then
+    // through a mixed all-sparse layer plan (`planned`), which pins the
+    // `Segmented` wire kind and per-layer bytes too. The plan *is* the
+    // uplink codec, so the three plain sparsifier algorithms share one
+    // planned trajectory — pinned anyway, as three routes into that path.
+    for (path, plan) in [("flat", None), ("planned", Some("*.bias=randk;*=topk"))] {
+        for algorithm in ALL_ALGORITHMS {
+            let mut c = ExperimentConfig::quick(algorithm);
+            c.rounds = 3;
+            c.num_clients = 16;
+            c.layer_compressors = plan.map(parse);
+            cases.push((format!("{}/{path}", algorithm.name()), c));
+        }
     }
-    SessionBuilder::from_config(&config)
-        .threads(1)
-        .build()
-        .run()
-        .records
-}
 
-/// `flat` is the algorithm's own codec; `planned` drives the same algorithm
-/// through a mixed all-sparse layer plan, so the `Segmented` wire kind and
-/// per-layer byte breakdown are pinned too. Re-captured with the fused
-/// matmul tile (see module docs).
-const EXPECTED: &[(&str, u64)] = &[
-    ("fedavg/flat", 0xe8a6d8ea3df297e4),
-    ("topk/flat", 0x39c0d29d18be935c),
-    ("eftopk/flat", 0xc02cc5ce0bbc36f3),
-    ("randk/flat", 0xa5e532bf5551e276),
-    ("topk+opwa/flat", 0x30205b8feb7b2683),
-    ("bcrs/flat", 0xe2883127dbaa3e2d),
-    ("bcrs+opwa/flat", 0x0c286837df6bbfb0),
-    ("fedavg/planned", 0xb148ed5e8c72cefc),
-    // The plan *is* the uplink codec, so the three plain sparsifier
-    // algorithms collapse to the same planned trajectory — pinned anyway,
-    // as three independent routes into the Segmented path.
-    ("topk/planned", 0x33a73c6b0388e8d1),
-    ("eftopk/planned", 0x33a73c6b0388e8d1),
-    ("randk/planned", 0x33a73c6b0388e8d1),
-    ("topk+opwa/planned", 0x80299cfee50a5d5c),
-    ("bcrs/planned", 0xd5da76cb2c645e58),
-    ("bcrs+opwa/planned", 0xd28d48b54a7337d2),
-];
+    // The codec paths the static matrix never reaches: `EfTopK` quick runs
+    // at `CostBasis::Encoded`, long enough (and with few enough clients)
+    // that error-feedback residuals parked by one round are restored and
+    // re-selected by a later one.
+    fn codec(
+        name: &str,
+        num_clients: usize,
+        rounds: usize,
+        set: fn(&mut ExperimentConfig),
+    ) -> (String, ExperimentConfig) {
+        let mut c = ExperimentConfig::quick(Algorithm::EfTopK);
+        c.num_clients = num_clients;
+        c.participation = 0.5;
+        c.rounds = rounds;
+        c.cost_basis = CostBasis::Encoded;
+        set(&mut c);
+        (name.to_string(), c)
+    }
+    cases.extend([
+        // Entropy-coded composed EF uplink, quantized EF downlink, and a
+        // cohort of 40 > AGG_SHARD so the sharded aggregation tree has two
+        // shards.
+        codec(
+            "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
+            80,
+            4,
+            |c| {
+                c.compressor = Some(parse("ef-topk+qsgd:4:rc"));
+                c.downlink_compressor = Some(parse("ef-topk+qsgd:8"));
+            },
+        ),
+        // Adaptive per-layer plan (segmented frames, plan epochs, residuals
+        // parked under one epoch restored under the next) with a segmented
+        // EF downlink; 8 of 16 clients a round for 8 rounds, so every
+        // client's residual is restored several times.
+        codec(
+            "codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8",
+            16,
+            8,
+            |c| {
+                c.downlink_layer_compressors = Some(parse("*.bias=dense;*=ef-topk+qsgd:8"));
+                c.adaptive_plan = Some(parse("layer-bcrs"));
+            },
+        ),
+        // Error feedback over a dense quantizer: the `Quantized` residual arm.
+        codec("codec/ef-qsgd:4:rc", 16, 4, |c| {
+            c.compressor = Some(parse("ef-qsgd:4:rc"))
+        }),
+        // Quantile threshold sparsifier under a bit-packed quantizer.
+        codec("codec/ef-threshold+qsgd:6", 16, 4, |c| {
+            c.compressor = Some(parse("ef-threshold+qsgd:6"))
+        }),
+    ]);
 
-const PLAN: &str = "*.bias=randk;*=topk";
-
-/// Second pinned matrix: the codec paths the static 14 never reach. Every row
-/// is an `EfTopK` quick run at `CostBasis::Encoded`, long enough (and with
-/// few enough clients) that error-feedback residuals parked by one round are
-/// restored and re-selected by a later one.
-struct CodecCase {
-    name: &'static str,
-    num_clients: usize,
-    participation: f64,
-    rounds: usize,
-    compressor: Option<&'static str>,
-    downlink: Option<&'static str>,
-    downlink_plan: Option<&'static str>,
-    adaptive_plan: Option<&'static str>,
-}
-
-const CODEC_CASES: &[CodecCase] = &[
-    // Entropy-coded composed EF uplink, quantized EF downlink, and a cohort
-    // of 40 > AGG_SHARD so the sharded aggregation tree has two shards.
-    CodecCase {
-        name: "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
-        num_clients: 80,
-        participation: 0.5,
-        rounds: 4,
-        compressor: Some("ef-topk+qsgd:4:rc"),
-        downlink: Some("ef-topk+qsgd:8"),
-        downlink_plan: None,
-        adaptive_plan: None,
-    },
-    // Adaptive per-layer plan (segmented frames, plan epochs, residuals
-    // parked under one epoch restored under the next) with a segmented EF
-    // downlink; 8 of 16 clients a round for 8 rounds, so every client's
-    // residual is restored several times.
-    CodecCase {
-        name: "codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8",
-        num_clients: 16,
-        participation: 0.5,
-        rounds: 8,
-        compressor: None,
-        downlink: None,
-        downlink_plan: Some("*.bias=dense;*=ef-topk+qsgd:8"),
-        adaptive_plan: Some("layer-bcrs"),
-    },
-    // Error feedback over a dense quantizer: the `Quantized` residual arm.
-    CodecCase {
-        name: "codec/ef-qsgd:4:rc",
-        num_clients: 16,
-        participation: 0.5,
-        rounds: 4,
-        compressor: Some("ef-qsgd:4:rc"),
-        downlink: None,
-        downlink_plan: None,
-        adaptive_plan: None,
-    },
-    // Quantile threshold sparsifier under a bit-packed quantizer.
-    CodecCase {
-        name: "codec/ef-threshold+qsgd:6",
-        num_clients: 16,
-        participation: 0.5,
-        rounds: 4,
-        compressor: Some("ef-threshold+qsgd:6"),
-        downlink: None,
-        downlink_plan: None,
-        adaptive_plan: None,
-    },
-];
-
-fn run_codec_case(case: &CodecCase) -> Vec<RoundRecord> {
-    let mut config = ExperimentConfig::quick(Algorithm::EfTopK);
-    config.num_clients = case.num_clients;
-    config.participation = case.participation;
-    config.rounds = case.rounds;
-    config.cost_basis = CostBasis::Encoded;
-    config.compressor = case.compressor.map(|s| s.parse().expect("spec parses"));
-    config.downlink_compressor = case.downlink.map(|s| s.parse().expect("spec parses"));
-    config.downlink_layer_compressors = case.downlink_plan.map(|s| s.parse().expect("plan parses"));
-    config.adaptive_plan = case
-        .adaptive_plan
-        .map(|s| s.parse().expect("policy parses"));
-    config
-        .validate()
-        .expect("codec fingerprint config is valid");
-    SessionBuilder::from_config(&config)
-        .threads(1)
-        .build()
-        .run()
-        .records
-}
-
-/// Re-captured with the fused matmul tile (see module docs). Before that the
-/// two `:rc` rows had moved once on their own, when adaptive-CDF rANS (wire
-/// kind 6) replaced the binary range coder (kind 5): their encoded byte
-/// counts, and the simulated times priced from them, changed;
-/// [`EXPECTED_RC_TRAJECTORY`] did not. The cohort-40 row was re-captured
-/// once more, with its trajectory hash and final accuracy but not its
-/// schedule hash, when `dirichlet_partition` stopped redrawing: its first
-/// draw misses the floor, and the top-up now levels that draw rather than
-/// the 100th. The three rows with a sparse quantized leg (all but
-/// `ef-qsgd:4:rc`) moved once more, alone, when those frames stopped
-/// carrying coordinates of level 0: their byte counts and the times priced
-/// from them changed, their [`EXPECTED_TRAINING`] rows did not.
-const EXPECTED_CODEC: &[u64] = &[
-    0x707f80ddf8fdcadd,
-    0x140fb47049917fc1,
-    0x65059a0711c22be8,
-    0x34d2e91045a3d5ff,
-];
-
-/// The `:rc` rows' [`trajectory_fingerprint`]s. The entropy back end may
-/// change the bytes — and with them the full hashes above — but never these:
-/// quantization, RNG draws and dequantized values do not depend on the byte
-/// layout. (They are float hashes all the same, re-captured with the fused
-/// matmul tile.) Each also hashes `downlink_bytes`, so the cohort-40 row,
-/// with its sparse quantized downlink, moved with its full hash when those
-/// frames stopped carrying coordinates of level 0.
-const EXPECTED_RC_TRAJECTORY: &[(&str, u64)] = &[
-    (
-        "codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40",
-        0x9f8c6a84afb01c33,
-    ),
-    ("codec/ef-qsgd:4:rc", 0x511a87c14c26ec0c),
-];
-
-/// `(schedule hash, final test accuracy)` of the [`EXPECTED`] rows, in their
-/// order, captured at 4c39746 — before the matmul tile fused its multiply and
-/// add. See [`schedule_fingerprint`].
-const EXPECTED_SCHEDULE: &[(u64, f64)] = &[
-    (0xcf3ddccc6ad72b7f, 0.13), // fedavg/flat
-    (0x9214e1f1f8f74a5e, 0.12), // topk/flat
-    (0x9214e1f1f8f74a5e, 0.12), // eftopk/flat
-    (0x9214e1f1f8f74a5e, 0.13), // randk/flat
-    (0x9214e1f1f8f74a5e, 0.15), // topk+opwa/flat
-    (0x404f1561fd43f211, 0.13), // bcrs/flat
-    (0x404f1561fd43f211, 0.14), // bcrs+opwa/flat
-    (0xcf3ddccc6ad72b7f, 0.12), // fedavg/planned
-    (0x9214e1f1f8f74a5e, 0.12), // topk/planned
-    (0x9214e1f1f8f74a5e, 0.12), // eftopk/planned
-    (0x9214e1f1f8f74a5e, 0.12), // randk/planned
-    (0x9214e1f1f8f74a5e, 0.14), // topk+opwa/planned
-    (0x404f1561fd43f211, 0.15), // bcrs/planned
-    (0x404f1561fd43f211, 0.14), // bcrs+opwa/planned
-];
-
-/// The same pins for [`CODEC_CASES`] (priced on encoded bytes, so their
-/// simulated times stay out of the hash).
-const EXPECTED_CODEC_SCHEDULE: &[(u64, f64)] = &[
-    (0x1030fbca7621ae6d, 0.11), // codec/ef-topk+qsgd:4:rc|down=ef-topk+qsgd:8|cohort40
-    (0x5cda96196f1737c7, 0.16), // codec/layer-bcrs|down=*.bias=dense;*=ef-topk+qsgd:8
-    (0x3b78daed6ef64177, 0.08), // codec/ef-qsgd:4:rc
-    (0x3b78daed6ef64177, 0.13), // codec/ef-threshold+qsgd:6
-];
-
-/// Third pinned matrix: the round-engine paths the first two never reach —
-/// client dropout (at 0.999 the whole fleet is down in most rounds and the
-/// cohort falls back to one uniformly drawn client), server momentum,
-/// scenario-driven cohorts (every generator and a replayed trace), an
-/// error-feedback `layer_compressors` plan beside dense biases, plan-driven
-/// and flat downlinks, `randk` and `threshold:τ` as `compressor` specs, a
-/// sparse evaluation schedule and BCRS priced on encoded bytes. Every row is
-/// a 16-client, 6-round quick run of `algorithm` with `configure` applied;
-/// `encoded` rows are priced on encoded bytes.
-struct EngineCase {
-    name: &'static str,
-    algorithm: Algorithm,
-    encoded: bool,
-    configure: fn(&mut ExperimentConfig),
-}
-
-const ENGINE_CASES: &[EngineCase] = &[
-    EngineCase {
-        name: "engine/dropout=0.3",
-        algorithm: Algorithm::Bcrs,
-        encoded: false,
-        configure: |c| c.dropout_rate = 0.3,
-    },
-    EngineCase {
-        name: "engine/dropout=0.999",
-        algorithm: Algorithm::TopK,
-        encoded: false,
-        configure: |c| c.dropout_rate = 0.999,
-    },
-    EngineCase {
-        name: "engine/server_momentum=0.9",
-        algorithm: Algorithm::TopKOpwa,
-        encoded: false,
-        configure: |c| c.server_momentum = 0.9,
-    },
-    EngineCase {
-        name: "engine/diurnal|dropout=0.2",
-        algorithm: Algorithm::BcrsOpwa,
-        encoded: false,
-        configure: |c| {
-            c.scenario = Some("diurnal".parse().expect("scenario parses"));
+    // The round-engine paths the first two never reach — client dropout (at
+    // 0.999 the whole fleet is down in most rounds and the cohort falls back
+    // to one uniformly drawn client), server momentum, scenario-driven
+    // cohorts (every generator and a replayed trace), an error-feedback
+    // `layer_compressors` plan beside dense biases, plan-driven and flat
+    // downlinks, `randk` and `threshold:τ` as `compressor` specs, a sparse
+    // evaluation schedule and BCRS priced on encoded bytes: 16-client,
+    // 6-round quick runs, `encoded` ones priced on encoded bytes.
+    fn engine(
+        name: &str,
+        algorithm: Algorithm,
+        encoded: bool,
+        set: fn(&mut ExperimentConfig),
+    ) -> (String, ExperimentConfig) {
+        let mut c = ExperimentConfig::quick(algorithm);
+        c.num_clients = 16;
+        c.rounds = 6;
+        if encoded {
+            c.cost_basis = CostBasis::Encoded;
+        }
+        set(&mut c);
+        (name.to_string(), c)
+    }
+    use Algorithm::*;
+    cases.extend([
+        engine("engine/dropout=0.3", Bcrs, false, |c| c.dropout_rate = 0.3),
+        engine("engine/dropout=0.999", TopK, false, |c| {
+            c.dropout_rate = 0.999
+        }),
+        engine("engine/server_momentum=0.9", TopKOpwa, false, |c| {
+            c.server_momentum = 0.9
+        }),
+        engine("engine/diurnal|dropout=0.2", BcrsOpwa, false, |c| {
+            c.scenario = Some(parse("diurnal"));
             c.dropout_rate = 0.2;
-        },
-    },
-    EngineCase {
-        name: "engine/churn:leave=0.05",
-        algorithm: Algorithm::EfTopK,
-        encoded: false,
-        configure: |c| c.scenario = Some("churn:leave=0.05".parse().expect("scenario parses")),
-    },
-    EngineCase {
-        name: "engine/layer_compressors=*.bias=dense;*=ef-topk",
-        algorithm: Algorithm::TopK,
-        encoded: false,
-        configure: |c| {
-            c.layer_compressors = Some("*.bias=dense;*=ef-topk".parse().expect("plan parses"))
-        },
-    },
-    EngineCase {
-        name: "engine/topk+qsgd:4|down=*=ef-topk|encoded",
-        algorithm: Algorithm::TopK,
-        encoded: true,
-        configure: |c| {
-            c.compressor = Some("topk+qsgd:4".parse().expect("spec parses"));
-            c.downlink_layer_compressors = Some("*=ef-topk".parse().expect("plan parses"));
-        },
-    },
-    EngineCase {
-        name: "engine/tiered",
-        algorithm: Algorithm::Bcrs,
-        encoded: false,
-        configure: |c| c.scenario = Some("tiered".parse().expect("scenario parses")),
-    },
-    EngineCase {
-        name: "engine/towers",
-        algorithm: Algorithm::BcrsOpwa,
-        encoded: false,
-        configure: |c| c.scenario = Some("towers".parse().expect("scenario parses")),
-    },
-    // The committed golden trace, replayed (16 clients, 6 rounds).
-    EngineCase {
-        name: "engine/trace:towers_n16_seed7",
-        algorithm: Algorithm::TopK,
-        encoded: false,
-        configure: |c| {
+        }),
+        engine("engine/churn:leave=0.05", EfTopK, false, |c| {
+            c.scenario = Some(parse("churn:leave=0.05"))
+        }),
+        engine(
+            "engine/layer_compressors=*.bias=dense;*=ef-topk",
+            TopK,
+            false,
+            |c| c.layer_compressors = Some(parse("*.bias=dense;*=ef-topk")),
+        ),
+        engine(
+            "engine/topk+qsgd:4|down=*=ef-topk|encoded",
+            TopK,
+            true,
+            |c| {
+                c.compressor = Some(parse("topk+qsgd:4"));
+                c.downlink_layer_compressors = Some(parse("*=ef-topk"));
+            },
+        ),
+        engine("engine/tiered", Bcrs, false, |c| {
+            c.scenario = Some(parse("tiered"))
+        }),
+        engine("engine/towers", BcrsOpwa, false, |c| {
+            c.scenario = Some(parse("towers"))
+        }),
+        // The committed golden trace, replayed (16 clients, 6 rounds).
+        engine("engine/trace:towers_n16_seed7", TopK, false, |c| {
             let path = concat!(
                 env!("CARGO_MANIFEST_DIR"),
                 "/tests/fixtures/towers_n16_seed7.trace"
             );
-            c.scenario = Some(format!("trace:{path}").parse().expect("scenario parses"));
-        },
-    },
-    EngineCase {
-        name: "engine/compressor=randk",
-        algorithm: Algorithm::TopK,
-        encoded: false,
-        configure: |c| c.compressor = Some("randk".parse().expect("spec parses")),
-    },
-    EngineCase {
-        name: "engine/compressor=threshold:0.01|encoded",
-        algorithm: Algorithm::TopK,
-        encoded: true,
-        configure: |c| c.compressor = Some("threshold:0.01".parse().expect("spec parses")),
-    },
-    EngineCase {
-        name: "engine/eval_every=2",
-        algorithm: Algorithm::BcrsOpwa,
-        encoded: false,
-        configure: |c| c.eval_every = 2,
-    },
-    // A dense upload plus an analytic downlink.
-    EngineCase {
-        name: "engine/fedavg|down=ef-topk",
-        algorithm: Algorithm::FedAvg,
-        encoded: false,
-        configure: |c| c.downlink_compressor = Some("ef-topk".parse().expect("spec parses")),
-    },
-    EngineCase {
-        name: "engine/bcrs+opwa|down=topk+qsgd:8",
-        algorithm: Algorithm::BcrsOpwa,
-        encoded: false,
-        configure: |c| c.downlink_compressor = Some("topk+qsgd:8".parse().expect("spec parses")),
-    },
-    EngineCase {
-        name: "engine/bcrs|encoded",
-        algorithm: Algorithm::Bcrs,
-        encoded: true,
-        configure: |_| {},
-    },
-];
-
-fn run_engine_case(case: &EngineCase) -> Vec<RoundRecord> {
-    let mut config = ExperimentConfig::quick(case.algorithm);
-    config.num_clients = 16;
-    config.rounds = 6;
-    if case.encoded {
-        config.cost_basis = CostBasis::Encoded;
-    }
-    (case.configure)(&mut config);
-    config
-        .validate()
-        .expect("engine fingerprint config is valid");
-    SessionBuilder::from_config(&config)
-        .threads(1)
-        .build()
-        .run()
-        .records
+            c.scenario = Some(parse(&format!("trace:{path}")));
+        }),
+        engine("engine/compressor=randk", TopK, false, |c| {
+            c.compressor = Some(parse("randk"))
+        }),
+        engine(
+            "engine/compressor=threshold:0.01|encoded",
+            TopK,
+            true,
+            |c| c.compressor = Some(parse("threshold:0.01")),
+        ),
+        engine("engine/eval_every=2", BcrsOpwa, false, |c| c.eval_every = 2),
+        // A dense upload plus an analytic downlink.
+        engine("engine/fedavg|down=ef-topk", FedAvg, false, |c| {
+            c.downlink_compressor = Some(parse("ef-topk"))
+        }),
+        engine("engine/bcrs+opwa|down=topk+qsgd:8", BcrsOpwa, false, |c| {
+            c.downlink_compressor = Some(parse("topk+qsgd:8"))
+        }),
+        engine("engine/bcrs|encoded", Bcrs, true, |_| {}),
+    ]);
+    cases
 }
 
-/// `(full hash, schedule hash, final test accuracy)` of [`ENGINE_CASES`], in
-/// their order, captured while cohort selection, ratio assignment, the server
-/// step and plan choice were still trait-object policies. The two rows with a
-/// sparse quantized leg (`topk+qsgd:4` up, `topk+qsgd:8` down) re-pinned their
-/// full hashes alone when those frames stopped carrying coordinates of
-/// level 0. The `layer_compressors` row was first pinned as the same fixed
-/// plan spelled through `adaptive_plan`; when that spelling was retired it
-/// re-pinned its full and schedule hashes alone, which had hashed the
-/// spelling's plan telemetry — its training hash did not move.
-const EXPECTED_ENGINE: &[(u64, u64, f64)] = &[
-    (0x55e13ef654e48a47, 0x0604d15401392a02, 0.15), // engine/dropout=0.3
-    (0x81517cd897066e16, 0x3a28bab5aa147e65, 0.12), // engine/dropout=0.999
-    (0x7aa5825de57f1f1e, 0x62145d1ca90a5f59, 0.21), // engine/server_momentum=0.9
-    (0x9143ba6776f7f38b, 0xd5ba940842e2a137, 0.19), // engine/diurnal|dropout=0.2
-    (0x87633024a217fff1, 0xfb4fdbfbf02c4751, 0.1),  // engine/churn:leave=0.05
-    (0x6449da53e185eaa7, 0x62145d1ca90a5f59, 0.13), // engine/layer_compressors=*.bias=dense;*=ef-topk
-    (0x599d771638cab0f5, 0x1ca3ced6df284db1, 0.09), // engine/topk+qsgd:4|down=*=ef-topk|encoded
-    (0x8ac2cc0cd7d30035, 0xb019a5e72b39734c, 0.21), // engine/tiered
-    (0x43611ed61e33e3ca, 0xee6b39b966231df6, 0.17), // engine/towers
-    (0x14e178c16d226508, 0x0660842b3d9ac53d, 0.11), // engine/trace:towers_n16_seed7
-    (0x3e440c74dbe2af84, 0x62145d1ca90a5f59, 0.11), // engine/compressor=randk
-    (0xfc17ff4dd16c5639, 0x1ca3ced6df284db1, 0.13), // engine/compressor=threshold:0.01|encoded
-    (0xd27a63586a185b30, 0x16ff6185a02fbbc9, 0.22), // engine/eval_every=2
-    (0x175589bca3685d33, 0x617715aa7081fbd1, 0.12), // engine/fedavg|down=ef-topk
-    (0xf718d1a53feb32d3, 0xca2314338d5c97b5, 0.21), // engine/bcrs+opwa|down=topk+qsgd:8
-    (0x6cc375eee7313ba6, 0x8c12ea3090a27b7f, 0.21), // engine/bcrs|encoded
-];
-
-/// Print one run's `(schedule hash, final accuracy)` pin under `FP_PRINT`.
-fn print_schedule_pin(name: &str, records: &[RoundRecord], analytic: bool) {
-    println!(
-        "    ({:#018x}, {:?}), // {name}",
-        schedule_fingerprint(records, analytic),
-        records.last().expect("a run has records").test_accuracy
-    );
+/// Run the cases `owns` accepts and check their rows against the manifest.
+fn check_cases(owns: fn(&str) -> bool) {
+    let got: Vec<Row> = cases()
+        .into_iter()
+        .filter(|(name, _)| owns(name))
+        .map(|(name, config)| {
+            let records = SessionBuilder::from_config(&config)
+                .threads(1)
+                .build()
+                .run()
+                .records;
+            let analytic = config.cost_basis == CostBasis::Analytic;
+            let accuracy = records.last().expect("a run has records").test_accuracy;
+            let row = Row::new(&name)
+                .hash("full", fingerprint(&records))
+                .hash("schedule", schedule_fingerprint(&records, analytic))
+                .hash("training", training_fingerprint(&records))
+                .accuracy(accuracy);
+            // The entropy-coded rows also pin what their bytes cannot move.
+            if name.contains(":rc") {
+                row.hash("trajectory", trajectory_fingerprint(&records))
+            } else {
+                row
+            }
+        })
+        .collect();
+    pins::check(owns, &got);
 }
 
+/// The static matrix owns every manifest row no other test claims, so a
+/// stray row fails here.
 #[test]
 fn round_record_fingerprints_are_pinned() {
-    let mut got = Vec::new();
-    for algorithm in ALL_ALGORITHMS {
-        got.push((format!("{}/flat", algorithm.name()), run(algorithm, None)));
-    }
-    for algorithm in ALL_ALGORITHMS {
-        got.push((
-            format!("{}/planned", algorithm.name()),
-            run(algorithm, Some(PLAN)),
-        ));
-    }
-    if std::env::var("FP_PRINT").is_ok() {
-        for (name, records) in &got {
-            println!("    (\"{name}\", {:#018x}),", fingerprint(records));
-        }
-        for (name, records) in &got {
-            print_schedule_pin(name, records, true);
-        }
-        for (name, records) in &got {
-            print_training_pin(name, records);
-        }
-        return;
-    }
-    assert_eq!(got.len(), EXPECTED.len());
-    assert_eq!(got.len(), EXPECTED_SCHEDULE.len());
-    for (((name, records), (exp_name, exp_fp)), pin) in
-        got.iter().zip(EXPECTED).zip(EXPECTED_SCHEDULE)
-    {
-        assert_eq!(name, exp_name, "fingerprint matrix order changed");
-        assert_schedule_pinned(name, records, true, *pin);
-        assert_training_pinned(name, records);
-        assert_eq!(
-            fingerprint(records),
-            *exp_fp,
-            "{name}: round-record trajectory is no longer bit-identical"
-        );
-    }
+    check_cases(|name| {
+        !["codec/", "engine/", "shape/", "digest/", "kaiming/"]
+            .iter()
+            .any(|prefix| name.starts_with(prefix))
+    });
 }
 
 #[test]
 fn codec_path_fingerprints_are_pinned() {
-    let got: Vec<Vec<RoundRecord>> = CODEC_CASES.iter().map(run_codec_case).collect();
-    if std::env::var("FP_PRINT").is_ok() {
-        for (case, records) in CODEC_CASES.iter().zip(&got) {
-            println!("    {:#018x}, // {}", fingerprint(records), case.name);
-        }
-        for (case, records) in CODEC_CASES.iter().zip(&got) {
-            if case.name.contains(":rc") {
-                let trajectory = trajectory_fingerprint(records);
-                println!("    (\"{}\", {trajectory:#018x}),", case.name);
-            }
-        }
-        for (case, records) in CODEC_CASES.iter().zip(&got) {
-            print_schedule_pin(case.name, records, false);
-        }
-        for (case, records) in CODEC_CASES.iter().zip(&got) {
-            print_training_pin(case.name, records);
-        }
-        return;
-    }
-    assert_eq!(got.len(), EXPECTED_CODEC.len());
-    assert_eq!(got.len(), EXPECTED_CODEC_SCHEDULE.len());
-    for (((case, records), exp), pin) in CODEC_CASES
-        .iter()
-        .zip(&got)
-        .zip(EXPECTED_CODEC)
-        .zip(EXPECTED_CODEC_SCHEDULE)
-    {
-        assert_schedule_pinned(case.name, records, false, *pin);
-        assert_training_pinned(case.name, records);
-        assert_eq!(
-            fingerprint(records),
-            *exp,
-            "{}: round-record trajectory is no longer bit-identical",
-            case.name
-        );
-    }
-    for (name, exp) in EXPECTED_RC_TRAJECTORY {
-        let at = CODEC_CASES
-            .iter()
-            .position(|c| c.name == *name)
-            .expect("pinned trajectory names a codec case");
-        assert_eq!(
-            trajectory_fingerprint(&got[at]),
-            *exp,
-            "{name}: the byte-independent trajectory moved"
-        );
-    }
+    check_cases(|name| name.starts_with("codec/"));
 }
 
 #[test]
 fn engine_path_fingerprints_are_pinned() {
-    let got: Vec<Vec<RoundRecord>> = ENGINE_CASES.iter().map(run_engine_case).collect();
-    if std::env::var("FP_PRINT").is_ok() {
-        for (case, records) in ENGINE_CASES.iter().zip(&got) {
-            println!(
-                "    ({:#018x}, {:#018x}, {:?}), // {}",
-                fingerprint(records),
-                schedule_fingerprint(records, !case.encoded),
-                records.last().expect("a run has records").test_accuracy,
-                case.name
-            );
-        }
-        for (case, records) in ENGINE_CASES.iter().zip(&got) {
-            print_training_pin(case.name, records);
-        }
-        return;
-    }
-    assert_eq!(got.len(), EXPECTED_ENGINE.len());
-    for ((case, records), &(full, schedule, accuracy)) in
-        ENGINE_CASES.iter().zip(&got).zip(EXPECTED_ENGINE)
-    {
-        assert_schedule_pinned(case.name, records, !case.encoded, (schedule, accuracy));
-        assert_training_pinned(case.name, records);
-        assert_eq!(
-            fingerprint(records),
-            full,
-            "{}: round-record trajectory is no longer bit-identical",
-            case.name
-        );
-    }
+    check_cases(|name| name.starts_with("engine/"));
 }
 
 #[test]
@@ -875,4 +483,96 @@ fn entropy_coded_session_matches_bit_packed_session_in_fewer_bytes() {
         );
     }
     assert_eq!(trajectory_fingerprint(&rc), trajectory_fingerprint(&packed));
+}
+
+/// The manifest helper's comparison and rewrite, on an in-memory manifest.
+mod manifest {
+    use super::pins::{bless, compare, Row, MANIFEST};
+
+    const PINNED: &str = "# a comment\n\
+                          a/one full=0x0000000000000001 accuracy=0.13\n\
+                          other/row full=0x00000000000000ff\n\
+                          a/two full=0x0000000000000002 accuracy=0.5\n";
+
+    fn owns(name: &str) -> bool {
+        name.starts_with("a/")
+    }
+
+    fn got() -> Vec<Row> {
+        vec![
+            Row::new("a/one").hash("full", 1).accuracy(0.13),
+            Row::new("a/two").hash("full", 2).accuracy(0.5),
+        ]
+    }
+
+    #[test]
+    fn matching_rows_pass() {
+        assert_eq!(compare(PINNED, owns, &got()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_missing_row_fails_by_name() {
+        let mut got = got();
+        got.push(Row::new("a/three").hash("full", 3));
+        assert_eq!(
+            compare(PINNED, owns, &got),
+            ["a/three: computed, not pinned"]
+        );
+    }
+
+    #[test]
+    fn an_extra_row_fails_by_name() {
+        let problems = compare(PINNED, owns, &got()[..1]);
+        assert_eq!(problems, ["a/two: pinned, not computed"]);
+    }
+
+    #[test]
+    fn a_mismatched_hash_fails_by_name() {
+        let mut got = got();
+        got[1] = Row::new("a/two").hash("full", 3).accuracy(0.5);
+        assert_eq!(
+            compare(PINNED, owns, &got),
+            ["a/two: full is 0x0000000000000003, pinned 0x0000000000000002"]
+        );
+    }
+
+    #[test]
+    fn a_duplicate_name_fails_by_name() {
+        let twice = format!("{PINNED}a/one full=0x0000000000000001 accuracy=0.13\n");
+        assert_eq!(compare(&twice, owns, &got()), ["a/one: pinned twice"]);
+    }
+
+    #[test]
+    fn accuracy_holds_to_the_tolerance() {
+        let at = |accuracy: f64| {
+            let mut got = got();
+            got[0] = Row::new("a/one").hash("full", 1).accuracy(accuracy);
+            compare(PINNED, owns, &got)
+        };
+        assert!(at(0.15).is_empty(), "0.02 away is inside");
+        assert!(at(0.11).is_empty(), "0.02 away is inside");
+        assert_eq!(at(0.1501), ["a/one: accuracy is 0.1501, pinned 0.13"]);
+    }
+
+    #[test]
+    fn bless_rewrites_only_what_moved() {
+        let got = vec![
+            Row::new("a/new").hash("full", 9),
+            Row::new("a/one").hash("full", 7).accuracy(0.14),
+        ];
+        assert_eq!(
+            bless(PINNED, owns, &got),
+            "# a comment\n\
+             a/one full=0x0000000000000007 accuracy=0.13\n\
+             other/row full=0x00000000000000ff\n\
+             a/new full=0x0000000000000009\n"
+        );
+    }
+
+    #[test]
+    fn the_committed_manifest_rewrites_byte_identically() {
+        let rows: Vec<Row> = MANIFEST.lines().filter_map(Row::parse).collect();
+        assert_eq!(compare(MANIFEST, |_| true, &rows), Vec::<String>::new());
+        assert_eq!(bless(MANIFEST, |_| true, &rows), MANIFEST);
+    }
 }
