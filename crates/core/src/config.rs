@@ -130,9 +130,6 @@ pub struct ExperimentConfig {
     /// [`crate::policy::select_cohort`]); `0.0` is the paper's
     /// always-available setting.
     pub dropout_rate: f64,
-    /// Server momentum `β` in `[0, 1)` (FedAvgM-style heavy ball applied to
-    /// the aggregated update); `0.0` is the paper's plain server update.
-    pub server_momentum: f32,
     /// Codec override for the clients' uplink compression. `None` (default)
     /// uses the algorithm-implied codec (`topk`, `ef-topk` or `randk`, see
     /// [`crate::Algorithm::codec_spec`]); any parseable
@@ -249,7 +246,6 @@ impl Default for ExperimentConfig {
             record_overlap: false,
             eval_every: 1,
             dropout_rate: 0.0,
-            server_momentum: 0.0,
             compressor: None,
             layer_compressors: None,
             downlink_compressor: None,
@@ -392,9 +388,6 @@ impl ExperimentConfig {
         }
         if !(0.0..1.0).contains(&self.dropout_rate) {
             return Err("dropout_rate must be in [0, 1)".into());
-        }
-        if !(0.0..1.0).contains(&self.server_momentum) {
-            return Err("server_momentum must be in [0, 1)".into());
         }
         self.links
             .validate()
@@ -547,7 +540,7 @@ mod tests {
             ModelPreset::Mlp { hidden1, hidden2 }
         }
         type Set = fn(&mut ExperimentConfig);
-        let rows: [(Set, &str); 10] = [
+        let rows: [(Set, &str); 9] = [
             (
                 |c| c.compression_ratio = 0.0,
                 "compression_ratio must be in (0, 1]",
@@ -557,10 +550,6 @@ mod tests {
             (|c| c.rounds = 0, "rounds must be positive"),
             (|c| c.eval_every = 0, "eval_every must be positive"),
             (|c| c.dropout_rate = 1.0, "dropout_rate must be in [0, 1)"),
-            (
-                |c| c.server_momentum = -0.1,
-                "server_momentum must be in [0, 1)",
-            ),
             (
                 |c| c.overlap_threshold = 0,
                 "overlap_threshold must be positive",
@@ -580,11 +569,9 @@ mod tests {
         let c = ExperimentConfig::default();
         assert_eq!(c.eval_every, 1);
         assert_eq!(c.dropout_rate, 0.0);
-        assert_eq!(c.server_momentum, 0.0);
         let c = ExperimentConfig {
             eval_every: 5,
             dropout_rate: 0.3,
-            server_momentum: 0.9,
             ..Default::default()
         };
         assert!(c.validate().is_ok());

@@ -40,7 +40,6 @@
 //!   `dropout_rate`;
 //! * [`policy::assign_ratios`] — a uniform ratio, dense FedAvg, or the BCRS
 //!   scheduler;
-//! * [`policy::server_step`] — the plain update (paper) or server momentum;
 //! * [`policy::layer_bcrs_plan`] — the adaptive per-layer codec plan
 //!   ([`config::ExperimentConfig::adaptive_plan`]): each round, after the
 //!   cohort and its links are known, it decides which codec and effective

@@ -7,8 +7,6 @@
 //! * [`assign_ratios`] — each selected client's compression ratio, by the
 //!   algorithm's [`RatioRule`]: 1 when dense, the base ratio when uniform,
 //!   the BCRS schedule (Alg. 2) otherwise;
-//! * [`server_step`] — the global update `w ← w − η·Δ` (Alg. 1 line 18), or
-//!   heavy-ball server momentum (FedAvgM) when `server_momentum > 0`;
 //! * [`layer_bcrs_plan`] — the per-layer codec plan the cohort encodes
 //!   under when [`ExperimentConfig::adaptive_plan`] is set, re-split every
 //!   round by observed gradient mass and checked against the BCRS straggler
@@ -16,7 +14,6 @@
 //! * [`uplink_plan`] / [`downlink_plan`] — the one [`LayerPlan`] each leg's
 //!   codec fields resolve to.
 
-use crate::aggregate::apply_update;
 use crate::algorithm::RatioRule;
 use crate::bcrs::{BcrsSchedule, BcrsScheduler};
 use crate::config::ExperimentConfig;
@@ -87,34 +84,6 @@ pub fn assign_ratios(
                 BcrsScheduler::new(comm).schedule(links, model_bytes, config.compression_ratio);
             (schedule.ratios.clone(), Some(schedule))
         }
-    }
-}
-
-/// Apply the aggregated descent direction `delta` to `global`: the paper's
-/// plain `w ← w − η·Δ` when `momentum` is 0, heavy-ball server momentum
-/// (FedAvgM) `v ← β·v + Δ`, `w ← w − η·v` otherwise, with `velocity` the
-/// session's buffer (zero-filled on first use).
-///
-/// The plain update is not the momentum loop at `β = 0`: `0·v + (−0.0)` is
-/// `+0.0`, so the loop would give some zero coordinates the other sign.
-pub fn server_step(
-    global: &mut [f32],
-    velocity: &mut Vec<f32>,
-    delta: &[f32],
-    momentum: f32,
-    server_lr: f32,
-) {
-    if momentum > 0.0 {
-        assert_eq!(global.len(), delta.len(), "parameter length mismatch");
-        if velocity.len() != delta.len() {
-            *velocity = vec![0.0; delta.len()];
-        }
-        for ((w, v), &d) in global.iter_mut().zip(velocity.iter_mut()).zip(delta) {
-            *v = momentum * *v + d;
-            *w -= server_lr * *v;
-        }
-    } else {
-        apply_update(global, delta, server_lr);
     }
 }
 
@@ -535,43 +504,6 @@ mod tests {
         let s = schedule.expect("BCRS must emit a schedule");
         assert_eq!(ratios, s.ratios);
         assert!(ratios[0] > ratios[1], "fast client gets a larger ratio");
-    }
-
-    #[test]
-    fn sgd_server_matches_apply_update() {
-        let mut a = vec![1.0f32, 2.0, 3.0];
-        let mut b = a.clone();
-        let mut velocity = Vec::new();
-        server_step(&mut a, &mut velocity, &[0.5, 0.5, 0.5], 0.0, 0.2);
-        apply_update(&mut b, &[0.5, 0.5, 0.5], 0.2);
-        assert_eq!(a, b);
-        assert!(velocity.is_empty(), "the plain update keeps no velocity");
-    }
-
-    #[test]
-    fn momentum_server_accumulates_velocity() {
-        let mut w = vec![0.0f32; 2];
-        let mut v = Vec::new();
-        server_step(&mut w, &mut v, &[1.0, 2.0], 0.5, 1.0); // v = [1, 2]
-        assert_eq!(w, vec![-1.0, -2.0]);
-        server_step(&mut w, &mut v, &[1.0, 2.0], 0.5, 1.0); // v = [1.5, 3]
-        assert_eq!(w, vec![-2.5, -5.0]);
-        assert_eq!(v, vec![1.5, 3.0]);
-    }
-
-    #[test]
-    fn momentum_zero_equals_sgd() {
-        // Bit for bit, signed zeros included: the momentum loop at β = 0
-        // would compute v = 0·0 + (−0.0) = +0.0 and leave w = −0.0, where
-        // the plain update gives −0.0 − 0.7·(−0.0) = +0.0.
-        let delta = [0.25f32, -0.75, -0.0];
-        let mut a = vec![1.0f32, 1.0, -0.0];
-        let mut b = a.clone();
-        server_step(&mut a, &mut Vec::new(), &delta, 0.0, 0.7);
-        apply_update(&mut b, &delta, 0.7);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a), bits(&b));
-        assert_eq!(a[2].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!    its ratio, then every selected client trains (from the broadcast view)
 //!    and compresses in parallel;
 //! 4. **aggregate phase** — overlap analysis, optional OPWA mask, weighted
-//!    aggregation and the [`crate::policy::server_step`] global update;
+//!    aggregation and the global update `w ← w − η·Δ`
+//!    ([`crate::aggregate::apply_update`]);
 //! 5. **timing phase** — each client's upload, and its download of the
 //!    broadcast when the downlink leg is simulated, becomes one byte count
 //!    (encoded or analytic, by the [`CostBasis`]) priced by the one
@@ -27,7 +28,7 @@
 //! order and returns a [`RoundOutput`].
 
 use crate::aggregate::{
-    aggregate_compressed_sharded, aggregate_sparse_sharded, data_fractions_or_uniform,
+    aggregate_compressed_sharded, aggregate_sparse_sharded, apply_update, data_fractions_or_uniform,
 };
 use crate::algorithm::RatioRule;
 use crate::bcrs::BcrsSchedule;
@@ -35,9 +36,7 @@ use crate::client::{segment_defs, LocalTrainOutput};
 use crate::eval::{evaluate_with_threads, Evaluation};
 use crate::opwa::OpwaMask;
 use crate::overlap::OverlapCounts;
-use crate::policy::{
-    assign_ratios, layer_bcrs_plan, select_cohort, server_step, AdaptivePlanSpec, PlanCtx,
-};
+use crate::policy::{assign_ratios, layer_bcrs_plan, select_cohort, AdaptivePlanSpec, PlanCtx};
 use crate::runner::{LayerBytes, PlanTelemetry, RoundRecord};
 use crate::session::FederatedSession;
 use fl_compress::{CompressedUpdate, SparseUpdate};
@@ -395,13 +394,7 @@ impl FederatedSession {
         if self.config.adaptive_plan.is_some() {
             self.last_gradient_mass = Some(fl_nn::segment_l1_masses(&self.layout, &aggregated));
         }
-        server_step(
-            &mut self.global_params,
-            &mut self.server_velocity,
-            &aggregated,
-            self.config.server_momentum,
-            self.config.server_lr,
-        );
+        apply_update(&mut self.global_params, &aggregated, self.config.server_lr);
         AggregatePhase { overlap }
     }
 

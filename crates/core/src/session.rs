@@ -203,7 +203,6 @@ impl SessionBuilder {
             model_params,
             model_bytes,
             layout,
-            server_velocity: Vec::new(),
             last_gradient_mass: None,
             downlink,
             // Built by `compile` only when configured: with `scenario: None`
@@ -245,8 +244,6 @@ pub struct FederatedSession {
     pub(crate) model_params: usize,
     pub(crate) model_bytes: usize,
     pub(crate) layout: ParamLayout,
-    /// The server-momentum buffer (empty unless `config.server_momentum > 0`).
-    pub(crate) server_velocity: Vec<f32>,
     /// Per-segment L1 mass of the previous round's aggregated update
     /// (layout order) — the telemetry the next round's plan decision reads.
     pub(crate) last_gradient_mass: Option<Vec<f64>>,
@@ -520,21 +517,6 @@ mod tests {
             assert!(r.selected_clients[0] < config.num_clients);
             assert!(r.train_loss.is_finite());
         }
-    }
-
-    #[test]
-    fn server_momentum_changes_trajectory_but_stays_valid() {
-        let plain = quick(Algorithm::TopK);
-        let mut with_momentum = plain.clone();
-        with_momentum.server_momentum = 0.9;
-        let a = run_experiment(&plain);
-        let b = run_experiment(&with_momentum);
-        assert_ne!(
-            a.accuracy_series(),
-            b.accuracy_series(),
-            "momentum should alter the optimisation trajectory"
-        );
-        assert!(b.final_accuracy >= 0.0 && b.final_accuracy <= 1.0);
     }
 
     #[test]

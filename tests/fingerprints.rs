@@ -1,11 +1,10 @@
 //! Round-record fingerprint regression: the full training + compression +
 //! communication trajectory of every algorithm, under both the flat codec
 //! path and a genuinely mixed layer plan (`Segmented` framing), plus four
-//! codec-path rows and sixteen round-engine rows (dropout, server momentum,
-//! scenarios, a replayed trace, an error-feedback layer plan, plan-driven
-//! downlinks, `randk` and `threshold:τ` specs, `eval_every`, three pricing
-//! arms), hashed field by field and pinned by name in
-//! `tests/fixtures/pins.txt`.
+//! codec-path rows and fifteen round-engine rows (dropout, scenarios, a
+//! replayed trace, an error-feedback layer plan, plan-driven downlinks,
+//! `randk` and `threshold:τ` specs, `eval_every`, three pricing arms),
+//! hashed field by field and pinned by name in `tests/fixtures/pins.txt`.
 //!
 //! Any change to training numerics, codec bytes, aggregation order, or the
 //! simulated communication model shows up here as a hash mismatch. Each run
@@ -307,12 +306,12 @@ fn cases() -> Vec<(String, ExperimentConfig)> {
 
     // The round-engine paths the first two never reach — client dropout (at
     // 0.999 the whole fleet is down in most rounds and the cohort falls back
-    // to one uniformly drawn client), server momentum, scenario-driven
-    // cohorts (every generator and a replayed trace), an error-feedback
-    // `layer_compressors` plan beside dense biases, plan-driven and flat
-    // downlinks, `randk` and `threshold:τ` as `compressor` specs, a sparse
-    // evaluation schedule and BCRS priced on encoded bytes: 16-client,
-    // 6-round quick runs, `encoded` ones priced on encoded bytes.
+    // to one uniformly drawn client), scenario-driven cohorts (every
+    // generator and a replayed trace), an error-feedback `layer_compressors`
+    // plan beside dense biases, plan-driven and flat downlinks, `randk` and
+    // `threshold:τ` as `compressor` specs, a sparse evaluation schedule and
+    // BCRS priced on encoded bytes: 16-client, 6-round quick runs, `encoded`
+    // ones priced on encoded bytes.
     fn engine(
         name: &str,
         algorithm: Algorithm,
@@ -333,9 +332,6 @@ fn cases() -> Vec<(String, ExperimentConfig)> {
         engine("engine/dropout=0.3", Bcrs, false, |c| c.dropout_rate = 0.3),
         engine("engine/dropout=0.999", TopK, false, |c| {
             c.dropout_rate = 0.999
-        }),
-        engine("engine/server_momentum=0.9", TopKOpwa, false, |c| {
-            c.server_momentum = 0.9
         }),
         engine("engine/diurnal|dropout=0.2", BcrsOpwa, false, |c| {
             c.scenario = Some(parse("diurnal"));
