@@ -187,7 +187,7 @@ pub fn bench_config(
         hidden2: 64,
     };
     config.seed = args.seed();
-    config.eval_every = args.eval_every.map_or(config.eval_every, |n| n.max(1));
+    config.eval_every = args.eval_every.unwrap_or(config.eval_every);
     config.cost_basis = args.cost_basis.unwrap_or(config.cost_basis);
     config.downlink_compressor = args.downlink.clone();
     config.layer_compressors = args.layer_compressors.clone();
@@ -274,6 +274,9 @@ mod tests {
         assert_eq!(config(&a).eval_every, 5);
         let d = parse(&[]);
         assert_eq!((d.eval_every, d.sweep_threads), (None, 0));
+        // Passed through, so the driver's validation stops a typo.
+        let zero = config(&parse(&["--eval-every", "0"]));
+        assert_eq!(zero.validate().unwrap_err(), "eval_every must be positive");
     }
 
     #[test]

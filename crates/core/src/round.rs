@@ -479,8 +479,8 @@ impl FederatedSession {
         downlink: DownlinkPhase,
         timing: RoundTiming,
     ) -> RoundOutput {
-        let eval_every = self.config.eval_every.max(1);
-        let should_eval = (round + 1).is_multiple_of(eval_every) || round + 1 == self.config.rounds;
+        let should_eval =
+            (round + 1).is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds;
         if should_eval {
             unflatten_params(&mut self.global_model, &self.global_params);
             self.last_eval = Some(evaluate_with_threads(
