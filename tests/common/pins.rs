@@ -8,10 +8,10 @@
 //! row fails the test, by name.
 //!
 //! To re-pin after an *intended* change, run the owning tests with
-//! `PIN_BLESS=1`, e.g.
-//! `PIN_BLESS=1 cargo test --release --test fingerprints`. That rewrites
-//! their rows in place — keeping every pinned value that still matches, and
-//! every other line — so `git diff tests/fixtures/pins.txt` is the re-pin.
+//! `PIN_BLESS=1` (`tests/fingerprints.rs` gives the command for all of
+//! them). That rewrites their rows in place — keeping every pinned value
+//! that still matches, and every other line — so
+//! `git diff tests/fixtures/pins.txt` is the re-pin.
 //! Each test binary includes this file by `#[path]`, so each uses only part
 //! of it.
 #![allow(dead_code)]
@@ -240,10 +240,7 @@ pub fn check(owns: impl Fn(&str) -> bool, got: &[Row]) {
         let _guard = FILE.lock().expect("a bless panicked mid-write");
         let path = manifest_path();
         let text = std::fs::read_to_string(&path).expect("pins.txt reads");
-        for problem in compare(&text, &owns, got) {
-            eprintln!("PIN_BLESS {problem}");
-        }
-        let blessed = bless(&text, &owns, got);
+        let blessed = bless(&text, owns, got);
         if blessed != text {
             std::fs::write(&path, blessed).expect("pins.txt writes");
         }

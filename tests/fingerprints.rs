@@ -20,9 +20,13 @@
 //! hashes hold in debug and release and with or without hardware FMA (CI runs
 //! all three): the matmul tile's fused step is exactly specified.
 //!
-//! To re-pin after an *intentional* trajectory change:
-//! `PIN_BLESS=1 cargo test --release --test fingerprints`, then review
-//! `git diff tests/fixtures/pins.txt`.
+//! To re-pin after an *intentional* change, run every pinning test with the
+//! one switch and review the diff:
+//!
+//! ```sh
+//! PIN_BLESS=1 cargo test --release -p bwfl -p fl-compress -p fl-data --test fingerprints --test roundtrip_prop --test generator_digest
+//! git diff tests/fixtures/pins.txt
+//! ```
 
 #[path = "common/pins.rs"]
 mod pins;
