@@ -789,7 +789,7 @@ fn decode_entropy_body(
     }
     let (stream, raw) = b[*cur..].split_at(stream_len as usize);
     if count > stream.len().saturating_mul(MAX_DECISIONS_PER_BYTE) {
-        return Err(WireError::Truncated);
+        return Err(WireError::Corrupt("count exceeds rANS stream capacity"));
     }
     *cur = b.len();
     // Adversarial cap on up-front reservations: grow amortized beyond it.
@@ -1189,7 +1189,8 @@ mod tests {
 
         // Entropy payloads, dense and sparse, declaring more coordinates
         // than `MAX_DECISIONS_PER_BYTE` lets their rANS stream hold — with
-        // well-formed initial states, so only the guard can refuse them.
+        // well-formed initial states, so only the guard can refuse them, and
+        // its own error says it did.
         for sparse in [false, true] {
             let mut buf = BytesMut::new();
             buf.put_slice(&WIRE_MAGIC);
@@ -1206,7 +1207,7 @@ mod tests {
             buf.put_slice(&[0, 0, 0x80, 0, 0, 0, 0x80, 0]); // two states at 2^23
             assert_eq!(
                 WireUpdate::from_bytes(buf.freeze()).decode(),
-                Err(WireError::Truncated),
+                Err(WireError::Corrupt("count exceeds rANS stream capacity")),
                 "sparse {sparse}"
             );
         }

@@ -191,7 +191,7 @@ impl ClientState {
         let mut delta = std::mem::take(&mut self.delta);
         delta.clear();
         delta.reserve(global_params.len());
-        for p in self.model.params() {
+        for p in self.model.params_iter() {
             let global = &global_params[delta.len()..][..p.numel()];
             delta.extend(global.iter().zip(p.data()).map(|(g, l)| g - l));
         }
@@ -282,7 +282,7 @@ pub fn build_model(
         ModelPreset::Mlp { hidden1, hidden2 } => {
             mlp(input_dim, &[*hidden1, *hidden2], classes, rng)
         }
-        ModelPreset::Linear => fl_nn::model::logistic_regression(input_dim, classes, rng),
+        ModelPreset::Linear => mlp(input_dim, &[], classes, rng),
     }
 }
 

@@ -92,7 +92,7 @@ pub fn evaluate_with_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fl_nn::model::logistic_regression;
+    use fl_nn::{mlp, unflatten_params};
     use fl_tensor::rng::Xoshiro256;
 
     fn toy_dataset() -> Dataset {
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn random_model_near_chance() {
         let mut rng = Xoshiro256::new(1);
-        let model = logistic_regression(2, 2, &mut rng);
+        let model = mlp(2, &[], 2, &mut rng);
         let e = evaluate(&model, &toy_dataset(), 8);
         assert!(e.accuracy >= 0.0 && e.accuracy <= 1.0);
         assert!((e.loss - (2.0f64).ln()).abs() < 0.5);
@@ -117,13 +117,9 @@ mod tests {
     #[test]
     fn perfect_model_perfect_accuracy() {
         let mut rng = Xoshiro256::new(1);
-        let mut model = logistic_regression(2, 2, &mut rng);
+        let mut model = mlp(2, &[], 2, &mut rng);
         // Set weights so class 1 wins when x0 > 0.
-        let mut params = model.params_mut();
-        params[0]
-            .data_mut()
-            .copy_from_slice(&[-10.0, 10.0, 0.0, 0.0]);
-        params[1].data_mut().copy_from_slice(&[0.0, 0.0]);
+        unflatten_params(&mut model, &[-10.0, 10.0, 0.0, 0.0, 0.0, 0.0]);
         let e = evaluate(&model, &toy_dataset(), 7);
         assert_eq!(e.accuracy, 1.0);
         assert!(e.loss < 0.01);
@@ -132,7 +128,7 @@ mod tests {
     #[test]
     fn batched_equals_full_batch() {
         let mut rng = Xoshiro256::new(2);
-        let model = logistic_regression(2, 2, &mut rng);
+        let model = mlp(2, &[], 2, &mut rng);
         let ds = toy_dataset();
         let small = evaluate(&model, &ds, 3);
         let full = evaluate(&model, &ds, 100);
@@ -143,7 +139,7 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_bits() {
         let mut rng = Xoshiro256::new(4);
-        let model = logistic_regression(2, 2, &mut rng);
+        let model = mlp(2, &[], 2, &mut rng);
         let ds = toy_dataset();
         let serial = evaluate_with_threads(&model, &ds, 3, 1);
         for threads in [2, 4, 7, 32] {
@@ -156,7 +152,7 @@ mod tests {
     #[test]
     fn empty_dataset_is_zero() {
         let mut rng = Xoshiro256::new(3);
-        let model = logistic_regression(2, 2, &mut rng);
+        let model = mlp(2, &[], 2, &mut rng);
         let e = evaluate(&model, &Dataset::empty(2, 2), 4);
         assert_eq!(e.accuracy, 0.0);
         assert_eq!(e.loss, 0.0);

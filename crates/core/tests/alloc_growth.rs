@@ -321,3 +321,46 @@ fn second_round_checkouts_allocate_no_model_workspace_velocity_or_delta() {
         rescaled.checkout_largest
     );
 }
+
+#[test]
+fn warm_parameter_walks_and_local_updates_allocate_nothing() {
+    // The parameter walks go straight over the layers' tensors: writing a
+    // flat vector into a model, counting its parameters and a whole warm
+    // local update — training, then the `global − local` delta walk into the
+    // recycled buffer — make no allocation at all.
+    use fl_nn::{mlp, num_params, unflatten_params};
+    use fl_tensor::rng::Xoshiro256;
+
+    let mut model = mlp(32, &[24, 16], 4, &mut Xoshiro256::new(3));
+    let flat = vec![0.25f32; num_params(&model)];
+    unflatten_params(&mut model, &flat);
+    let before = total_allocs();
+    unflatten_params(&mut model, &flat);
+    let count = num_params(&model);
+    let walks = total_allocs() - before;
+    assert_eq!(count, flat.len());
+    assert_eq!(
+        walks, 0,
+        "unflatten_params and num_params allocated {walks} times"
+    );
+
+    let mut config = ExperimentConfig::quick(Algorithm::TopK);
+    config.num_clients = 8;
+    config.max_threads = 1;
+    assert!(config.momentum > 0.0, "the velocity buffers must exist");
+    let session = FederatedSession::from_config(&config);
+    let (roster, global) = (session.roster(), session.global_params());
+    let mut client = roster.checkout(2);
+    for _ in 0..2 {
+        let out = client.local_update(global);
+        client.recycle_delta(out.delta);
+    }
+    let before = total_allocs();
+    let out = client.local_update(global);
+    let update = total_allocs() - before;
+    assert_eq!(out.delta.len(), global.len());
+    assert!(out.train_loss > 0.0, "the client trained");
+    assert_eq!(update, 0, "a warm local update allocated {update} times");
+    client.recycle_delta(out.delta);
+    roster.checkin(client);
+}

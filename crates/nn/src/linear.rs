@@ -1,115 +1,84 @@
-//! Fully-connected (dense) layer.
+//! Fully-connected (dense) layer: the one layer kind of
+//! [`crate::model::Sequential`].
 
-use crate::layer::Layer;
-use crate::workspace::LayerWs;
 use fl_tensor::matmul::{
     add_bias_rows, matmul_a_bt_into, matmul_at_b_into, matmul_into, sum_rows_into,
 };
 use fl_tensor::rng::Rng;
 use fl_tensor::{Shape, Tensor};
 
-// Workspace scratch channels.
-const WS_INPUT: usize = 0; // cached forward input
-const WS_WT: usize = 1; // `matmul_a_bt_into`'s unused scratch argument (stays empty)
-
 /// `y = x @ W + b` with `W: [in, out]`, `b: [out]`.
-pub struct Linear {
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
-    in_features: usize,
-    out_features: usize,
+pub(crate) struct Linear {
+    pub(crate) weight: Tensor,
+    pub(crate) bias: Tensor,
+    pub(crate) grad_weight: Tensor,
+    pub(crate) grad_bias: Tensor,
 }
 
 impl Linear {
     /// New layer with Kaiming-initialised weights and zero bias.
-    pub fn new<R: Rng>(in_features: usize, out_features: usize, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng>(in_features: usize, out_features: usize, rng: &mut R) -> Self {
         let weight = Tensor::kaiming(Shape::matrix(in_features, out_features), in_features, rng);
-        let bias = Tensor::zeros(Shape::vector(out_features));
         Self {
+            weight,
+            bias: Tensor::zeros(Shape::vector(out_features)),
             grad_weight: Tensor::zeros(Shape::matrix(in_features, out_features)),
             grad_bias: Tensor::zeros(Shape::vector(out_features)),
-            weight,
-            bias,
-            in_features,
-            out_features,
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-}
-
-impl Layer for Linear {
-    fn forward_in(&self, input: &Tensor, out: &mut Tensor, ws: &mut LayerWs) {
+    /// Forward pass over a `[batch, in]` input, written into `out`.
+    pub(crate) fn forward_in(&self, input: &Tensor, out: &mut Tensor) {
         assert_eq!(
             input.shape().dims()[1],
-            self.in_features,
-            "Linear forward: expected {} input features",
-            self.in_features
+            self.weight.shape().dims()[0],
+            "Linear forward: input feature count"
         );
         matmul_into(input, &self.weight, out);
         add_bias_rows(out, &self.bias);
-        ws.ensure_bufs(WS_WT + 1);
-        ws.bufs[WS_INPUT].copy_from(input);
-        ws.ready = true;
     }
 
-    fn backward_in(&mut self, grad_output: &Tensor, grad_input: &mut Tensor, ws: &mut LayerWs) {
-        self.backward_params_in(grad_output, grad_input, ws);
-        // grad_output: [batch, out], weight: [in, out] => dX = dY @ W^T : [batch, in]
-        matmul_a_bt_into(grad_output, &self.weight, &mut ws.bufs[WS_WT], grad_input);
-    }
-
-    fn backward_params_in(
-        &mut self,
-        grad_output: &Tensor,
-        _grad_input: &mut Tensor,
-        ws: &mut LayerWs,
-    ) {
-        assert!(ws.ready, "Linear backward called before forward");
-        // dW = X^T @ dY ; db = column sums of dY, each written over the
-        // previous gradient (both kernels zero-fill their output first).
-        matmul_at_b_into(&ws.bufs[WS_INPUT], grad_output, &mut self.grad_weight);
+    /// Parameter gradients of the pass that read `input`: `dW = X^T @ dY`
+    /// and `db` = column sums of `dY`, each written over the previous
+    /// gradient (both kernels zero-fill their output first).
+    pub(crate) fn backward_params_in(&mut self, input: &Tensor, grad_output: &Tensor) {
+        matmul_at_b_into(input, grad_output, &mut self.grad_weight);
         sum_rows_into(grad_output, &mut self.grad_bias);
     }
 
-    fn visit_params_and_grads(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        f(&mut self.weight, &self.grad_weight);
-        f(&mut self.bias, &self.grad_bias);
+    /// `dL/d(input) = dY @ W^T`, written into `grad_input`. `bt_scratch` is
+    /// `matmul_a_bt_into`'s argument, which the kernel never touches.
+    pub(crate) fn backward_input_in(
+        &self,
+        grad_output: &Tensor,
+        bt_scratch: &mut Tensor,
+        grad_input: &mut Tensor,
+    ) {
+        matmul_a_bt_into(grad_output, &self.weight, bt_scratch, grad_input);
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_weight, &self.grad_bias]
-    }
-
-    fn zero_grad(&mut self) {
+    /// Zero both gradient buffers.
+    pub(crate) fn zero_grad(&mut self) {
         self.grad_weight.fill(0.0);
         self.grad_bias.fill(0.0);
     }
 
-    fn name(&self) -> &'static str {
-        "Linear"
+    /// The parameter tensors, in flat-vector order.
+    pub(crate) fn params(&self) -> [&Tensor; 2] {
+        [&self.weight, &self.bias]
     }
 
-    fn param_names(&self) -> Vec<String> {
-        vec!["weight".into(), "bias".into()]
+    /// The gradient tensors, aligned with [`params`](Self::params).
+    pub(crate) fn grads(&self) -> [&Tensor; 2] {
+        [&self.grad_weight, &self.grad_bias]
+    }
+
+    /// Each parameter with its gradient, in [`params`](Self::params) order.
+    pub(crate) fn params_and_grads_mut(&mut self) -> [(&mut Tensor, &Tensor); 2] {
+        [
+            (&mut self.weight, &self.grad_weight),
+            (&mut self.bias, &self.grad_bias),
+        ]
     }
 }
 
@@ -119,16 +88,17 @@ mod tests {
     use fl_tensor::rng::Xoshiro256;
 
     /// `forward_in` into a fresh output tensor.
-    fn forward_out(layer: &Linear, x: &Tensor, ws: &mut LayerWs) -> Tensor {
+    fn forward_out(layer: &Linear, x: &Tensor) -> Tensor {
         let mut y = Tensor::empty();
-        layer.forward_in(x, &mut y, ws);
+        layer.forward_in(x, &mut y);
         y
     }
 
-    /// `backward_in` into a fresh input-gradient tensor.
-    fn backward_out(layer: &mut Linear, g: &Tensor, ws: &mut LayerWs) -> Tensor {
+    /// Both backward halves; returns `dL/d(input)`.
+    fn backward_out(layer: &mut Linear, x: &Tensor, g: &Tensor) -> Tensor {
         let mut dx = Tensor::empty();
-        layer.backward_in(g, &mut dx, ws);
+        layer.backward_params_in(x, g);
+        layer.backward_input_in(g, &mut Tensor::empty(), &mut dx);
         dx
     }
 
@@ -140,22 +110,21 @@ mod tests {
         let mut rng = Xoshiro256::new(42);
         let mut layer = Linear::new(in_f, out_f, &mut rng);
         let x = Tensor::rand_normal(Shape::matrix(3, in_f), 0.0, 1.0, &mut rng);
-        let mut ws = LayerWs::new();
         // Loss = sum(forward(x)); dL/dy = ones.
-        let y = forward_out(&layer, &x, &mut ws);
+        let y = forward_out(&layer, &x);
         let ones = Tensor::full(y.shape().clone(), 1.0);
-        backward_out(&mut layer, &ones, &mut ws);
-        let analytic = layer.grads()[0].clone();
+        backward_out(&mut layer, &x, &ones);
+        let analytic = layer.grad_weight.clone();
 
         let eps = 1e-3f32;
         // Check a handful of weight coordinates numerically.
         for &idx in &[0usize, in_f * out_f / 2, in_f * out_f - 1] {
-            let orig = layer.params()[0].data()[idx];
-            layer.params_mut()[0].data_mut()[idx] = orig + eps;
-            let lp = sum(&forward_out(&layer, &x, &mut ws));
-            layer.params_mut()[0].data_mut()[idx] = orig - eps;
-            let lm = sum(&forward_out(&layer, &x, &mut ws));
-            layer.params_mut()[0].data_mut()[idx] = orig;
+            let orig = layer.weight.data()[idx];
+            layer.weight.data_mut()[idx] = orig + eps;
+            let lp = sum(&forward_out(&layer, &x));
+            layer.weight.data_mut()[idx] = orig - eps;
+            let lm = sum(&forward_out(&layer, &x));
+            layer.weight.data_mut()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             let a = analytic.data()[idx];
             assert!(
@@ -169,8 +138,7 @@ mod tests {
     fn forward_shape() {
         let mut rng = Xoshiro256::new(1);
         let l = Linear::new(4, 7, &mut rng);
-        let x = Tensor::zeros(Shape::matrix(5, 4));
-        let y = forward_out(&l, &x, &mut LayerWs::new());
+        let y = forward_out(&l, &Tensor::zeros(Shape::matrix(5, 4)));
         assert_eq!(y.shape().dims(), &[5, 7]);
         // Zero input + zero bias => zero output.
         assert!(y.data().iter().all(|&v| v == 0.0));
@@ -180,11 +148,10 @@ mod tests {
     fn known_small_case() {
         let mut rng = Xoshiro256::new(1);
         let mut l = Linear::new(2, 1, &mut rng);
-        l.params_mut()[0].data_mut().copy_from_slice(&[2.0, 3.0]); // W
-        l.params_mut()[1].data_mut().copy_from_slice(&[0.5]); // b
+        l.weight.data_mut().copy_from_slice(&[2.0, 3.0]);
+        l.bias.data_mut().copy_from_slice(&[0.5]);
         let x = Tensor::from_vec(Shape::matrix(1, 2), vec![1.0, 1.0]);
-        let y = forward_out(&l, &x, &mut LayerWs::new());
-        assert_eq!(y.data(), &[5.5]);
+        assert_eq!(forward_out(&l, &x).data(), &[5.5]);
     }
 
     #[test]
@@ -202,12 +169,9 @@ mod tests {
         let mut rng = Xoshiro256::new(2);
         let mut l = Linear::new(3, 2, &mut rng);
         let x = Tensor::rand_normal(Shape::matrix(4, 3), 0.0, 1.0, &mut rng);
-        let mut ws = LayerWs::new();
-        forward_out(&l, &x, &mut ws);
-        let g = Tensor::full(Shape::matrix(4, 2), 1.0);
-        backward_out(&mut l, &g, &mut ws);
+        backward_out(&mut l, &x, &Tensor::full(Shape::matrix(4, 2), 1.0));
         // db = sum over batch of dY = 4.
-        assert!(l.grads()[1].data().iter().all(|&v| (v - 4.0).abs() < 1e-6));
+        assert!(l.grad_bias.data().iter().all(|&v| (v - 4.0).abs() < 1e-6));
     }
 
     #[test]
@@ -215,20 +179,18 @@ mod tests {
         let mut rng = Xoshiro256::new(3);
         let mut l = Linear::new(3, 3, &mut rng);
         let x = Tensor::rand_normal(Shape::matrix(2, 3), 0.0, 1.0, &mut rng);
-        let mut ws = LayerWs::new();
-        forward_out(&l, &x, &mut ws);
-        backward_out(&mut l, &Tensor::full(Shape::matrix(2, 3), 1.0), &mut ws);
-        let nonzero = |l: &Linear, i: usize| l.grads()[i].data().iter().any(|&v| v != 0.0);
-        assert!(nonzero(&l, 0));
+        backward_out(&mut l, &x, &Tensor::full(Shape::matrix(2, 3), 1.0));
+        let nonzero = |t: &Tensor| t.data().iter().any(|&v| v != 0.0);
+        assert!(l.grads().iter().all(|g| nonzero(g)));
         l.zero_grad();
-        assert!(!nonzero(&l, 0));
-        assert!(!nonzero(&l, 1));
+        assert!(l.grads().iter().all(|g| !nonzero(g)));
     }
 
     #[test]
     fn num_params_counts_weight_and_bias() {
         let mut rng = Xoshiro256::new(4);
         let l = Linear::new(8, 5, &mut rng);
-        assert_eq!(l.num_params(), 8 * 5 + 5);
+        let count: usize = l.params().iter().map(|p| p.numel()).sum();
+        assert_eq!(count, 8 * 5 + 5);
     }
 }

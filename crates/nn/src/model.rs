@@ -1,57 +1,37 @@
-//! Sequential model container and the model presets used by the experiments.
+//! The experiment model: a multi-layer perceptron.
 
-use crate::activation::Relu;
-use crate::layer::Layer;
 use crate::linear::Linear;
 use crate::workspace::Workspace;
 use fl_tensor::rng::Rng;
 use fl_tensor::Tensor;
 
-/// A plain sequential stack of layers.
-#[derive(Default)]
+/// A stack of fully-connected layers with ReLU after every layer but the
+/// last: `input -> Linear -> ReLU -> … -> Linear -> logits`. Built by
+/// [`mlp`]; it always has at least one layer.
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
+    pub(crate) layers: Vec<Linear>,
 }
 
 impl Sequential {
-    /// Empty model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a layer (builder style).
-    pub fn push(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
-        self
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// True if the model has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Allocation-free forward pass: activations ping-pong between the
-    /// workspace's two buffers, per-layer backward state lands in the
-    /// workspace's layer slots, and the returned reference points into the
+    /// Allocation-free forward pass: the batch is copied into the
+    /// workspace, every layer writes its output into the next activation
+    /// slot, and the returned reference (the logits) points into the
     /// workspace. Takes `&self` — a shared model can run concurrent forward
     /// passes over per-thread workspaces.
     pub fn forward_in<'w>(&self, input: &Tensor, ws: &'w mut Workspace) -> &'w Tensor {
-        ws.ensure_layers(self.layers.len());
-        if self.layers.is_empty() {
-            ws.x_a.copy_from(input);
-            return &ws.x_a;
+        let n = self.layers.len();
+        if ws.acts.len() <= n {
+            ws.acts.resize_with(n + 1, Tensor::empty);
         }
-        self.layers[0].forward_in(input, &mut ws.x_a, &mut ws.layers[0]);
-        for i in 1..self.layers.len() {
-            self.layers[i].forward_in(&ws.x_a, &mut ws.x_b, &mut ws.layers[i]);
-            std::mem::swap(&mut ws.x_a, &mut ws.x_b);
+        ws.acts[0].copy_from(input);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (inputs, outputs) = ws.acts.split_at_mut(i + 1);
+            layer.forward_in(&inputs[i], &mut outputs[0]);
+            if i + 1 < n {
+                relu_in_place(&mut outputs[0]);
+            }
         }
-        &ws.x_a
+        &ws.acts[n]
     }
 
     /// Allocation-free backward pass through the same workspace the forward
@@ -62,33 +42,36 @@ impl Sequential {
     }
 
     /// [`backward_in`](Self::backward_in) for a training step: every
-    /// parameter gradient is written bit-identically, but the first
-    /// layer is told nobody reads `dL/d(input)` (its input is data) and may
-    /// skip computing it.
+    /// parameter gradient is written bit-identically, but `dL/d(input)` —
+    /// which nobody reads, the input being data — is not computed.
     pub fn backward_params_in(&mut self, grad_output: &Tensor, ws: &mut Workspace) {
         self.backward_through(grad_output, ws, false);
     }
 
-    /// The backward loop behind both entry points: gradients ping-pong
-    /// between the workspace's two buffers and end in `g_a`.
+    /// The backward loop behind both entry points: each layer reads its
+    /// input from the stored activations, and the gradient ping-pongs
+    /// between the workspace's two buffers, ending in `g_a`.
     fn backward_through(&mut self, grad_output: &Tensor, ws: &mut Workspace, input_grad: bool) {
-        ws.ensure_layers(self.layers.len());
         let Workspace {
-            g_a, g_b, layers, ..
+            acts,
+            g_a,
+            g_b,
+            bt_scratch,
         } = ws;
-        if self.layers.is_empty() {
-            g_a.copy_from(grad_output);
-            return;
-        }
         let last = self.layers.len() - 1;
+        assert!(acts.len() > last + 1, "backward called before forward");
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let grad = if i == last { grad_output } else { &*g_a };
-            if i == 0 && !input_grad {
-                layer.backward_params_in(grad, g_b, &mut layers[i]);
+            let grad = if i == last {
+                grad_output
             } else {
-                layer.backward_in(grad, g_b, &mut layers[i]);
+                relu_backward_in_place(g_a, &acts[i + 1]);
+                &*g_a
+            };
+            layer.backward_params_in(&acts[i], grad);
+            if i > 0 || input_grad {
+                layer.backward_input_in(grad, bt_scratch, g_b);
+                std::mem::swap(g_a, g_b);
             }
-            std::mem::swap(g_a, g_b);
         }
     }
 
@@ -99,66 +82,67 @@ impl Sequential {
         }
     }
 
-    /// Visit each `(param, grad)` pair in [`params`](Self::params) order with
-    /// simultaneous mutable parameter / immutable gradient access (the
-    /// allocation-free accessor behind the fused optimizer step).
-    pub fn visit_params_and_grads(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        for layer in &mut self.layers {
-            layer.visit_params_and_grads(f);
-        }
+    /// Every parameter tensor in flat-vector order (each layer's weight,
+    /// then its bias) — the one parameter walk, which allocates nothing.
+    pub fn params_iter(&self) -> impl Iterator<Item = &Tensor> {
+        self.layers.iter().flat_map(Linear::params)
     }
 
-    /// All trainable parameters, layer by layer.
-    pub fn params(&self) -> Vec<&Tensor> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
-    }
-
-    /// All trainable parameters, mutable.
-    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
+    /// Each parameter with its gradient, in [`params_iter`](Self::params_iter)
+    /// order.
+    pub(crate) fn params_and_grads_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
         self.layers
             .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
+            .flat_map(Linear::params_and_grads_mut)
     }
 
-    /// All gradients, aligned with `params`.
+    /// All trainable parameters, collected for indexing.
+    pub fn params(&self) -> Vec<&Tensor> {
+        self.params_iter().collect()
+    }
+
+    /// All gradients, aligned with [`params`](Self::params).
     pub fn grads(&self) -> Vec<&Tensor> {
-        self.layers.iter().flat_map(|l| l.grads()).collect()
+        self.layers.iter().flat_map(Linear::grads).collect()
     }
 
     /// Total number of trainable scalars.
     pub fn num_params(&self) -> usize {
-        self.params().iter().map(|p| p.numel()).sum()
-    }
-
-    /// Iterate over the layers themselves (used by
-    /// [`crate::params::ParamLayout`] to derive named parameter segments).
-    pub fn layers(&self) -> impl Iterator<Item = &dyn Layer> {
-        self.layers.iter().map(|l| l.as_ref())
+        self.params_iter().map(Tensor::numel).sum()
     }
 }
 
-/// Multi-layer perceptron: `input -> hidden (ReLU) x N -> classes`.
+/// ReLU in place: `x > 0.0` keeps `x`, anything else (`-0.0` and NaN
+/// included) becomes `0.0`.
+fn relu_in_place(t: &mut Tensor) {
+    for x in t.data_mut() {
+        *x = if *x > 0.0 { *x } else { 0.0 };
+    }
+}
+
+/// ReLU's backward pass in place: keep the gradient where the ReLU's output
+/// `act` is positive — exactly where its forward pass kept its input.
+fn relu_backward_in_place(grad: &mut Tensor, act: &Tensor) {
+    debug_assert_eq!(grad.numel(), act.numel(), "ReLU backward size mismatch");
+    for (g, &a) in grad.data_mut().iter_mut().zip(act.data()) {
+        *g = if a > 0.0 { *g } else { 0.0 };
+    }
+}
+
+/// Multi-layer perceptron: `input -> hidden (ReLU) x N -> classes`. With no
+/// hidden layer it is a single linear layer (logistic regression).
 ///
 /// This is the default experiment model; with the synthetic datasets a
 /// two-hidden-layer MLP gives the same qualitative compression/overlap
 /// behaviour as the paper's ResNet-18 at a small fraction of the compute.
 pub fn mlp<R: Rng>(input_dim: usize, hidden: &[usize], classes: usize, rng: &mut R) -> Sequential {
-    let mut model = Sequential::new();
+    let mut layers = Vec::with_capacity(hidden.len() + 1);
     let mut prev = input_dim;
-    for &h in hidden {
-        model = model
-            .push(Box::new(Linear::new(prev, h, rng)))
-            .push(Box::new(Relu::new()));
+    for &h in hidden.iter().chain([&classes]) {
+        layers.push(Linear::new(prev, h, rng));
         prev = h;
     }
-    model.push(Box::new(Linear::new(prev, classes, rng)))
-}
-
-/// A logistic-regression model (single linear layer); the cheapest preset,
-/// used by quick tests.
-pub fn logistic_regression<R: Rng>(input_dim: usize, classes: usize, rng: &mut R) -> Sequential {
-    Sequential::new().push(Box::new(Linear::new(input_dim, classes, rng)))
+    Sequential { layers }
 }
 
 #[cfg(test)]
@@ -180,6 +164,14 @@ mod tests {
     }
 
     #[test]
+    fn mlp_without_hidden_layers_is_one_linear_layer() {
+        let mut rng = Xoshiro256::new(5);
+        let m = mlp(10, &[], 3, &mut rng);
+        assert_eq!(m.layers.len(), 1);
+        assert_eq!(m.num_params(), 33);
+    }
+
+    #[test]
     fn params_and_grads_aligned() {
         let mut rng = Xoshiro256::new(3);
         let m = mlp(4, &[8], 3, &mut rng);
@@ -189,6 +181,24 @@ mod tests {
         for (pi, gi) in p.iter().zip(g.iter()) {
             assert_eq!(pi.numel(), gi.numel());
         }
+    }
+
+    #[test]
+    fn relu_forward_clamps_negatives() {
+        let mut y = Tensor::from_slice(&[-1.0, -0.0, 0.0, f32::NAN, 2.0]);
+        relu_in_place(&mut y);
+        let bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = [0.0f32, 0.0, 0.0, 0.0, 2.0].map(f32::to_bits).into();
+        assert_eq!(bits, want, "-0.0 and NaN become +0.0");
+    }
+
+    #[test]
+    fn relu_backward_masks_gradient() {
+        let mut act = Tensor::from_slice(&[-1.0, 0.5, -0.0, f32::NAN, 2.0]);
+        relu_in_place(&mut act);
+        let mut g = Tensor::from_slice(&[10.0; 5]);
+        relu_backward_in_place(&mut g, &act);
+        assert_eq!(g.data(), &[0.0, 10.0, 0.0, 0.0, 10.0]);
     }
 
     #[test]
@@ -227,21 +237,5 @@ mod tests {
         );
         let acc = SoftmaxCrossEntropy::accuracy(model.forward_in(&x, &mut ws), &labels);
         assert!(acc > 0.9, "accuracy after training was {acc}");
-    }
-
-    #[test]
-    fn logistic_regression_single_layer() {
-        let mut rng = Xoshiro256::new(5);
-        let m = logistic_regression(10, 3, &mut rng);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.num_params(), 33);
-    }
-
-    #[test]
-    fn empty_model_is_identity() {
-        let m = Sequential::new();
-        assert!(m.is_empty());
-        let x = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(m.forward_in(&x, &mut Workspace::new()).data(), x.data());
     }
 }

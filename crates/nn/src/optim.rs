@@ -41,50 +41,42 @@ impl Sgd {
 
     /// Apply one update step using the gradients currently stored in `model`.
     ///
-    /// Allocation-free: parameters and gradients are visited in place (no
-    /// gradient clones) and the update runs through the fused
-    /// [`fl_tensor::kernels`] loops; the velocity buffers are allocated once
-    /// on the first momentum step and reused afterwards.
+    /// Allocation-free: one walk over the parameters and their gradients in
+    /// place (no gradient clones), through the fused [`fl_tensor::kernels`]
+    /// loops; the velocity buffers are allocated once on the first momentum
+    /// step and reused afterwards.
     pub fn step(&mut self, model: &mut Sequential) {
-        if self.momentum > 0.0 && self.velocity.is_empty() {
-            let velocity = &mut self.velocity;
-            model.visit_params_and_grads(&mut |p, _g| {
-                velocity.push(Tensor::zeros(p.shape().clone()));
-            });
-        }
         let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
-        let velocity = &mut self.velocity;
-        let mut i = 0usize;
-        model.visit_params_and_grads(&mut |param, grad| {
-            if mu > 0.0 {
-                // v <- mu * v + g + wd * p ; p <- p - lr * v
-                kernels::sgd_momentum_step(
-                    lr,
-                    mu,
-                    wd,
-                    param.data_mut(),
-                    velocity[i].data_mut(),
-                    grad.data(),
-                );
-            } else {
+        if mu == 0.0 {
+            for (param, grad) in model.params_and_grads_mut() {
                 kernels::sgd_step(lr, wd, param.data_mut(), grad.data());
             }
-            i += 1;
-        });
+            return;
+        }
+        if self.velocity.is_empty() {
+            self.velocity = model
+                .params_iter()
+                .map(|p| Tensor::zeros(p.shape().clone()))
+                .collect();
+        }
+        // v <- mu * v + g + wd * p ; p <- p - lr * v
+        for ((param, grad), v) in model.params_and_grads_mut().zip(&mut self.velocity) {
+            kernels::sgd_momentum_step(lr, mu, wd, param.data_mut(), v.data_mut(), grad.data());
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::Linear;
     use crate::workspace::Workspace;
+    use crate::{mlp, unflatten_params};
     use fl_tensor::rng::Xoshiro256;
     use fl_tensor::{Shape, Tensor};
 
     fn one_layer_model() -> Sequential {
         let mut rng = Xoshiro256::new(1);
-        Sequential::new().push(Box::new(Linear::new(2, 1, &mut rng)))
+        mlp(2, &[], 1, &mut rng)
     }
 
     /// Write the gradients of one forward/backward pass of `x` under the
@@ -118,7 +110,7 @@ mod tests {
     #[test]
     fn weight_decay_shrinks_weights_without_gradient() {
         let mut model = one_layer_model();
-        model.params_mut()[0].fill(1.0);
+        unflatten_params(&mut model, &[1.0, 1.0, 0.0]);
         model.zero_grad();
         let mut opt = Sgd::new(0.1, 0.0, 0.5);
         opt.step(&mut model);
@@ -131,8 +123,7 @@ mod tests {
     fn momentum_accumulates_velocity() {
         // Constant gradient of 1: with momentum 0.9 the second step is larger.
         let mut model = one_layer_model();
-        model.params_mut()[0].fill(0.0);
-        model.params_mut()[1].fill(0.0);
+        unflatten_params(&mut model, &[0.0; 3]);
         let mut opt = Sgd::new(0.1, 0.9, 0.0);
         let x = Tensor::from_vec(Shape::matrix(1, 2), vec![1.0, 1.0]);
 
@@ -179,10 +170,7 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let step_from = |opt: &mut Sgd, x: &[f32], dy: &[f32]| {
             let mut model = one_layer_model();
-            model.params_mut()[0]
-                .data_mut()
-                .copy_from_slice(&[-0.0, 0.0]);
-            model.params_mut()[1].data_mut().copy_from_slice(&[-0.0]);
+            unflatten_params(&mut model, &[-0.0, 0.0, -0.0]);
             backprop(
                 &mut model,
                 &Tensor::from_vec(Shape::matrix(2, 2), x.to_vec()),

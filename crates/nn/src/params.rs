@@ -15,9 +15,8 @@ use crate::model::Sequential;
 /// One named slice of the flat parameter vector: a single parameter tensor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParamSegment {
-    /// Segment name, `"{kind}{index}.{param}"` — e.g. `linear0.weight`:
-    /// the lowercased layer kind, a per-kind counter over the layers that
-    /// carry parameters, and the layer's name for the tensor.
+    /// Segment name, `"linear{i}.{param}"` — e.g. `linear0.weight` — for
+    /// layer `i` of the model and its `weight` or `bias` tensor.
     pub name: String,
     /// Offset of the segment's first scalar in the flat vector.
     pub offset: usize,
@@ -57,42 +56,16 @@ pub struct ParamLayout {
 }
 
 impl ParamLayout {
-    /// Derive the layout of a model's flat parameter vector. Layers without
-    /// trainable parameters (activations) contribute no segments;
-    /// layers of the same kind are numbered in model order (`linear0`,
-    /// `linear1`, …), counting only parameterised layers.
+    /// Derive the layout of a model's flat parameter vector: layer `i`
+    /// contributes `linear{i}.weight` and `linear{i}.bias`.
     pub fn of(model: &Sequential) -> Self {
-        let mut segments = Vec::new();
-        let mut offset = 0usize;
-        let mut kind_counts: std::collections::BTreeMap<String, usize> =
-            std::collections::BTreeMap::new();
-        for layer in model.layers() {
-            let params = layer.params();
-            if params.is_empty() {
-                continue;
-            }
-            let kind = layer.name().to_ascii_lowercase();
-            let index = kind_counts.entry(kind.clone()).or_insert(0);
-            let names = layer.param_names();
-            for (i, p) in params.iter().enumerate() {
-                let n = p.numel();
-                if n == 0 {
-                    continue;
-                }
-                let pname = names.get(i).cloned().unwrap_or_else(|| format!("p{i}"));
-                segments.push(ParamSegment {
-                    name: format!("{kind}{index}.{pname}"),
-                    offset,
-                    len: n,
-                });
-                offset += n;
-            }
-            *index += 1;
-        }
-        Self {
-            segments,
-            total_len: offset,
-        }
+        Self::from_segments(model.layers.iter().enumerate().flat_map(|(i, layer)| {
+            let [weight, bias] = layer.params();
+            [
+                (format!("linear{i}.weight"), weight.numel()),
+                (format!("linear{i}.bias"), bias.numel()),
+            ]
+        }))
     }
 
     /// Build a layout from explicit `(name, len)` pairs (tests and custom
@@ -202,7 +175,7 @@ pub fn num_params(model: &Sequential) -> usize {
 /// expects and [`ParamLayout`] names).
 pub fn flatten_params(model: &Sequential) -> Vec<f32> {
     let mut out = Vec::with_capacity(model.num_params());
-    for p in model.params() {
+    for p in model.params_iter() {
         out.extend_from_slice(p.data());
     }
     out
@@ -235,11 +208,11 @@ pub fn unflatten_params(model: &mut Sequential, flat: &[f32]) {
         flat.len(),
         model.num_params()
     );
-    let mut offset = 0usize;
-    for p in model.params_mut() {
-        let n = p.numel();
-        p.data_mut().copy_from_slice(&flat[offset..offset + n]);
-        offset += n;
+    let mut rest = flat;
+    for (p, _) in model.params_and_grads_mut() {
+        let (head, tail) = rest.split_at(p.numel());
+        p.data_mut().copy_from_slice(head);
+        rest = tail;
     }
 }
 
@@ -372,12 +345,5 @@ mod tests {
         let trimmed = ParamLayout::from_segments([("x".to_string(), 0), ("y".to_string(), 3)]);
         assert_eq!(trimmed.num_segments(), 1);
         assert_eq!(trimmed.total_len(), 3);
-    }
-
-    #[test]
-    fn empty_model_has_empty_layout() {
-        let layout = ParamLayout::of(&Sequential::new());
-        assert!(layout.is_empty());
-        assert_eq!(layout.total_len(), 0);
     }
 }

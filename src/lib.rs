@@ -151,7 +151,7 @@ pub mod prelude {
         ScenarioSpec, ScenarioTelemetry, TieredScenario, TimedEvent, TraceReader, TraceScenario,
     };
     pub use fl_nn::{
-        flatten_params, mlp, segment_l1_masses, try_unflatten_params, unflatten_params, Layer,
+        flatten_params, mlp, segment_l1_masses, try_unflatten_params, unflatten_params,
         LayoutError, ParamLayout, ParamSegment, Sequential, Sgd, SoftmaxCrossEntropy,
     };
     pub use fl_tensor::{Rng, Shape, SplitMix64, Tensor, Xoshiro256};

@@ -223,7 +223,7 @@ fn sweep_driver_matches_individual_runs() {
 }
 
 #[test]
-fn dropout_and_server_momentum_scenarios_run_end_to_end() {
+fn dropout_scenario_runs_end_to_end() {
     let mut config = quick(Algorithm::BcrsOpwa);
     config.rounds = 6;
     config.dropout_rate = 0.5;
