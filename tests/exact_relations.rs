@@ -41,14 +41,9 @@ fn base(algorithm: Algorithm, rounds: usize) -> ExperimentConfig {
     c
 }
 
-fn session(config: &ExperimentConfig) -> FederatedSession {
-    config.validate().expect("a valid config");
-    FederatedSession::from_config(config)
-}
-
 /// Every round's record and the final global parameters.
 fn run(config: &ExperimentConfig) -> (Vec<RoundRecord>, Vec<f32>) {
-    let mut session = session(config);
+    let mut session = FederatedSession::from_config(config);
     while !session.is_finished() {
         session.run_round();
     }
@@ -137,7 +132,7 @@ fn a_shorter_run_is_a_prefix_of_a_longer_one() {
         let (short, _) = run(&base(algorithm, 6));
         // The first 6 rounds of the 12-round session are all the relation
         // reads.
-        let mut long = session(&base(algorithm, 12));
+        let mut long = FederatedSession::from_config(&base(algorithm, 12));
         for _ in 0..6 {
             long.run_round();
         }
