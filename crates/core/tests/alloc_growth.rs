@@ -8,7 +8,8 @@
 //! previous one — the round loop reuses its buffers instead of accumulating
 //! per-round garbage, so the only durable growth is the appended
 //! `RoundRecord` itself. The same allocator asserts the allocation-free hot
-//! paths: a warm training batch allocates nothing, a warm error-feedback
+//! paths: an empty tensor and a fresh workspace allocate nothing, a warm
+//! training batch allocates nothing, a warm error-feedback
 //! encode allocates nothing model-sized, and a second round's checkouts
 //! rebind a pooled shell instead of making clients.
 
@@ -117,6 +118,27 @@ fn steady_state_rounds_do_not_grow_the_heap() {
              (net per round: {net_after_round:?})"
         );
     }
+}
+
+#[test]
+fn empty_tensors_and_fresh_workspaces_allocate_nothing() {
+    // A shape holds its dimensions inline, so an empty tensor — the initial
+    // state of every reusable buffer — and a workspace of them cost no heap
+    // allocation, and neither does reshaping one.
+    use fl_nn::Workspace;
+    use fl_tensor::Tensor;
+
+    let before = total_allocs();
+    let mut empty = std::hint::black_box(Tensor::empty());
+    std::hint::black_box(Tensor::default());
+    std::hint::black_box(Workspace::new());
+    empty.resize_to(&[0, 7]);
+    std::hint::black_box(&empty);
+    let allocs = total_allocs() - before;
+    assert_eq!(
+        allocs, 0,
+        "Tensor::empty, Tensor::default and Workspace::new allocated {allocs} times"
+    );
 }
 
 #[test]

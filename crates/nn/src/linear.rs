@@ -1,9 +1,7 @@
 //! Fully-connected (dense) layer: the one layer kind of
 //! [`crate::model::Sequential`].
 
-use fl_tensor::matmul::{
-    add_bias_rows, matmul_a_bt_into, matmul_at_b_into, matmul_into, sum_rows_into,
-};
+use fl_tensor::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_bias_into, sum_rows_into};
 use fl_tensor::rng::Rng;
 use fl_tensor::{Shape, Tensor};
 
@@ -27,34 +25,32 @@ impl Linear {
         }
     }
 
-    /// Forward pass over a `[batch, in]` input, written into `out`.
-    pub(crate) fn forward_in(&self, input: &Tensor, out: &mut Tensor) {
+    /// Forward pass over a `[batch, in]` input, written into `out`, with
+    /// ReLU applied when `relu` (a hidden layer): `x @ W`, then `+ b`, then
+    /// the ReLU — each separately rounded, in that order — in one pass over
+    /// the output (the matmul tile's epilogue).
+    pub(crate) fn forward_in(&self, input: &Tensor, relu: bool, out: &mut Tensor) {
         assert_eq!(
             input.shape().dims()[1],
             self.weight.shape().dims()[0],
             "Linear forward: input feature count"
         );
-        matmul_into(input, &self.weight, out);
-        add_bias_rows(out, &self.bias);
+        matmul_bias_into(input, &self.weight, &self.bias, relu, out);
     }
 
     /// Parameter gradients of the pass that read `input`: `dW = X^T @ dY`
     /// and `db` = column sums of `dY`, each written over the previous
-    /// gradient (both kernels zero-fill their output first).
+    /// gradient.
     pub(crate) fn backward_params_in(&mut self, input: &Tensor, grad_output: &Tensor) {
         matmul_at_b_into(input, grad_output, &mut self.grad_weight);
         sum_rows_into(grad_output, &mut self.grad_bias);
     }
 
-    /// `dL/d(input) = dY @ W^T`, written into `grad_input`. `bt_scratch` is
-    /// `matmul_a_bt_into`'s argument, which the kernel never touches.
-    pub(crate) fn backward_input_in(
-        &self,
-        grad_output: &Tensor,
-        bt_scratch: &mut Tensor,
-        grad_input: &mut Tensor,
-    ) {
-        matmul_a_bt_into(grad_output, &self.weight, bt_scratch, grad_input);
+    /// `dL/d(input) = dY @ W^T`, written into `grad_input`.
+    pub(crate) fn backward_input_in(&self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        // The kernel never touches its scratch argument, and an empty
+        // tensor does not allocate.
+        matmul_a_bt_into(grad_output, &self.weight, &mut Tensor::empty(), grad_input);
     }
 
     /// Zero both gradient buffers.
@@ -90,7 +86,7 @@ mod tests {
     /// `forward_in` into a fresh output tensor.
     fn forward_out(layer: &Linear, x: &Tensor) -> Tensor {
         let mut y = Tensor::empty();
-        layer.forward_in(x, &mut y);
+        layer.forward_in(x, false, &mut y);
         y
     }
 
@@ -98,7 +94,7 @@ mod tests {
     fn backward_out(layer: &mut Linear, x: &Tensor, g: &Tensor) -> Tensor {
         let mut dx = Tensor::empty();
         layer.backward_params_in(x, g);
-        layer.backward_input_in(g, &mut Tensor::empty(), &mut dx);
+        layer.backward_input_in(g, &mut dx);
         dx
     }
 

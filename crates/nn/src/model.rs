@@ -26,10 +26,7 @@ impl Sequential {
         ws.acts[0].copy_from(input);
         for (i, layer) in self.layers.iter().enumerate() {
             let (inputs, outputs) = ws.acts.split_at_mut(i + 1);
-            layer.forward_in(&inputs[i], &mut outputs[0]);
-            if i + 1 < n {
-                relu_in_place(&mut outputs[0]);
-            }
+            layer.forward_in(&inputs[i], i + 1 < n, &mut outputs[0]);
         }
         &ws.acts[n]
     }
@@ -52,12 +49,7 @@ impl Sequential {
     /// input from the stored activations, and the gradient ping-pongs
     /// between the workspace's two buffers, ending in `g_a`.
     fn backward_through(&mut self, grad_output: &Tensor, ws: &mut Workspace, input_grad: bool) {
-        let Workspace {
-            acts,
-            g_a,
-            g_b,
-            bt_scratch,
-        } = ws;
+        let Workspace { acts, g_a, g_b } = ws;
         let last = self.layers.len() - 1;
         assert!(acts.len() > last + 1, "backward called before forward");
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
@@ -69,7 +61,7 @@ impl Sequential {
             };
             layer.backward_params_in(&acts[i], grad);
             if i > 0 || input_grad {
-                layer.backward_input_in(grad, bt_scratch, g_b);
+                layer.backward_input_in(grad, g_b);
                 std::mem::swap(g_a, g_b);
             }
         }
@@ -109,14 +101,6 @@ impl Sequential {
     /// Total number of trainable scalars.
     pub fn num_params(&self) -> usize {
         self.params_iter().map(Tensor::numel).sum()
-    }
-}
-
-/// ReLU in place: `x > 0.0` keeps `x`, anything else (`-0.0` and NaN
-/// included) becomes `0.0`.
-fn relu_in_place(t: &mut Tensor) {
-    for x in t.data_mut() {
-        *x = if *x > 0.0 { *x } else { 0.0 };
     }
 }
 
@@ -185,17 +169,32 @@ mod tests {
 
     #[test]
     fn relu_forward_clamps_negatives() {
-        let mut y = Tensor::from_slice(&[-1.0, -0.0, 0.0, f32::NAN, 2.0]);
-        relu_in_place(&mut y);
-        let bits: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u32> = [0.0f32, 0.0, 0.0, 0.0, 2.0].map(f32::to_bits).into();
-        assert_eq!(bits, want, "-0.0 and NaN become +0.0");
+        // A 1 -> 1 hidden layer with weight 1e-30 and bias -0.0: the inputs
+        // give a negative, an underflowed -0.0 (`fma(-1e-30, 1e-30, +0.0)`
+        // rounds once, to -0.0, and -0.0 + -0.0 stays -0.0), +0.0, NaN and a
+        // positive pre-activation, and the ReLU in the tile's epilogue maps
+        // all but the last to +0.0.
+        let mut m = mlp(1, &[1], 1, &mut Xoshiro256::new(9));
+        m.layers[0].weight.data_mut()[0] = 1e-30;
+        m.layers[0].bias.data_mut()[0] = -0.0;
+        let x = Tensor::from_vec(Shape::matrix(5, 1), vec![-1.0, -1e-30, 0.0, f32::NAN, 2.0]);
+        let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+        let mut pre = Tensor::empty();
+        m.layers[0].forward_in(&x, false, &mut pre);
+        assert_eq!(pre.data()[1].to_bits(), (-0.0f32).to_bits());
+        assert!(pre.data()[3].is_nan());
+        let mut ws = Workspace::new();
+        m.forward_in(&x, &mut ws);
+        let want: Vec<u32> = [0.0f32, 0.0, 0.0, 0.0, 2.0 * 1e-30]
+            .map(f32::to_bits)
+            .into();
+        assert_eq!(bits(&ws.acts[1]), want, "-0.0 and NaN become +0.0");
     }
 
     #[test]
     fn relu_backward_masks_gradient() {
-        let mut act = Tensor::from_slice(&[-1.0, 0.5, -0.0, f32::NAN, 2.0]);
-        relu_in_place(&mut act);
+        // A post-ReLU activation: zero wherever the forward pass clamped.
+        let act = Tensor::from_slice(&[0.0, 0.5, 0.0, 0.0, 2.0]);
         let mut g = Tensor::from_slice(&[10.0; 5]);
         relu_backward_in_place(&mut g, &act);
         assert_eq!(g.data(), &[0.0, 10.0, 0.0, 0.0, 10.0]);

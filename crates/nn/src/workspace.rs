@@ -2,8 +2,8 @@
 //!
 //! A [`Workspace`] owns every intermediate buffer a forward/backward pass of
 //! [`crate::model::Sequential`] needs: one activation tensor per layer
-//! boundary (the copied batch, then each layer's output, ReLU applied in
-//! place for hidden layers) and two gradient buffers. The backward pass
+//! boundary (the copied batch, then each layer's output, after its ReLU for
+//! hidden layers) and two gradient buffers. The backward pass
 //! reads each layer's input, and each hidden ReLU's mask, from the stored
 //! activations. Buffers are grown on first use and reused verbatim
 //! afterwards, so a steady-state training batch performs no heap allocation
@@ -17,18 +17,14 @@
 
 use fl_tensor::Tensor;
 
-/// Scratch arena for one model. Create one per training context (it is
-/// cheap and empty until first use) and reuse it for every batch.
+/// Scratch arena for one model. Create one per training context (it makes
+/// no allocation until first use) and reuse it for every batch.
 #[derive(Default)]
 pub struct Workspace {
     /// `acts[0]` is the batch; `acts[i + 1]` is layer `i`'s output.
     pub(crate) acts: Vec<Tensor>,
     pub(crate) g_a: Tensor,
     pub(crate) g_b: Tensor,
-    /// `matmul_a_bt_into`'s scratch argument, which the kernel never
-    /// touches. It lives here because even an empty [`Tensor`] allocates its
-    /// shape.
-    pub(crate) bt_scratch: Tensor,
 }
 
 impl Workspace {

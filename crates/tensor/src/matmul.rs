@@ -1,16 +1,41 @@
 //! Matrix multiplication and related linear-algebra kernels.
 //!
-//! The three matmul entry points share one cache-blocked, register-tiled
-//! kernel, and that kernel is the only path: a tile of up to 6×16 outputs is
-//! accumulated in registers while the k dimension streams through it, a row
-//! remainder runs the same tile with fewer rows, a ragged last column stripe
-//! runs it zero-padded, and large products are parallelised over disjoint
-//! row blocks of the output via [`crate::parallel`]. The gradient variants
-//! differ only in how operands are read — `matmul_at_b_into` gathers its
-//! `A` panels out of the stored `[k, m]` matrix, `matmul_a_bt_into` packs its
-//! `B` stripes out of the stored `[n, k]` matrix — so no transposed copy of
-//! either operand is ever materialised. Each writes into a caller-owned
-//! output tensor; there is no allocating form.
+//! The four matmul entry points share one cache-blocked, register-tiled
+//! kernel. A tile of up to 6×16 outputs is accumulated in registers while
+//! the k dimension streams through it; row bands are split evenly (32 rows
+//! run as 6+6+5+5+5+5, not 6×5+2), a ragged last column stripe runs
+//! zero-padded, and large products are parallelised over disjoint row
+//! blocks of the output via [`crate::parallel`]. In the manner of Goto and
+//! van de Geijn ("Anatomy of High-Performance Matrix Multiplication", ACM
+//! TOMS 2008), each operand is put once per cache block into the layout
+//! the tile streams, and a tile's accumulators live in registers from their
+//! first `k` step to the end of their `k` block:
+//!
+//! - **Operand layouts.** `B` is packed into `NR`-wide stripes (zero-padded)
+//!   whatever its layout; `matmul_a_bt_into` packs them straight out of the
+//!   stored `[n, k]` matrix. `A` is read in place: row-major when stored
+//!   `[m, k]`, and for `matmul_at_b_into`'s stored `[k, m]` matrix as one
+//!   contiguous run of the band's rows per `k` step — the `Aᵀ` panel is
+//!   already p-major, so nothing is gathered and no `m`-strided column is
+//!   walked. No transposed copy of either operand is ever materialised.
+//! - **Zero-start accumulators.** The first `k` block's accumulators start
+//!   at `+0.0` in registers, so the entry points neither zero-fill their
+//!   output nor read it back; only a later `k` block (`k > 256`) resumes
+//!   from the partial sums it stored. Every output element is written, so
+//!   stale contents of a reused output never leak; `k == 0` writes zeros.
+//! - **Narrow outputs.** With fewer than `NR` (16) columns — the 10-class
+//!   layer — a 16-lane tile would be mostly padding, so the kernel computes
+//!   `Cᵀ = Bᵀ·Aᵀ` instead: the lanes run over 16 output *rows* (a packed
+//!   `Aᵀ` stripe), `Bᵀ` is read in place, and `f32::mul_add` is symmetric
+//!   in its two factors, so every element is the same fused chain as
+//!   before.
+//! - **Epilogue.** [`matmul_bias_into`] (`Linear`'s forward pass) adds the
+//!   bias, then applies the ReLU if asked, to each band of tiles as soon as
+//!   its last `k` block leaves the registers, while the band is in L1: the
+//!   same two separately rounded operations, in the same order, as a bias
+//!   pass and a ReLU pass after the product. (Applying
+//!   them to the accumulators themselves measured slower: the extra code
+//!   costs the tile its register allocation.)
 //!
 //! Determinism contract: every output element accumulates its `k`
 //! contributions in ascending order into a single `f32` accumulator, one
@@ -64,7 +89,6 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (k2, n) = as_matrix_dims(b, "matmul rhs");
     assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
     out.resize_to(&[m, n]);
-    out.fill(0.0);
     nt_parallel::<true, false, false>(
         a.data(),
         k,
@@ -73,6 +97,34 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         n,
         out.data_mut(),
         auto_threads(m, k, n),
+    );
+}
+
+/// `C = A @ B + bias`, the bias added to every row, then ReLU (`x > 0.0`
+/// keeps `x`, anything else — `-0.0` and NaN included — becomes `+0.0`)
+/// when `relu` is set: a dense layer's forward pass in one sweep over the
+/// output. Bit-identical to [`matmul_into`], then `out[i][j] += bias[j]`,
+/// then a ReLU pass — the epilogue makes the same separately rounded add
+/// and the same comparison, in the same order.
+pub fn matmul_bias_into(a: &Tensor, b: &Tensor, bias: &Tensor, relu: bool, out: &mut Tensor) {
+    let (m, k) = as_matrix_dims(a, "matmul lhs");
+    let (k2, n) = as_matrix_dims(b, "matmul rhs");
+    assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
+    assert_eq!(bias.numel(), n, "bias length must equal column count");
+    out.resize_to(&[m, n]);
+    let epi = Epilogue {
+        bias: bias.data(),
+        relu,
+    };
+    nt_parallel_with::<true, false, false>(
+        a.data(),
+        k,
+        k,
+        b.data(),
+        n,
+        out.data_mut(),
+        auto_threads(m, k, n),
+        Some(epi),
     );
 }
 
@@ -86,7 +138,6 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         "matmul_at_b: leading dimensions differ ({k} vs {k2})"
     );
     out.resize_to(&[m, n]);
-    out.fill(0.0);
     nt_parallel::<true, true, false>(
         a.data(),
         m,
@@ -111,7 +162,6 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, _bt_scratch: &mut Tensor, out: &
     let (n, k2) = as_matrix_dims(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
     out.resize_to(&[m, n]);
-    out.fill(0.0);
     nt_parallel::<false, false, true>(
         a.data(),
         k,
@@ -123,14 +173,43 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, _bt_scratch: &mut Tensor, out: &
     );
 }
 
-/// Split `out` into contiguous row blocks and run the blocked kernel on
-/// each; blocks write disjoint output so any schedule is bit-identical.
-///
-/// The three const flags are the entry points' operand conventions: `SKIP`
-/// keeps the historical skip of zero `A` entries, `AT` reads `A` out of a
-/// stored `[k, m]` matrix (`a_stride = m`; otherwise `[m, k]` with
-/// `a_stride = k`), `BT` reads `B` out of a stored `[n, k]` matrix
-/// (otherwise `[k, n]`). Neither transposed operand is ever materialised.
+/// What [`matmul_bias_into`] does to each output after its last `k` step:
+/// add the bias of its column, then, if `relu`, clamp it at zero.
+#[derive(Clone, Copy)]
+struct Epilogue<'a> {
+    bias: &'a [f32],
+    relu: bool,
+}
+
+/// Apply `epi`, if any, to columns `j..j + w` of every row of `rows` (rows
+/// of `n`): the tiles that just stored them leave them in L1.
+fn finish(epi: Option<Epilogue>, rows: &mut [f32], n: usize, j: usize, w: usize) {
+    let Some(Epilogue { bias, relu }) = epi else {
+        return;
+    };
+    for row in rows.chunks_exact_mut(n) {
+        let row = &mut row[j..j + w];
+        for (v, b) in row.iter_mut().zip(&bias[j..]) {
+            *v += b;
+        }
+        if relu {
+            for v in row.iter_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+    }
+}
+
+/// How a register tile treats one `k` block: whether it runs the
+/// zero-skipping variant (`check`), and whether its accumulators start at
+/// `+0.0` (`first`, the first block) rather than resume from the output.
+#[derive(Clone, Copy)]
+struct Tile {
+    check: bool,
+    first: bool,
+}
+
+/// [`nt_parallel_with`] for the plain product.
 fn nt_parallel<const SKIP: bool, const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
@@ -140,26 +219,83 @@ fn nt_parallel<const SKIP: bool, const AT: bool, const BT: bool>(
     out: &mut [f32],
     max_threads: usize,
 ) {
+    nt_parallel_with::<SKIP, AT, BT>(ad, a_stride, k, bd, n, out, max_threads, None);
+}
+
+/// Split `out` into contiguous row blocks and run the blocked kernel on
+/// each; blocks write disjoint output so any schedule is bit-identical.
+/// Every element of `out` is overwritten; nothing is read from it first.
+///
+/// The three const flags are the entry points' operand conventions: `SKIP`
+/// keeps the historical skip of zero `A` entries, `AT` reads `A` out of a
+/// stored `[k, m]` matrix (`a_stride = m`; otherwise `[m, k]` with
+/// `a_stride = k`), `BT` reads `B` out of a stored `[n, k]` matrix
+/// (otherwise `[k, n]`). Neither transposed operand is ever materialised.
+#[allow(clippy::too_many_arguments)]
+fn nt_parallel_with<const SKIP: bool, const AT: bool, const BT: bool>(
+    ad: &[f32],
+    a_stride: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+    max_threads: usize,
+    epi: Option<Epilogue>,
+) {
     if n == 0 || out.is_empty() {
         return;
     }
     parallel_row_blocks(out, n, max_threads, |row0, chunk| {
-        nt_rows::<SKIP, AT, BT>(ad, a_stride, row0, k, bd, n, chunk);
+        if k == 0 {
+            chunk.fill(0.0);
+            finish(epi, chunk, n, 0, n);
+        } else if n < NR {
+            narrow_rows::<SKIP, AT, BT>(ad, a_stride, row0, k, bd, n, chunk, epi);
+        } else {
+            nt_rows::<SKIP, AT, BT>(ad, a_stride, row0, k, bd, n, chunk, epi);
+        }
     });
 }
 
-/// `out_block = A[row0..row0+rows] @ B`.
+thread_local! {
+    /// The packed `B` panel (the wide kernel) or `Aᵀ` stripe (the narrow
+    /// one): a buffer per thread, grown once, so steady-state matmuls
+    /// perform no heap allocation. Every stripe is fully rewritten before it
+    /// is read, so reuse cannot leak stale values.
+    static PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// `rows` split into `⌈rows / MR⌉` bands as even as possible, as
+/// `(first row, row count)`: 32 rows run as 6+6+5+5+5+5, where a plain
+/// `MR` stride would leave a 2-row band that keeps the FMA units half idle.
+fn bands(rows: usize) -> impl Iterator<Item = (usize, usize)> {
+    let count = rows.div_ceil(MR);
+    let (base, extra) = (rows / count.max(1), rows % count.max(1));
+    (0..count).map(move |b| (b * base + b.min(extra), base + usize::from(b < extra)))
+}
+
+/// Largest magnitude bit pattern in `values`: an integer max vectorises
+/// where a short-circuiting `is_finite` scan does not, and infinities and
+/// NaNs are exactly the patterns at or above the infinity exponent.
+fn max_mag<'a>(values: impl IntoIterator<Item = &'a f32>) -> u32 {
+    values
+        .into_iter()
+        .fold(0, |m, v| m.max(v.to_bits() & 0x7fff_ffff))
+}
+
+/// `out_block = A[row0..row0+rows] @ B` for `n >= NR`.
 ///
 /// Structure: `NC`-column × `KC`-deep cache blocks around one register tile
-/// of up to `MR` rows × `NR` columns, which serves every shape — a row
-/// remainder runs the same tile instantiated for fewer rows, a ragged last
-/// column stripe is packed zero-padded to `NR` and written back only as wide
-/// as it is. A tile's accumulators resume from the partial sums in
-/// `out_block` and return there after each `k` block, and the `k` blocks run
-/// in ascending order — so every output element still receives its `k`
-/// contributions in exactly the ascending single-accumulator order of the
-/// plain ikj loop, one fused step each, regardless of the blocking. Padded lanes never mix with
-/// kept ones (each lane is its own accumulator) and are discarded.
+/// of up to `MR` rows × `NR` columns, which serves every shape — a row band
+/// runs the tile instantiated for its row count, a ragged last column
+/// stripe is packed zero-padded to `NR` and written back only as wide as it
+/// is. A tile's accumulators start at `+0.0` in the first `k` block, and in
+/// a later one resume from the partial sums the previous block stored; the
+/// `k` blocks run in ascending order — so every output element still
+/// receives its `k` contributions in exactly the ascending single-accumulator
+/// order of the plain ikj loop, one fused step each, regardless of the
+/// blocking. Padded lanes never mix with kept ones (each lane is its own
+/// accumulator) and are discarded.
 ///
 /// Zero skip (`SKIP`), decided per packed `B` panel: when every `B` entry of
 /// the panel is finite, skipping a zero `A` entry and accumulating its
@@ -179,6 +315,7 @@ fn nt_parallel<const SKIP: bool, const AT: bool, const BT: bool>(
 /// in the *sign of an exactly-zero output* and in nothing else. Which tile
 /// runs is a function of the `B` panel alone — not of threads or of how rows
 /// are blocked — so the determinism contract is unaffected.
+#[allow(clippy::too_many_arguments)]
 fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
@@ -187,18 +324,14 @@ fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
     bd: &[f32],
     n: usize,
     out_block: &mut [f32],
+    epi: Option<Epilogue>,
 ) {
     let rows = out_block.len() / n;
-    // The pack buffer is a thread-local grown once per thread, so
-    // steady-state matmuls perform no heap allocation; every stripe is fully
-    // rewritten before it is read, so reuse cannot leak stale values.
-    thread_local! {
-        static BPACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
-    BPACK.with(|cell| {
+    PACK.with(|cell| {
         let mut bpack = cell.borrow_mut();
-        bpack.resize(KC * NC, 0.0);
-        let mut apack = [0.0f32; MR * KC];
+        if bpack.len() < KC * NC {
+            bpack.resize(KC * NC, 0.0);
+        }
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for kb in (0..k).step_by(KC) {
@@ -206,39 +339,127 @@ fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
                 let panel = &mut bpack[..nc.div_ceil(NR) * kc * NR];
                 let b_finite =
                     pack_b::<SKIP, BT>(bd, if BT { k } else { n }, kb, kc, jc, nc, panel);
-                let check = SKIP && !b_finite;
-                for i in (0..rows).step_by(MR) {
-                    let r = MR.min(rows - i);
-                    // The tile reads `A` as a row-major `[r, kc]` block: in
-                    // place, or gathered once per row band when the operand
-                    // is stored transposed (an `m`-strided column walk
-                    // otherwise repeated for every stripe).
-                    let (a, a_ld) = if AT {
-                        for (rr, dst) in apack.chunks_exact_mut(kc).take(r).enumerate() {
-                            let col = &ad[kb * a_stride + row0 + i + rr..];
-                            for (d, &v) in dst.iter_mut().zip(col.iter().step_by(a_stride)) {
-                                *d = v;
-                            }
-                        }
-                        (&apack[..], kc)
+                let tile = Tile {
+                    check: SKIP && !b_finite,
+                    first: kb == 0,
+                };
+                for (i, r) in bands(rows) {
+                    // The tile reads `A` in place: row-major `[r, kc]`, or
+                    // — stored transposed — one contiguous `r`-run per `k`
+                    // step.
+                    let a = if AT {
+                        &ad[kb * a_stride + row0 + i..]
                     } else {
-                        (&ad[(row0 + i) * a_stride + kb..], a_stride)
+                        &ad[(row0 + i) * a_stride + kb..]
                     };
                     let band = &mut out_block[i * n..(i + r) * n];
                     // One out-of-line instantiation per row count: inlining
                     // them all here costs the tile its register allocation.
                     match r {
-                        1 => row_band::<1>(a, a_ld, panel, kc, band, n, jc, check),
-                        2 => row_band::<2>(a, a_ld, panel, kc, band, n, jc, check),
-                        3 => row_band::<3>(a, a_ld, panel, kc, band, n, jc, check),
-                        4 => row_band::<4>(a, a_ld, panel, kc, band, n, jc, check),
-                        5 => row_band::<5>(a, a_ld, panel, kc, band, n, jc, check),
-                        _ => row_band::<MR>(a, a_ld, panel, kc, band, n, jc, check),
+                        1 => row_band::<AT, 1>(a, a_stride, panel, kc, band, n, jc, tile),
+                        2 => row_band::<AT, 2>(a, a_stride, panel, kc, band, n, jc, tile),
+                        3 => row_band::<AT, 3>(a, a_stride, panel, kc, band, n, jc, tile),
+                        4 => row_band::<AT, 4>(a, a_stride, panel, kc, band, n, jc, tile),
+                        5 => row_band::<AT, 5>(a, a_stride, panel, kc, band, n, jc, tile),
+                        _ => row_band::<AT, MR>(a, a_stride, panel, kc, band, n, jc, tile),
+                    }
+                    // The epilogue runs on the band's tiles as they leave
+                    // the registers, while they are still in L1.
+                    if kb + kc == k {
+                        finish(epi, band, n, jc, nc);
                     }
                 }
             }
         }
     });
+}
+
+/// `out_block = A[row0..row0+rows] @ B` for `n < NR`, computed as
+/// `Cᵀ = Bᵀ·Aᵀ`: the tile's lanes run over up to `NR` output rows (a packed
+/// `Aᵀ` stripe) and its rows over up to `MR` output columns (`Bᵀ`'s rows,
+/// read in place), so a 10-column product fills every lane instead of 10 of
+/// 16. Each lane still accumulates `fma(b, a, acc) == fma(a, b, acc)` over
+/// ascending `k`, starting at `+0.0`, so the bits are the wide kernel's. The
+/// zero skip is decided per `KC`-deep block of `B` — the same `KC × NC`
+/// region [`nt_rows`] decides on, as `n < NC` — and skips per lane, where
+/// the zero `A` entries now sit.
+#[allow(clippy::too_many_arguments)]
+fn narrow_rows<const SKIP: bool, const AT: bool, const BT: bool>(
+    ad: &[f32],
+    a_stride: usize,
+    row0: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out_block: &mut [f32],
+    epi: Option<Epilogue>,
+) {
+    let rows = out_block.len() / n;
+    PACK.with(|cell| {
+        let mut lanes = cell.borrow_mut();
+        if lanes.len() < KC * NC {
+            lanes.resize(KC * NC, 0.0);
+        }
+        for kb in (0..k).step_by(KC) {
+            let kc = KC.min(k - kb);
+            let b_finite = !SKIP
+                || if BT {
+                    max_mag(bd.chunks(k).flat_map(|row| &row[kb..kb + kc]))
+                } else {
+                    max_mag(&bd[kb * n..(kb + kc) * n])
+                } < f32::INFINITY.to_bits();
+            let tile = Tile {
+                check: !b_finite,
+                first: kb == 0,
+            };
+            for i in (0..rows).step_by(NR) {
+                let w = NR.min(rows - i);
+                // `Aᵀ`'s columns `i..i + w` as one zero-padded `NR` stripe.
+                let lanes = &mut lanes[..kc * NR];
+                if AT {
+                    pack_b::<false, false>(ad, a_stride, kb, kc, row0 + i, w, lanes);
+                } else {
+                    pack_b::<false, true>(ad, a_stride, kb, kc, row0 + i, w, lanes);
+                }
+                let out_rows = &mut out_block[i * n..(i + w) * n];
+                // `Bᵀ` is `A`-shaped the other way round: a `[k, n]` `B`
+                // holds its rows transposed.
+                if BT {
+                    col_bands::<false>(&bd[kb..], k, lanes, kc, out_rows, n, tile);
+                } else {
+                    col_bands::<true>(&bd[kb * n..], n, lanes, kc, out_rows, n, tile);
+                }
+                if kb + kc == k {
+                    finish(epi, out_rows, n, 0, n);
+                }
+            }
+        }
+    });
+}
+
+/// Every column band of the narrow kernel for one `Aᵀ` stripe; `bt` holds
+/// `Bᵀ` from `k` step `kb` on, transposed (`BT_T`, rows of `ld = n`) or not
+/// (rows of `ld = k`).
+fn col_bands<const BT_T: bool>(
+    bt: &[f32],
+    ld: usize,
+    lanes: &[f32],
+    kc: usize,
+    out_rows: &mut [f32],
+    n: usize,
+    tile: Tile,
+) {
+    for (j, r) in bands(n) {
+        let b = if BT_T { &bt[j..] } else { &bt[j * ld..] };
+        match r {
+            1 => col_band::<BT_T, 1>(b, ld, lanes, kc, out_rows, n, j, tile),
+            2 => col_band::<BT_T, 2>(b, ld, lanes, kc, out_rows, n, j, tile),
+            3 => col_band::<BT_T, 3>(b, ld, lanes, kc, out_rows, n, j, tile),
+            4 => col_band::<BT_T, 4>(b, ld, lanes, kc, out_rows, n, j, tile),
+            5 => col_band::<BT_T, 5>(b, ld, lanes, kc, out_rows, n, j, tile),
+            _ => col_band::<BT_T, MR>(b, ld, lanes, kc, out_rows, n, j, tile),
+        }
+    }
 }
 
 /// Pack `B[kb..kb+kc, jc..jc+nc]` into `panel` as `NR`-wide stripes, each
@@ -256,43 +477,41 @@ fn pack_b<const SKIP: bool, const BT: bool>(
     nc: usize,
     panel: &mut [f32],
 ) -> bool {
-    // Largest magnitude bit pattern seen: an integer max vectorises where a
-    // short-circuiting `is_finite` scan does not, and infinities and NaNs
-    // are exactly the patterns at or above the infinity exponent.
-    let mut max_mag = 0u32;
+    let mut max = 0u32;
     for (stripe, j) in panel
         .chunks_exact_mut(kc * NR)
         .zip((jc..jc + nc).step_by(NR))
     {
         let w = NR.min(jc + nc - j);
         if BT {
-            // Each source row is one packed column: contiguous reads,
-            // `NR`-strided writes inside the L1-resident stripe.
-            if w < NR {
-                stripe.fill(0.0);
-            }
-            for c in 0..w {
-                let src = &bd[(j + c) * ld + kb..][..kc];
-                for (dst, &v) in stripe[c..].iter_mut().step_by(NR).zip(src) {
-                    *dst = v;
-                    if SKIP {
-                        max_mag = max_mag.max(v.to_bits() & 0x7fff_ffff);
-                    }
+            // Source row `c` is packed column `c`: each packed run gathers
+            // one value from each row (zeros past the last), written whole.
+            const ZEROS: [f32; KC] = [0.0; KC];
+            let rows: [&[f32]; NR] = std::array::from_fn(|c| {
+                if c < w {
+                    &bd[(j + c) * ld + kb..][..kc]
+                } else {
+                    &ZEROS[..kc]
                 }
+            });
+            for (dst, pi) in stripe.chunks_exact_mut(NR).zip(0..kc) {
+                let dst: &mut [f32; NR] = dst.try_into().expect("NR-wide runs");
+                *dst = std::array::from_fn(|c| rows[c][pi]);
+            }
+            if SKIP {
+                max = max.max(max_mag(rows.iter().flat_map(|row| row.iter())));
             }
         } else {
             for (pi, dst) in stripe.chunks_exact_mut(NR).enumerate() {
                 let run = load_run(&bd[(kb + pi) * ld + j..][..w]);
                 dst.copy_from_slice(&run);
                 if SKIP {
-                    for v in run {
-                        max_mag = max_mag.max(v.to_bits() & 0x7fff_ffff);
-                    }
+                    max = max.max(max_mag(&run));
                 }
             }
         }
     }
-    max_mag < f32::INFINITY.to_bits()
+    max < f32::INFINITY.to_bits()
 }
 
 /// An `NR`-run from a slice of up to `NR` values, zero-padded. Ragged runs
@@ -321,30 +540,32 @@ fn store_run(run: [f32; NR], dst: &mut [f32]) {
 }
 
 /// One band of `R` output rows against every stripe of a packed panel:
-/// load the accumulators, run the tile, write back the kept columns.
+/// start or resume the accumulators, run the tile, write back the kept
+/// columns. `a` holds the band's `A` rows from `k` step `kb` on, stored
+/// transposed (`AT`, `ld = m`) or not (`ld = k`).
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn row_band<const R: usize>(
+fn row_band<const AT: bool, const R: usize>(
     a: &[f32],
-    a_ld: usize,
+    ld: usize,
     panel: &[f32],
     kc: usize,
     band: &mut [f32],
     n: usize,
     jc: usize,
-    check: bool,
+    tile: Tile,
 ) {
-    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * a_ld..][..kc]);
     for (stripe, j) in panel.chunks_exact(kc * NR).zip((jc..n).step_by(NR)) {
         let w = NR.min(n - j);
-        let mut acc = [[0.0f32; NR]; R];
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            *acc_row = load_run(&band[r * n + j..][..w]);
-        }
-        if check {
-            nt_tile::<true, R>(a_rows, stripe, &mut acc);
+        let mut acc = if tile.first {
+            [[0.0f32; NR]; R]
         } else {
-            nt_tile::<false, R>(a_rows, stripe, &mut acc);
+            std::array::from_fn(|r| load_run(&band[r * n + j..][..w]))
+        };
+        if tile.check {
+            nt_tile::<true, AT, R>(a, ld, stripe, &mut acc);
+        } else {
+            nt_tile::<false, AT, R>(a, ld, stripe, &mut acc);
         }
         for (r, &acc_row) in acc.iter().enumerate() {
             store_run(acc_row, &mut band[r * n + j..][..w]);
@@ -352,46 +573,150 @@ fn row_band<const R: usize>(
     }
 }
 
+/// The narrow kernel's tile: output columns `j..j + R` of the rows in
+/// `out_rows` (at most `NR`, one per lane of `lanes`, the packed `Aᵀ`
+/// stripe), against the `Bᵀ` rows in `b` (laid out as [`row_band`]'s `a`).
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn col_band<const BT_T: bool, const R: usize>(
+    b: &[f32],
+    ld: usize,
+    lanes: &[f32],
+    kc: usize,
+    out_rows: &mut [f32],
+    n: usize,
+    j: usize,
+    tile: Tile,
+) {
+    let mut acc = if tile.first {
+        [[0.0f32; NR]; R]
+    } else {
+        gather_cols(out_rows, n, j)
+    };
+    if tile.check {
+        skipping_col_tile::<BT_T, R>(b, ld, &lanes[..kc * NR], &mut acc);
+    } else {
+        nt_tile::<false, BT_T, R>(b, ld, &lanes[..kc * NR], &mut acc);
+    }
+    scatter_cols(acc, out_rows, n, j);
+}
+
+/// The narrow tile's zero-skipping variant: a zero `A` entry — a lane — is
+/// left out. Only a `B` block holding a non-finite value runs it.
+#[inline(never)]
+fn skipping_col_tile<const BT_T: bool, const R: usize>(
+    b: &[f32],
+    ld: usize,
+    lanes: &[f32],
+    acc: &mut [[f32; NR]; R],
+) {
+    for (pi, a_run) in lanes.chunks_exact(NR).enumerate() {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let b_v = if BT_T { b[pi * ld + r] } else { b[r * ld + pi] };
+            for (o, &a) in acc_row.iter_mut().zip(a_run) {
+                if a != 0.0 {
+                    *o = a.mul_add(b_v, *o);
+                }
+            }
+        }
+    }
+}
+
+/// Columns `j..j + R` of `out_rows` as `R` lane runs (one lane per row,
+/// zero-padded past the last row). Out of line, so the accumulators it fills
+/// only ever see a whole-array copy.
+#[inline(never)]
+fn gather_cols<const R: usize>(out_rows: &[f32], n: usize, j: usize) -> [[f32; NR]; R] {
+    let mut cols = [[0.0f32; NR]; R];
+    for (l, row) in out_rows.chunks_exact(n).enumerate() {
+        for (col, &v) in cols.iter_mut().zip(&row[j..j + R]) {
+            col[l] = v;
+        }
+    }
+    cols
+}
+
+/// Write `R` lane runs back as columns `j..j + R` of `out_rows`, dropping
+/// the padded lanes (see [`gather_cols`]).
+#[inline(never)]
+fn scatter_cols<const R: usize>(cols: [[f32; NR]; R], out_rows: &mut [f32], n: usize, j: usize) {
+    for (l, row) in out_rows.chunks_exact_mut(n).enumerate() {
+        for (o, col) in row[j..j + R].iter_mut().zip(&cols) {
+            *o = col[l];
+        }
+    }
+}
+
 /// The register tile's `p` loop over one packed `B` stripe (`kc`
-/// consecutive `NR`-wide runs) and `R` rows of `A`, each `kc` long. `CHECK`
-/// selects the zero-skipping variant.
+/// consecutive `NR`-wide runs) and `R` rows of `A` from `a`: each row `kc`
+/// long and `ld` apart, or — `AT`, stored transposed — one `R`-run per `k`
+/// step, `ld` apart. `CHECK` selects the zero-skipping variant.
 ///
 /// Each step is `f32::mul_add`, never `acc + a * b`: Rust does not contract
 /// the latter, and the two-instruction form was this kernel's ceiling. With
 /// the `fma` target feature (`.cargo/config.toml`) a lane's step is one
 /// instruction; without it the step is a libm call with the same result.
 #[inline(always)]
-fn nt_tile<const CHECK: bool, const R: usize>(
-    a_rows: [&[f32]; R],
+fn nt_tile<const CHECK: bool, const AT: bool, const R: usize>(
+    a: &[f32],
+    ld: usize,
     stripe: &[f32],
     acc: &mut [[f32; NR]; R],
 ) {
-    // Pinning every row to the stripe's depth lets the `p` loop index the
-    // rows without a bounds check apiece.
     let kc = stripe.len() / NR;
-    assert!(a_rows.iter().all(|row| row.len() == kc));
-    for (b_run, pi) in stripe.chunks_exact(NR).zip(0..kc) {
-        let b_tile: &[f32; NR] = b_run.try_into().expect("chunks_exact yields NR-wide runs");
-        for (a_row, acc_row) in a_rows.iter().zip(acc.iter_mut()) {
-            let a_ip = a_row[pi];
-            if CHECK && a_ip == 0.0 {
-                continue;
-            }
-            for (o, &b_pj) in acc_row.iter_mut().zip(b_tile) {
-                *o = a_ip.mul_add(b_pj, *o);
-            }
+    if AT {
+        // Two steps per iteration, as below; one bounds check pins both
+        // `R`-runs.
+        let mut pairs = stripe.chunks_exact(2 * NR);
+        for (b_pair, a_pair) in pairs.by_ref().zip(a.chunks(2 * ld)) {
+            let (b0, b1) = b_pair.split_at(NR);
+            let a1: &[f32; R] = a_pair[ld..ld + R].try_into().expect("R-run");
+            let a0: &[f32; R] = a_pair[..R].try_into().expect("R-run");
+            tile_step::<CHECK, R>(*a0, b0, acc);
+            tile_step::<CHECK, R>(*a1, b1, acc);
+        }
+        if !pairs.remainder().is_empty() {
+            let a_p: &[f32; R] = a[(kc - 1) * ld..][..R].try_into().expect("R-run");
+            tile_step::<CHECK, R>(*a_p, pairs.remainder(), acc);
+        }
+    } else {
+        // Pinning every row to the stripe's depth lets the `p` loop index
+        // the rows without a bounds check apiece.
+        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * ld..][..kc]);
+        // Two steps per iteration: the rows' addresses are computed once
+        // for both, which keeps the loop FMA-bound rather than issue-bound
+        // (the unrolled loop ran `[32, 32]·[32, 128]ᵀ` 1.2× faster).
+        let mut pairs = stripe.chunks_exact(2 * NR);
+        for (b_pair, pi) in pairs.by_ref().zip((0..kc).step_by(2)) {
+            let (b0, b1) = b_pair.split_at(NR);
+            tile_step::<CHECK, R>(std::array::from_fn(|r| a_rows[r][pi]), b0, acc);
+            tile_step::<CHECK, R>(std::array::from_fn(|r| a_rows[r][pi + 1]), b1, acc);
+        }
+        if !pairs.remainder().is_empty() {
+            let pi = kc - 1;
+            tile_step::<CHECK, R>(
+                std::array::from_fn(|r| a_rows[r][pi]),
+                pairs.remainder(),
+                acc,
+            );
         }
     }
 }
 
-/// Add a row vector `bias` (`[n]`) to every row of a `[m, n]` matrix in place.
-pub fn add_bias_rows(a: &mut Tensor, bias: &Tensor) {
-    let (_, n) = as_matrix_dims(a, "add_bias_rows matrix");
-    assert_eq!(bias.numel(), n, "bias length must equal column count");
-    let bd = bias.data();
-    for row in a.data_mut().chunks_exact_mut(n) {
-        for (o, &bv) in row.iter_mut().zip(bd.iter()) {
-            *o += bv;
+/// One `k` step of the tile: `acc[r] += a_p[r] · b_run`, lane by lane.
+#[inline(always)]
+fn tile_step<const CHECK: bool, const R: usize>(
+    a_p: [f32; R],
+    b_run: &[f32],
+    acc: &mut [[f32; NR]; R],
+) {
+    let b_tile: &[f32; NR] = b_run.try_into().expect("chunks_exact yields NR-wide runs");
+    for (&a_ip, acc_row) in a_p.iter().zip(acc.iter_mut()) {
+        if CHECK && a_ip == 0.0 {
+            continue;
+        }
+        for (o, &b_pj) in acc_row.iter_mut().zip(b_tile) {
+            *o = a_ip.mul_add(b_pj, *o);
         }
     }
 }
@@ -468,6 +793,20 @@ mod tests {
             }
         }
         Tensor::from_vec(Shape::matrix(n, m), out)
+    }
+
+    /// Add a row vector `bias` (`[n]`) to every row of a `[m, n]` matrix in
+    /// place: the bias pass [`matmul_bias_into`]'s epilogue replaces, kept
+    /// as its oracle.
+    fn add_bias_rows(a: &mut Tensor, bias: &Tensor) {
+        let (_, n) = as_matrix_dims(a, "add_bias_rows matrix");
+        assert_eq!(bias.numel(), n, "bias length must equal column count");
+        let bd = bias.data();
+        for row in a.data_mut().chunks_exact_mut(n) {
+            for (o, &bv) in row.iter_mut().zip(bd.iter()) {
+                *o += bv;
+            }
+        }
     }
 
     /// Reference kernels: plain scalar loops that give every output element
@@ -597,6 +936,35 @@ mod tests {
         for m in 1..=13 {
             for n in [1, 10, 15, 17, 130, 200] {
                 shapes.push((m, ks[shapes.len() % ks.len()], n));
+            }
+        }
+        // Every product the workloads' training and eval steps make: the
+        // 128-feature MLPs (128→32→16→10, 128→128→64→10, 128→256→128→10)
+        // at their batch sizes, each layer's forward `[m, in]·[in, out]`,
+        // weight gradient `[in, m]·[m, out]` and input gradient
+        // `[m, out]·[out, in]` — every entry point sees all three.
+        let layers = [
+            (128, 32),
+            (32, 16),
+            (16, 10),
+            (128, 128),
+            (128, 64),
+            (64, 10),
+            (128, 256),
+            (256, 128),
+            (128, 10),
+        ];
+        for m in [1, 10, 32, 53, 64] {
+            for (fan_in, fan_out) in layers {
+                for shape in [
+                    (m, fan_in, fan_out),
+                    (fan_in, m, fan_out),
+                    (m, fan_out, fan_in),
+                ] {
+                    if !shapes.contains(&shape) {
+                        shapes.push(shape);
+                    }
+                }
             }
         }
         let mut rng = Xoshiro256::new(11);
@@ -768,6 +1136,125 @@ mod tests {
             sum_rows_into(&a, &mut sums);
             sum_rows_into(&a, &mut fresh);
             assert_eq!(sums, fresh, "sum_rows_into {m}x{k}");
+        }
+    }
+
+    /// `matmul_reference`, then the bias added to every row, then the ReLU
+    /// when asked: the three separately rounded passes the fused epilogue
+    /// must reproduce.
+    fn bias_reference(a: &Tensor, b: &Tensor, bias: &Tensor, relu: bool) -> Tensor {
+        let mut want = matmul_reference(a, b);
+        add_bias_rows(&mut want, bias);
+        if relu {
+            for v in want.data_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn bias_epilogue_matches_separate_passes() {
+        // Training shapes (narrow and wide, one and several `k` blocks),
+        // with a bias holding -0.0 and NaN and a column of exact cancels so
+        // that the ReLU sees -0.0, +0.0 and NaN.
+        let mut rng = Xoshiro256::new(29);
+        for (m, k, n) in [
+            (32, 128, 32),
+            (32, 32, 16),
+            (32, 16, 10),
+            (64, 64, 10),
+            (10, 128, 256),
+            (53, 300, 17),
+            (7, 257, 3),
+            (1, 1, 1),
+        ] {
+            let a = zero_sprinkled(m, k, &mut rng);
+            let b = Tensor::rand_uniform(Shape::matrix(k, n), -2.0, 2.0, &mut rng);
+            let mut bias = Tensor::rand_uniform(Shape::vector(n), -1.0, 1.0, &mut rng);
+            bias.data_mut()[0] = -0.0;
+            if n > 2 {
+                bias.data_mut()[n - 1] = f32::NAN;
+            }
+            for relu in [false, true] {
+                let want = bias_reference(&a, &b, &bias, relu);
+                let mut got = Tensor::empty();
+                matmul_bias_into(&a, &b, &bias, relu, &mut got);
+                assert_bits_eq(&got, &want, &format!("{m}x{k}x{n}, relu {relu}"));
+            }
+        }
+    }
+
+    #[test]
+    fn stale_outputs_never_leak_into_products() {
+        // The entry points write every output element without reading it:
+        // an output pre-filled with NaN, or left at a larger stale shape,
+        // comes back bit-equal to a fresh product.
+        let mut rng = Xoshiro256::new(31);
+        for (m, k, n) in [(32, 128, 32), (32, 16, 10), (64, 300, 17), (5, 9, 1)] {
+            let a = zero_sprinkled(m, k, &mut rng);
+            let b = Tensor::rand_uniform(Shape::matrix(k, n), -2.0, 2.0, &mut rng);
+            let bias = Tensor::rand_uniform(Shape::vector(n), -1.0, 1.0, &mut rng);
+            let (a_km, b_nk) = (transpose(&a), transpose(&b));
+            type Product<'a> = (&'static str, &'a dyn Fn(&mut Tensor));
+            let products: [Product; 4] = [
+                ("matmul_into", &|out| matmul_into(&a, &b, out)),
+                ("matmul_at_b_into", &|out| matmul_at_b_into(&a_km, &b, out)),
+                ("matmul_a_bt_into", &|out| {
+                    matmul_a_bt_into(&a, &b_nk, &mut Tensor::empty(), out)
+                }),
+                ("matmul_bias_into", &|out| {
+                    matmul_bias_into(&a, &b, &bias, true, out)
+                }),
+            ];
+            for (what, product) in products {
+                let mut fresh = Tensor::empty();
+                product(&mut fresh);
+                let mut poisoned = Tensor::full(Shape::matrix(m, n), f32::NAN);
+                product(&mut poisoned);
+                assert_bits_eq(
+                    &poisoned,
+                    &fresh,
+                    &format!("{what} {m}x{k}x{n}, NaN-filled"),
+                );
+                let mut stale = Tensor::full(Shape::matrix(m + 3, n + 5), f32::NAN);
+                product(&mut stale);
+                assert_bits_eq(&stale, &fresh, &format!("{what} {m}x{k}x{n}, stale shape"));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_inner_dimension_gives_zeros() {
+        // `k == 0`: every product is an empty sum, +0.0, whatever the output
+        // held; the bias product is the bias (and its ReLU).
+        for (m, n) in [(3, 5), (4, 20), (1, 1)] {
+            let a = Tensor::zeros(Shape::matrix(m, 0));
+            let b = Tensor::zeros(Shape::matrix(0, n));
+            let (a_km, b_nk) = (
+                Tensor::zeros(Shape::matrix(0, m)),
+                Tensor::zeros(Shape::matrix(n, 0)),
+            );
+            let zeros = Tensor::zeros(Shape::matrix(m, n));
+            let mut out = Tensor::full(Shape::matrix(m, n), f32::NAN);
+            matmul_into(&a, &b, &mut out);
+            assert_bits_eq(&out, &zeros, "matmul_into, k = 0");
+            out.fill(f32::NAN);
+            matmul_at_b_into(&a_km, &b, &mut out);
+            assert_bits_eq(&out, &zeros, "matmul_at_b_into, k = 0");
+            out.fill(f32::NAN);
+            matmul_a_bt_into(&a, &b_nk, &mut Tensor::empty(), &mut out);
+            assert_bits_eq(&out, &zeros, "matmul_a_bt_into, k = 0");
+            let bias = Tensor::from_vec(Shape::vector(n), (0..n).map(|j| j as f32 - 1.5).collect());
+            for relu in [false, true] {
+                out.fill(f32::NAN);
+                matmul_bias_into(&a, &b, &bias, relu, &mut out);
+                assert_bits_eq(
+                    &out,
+                    &bias_reference(&a, &b, &bias, relu),
+                    "matmul_bias_into, k = 0",
+                );
+            }
         }
     }
 

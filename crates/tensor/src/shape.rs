@@ -2,20 +2,34 @@
 
 use std::fmt;
 
-/// The shape of a dense tensor (up to 4 dimensions are used in practice:
-/// `[batch, channels, height, width]` for images, `[rows, cols]` for
-/// matrices, `[len]` for vectors).
+/// Largest rank a [`Shape`] holds. The code builds vectors and matrices;
+/// rank 3 leaves room for a batch of matrices.
+pub const MAX_RANK: usize = 3;
+
+/// The shape of a dense tensor: `[len]` for vectors, `[rows, cols]` for
+/// matrices, at most [`MAX_RANK`] dimensions.
+///
+/// The dimensions are held inline, so creating or changing a shape never
+/// touches the heap: [`Tensor::empty`](crate::Tensor::empty) and a workspace
+/// tensor cycling through shapes allocate nothing for them.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
-    dims: Vec<usize>,
+    /// The first `rank` entries are the dimensions; the rest stay zero, so
+    /// the derived comparisons see only the dimensions.
+    dims: [usize; MAX_RANK],
+    rank: usize,
 }
 
 impl Shape {
-    /// Create a shape from its dimensions. Empty shapes (scalars) are allowed.
+    /// Create a shape from its dimensions. Empty shapes (scalars) are
+    /// allowed; more than [`MAX_RANK`] dimensions panic.
     pub fn new(dims: &[usize]) -> Self {
-        Self {
-            dims: dims.to_vec(),
-        }
+        let mut shape = Self {
+            dims: [0; MAX_RANK],
+            rank: 0,
+        };
+        shape.set_dims(dims);
+        shape
     }
 
     /// A 1-D shape of length `n`.
@@ -30,38 +44,42 @@ impl Shape {
 
     /// Dimensions as a slice.
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        &self.dims[..self.rank]
     }
 
-    /// Replace the dimensions in place, reusing the existing `Vec` capacity.
-    /// Once a shape has held its maximum rank, later `set_dims` calls never
-    /// touch the heap — this is what keeps workspace tensors that cycle
-    /// through several shapes per batch allocation-free.
+    /// Replace the dimensions in place; more than [`MAX_RANK`] panic.
     pub fn set_dims(&mut self, dims: &[usize]) {
-        self.dims.clear();
-        self.dims.extend_from_slice(dims);
+        assert!(
+            dims.len() <= MAX_RANK,
+            "shape {dims:?} has rank {}, above the inline bound of {MAX_RANK}",
+            dims.len()
+        );
+        self.dims = [0; MAX_RANK];
+        self.dims[..dims.len()].copy_from_slice(dims);
+        self.rank = dims.len();
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.dims.len()
+        self.rank
     }
 
     /// Total number of elements.
     pub fn numel(&self) -> usize {
-        self.dims.iter().product()
+        self.dims().iter().product()
     }
 
     /// Size of dimension `i`.
     pub fn dim(&self, i: usize) -> usize {
-        self.dims[i]
+        self.dims()[i]
     }
 
     /// Row-major strides.
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.dims.len()];
-        for i in (0..self.dims.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
+        let dims = self.dims();
+        let mut strides = vec![1usize; dims.len()];
+        for i in (0..dims.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * dims[i + 1];
         }
         strides
     }
@@ -71,16 +89,15 @@ impl Shape {
     pub fn offset(&self, index: &[usize]) -> usize {
         assert_eq!(
             index.len(),
-            self.dims.len(),
+            self.rank,
             "index rank {} does not match shape rank {}",
             index.len(),
-            self.dims.len()
+            self.rank
         );
         let mut off = 0usize;
-        let strides = self.strides();
-        for (i, (&ix, &d)) in index.iter().zip(self.dims.iter()).enumerate() {
+        for (i, (&ix, &d)) in index.iter().zip(self.dims()).enumerate() {
             assert!(ix < d, "index {ix} out of range for dim {i} of size {d}");
-            off += ix * strides[i];
+            off = off * d + ix;
         }
         off
     }
@@ -93,13 +110,13 @@ impl Shape {
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.dims)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.dims)
+        write!(f, "{:?}", self.dims())
     }
 }
 
@@ -111,7 +128,7 @@ impl From<&[usize]> for Shape {
 
 impl From<Vec<usize>> for Shape {
     fn from(d: Vec<usize>) -> Self {
-        Shape { dims: d }
+        Shape::new(&d)
     }
 }
 
@@ -159,6 +176,21 @@ mod tests {
     fn matrix_and_vector_helpers() {
         assert_eq!(Shape::matrix(3, 5).dims(), &[3, 5]);
         assert_eq!(Shape::vector(7).dims(), &[7]);
+    }
+
+    #[test]
+    fn shapes_compare_by_their_dimensions_only() {
+        let mut s = Shape::new(&[2, 3, 4]);
+        s.set_dims(&[6]);
+        assert_eq!(s, Shape::vector(6));
+        assert_eq!(format!("{s:?}"), "Shape[6]");
+        assert_eq!(Shape::from(vec![2, 3]), Shape::matrix(2, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "above the inline bound")]
+    fn rank_above_the_inline_bound_panics() {
+        Shape::new(&[1, 2, 3, 4]);
     }
 
     #[test]
