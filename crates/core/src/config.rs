@@ -124,12 +124,6 @@ pub struct ExperimentConfig {
     /// rounds repeat the most recent evaluation in their records (NaN before
     /// the first evaluation point). Larger values speed up long sweeps.
     pub eval_every: usize,
-    /// Per-round, per-client dropout probability in `[0, 1)`. When positive
-    /// every reachable client flips an availability coin each round and the
-    /// cohort is drawn from those that are up (see
-    /// [`crate::policy::select_cohort`]); `0.0` is the paper's
-    /// always-available setting.
-    pub dropout_rate: f64,
     /// Codec override for the clients' uplink compression. `None` (default)
     /// uses the algorithm-implied codec (`topk`, `ef-topk` or `randk`, see
     /// [`crate::Algorithm::codec_spec`]); any parseable
@@ -245,7 +239,6 @@ impl Default for ExperimentConfig {
             max_threads: 0,
             record_overlap: false,
             eval_every: 1,
-            dropout_rate: 0.0,
             compressor: None,
             layer_compressors: None,
             downlink_compressor: None,
@@ -385,9 +378,6 @@ impl ExperimentConfig {
         }
         if self.eval_every == 0 {
             return Err("eval_every must be positive".into());
-        }
-        if !(0.0..1.0).contains(&self.dropout_rate) {
-            return Err("dropout_rate must be in [0, 1)".into());
         }
         self.links
             .validate()
@@ -540,7 +530,7 @@ mod tests {
             ModelPreset::Mlp { hidden1, hidden2 }
         }
         type Set = fn(&mut ExperimentConfig);
-        let rows: [(Set, &str); 9] = [
+        let rows: [(Set, &str); 8] = [
             (
                 |c| c.compression_ratio = 0.0,
                 "compression_ratio must be in (0, 1]",
@@ -549,7 +539,6 @@ mod tests {
             (|c| c.participation = 0.0, "participation must be in (0, 1]"),
             (|c| c.rounds = 0, "rounds must be positive"),
             (|c| c.eval_every = 0, "eval_every must be positive"),
-            (|c| c.dropout_rate = 1.0, "dropout_rate must be in [0, 1)"),
             (
                 |c| c.overlap_threshold = 0,
                 "overlap_threshold must be positive",
@@ -568,10 +557,8 @@ mod tests {
     fn scenario_knobs_default_to_paper_behaviour() {
         let c = ExperimentConfig::default();
         assert_eq!(c.eval_every, 1);
-        assert_eq!(c.dropout_rate, 0.0);
         let c = ExperimentConfig {
             eval_every: 5,
-            dropout_rate: 0.3,
             ..Default::default()
         };
         assert!(c.validate().is_ok());

@@ -36,8 +36,8 @@
 //! follows one rule, a plain function of the configuration ([`policy`]):
 //!
 //! * [`policy::select_cohort`] — uniform sampling without replacement
-//!   (paper), from the reachable clients that survive the configured
-//!   `dropout_rate`;
+//!   (paper), from the clients the scenario leaves reachable (all of them
+//!   on a static fleet);
 //! * [`policy::assign_ratios`] — a uniform ratio, dense FedAvg, or the BCRS
 //!   scheduler;
 //! * [`policy::layer_bcrs_plan`] — the adaptive per-layer codec plan

@@ -3,7 +3,7 @@
 //!
 //! * [`select_cohort`] — who participates (Alg. 1 line 3): uniform sampling
 //!   without replacement from the scenario's reachable clients (all `N` on
-//!   the paper's static fleet), thinned by the i.i.d. `dropout_rate`;
+//!   the paper's static fleet);
 //! * [`assign_ratios`] — each selected client's compression ratio, by the
 //!   algorithm's [`RatioRule`]: 1 when dense, the base ratio when uniform,
 //!   the BCRS schedule (Alg. 2) otherwise;
@@ -23,36 +23,25 @@ use fl_tensor::rng::{Rng, Xoshiro256};
 
 /// Draw a round's cohort of at most `cohort` distinct client ids.
 ///
-/// The pool is `active` (the scenario's reachable clients, ascending) or all
-/// `num_clients` clients. A positive `dropout_rate` then flips one
-/// availability coin per pool member, in order, and drops those it hits —
-/// the scenario models structural unavailability (outages, churn), the
-/// dropout rate residual flakiness on top. The cohort is drawn uniformly
-/// without replacement from what is left, shrinking below `cohort` when too
-/// few clients are up; if nobody is, one client is drawn uniformly from all
+/// The pool is `active` (the scenario's reachable clients, ascending) or,
+/// without a scenario, all `num_clients` clients: the scenario is the one
+/// availability mechanism. The cohort is drawn uniformly without
+/// replacement from the pool, shrinking below `cohort` when too few clients
+/// are up; if nobody is, one client is drawn uniformly from all
 /// `num_clients`, so a round always has a participant.
 ///
-/// Without a scenario or dropout this is one partial Fisher–Yates over `N`
-/// indices — O(N) per round, and only the selected clients are ever
-/// materialised.
+/// Without a scenario this is one partial Fisher–Yates over `N` indices —
+/// O(N) per round, and only the selected clients are ever materialised. A
+/// pool holding every client draws exactly alike.
 pub fn select_cohort(
     rng: &mut Xoshiro256,
     num_clients: usize,
     cohort: usize,
     active: Option<Vec<usize>>,
-    dropout_rate: f64,
 ) -> Vec<usize> {
-    assert!(
-        (0.0..1.0).contains(&dropout_rate),
-        "dropout_rate must be in [0, 1), got {dropout_rate}"
-    );
-    if active.is_none() && dropout_rate == 0.0 {
+    let Some(pool) = active else {
         return rng.sample_without_replacement(num_clients, cohort);
-    }
-    let mut pool = active.unwrap_or_else(|| (0..num_clients).collect());
-    if dropout_rate > 0.0 {
-        pool.retain(|_| !rng.next_bool(dropout_rate));
-    }
+    };
     if pool.is_empty() {
         return vec![rng.next_below(num_clients)];
     }
@@ -402,8 +391,8 @@ mod tests {
     }
 
     /// Half of a 10-client fleet, the quick config's cohort.
-    fn draw(rng: &mut Xoshiro256, active: Option<Vec<usize>>, dropout_rate: f64) -> Vec<usize> {
-        select_cohort(rng, 10, 5, active, dropout_rate)
+    fn draw(rng: &mut Xoshiro256, active: Option<Vec<usize>>) -> Vec<usize> {
+        select_cohort(rng, 10, 5, active)
     }
 
     fn assert_valid_cohort(picked: &[usize], cohort: usize, num_clients: usize) {
@@ -417,64 +406,58 @@ mod tests {
 
     #[test]
     fn uniform_selector_matches_raw_sampling() {
-        // No scenario, no dropout: one draw over all N — the same draw, and
-        // the same stream state after it, as an explicit full pool.
+        // No scenario: one draw over all N — the same draw, and the same
+        // stream state after it, as an explicit full pool.
         let mut raw_rng = Xoshiro256::new(99);
         let raw = raw_rng.sample_without_replacement(10, 5);
         for active in [None, Some((0..10).collect())] {
             let mut rng = Xoshiro256::new(99);
-            assert_eq!(draw(&mut rng, active, 0.0), raw);
+            assert_eq!(draw(&mut rng, active), raw);
             assert_eq!(rng, raw_rng);
         }
     }
 
     #[test]
     fn availability_selector_is_deterministic_and_valid() {
+        let up = || Some(vec![0, 2, 3, 5, 6, 8, 9]);
         let mut a = Xoshiro256::new(3);
         let mut b = Xoshiro256::new(3);
-        let pa = draw(&mut a, None, 0.4);
-        assert_eq!(pa, draw(&mut b, None, 0.4));
+        let pa = draw(&mut a, up());
+        assert_eq!(pa, draw(&mut b, up()));
         assert_valid_cohort(&pa, 5, 10);
+        assert!(pa.iter().all(|c| up().unwrap().contains(c)), "{pa:?}");
     }
 
     #[test]
     fn availability_selector_shrinks_cohort_under_heavy_dropout() {
+        // A scenario that leaves three of ten clients reachable: the cohort
+        // is all three, never padded back to five.
         let mut rng = Xoshiro256::new(5);
-        let mut shrunk = false;
         for _ in 0..50 {
-            let picked = draw(&mut rng, None, 0.9);
-            assert_valid_cohort(&picked, 5, 10);
-            shrunk |= picked.len() < 5;
+            let mut picked = draw(&mut rng, Some(vec![1, 4, 8]));
+            picked.sort_unstable();
+            assert_eq!(picked, [1, 4, 8]);
         }
-        assert!(shrunk, "90% dropout should shrink the cohort at least once");
-    }
-
-    #[test]
-    #[should_panic]
-    fn availability_selector_rejects_certain_dropout() {
-        draw(&mut Xoshiro256::new(1), None, 1.0);
     }
 
     #[test]
     fn near_certain_dropout_still_yields_a_participant_every_round() {
-        // Regression: at dropout_rate ≈ 1.0 the "nobody available" branch is
-        // hit almost every round. It must produce exactly one valid
-        // participant — never an empty cohort (which would break the round's
+        // Regression: when the scenario leaves nobody reachable the round
+        // must still produce exactly one valid participant, drawn from the
+        // whole fleet — never an empty cohort (which would break the round's
         // straggler max and per-client byte averages downstream) and never
         // a full target-size fallback.
         let mut rng = Xoshiro256::new(17);
-        let mut singleton_rounds = 0;
+        let mut seen = [false; 10];
         for _ in 0..300 {
-            let picked = draw(&mut rng, None, 0.999);
+            let picked = draw(&mut rng, Some(Vec::new()));
             assert_valid_cohort(&picked, 5, 10);
-            if picked.len() == 1 {
-                singleton_rounds += 1;
-            }
+            assert_eq!(picked.len(), 1);
+            seen[picked[0]] = true;
         }
         assert!(
-            singleton_rounds > 250,
-            "at 99.9% dropout nearly every round should fall back to a \
-             single participant, got {singleton_rounds}/300"
+            seen.iter().all(|&s| s),
+            "fallback covers the fleet: {seen:?}"
         );
     }
 

@@ -142,7 +142,6 @@ impl FederatedSession {
             self.config.num_clients,
             self.cohort,
             active,
-            self.config.dropout_rate,
         );
         // Cohort links honour the scenario's per-round overrides (tier
         // resampling, rejoin links); without a scenario this is exactly the

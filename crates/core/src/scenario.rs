@@ -80,7 +80,7 @@ mod tests {
             "the diurnal trough should take some down"
         );
         let mut rng = Xoshiro256::new(5);
-        let picked = select_cohort(&mut rng, 32, 8, Some(active.clone()), 0.0);
+        let picked = select_cohort(&mut rng, 32, 8, Some(active.clone()));
         assert!(!picked.is_empty() && picked.len() <= 8);
         assert!(picked.iter().all(|c| active.contains(c)));
         let mut dedup = picked.clone();
@@ -97,7 +97,7 @@ mod tests {
         fleet.advance(0);
         assert!(fleet.active_clients().is_empty());
         let mut rng = Xoshiro256::new(1);
-        let picked = select_cohort(&mut rng, 8, 4, Some(fleet.active_clients()), 0.0);
+        let picked = select_cohort(&mut rng, 8, 4, Some(fleet.active_clients()));
         assert_eq!(picked, vec![Xoshiro256::new(1).next_below(8)]);
     }
 

@@ -440,55 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_selector_shrinks_some_cohorts() {
-        let mut config = quick(Algorithm::TopK);
-        config.rounds = 8;
-        config.dropout_rate = 0.6;
-        let result = FederatedSession::from_config(&config).run();
-        assert_eq!(result.records.len(), 8);
-        let full = config.clients_per_round();
-        assert!(
-            result
-                .records
-                .iter()
-                .any(|r| r.selected_clients.len() < full),
-            "60% dropout over 8 rounds should shrink at least one cohort"
-        );
-        // Dropout runs are reproducible too.
-        let again = FederatedSession::from_config(&config).run();
-        assert_eq!(result.records, again.records);
-    }
-
-    #[test]
-    fn near_certain_dropout_never_yields_an_empty_round() {
-        // Regression: at dropout_rate ≈ 1.0 nearly every round hits the
-        // "nobody available" branch. Every round must still have at least one
-        // participant, and the per-cohort averages (train loss, mean ratio)
-        // must stay finite — an empty cohort would make them 0/0.
-        let mut config = quick(Algorithm::TopK);
-        config.rounds = 6;
-        config.dropout_rate = 0.999;
-        assert!(config.validate().is_ok());
-        let result = FederatedSession::from_config(&config).run();
-        assert_eq!(result.records.len(), 6);
-        for r in &result.records {
-            assert!(
-                !r.selected_clients.is_empty(),
-                "round {} was empty",
-                r.round
-            );
-            assert!(r.selected_clients.len() <= config.clients_per_round());
-            assert!(r.train_loss.is_finite());
-            assert!(r.mean_compression_ratio.is_finite());
-            assert!(r.uplink_bytes > 0);
-            assert!(r.uplink_bytes / r.selected_clients.len() > 0);
-        }
-        // Still deterministic.
-        let again = FederatedSession::from_config(&config).run();
-        assert_eq!(result.records, again.records);
-    }
-
-    #[test]
     fn empty_custom_selector_is_backstopped_by_the_engine() {
         // A trace that takes the whole fleet down before round 0: no client
         // is reachable in any round, yet every round runs on one uniformly

@@ -1,8 +1,8 @@
 //! Trace-driven fleet scenarios: dynamic availability, churn and link
 //! quality over the lifetime of an experiment.
 //!
-//! The static simulator draws one [`Link`] per client up front
-//! and flips one i.i.d. dropout coin per round. Real federated fleets do not
+//! The static simulator draws one [`Link`] per client up front and keeps
+//! every client reachable. Real federated fleets do not
 //! behave like that: participation follows diurnal waves, devices join and
 //! leave mid-experiment, link quality jitters and is tiered
 //! (cellular/wifi/datacenter), and outages are *correlated* — a shared tower
@@ -279,8 +279,8 @@ impl FleetState {
 /// surfaced as `RoundRecord` telemetry columns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScenarioTelemetry {
-    /// Reachable clients after this round's events (before any i.i.d.
-    /// dropout the selector may add on top).
+    /// Reachable clients after this round's events: the pool the cohort
+    /// is drawn from.
     pub available: usize,
     /// `Join` events this round.
     pub joined: usize,

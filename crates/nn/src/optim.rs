@@ -1,9 +1,13 @@
-//! Stochastic gradient descent with optional momentum and weight decay.
+//! Stochastic gradient descent with momentum and weight decay, one kernel
+//! for every momentum.
 
 use crate::model::Sequential;
 use fl_tensor::{kernels, Tensor};
 
-/// Plain SGD: `p <- p - lr * (g + wd * p)` with optional classical momentum.
+/// SGD with classical momentum: `v <- mu * v + g + wd * p`, then
+/// `p <- p - lr * v`. At `mu = 0` this is plain SGD,
+/// `p <- p - lr * (g + wd * p)`, up to the sign of an exactly-zero result
+/// (and NaN once a gradient overflows, as `0 · ∞` enters the velocity).
 pub struct Sgd {
     lr: f32,
     momentum: f32,
@@ -42,17 +46,12 @@ impl Sgd {
     /// Apply one update step using the gradients currently stored in `model`.
     ///
     /// Allocation-free: one walk over the parameters and their gradients in
-    /// place (no gradient clones), through the fused [`fl_tensor::kernels`]
-    /// loops; the velocity buffers are allocated once on the first momentum
-    /// step and reused afterwards.
+    /// place (no gradient clones), through the fused
+    /// [`kernels::sgd_momentum_step`] at every momentum — at 0 it is plain
+    /// SGD; the velocity buffers are allocated once on the first step and
+    /// reused afterwards.
     pub fn step(&mut self, model: &mut Sequential) {
         let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
-        if mu == 0.0 {
-            for (param, grad) in model.params_and_grads_mut() {
-                kernels::sgd_step(lr, wd, param.data_mut(), grad.data());
-            }
-            return;
-        }
         if self.velocity.is_empty() {
             self.velocity = model
                 .params_iter()

@@ -1,16 +1,16 @@
 //! Fused in-place element-wise kernels for the training hot path.
 //!
-//! These are the update primitives behind `Sgd::step` and the error-feedback
-//! residual update. Each kernel touches every element exactly once, writing the
-//! result in place instead of allocating an intermediate tensor, and is written
-//! as a stream of independent per-element updates so the autovectorizer (the
+//! These are the update primitives behind `Sgd::step` (one momentum kernel,
+//! at every momentum including 0) and the error-feedback residual update.
+//! Each kernel touches every element exactly once, writing the result in
+//! place instead of allocating an intermediate tensor, and is written as a
+//! stream of independent per-element updates so the autovectorizer (the
 //! workspace pins `x86-64-v3`) can unroll and vectorize it freely.
 //!
 //! Bit-identity contract: every kernel computes *exactly* the same f32
 //! expression per element as the allocate-and-copy code it replaces. The
-//! manual 8-wide unrolling of the one-output kernels only regroups
-//! independent elements; it never reassociates the arithmetic within one
-//! element.
+//! manual 8-wide unrolling of `axpy` only regroups independent elements; it
+//! never reassociates the arithmetic within one element.
 
 const UNROLL: usize = 8;
 
@@ -29,27 +29,10 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Plain SGD with L2 weight decay: `p[i] -= lr * (g[i] + wd * p[i])`.
-///
-/// Exactly the expression the allocating optimizer used, fused over the
-/// parameter tensor in place.
-pub fn sgd_step(lr: f32, wd: f32, p: &mut [f32], g: &[f32]) {
-    assert_eq!(p.len(), g.len(), "sgd_step: size mismatch");
-    let mut pc = p.chunks_exact_mut(UNROLL);
-    let mut gc = g.chunks_exact(UNROLL);
-    for (pv, gv) in pc.by_ref().zip(gc.by_ref()) {
-        for j in 0..UNROLL {
-            pv[j] -= lr * (gv[j] + wd * pv[j]);
-        }
-    }
-    for (pv, gv) in pc.into_remainder().iter_mut().zip(gc.remainder()) {
-        *pv -= lr * (*gv + wd * *pv);
-    }
-}
-
 /// Momentum SGD: `v[i] = mu * v[i] + g[i] + wd * p[i]`, then
 /// `p[i] += -lr * v[i]` — the two statements the allocating optimizer
-/// performed per element, fused into one pass.
+/// performed per element, fused into one pass. `mu = 0` is plain SGD with
+/// weight decay.
 ///
 /// A plain three-way zip: with two mutable streams, the hand-unrolled
 /// `chunks_exact_mut` form the other kernels use keeps LLVM from vectorising
@@ -98,45 +81,31 @@ mod tests {
     }
 
     #[test]
-    fn sgd_step_matches_scalar_loop() {
-        for n in [0, 1, 8, 13, 100] {
-            let g = ramp(n, 0.21);
-            let mut p = ramp(n, -0.63);
-            let mut expect = p.clone();
-            for (e, gv) in expect.iter_mut().zip(g.iter()) {
-                *e -= 0.05 * (*gv + 0.001 * *e);
-            }
-            sgd_step(0.05, 0.001, &mut p, &g);
-            let pb: Vec<u32> = p.iter().map(|v| v.to_bits()).collect();
-            let eb: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(pb, eb, "n={n}");
-        }
-    }
-
-    #[test]
     fn sgd_momentum_step_matches_scalar_loop() {
         // Every remainder of the vector width, and the paper model's
         // parameter count; 50 steps so the velocity feeds back through `mu`
-        // and the parameters through `wd`.
-        for n in [0, 1, 7, 8, 9, 31, 64, 100, 25_418] {
-            let mut p = ramp(n, -0.17);
-            let mut v = ramp(n, 0.05);
-            let mut ep = p.clone();
-            let mut ev = v.clone();
-            for step in 0..50 {
-                let g = ramp(n, 0.33 / (step + 1) as f32);
-                for i in 0..n {
-                    ev[i] = 0.9 * ev[i] + g[i] + 0.002 * ep[i];
-                    ep[i] += -0.1 * ev[i];
+        // and the parameters through `wd`. `mu = 0` is plain SGD.
+        for mu in [0.9, 0.0] {
+            for n in [0, 1, 7, 8, 9, 31, 64, 100, 25_418] {
+                let mut p = ramp(n, -0.17);
+                let mut v = ramp(n, 0.05);
+                let mut ep = p.clone();
+                let mut ev = v.clone();
+                for step in 0..50 {
+                    let g = ramp(n, 0.33 / (step + 1) as f32);
+                    for i in 0..n {
+                        ev[i] = mu * ev[i] + g[i] + 0.002 * ep[i];
+                        ep[i] += -0.1 * ev[i];
+                    }
+                    sgd_momentum_step(0.1, mu, 0.002, &mut p, &mut v, &g);
                 }
-                sgd_momentum_step(0.1, 0.9, 0.002, &mut p, &mut v, &g);
+                let pb: Vec<u32> = p.iter().map(|x| x.to_bits()).collect();
+                let epb: Vec<u32> = ep.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(pb, epb, "params mu={mu} n={n}");
+                let vb: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
+                let evb: Vec<u32> = ev.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(vb, evb, "velocity mu={mu} n={n}");
             }
-            let pb: Vec<u32> = p.iter().map(|x| x.to_bits()).collect();
-            let epb: Vec<u32> = ep.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(pb, epb, "params n={n}");
-            let vb: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
-            let evb: Vec<u32> = ev.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(vb, evb, "velocity n={n}");
         }
     }
 

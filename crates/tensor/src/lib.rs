@@ -17,8 +17,8 @@
 //!   sampler drives the paper's non-IID label-skew partition).
 //! * [`stats`] — the histogram behind the overlap-degree distribution.
 //! * [`parallel`] — a work-pulling `parallel_map` (and friends) on scoped threads.
-//! * [`kernels`] — fused in-place element-wise update kernels (axpy,
-//!   SGD steps) behind the allocation-free training hot path.
+//! * [`kernels`] — fused in-place element-wise update kernels (axpy, the
+//!   momentum SGD step) behind the allocation-free training hot path.
 
 #![forbid(unsafe_code)]
 

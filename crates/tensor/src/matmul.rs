@@ -51,8 +51,7 @@
 //! outside the register
 //! tile is fused: the element-wise kernels, the optimizer and aggregation are
 //! memory-bound and keep their separately rounded multiplies and adds.
-//! `matmul_into` / `matmul_at_b_into` keep their historical skip of zero `A`
-//! entries; `matmul_a_bt_into` (which never skipped) does not.
+//! No entry point skips a zero `A` entry, so `0 × ∞` is NaN in every one.
 
 use crate::parallel::{default_threads, parallel_row_blocks};
 use crate::tensor::Tensor;
@@ -89,7 +88,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (k2, n) = as_matrix_dims(b, "matmul rhs");
     assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
     out.resize_to(&[m, n]);
-    nt_parallel::<true, false, false>(
+    nt_parallel::<false, false>(
         a.data(),
         k,
         k,
@@ -116,7 +115,7 @@ pub fn matmul_bias_into(a: &Tensor, b: &Tensor, bias: &Tensor, relu: bool, out: 
         bias: bias.data(),
         relu,
     };
-    nt_parallel_with::<true, false, false>(
+    nt_parallel_with::<false, false>(
         a.data(),
         k,
         k,
@@ -138,7 +137,7 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         "matmul_at_b: leading dimensions differ ({k} vs {k2})"
     );
     out.resize_to(&[m, n]);
-    nt_parallel::<true, true, false>(
+    nt_parallel::<true, false>(
         a.data(),
         m,
         k,
@@ -151,8 +150,7 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 
 /// `C = A @ B^T` where `A` is `[m, k]` and `B` is `[n, k]` — used for input
 /// gradients (`dX = dY @ W^T` with `W` stored `[in, out]`) — written into a
-/// reusable output tensor. It never skips zero `A` entries, so `0.0 * inf`
-/// still produces NaN here.
+/// reusable output tensor.
 ///
 /// `_bt_scratch` is never read or written: the kernel packs its stripes
 /// straight out of the `[n, k]` operand, so no `B^T` copy exists. The
@@ -162,7 +160,7 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, _bt_scratch: &mut Tensor, out: &
     let (n, k2) = as_matrix_dims(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
     out.resize_to(&[m, n]);
-    nt_parallel::<false, false, true>(
+    nt_parallel::<false, true>(
         a.data(),
         k,
         k,
@@ -200,17 +198,8 @@ fn finish(epi: Option<Epilogue>, rows: &mut [f32], n: usize, j: usize, w: usize)
     }
 }
 
-/// How a register tile treats one `k` block: whether it runs the
-/// zero-skipping variant (`check`), and whether its accumulators start at
-/// `+0.0` (`first`, the first block) rather than resume from the output.
-#[derive(Clone, Copy)]
-struct Tile {
-    check: bool,
-    first: bool,
-}
-
 /// [`nt_parallel_with`] for the plain product.
-fn nt_parallel<const SKIP: bool, const AT: bool, const BT: bool>(
+fn nt_parallel<const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
     k: usize,
@@ -219,20 +208,20 @@ fn nt_parallel<const SKIP: bool, const AT: bool, const BT: bool>(
     out: &mut [f32],
     max_threads: usize,
 ) {
-    nt_parallel_with::<SKIP, AT, BT>(ad, a_stride, k, bd, n, out, max_threads, None);
+    nt_parallel_with::<AT, BT>(ad, a_stride, k, bd, n, out, max_threads, None);
 }
 
 /// Split `out` into contiguous row blocks and run the blocked kernel on
 /// each; blocks write disjoint output so any schedule is bit-identical.
 /// Every element of `out` is overwritten; nothing is read from it first.
 ///
-/// The three const flags are the entry points' operand conventions: `SKIP`
-/// keeps the historical skip of zero `A` entries, `AT` reads `A` out of a
-/// stored `[k, m]` matrix (`a_stride = m`; otherwise `[m, k]` with
-/// `a_stride = k`), `BT` reads `B` out of a stored `[n, k]` matrix
-/// (otherwise `[k, n]`). Neither transposed operand is ever materialised.
+/// The two const flags are the entry points' operand conventions: `AT`
+/// reads `A` out of a stored `[k, m]` matrix (`a_stride = m`; otherwise
+/// `[m, k]` with `a_stride = k`), `BT` reads `B` out of a stored `[n, k]`
+/// matrix (otherwise `[k, n]`). Neither transposed operand is ever
+/// materialised.
 #[allow(clippy::too_many_arguments)]
-fn nt_parallel_with<const SKIP: bool, const AT: bool, const BT: bool>(
+fn nt_parallel_with<const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
     k: usize,
@@ -250,9 +239,9 @@ fn nt_parallel_with<const SKIP: bool, const AT: bool, const BT: bool>(
             chunk.fill(0.0);
             finish(epi, chunk, n, 0, n);
         } else if n < NR {
-            narrow_rows::<SKIP, AT, BT>(ad, a_stride, row0, k, bd, n, chunk, epi);
+            narrow_rows::<AT, BT>(ad, a_stride, row0, k, bd, n, chunk, epi);
         } else {
-            nt_rows::<SKIP, AT, BT>(ad, a_stride, row0, k, bd, n, chunk, epi);
+            nt_rows::<AT, BT>(ad, a_stride, row0, k, bd, n, chunk, epi);
         }
     });
 }
@@ -274,15 +263,6 @@ fn bands(rows: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..count).map(move |b| (b * base + b.min(extra), base + usize::from(b < extra)))
 }
 
-/// Largest magnitude bit pattern in `values`: an integer max vectorises
-/// where a short-circuiting `is_finite` scan does not, and infinities and
-/// NaNs are exactly the patterns at or above the infinity exponent.
-fn max_mag<'a>(values: impl IntoIterator<Item = &'a f32>) -> u32 {
-    values
-        .into_iter()
-        .fold(0, |m, v| m.max(v.to_bits() & 0x7fff_ffff))
-}
-
 /// `out_block = A[row0..row0+rows] @ B` for `n >= NR`.
 ///
 /// Structure: `NC`-column × `KC`-deep cache blocks around one register tile
@@ -295,28 +275,11 @@ fn max_mag<'a>(values: impl IntoIterator<Item = &'a f32>) -> u32 {
 /// receives its `k` contributions in exactly the ascending single-accumulator
 /// order of the plain ikj loop, one fused step each, regardless of the
 /// blocking. Padded lanes never mix with kept ones (each lane is its own
-/// accumulator) and are discarded.
-///
-/// Zero skip (`SKIP`), decided per packed `B` panel: when every `B` entry of
-/// the panel is finite, skipping a zero `A` entry and accumulating its
-/// contribution agree — the product is then exactly `±0.0`, so the fused
-/// step `fma(0, b, x)` is the plain sum `x + (±0.0)`: `x + (-0.0) == x` for
-/// every `x`, and `x + (+0.0)` differs only for `x == -0.0`. So a finite
-/// panel runs the branch-free tile even on zero-heavy inputs (post-ReLU
-/// activations), and only a panel holding a non-finite value keeps the
-/// historical element-skipping tile.
-///
-/// The one way an accumulator seeded from `+0.0` becomes `-0.0` is a negative
-/// product too small for the subnormal range fused into an accumulator that
-/// is still zero: rounded once, it is `-0.0` (rounded separately the product
-/// would be `-0.0` and the sum `+0.0`). A zero `A` entry met while it is
-/// `-0.0` turns it into `+0.0` in the branch-free tile and leaves it in the
-/// skipping one, so the two tiles (and the skipping test oracle) can differ
-/// in the *sign of an exactly-zero output* and in nothing else. Which tile
-/// runs is a function of the `B` panel alone — not of threads or of how rows
-/// are blocked — so the determinism contract is unaffected.
+/// accumulator) and are discarded. A zero `A` entry is accumulated like any
+/// other: zero-heavy inputs (post-ReLU activations) run the same branch-free
+/// tile, and `0 × ∞` contributes NaN.
 #[allow(clippy::too_many_arguments)]
-fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
+fn nt_rows<const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
     row0: usize,
@@ -337,12 +300,8 @@ fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
             for kb in (0..k).step_by(KC) {
                 let kc = KC.min(k - kb);
                 let panel = &mut bpack[..nc.div_ceil(NR) * kc * NR];
-                let b_finite =
-                    pack_b::<SKIP, BT>(bd, if BT { k } else { n }, kb, kc, jc, nc, panel);
-                let tile = Tile {
-                    check: SKIP && !b_finite,
-                    first: kb == 0,
-                };
+                pack_b::<BT>(bd, if BT { k } else { n }, kb, kc, jc, nc, panel);
+                let first = kb == 0;
                 for (i, r) in bands(rows) {
                     // The tile reads `A` in place: row-major `[r, kc]`, or
                     // — stored transposed — one contiguous `r`-run per `k`
@@ -356,12 +315,12 @@ fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
                     // One out-of-line instantiation per row count: inlining
                     // them all here costs the tile its register allocation.
                     match r {
-                        1 => row_band::<AT, 1>(a, a_stride, panel, kc, band, n, jc, tile),
-                        2 => row_band::<AT, 2>(a, a_stride, panel, kc, band, n, jc, tile),
-                        3 => row_band::<AT, 3>(a, a_stride, panel, kc, band, n, jc, tile),
-                        4 => row_band::<AT, 4>(a, a_stride, panel, kc, band, n, jc, tile),
-                        5 => row_band::<AT, 5>(a, a_stride, panel, kc, band, n, jc, tile),
-                        _ => row_band::<AT, MR>(a, a_stride, panel, kc, band, n, jc, tile),
+                        1 => row_band::<AT, 1>(a, a_stride, panel, kc, band, n, jc, first),
+                        2 => row_band::<AT, 2>(a, a_stride, panel, kc, band, n, jc, first),
+                        3 => row_band::<AT, 3>(a, a_stride, panel, kc, band, n, jc, first),
+                        4 => row_band::<AT, 4>(a, a_stride, panel, kc, band, n, jc, first),
+                        5 => row_band::<AT, 5>(a, a_stride, panel, kc, band, n, jc, first),
+                        _ => row_band::<AT, MR>(a, a_stride, panel, kc, band, n, jc, first),
                     }
                     // The epilogue runs on the band's tiles as they leave
                     // the registers, while they are still in L1.
@@ -379,12 +338,9 @@ fn nt_rows<const SKIP: bool, const AT: bool, const BT: bool>(
 /// `Aᵀ` stripe) and its rows over up to `MR` output columns (`Bᵀ`'s rows,
 /// read in place), so a 10-column product fills every lane instead of 10 of
 /// 16. Each lane still accumulates `fma(b, a, acc) == fma(a, b, acc)` over
-/// ascending `k`, starting at `+0.0`, so the bits are the wide kernel's. The
-/// zero skip is decided per `KC`-deep block of `B` — the same `KC × NC`
-/// region [`nt_rows`] decides on, as `n < NC` — and skips per lane, where
-/// the zero `A` entries now sit.
+/// ascending `k`, starting at `+0.0`, so the bits are the wide kernel's.
 #[allow(clippy::too_many_arguments)]
-fn narrow_rows<const SKIP: bool, const AT: bool, const BT: bool>(
+fn narrow_rows<const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
     row0: usize,
@@ -402,32 +358,23 @@ fn narrow_rows<const SKIP: bool, const AT: bool, const BT: bool>(
         }
         for kb in (0..k).step_by(KC) {
             let kc = KC.min(k - kb);
-            let b_finite = !SKIP
-                || if BT {
-                    max_mag(bd.chunks(k).flat_map(|row| &row[kb..kb + kc]))
-                } else {
-                    max_mag(&bd[kb * n..(kb + kc) * n])
-                } < f32::INFINITY.to_bits();
-            let tile = Tile {
-                check: !b_finite,
-                first: kb == 0,
-            };
+            let first = kb == 0;
             for i in (0..rows).step_by(NR) {
                 let w = NR.min(rows - i);
                 // `Aᵀ`'s columns `i..i + w` as one zero-padded `NR` stripe.
                 let lanes = &mut lanes[..kc * NR];
                 if AT {
-                    pack_b::<false, false>(ad, a_stride, kb, kc, row0 + i, w, lanes);
+                    pack_b::<false>(ad, a_stride, kb, kc, row0 + i, w, lanes);
                 } else {
-                    pack_b::<false, true>(ad, a_stride, kb, kc, row0 + i, w, lanes);
+                    pack_b::<true>(ad, a_stride, kb, kc, row0 + i, w, lanes);
                 }
                 let out_rows = &mut out_block[i * n..(i + w) * n];
                 // `Bᵀ` is `A`-shaped the other way round: a `[k, n]` `B`
                 // holds its rows transposed.
                 if BT {
-                    col_bands::<false>(&bd[kb..], k, lanes, kc, out_rows, n, tile);
+                    col_bands::<false>(&bd[kb..], k, lanes, kc, out_rows, n, first);
                 } else {
-                    col_bands::<true>(&bd[kb * n..], n, lanes, kc, out_rows, n, tile);
+                    col_bands::<true>(&bd[kb * n..], n, lanes, kc, out_rows, n, first);
                 }
                 if kb + kc == k {
                     finish(epi, out_rows, n, 0, n);
@@ -439,7 +386,7 @@ fn narrow_rows<const SKIP: bool, const AT: bool, const BT: bool>(
 
 /// Every column band of the narrow kernel for one `Aᵀ` stripe; `bt` holds
 /// `Bᵀ` from `k` step `kb` on, transposed (`BT_T`, rows of `ld = n`) or not
-/// (rows of `ld = k`).
+/// (rows of `ld = k`). `first` as in [`row_band`].
 fn col_bands<const BT_T: bool>(
     bt: &[f32],
     ld: usize,
@@ -447,17 +394,17 @@ fn col_bands<const BT_T: bool>(
     kc: usize,
     out_rows: &mut [f32],
     n: usize,
-    tile: Tile,
+    first: bool,
 ) {
     for (j, r) in bands(n) {
         let b = if BT_T { &bt[j..] } else { &bt[j * ld..] };
         match r {
-            1 => col_band::<BT_T, 1>(b, ld, lanes, kc, out_rows, n, j, tile),
-            2 => col_band::<BT_T, 2>(b, ld, lanes, kc, out_rows, n, j, tile),
-            3 => col_band::<BT_T, 3>(b, ld, lanes, kc, out_rows, n, j, tile),
-            4 => col_band::<BT_T, 4>(b, ld, lanes, kc, out_rows, n, j, tile),
-            5 => col_band::<BT_T, 5>(b, ld, lanes, kc, out_rows, n, j, tile),
-            _ => col_band::<BT_T, MR>(b, ld, lanes, kc, out_rows, n, j, tile),
+            1 => col_band::<BT_T, 1>(b, ld, lanes, kc, out_rows, n, j, first),
+            2 => col_band::<BT_T, 2>(b, ld, lanes, kc, out_rows, n, j, first),
+            3 => col_band::<BT_T, 3>(b, ld, lanes, kc, out_rows, n, j, first),
+            4 => col_band::<BT_T, 4>(b, ld, lanes, kc, out_rows, n, j, first),
+            5 => col_band::<BT_T, 5>(b, ld, lanes, kc, out_rows, n, j, first),
+            _ => col_band::<BT_T, MR>(b, ld, lanes, kc, out_rows, n, j, first),
         }
     }
 }
@@ -465,10 +412,8 @@ fn col_bands<const BT_T: bool>(
 /// Pack `B[kb..kb+kc, jc..jc+nc]` into `panel` as `NR`-wide stripes, each
 /// `kc` consecutive `NR`-runs, the last stripe zero-padded — so the tile
 /// streams L1 lines in order whatever the operand's layout (`ld` is its row
-/// length). Returns whether every packed value is finite; only the
-/// zero-skipping kernels ask (`SKIP`) — without it the scan is compiled out
-/// and the answer is `true`.
-fn pack_b<const SKIP: bool, const BT: bool>(
+/// length).
+fn pack_b<const BT: bool>(
     bd: &[f32],
     ld: usize,
     kb: usize,
@@ -476,8 +421,7 @@ fn pack_b<const SKIP: bool, const BT: bool>(
     jc: usize,
     nc: usize,
     panel: &mut [f32],
-) -> bool {
-    let mut max = 0u32;
+) {
     for (stripe, j) in panel
         .chunks_exact_mut(kc * NR)
         .zip((jc..jc + nc).step_by(NR))
@@ -498,20 +442,12 @@ fn pack_b<const SKIP: bool, const BT: bool>(
                 let dst: &mut [f32; NR] = dst.try_into().expect("NR-wide runs");
                 *dst = std::array::from_fn(|c| rows[c][pi]);
             }
-            if SKIP {
-                max = max.max(max_mag(rows.iter().flat_map(|row| row.iter())));
-            }
         } else {
             for (pi, dst) in stripe.chunks_exact_mut(NR).enumerate() {
-                let run = load_run(&bd[(kb + pi) * ld + j..][..w]);
-                dst.copy_from_slice(&run);
-                if SKIP {
-                    max = max.max(max_mag(&run));
-                }
+                dst.copy_from_slice(&load_run(&bd[(kb + pi) * ld + j..][..w]));
             }
         }
     }
-    max < f32::INFINITY.to_bits()
 }
 
 /// An `NR`-run from a slice of up to `NR` values, zero-padded. Ragged runs
@@ -540,9 +476,10 @@ fn store_run(run: [f32; NR], dst: &mut [f32]) {
 }
 
 /// One band of `R` output rows against every stripe of a packed panel:
-/// start or resume the accumulators, run the tile, write back the kept
-/// columns. `a` holds the band's `A` rows from `k` step `kb` on, stored
-/// transposed (`AT`, `ld = m`) or not (`ld = k`).
+/// start the accumulators at `+0.0` (`first`, the first `k` block) or resume
+/// them from the output, run the tile, write back the kept columns. `a`
+/// holds the band's `A` rows from `k` step `kb` on, stored transposed (`AT`,
+/// `ld = m`) or not (`ld = k`).
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn row_band<const AT: bool, const R: usize>(
@@ -553,20 +490,16 @@ fn row_band<const AT: bool, const R: usize>(
     band: &mut [f32],
     n: usize,
     jc: usize,
-    tile: Tile,
+    first: bool,
 ) {
     for (stripe, j) in panel.chunks_exact(kc * NR).zip((jc..n).step_by(NR)) {
         let w = NR.min(n - j);
-        let mut acc = if tile.first {
+        let mut acc = if first {
             [[0.0f32; NR]; R]
         } else {
             std::array::from_fn(|r| load_run(&band[r * n + j..][..w]))
         };
-        if tile.check {
-            nt_tile::<true, AT, R>(a, ld, stripe, &mut acc);
-        } else {
-            nt_tile::<false, AT, R>(a, ld, stripe, &mut acc);
-        }
+        nt_tile::<AT, R>(a, ld, stripe, &mut acc);
         for (r, &acc_row) in acc.iter().enumerate() {
             store_run(acc_row, &mut band[r * n + j..][..w]);
         }
@@ -586,40 +519,15 @@ fn col_band<const BT_T: bool, const R: usize>(
     out_rows: &mut [f32],
     n: usize,
     j: usize,
-    tile: Tile,
+    first: bool,
 ) {
-    let mut acc = if tile.first {
+    let mut acc = if first {
         [[0.0f32; NR]; R]
     } else {
         gather_cols(out_rows, n, j)
     };
-    if tile.check {
-        skipping_col_tile::<BT_T, R>(b, ld, &lanes[..kc * NR], &mut acc);
-    } else {
-        nt_tile::<false, BT_T, R>(b, ld, &lanes[..kc * NR], &mut acc);
-    }
+    nt_tile::<BT_T, R>(b, ld, &lanes[..kc * NR], &mut acc);
     scatter_cols(acc, out_rows, n, j);
-}
-
-/// The narrow tile's zero-skipping variant: a zero `A` entry — a lane — is
-/// left out. Only a `B` block holding a non-finite value runs it.
-#[inline(never)]
-fn skipping_col_tile<const BT_T: bool, const R: usize>(
-    b: &[f32],
-    ld: usize,
-    lanes: &[f32],
-    acc: &mut [[f32; NR]; R],
-) {
-    for (pi, a_run) in lanes.chunks_exact(NR).enumerate() {
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let b_v = if BT_T { b[pi * ld + r] } else { b[r * ld + pi] };
-            for (o, &a) in acc_row.iter_mut().zip(a_run) {
-                if a != 0.0 {
-                    *o = a.mul_add(b_v, *o);
-                }
-            }
-        }
-    }
 }
 
 /// Columns `j..j + R` of `out_rows` as `R` lane runs (one lane per row,
@@ -650,14 +558,14 @@ fn scatter_cols<const R: usize>(cols: [[f32; NR]; R], out_rows: &mut [f32], n: u
 /// The register tile's `p` loop over one packed `B` stripe (`kc`
 /// consecutive `NR`-wide runs) and `R` rows of `A` from `a`: each row `kc`
 /// long and `ld` apart, or — `AT`, stored transposed — one `R`-run per `k`
-/// step, `ld` apart. `CHECK` selects the zero-skipping variant.
+/// step, `ld` apart.
 ///
 /// Each step is `f32::mul_add`, never `acc + a * b`: Rust does not contract
 /// the latter, and the two-instruction form was this kernel's ceiling. With
 /// the `fma` target feature (`.cargo/config.toml`) a lane's step is one
 /// instruction; without it the step is a libm call with the same result.
 #[inline(always)]
-fn nt_tile<const CHECK: bool, const AT: bool, const R: usize>(
+fn nt_tile<const AT: bool, const R: usize>(
     a: &[f32],
     ld: usize,
     stripe: &[f32],
@@ -672,12 +580,12 @@ fn nt_tile<const CHECK: bool, const AT: bool, const R: usize>(
             let (b0, b1) = b_pair.split_at(NR);
             let a1: &[f32; R] = a_pair[ld..ld + R].try_into().expect("R-run");
             let a0: &[f32; R] = a_pair[..R].try_into().expect("R-run");
-            tile_step::<CHECK, R>(*a0, b0, acc);
-            tile_step::<CHECK, R>(*a1, b1, acc);
+            tile_step::<R>(*a0, b0, acc);
+            tile_step::<R>(*a1, b1, acc);
         }
         if !pairs.remainder().is_empty() {
             let a_p: &[f32; R] = a[(kc - 1) * ld..][..R].try_into().expect("R-run");
-            tile_step::<CHECK, R>(*a_p, pairs.remainder(), acc);
+            tile_step::<R>(*a_p, pairs.remainder(), acc);
         }
     } else {
         // Pinning every row to the stripe's depth lets the `p` loop index
@@ -689,12 +597,12 @@ fn nt_tile<const CHECK: bool, const AT: bool, const R: usize>(
         let mut pairs = stripe.chunks_exact(2 * NR);
         for (b_pair, pi) in pairs.by_ref().zip((0..kc).step_by(2)) {
             let (b0, b1) = b_pair.split_at(NR);
-            tile_step::<CHECK, R>(std::array::from_fn(|r| a_rows[r][pi]), b0, acc);
-            tile_step::<CHECK, R>(std::array::from_fn(|r| a_rows[r][pi + 1]), b1, acc);
+            tile_step::<R>(std::array::from_fn(|r| a_rows[r][pi]), b0, acc);
+            tile_step::<R>(std::array::from_fn(|r| a_rows[r][pi + 1]), b1, acc);
         }
         if !pairs.remainder().is_empty() {
             let pi = kc - 1;
-            tile_step::<CHECK, R>(
+            tile_step::<R>(
                 std::array::from_fn(|r| a_rows[r][pi]),
                 pairs.remainder(),
                 acc,
@@ -705,16 +613,9 @@ fn nt_tile<const CHECK: bool, const AT: bool, const R: usize>(
 
 /// One `k` step of the tile: `acc[r] += a_p[r] · b_run`, lane by lane.
 #[inline(always)]
-fn tile_step<const CHECK: bool, const R: usize>(
-    a_p: [f32; R],
-    b_run: &[f32],
-    acc: &mut [[f32; NR]; R],
-) {
+fn tile_step<const R: usize>(a_p: [f32; R], b_run: &[f32], acc: &mut [[f32; NR]; R]) {
     let b_tile: &[f32; NR] = b_run.try_into().expect("chunks_exact yields NR-wide runs");
     for (&a_ip, acc_row) in a_p.iter().zip(acc.iter_mut()) {
-        if CHECK && a_ip == 0.0 {
-            continue;
-        }
         for (o, &b_pj) in acc_row.iter_mut().zip(b_tile) {
             *o = a_ip.mul_add(b_pj, *o);
         }
@@ -762,7 +663,7 @@ mod tests {
     fn ab(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
         let ((m, k), (_, n)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
         let mut out = vec![0.0f32; m * n];
-        nt_parallel::<true, false, false>(a.data(), k, k, b.data(), n, &mut out, threads);
+        nt_parallel::<false, false>(a.data(), k, k, b.data(), n, &mut out, threads);
         Tensor::from_vec(Shape::matrix(m, n), out)
     }
 
@@ -770,7 +671,7 @@ mod tests {
     fn at_b(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
         let ((k, m), (_, n)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
         let mut out = vec![0.0f32; m * n];
-        nt_parallel::<true, true, false>(a.data(), m, k, b.data(), n, &mut out, threads);
+        nt_parallel::<true, false>(a.data(), m, k, b.data(), n, &mut out, threads);
         Tensor::from_vec(Shape::matrix(m, n), out)
     }
 
@@ -778,7 +679,7 @@ mod tests {
     fn a_bt(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
         let ((m, k), (n, _)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
         let mut out = vec![0.0f32; m * n];
-        nt_parallel::<false, false, true>(a.data(), k, k, b.data(), n, &mut out, threads);
+        nt_parallel::<false, true>(a.data(), k, k, b.data(), n, &mut out, threads);
         Tensor::from_vec(Shape::matrix(m, n), out)
     }
 
@@ -823,9 +724,6 @@ mod tests {
             let a_row = &ad[i * k..(i + 1) * k];
             let out_row = &mut out[i * n..(i + 1) * n];
             for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
-                }
                 let b_row = &bd[p * n..(p + 1) * n];
                 for (o, &b_pj) in out_row.iter_mut().zip(b_row.iter()) {
                     *o = a_ip.mul_add(b_pj, *o);
@@ -907,7 +805,7 @@ mod tests {
     }
 
     /// Uniform `[rows, cols]` matrix with every third entry an exact zero,
-    /// so the skip path is exercised.
+    /// like the post-ReLU activations the weight gradients multiply.
     fn zero_sprinkled(rows: usize, cols: usize, rng: &mut Xoshiro256) -> Tensor {
         let mut t = Tensor::rand_uniform(Shape::matrix(rows, cols), -2.0, 2.0, rng);
         for v in t.data_mut().iter_mut().step_by(3) {
@@ -976,10 +874,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_skip_semantics_preserved_for_non_finite_b() {
-        // The historical contract: a zero `A` entry contributes nothing even
-        // when the `B` row it faces holds non-finite values — the per-panel
-        // finiteness fast path must not change that.
+    fn non_finite_b_meets_zero_a_entries_as_the_plain_fused_chain() {
+        // No entry point skips a zero `A` entry: `0 × ∞` and `0 × NaN` are
+        // NaN, and every kernel gives the plain fused loop's bits.
         let mut rng = Xoshiro256::new(17);
         for (m, k, n) in [(3, 5, 7), (7, 9, 17), (13, 4, 49)] {
             let a = zero_sprinkled(m, k, &mut rng);
@@ -991,7 +888,7 @@ mod tests {
         }
         // Non-finite values confined to one `KC` panel (the second: rows
         // 256..300) and to the ragged last stripe, every row of `A` holding
-        // zeros against them; the other panel stays on the branch-free tile.
+        // zeros against them.
         for (m, n) in [(5, 10), (8, 17), (13, 130), (7, 200)] {
             let k = 300;
             let mut a = zero_sprinkled(m, k, &mut rng);
@@ -1009,35 +906,48 @@ mod tests {
             }
             assert_kernels_match_references(&a, &b, &format!("{m}x{k}x{n}, one bad panel"));
         }
-        // A fully zero A row must stay zero even against an all-inf B row.
+        // A zero `A` entry facing an infinite or NaN `B` entry poisons its
+        // output.
         let a = mat(1, 2, &[0.0, 1.0]);
         let b = mat(2, 2, &[f32::INFINITY, f32::NAN, 2.0, 3.0]);
-        assert_eq!(ab(&a, &b, 1).data(), &[2.0, 3.0]);
+        assert!(ab(&a, &b, 1).data().iter().all(|v| v.is_nan()));
     }
 
     #[test]
     fn underflowed_negative_zero_meets_a_zero_a_entry() {
-        // The corner `nt_rows` documents: a negative product below the
-        // subnormal range fuses into a zero accumulator as `-0.0`; the zero
-        // `A` entry that follows makes it `+0.0` on the branch-free tile,
-        // while a skipping loop (the oracle, or the tile facing a non-finite
-        // panel) leaves `-0.0`. Nothing but that sign may differ, at any
-        // thread count.
+        // A negative product below the subnormal range fuses into a zero
+        // accumulator as `-0.0`; the zero `A` entries that follow add
+        // `+0.0`, which makes it `+0.0` — in the oracle and in every entry
+        // point, on the narrow kernel (2 columns) and the wide tile (17), at
+        // any thread count, whether or not `B` holds a non-finite value
+        // elsewhere (here the last column, which it turns into NaN).
         let a = mat(1, 3, &[-1e-30, 0.0, 0.0]);
-        let b = mat(3, 2, &[1e-30, 1e-30, 1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(
-            matmul_reference(&a, &b).data()[0].to_bits(),
-            (-0.0f32).to_bits()
-        );
-        let mut poisoned = b.clone();
-        poisoned.data_mut()[5] = f32::INFINITY;
-        for threads in 1..=3 {
-            let finite = ab(&a, &b, threads);
-            assert_eq!(finite.data()[0].to_bits(), 0.0f32.to_bits());
-            assert_eq!(finite.data()[1].to_bits(), 0.0f32.to_bits());
-            let skipping = ab(&a, &poisoned, threads);
-            assert_eq!(skipping.data()[0].to_bits(), (-0.0f32).to_bits());
-            assert_eq!(skipping.data()[1].to_bits(), (-0.0f32).to_bits());
+        for n in [2, 17] {
+            let b = Tensor::from_vec(
+                Shape::matrix(3, n),
+                [1e-30, 1.0, 1.0].iter().flat_map(|&v| vec![v; n]).collect(),
+            );
+            let mut poisoned = b.clone();
+            poisoned.data_mut()[3 * n - 1] = f32::INFINITY;
+            for b in [&b, &poisoned] {
+                let want = matmul_reference(&a, b);
+                for v in &want.data()[..n - 1] {
+                    assert_eq!(v.to_bits(), 0.0f32.to_bits(), "n = {n}");
+                }
+                let (a_km, b_nk) = (transpose(&a), transpose(b));
+                for threads in 1..=3 {
+                    for (what, got) in [
+                        ("matmul", ab(&a, b, threads)),
+                        ("matmul_at_b", at_b(&a_km, b, threads)),
+                        ("matmul_a_bt", a_bt(&a, &b_nk, threads)),
+                    ] {
+                        assert_bits_eq(&got, &want, &format!("{what} n = {n}, {threads} threads"));
+                    }
+                }
+            }
+            let last = |b: &Tensor| matmul_reference(&a, b).data()[n - 1];
+            assert_eq!(last(&b).to_bits(), 0.0f32.to_bits());
+            assert!(last(&poisoned).is_nan());
         }
     }
 

@@ -223,24 +223,6 @@ fn sweep_driver_matches_individual_runs() {
 }
 
 #[test]
-fn dropout_scenario_runs_end_to_end() {
-    let mut config = quick(Algorithm::BcrsOpwa);
-    config.rounds = 6;
-    config.dropout_rate = 0.5;
-    let result = run_experiment(&config);
-    assert_eq!(result.records.len(), 6);
-    assert!(result.final_accuracy >= 0.0 && result.final_accuracy <= 1.0);
-    // Cohorts stay valid even when dropout shrinks them.
-    for r in &result.records {
-        assert!(!r.selected_clients.is_empty());
-        assert!(r.selected_clients.len() <= config.clients_per_round());
-    }
-    // Reproducible under dropout too.
-    let again = run_experiment(&config);
-    assert_eq!(result.records, again.records);
-}
-
-#[test]
 fn manual_round_stepping_exposes_round_outputs() {
     let mut config = quick(Algorithm::Bcrs);
     config.rounds = 2;

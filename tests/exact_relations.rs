@@ -10,6 +10,12 @@
 //!   plans bit-identical. Doubling a binary float is exact, BCRS's schedule
 //!   depends only on bandwidth ratios, and a latency of about 1e-300 ms is
 //!   below half an ulp of any upload time.
+//! - At compression ratio 1, `ef-topk` trains, pays and ships exactly what
+//!   `topk` does: every coordinate is sent, so the error-feedback residual
+//!   stays zero and adds nothing.
+//! - A churn scenario in which nobody leaves or joins selects and trains
+//!   exactly as no scenario: the cohort drawn from a pool of every client
+//!   equals the one drawn over all `N`.
 
 use bwfl::prelude::*;
 
@@ -145,8 +151,8 @@ fn doubling_every_bandwidth_halves_communication_time() {
     for algorithm in ALGORITHMS {
         assert_double_bandwidth_halves_time(algorithm.name(), &base(algorithm, 3));
     }
-    // BCRS+OPWA under both cost bases, the adaptive plan, two scenarios,
-    // dropout and an error-feedback downlink.
+    // BCRS+OPWA under both cost bases, the adaptive plan, three scenarios
+    // and an error-feedback downlink.
     let variant = |set: fn(&mut ExperimentConfig)| {
         let mut c = base(Algorithm::BcrsOpwa, 3);
         set(&mut c);
@@ -172,12 +178,57 @@ fn doubling_every_bandwidth_halves_communication_time() {
             "diurnal",
             variant(|c| c.scenario = Some("diurnal".parse().unwrap())),
         ),
-        ("dropout 0.3", variant(|c| c.dropout_rate = 0.3)),
+        (
+            "towers",
+            variant(|c| c.scenario = Some("towers".parse().unwrap())),
+        ),
         (
             "ef-topk downlink",
             variant(|c| c.downlink_compressor = Some("ef-topk".parse().unwrap())),
         ),
     ] {
         assert_double_bandwidth_halves_time(name, &config);
+    }
+}
+
+/// Every round of `b` took the simulated time `a` did.
+fn assert_same_comm_time(what: &str, a: &[RoundRecord], b: &[RoundRecord]) {
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(
+            x.comm_actual_s.to_bits(),
+            y.comm_actual_s.to_bits(),
+            "{what}: comm_actual_s, round {}",
+            x.round
+        );
+    }
+}
+
+#[test]
+fn error_feedback_at_ratio_one_is_plain_topk() {
+    for algorithm in ALGORITHMS {
+        for cost_basis in [CostBasis::Analytic, CostBasis::Encoded] {
+            let with = |spec: &str| {
+                let mut c = base(algorithm, 6);
+                c.compression_ratio = 1.0;
+                c.cost_basis = cost_basis;
+                c.compressor = Some(spec.parse().unwrap());
+                run(&c)
+            };
+            let (plain, ef) = (with("topk"), with("ef-topk"));
+            let what = format!("{}, {cost_basis:?}, ef-topk at ratio 1", algorithm.name());
+            assert_same_training(&what, &plain, &ef);
+            assert_same_comm_time(&what, &plain.0, &ef.0);
+        }
+    }
+}
+
+#[test]
+fn a_churn_scenario_without_churn_selects_like_no_scenario() {
+    for algorithm in ALGORITHMS {
+        let static_fleet = run(&base(algorithm, 6));
+        let mut still = base(algorithm, 6);
+        still.scenario = Some("churn:leave=0,join=0".parse().unwrap());
+        let what = format!("{}, churn:leave=0,join=0", algorithm.name());
+        assert_same_training(&what, &static_fleet, &run(&still));
     }
 }

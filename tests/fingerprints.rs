@@ -1,7 +1,7 @@
 //! Round-record fingerprint regression: the full training + compression +
 //! communication trajectory of every algorithm, under both the flat codec
 //! path and a genuinely mixed layer plan (`Segmented` framing), plus four
-//! codec-path rows and fifteen round-engine rows (dropout, scenarios, a
+//! codec-path rows and thirteen round-engine rows (scenarios, a
 //! replayed trace, an error-feedback layer plan, plan-driven downlinks,
 //! `randk` and `threshold:τ` specs, `eval_every`, three pricing arms),
 //! hashed field by field and pinned by name in `tests/fixtures/pins.txt`.
@@ -308,11 +308,9 @@ fn cases() -> Vec<(String, ExperimentConfig)> {
         }),
     ]);
 
-    // The round-engine paths the first two never reach — client dropout (at
-    // 0.999 the whole fleet is down in most rounds and the cohort falls back
-    // to one uniformly drawn client), scenario-driven cohorts (every
-    // generator and a replayed trace), an error-feedback `layer_compressors`
-    // plan beside dense biases, plan-driven and flat downlinks, `randk` and
+    // The round-engine paths the first two never reach — scenario-driven
+    // cohorts (every generator and a replayed trace), an error-feedback
+    // `layer_compressors` plan beside dense biases, plan-driven and flat downlinks, `randk` and
     // `threshold:τ` as `compressor` specs, a sparse evaluation schedule and
     // BCRS priced on encoded bytes: 16-client, 6-round quick runs, `encoded`
     // ones priced on encoded bytes.
@@ -333,13 +331,8 @@ fn cases() -> Vec<(String, ExperimentConfig)> {
     }
     use Algorithm::*;
     cases.extend([
-        engine("engine/dropout=0.3", Bcrs, false, |c| c.dropout_rate = 0.3),
-        engine("engine/dropout=0.999", TopK, false, |c| {
-            c.dropout_rate = 0.999
-        }),
-        engine("engine/diurnal|dropout=0.2", BcrsOpwa, false, |c| {
-            c.scenario = Some(parse("diurnal"));
-            c.dropout_rate = 0.2;
+        engine("engine/diurnal", BcrsOpwa, false, |c| {
+            c.scenario = Some(parse("diurnal"))
         }),
         engine("engine/churn:leave=0.05", EfTopK, false, |c| {
             c.scenario = Some(parse("churn:leave=0.05"))
