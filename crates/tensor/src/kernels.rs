@@ -81,6 +81,26 @@ mod tests {
     }
 
     #[test]
+    fn sgd_step_matches_scalar_loop() {
+        // Plain SGD runs through the momentum kernel at `mu = 0`: the
+        // parameters must follow `p -= lr * (g + wd * p)` bit for bit,
+        // whatever the velocity buffer held before.
+        for n in [0, 1, 8, 13, 100] {
+            let g = ramp(n, 0.21);
+            let mut p = ramp(n, -0.63);
+            let mut v = ramp(n, 0.4);
+            let mut expect = p.clone();
+            for (e, gv) in expect.iter_mut().zip(g.iter()) {
+                *e -= 0.05 * (*gv + 0.001 * *e);
+            }
+            sgd_momentum_step(0.05, 0.0, 0.001, &mut p, &mut v, &g);
+            let pb: Vec<u32> = p.iter().map(|v| v.to_bits()).collect();
+            let eb: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(pb, eb, "n={n}");
+        }
+    }
+
+    #[test]
     fn sgd_momentum_step_matches_scalar_loop() {
         // Every remainder of the vector width, and the paper model's
         // parameter count; 50 steps so the velocity feeds back through `mu`
