@@ -385,6 +385,27 @@ fn cases() -> Vec<(String, ExperimentConfig)> {
         }),
         engine("engine/bcrs|encoded", Bcrs, true, |_| {}),
     ]);
+
+    // Trained models: every algorithm, and the adaptive per-layer plan, for
+    // 30 rounds on 64 clients — long enough to reach the late rounds (and
+    // accuracies of 0.4–0.85) that the short rows above never get to.
+    fn long(algorithm: Algorithm) -> ExperimentConfig {
+        let mut c = ExperimentConfig::quick(algorithm);
+        c.num_clients = 64;
+        c.participation = 0.25;
+        c.dataset_scale = 0.4;
+        c.local_lr = 0.2;
+        c.compression_ratio = 0.05;
+        c.rounds = 30;
+        c.seed = 42;
+        c
+    }
+    for algorithm in ALL_ALGORITHMS {
+        cases.push((format!("long/{}", algorithm.name()), long(algorithm)));
+    }
+    let mut layer_bcrs = long(EfTopK);
+    layer_bcrs.adaptive_plan = Some(parse("layer-bcrs"));
+    cases.push(("long/layer-bcrs".to_string(), layer_bcrs));
     cases
 }
 
