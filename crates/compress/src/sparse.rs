@@ -145,7 +145,7 @@ impl SparseUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use fl_tensor::{Rng, Uniform, Xoshiro256};
 
     #[test]
     fn roundtrip_dense() {
@@ -203,16 +203,20 @@ mod tests {
         assert_eq!(s.compression_ratio(), 0.0);
     }
 
-    proptest! {
-        #[test]
-        fn prop_dense_roundtrip(dense in proptest::collection::vec(-100.0f32..100.0, 1..200)) {
+    #[test]
+    fn prop_dense_roundtrip() {
+        let mut rng = Xoshiro256::new(1);
+        for _ in 0..256 {
+            let dense: Vec<f32> = (0..rng.next_range(1, 200))
+                .map(|_| Uniform::new(-100.0, 100.0).sample(&mut rng) as f32)
+                .collect();
             let s = SparseUpdate::from_dense_mask(&dense, |_, v| v.abs() > 1.0);
             let back = s.to_dense();
             for (i, (&orig, &rec)) in dense.iter().zip(back.iter()).enumerate() {
                 if orig.abs() > 1.0 {
-                    prop_assert_eq!(orig, rec, "index {}", i);
+                    assert_eq!(orig, rec, "index {}", i);
                 } else {
-                    prop_assert_eq!(rec, 0.0f32);
+                    assert_eq!(rec, 0.0f32);
                 }
             }
         }

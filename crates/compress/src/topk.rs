@@ -177,7 +177,14 @@ fn trim_to_k(dense: &[f32], picked: &mut Vec<u32>, k: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use fl_tensor::{Rng, Uniform, Xoshiro256};
+
+    /// `len` draws, uniform over `[lo, hi)`.
+    fn uniform_vec(rng: &mut Xoshiro256, len: usize, lo: f64, hi: f64) -> Vec<f32> {
+        (0..len)
+            .map(|_| Uniform::new(lo, hi).sample(rng) as f32)
+            .collect()
+    }
 
     /// The selector this module shipped before the threshold rewrite, kept
     /// as the differential oracle: partial selection over an index
@@ -349,33 +356,32 @@ mod tests {
         assert_eq!(a.nnz(), 2);
     }
 
-    proptest! {
-        #[test]
-        fn prop_threshold_selector_matches_the_indirect_oracle(
-            bits in proptest::collection::vec(0u64..1u64 << 32, 1..700),
-            quantize in 0u32..24,
-            k_frac in 0.0f64..1.0,
-        ) {
+    #[test]
+    fn prop_threshold_selector_matches_the_indirect_oracle() {
+        let mut rng = Xoshiro256::new(1);
+        for _ in 0..256 {
+            let len = rng.next_range(1, 700);
+            let quantize = rng.next_below(24) as u32;
+            let k_frac = rng.next_f64();
             // Arbitrary bit patterns (every class of float), with the low
             // mantissa bits optionally cleared to force ties.
-            let dense: Vec<f32> = bits
-                .iter()
-                .map(|&b| f32::from_bits(b as u32 & !((1u32 << quantize) - 1)))
+            let dense: Vec<f32> = (0..len)
+                .map(|_| f32::from_bits(rng.next_u64() as u32 & !((1u32 << quantize) - 1)))
                 .collect();
             let k = ((dense.len() as f64 * k_frac) as usize).max(1);
-            prop_assert_eq!(
-                select_indices(&dense, k),
-                select_indices_oracle(&dense, k)
-            );
+            assert_eq!(select_indices(&dense, k), select_indices_oracle(&dense, k));
         }
+    }
 
-        #[test]
-        fn prop_retained_dominate_dropped(
-            dense in proptest::collection::vec(-100.0f32..100.0, 2..300),
-            ratio in 0.01f64..1.0,
-        ) {
+    #[test]
+    fn prop_retained_dominate_dropped() {
+        let mut rng = Xoshiro256::new(2);
+        for _ in 0..256 {
+            let len = rng.next_range(2, 300);
+            let dense = uniform_vec(&mut rng, len, -100.0, 100.0);
+            let ratio = Uniform::new(0.01, 1.0).sample(&mut rng);
             let s = select(&dense, ratio);
-            prop_assert_eq!(s.nnz(), k_for(dense.len(), ratio));
+            assert_eq!(s.nnz(), k_for(dense.len(), ratio));
             // Every retained magnitude >= every dropped magnitude.
             let retained: std::collections::HashSet<u32> = s.indices().iter().cloned().collect();
             let min_kept = s
@@ -385,21 +391,28 @@ mod tests {
                 .fold(f32::INFINITY, f32::min);
             for (i, &v) in dense.iter().enumerate() {
                 if !retained.contains(&(i as u32)) {
-                    prop_assert!(v.abs() <= min_kept + 1e-6);
+                    assert!(v.abs() <= min_kept + 1e-6);
                 }
             }
         }
+    }
 
-        #[test]
-        fn prop_error_norm_not_larger_than_input(
-            dense in proptest::collection::vec(-10.0f32..10.0, 1..200),
-            ratio in 0.01f64..1.0,
-        ) {
+    #[test]
+    fn prop_error_norm_not_larger_than_input() {
+        let mut rng = Xoshiro256::new(3);
+        for _ in 0..256 {
+            let len = rng.next_range(1, 200);
+            let dense = uniform_vec(&mut rng, len, -10.0, 10.0);
+            let ratio = Uniform::new(0.01, 1.0).sample(&mut rng);
             // Top-K is a contraction: ||x - C(x)|| <= ||x||.
             let rec = select(&dense, ratio).to_dense();
-            let err: f32 = dense.iter().zip(rec.iter()).map(|(a, b)| (a - b).powi(2)).sum();
+            let err: f32 = dense
+                .iter()
+                .zip(rec.iter())
+                .map(|(a, b)| (a - b).powi(2))
+                .sum();
             let norm: f32 = dense.iter().map(|a| a * a).sum();
-            prop_assert!(err <= norm + 1e-4);
+            assert!(err <= norm + 1e-4);
         }
     }
 }

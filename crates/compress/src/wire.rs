@@ -79,7 +79,6 @@ use crate::quantize::max_level_for_bits;
 use crate::rans::{AdaptiveCdf, BitReader, RansDecoder, RansEncoder};
 use crate::sparse::SparseUpdate;
 use crate::update::CompressedUpdate;
-use bytes::{BufMut, Bytes, BytesMut};
 
 /// First two bytes of every encoded update.
 pub const WIRE_MAGIC: [u8; 2] = [0xB3, 0xF1];
@@ -157,12 +156,12 @@ impl std::error::Error for WireError {}
 /// analytic `2·V·CR` formula.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireUpdate {
-    bytes: Bytes,
+    bytes: Vec<u8>,
 }
 
 impl WireUpdate {
     /// Wrap raw bytes (validated lazily by [`WireUpdate::decode`]).
-    pub fn from_bytes(bytes: Bytes) -> Self {
+    pub fn from_bytes(bytes: Vec<u8>) -> Self {
         Self { bytes }
     }
 
@@ -291,16 +290,16 @@ fn decode_slice(b: &[u8], allow_segmented: bool) -> Result<CompressedUpdate, Wir
     }
 }
 
-fn header(kind: u8, dense_len: usize, capacity_hint: usize) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(4 + 10 + capacity_hint);
-    buf.put_slice(&WIRE_MAGIC);
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(kind);
+fn header(kind: u8, dense_len: usize, capacity_hint: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + 10 + capacity_hint);
+    buf.extend_from_slice(&WIRE_MAGIC);
+    buf.push(WIRE_VERSION);
+    buf.push(kind);
     put_varint(&mut buf, dense_len as u64);
     buf
 }
 
-fn put_indices(buf: &mut BytesMut, indices: &[u32]) {
+fn put_indices(buf: &mut Vec<u8>, indices: &[u32]) {
     assert!(
         indices.windows(2).all(|w| w[0] < w[1]),
         "wire indices must be strictly increasing"
@@ -329,23 +328,23 @@ fn put_indices(buf: &mut BytesMut, indices: &[u32]) {
             fill += 1;
         }
         if fill + 5 > block.len() {
-            buf.put_slice(&block[..fill]);
+            buf.extend_from_slice(&block[..fill]);
             fill = 0;
         }
     }
-    buf.put_slice(&block[..fill]);
+    buf.extend_from_slice(&block[..fill]);
 }
 
 /// Append `values` as little-endian f32s in fixed 16-value blocks: one
 /// bounds-checked append per block instead of per value, which is what lets
 /// the dense and sparse encoders run at memcpy-like speed.
-fn put_f32s(buf: &mut BytesMut, values: &[f32]) {
+fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
     let mut block = [0u8; 64];
     for chunk in values.chunks(16) {
         for (slot, &v) in block.chunks_exact_mut(4).zip(chunk) {
             slot.copy_from_slice(&v.to_le_bytes());
         }
-        buf.put_slice(&block[..chunk.len() * 4]);
+        buf.extend_from_slice(&block[..chunk.len() * 4]);
     }
 }
 
@@ -354,7 +353,7 @@ pub fn encode_sparse(update: &SparseUpdate) -> WireUpdate {
     let mut buf = header(KIND_SPARSE, update.dense_len(), update.nnz() * 7);
     put_indices(&mut buf, update.indices());
     put_f32s(&mut buf, update.values());
-    WireUpdate::from_bytes(buf.freeze())
+    WireUpdate::from_bytes(buf)
 }
 
 /// Encode an uncompressed (ratio-1.0) update as a `KIND_DENSE` buffer: raw
@@ -362,7 +361,7 @@ pub fn encode_sparse(update: &SparseUpdate) -> WireUpdate {
 pub fn encode_dense(values: &[f32]) -> WireUpdate {
     let mut buf = header(KIND_DENSE, values.len(), values.len() * 4);
     put_f32s(&mut buf, values);
-    WireUpdate::from_bytes(buf.freeze())
+    WireUpdate::from_bytes(buf)
 }
 
 /// Encode a dense quantized vector as a `KIND_QUANTIZED` buffer. `levels`
@@ -375,7 +374,7 @@ pub fn encode_quantized(dense_len: usize, bits: u8, norm: f32, levels: &[i32]) -
         5 + (dense_len * bits as usize).div_ceil(8),
     );
     put_quantized_body(&mut buf, bits, norm, levels);
-    WireUpdate::from_bytes(buf.freeze())
+    WireUpdate::from_bytes(buf)
 }
 
 /// Encode a sparsified-then-quantized update as a `KIND_SPARSE_QUANTIZED`
@@ -396,7 +395,7 @@ pub fn encode_sparse_quantized(
     );
     put_indices(&mut buf, indices);
     put_quantized_body(&mut buf, bits, norm, levels);
-    WireUpdate::from_bytes(buf.freeze())
+    WireUpdate::from_bytes(buf)
 }
 
 /// Encode per-segment wire updates into one framed `KIND_SEGMENTED` buffer.
@@ -418,9 +417,9 @@ pub fn encode_segmented(dense_len: usize, parts: &[WireUpdate]) -> WireUpdate {
             "segmented payloads do not nest"
         );
         put_varint(&mut buf, p.len() as u64);
-        buf.put_slice(p.as_bytes());
+        buf.extend_from_slice(p.as_bytes());
     }
-    WireUpdate::from_bytes(buf.freeze())
+    WireUpdate::from_bytes(buf)
 }
 
 /// Append one segment's update, which starts at dense coordinate `offset`,
@@ -500,11 +499,11 @@ fn decode_segmented_body(
     )))
 }
 
-fn put_quantized_body(buf: &mut BytesMut, bits: u8, norm: f32, levels: &[i32]) {
+fn put_quantized_body(buf: &mut Vec<u8>, bits: u8, norm: f32, levels: &[i32]) {
     assert!((2..=16).contains(&bits), "bits must be in 2..=16");
     let max_level = max_level_for_bits(bits) as i32;
-    buf.put_u8(bits);
-    buf.put_f32_le(norm);
+    buf.push(bits);
+    buf.extend_from_slice(&norm.to_le_bytes());
     // MSB-first bit packing: sign bit, then bits-1 magnitude bits, staged
     // through a fixed stack block so the stream appends in block-sized
     // slices instead of one bounds-checked push per byte. A field is at most
@@ -526,7 +525,7 @@ fn put_quantized_body(buf: &mut BytesMut, bits: u8, norm: f32, levels: &[i32]) {
             fill += 1;
         }
         if fill + 2 > block.len() {
-            buf.put_slice(&block[..fill]);
+            buf.extend_from_slice(&block[..fill]);
             fill = 0;
         }
     }
@@ -534,7 +533,7 @@ fn put_quantized_body(buf: &mut BytesMut, bits: u8, norm: f32, levels: &[i32]) {
         block[fill] = (acc << (8 - acc_bits)) as u8;
         fill += 1;
     }
-    buf.put_slice(&block[..fill]);
+    buf.extend_from_slice(&block[..fill]);
 }
 
 /// Flag bit: the entropy payload carries sparse indices beside the levels.
@@ -633,21 +632,21 @@ fn entropy_frame(
     (stream, raw): (&[u8], &[u8]),
 ) -> WireUpdate {
     let mut buf = header(KIND_ENTROPY, dense_len, total);
-    buf.put_u8(if nnz.is_some() {
+    buf.push(if nnz.is_some() {
         ENTROPY_FLAG_SPARSE
     } else {
         0
     });
-    buf.put_u8(bits);
-    buf.put_f32_le(norm);
+    buf.push(bits);
+    buf.extend_from_slice(&norm.to_le_bytes());
     if let Some(nnz) = nnz {
         put_varint(&mut buf, nnz as u64);
     }
     put_varint(&mut buf, stream.len() as u64);
-    buf.put_slice(stream);
-    buf.put_slice(raw);
+    buf.extend_from_slice(stream);
+    buf.extend_from_slice(raw);
     debug_assert_eq!(buf.len(), total);
-    WireUpdate::from_bytes(buf.freeze())
+    WireUpdate::from_bytes(buf)
 }
 
 /// Encode a dense quantized vector with the adaptive-CDF rANS coder, falling
@@ -974,15 +973,15 @@ fn read_f32_le(b: &[u8], cur: &mut usize) -> Result<f32, WireError> {
 }
 
 /// Append an LEB128 varint.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -1024,9 +1023,8 @@ mod tests {
             u32::MAX as u64,
             u64::MAX,
         ] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, v);
-            let b = buf.freeze();
+            let mut b = Vec::new();
+            put_varint(&mut b, v);
             let mut cur = 0;
             assert_eq!(read_varint(&b, &mut cur).unwrap(), v);
             assert_eq!(cur, b.len());
@@ -1105,24 +1103,24 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert_eq!(
-            WireUpdate::from_bytes(Bytes::from_static(&[1, 2])).decode(),
+            WireUpdate::from_bytes(vec![1, 2]).decode(),
             Err(WireError::Truncated)
         );
         assert_eq!(
-            WireUpdate::from_bytes(Bytes::from_static(&[0, 0, 1, 0, 0])).decode(),
+            WireUpdate::from_bytes(vec![0, 0, 1, 0, 0]).decode(),
             Err(WireError::BadMagic)
         );
         assert_eq!(
-            WireUpdate::from_bytes(Bytes::from_static(&[0xB3, 0xF1, 99, 0, 0])).decode(),
+            WireUpdate::from_bytes(vec![0xB3, 0xF1, 99, 0, 0]).decode(),
             Err(WireError::UnsupportedVersion(99))
         );
         assert_eq!(
-            WireUpdate::from_bytes(Bytes::from_static(&[0xB3, 0xF1, 1, 9, 0])).decode(),
+            WireUpdate::from_bytes(vec![0xB3, 0xF1, 1, 9, 0]).decode(),
             Err(WireError::UnknownKind(9))
         );
         // Kind 5 is retired (the binary range coder's frame), not reassigned.
         assert_eq!(
-            WireUpdate::from_bytes(Bytes::from_static(&[0xB3, 0xF1, 1, 5, 0])).decode(),
+            WireUpdate::from_bytes(vec![0xB3, 0xF1, 1, 5, 0]).decode(),
             Err(WireError::UnknownKind(5))
         );
     }
@@ -1131,7 +1129,7 @@ mod tests {
     fn decode_rejects_truncated_body() {
         let s = SparseUpdate::new(vec![0, 1, 2], vec![1.0, 2.0, 3.0], 8);
         let w = encode_sparse(&s);
-        let cut = WireUpdate::from_bytes(Bytes::copy_from_slice(&w.as_bytes()[..w.len() - 5]));
+        let cut = WireUpdate::from_bytes(w.as_bytes()[..w.len() - 5].to_vec());
         assert_eq!(cut.decode(), Err(WireError::Truncated));
     }
 
@@ -1151,39 +1149,27 @@ mod tests {
     fn crafted_huge_counts_are_rejected_without_allocating() {
         // Quantized payload declaring u32::MAX coordinates: must error, not
         // overflow `count * bits` or reserve gigabytes.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_QUANTIZED);
-        put_varint(&mut buf, u32::MAX as u64); // dense_len
-        buf.put_u8(8); // bits
-        buf.put_f32_le(1.0); // norm
-        buf.put_u8(0xAB); // one stray payload byte
+        let mut buf = header(KIND_QUANTIZED, u32::MAX as usize, 0);
+        buf.push(8); // bits
+        buf.extend_from_slice(&1.0f32.to_le_bytes()); // norm
+        buf.push(0xAB); // one stray payload byte
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Truncated)
         );
 
         // Sparse payload declaring a huge dense_len and nnz with a tiny body.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_SPARSE);
-        put_varint(&mut buf, u32::MAX as u64); // dense_len
+        let mut buf = header(KIND_SPARSE, u32::MAX as usize, 0);
         put_varint(&mut buf, (u32::MAX - 1) as u64); // nnz
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Truncated)
         );
 
         // Dense payload declaring more values than the buffer holds.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_DENSE);
-        put_varint(&mut buf, u32::MAX as u64);
+        let mut buf = header(KIND_DENSE, u32::MAX as usize, 0);
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Truncated)
         );
 
@@ -1192,21 +1178,17 @@ mod tests {
         // well-formed initial states, so only the guard can refuse them, and
         // its own error says it did.
         for sparse in [false, true] {
-            let mut buf = BytesMut::new();
-            buf.put_slice(&WIRE_MAGIC);
-            buf.put_u8(WIRE_VERSION);
-            buf.put_u8(KIND_ENTROPY);
-            put_varint(&mut buf, u32::MAX as u64); // dense_len
-            buf.put_u8(sparse as u8); // flags
-            buf.put_u8(2); // bits
-            buf.put_f32_le(1.0); // norm
+            let mut buf = header(KIND_ENTROPY, u32::MAX as usize, 0);
+            buf.push(sparse as u8); // flags
+            buf.push(2); // bits
+            buf.extend_from_slice(&1.0f32.to_le_bytes()); // norm
             if sparse {
                 put_varint(&mut buf, (u32::MAX - 1) as u64); // nnz
             }
             put_varint(&mut buf, 8); // rANS stream length
-            buf.put_slice(&[0, 0, 0x80, 0, 0, 0, 0x80, 0]); // two states at 2^23
+            buf.extend_from_slice(&[0, 0, 0x80, 0, 0, 0, 0x80, 0]); // two states at 2^23
             assert_eq!(
-                WireUpdate::from_bytes(buf.freeze()).decode(),
+                WireUpdate::from_bytes(buf).decode(),
                 Err(WireError::Corrupt("count exceeds rANS stream capacity")),
                 "sparse {sparse}"
             );
@@ -1228,16 +1210,15 @@ mod tests {
             KIND_ENTROPY,
         ] {
             for dense_len in [u32::MAX as u64 + 1, 1u64 << 62, u64::MAX] {
-                let mut buf = BytesMut::new();
-                buf.put_slice(&WIRE_MAGIC);
-                buf.put_u8(WIRE_VERSION);
-                buf.put_u8(kind);
+                let mut buf = Vec::new();
+                buf.extend_from_slice(&WIRE_MAGIC);
+                buf.extend_from_slice(&[WIRE_VERSION, kind]);
                 put_varint(&mut buf, dense_len);
                 // Enough trailing bytes that a truncating decoder would have
                 // happily read a small body instead of erroring.
-                buf.put_slice(&[0u8; 64]);
+                buf.extend_from_slice(&[0u8; 64]);
                 assert_eq!(
-                    WireUpdate::from_bytes(buf.freeze()).decode(),
+                    WireUpdate::from_bytes(buf).decode(),
                     Err(WireError::Corrupt("dense length exceeds u32 index range")),
                     "kind {kind} dense_len {dense_len}"
                 );
@@ -1304,63 +1285,46 @@ mod tests {
         // Nested segmented payloads are rejected (no recursion bombs). The
         // encoder debug-asserts against this, so hand-build the frame.
         let inner = encode_segmented(3, std::slice::from_ref(&part));
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_SEGMENTED);
-        put_varint(&mut buf, 3);
+        let mut buf = header(KIND_SEGMENTED, 3, 0);
         put_varint(&mut buf, 1);
         put_varint(&mut buf, inner.len() as u64);
-        buf.put_slice(inner.as_bytes());
+        buf.extend_from_slice(inner.as_bytes());
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Corrupt("nested segmented payload"))
         );
 
         // Zero segments.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_SEGMENTED);
-        put_varint(&mut buf, 3);
+        let mut buf = header(KIND_SEGMENTED, 3, 0);
         put_varint(&mut buf, 0);
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Corrupt("segmented update with no segments"))
         );
 
         // A declared segment count the buffer cannot hold: must error before
         // any allocation.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_SEGMENTED);
-        put_varint(&mut buf, 3);
+        let mut buf = header(KIND_SEGMENTED, 3, 0);
         put_varint(&mut buf, u32::MAX as u64);
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Truncated)
         );
 
         // A segment length prefix pointing past the end of the buffer.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_SEGMENTED);
-        put_varint(&mut buf, 3);
+        let mut buf = header(KIND_SEGMENTED, 3, 0);
         put_varint(&mut buf, 1);
         put_varint(&mut buf, 1000);
-        buf.put_u8(0xAB);
+        buf.push(0xAB);
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Truncated)
         );
 
         // Truncating the last segment mid-payload is caught by the nested
         // decode.
         let full = encode_segmented(3, &[part]);
-        let cut =
-            WireUpdate::from_bytes(Bytes::copy_from_slice(&full.as_bytes()[..full.len() - 3]));
+        let cut = WireUpdate::from_bytes(full.as_bytes()[..full.len() - 3].to_vec());
         assert_eq!(cut.decode(), Err(WireError::Truncated));
         assert_eq!(cut.segment_byte_lens(), None);
     }
@@ -1606,7 +1570,7 @@ mod tests {
             let mut old = frame.to_vec();
             old[3] = 5;
             assert_eq!(
-                WireUpdate::from_bytes(Bytes::from(old)).decode(),
+                WireUpdate::from_bytes(old).decode(),
                 Err(WireError::UnknownKind(5))
             );
         }
@@ -1634,7 +1598,7 @@ mod tests {
         assert_eq!(sw.kind().unwrap(), KIND_ENTROPY);
         for frame in [&w, &sw] {
             for cut in 0..frame.len() {
-                let t = WireUpdate::from_bytes(Bytes::copy_from_slice(&frame.as_bytes()[..cut]));
+                let t = WireUpdate::from_bytes(frame.as_bytes()[..cut].to_vec());
                 assert_eq!(t.decode(), Err(WireError::Truncated), "cut at {cut}");
             }
             // So is anything after the end: the raw section is consumed
@@ -1642,7 +1606,7 @@ mod tests {
             let mut padded = frame.as_bytes().to_vec();
             padded.push(0);
             assert_eq!(
-                WireUpdate::from_bytes(Bytes::from(padded)).decode(),
+                WireUpdate::from_bytes(padded).decode(),
                 Err(WireError::Corrupt("trailing bits in raw section"))
             );
         }
@@ -1653,7 +1617,7 @@ mod tests {
         assert!((raw[11] as usize) < raw.len() - 12, "a raw section follows");
         raw[11] = (raw.len() - 12) as u8;
         assert!(matches!(
-            WireUpdate::from_bytes(Bytes::from(raw)).decode(),
+            WireUpdate::from_bytes(raw).decode(),
             Err(WireError::Truncated | WireError::Corrupt(_))
         ));
 
@@ -1661,7 +1625,7 @@ mod tests {
         let mut raw = w.as_bytes().to_vec();
         raw[5] = 0x82;
         assert_eq!(
-            WireUpdate::from_bytes(Bytes::from(raw)).decode(),
+            WireUpdate::from_bytes(raw).decode(),
             Err(WireError::Corrupt("unknown entropy flags"))
         );
 
@@ -1669,23 +1633,19 @@ mod tests {
         let mut raw = w.as_bytes().to_vec();
         raw[6] = 17;
         assert_eq!(
-            WireUpdate::from_bytes(Bytes::from(raw)).decode(),
+            WireUpdate::from_bytes(raw).decode(),
             Err(WireError::Corrupt("bits out of range"))
         );
 
         // Sparse flavour: nnz larger than dense_len is corrupt.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_ENTROPY);
-        put_varint(&mut buf, 10); // dense_len
-        buf.put_u8(1); // flags: sparse
-        buf.put_u8(4); // bits
-        buf.put_f32_le(1.0); // norm
+        let mut buf = header(KIND_ENTROPY, 10, 0);
+        buf.push(1); // flags: sparse
+        buf.push(4); // bits
+        buf.extend_from_slice(&1.0f32.to_le_bytes()); // norm
         put_varint(&mut buf, 11); // nnz > dense_len
-        buf.put_slice(&[0u8; 16]);
+        buf.extend_from_slice(&[0u8; 16]);
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Corrupt("nnz exceeds dense length"))
         );
 
@@ -1693,14 +1653,10 @@ mod tests {
         // levels or errors — never panics, never over-allocates. (The gap
         // decoder can produce an out-of-range index, which must be Corrupt.)
         for seed in 0u8..32 {
-            let mut buf = BytesMut::new();
-            buf.put_slice(&WIRE_MAGIC);
-            buf.put_u8(WIRE_VERSION);
-            buf.put_u8(KIND_ENTROPY);
-            put_varint(&mut buf, 64); // dense_len
-            buf.put_u8(1); // flags: sparse
-            buf.put_u8(4); // bits
-            buf.put_f32_le(1.0); // norm
+            let mut buf = header(KIND_ENTROPY, 64, 0);
+            buf.push(1); // flags: sparse
+            buf.push(4); // bits
+            buf.extend_from_slice(&1.0f32.to_le_bytes()); // norm
             put_varint(&mut buf, 32); // nnz
             put_varint(&mut buf, 16); // rANS stream length; 8 raw bytes follow
             let mut soup: Vec<u8> = (0u8..24)
@@ -1711,8 +1667,8 @@ mod tests {
             for state in [3, 7] {
                 soup[state] = soup[state] & 0x7F | 0x01;
             }
-            buf.put_slice(&soup);
-            match WireUpdate::from_bytes(buf.freeze()).decode() {
+            buf.extend_from_slice(&soup);
+            match WireUpdate::from_bytes(buf).decode() {
                 Ok(update) => {
                     let s = update.into_sparse().unwrap();
                     assert!(s.indices().iter().all(|&i| i < 64));
@@ -1739,16 +1695,12 @@ mod tests {
     #[test]
     fn decode_rejects_out_of_range_index() {
         // Hand-built sparse buffer with an index beyond dense_len.
-        let mut buf = BytesMut::new();
-        buf.put_slice(&WIRE_MAGIC);
-        buf.put_u8(WIRE_VERSION);
-        buf.put_u8(KIND_SPARSE);
-        put_varint(&mut buf, 4); // dense_len
+        let mut buf = header(KIND_SPARSE, 4, 0);
         put_varint(&mut buf, 1); // nnz
         put_varint(&mut buf, 9); // index 9 >= 4
-        buf.put_f32_le(1.0);
+        buf.extend_from_slice(&1.0f32.to_le_bytes());
         assert_eq!(
-            WireUpdate::from_bytes(buf.freeze()).decode(),
+            WireUpdate::from_bytes(buf).decode(),
             Err(WireError::Corrupt("index out of range"))
         );
     }

@@ -159,10 +159,9 @@ fn splice_varint(frame: &[u8], at: usize, value: u64) -> Vec<u8> {
         end += 1;
     }
     let end = (end + 1).min(frame.len());
-    let mut varint = bytes::BytesMut::new();
+    let mut varint = Vec::new();
     put_varint(&mut varint, value);
-    let varint = varint.freeze();
-    [&frame[..at], &varint[..], &frame[end..]].concat()
+    [&frame[..at], &varint, &frame[end..]].concat()
 }
 
 /// Values worth putting in a length field.
@@ -197,7 +196,7 @@ impl Tally {
         bytes: Vec<u8>,
     ) -> Option<Result<CompressedUpdate, WireError>> {
         let len = bytes.len();
-        let wire = WireUpdate::from_bytes(bytes.into());
+        let wire = WireUpdate::from_bytes(bytes);
         REQUESTED.with(|c| c.set(0));
         let outcome = catch_unwind(|| wire.decode());
         let requested = REQUESTED.with(Cell::get);

@@ -18,8 +18,6 @@ use fl_compress::{
 };
 use fl_tensor::rng::{Rng, Xoshiro256};
 use pins::{Fnv, Row};
-use proptest::prelude::*;
-use proptest::test_runner::ProptestConfig;
 
 /// Build a flat codec for `spec` sized for `n` coordinates.
 fn build(spec: &str, n: usize) -> Box<dyn UpdateCodec> {
@@ -94,7 +92,7 @@ fn assert_encode_sent_is_decode(
         };
         let (wire, reconstruction) = codec.encode_sent(&d, ratio, &mut rng);
         let decoded = codec.decode(&wire).expect("own bytes decode");
-        prop_assert!(
+        assert!(
             decoded.bit_eq(&reconstruction),
             "{}: encode_sent disagrees with decode(wire) in round {} (flavour {})",
             what,
@@ -182,71 +180,86 @@ fn spec_shapes_are_pinned() {
     pins::check(|name| name.starts_with("shape/"), &got);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// The single-pass contract, for every built-in: the update `encode_sent`
-    /// returns equals `decode` of the bytes it returns, compared by
-    /// `to_bits` — NaN and infinite norms, the all-zero vector, level-0
-    /// coordinates and the `:rc` never-expand fallback included.
-    #[test]
-    fn prop_encode_sent_equals_decode_of_wire(
-        seed in 0u64..1 << 32,
-        n in 1usize..700,
-        flavour in 0u8..7,
-        ratio_pct in 1u32..101,
-    ) {
-        let ratio = ratio_pct as f64 / 100.0;
+/// The single-pass contract, for every built-in: the update `encode_sent`
+/// returns equals `decode` of the bytes it returns, compared by
+/// `to_bits` — NaN and infinite norms, the all-zero vector, level-0
+/// coordinates and the `:rc` never-expand fallback included.
+#[test]
+fn prop_encode_sent_equals_decode_of_wire() {
+    let mut rng = Xoshiro256::new(1);
+    for _ in 0..40 {
+        let seed = rng.next_u64() >> 32;
+        let n = rng.next_range(1, 700);
+        let flavour = rng.next_below(7) as u8;
+        let ratio = rng.next_range(1, 101) as f64 / 100.0;
         for spec in BUILTIN_SPECS {
             let mut codec = build(spec, n);
             assert_encode_sent_is_decode(spec, codec.as_mut(), seed, n, flavour, ratio);
         }
     }
+}
 
-    /// A sparse quantized frame carries only coordinates of nonzero level:
-    /// every decoded value is nonzero (NaN counts, as under a non-finite
-    /// norm), and the indices are a subset of what the same selection stage
-    /// picks unquantized from the same stream — so `nnz ≤ k`.
-    #[test]
-    fn prop_sparse_quantized_frames_carry_only_nonzero_levels(
-        seed in 0u64..1 << 32,
-        n in 1usize..700,
-        flavour in 0u8..7,
-        ratio_pct in 1u32..101,
-    ) {
-        let ratio = ratio_pct as f64 / 100.0;
+/// A sparse quantized frame carries only coordinates of nonzero level:
+/// every decoded value is nonzero (NaN counts, as under a non-finite
+/// norm), and the indices are a subset of what the same selection stage
+/// picks unquantized from the same stream — so `nnz ≤ k`.
+#[test]
+fn prop_sparse_quantized_frames_carry_only_nonzero_levels() {
+    let mut rng = Xoshiro256::new(2);
+    for _ in 0..40 {
+        let seed = rng.next_u64() >> 32;
+        let n = rng.next_range(1, 700);
+        let flavour = rng.next_below(7) as u8;
+        let ratio = rng.next_range(1, 101) as f64 / 100.0;
         let d = awkward_gradient(seed, n, flavour);
         for spec in BUILTIN_SPECS.into_iter().filter(|s| s.contains("+qsgd")) {
             let selection = spec.split('+').next().expect("a selection stage");
             let (wire, _) = build(spec, n).encode_sent(&d, ratio, &mut Xoshiro256::new(seed));
-            let (picked, _) = build(selection, n).encode_sent(&d, ratio, &mut Xoshiro256::new(seed));
-            let carried = wire.decode().expect("own bytes decode").into_sparse().expect("sparse kind");
-            let picked = picked.decode().expect("own bytes decode").into_sparse().expect("sparse kind");
-            prop_assert!(
+            let (picked, _) =
+                build(selection, n).encode_sent(&d, ratio, &mut Xoshiro256::new(seed));
+            let carried = wire
+                .decode()
+                .expect("own bytes decode")
+                .into_sparse()
+                .expect("sparse kind");
+            let picked = picked
+                .decode()
+                .expect("own bytes decode")
+                .into_sparse()
+                .expect("sparse kind");
+            assert!(
                 carried.values().iter().all(|&v| v != 0.0),
-                "{}: a zero coordinate went on the wire (flavour {})", spec, flavour
+                "{}: a zero coordinate went on the wire (flavour {})",
+                spec,
+                flavour
             );
-            prop_assert!(carried.nnz() <= picked.nnz(), "{}: nnz above k", spec);
-            prop_assert!(
-                carried.indices().iter().all(|i| picked.indices().binary_search(i).is_ok()),
-                "{}: an index outside the selection", spec
+            assert!(carried.nnz() <= picked.nnz(), "{}: nnz above k", spec);
+            assert!(
+                carried
+                    .indices()
+                    .iter()
+                    .all(|i| picked.indices().binary_search(i).is_ok()),
+                "{}: an index outside the selection",
+                spec
             );
         }
     }
+}
 
-    /// The same contract through a mixed layer plan: the spliced update a
-    /// `PlannedCodec` returns equals the decode of its `Segmented` frame,
-    /// with error-feedback, dense, quantized and entropy-coded segments side
-    /// by side.
-    #[test]
-    fn prop_planned_encode_sent_equals_decode_of_frame(
-        seed in 0u64..1 << 32,
-        w0 in 8usize..400,
-        b0 in 1usize..40,
-        w1 in 8usize..400,
-        flavour in 0u8..7,
-        ratio_pct in 1u32..101,
-    ) {
+/// The same contract through a mixed layer plan: the spliced update a
+/// `PlannedCodec` returns equals the decode of its `Segmented` frame,
+/// with error-feedback, dense, quantized and entropy-coded segments side
+/// by side.
+#[test]
+fn prop_planned_encode_sent_equals_decode_of_frame() {
+    let mut rng = Xoshiro256::new(3);
+    for _ in 0..40 {
+        let seed = rng.next_u64() >> 32;
+        let w0 = rng.next_range(8, 400);
+        let b0 = rng.next_range(1, 40);
+        let w1 = rng.next_range(8, 400);
+        let flavour = rng.next_below(7) as u8;
+        let ratio = rng.next_range(1, 101) as f64 / 100.0;
         let layout = vec![
             SegmentDef::new("l0.weight", w0),
             SegmentDef::new("l0.bias", b0),
@@ -259,15 +272,10 @@ proptest! {
         let plan: LayerPlan = "l0.bias=dense;*.bias=qsgd:6:rc;l0*=ef-topk+qsgd:4:rc;*=ef-randk"
             .parse()
             .expect("plan parses");
-        let mut codec = plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
-        assert_encode_sent_is_decode(
-            "mixed plan",
-            codec.as_mut(),
-            seed,
-            n,
-            flavour,
-            ratio_pct as f64 / 100.0,
-        );
+        let mut codec = plan
+            .resolve(&registry, &layout, &ctx)
+            .expect("plan resolves");
+        assert_encode_sent_is_decode("mixed plan", codec.as_mut(), seed, n, flavour, ratio);
     }
 }
 
@@ -294,100 +302,134 @@ fn rc_specs_reach_the_entropy_kind_and_the_never_expand_fallback() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Every flat builtin spec round-trips through bytes: re-parsing the
-    /// encoded buffer decodes to the same update the producing codec frames,
-    /// with the dense length preserved and every value finite.
-    #[test]
-    fn prop_flat_specs_roundtrip(seed in 0u64..1 << 32, n in 1usize..600, ratio_pct in 1u32..100) {
-        let ratio = ratio_pct as f64 / 100.0;
+/// Every flat builtin spec round-trips through bytes: re-parsing the
+/// encoded buffer decodes to the same update the producing codec frames,
+/// with the dense length preserved and every value finite.
+#[test]
+fn prop_flat_specs_roundtrip() {
+    let mut rng = Xoshiro256::new(4);
+    for _ in 0..48 {
+        let seed = rng.next_u64() >> 32;
+        let n = rng.next_range(1, 600);
+        let ratio = rng.next_range(1, 100) as f64 / 100.0;
         let d = gradient(seed, n);
         for spec in [
-            "topk", "randk", "qsgd:4", "qsgd:8", "qsgd:8:rc",
-            "topk+qsgd:6", "topk+qsgd:6:rc", "ef-topk", "dense",
+            "topk",
+            "randk",
+            "qsgd:4",
+            "qsgd:8",
+            "qsgd:8:rc",
+            "topk+qsgd:6",
+            "topk+qsgd:6:rc",
+            "ef-topk",
+            "dense",
         ] {
             let mut codec = build(spec, n);
             let wire = codec.encode(&d, ratio, &mut Xoshiro256::new(seed ^ 1));
-            let reparsed = WireUpdate::from_bytes(wire.as_bytes().to_vec().into());
-            prop_assert_eq!(&reparsed, &wire, "byte re-parse differs for {}", spec);
+            let reparsed = WireUpdate::from_bytes(wire.as_bytes().to_vec());
+            assert_eq!(&reparsed, &wire, "byte re-parse differs for {}", spec);
             let dense = wire.decode().expect("own bytes decode").into_dense();
-            prop_assert_eq!(dense.len(), n, "length drift for {}", spec);
-            prop_assert!(dense.iter().all(|v| v.is_finite()), "non-finite decode for {}", spec);
+            assert_eq!(dense.len(), n, "length drift for {}", spec);
+            assert!(
+                dense.iter().all(|v| v.is_finite()),
+                "non-finite decode for {}",
+                spec
+            );
             if spec == "dense" {
-                prop_assert!(
-                    dense.iter().zip(d.iter()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                assert!(
+                    dense
+                        .iter()
+                        .zip(d.iter())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "dense codec must be lossless"
                 );
             }
         }
     }
+}
 
-    /// The entropy twin of a bit-packed quantizer decodes bit-identically
-    /// (same levels, same dequantization) and its frame is never larger:
-    /// when the entropy coder cannot beat bit-packing it falls back to it.
-    #[test]
-    fn prop_entropy_twin_bit_identical_never_larger(
-        seed in 0u64..1 << 32,
-        n in 1usize..2000,
-        bits in 2u8..9,
-    ) {
+/// The entropy twin of a bit-packed quantizer decodes bit-identically
+/// (same levels, same dequantization) and its frame is never larger:
+/// when the entropy coder cannot beat bit-packing it falls back to it.
+#[test]
+fn prop_entropy_twin_bit_identical_never_larger() {
+    let mut rng = Xoshiro256::new(5);
+    for _ in 0..48 {
+        let seed = rng.next_u64() >> 32;
+        let n = rng.next_range(1, 2000);
+        let bits = rng.next_range(2, 9) as u8;
         let d = gradient(seed, n);
         let mut rc = build(&format!("qsgd:{bits}:rc"), n);
         let mut packed = build(&format!("qsgd:{bits}"), n);
         let wr = rc.encode(&d, 1.0, &mut Xoshiro256::new(seed ^ 2));
         let wp = packed.encode(&d, 1.0, &mut Xoshiro256::new(seed ^ 2));
-        prop_assert!(wr.len() <= wp.len(), "entropy frame expanded: {} > {}", wr.len(), wp.len());
+        assert!(
+            wr.len() <= wp.len(),
+            "entropy frame expanded: {} > {}",
+            wr.len(),
+            wp.len()
+        );
         let a = wr.decode().expect("rc decodes").into_dense();
         let b = wp.decode().expect("packed decodes").into_dense();
-        prop_assert!(
-            a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
+        assert!(
+            a.iter()
+                .zip(b.iter())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
             "entropy decode drifted from bit-packed twin"
         );
     }
+}
 
-    /// Same twin property through the sparse composed path: identical
-    /// retained indices, bit-identical values, never more bytes.
-    #[test]
-    fn prop_sparse_entropy_twin(
-        seed in 0u64..1 << 32,
-        n in 20usize..2000,
-        bits in 2u8..9,
-        ratio_pct in 1u32..100,
-    ) {
-        let ratio = ratio_pct as f64 / 100.0;
+/// Same twin property through the sparse composed path: identical
+/// retained indices, bit-identical values, never more bytes.
+#[test]
+fn prop_sparse_entropy_twin() {
+    let mut rng = Xoshiro256::new(6);
+    for _ in 0..48 {
+        let seed = rng.next_u64() >> 32;
+        let n = rng.next_range(20, 2000);
+        let bits = rng.next_range(2, 9) as u8;
+        let ratio = rng.next_range(1, 100) as f64 / 100.0;
         let d = gradient(seed, n);
         let mut rc = build(&format!("topk+qsgd:{bits}:rc"), n);
         let mut packed = build(&format!("topk+qsgd:{bits}"), n);
         let wr = rc.encode(&d, ratio, &mut Xoshiro256::new(seed ^ 3));
         let wp = packed.encode(&d, ratio, &mut Xoshiro256::new(seed ^ 3));
-        prop_assert!(wr.len() <= wp.len(), "sparse entropy frame expanded");
-        let a = wr.decode().expect("rc decodes").into_sparse().expect("sparse kind");
-        let b = wp.decode().expect("packed decodes").into_sparse().expect("sparse kind");
-        prop_assert_eq!(a.indices(), b.indices());
-        prop_assert!(
-            a.values().iter().zip(b.values().iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
+        assert!(wr.len() <= wp.len(), "sparse entropy frame expanded");
+        let a = wr
+            .decode()
+            .expect("rc decodes")
+            .into_sparse()
+            .expect("sparse kind");
+        let b = wp
+            .decode()
+            .expect("packed decodes")
+            .into_sparse()
+            .expect("sparse kind");
+        assert_eq!(a.indices(), b.indices());
+        assert!(
+            a.values()
+                .iter()
+                .zip(b.values().iter())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
             "sparse entropy values drifted from bit-packed twin"
         );
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Mixed layer plans frame `Segmented` updates whose decode preserves the
-    /// total length, keeps dense-coded segments bit-exact, and round-trips
-    /// through a byte re-parse. Entropy rules inside a plan stay bit-identical
-    /// to their bit-packed twin plan.
-    #[test]
-    fn prop_segmented_plan_roundtrip(
-        seed in 0u64..1 << 32,
-        w0 in 8usize..400,
-        b0 in 1usize..40,
-        w1 in 8usize..400,
-        bits in 2u8..9,
-    ) {
+/// Mixed layer plans frame `Segmented` updates whose decode preserves the
+/// total length, keeps dense-coded segments bit-exact, and round-trips
+/// through a byte re-parse. Entropy rules inside a plan stay bit-identical
+/// to their bit-packed twin plan.
+#[test]
+fn prop_segmented_plan_roundtrip() {
+    let mut rng = Xoshiro256::new(7);
+    for _ in 0..32 {
+        let seed = rng.next_u64() >> 32;
+        let w0 = rng.next_range(8, 400);
+        let b0 = rng.next_range(1, 40);
+        let w1 = rng.next_range(8, 400);
+        let bits = rng.next_range(2, 9) as u8;
         let layout = vec![
             SegmentDef::new("l0.weight", w0),
             SegmentDef::new("l0.bias", b0),
@@ -396,49 +438,66 @@ proptest! {
         let n = w0 + b0 + w1;
         let ctx = CodecCtx::new(n, 1);
         let registry = CodecRegistry::with_builtins();
-        let rc_plan: LayerPlan =
-            format!("*.bias=dense;*=qsgd:{bits}:rc").parse().expect("plan parses");
-        let packed_plan: LayerPlan =
-            format!("*.bias=dense;*=qsgd:{bits}").parse().expect("plan parses");
-        let mut rc = rc_plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
-        let mut packed = packed_plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
+        let rc_plan: LayerPlan = format!("*.bias=dense;*=qsgd:{bits}:rc")
+            .parse()
+            .expect("plan parses");
+        let packed_plan: LayerPlan = format!("*.bias=dense;*=qsgd:{bits}")
+            .parse()
+            .expect("plan parses");
+        let mut rc = rc_plan
+            .resolve(&registry, &layout, &ctx)
+            .expect("plan resolves");
+        let mut packed = packed_plan
+            .resolve(&registry, &layout, &ctx)
+            .expect("plan resolves");
         let d = gradient(seed, n);
         let wr = rc.encode(&d, 1.0, &mut Xoshiro256::new(seed ^ 4));
         let wp = packed.encode(&d, 1.0, &mut Xoshiro256::new(seed ^ 4));
-        prop_assert!(wr.len() <= wp.len(), "segmented entropy plan expanded");
-        let reparsed = WireUpdate::from_bytes(wr.as_bytes().to_vec().into());
-        prop_assert_eq!(&reparsed, &wr);
+        assert!(wr.len() <= wp.len(), "segmented entropy plan expanded");
+        let reparsed = WireUpdate::from_bytes(wr.as_bytes().to_vec());
+        assert_eq!(&reparsed, &wr);
         let a = wr.decode().expect("rc plan decodes").into_dense();
         let b = wp.decode().expect("packed plan decodes").into_dense();
-        prop_assert_eq!(a.len(), n);
-        prop_assert!(
-            a.iter().zip(b.iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
+        assert_eq!(a.len(), n);
+        assert!(
+            a.iter()
+                .zip(b.iter())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
             "segmented entropy decode drifted from bit-packed twin plan"
         );
         // The dense-coded bias segment is lossless in both plans.
-        prop_assert!(
-            a[w0..w0 + b0].iter().zip(d[w0..w0 + b0].iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
+        assert!(
+            a[w0..w0 + b0]
+                .iter()
+                .zip(d[w0..w0 + b0].iter())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
             "dense bias segment must round-trip exactly"
         );
     }
+}
 
-    /// Error-feedback plans: taking the residual snapshot and restoring it
-    /// between rounds is invisible — a twin codec fed the same inputs without
-    /// the snapshot round-trip emits byte-identical frames every round.
-    #[test]
-    fn prop_ef_plan_snapshot_roundtrip(
-        seed in 0u64..1 << 32,
-        w in 8usize..300,
-        b in 1usize..30,
-        rounds in 1usize..4,
-    ) {
+/// Error-feedback plans: taking the residual snapshot and restoring it
+/// between rounds is invisible — a twin codec fed the same inputs without
+/// the snapshot round-trip emits byte-identical frames every round.
+#[test]
+fn prop_ef_plan_snapshot_roundtrip() {
+    let mut rng = Xoshiro256::new(8);
+    for _ in 0..32 {
+        let seed = rng.next_u64() >> 32;
+        let w = rng.next_range(8, 300);
+        let b = rng.next_range(1, 30);
+        let rounds = rng.next_range(1, 4);
         let layout = vec![SegmentDef::new("l.weight", w), SegmentDef::new("l.bias", b)];
         let n = w + b;
         let ctx = CodecCtx::new(n, 1);
         let registry = CodecRegistry::with_builtins();
         let plan: LayerPlan = "*.bias=dense;*=ef-topk".parse().expect("plan parses");
-        let mut snapshotted = plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
-        let mut straight = plan.resolve(&registry, &layout, &ctx).expect("plan resolves");
+        let mut snapshotted = plan
+            .resolve(&registry, &layout, &ctx)
+            .expect("plan resolves");
+        let mut straight = plan
+            .resolve(&registry, &layout, &ctx)
+            .expect("plan resolves");
         let mut rng_a = Xoshiro256::new(seed ^ 5);
         let mut rng_b = Xoshiro256::new(seed ^ 5);
         for round in 0..rounds {
@@ -447,25 +506,31 @@ proptest! {
             snapshotted.restore_residual(state);
             let wa = snapshotted.encode(&d, 0.25, &mut rng_a);
             let wb = straight.encode(&d, 0.25, &mut rng_b);
-            prop_assert_eq!(&wa, &wb, "snapshot round-trip changed round {} frame", round);
+            assert_eq!(
+                &wa, &wb,
+                "snapshot round-trip changed round {} frame",
+                round
+            );
         }
-        prop_assert!(snapshotted.residual_norm().is_finite());
-        prop_assert_eq!(snapshotted.residual_norm(), straight.residual_norm());
+        assert!(snapshotted.residual_norm().is_finite());
+        assert_eq!(snapshotted.residual_norm(), straight.residual_norm());
     }
+}
 
-    /// What an adaptive re-plan relies on: a `layer-bcrs` plan gives every
-    /// segment an `ef-topk+qsgd:<bits>` codec of one residual part, so a
-    /// snapshot parked under one bit assignment restores verbatim into the
-    /// codec of another — every coordinate carried, none dropped, none
-    /// zeroed — with no re-shaping in between.
-    #[test]
-    fn prop_ef_snapshot_restores_verbatim_across_bit_widths(
-        seed in 0u64..1 << 32,
-        w0 in 8usize..300,
-        b0 in 1usize..30,
-        w1 in 8usize..300,
-        bits in collection::vec(2u8..9, 6),
-    ) {
+/// What an adaptive re-plan relies on: a `layer-bcrs` plan gives every
+/// segment an `ef-topk+qsgd:<bits>` codec of one residual part, so a
+/// snapshot parked under one bit assignment restores verbatim into the
+/// codec of another — every coordinate carried, none dropped, none
+/// zeroed — with no re-shaping in between.
+#[test]
+fn prop_ef_snapshot_restores_verbatim_across_bit_widths() {
+    let mut rng = Xoshiro256::new(9);
+    for _ in 0..32 {
+        let seed = rng.next_u64() >> 32;
+        let w0 = rng.next_range(8, 300);
+        let b0 = rng.next_range(1, 30);
+        let w1 = rng.next_range(8, 300);
+        let bits: Vec<u8> = (0..6).map(|_| rng.next_range(2, 9) as u8).collect();
         let layout = vec![
             SegmentDef::new("l0.weight", w0),
             SegmentDef::new("l0.bias", b0),
@@ -488,9 +553,13 @@ proptest! {
         let mut old = resolve(&bits[..3]);
         old.encode(&gradient(seed, n), 0.05, &mut Xoshiro256::new(seed ^ 6));
         let snapshot = old.take_residual();
-        prop_assert_eq!(snapshot.parts.len(), 3, "one part per EF segment");
+        assert_eq!(snapshot.parts.len(), 3, "one part per EF segment");
         let mut new = resolve(&bits[3..]);
         new.restore_residual(snapshot.clone());
-        prop_assert_eq!(new.take_residual(), snapshot, "a re-plan altered the residual");
+        assert_eq!(
+            new.take_residual(),
+            snapshot,
+            "a re-plan altered the residual"
+        );
     }
 }

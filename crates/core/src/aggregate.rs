@@ -221,7 +221,7 @@ pub fn apply_update(global: &mut [f32], aggregated_delta: &[f32], server_lr: f32
 mod tests {
     use super::*;
     use crate::overlap::OverlapCounts;
-    use proptest::prelude::*;
+    use fl_tensor::{Rng, Uniform, Xoshiro256};
 
     fn sparse(indices: Vec<u32>, values: Vec<f32>, len: usize) -> SparseUpdate {
         SparseUpdate::new(indices, values, len)
@@ -363,33 +363,41 @@ mod tests {
         assert_eq!(serial, sharded);
     }
 
-    proptest! {
-        #[test]
-        fn prop_aggregation_linear_in_coefficients(
-            values in proptest::collection::vec(-5.0f32..5.0, 4..32),
-            coeff in 0.01f64..2.0,
-        ) {
+    #[test]
+    fn prop_aggregation_linear_in_coefficients() {
+        let mut rng = Xoshiro256::new(1);
+        for _ in 0..256 {
+            let values: Vec<f32> = (0..rng.next_range(4, 32))
+                .map(|_| Uniform::new(-5.0, 5.0).sample(&mut rng) as f32)
+                .collect();
+            let coeff = Uniform::new(0.01, 2.0).sample(&mut rng);
             // aggregate([u], [c]) == c * dense(u)
             let len = values.len();
             let indices: Vec<u32> = (0..len as u32).collect();
             let u = SparseUpdate::new(indices, values.clone(), len);
             let agg = aggregate_sparse(&[&u], &[coeff], None);
             for (a, v) in agg.iter().zip(values.iter()) {
-                prop_assert!((a - coeff as f32 * v).abs() < 1e-4);
+                assert!((a - coeff as f32 * v).abs() < 1e-4);
             }
         }
+    }
 
-        #[test]
-        fn prop_uncompressed_aggregate_preserves_weighted_mean(
-            d1 in proptest::collection::vec(-1.0f32..1.0, 8),
-            d2 in proptest::collection::vec(-1.0f32..1.0, 8),
-        ) {
+    #[test]
+    fn prop_uncompressed_aggregate_preserves_weighted_mean() {
+        let mut rng = Xoshiro256::new(2);
+        let mut draw = || -> Vec<f32> {
+            (0..8)
+                .map(|_| Uniform::new(-1.0, 1.0).sample(&mut rng) as f32)
+                .collect()
+        };
+        for _ in 0..256 {
+            let (d1, d2) = (draw(), draw());
             // With CR = 1 updates, aggregation equals the dense weighted mean.
             let u1 = SparseUpdate::from_dense_mask(&d1, |_, _| true);
             let u2 = SparseUpdate::from_dense_mask(&d2, |_, _| true);
             let agg = aggregate_sparse(&[&u1, &u2], &[0.5, 0.5], None);
             for i in 0..8 {
-                prop_assert!((agg[i] - 0.5 * (d1[i] + d2[i])).abs() < 1e-5);
+                assert!((agg[i] - 0.5 * (d1[i] + d2[i])).abs() < 1e-5);
             }
         }
     }

@@ -8,9 +8,11 @@
 //! leaking into a later pass.
 
 use fl_nn::{mlp, Sequential, Sgd, SoftmaxCrossEntropy, Workspace};
-use fl_tensor::rng::Xoshiro256;
+use fl_tensor::rng::{Rng, Xoshiro256};
 use fl_tensor::{Shape, Tensor};
-use proptest::prelude::*;
+
+/// Cases per property.
+const CASES: usize = 24;
 
 fn build_model(arch: u8, input_dim: usize, classes: usize, seed: u64) -> Sequential {
     let mut rng = Xoshiro256::new(seed);
@@ -33,17 +35,23 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// One reused workspace over a sequence of random (model, batch) pairs
-    /// computes the same logits and input gradients as a fresh workspace
-    /// per forward/backward pair.
-    #[test]
-    fn reused_workspace_matches_fresh_workspaces(
-        seed in 0u64..1_000_000,
-        steps in collection::vec((0u8..3, 1usize..6, 2usize..7), 2..6),
-    ) {
+/// One reused workspace over a sequence of random (model, batch) pairs
+/// computes the same logits and input gradients as a fresh workspace per
+/// forward/backward pair.
+#[test]
+fn reused_workspace_matches_fresh_workspaces() {
+    let mut rng = Xoshiro256::new(1);
+    for _ in 0..CASES {
+        let seed = rng.next_below(1_000_000) as u64;
+        let steps: Vec<(u8, usize, usize)> = (0..rng.next_range(2, 6))
+            .map(|_| {
+                (
+                    rng.next_below(3) as u8,
+                    rng.next_range(1, 6),
+                    rng.next_range(2, 7),
+                )
+            })
+            .collect();
         let mut ws = Workspace::new(); // deliberately shared across everything
         let classes = 3usize;
         for (i, &(arch, batch, input_dim)) in steps.iter().enumerate() {
@@ -67,23 +75,24 @@ proptest! {
             }
         }
     }
+}
 
-    /// A full multi-step SGD training loop through one reused workspace lands
-    /// on bit-identical parameters to one through a fresh workspace per
-    /// step, including with momentum and weight decay.
-    #[test]
-    fn training_loop_bitwise_equivalent(
-        seed in 0u64..1_000_000,
-        arch in 0u8..3,
-        batch in 1usize..6,
-        momentum_sel in 0u8..2,
-        n_steps in 1usize..5,
-    ) {
+/// A full multi-step SGD training loop through one reused workspace lands on
+/// bit-identical parameters to one through a fresh workspace per step,
+/// including with momentum and weight decay.
+#[test]
+fn training_loop_bitwise_equivalent() {
+    let mut rng = Xoshiro256::new(2);
+    for _ in 0..CASES {
+        let seed = rng.next_below(1_000_000) as u64;
+        let arch = rng.next_below(3) as u8;
+        let batch = rng.next_range(1, 6);
+        let mu = if rng.next_bool(0.5) { 0.9 } else { 0.0 };
+        let n_steps = rng.next_range(1, 5);
         let classes = 3usize;
         let input_dim = 5;
         let mut reference = build_model(arch, input_dim, classes, seed);
         let mut subject = build_model(arch, input_dim, classes, seed);
-        let mu = if momentum_sel == 1 { 0.9 } else { 0.0 };
         let mut ref_opt = Sgd::new(0.05, mu, 1e-3);
         let mut sub_opt = Sgd::new(0.05, mu, 1e-3);
         let mut ref_loss = SoftmaxCrossEntropy::new();
@@ -107,23 +116,29 @@ proptest! {
             subject.backward_in(&grad, &mut ws);
             sub_opt.step(&mut subject);
 
-            assert_eq!(sub_l.to_bits(), ref_l.to_bits(), "loss diverged at step {step}");
+            assert_eq!(
+                sub_l.to_bits(),
+                ref_l.to_bits(),
+                "loss diverged at step {step}"
+            );
             for (sp, rp) in subject.params().iter().zip(reference.params().iter()) {
                 assert_bits_eq(sp, rp, "params after step");
             }
         }
     }
+}
 
-    /// The params-only backward of a training step writes every parameter
-    /// gradient bit-identically to the full backward, for a single layer and
-    /// under one or two hidden ReLU layers.
-    #[test]
-    fn params_only_backward_matches_full_backward(
-        seed in 0u64..1_000_000,
-        arch in 0u8..3,
-        batch in 1usize..9,
-        steps in 1usize..4,
-    ) {
+/// The params-only backward of a training step writes every parameter
+/// gradient bit-identically to the full backward, for a single layer and
+/// under one or two hidden ReLU layers.
+#[test]
+fn params_only_backward_matches_full_backward() {
+    let mut rng = Xoshiro256::new(3);
+    for _ in 0..CASES {
+        let seed = rng.next_below(1_000_000) as u64;
+        let arch = rng.next_below(3) as u8;
+        let batch = rng.next_range(1, 9);
+        let steps = rng.next_range(1, 4);
         let classes = 3usize;
         let input_dim = 6;
         let mut full = build_model(arch, input_dim, classes, seed);

@@ -3,8 +3,8 @@
 #
 #   scripts/loc.sh
 #
-# First line: every `*.rs` line outside `benchmark/` and `target/`, shims
-# included (the workspace count). Then one row per package: all of its Rust
+# First line: every `*.rs` line outside `benchmark/` and `target/` (the
+# workspace count). Then one row per package: all of its Rust
 # lines, and its non-test `src/` lines, each file counted up to its first
 # `#[cfg(test)]` line.
 set -euo pipefail
@@ -14,7 +14,7 @@ rs() { find "$@" -name '*.rs' -not -path '*/target/*' -not -path './benchmark/*'
 
 echo "workspace $(rs . | xargs cat | wc -l)"
 printf '%-20s %7s %9s\n' package total non-test
-for dir in . crates/* shims/*; do
+for dir in . crates/*; do
   [ -d "$dir/src" ] || continue
   if [ "$dir" = . ]; then files=$(rs src tests examples); else files=$(rs "$dir"); fi
   src=$(rs "$dir/src")

@@ -3,7 +3,7 @@
 //! end-to-end honest-byte accounting through the experiment engine.
 
 use bwfl::prelude::*;
-use proptest::prelude::*;
+use bwfl::tensor::Uniform;
 
 fn registry() -> CodecRegistry {
     CodecRegistry::with_builtins()
@@ -39,24 +39,26 @@ fn every_registered_codec_has_a_representative_spec() {
     }
 }
 
-proptest! {
-    /// Sparse codecs reproduce the retained coordinates exactly; quantized
-    /// codecs reconstruct every coordinate within one level of the norm.
-    #[test]
-    fn prop_encode_decode_roundtrip_for_every_codec(
-        dense in proptest::collection::vec(-5.0f32..5.0, 16..200),
-        ratio in 0.05f64..1.0,
-        stream_seed in 0u64..1000,
-    ) {
+/// Sparse codecs reproduce the retained coordinates exactly; quantized
+/// codecs reconstruct every coordinate within one level of the norm.
+#[test]
+fn prop_encode_decode_roundtrip_for_every_codec() {
+    let mut rng = Xoshiro256::new(1);
+    for _ in 0..256 {
+        let dense: Vec<f32> = (0..rng.next_range(16, 200))
+            .map(|_| Uniform::new(-5.0, 5.0).sample(&mut rng) as f32)
+            .collect();
+        let ratio = Uniform::new(0.05, 1.0).sample(&mut rng);
+        let stream_seed = rng.next_below(1000) as u64;
         for spec in representative_specs() {
             let mut codec = registry()
                 .build(&spec, &CodecCtx::new(dense.len(), 7))
                 .expect("representative specs resolve");
             let mut rng = Xoshiro256::new(stream_seed);
             let wire = codec.encode(&dense, ratio, &mut rng);
-            prop_assert!(!wire.is_empty(), "{spec}: empty wire buffer");
+            assert!(!wire.is_empty(), "{spec}: empty wire buffer");
             let decoded = codec.decode(&wire).expect("self-encoded bytes decode");
-            prop_assert_eq!(decoded.dense_len(), dense.len(), "{}", &spec);
+            assert_eq!(decoded.dense_len(), dense.len(), "{}", &spec);
 
             let is_quantized = spec.stages.iter().any(|s| s.name == "qsgd");
             // Rand-K rescales retained values by len/k for unbiasedness, so
@@ -72,22 +74,29 @@ proptest! {
                         if rescaled {
                             continue;
                         }
-                        prop_assert_eq!(v, dense[i as usize], "{} index {}", &spec, i);
+                        assert_eq!(v, dense[i as usize], "{} index {}", &spec, i);
                     }
                 }
                 ref update => {
                     // Quantized payloads: within one level of the encoded
                     // group's norm (coarsest representative codec is qsgd:6,
                     // 31 levels; a norm/3 bound is comfortably loose).
-                    let norm = dense.iter().map(|v| (*v as f64).powi(2)).sum::<f64>().sqrt();
+                    let norm = dense
+                        .iter()
+                        .map(|v| (*v as f64).powi(2))
+                        .sum::<f64>()
+                        .sqrt();
                     let tol = norm / 3.0 + 1e-4;
                     let rec = update.to_dense();
                     for (i, &r) in rec.iter().enumerate() {
                         if r != 0.0 && !rescaled {
-                            prop_assert!(
+                            assert!(
                                 (r - dense[i]).abs() <= tol as f32,
                                 "{} coordinate {} decoded {} vs {}",
-                                &spec, i, r, dense[i]
+                                &spec,
+                                i,
+                                r,
+                                dense[i]
                             );
                         }
                     }
@@ -103,7 +112,12 @@ proptest! {
                     .unwrap();
                 let mut rng2 = Xoshiro256::new(stream_seed);
                 let wire2 = codec2.encode(&dense, ratio, &mut rng2);
-                prop_assert_eq!(wire.as_bytes(), wire2.as_bytes(), "{} not deterministic", &spec);
+                assert_eq!(
+                    wire.as_bytes(),
+                    wire2.as_bytes(),
+                    "{} not deterministic",
+                    &spec
+                );
             }
         }
     }
@@ -269,21 +283,32 @@ fn spec_display_roundtrips_for_every_registered_shape() {
     }
 }
 
-proptest! {
-    /// Randomised spec shapes — arbitrary stage names (registered or not:
-    /// parsing never consults the registry), optional arguments and the
-    /// `ef-` wrapper — survive `Display → parse` unchanged.
-    #[test]
-    fn prop_spec_display_parse_is_the_identity(
-        ef in 0u8..2,
-        name_picks in proptest::collection::vec(0usize..8, 1..4),
-        arg_picks in proptest::collection::vec(0usize..5, 1..4),
-    ) {
+/// Randomised spec shapes — arbitrary stage names (registered or not:
+/// parsing never consults the registry), optional arguments and the
+/// `ef-` wrapper — survive `Display → parse` unchanged.
+#[test]
+fn prop_spec_display_parse_is_the_identity() {
+    let mut rng = Xoshiro256::new(2);
+    for _ in 0..256 {
+        let error_feedback = rng.next_bool(0.5);
+        let name_picks: Vec<usize> = (0..rng.next_range(1, 4))
+            .map(|_| rng.next_below(8))
+            .collect();
+        let arg_picks: Vec<usize> = (0..rng.next_range(1, 4))
+            .map(|_| rng.next_below(5))
+            .collect();
         const NAMES: [&str; 8] = [
-            "topk", "randk", "threshold", "qsgd",
-            "my-codec", "seg_mented", "x2", "a-b_c3",
+            "topk",
+            "randk",
+            "threshold",
+            "qsgd",
+            "my-codec",
+            "seg_mented",
+            "x2",
+            "a-b_c3",
         ];
-        const ARGS: [Option<&str>; 5] = [None, Some("8"), Some("0.01"), Some("x-y_z"), Some("1e-3")];
+        const ARGS: [Option<&str>; 5] =
+            [None, Some("8"), Some("0.01"), Some("x-y_z"), Some("1e-3")];
         let stages: Vec<CodecStage> = name_picks
             .iter()
             .zip(arg_picks.iter().cycle())
@@ -292,10 +317,13 @@ proptest! {
                 None => CodecStage::new(NAMES[n % NAMES.len()]),
             })
             .collect();
-        let spec = CompressorSpec { error_feedback: ef == 1, stages };
+        let spec = CompressorSpec {
+            error_feedback,
+            stages,
+        };
         let printed = spec.to_string();
         let reparsed: CompressorSpec = printed.parse().expect("printed specs reparse");
-        prop_assert_eq!(&reparsed, &spec, "{}", printed);
-        prop_assert_eq!(reparsed.to_string(), printed);
+        assert_eq!(&reparsed, &spec, "{}", printed);
+        assert_eq!(reparsed.to_string(), printed);
     }
 }

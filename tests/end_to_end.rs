@@ -11,6 +11,15 @@ fn quick(algorithm: Algorithm) -> ExperimentConfig {
     c
 }
 
+/// The suite builds at the root manifest's `[profile.dev]` (`opt-level = 1`),
+/// whose debug assertions must stay on: the test fails if a profile edit
+/// turns them off. Tier-1 runs this file in that profile only.
+#[test]
+#[should_panic(expected = "debug assertions are on")]
+fn debug_assertions_are_on() {
+    debug_assert!(false, "debug assertions are on");
+}
+
 #[test]
 fn full_pipeline_produces_consistent_records() {
     let config = quick(Algorithm::BcrsOpwa);

@@ -1,10 +1,11 @@
 //! Round-record fingerprint regression: the full training + compression +
 //! communication trajectory of every algorithm, under both the flat codec
 //! path and a genuinely mixed layer plan (`Segmented` framing), plus four
-//! codec-path rows and thirteen round-engine rows (scenarios, a
+//! codec-path rows, thirteen round-engine rows (scenarios, a
 //! replayed trace, an error-feedback layer plan, plan-driven downlinks,
-//! `randk` and `threshold:τ` specs, `eval_every`, three pricing arms),
-//! hashed field by field and pinned by name in `tests/fixtures/pins.txt`.
+//! `randk` and `threshold:τ` specs, `eval_every`, three pricing arms) and
+//! eight 30-round `long/*` rows that reach a trained model, hashed field by
+//! field and pinned by name in `tests/fixtures/pins.txt`.
 //!
 //! Any change to training numerics, codec bytes, aggregation order, or the
 //! simulated communication model shows up here as a hash mismatch. Each run

@@ -8,7 +8,6 @@ use bwfl::compress::wire::{
     encode_dense, encode_segmented, encode_sparse, KIND_SEGMENTED, WIRE_MAGIC, WIRE_VERSION,
 };
 use bwfl::prelude::*;
-use proptest::prelude::*;
 
 fn registry() -> CodecRegistry {
     CodecRegistry::with_builtins()
@@ -168,41 +167,67 @@ fn plan_display_roundtrips_for_a_spec_corpus() {
     }
 }
 
-proptest! {
-    /// Randomised plan shapes survive Display → parse unchanged.
-    #[test]
-    fn prop_plan_display_parse_is_the_identity(
-        pattern_picks in proptest::collection::vec(0usize..6, 1..5),
-        spec_picks in proptest::collection::vec(0usize..6, 1..5),
-    ) {
-        const PATTERNS: [&str; 6] = ["*", "conv*", "*.bias", "linear?.weight", "a_b-c*", "??nv2d*"];
-        const SPECS: [&str; 6] = ["topk", "dense", "qsgd:8", "ef-topk", "topk+qsgd:4", "threshold:0.01"];
+/// Randomised plan shapes survive Display → parse unchanged.
+#[test]
+fn prop_plan_display_parse_is_the_identity() {
+    let mut rng = Xoshiro256::new(1);
+    for _ in 0..256 {
+        let pattern_picks: Vec<usize> = (0..rng.next_range(1, 5))
+            .map(|_| rng.next_below(6))
+            .collect();
+        let spec_picks: Vec<usize> = (0..rng.next_range(1, 5))
+            .map(|_| rng.next_below(6))
+            .collect();
+        const PATTERNS: [&str; 6] = [
+            "*",
+            "conv*",
+            "*.bias",
+            "linear?.weight",
+            "a_b-c*",
+            "??nv2d*",
+        ];
+        const SPECS: [&str; 6] = [
+            "topk",
+            "dense",
+            "qsgd:8",
+            "ef-topk",
+            "topk+qsgd:4",
+            "threshold:0.01",
+        ];
         let rules: Vec<String> = pattern_picks
             .iter()
             .zip(spec_picks.iter().cycle())
-            .map(|(&p, &s)| format!("{}={}", PATTERNS[p % PATTERNS.len()], SPECS[s % SPECS.len()]))
+            .map(|(&p, &s)| {
+                format!(
+                    "{}={}",
+                    PATTERNS[p % PATTERNS.len()],
+                    SPECS[s % SPECS.len()]
+                )
+            })
             .collect();
         let raw = rules.join(";");
         let plan: LayerPlan = raw.parse().expect("constructed plans parse");
-        prop_assert_eq!(plan.to_string(), raw.clone());
+        assert_eq!(plan.to_string(), raw.clone());
         let reparsed: LayerPlan = plan.to_string().parse().unwrap();
-        prop_assert_eq!(&reparsed, &plan, "{}", raw);
+        assert_eq!(&reparsed, &plan, "{}", raw);
     }
 }
 
-proptest! {
-    /// Segmented wire buffers round-trip: random segment splits, mixed codecs
-    /// per segment, decode reproduces every segment's own decode spliced at
-    /// its offset.
-    #[test]
-    fn prop_segmented_encode_decode_roundtrip(
-        seg_lens in proptest::collection::vec(1usize..40, 2..6),
-        dense_seed in 0u64..500,
-        codec_picks in proptest::collection::vec(0usize..3, 2..6),
-    ) {
+/// Segmented wire buffers round-trip: random segment splits, mixed codecs
+/// per segment, decode reproduces every segment's own decode spliced at
+/// its offset.
+#[test]
+fn prop_segmented_encode_decode_roundtrip() {
+    let mut rng = Xoshiro256::new(2);
+    for _ in 0..256 {
+        let seg_lens: Vec<usize> = (0..rng.next_range(2, 6))
+            .map(|_| rng.next_range(1, 40))
+            .collect();
+        let codec_picks: Vec<usize> = (0..rng.next_range(2, 6))
+            .map(|_| rng.next_below(3))
+            .collect();
         const SPECS: [&str; 3] = ["topk", "dense", "qsgd:4"];
         let total: usize = seg_lens.iter().sum();
-        let mut rng = Xoshiro256::new(dense_seed);
         let dense: Vec<f32> = (0..total).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
 
         // Encode each segment with its own codec, frame, decode, compare.
@@ -234,33 +259,33 @@ proptest! {
             offset += len;
         }
         let framed = encode_segmented(total, &parts);
-        prop_assert_eq!(framed.kind().unwrap(), KIND_SEGMENTED);
-        prop_assert_eq!(
+        assert_eq!(framed.kind().unwrap(), KIND_SEGMENTED);
+        assert_eq!(
             framed.segment_byte_lens().unwrap(),
             parts.iter().map(|p| p.len()).collect::<Vec<_>>()
         );
         let merged = framed.decode().expect("framed buffers decode");
         let s = merged.as_sparse().expect("segmented decodes sparse");
-        prop_assert_eq!(s.dense_len(), total);
+        assert_eq!(s.dense_len(), total);
         let got: Vec<(u32, f32)> = s
             .indices()
             .iter()
             .zip(s.values().iter())
             .map(|(&i, &v)| (i, v))
             .collect();
-        prop_assert_eq!(got, expected);
+        assert_eq!(got, expected);
     }
 }
 
-proptest! {
-    /// Crafted-corrupt segmented frames never panic or over-allocate — every
-    /// mutation either still decodes or returns a typed `WireError`.
-    #[test]
-    fn prop_corrupted_segmented_frames_error_cleanly(
-        flip_pos in 0usize..200,
-        flip_bits in 1u8..255,
-        truncate in 0usize..60,
-    ) {
+/// Crafted-corrupt segmented frames never panic or over-allocate — every
+/// mutation either still decodes or returns a typed `WireError`.
+#[test]
+fn prop_corrupted_segmented_frames_error_cleanly() {
+    let mut rng = Xoshiro256::new(3);
+    for _ in 0..256 {
+        let flip_pos = rng.next_below(200);
+        let flip_bits = rng.next_range(1, 255) as u8;
+        let truncate = rng.next_below(60);
         let a = encode_sparse(&SparseUpdate::new(vec![1, 5], vec![1.0, -2.0], 30));
         let b = encode_dense(&[0.5, -0.25, 4.0]);
         let good = encode_segmented(33, &[a, b]);
@@ -274,7 +299,7 @@ proptest! {
             bytes[pos] ^= flip_bits;
         }
         // Must not panic; errors are typed.
-        let _ = WireUpdate::from_bytes(bytes::Bytes::from(bytes)).decode();
+        let _ = WireUpdate::from_bytes(bytes).decode();
     }
 }
 
@@ -296,7 +321,7 @@ fn hand_built_corrupt_segmented_frames_are_rejected() {
     inner[2] = 99; // corrupt the nested version byte
     buf.extend_from_slice(&inner);
     assert_eq!(
-        WireUpdate::from_bytes(bytes::Bytes::from(buf)).decode(),
+        WireUpdate::from_bytes(buf).decode(),
         Err(WireError::UnsupportedVersion(99))
     );
 }

@@ -8,7 +8,7 @@
 //! and paste the output into `tests/fixtures/towers_n16_seed7.trace`.
 
 use bwfl::prelude::*;
-use proptest::prelude::*;
+use bwfl::tensor::Uniform;
 use std::io::Cursor;
 
 const GOLDEN_FIXTURE: &str = include_str!("fixtures/towers_n16_seed7.trace");
@@ -182,35 +182,32 @@ fn golden_fixture_replays_like_the_generator() {
 
 // --- Trace-format properties ----------------------------------------------
 
-/// Strategy: one fleet event over an 8-client fleet, with arbitrary finite
-/// positive link parameters.
-fn event_strategy() -> impl Strategy<Value = FleetEvent> {
-    (0usize..5, 0usize..8, 1e-3f64..1e12, 0.0f64..100.0).prop_map(
-        |(kind, client, bandwidth_bps, latency_s)| {
-            let link = Link {
-                bandwidth_bps,
-                latency_s,
-            };
-            match kind {
-                0 => FleetEvent::Down { client },
-                1 => FleetEvent::Up { client },
-                2 => FleetEvent::Leave { client },
-                3 => FleetEvent::LinkSet { client, link },
-                _ => FleetEvent::Join { client, link },
-            }
-        },
-    )
+/// One fleet event over an 8-client fleet, with arbitrary finite positive
+/// link parameters.
+fn event(rng: &mut Xoshiro256) -> FleetEvent {
+    let (kind, client) = (rng.next_below(5), rng.next_below(8));
+    let link = Link {
+        bandwidth_bps: Uniform::new(1e-3, 1e12).sample(rng),
+        latency_s: Uniform::new(0.0, 100.0).sample(rng),
+    };
+    match kind {
+        0 => FleetEvent::Down { client },
+        1 => FleetEvent::Up { client },
+        2 => FleetEvent::Leave { client },
+        3 => FleetEvent::LinkSet { client, link },
+        _ => FleetEvent::Join { client, link },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Any event stream with non-decreasing rounds survives the
-    /// render → parse round trip exactly, including float bit patterns.
-    #[test]
-    fn trace_text_round_trips(
-        steps in proptest::collection::vec((0usize..3, event_strategy()), 0..40),
-    ) {
+/// Any event stream with non-decreasing rounds survives the
+/// render → parse round trip exactly, including float bit patterns.
+#[test]
+fn trace_text_round_trips() {
+    let mut rng = Xoshiro256::new(1);
+    for _ in 0..64 {
+        let steps: Vec<(usize, FleetEvent)> = (0..rng.next_below(40))
+            .map(|_| (rng.next_below(3), event(&mut rng)))
+            .collect();
         let mut round = 0;
         let mut events = Vec::new();
         let mut text = String::from("bwfl-trace-v1 clients=8\n");
@@ -223,7 +220,7 @@ proptest! {
         }
         let reader = TraceReader::new(Cursor::new(text.into_bytes())).unwrap();
         let parsed: Vec<TimedEvent> = reader.map(|e| e.unwrap()).collect();
-        prop_assert_eq!(parsed, events);
+        assert_eq!(parsed, events);
     }
 }
 
