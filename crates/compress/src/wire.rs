@@ -1167,9 +1167,8 @@ mod tests {
         );
 
         // Dense payload declaring more values than the buffer holds.
-        let mut buf = header(KIND_DENSE, u32::MAX as usize, 0);
         assert_eq!(
-            WireUpdate::from_bytes(buf).decode(),
+            WireUpdate::from_bytes(header(KIND_DENSE, u32::MAX as usize, 0)).decode(),
             Err(WireError::Truncated)
         );
 
