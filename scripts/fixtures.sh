@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The ten pinned stdout fixtures under tests/fixtures/: two examples and
-# eight `figures` runs, diffed byte for byte against the release binaries.
+# The eleven pinned stdout fixtures under tests/fixtures/: two examples and
+# nine `figures` runs, diffed byte for byte against the release binaries.
 #
 #   scripts/fixtures.sh          # diff every fixture; exits non-zero on any difference
 #   scripts/fixtures.sh --bless  # rewrite them (only for an intended change)
@@ -45,4 +45,7 @@ done
 fixture codecs_quick "$bin/figures" codecs --quick \
   --compressors topk+qsgd:4,threshold:0.01 --layer-compressors '*.bias=dense;*=topk'
 fixture adaptive_quick "$bin/figures" adaptive --quick --layer-csv
+# The pure-quantizer round path, packed and entropy-coded, priced on bytes.
+fixture codecs_quick_qsgd "$bin/figures" codecs --quick \
+  --compressors qsgd:4,qsgd:4:rc --cost-basis encoded
 exit "$failed"
