@@ -28,7 +28,6 @@ use crate::quantize::{max_level_for_bits, qsgd_dequantize, qsgd_levels};
 use crate::rans::RansEncoder;
 use crate::sparse::SparseUpdate;
 use crate::spec::{CodecStage, CompressorSpec};
-use crate::update::CompressedUpdate;
 use crate::wire::{
     encode_dense, encode_quantized, encode_quantized_rc, encode_sparse, encode_sparse_quantized,
     encode_sparse_quantized_rc, WireError, WireUpdate,
@@ -129,7 +128,7 @@ pub trait UpdateCodec: Send {
         dense: &[f32],
         ratio: f64,
         rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate);
+    ) -> (WireUpdate, SparseUpdate);
 
     /// The wire bytes of [`encode_sent`](Self::encode_sent) alone. State and
     /// RNG advance exactly as there.
@@ -140,7 +139,7 @@ pub trait UpdateCodec: Send {
     /// Reconstruct the lossy update an encoded buffer represents. The default
     /// decodes the standard wire format; codecs with private payload layouts
     /// override this.
-    fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
+    fn decode(&self, wire: &WireUpdate) -> Result<SparseUpdate, WireError> {
         wire.decode()
     }
 
@@ -192,7 +191,7 @@ pub trait UpdateCodec: Send {
 /// Debug-build check of the [`UpdateCodec::encode_sent`] contract at the
 /// point a codec assembles its answer: the bytes must decode to exactly the
 /// update returned beside them.
-pub(crate) fn debug_assert_sent(wire: &WireUpdate, sent: &CompressedUpdate) {
+pub(crate) fn debug_assert_sent(wire: &WireUpdate, sent: &SparseUpdate) {
     debug_assert!(
         wire.decode().is_ok_and(|decoded| decoded.bit_eq(sent)),
         "encode_sent returned an update its own bytes do not decode to"
@@ -247,7 +246,7 @@ impl Quant {
     }
 
     /// The dense quantized frame of every coordinate of `x`.
-    fn quantize_all(&mut self, x: &[f32], rng: &mut Xoshiro256) -> (WireUpdate, CompressedUpdate) {
+    fn quantize_all(&mut self, x: &[f32], rng: &mut Xoshiro256) -> (WireUpdate, SparseUpdate) {
         let max_level = max_level_for_bits(self.bits);
         let (norm, levels) = qsgd_levels(x, max_level, rng);
         let wire = if self.rc {
@@ -256,7 +255,7 @@ impl Quant {
             encode_quantized(x.len(), self.bits, norm, &levels)
         };
         let values = qsgd_dequantize(norm, max_level, &levels);
-        (wire, CompressedUpdate::Quantized { values })
+        (wire, SparseUpdate::full(values))
     }
 
     /// The sparse quantized frame of a selection's values, carrying only
@@ -275,7 +274,7 @@ impl Quant {
         &mut self,
         mut sel: SparseUpdate,
         rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
+    ) -> (WireUpdate, SparseUpdate) {
         let max_level = max_level_for_bits(self.bits);
         let (norm, mut levels) = qsgd_levels(sel.values(), max_level, rng);
         let dequantize = |level: i32| norm * level as f32 / max_level as f32;
@@ -291,7 +290,7 @@ impl Quant {
         } else {
             encode_sparse_quantized(n, indices, bits, norm, &levels)
         };
-        (wire, CompressedUpdate::Sparse(sel))
+        (wire, sel)
     }
 }
 
@@ -353,9 +352,9 @@ fn encode_stages(
     x: &[f32],
     ratio: f64,
     rng: &mut Xoshiro256,
-) -> (WireUpdate, CompressedUpdate) {
+) -> (WireUpdate, SparseUpdate) {
     let n = x.len();
-    let every = || Some(SparseUpdate::new((0..n as u32).collect(), x.to_vec(), n));
+    let every = || Some(SparseUpdate::full(x.to_vec()));
     // `whole` selections keep every coordinate and, unquantized, ship the
     // dense kind (raw f32s, no per-coordinate index overhead), so
     // uncompressed baselines like FedAvg are charged honest dense bytes.
@@ -372,13 +371,7 @@ fn encode_stages(
             if quant.is_none() {
                 return (wire, sent);
             }
-            let sparse = sent.into_sparse().unwrap_or_else(|| {
-                panic!(
-                    "custom stage {} must produce a sparse update for the quantizer",
-                    codec.name()
-                )
-            });
-            (Some(sparse), false)
+            (Some(sent), false)
         }
     };
     let (wire, sent) = match (selection, quant) {
@@ -386,8 +379,8 @@ fn encode_stages(
             .expect("a pipeline without a selection stage quantizes")
             .quantize_all(x, rng),
         (Some(sel), Some(quant)) => quant.quantize_selected(sel, rng),
-        (Some(sel), None) if whole => (encode_dense(x), CompressedUpdate::Sparse(sel)),
-        (Some(sel), None) => (encode_sparse(&sel), CompressedUpdate::Sparse(sel)),
+        (Some(sel), None) if whole => (encode_dense(x), sel),
+        (Some(sel), None) => (encode_sparse(&sel), sel),
     };
     debug_assert_sent(&wire, &sent);
     (wire, sent)
@@ -410,7 +403,7 @@ impl UpdateCodec for Pipeline {
         dense: &[f32],
         ratio: f64,
         rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
+    ) -> (WireUpdate, SparseUpdate) {
         let Some(residual) = &mut self.residual else {
             return encode_stages(&mut self.select, self.quant.as_mut(), dense, ratio, rng);
         };
@@ -436,7 +429,7 @@ impl UpdateCodec for Pipeline {
         (wire, sent)
     }
 
-    fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
+    fn decode(&self, wire: &WireUpdate) -> Result<SparseUpdate, WireError> {
         match (&self.select, &self.quant) {
             // An unquantized custom stage's bytes are its own.
             (Select::Custom(codec), None) => codec.decode(wire),
@@ -514,21 +507,21 @@ mod tests {
             dense: &[f32],
             _ratio: f64,
             _rng: &mut Xoshiro256,
-        ) -> (WireUpdate, CompressedUpdate) {
+        ) -> (WireUpdate, SparseUpdate) {
             let wire = encode_dense(dense);
             let sent = self.decode(&wire).expect("own encoding");
             (wire, sent)
         }
-        fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
-            let mut sparse = wire.decode()?.into_sparse().expect("dense kind");
+        fn decode(&self, wire: &WireUpdate) -> Result<SparseUpdate, WireError> {
+            let mut sparse = wire.decode()?;
             sparse.values_mut().iter_mut().for_each(|v| *v = -*v);
-            Ok(CompressedUpdate::Sparse(sparse))
+            Ok(sparse)
         }
     }
 
     /// The built-ins plus `neg` (a [`Negating`]), `inner-ef` (an `ef-topk`
     /// pipeline as a custom stage) and `myq` (a `qsgd:4` pipeline, which
-    /// sends a dense update).
+    /// sends a full-density update).
     fn registry() -> CodecRegistry {
         fn builtin(spec: &str, ctx: &CodecCtx) -> Result<Box<dyn UpdateCodec>, SpecError> {
             CodecRegistry::with_builtins().build(&spec.parse()?, ctx)
@@ -558,7 +551,7 @@ mod tests {
     fn topk_codec_roundtrip_is_exact_on_retained() {
         let d = delta(500);
         let wire = build("topk", 500).encode(&d, 0.1, &mut rng());
-        let s = wire.decode().unwrap().into_sparse().unwrap();
+        let s = wire.decode().unwrap();
         assert_eq!(s.nnz(), 50);
         for (&i, &v) in s.indices().iter().zip(s.values().iter()) {
             assert_eq!(v, d[i as usize]);
@@ -573,7 +566,7 @@ mod tests {
         assert_eq!(full.kind().unwrap(), KIND_DENSE);
         // Header + varint + 4 bytes/coordinate: honest dense accounting.
         assert!(full.len() <= 100 * 4 + 16);
-        let s = full.decode().unwrap().into_sparse().unwrap();
+        let s = full.decode().unwrap();
         assert_eq!(s.nnz(), 100);
         assert_eq!(s.to_dense(), d);
         // A genuinely sparse ratio still uses the sparse format.
@@ -587,7 +580,7 @@ mod tests {
         for spec in ["topk+qsgd:4", "dense+qsgd:4"] {
             let (wire, sent) = build(spec, 100).encode_sent(&d, 1.0, &mut rng());
             assert_eq!(wire.kind().unwrap(), KIND_SPARSE_QUANTIZED, "{spec}");
-            let decoded = wire.decode().unwrap().into_sparse().unwrap();
+            let decoded = wire.decode().unwrap();
             assert_eq!(decoded.nnz(), nonzero, "{spec}");
             assert!(decoded.values().iter().all(|&v| v != 0.0), "{spec}");
             assert_eq!(decoded.to_dense(), sent.to_dense(), "{spec}");
@@ -602,7 +595,7 @@ mod tests {
         let mut stream = rng();
         let wire = build("randk", 200).encode(&d, 0.1, &mut stream);
         let legacy = randk::select(&d, 0.1, rng().next_u64());
-        assert_eq!(wire.decode().unwrap().into_sparse().unwrap(), legacy);
+        assert_eq!(wire.decode().unwrap(), legacy);
         // Exactly one draw: the stream's next value matches a twice-advanced
         // fresh stream.
         let mut fresh = rng();
@@ -616,8 +609,6 @@ mod tests {
         let s = build("threshold:0.1", 5)
             .encode(&d, 1.0, &mut rng())
             .decode()
-            .unwrap()
-            .into_sparse()
             .unwrap();
         assert_eq!(s.indices(), &[1, 4]);
     }
@@ -628,7 +619,7 @@ mod tests {
         let norm = d.iter().map(|v| v * v).sum::<f32>().sqrt();
         let wire = build("qsgd:8", 1000).encode(&d, 1.0, &mut rng()); // 127 levels
         assert!(wire.len() < 1000 * 4 / 2, "8-bit wire beats f32 by >2x");
-        let rec = wire.decode().unwrap().into_dense();
+        let rec = wire.decode().unwrap().to_dense();
         for (a, b) in d.iter().zip(rec.iter()) {
             assert!((a - b).abs() <= norm / 127.0 + 1e-5);
         }
@@ -641,7 +632,7 @@ mod tests {
         // 100 retained coords: ≤ ~2 bytes of index + 6 bits of value each,
         // far below the 8 bytes/coord of the f32 sparse format.
         assert!(wire.len() < 100 * 8 / 2);
-        let s = wire.decode().unwrap().into_sparse().unwrap();
+        let s = wire.decode().unwrap();
         assert_eq!(s.nnz(), 100);
         let retained_norm = s.values().iter().map(|v| v * v).sum::<f32>().sqrt();
         for (&i, &v) in s.indices().iter().zip(s.values().iter()) {
@@ -666,7 +657,7 @@ mod tests {
                 .encode(&d, 0.1, &mut rng())
                 .decode()
                 .unwrap()
-                .into_dense();
+                .to_dense();
             assert_eq!(sent_legacy, sent_codec);
             assert_eq!(residual(codec.as_mut()), residual_legacy);
         }
@@ -685,7 +676,7 @@ mod tests {
                 .encode(&d, 0.2, &mut stream)
                 .decode()
                 .unwrap()
-                .into_dense();
+                .to_dense();
             let after = residual(codec.as_mut());
             for i in 0..d.len() {
                 let lhs = sent[i] + after[i];
@@ -704,10 +695,7 @@ mod tests {
         let mut ef = build("ef-neg", d.len());
         let wire = ef.encode(&d, 1.0, &mut rng());
         assert_eq!(residual(ef.as_mut()), [2.0, -4.0, 1.0]);
-        assert_eq!(
-            ef.decode(&wire).unwrap().into_dense(),
-            vec![-1.0, 2.0, -0.5]
-        );
+        assert_eq!(ef.decode(&wire).unwrap().to_dense(), vec![-1.0, 2.0, -0.5]);
     }
 
     #[test]
@@ -766,9 +754,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "custom stage qsgd:4 must produce a sparse update")]
-    fn a_custom_stage_sending_a_dense_update_cannot_be_quantized() {
-        build("myq+qsgd:4", 8).encode(&delta(8), 0.5, &mut rng());
+    fn a_custom_stage_sending_a_full_update_is_quantized() {
+        // `myq` sends every coordinate; the quantizer behind it codes them
+        // again and keeps those of nonzero level.
+        let (wire, sent) = build("myq+qsgd:4", 64).encode_sent(&delta(64), 0.5, &mut rng());
+        assert_eq!(wire.kind().unwrap(), crate::wire::KIND_SPARSE_QUANTIZED);
+        assert!(wire.decode().unwrap().bit_eq(&sent));
+        assert!(0 < sent.nnz() && sent.nnz() < 64, "{}", sent.nnz());
+        assert!(sent.values().iter().all(|&v| v != 0.0));
     }
 
     #[test]
@@ -796,8 +789,8 @@ mod tests {
             entropy.len(),
             packed.len()
         );
-        let a = packed.decode().unwrap().into_dense();
-        let b = entropy.decode().unwrap().into_dense();
+        let a = packed.decode().unwrap().to_dense();
+        let b = entropy.decode().unwrap().to_dense();
         assert!(a
             .iter()
             .zip(b.iter())
@@ -816,8 +809,8 @@ mod tests {
             we.len(),
             wp.len()
         );
-        let a = wp.decode().unwrap().into_sparse().unwrap();
-        let b = we.decode().unwrap().into_sparse().unwrap();
+        let a = wp.decode().unwrap();
+        let b = we.decode().unwrap();
         assert_eq!(a.indices(), b.indices());
         assert!(a
             .values()

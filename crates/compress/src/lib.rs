@@ -41,8 +41,9 @@
 //! **The primitives** codecs are built from:
 //!
 //! * [`sparse::SparseUpdate`] — the COO (index + value) representation with
-//!   the paper's analytic wire-size accounting, and
-//!   [`update::CompressedUpdate`], what a wire buffer decodes to;
+//!   the paper's analytic wire-size accounting, and what every wire buffer
+//!   decodes to (a frame that codes every coordinate decodes to the
+//!   full-density [`sparse::SparseUpdate::full`]);
 //! * the selection functions [`topk::select`], [`randk::select`] and
 //!   [`threshold::select`], each returning the [`sparse::SparseUpdate`] it
 //!   keeps, and the QSGD quantizer [`quantize::qsgd_levels`] /
@@ -61,16 +62,14 @@ pub mod sparse;
 pub mod spec;
 pub mod threshold;
 pub mod topk;
-pub mod update;
 pub mod wire;
 
 pub use codec::{CodecCtx, ResidualState, UpdateCodec};
 pub use downlink::DownlinkChannel;
 pub use plan::{glob_match, LayerPlan, PlanRule, PlannedCodec, SegmentDef};
 pub use registry::{CodecFactory, CodecRegistry};
-pub use sparse::SparseUpdate;
+pub use sparse::{CompressedUpdate, SparseUpdate};
 pub use spec::{CodecStage, CompressorSpec, SpecError};
-pub use update::CompressedUpdate;
 pub use wire::{WireError, WireUpdate};
 
 pub use rans::RansEncoder;

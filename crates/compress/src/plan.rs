@@ -38,7 +38,6 @@ use crate::codec::{debug_assert_sent, CodecCtx, ResidualState, UpdateCodec};
 use crate::registry::CodecRegistry;
 use crate::sparse::SparseUpdate;
 use crate::spec::{CompressorSpec, SpecError};
-use crate::update::CompressedUpdate;
 use crate::wire::{encode_segmented, splice_segment, WireUpdate};
 use fl_tensor::rng::Xoshiro256;
 
@@ -380,7 +379,7 @@ impl UpdateCodec for PlannedCodec {
         dense: &[f32],
         ratio: f64,
         rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
+    ) -> (WireUpdate, SparseUpdate) {
         assert_eq!(
             dense.len(),
             self.dense_len,
@@ -402,7 +401,7 @@ impl UpdateCodec for PlannedCodec {
             splice_segment(sent, seg.offset, &mut indices, &mut values);
         }
         let wire = encode_segmented(self.dense_len, &parts);
-        let sent = CompressedUpdate::Sparse(SparseUpdate::new(indices, values, self.dense_len));
+        let sent = SparseUpdate::new(indices, values, self.dense_len);
         debug_assert_sent(&wire, &sent);
         (wire, sent)
     }
@@ -591,7 +590,7 @@ mod tests {
 
         // Per-segment behaviour: top-k within each weight segment, the bias
         // segment shipped exact.
-        let s = wire.decode().unwrap().into_sparse().unwrap();
+        let s = wire.decode().unwrap();
         let in_a = s.indices().iter().filter(|&&i| i < 200).count();
         let bias: Vec<f32> = s
             .indices()
@@ -639,8 +638,8 @@ mod tests {
             wr.len(),
             wp.len()
         );
-        let a = wr.decode().unwrap().into_dense();
-        let b = wp.decode().unwrap().into_dense();
+        let a = wr.decode().unwrap().to_dense();
+        let b = wp.decode().unwrap().to_dense();
         assert!(a
             .iter()
             .zip(b.iter())
@@ -738,7 +737,7 @@ mod tests {
         let d = delta(300);
         let wire = codec.encode(&d, 0.1, &mut rng());
         assert_eq!(wire.kind().unwrap(), KIND_SEGMENTED);
-        let s = wire.decode().unwrap().into_sparse().unwrap();
+        let s = wire.decode().unwrap();
         let in_a = s.indices().iter().filter(|&&i| i < 200).count();
         let in_b = s.indices().iter().filter(|&&i| i >= 200).count();
         assert_eq!(in_a, topk::k_for(200, 0.05));
@@ -753,12 +752,7 @@ mod tests {
         let mut maxed = plan
             .resolve_scaled(&registry, &layout, &CodecCtx::new(300, 5), &[50.0, 50.0])
             .unwrap();
-        let all = maxed
-            .encode(&d, 0.1, &mut rng())
-            .decode()
-            .unwrap()
-            .into_sparse()
-            .unwrap();
+        let all = maxed.encode(&d, 0.1, &mut rng()).decode().unwrap();
         assert_eq!(all.indices().len(), 300, "ratio clamps at 1.0");
     }
 

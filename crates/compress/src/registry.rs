@@ -210,12 +210,9 @@ mod tests {
                     dense: &[f32],
                     _ratio: f64,
                     _rng: &mut Xoshiro256,
-                ) -> (crate::wire::WireUpdate, crate::CompressedUpdate) {
-                    let empty = crate::sparse::SparseUpdate::empty(dense.len());
-                    (
-                        crate::wire::encode_sparse(&empty),
-                        crate::CompressedUpdate::Sparse(empty),
-                    )
+                ) -> (crate::wire::WireUpdate, crate::SparseUpdate) {
+                    let empty = crate::SparseUpdate::empty(dense.len());
+                    (crate::wire::encode_sparse(&empty), empty)
                 }
             }
             Ok(Box::new(Empty))
@@ -226,7 +223,7 @@ mod tests {
         let mut codec = r.build(&"empty+qsgd:4".parse().unwrap(), &ctx()).unwrap();
         let mut rng = Xoshiro256::new(0);
         let wire = codec.encode(&[1.0, 2.0], 0.5, &mut rng);
-        let s = wire.decode().unwrap().into_sparse().unwrap();
+        let s = wire.decode().unwrap();
         assert_eq!(s.nnz(), 0);
     }
 }

@@ -3,7 +3,11 @@
 /// A sparse model update: the retained coordinates of a dense vector of
 /// length `dense_len`, stored as parallel `indices` / `values` arrays.
 ///
-/// This is what a client "transmits" in the simulation. The wire size is
+/// This is what a client "transmits" in the simulation, and what every
+/// [`crate::wire::WireUpdate`] decodes to: a frame that codes every
+/// coordinate (a dense f32 frame, a pure quantizer's frame) decodes to the
+/// full-density update [`SparseUpdate::full`], so overlap analysis and
+/// aggregation see one form. The analytic wire size is
 /// `indices.len() * (4 + 4)` bytes (a `u32` index plus an `f32` value per
 /// retained coordinate) — the factor-of-two overhead relative to pure values
 /// is exactly the `2 × V × CR` term in the paper's communication model
@@ -35,6 +39,16 @@ impl SparseUpdate {
             indices,
             values,
             dense_len,
+        }
+    }
+
+    /// Every coordinate of `values`, in order: indices `0..values.len()`.
+    pub fn full(values: Vec<f32>) -> Self {
+        let n = u32::try_from(values.len()).expect("indices are u32");
+        Self {
+            indices: (0..n).collect(),
+            dense_len: values.len(),
+            values,
         }
     }
 
@@ -140,7 +154,44 @@ impl SparseUpdate {
     pub fn norm_sq(&self) -> f64 {
         self.values.iter().map(|&v| (v as f64) * (v as f64)).sum()
     }
+
+    /// `target -= self`, coordinate by coordinate. A coordinate the update
+    /// does not carry is left untouched, which is what subtracting its
+    /// implicit `0.0` would do anyway (`x − 0.0` is bitwise `x`), so the
+    /// result equals subtracting [`to_dense`](Self::to_dense) without
+    /// densifying.
+    pub fn subtract_from(&self, target: &mut [f32]) {
+        assert_eq!(target.len(), self.dense_len, "dense length mismatch");
+        for (&i, &v) in self.indices.iter().zip(&self.values) {
+            target[i as usize] -= v;
+        }
+    }
+
+    /// Bitwise equality: same dense length, same coordinates, and every
+    /// value equal by `to_bits` — so NaNs compare equal to themselves and
+    /// `-0.0` differs from `+0.0`, unlike `==`. This is the sense in which
+    /// `UpdateCodec::encode_sent` must agree with `decode`.
+    pub fn bit_eq(&self, other: &Self) -> bool {
+        self.dense_len == other.dense_len
+            && self.indices == other.indices
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Always `Some(self)`. Kept only because `benchmark/README.md` lists
+    /// `CompressedUpdate::as_sparse` among the names the benchmark calls.
+    pub fn as_sparse(&self) -> Option<&Self> {
+        Some(self)
+    }
 }
+
+/// Another name for [`SparseUpdate`], kept only because
+/// `benchmark/README.md` lists it among the names the benchmark calls;
+/// workspace code names [`SparseUpdate`].
+pub type CompressedUpdate = SparseUpdate;
 
 #[cfg(test)]
 mod tests {
@@ -181,6 +232,44 @@ mod tests {
         assert_eq!(s, SparseUpdate::new(vec![1, 6], vec![2.0, 6.0], 10));
         s.retain(|_| false);
         assert_eq!(s, SparseUpdate::empty(10));
+    }
+
+    #[test]
+    fn full_keeps_every_coordinate() {
+        let s = SparseUpdate::full(vec![1.0, -0.0, 2.5]);
+        assert_eq!(s, SparseUpdate::new(vec![0, 1, 2], vec![1.0, -0.0, 2.5], 3));
+        assert_eq!(s.to_dense(), vec![1.0, -0.0, 2.5]);
+        assert_eq!(SparseUpdate::full(Vec::new()), SparseUpdate::empty(0));
+    }
+
+    #[test]
+    fn subtract_from_matches_dense_subtraction() {
+        let s = SparseUpdate::new(vec![1, 3], vec![5.0, -2.0], 4);
+        let mut target = vec![1.0, 1.0, -0.0, 1.0];
+        s.subtract_from(&mut target);
+        assert_eq!(target, vec![1.0, -4.0, 0.0, 3.0]);
+        assert!(
+            target[2].is_sign_negative(),
+            "untouched coordinates keep their bits"
+        );
+        let mut target = vec![1.0, 1.0];
+        SparseUpdate::full(vec![0.5, 0.25]).subtract_from(&mut target);
+        assert_eq!(target, vec![0.5, 0.75]);
+    }
+
+    #[test]
+    fn bit_eq_tells_negative_zero_from_positive_zero() {
+        let plus = SparseUpdate::full(vec![1.0, 0.0]);
+        let minus = SparseUpdate::full(vec![1.0, -0.0]);
+        assert_eq!(plus, minus);
+        assert!(!plus.bit_eq(&minus));
+        assert!(plus.bit_eq(&plus.clone()));
+        let nan = SparseUpdate::full(vec![f32::NAN]);
+        assert!(nan.bit_eq(&nan.clone()));
+        // Same values over other coordinates, or another dense length.
+        let a = SparseUpdate::new(vec![0], vec![1.0], 2);
+        assert!(!a.bit_eq(&SparseUpdate::new(vec![1], vec![1.0], 2)));
+        assert!(!a.bit_eq(&SparseUpdate::new(vec![0], vec![1.0], 3)));
     }
 
     #[test]

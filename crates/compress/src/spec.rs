@@ -193,11 +193,13 @@ impl CompressorSpec {
         self
     }
 
-    /// True when this spec decodes to a *dense* update (every coordinate
-    /// retained): the pure `qsgd` quantizer, with or without `ef-`. Dense
-    /// updates carry no overlap structure, so OPWA and overlap recording do
-    /// not apply to them — configuration validation rejects the combination.
-    /// Custom codecs, and specs that do not resolve, are assumed sparse.
+    /// True when this spec never sparsifies: the pure `qsgd` quantizer,
+    /// with or without `ef-`, whose update keeps every coordinate (it decodes
+    /// to a full-density [`SparseUpdate`](crate::SparseUpdate)). Every
+    /// client of such a rule sends every coordinate, so there is nothing for
+    /// OPWA to overlap-weight or for overlap recording to count —
+    /// configuration validation rejects the combination. Custom codecs, and
+    /// specs that do not resolve, are assumed to sparsify.
     pub fn produces_dense(&self) -> bool {
         matches!(self.pipeline(|_| Ok(())), Ok((Select::None, _)))
     }

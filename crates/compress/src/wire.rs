@@ -78,7 +78,6 @@
 use crate::quantize::max_level_for_bits;
 use crate::rans::{AdaptiveCdf, BitReader, RansDecoder, RansEncoder};
 use crate::sparse::SparseUpdate;
-use crate::update::CompressedUpdate;
 
 /// First two bytes of every encoded update.
 pub const WIRE_MAGIC: [u8; 2] = [0xB3, 0xF1];
@@ -185,8 +184,10 @@ impl WireUpdate {
         check_header(self.as_bytes())
     }
 
-    /// Decode the buffer into the lossy in-memory update it represents.
-    pub fn decode(&self) -> Result<CompressedUpdate, WireError> {
+    /// Decode the buffer into the lossy in-memory update it represents. A
+    /// frame that codes every coordinate (kinds 1 and 3, a dense kind 6)
+    /// decodes to [`SparseUpdate::full`].
+    pub fn decode(&self) -> Result<SparseUpdate, WireError> {
         decode_slice(self.as_bytes(), true)
     }
 
@@ -237,7 +238,7 @@ fn check_header(b: &[u8]) -> Result<u8, WireError> {
 /// segmented decoder passes each part's sub-slice directly — no copy and no
 /// second header validation per part. `allow_segmented` is false for nested
 /// parts, which is what makes recursion bombs impossible.
-fn decode_slice(b: &[u8], allow_segmented: bool) -> Result<CompressedUpdate, WireError> {
+fn decode_slice(b: &[u8], allow_segmented: bool) -> Result<SparseUpdate, WireError> {
     let kind = check_header(b)?;
     let mut cur = 4usize;
     let declared_len = read_varint(b, &mut cur)?;
@@ -252,20 +253,16 @@ fn decode_slice(b: &[u8], allow_segmented: bool) -> Result<CompressedUpdate, Wir
     match kind {
         KIND_SPARSE => {
             let (indices, values) = decode_sparse_body(b, &mut cur, dense_len)?;
-            Ok(CompressedUpdate::Sparse(SparseUpdate::new(
-                indices, values, dense_len,
-            )))
+            Ok(SparseUpdate::new(indices, values, dense_len))
         }
         KIND_QUANTIZED => {
             let (_norm, values) = decode_quantized_body(b, &mut cur, dense_len)?;
-            Ok(CompressedUpdate::Quantized { values })
+            Ok(SparseUpdate::full(values))
         }
         KIND_SPARSE_QUANTIZED => {
             let indices = decode_indices(b, &mut cur, dense_len)?;
             let (_norm, values) = decode_quantized_body(b, &mut cur, indices.len())?;
-            Ok(CompressedUpdate::Sparse(SparseUpdate::new(
-                indices, values, dense_len,
-            )))
+            Ok(SparseUpdate::new(indices, values, dense_len))
         }
         KIND_DENSE => {
             if dense_len > (b.len() - cur) / 4 {
@@ -275,13 +272,7 @@ fn decode_slice(b: &[u8], allow_segmented: bool) -> Result<CompressedUpdate, Wir
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
                 .collect();
-            // Decode to the full-density sparse form: downstream overlap
-            // analysis and aggregation treat a ratio-1.0 upload exactly
-            // like a sparse update that retained every coordinate.
-            let indices = (0..dense_len as u32).collect();
-            Ok(CompressedUpdate::Sparse(SparseUpdate::new(
-                indices, values, dense_len,
-            )))
+            Ok(SparseUpdate::full(values))
         }
         KIND_ENTROPY => decode_entropy_body(b, &mut cur, dense_len),
         KIND_SEGMENTED if allow_segmented => decode_segmented_body(b, &mut cur, dense_len),
@@ -423,40 +414,29 @@ pub fn encode_segmented(dense_len: usize, parts: &[WireUpdate]) -> WireUpdate {
 }
 
 /// Append one segment's update, which starts at dense coordinate `offset`,
-/// to the spliced whole-vector `(indices, values)`: a sparse segment's
-/// indices shift by the offset, a quantized segment becomes a full-density
-/// run over its coordinates. Shared by the `Segmented` decoder and
+/// to the spliced whole-vector `(indices, values)`, its indices shifted by
+/// the offset. Shared by the `Segmented` decoder and
 /// [`crate::plan::PlannedCodec`]'s encode side, so both assemble the same
 /// update from the same parts.
 pub(crate) fn splice_segment(
-    update: CompressedUpdate,
+    update: SparseUpdate,
     offset: usize,
     indices: &mut Vec<u32>,
     values: &mut Vec<f32>,
 ) {
-    match update {
-        CompressedUpdate::Sparse(s) => {
-            indices.extend(s.indices().iter().map(|&i| offset as u32 + i));
-            values.extend_from_slice(s.values());
-        }
-        CompressedUpdate::Quantized { values: run } => {
-            indices.extend(offset as u32..(offset + run.len()) as u32);
-            values.extend_from_slice(&run);
-        }
-    }
+    indices.extend(update.indices().iter().map(|&i| offset as u32 + i));
+    values.extend_from_slice(update.values());
 }
 
 /// Decode the body of a `KIND_SEGMENTED` buffer: parse and decode every
 /// nested segment, then splice them into one update over the full vector.
-/// The result is always sparse — a quantized segment (whose coordinate count
-/// is bounded by its own byte length) becomes a full-density run at its
-/// offset — so a crafted buffer can never force an allocation larger than
-/// its segments' own decode guards admit.
+/// Each segment's coordinate count is bounded by its own decode guard, so a
+/// crafted buffer can never force an allocation larger than those admit.
 fn decode_segmented_body(
     b: &[u8],
     cur: &mut usize,
     dense_len: usize,
-) -> Result<CompressedUpdate, WireError> {
+) -> Result<SparseUpdate, WireError> {
     let n = read_varint(b, cur)? as usize;
     if n == 0 {
         return Err(WireError::Corrupt("segmented update with no segments"));
@@ -483,8 +463,6 @@ fn decode_segmented_body(
         if part_len > dense_len - covered {
             return Err(WireError::Corrupt("segment lengths exceed dense length"));
         }
-        // A quantized part's length is bounded by its own byte length (its
-        // decode guard), so the splice never over-allocates.
         splice_segment(update, covered, &mut indices, &mut values);
         covered += part_len;
         *cur += plen;
@@ -494,9 +472,7 @@ fn decode_segmented_body(
             "segment lengths do not cover the dense vector",
         ));
     }
-    Ok(CompressedUpdate::Sparse(SparseUpdate::new(
-        indices, values, dense_len,
-    )))
+    Ok(SparseUpdate::new(indices, values, dense_len))
 }
 
 fn put_quantized_body(buf: &mut Vec<u8>, bits: u8, norm: f32, levels: &[i32]) {
@@ -757,7 +733,7 @@ fn decode_entropy_body(
     b: &[u8],
     cur: &mut usize,
     dense_len: usize,
-) -> Result<CompressedUpdate, WireError> {
+) -> Result<SparseUpdate, WireError> {
     if b.len() < *cur + 6 {
         return Err(WireError::Truncated);
     }
@@ -822,7 +798,7 @@ fn decode_entropy_body(
             indices.push(index as u32);
             values.push(value(symbol, word >> class));
         }
-        CompressedUpdate::Sparse(SparseUpdate::new(indices, values, dense_len))
+        SparseUpdate::new(indices, values, dense_len)
     } else {
         let mut coordinate = |symbol: usize| -> Result<(), WireError> {
             let word = raw.take(mags.low_bits(symbol) + (symbol != 0) as u32)?;
@@ -836,7 +812,7 @@ fn decode_entropy_body(
         if count % 2 == 1 {
             coordinate(dec.symbol::<0, 16>(&mut mag_cdf)?)?;
         }
-        CompressedUpdate::Quantized { values }
+        SparseUpdate::full(values)
     };
     dec.finish()?;
     raw.finish()?;
@@ -1009,6 +985,7 @@ pub fn read_varint(b: &[u8], cur: &mut usize) -> Result<u64, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantize::qsgd_dequantize;
 
     #[test]
     fn varint_roundtrip() {
@@ -1041,15 +1018,14 @@ mod tests {
     fn sparse_wire_roundtrip_is_exact() {
         let s = SparseUpdate::new(vec![0, 7, 300, 5000], vec![1.5, -2.25, 0.125, 9.0], 10_000);
         let w = encode_sparse(&s);
-        let back = w.decode().unwrap();
-        assert_eq!(back.as_sparse().unwrap(), &s);
+        assert_eq!(w.decode().unwrap(), s);
     }
 
     #[test]
     fn empty_sparse_update_encodes() {
         let s = SparseUpdate::empty(42);
         let back = encode_sparse(&s).decode().unwrap();
-        assert_eq!(back.as_sparse().unwrap().nnz(), 0);
+        assert_eq!(back.nnz(), 0);
         assert_eq!(back.dense_len(), 42);
     }
 
@@ -1058,15 +1034,9 @@ mod tests {
         // bits = 4 → max_level 7; signed levels survive packing exactly.
         let levels = vec![0, 7, -7, 3, -1, 2, 0, -5, 6];
         let w = encode_quantized(levels.len(), 4, 2.0, &levels);
-        let back = w.decode().unwrap();
-        let values = match back {
-            CompressedUpdate::Quantized { values } => values,
-            _ => panic!("expected quantized payload"),
-        };
-        for (&l, &v) in levels.iter().zip(values.iter()) {
-            let expected = 2.0 * l as f32 / 7.0;
-            assert!((v - expected).abs() < 1e-6, "level {l} decoded to {v}");
-        }
+        // Every coordinate is coded, so the frame decodes full-density.
+        let expected = SparseUpdate::full(qsgd_dequantize(2.0, 7, &levels));
+        assert!(w.decode().unwrap().bit_eq(&expected));
     }
 
     #[test]
@@ -1074,8 +1044,7 @@ mod tests {
         let indices = vec![3u32, 10, 11, 99];
         let levels = vec![1, -3, 3, 2];
         let w = encode_sparse_quantized(100, &indices, 3, 1.0, &levels);
-        let back = w.decode().unwrap();
-        let s = back.as_sparse().unwrap();
+        let s = w.decode().unwrap();
         assert_eq!(s.indices(), &indices[..]);
         assert_eq!(s.dense_len(), 100);
         for (&l, &v) in levels.iter().zip(s.values().iter()) {
@@ -1140,9 +1109,7 @@ mod tests {
         // header (4) + varint dense_len (1) + 4 × f32: dense bytes, not 2×.
         assert_eq!(w.len(), 5 + 16);
         assert_eq!(w.kind().unwrap(), KIND_DENSE);
-        let s = w.decode().unwrap().into_sparse().unwrap();
-        assert_eq!(s.indices(), &[0, 1, 2, 3]);
-        assert_eq!(s.values(), &values[..]);
+        assert!(w.decode().unwrap().bit_eq(&SparseUpdate::full(values)));
     }
 
     #[test]
@@ -1241,7 +1208,7 @@ mod tests {
         // (varint(len) + len) — the overhead is part of the honest byte count.
         assert_eq!(w.len(), 4 + 1 + 1 + (1 + a.len()) + (1 + b.len()));
         assert_eq!(w.segment_byte_lens().unwrap(), vec![a.len(), b.len()]);
-        let s = w.decode().unwrap().into_sparse().unwrap();
+        let s = w.decode().unwrap();
         assert_eq!(s.dense_len(), 12);
         assert_eq!(s.indices(), &[1, 3, 5, 11]);
         assert_eq!(s.values(), &[1.0, 2.0, -1.0, 4.0]);
@@ -1252,7 +1219,7 @@ mod tests {
         let sparse = encode_sparse(&SparseUpdate::new(vec![2], vec![9.0], 4));
         let quant = encode_quantized(3, 4, 7.0, &[7, -7, 0]);
         let w = encode_segmented(7, &[sparse, quant]);
-        let s = w.decode().unwrap().into_sparse().unwrap();
+        let s = w.decode().unwrap();
         assert_eq!(s.dense_len(), 7);
         // Segment 1 contributes its retained coordinate; segment 2 every
         // coordinate of its run (indices 4..7).
@@ -1355,16 +1322,11 @@ mod tests {
             );
             let packed = encode_quantized(levels.len(), bits, norm, &levels);
             assert_eq!(rc.kind().unwrap(), KIND_ENTROPY, "bits {bits}");
-            let rc_values = match rc.decode().unwrap() {
-                CompressedUpdate::Quantized { values } => values,
-                _ => panic!("expected quantized payload"),
-            };
-            let packed_values = packed.decode().unwrap().into_dense();
+            let values = qsgd_dequantize(norm, max_level_for_bits(bits), &levels);
+            let expected = SparseUpdate::full(values);
+            assert!(packed.decode().unwrap().bit_eq(&expected), "bits {bits}");
             assert!(
-                rc_values
-                    .iter()
-                    .zip(packed_values.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                rc.decode().unwrap().bit_eq(&expected),
                 "bits {bits}: entropy decode differs from bit-packed decode"
             );
         }
@@ -1432,15 +1394,7 @@ mod tests {
             &levels,
         );
         let packed = encode_sparse_quantized(4096, &indices, 4, 1.5, &levels);
-        let a = rc.decode().unwrap().into_sparse().unwrap();
-        let b = packed.decode().unwrap().into_sparse().unwrap();
-        assert_eq!(a.indices(), b.indices());
-        assert_eq!(a.dense_len(), b.dense_len());
-        assert!(a
-            .values()
-            .iter()
-            .zip(b.values().iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(rc.decode().unwrap().bit_eq(&packed.decode().unwrap()));
     }
 
     #[test]
@@ -1669,8 +1623,7 @@ mod tests {
             buf.extend_from_slice(&soup);
             match WireUpdate::from_bytes(buf).decode() {
                 Ok(update) => {
-                    let s = update.into_sparse().unwrap();
-                    assert!(s.indices().iter().all(|&i| i < 64));
+                    assert!(update.indices().iter().all(|&i| i < 64));
                 }
                 Err(WireError::Truncated | WireError::Corrupt(_)) => {}
                 Err(e) => panic!("unexpected error class: {e}"),
@@ -1685,7 +1638,7 @@ mod tests {
         assert_eq!(rc.kind().unwrap(), KIND_ENTROPY);
         let sparse = encode_sparse(&SparseUpdate::new(vec![2], vec![9.0], 4));
         let w = encode_segmented(516, &[sparse, rc.clone()]);
-        let s = w.decode().unwrap().into_sparse().unwrap();
+        let s = w.decode().unwrap();
         assert_eq!(s.dense_len(), 516);
         assert_eq!(s.nnz(), 1 + 512);
         assert_eq!(w.segment_byte_lens().unwrap()[1], rc.len());

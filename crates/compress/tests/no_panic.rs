@@ -20,7 +20,7 @@ use fl_compress::wire::{
     encode_quantized_rc, encode_segmented, encode_sparse, encode_sparse_quantized_rc, put_varint,
     read_varint, KIND_ENTROPY, KIND_SEGMENTED,
 };
-use fl_compress::{CompressedUpdate, SparseUpdate, WireError, WireUpdate};
+use fl_compress::{SparseUpdate, WireError, WireUpdate};
 use fl_tensor::rng::{Rng, Xoshiro256};
 
 // Per-thread, const-initialised and destructor-free, as in
@@ -190,11 +190,7 @@ struct Tally {
 
 impl Tally {
     /// Decode `bytes` under `catch_unwind` and the allocation budget.
-    fn decode(
-        &mut self,
-        what: &str,
-        bytes: Vec<u8>,
-    ) -> Option<Result<CompressedUpdate, WireError>> {
+    fn decode(&mut self, what: &str, bytes: Vec<u8>) -> Option<Result<SparseUpdate, WireError>> {
         let len = bytes.len();
         let wire = WireUpdate::from_bytes(bytes);
         REQUESTED.with(|c| c.set(0));
@@ -206,8 +202,7 @@ impl Tally {
             return None;
         };
         let coordinates = match &result {
-            Ok(CompressedUpdate::Sparse(s)) => s.nnz(),
-            Ok(CompressedUpdate::Quantized { values }) => values.len(),
+            Ok(s) => s.nnz(),
             Err(_) => 0,
         };
         if requested > BYTES_PER_UNIT * len.max(coordinates).max(64) {

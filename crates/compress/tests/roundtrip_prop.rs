@@ -157,10 +157,8 @@ fn spec_shapes_are_pinned() {
                         let d = awkward_gradient(round * 31 + flavour as u64, n, flavour);
                         let (wire, sent) = codec.encode_sent(&d, ratio, &mut rng);
                         bytes.bytes(wire.as_bytes());
-                        if let Some(s) = sent.as_sparse() {
-                            s.indices()
-                                .iter()
-                                .for_each(|i| bytes.bytes(&i.to_le_bytes()));
+                        for i in sent.indices() {
+                            bytes.bytes(&i.to_le_bytes());
                         }
                         sent_values.f32s(&sent.to_dense());
                         let state = codec.take_residual();
@@ -217,16 +215,8 @@ fn prop_sparse_quantized_frames_carry_only_nonzero_levels() {
             let (wire, _) = build(spec, n).encode_sent(&d, ratio, &mut Xoshiro256::new(seed));
             let (picked, _) =
                 build(selection, n).encode_sent(&d, ratio, &mut Xoshiro256::new(seed));
-            let carried = wire
-                .decode()
-                .expect("own bytes decode")
-                .into_sparse()
-                .expect("sparse kind");
-            let picked = picked
-                .decode()
-                .expect("own bytes decode")
-                .into_sparse()
-                .expect("sparse kind");
+            let carried = wire.decode().expect("own bytes decode");
+            let picked = picked.decode().expect("own bytes decode");
             assert!(
                 carried.values().iter().all(|&v| v != 0.0),
                 "{}: a zero coordinate went on the wire (flavour {})",
@@ -328,7 +318,7 @@ fn prop_flat_specs_roundtrip() {
             let wire = codec.encode(&d, ratio, &mut Xoshiro256::new(seed ^ 1));
             let reparsed = WireUpdate::from_bytes(wire.as_bytes().to_vec());
             assert_eq!(&reparsed, &wire, "byte re-parse differs for {}", spec);
-            let dense = wire.decode().expect("own bytes decode").into_dense();
+            let dense = wire.decode().expect("own bytes decode").to_dense();
             assert_eq!(dense.len(), n, "length drift for {}", spec);
             assert!(
                 dense.iter().all(|v| v.is_finite()),
@@ -369,8 +359,8 @@ fn prop_entropy_twin_bit_identical_never_larger() {
             wr.len(),
             wp.len()
         );
-        let a = wr.decode().expect("rc decodes").into_dense();
-        let b = wp.decode().expect("packed decodes").into_dense();
+        let a = wr.decode().expect("rc decodes").to_dense();
+        let b = wp.decode().expect("packed decodes").to_dense();
         assert!(
             a.iter()
                 .zip(b.iter())
@@ -396,16 +386,8 @@ fn prop_sparse_entropy_twin() {
         let wr = rc.encode(&d, ratio, &mut Xoshiro256::new(seed ^ 3));
         let wp = packed.encode(&d, ratio, &mut Xoshiro256::new(seed ^ 3));
         assert!(wr.len() <= wp.len(), "sparse entropy frame expanded");
-        let a = wr
-            .decode()
-            .expect("rc decodes")
-            .into_sparse()
-            .expect("sparse kind");
-        let b = wp
-            .decode()
-            .expect("packed decodes")
-            .into_sparse()
-            .expect("sparse kind");
+        let a = wr.decode().expect("rc decodes");
+        let b = wp.decode().expect("packed decodes");
         assert_eq!(a.indices(), b.indices());
         assert!(
             a.values()
@@ -456,8 +438,8 @@ fn prop_segmented_plan_roundtrip() {
         assert!(wr.len() <= wp.len(), "segmented entropy plan expanded");
         let reparsed = WireUpdate::from_bytes(wr.as_bytes().to_vec());
         assert_eq!(&reparsed, &wr);
-        let a = wr.decode().expect("rc plan decodes").into_dense();
-        let b = wp.decode().expect("packed plan decodes").into_dense();
+        let a = wr.decode().expect("rc plan decodes").to_dense();
+        let b = wp.decode().expect("packed plan decodes").to_dense();
         assert_eq!(a.len(), n);
         assert!(
             a.iter()

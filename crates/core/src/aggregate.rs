@@ -1,12 +1,12 @@
 //! Server-side aggregation of client updates (Alg. 1 lines 14–18).
 //!
-//! Two aggregation shapes coexist:
+//! Every decoded update is a [`SparseUpdate`] (a frame that codes every
+//! coordinate decodes full-density), and two aggregation shapes coexist:
 //!
-//! * the **serial** folds ([`aggregate_sparse`], [`aggregate_compressed`]) —
-//!   the reference left-to-right accumulation;
-//! * the **sharded** folds ([`aggregate_sparse_sharded`],
-//!   [`aggregate_compressed_sharded`]) — the cohort is cut into fixed
-//!   [`AGG_SHARD`]-client shards, each shard folds serially into its own
+//! * the **serial** fold ([`aggregate_sparse`]) — the reference
+//!   left-to-right accumulation;
+//! * the **sharded** fold ([`aggregate_sparse_sharded`]) — the cohort is cut
+//!   into fixed [`AGG_SHARD`]-client shards, each shard folds serially into its own
 //!   zero-initialized partial sum (possibly on different threads), and the
 //!   partials merge left to right. Because the shard boundaries depend only
 //!   on [`AGG_SHARD`] — never on the thread count — the reduction tree is
@@ -14,7 +14,7 @@
 //!   the serial fold, bit for bit.
 
 use crate::opwa::OpwaMask;
-use fl_compress::{CompressedUpdate, SparseUpdate};
+use fl_compress::SparseUpdate;
 use fl_tensor::parallel::parallel_fixed_shards;
 
 /// Clients per aggregation shard. Fixed (not derived from the thread count)
@@ -110,40 +110,9 @@ pub fn aggregate_sparse_sharded(
     merge_partials(partials)
 }
 
-/// [`aggregate_compressed`] over the same deterministic sharded reduction
-/// tree as [`aggregate_sparse_sharded`].
-pub fn aggregate_compressed_sharded(
-    updates: &[&CompressedUpdate],
-    coefficients: &[f64],
-    mask: Option<&OpwaMask>,
-    max_threads: usize,
-) -> Vec<f32> {
-    assert!(!updates.is_empty(), "nothing to aggregate");
-    assert_eq!(
-        updates.len(),
-        coefficients.len(),
-        "coefficient count mismatch"
-    );
-    if updates.iter().all(|u| u.as_sparse().is_some()) {
-        let sparse: Vec<&SparseUpdate> = updates.iter().map(|u| u.as_sparse().unwrap()).collect();
-        return aggregate_sparse_sharded(&sparse, coefficients, mask, max_threads);
-    }
-    let dense_len = updates[0].dense_len();
-    let partials = parallel_fixed_shards(updates.len(), AGG_SHARD, max_threads, |start, end| {
-        let mut acc = vec![0.0f32; dense_len];
-        for i in start..end {
-            let mut dense = updates[i].to_dense();
-            if let Some(m) = mask {
-                m.apply_dense(&mut dense);
-            }
-            for (a, d) in acc.iter_mut().zip(dense.iter()) {
-                *a += coefficients[i] as f32 * d;
-            }
-        }
-        acc
-    });
-    merge_partials(partials)
-}
+/// Another name for [`aggregate_sparse_sharded`], kept only because
+/// `benchmark/README.md` lists it among the names the benchmark calls.
+pub use self::aggregate_sparse_sharded as aggregate_compressed_sharded;
 
 /// Weighted aggregation of sparse updates into a dense delta:
 /// `Σ_i coeff_i · (mask ⊙ update_i)` (Alg. 1 line 14/16/18).
@@ -168,37 +137,6 @@ pub fn aggregate_sparse(
         match mask {
             Some(m) => m.apply(u).add_scaled_into(&mut acc, c as f32),
             None => u.add_scaled_into(&mut acc, c as f32),
-        }
-    }
-    acc
-}
-
-/// Weighted aggregation of arbitrary compressed updates (sparse or quantized).
-pub fn aggregate_compressed(
-    updates: &[&CompressedUpdate],
-    coefficients: &[f64],
-    mask: Option<&OpwaMask>,
-) -> Vec<f32> {
-    assert!(!updates.is_empty(), "nothing to aggregate");
-    assert_eq!(
-        updates.len(),
-        coefficients.len(),
-        "coefficient count mismatch"
-    );
-    // Fast path: all sparse.
-    if updates.iter().all(|u| u.as_sparse().is_some()) {
-        let sparse: Vec<&SparseUpdate> = updates.iter().map(|u| u.as_sparse().unwrap()).collect();
-        return aggregate_sparse(&sparse, coefficients, mask);
-    }
-    let dense_len = updates[0].dense_len();
-    let mut acc = vec![0.0f32; dense_len];
-    for (u, &c) in updates.iter().zip(coefficients.iter()) {
-        let mut dense = u.to_dense();
-        if let Some(m) = mask {
-            m.apply_dense(&mut dense);
-        }
-        for (a, d) in acc.iter_mut().zip(dense.iter()) {
-            *a += c as f32 * d;
         }
     }
     acc
@@ -271,11 +209,10 @@ mod tests {
 
     #[test]
     fn compressed_aggregation_mixes_sparse_and_quantized() {
-        let s = CompressedUpdate::Sparse(sparse(vec![0], vec![2.0], 2));
-        let q = CompressedUpdate::Quantized {
-            values: vec![1.0, 1.0],
-        };
-        let agg = aggregate_compressed(&[&s, &q], &[0.5, 0.5], None);
+        // A quantized frame decodes to every coordinate.
+        let s = sparse(vec![0], vec![2.0], 2);
+        let q = SparseUpdate::full(vec![1.0, 1.0]);
+        let agg = aggregate_sparse(&[&s, &q], &[0.5, 0.5], None);
         assert_eq!(agg, vec![1.5, 0.5]);
     }
 
@@ -354,13 +291,12 @@ mod tests {
 
     #[test]
     fn sharded_compressed_aggregation_handles_quantized_updates() {
-        let s = CompressedUpdate::Sparse(sparse(vec![0], vec![2.0], 2));
-        let q = CompressedUpdate::Quantized {
-            values: vec![1.0, 1.0],
-        };
-        let serial = aggregate_compressed(&[&s, &q], &[0.5, 0.5], None);
+        let s = sparse(vec![0], vec![2.0], 2);
+        let q = SparseUpdate::full(vec![1.0, 1.0]);
+        let serial = aggregate_sparse(&[&s, &q], &[0.5, 0.5], None);
         let sharded = aggregate_compressed_sharded(&[&s, &q], &[0.5, 0.5], None, 4);
         assert_eq!(serial, sharded);
+        assert_eq!(serial, vec![1.5, 0.5]);
     }
 
     #[test]
@@ -372,9 +308,7 @@ mod tests {
                 .collect();
             let coeff = Uniform::new(0.01, 2.0).sample(&mut rng);
             // aggregate([u], [c]) == c * dense(u)
-            let len = values.len();
-            let indices: Vec<u32> = (0..len as u32).collect();
-            let u = SparseUpdate::new(indices, values.clone(), len);
+            let u = SparseUpdate::full(values.clone());
             let agg = aggregate_sparse(&[&u], &[coeff], None);
             for (a, v) in agg.iter().zip(values.iter()) {
                 assert!((a - coeff as f32 * v).abs() < 1e-4);

@@ -4,8 +4,8 @@
 
 use crate::config::{ExperimentConfig, ModelPreset};
 use fl_compress::{
-    CodecCtx, CodecRegistry, CompressedUpdate, CompressorSpec, LayerPlan, ResidualState,
-    SegmentDef, UpdateCodec, WireError, WireUpdate,
+    CodecCtx, CodecRegistry, CompressorSpec, LayerPlan, ResidualState, SegmentDef, SparseUpdate,
+    UpdateCodec, WireError, WireUpdate,
 };
 use fl_data::{BatchLoader, Dataset};
 use fl_nn::{mlp, unflatten_params, ParamLayout, Sequential, Sgd, SoftmaxCrossEntropy, Workspace};
@@ -225,7 +225,7 @@ impl ClientState {
 
     /// Decode a wire buffer with this client's codec (what the server does on
     /// receipt).
-    pub fn decode(&self, wire: &WireUpdate) -> Result<CompressedUpdate, WireError> {
+    pub fn decode(&self, wire: &WireUpdate) -> Result<SparseUpdate, WireError> {
         self.codec.decode(wire)
     }
 
@@ -396,7 +396,7 @@ mod tests {
         let out = client.local_update(&global);
         let wire = client.encode(&out.delta, 0.1);
         let decoded = client.decode(&wire).unwrap();
-        let nnz = decoded.as_sparse().unwrap().nnz();
+        let nnz = decoded.nnz();
         let expected = (0.1 * global.len() as f64).ceil() as usize;
         assert_eq!(nnz, expected);
         // The wire buffer is a real byte payload: smaller than the analytic
@@ -413,7 +413,7 @@ mod tests {
         let topk = fl_compress::topk::select(&out.delta, 0.1);
         let wire = client.encode(&out.delta, 0.1);
         let randk = client.decode(&wire).unwrap();
-        assert_ne!(topk.indices(), randk.as_sparse().unwrap().indices());
+        assert_ne!(topk.indices(), randk.indices());
     }
 
     #[test]
@@ -453,7 +453,7 @@ mod tests {
             wire.len() < k * 8 / 2,
             "4-bit quantized values should beat the f32 sparse format"
         );
-        let decoded = client.decode(&wire).unwrap().into_sparse().unwrap();
+        let decoded = client.decode(&wire).unwrap();
         assert_eq!(decoded.nnz(), nonzero);
         assert!(decoded.values().iter().all(|&v| v != 0.0));
         assert_eq!(decoded.to_dense(), sent.to_dense());

@@ -141,7 +141,7 @@ pub struct ExperimentConfig {
     /// genuinely mixed plan frames per-segment payloads into the `Segmented`
     /// wire kind, `RoundRecord` gains a per-layer byte breakdown, and the
     /// framing overhead is charged exactly under [`CostBasis::Encoded`]. Any
-    /// uplink rule whose spec decodes dense (pure quantizers) is rejected in
+    /// uplink rule that never sparsifies (pure quantizers) is rejected in
     /// combination with OPWA algorithms or `record_overlap`.
     pub layer_compressors: Option<LayerPlan>,
     /// Codec for the server→client broadcast (downlink) leg. `None` (default,
@@ -403,7 +403,7 @@ impl ExperimentConfig {
     /// ([`uplink_plan`], [`downlink_plan`]): every rule resolvable through
     /// `registry` and every model segment covered — a validation error, not
     /// a construction panic. On the uplink, whose updates the overlap
-    /// machinery reads, no rule may decode dense under OPWA or
+    /// machinery reads, no rule may be a pure quantizer under OPWA or
     /// `record_overlap`, and a BCRS algorithm needs at least one segment
     /// whose rule reads the ratio it schedules; a flat `compressor` spec is
     /// its uniform plan's one rule.
@@ -453,7 +453,7 @@ impl ExperimentConfig {
             if rule.spec.produces_dense() && self.algorithm.uses_opwa() {
                 return Err(format!(
                     "algorithm {} applies the OPWA overlap mask, but uplink rule \
-                     {}={} decodes to dense updates with no overlap structure",
+                     {}={} never sparsifies, so there is nothing to overlap-weight",
                     self.algorithm.name(),
                     rule.pattern,
                     rule.spec
@@ -461,8 +461,8 @@ impl ExperimentConfig {
             }
             if rule.spec.produces_dense() && self.record_overlap {
                 return Err(format!(
-                    "record_overlap is set, but uplink rule {}={} decodes to \
-                     dense updates with no overlap structure",
+                    "record_overlap is set, but uplink rule {}={} never \
+                     sparsifies, so there is nothing to overlap-weight",
                     rule.pattern, rule.spec
                 ));
             }
@@ -688,8 +688,8 @@ mod tests {
 
     #[test]
     fn dense_codecs_cannot_pair_with_overlap_machinery() {
-        // Pure quantizers decode dense — no overlap degrees exist, so OPWA
-        // algorithms and overlap recording reject them up front.
+        // Pure quantizers never sparsify — there is nothing to overlap-weight,
+        // so OPWA algorithms and overlap recording reject them up front.
         let opwa = ExperimentConfig {
             algorithm: Algorithm::BcrsOpwa,
             compressor: Some("qsgd:8".parse().unwrap()),
@@ -791,8 +791,8 @@ mod tests {
             ..Default::default()
         };
         assert!(recording.validate().unwrap_err().contains("record_overlap"));
-        // … while all-sparse plans (the raw-f32 "dense" codec decodes to a
-        // full-density *sparse* segment) keep the overlap structure.
+        // … while every other plan (the raw-f32 "dense" codec included)
+        // keeps the overlap structure.
         let sparse = ExperimentConfig {
             algorithm: Algorithm::BcrsOpwa,
             layer_compressors: Some("*.bias=dense;*=topk+qsgd:4".parse().unwrap()),

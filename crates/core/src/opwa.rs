@@ -102,14 +102,6 @@ impl OpwaMask {
         }
         masked
     }
-
-    /// Apply the mask in place to a dense accumulation buffer.
-    pub fn apply_dense(&self, dense: &mut [f32]) {
-        assert_eq!(dense.len(), self.weights.len(), "length mismatch");
-        for (d, &w) in dense.iter_mut().zip(self.weights.iter()) {
-            *d *= w;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,9 +154,6 @@ mod tests {
         let mask = OpwaMask::identity(4);
         let u = sparse(vec![0, 2], vec![1.5, -0.5], 4);
         assert_eq!(mask.apply(&u), u);
-        let mut dense = vec![1.0, 2.0, 3.0, 4.0];
-        mask.apply_dense(&mut dense);
-        assert_eq!(dense, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -213,9 +202,7 @@ mod tests {
             let values: Vec<f32> = (0..rng.next_range(1, 30))
                 .map(|_| Uniform::new(-5.0, 5.0).sample(&mut rng) as f32)
                 .collect();
-            let len = values.len();
-            let indices: Vec<u32> = (0..len as u32).collect();
-            let u = SparseUpdate::new(indices, values.clone(), len);
+            let u = SparseUpdate::full(values.clone());
             // Single-client cohort: every retained coordinate is a singleton.
             let counts = OverlapCounts::from_updates(&[&u]);
             let mask = OpwaMask::from_overlap(&counts, gamma, 1);

@@ -488,10 +488,9 @@ mod tests {
             dense: &[f32],
             ratio: f64,
             _rng: &mut Xoshiro256,
-        ) -> (fl_compress::WireUpdate, fl_compress::CompressedUpdate) {
+        ) -> (fl_compress::WireUpdate, fl_compress::SparseUpdate) {
             let sent = fl_compress::topk::select(dense, ratio);
-            let wire = fl_compress::wire::encode_sparse(&sent);
-            (wire, fl_compress::CompressedUpdate::Sparse(sent))
+            (fl_compress::wire::encode_sparse(&sent), sent)
         }
     }
 
@@ -536,7 +535,7 @@ mod tests {
             let mut client = roster.checkout(id);
             let out = client.local_update(&global);
             let wire = client.encode(&out.delta, 0.2);
-            let kept = client.decode(&wire).unwrap().as_sparse().unwrap().nnz();
+            let kept = client.decode(&wire).unwrap().nnz();
             roster.checkin(client);
             (kept, epoch)
         };

@@ -27,9 +27,7 @@
 //! [`FederatedSession::run_round`] threads the stage outputs through in
 //! order and returns a [`RoundOutput`].
 
-use crate::aggregate::{
-    aggregate_compressed_sharded, aggregate_sparse_sharded, apply_update, data_fractions_or_uniform,
-};
+use crate::aggregate::{aggregate_sparse_sharded, apply_update, data_fractions_or_uniform};
 use crate::algorithm::RatioRule;
 use crate::bcrs::BcrsSchedule;
 use crate::client::{segment_defs, LocalTrainOutput};
@@ -39,7 +37,7 @@ use crate::overlap::OverlapCounts;
 use crate::policy::{assign_ratios, layer_bcrs_plan, select_cohort, AdaptivePlanSpec, PlanCtx};
 use crate::runner::{LayerBytes, PlanTelemetry, RoundRecord};
 use crate::session::FederatedSession;
-use fl_compress::{CompressedUpdate, SparseUpdate};
+use fl_compress::SparseUpdate;
 use fl_netsim::{CommModel, CostBasis, Link, RoundBreakdown, RoundTiming};
 use fl_nn::unflatten_params;
 use fl_tensor::parallel::parallel_map;
@@ -52,17 +50,9 @@ pub struct RoundOutput {
     pub record: RoundRecord,
     /// The BCRS schedule, when the algorithm schedules ratios.
     pub schedule: Option<BcrsSchedule>,
-    /// Slowest selected client's local training wall time (seconds).
-    pub train_time_s: f64,
-    /// Total codec (encode + decode) wall time across the cohort (seconds).
-    pub compress_time_s: f64,
     /// Encoded wire size of every selected client's upload, in cohort order
     /// (what [`CostBasis::Encoded`] charges).
     pub uplink_wire_bytes: Vec<usize>,
-    /// Encoded wire size of this round's server→client broadcast buffer
-    /// (0 when no downlink codec is configured — the broadcast is then
-    /// teleported for free, the paper's analytic setting).
-    pub downlink_wire_bytes: usize,
 }
 
 /// Stage 1 output: the cohort, its links and the adaptive plan's decision.
@@ -86,7 +76,7 @@ struct DownlinkPhase {
 /// `segment_bytes` sums the per-segment payload sizes across the cohort's
 /// `Segmented` uploads (present only under a genuinely mixed layer plan).
 struct LocalPhase {
-    updates: Vec<CompressedUpdate>,
+    updates: Vec<SparseUpdate>,
     wire_bytes: Vec<usize>,
     segment_bytes: Option<Vec<usize>>,
     sample_counts: Vec<usize>,
@@ -335,11 +325,10 @@ impl FederatedSession {
 
     /// Stage 4: compute averaging coefficients (Eq. 6 under BCRS), apply the
     /// OPWA mask when active, aggregate, and take the server step on the
-    /// global parameters. Overlap analysis and OPWA apply when the whole
-    /// cohort decoded to sparse updates, and count only the coordinates the
-    /// server received — a sparse quantized frame carries just those of
-    /// nonzero level. Dense quantized codecs retain every coordinate, so
-    /// overlap degrees are not defined for them.
+    /// global parameters. Overlap analysis and OPWA count only the
+    /// coordinates the server received — a sparse quantized frame carries
+    /// just those of nonzero level. A pure quantizer's update keeps every
+    /// coordinate, so configuration validation keeps it away from both.
     ///
     /// Aggregation reduces over a fixed-shard tree
     /// ([`crate::aggregate::AGG_SHARD`] clients per shard): shard partials
@@ -357,36 +346,16 @@ impl FederatedSession {
                 _ => fractions,
             };
 
-        let all_sparse = local.updates.iter().all(|u| u.as_sparse().is_some());
-        let (overlap, aggregated) = if all_sparse {
-            let sparse_refs: Vec<&SparseUpdate> = local
-                .updates
-                .iter()
-                .map(|u| u.as_sparse().expect("checked all_sparse"))
-                .collect();
-            let need_overlap = self.config.algorithm.uses_opwa() || self.config.record_overlap;
-            let overlap = if need_overlap {
-                Some(OverlapCounts::from_updates(&sparse_refs))
-            } else {
-                None
-            };
-            let mask = if self.config.algorithm.uses_opwa() {
-                overlap.as_ref().map(|c| {
-                    OpwaMask::from_overlap(c, self.config.gamma, self.config.overlap_threshold)
-                })
-            } else {
-                None
-            };
-            let aggregated =
-                aggregate_sparse_sharded(&sparse_refs, &coefficients, mask.as_ref(), self.threads);
-            (overlap, aggregated)
-        } else {
-            let refs: Vec<&CompressedUpdate> = local.updates.iter().collect();
-            (
-                None,
-                aggregate_compressed_sharded(&refs, &coefficients, None, self.threads),
-            )
-        };
+        let refs: Vec<&SparseUpdate> = local.updates.iter().collect();
+        let uses_opwa = self.config.algorithm.uses_opwa();
+        let overlap =
+            (uses_opwa || self.config.record_overlap).then(|| OverlapCounts::from_updates(&refs));
+        let mask = overlap
+            .as_ref()
+            .filter(|_| uses_opwa)
+            .map(|c| OpwaMask::from_overlap(c, self.config.gamma, self.config.overlap_threshold));
+        let aggregated =
+            aggregate_sparse_sharded(&refs, &coefficients, mask.as_ref(), self.threads);
         // Telemetry for the next round's plan decision: where the aggregated
         // update's mass concentrated, per layout segment. Computed only when
         // the adaptive plan reads it — every other path does no extra work.
@@ -542,10 +511,7 @@ impl FederatedSession {
         RoundOutput {
             record,
             schedule: local.schedule,
-            train_time_s: local.max_train_time,
-            compress_time_s: local.total_compress_time + downlink.codec_time_s,
             uplink_wire_bytes: local.wire_bytes,
-            downlink_wire_bytes: downlink.wire_bytes.unwrap_or(0),
         }
     }
 }
@@ -677,7 +643,7 @@ mod tests {
                 let mut client = twin.roster.checkout(id);
                 let delta = client.local_update(&twin.global_params).delta;
                 let wire = client.encode(&delta, config.compression_ratio);
-                let update = client.decode(&wire).unwrap().into_sparse().unwrap();
+                let update = client.decode(&wire).unwrap();
                 twin.roster.checkin(client);
                 update
             })
@@ -725,7 +691,6 @@ mod tests {
         config.max_threads = 1;
         let out = FederatedSession::from_config(&config).run_round();
         assert_eq!(out.record.downlink_bytes, 0);
-        assert_eq!(out.downlink_wire_bytes, 0);
     }
 
     #[test]
@@ -737,10 +702,15 @@ mod tests {
         config.cost_basis = CostBasis::Encoded;
         let mut session = FederatedSession::from_config(&config);
         let out = session.run_round();
-        // The record's downlink byte count is exactly the encoded broadcast
-        // buffer's length (one buffer — a broadcast, not a per-client sum).
-        assert_eq!(out.record.downlink_bytes, out.downlink_wire_bytes);
-        assert!(out.record.downlink_bytes > 0);
+        // The record's downlink byte count is the encoded broadcast buffer's
+        // length (one buffer — a broadcast, not a per-client sum). Round 0
+        // broadcasts the zero delta since the clients' initialisation, and
+        // Top-K draws nothing, so that buffer can be rebuilt here.
+        let zero = vec![0.0; session.model_params];
+        let broadcast = fl_compress::topk::select(&zero, config.compression_ratio);
+        let expected = fl_compress::wire::encode_sparse(&broadcast).len();
+        assert_eq!(out.record.downlink_bytes, expected);
+        assert!(expected > 0);
         // Under the encoded basis each selected client pays its upload plus
         // the download of exactly those broadcast bytes; the record's actual
         // time is the bidirectional straggler, bit for bit.
@@ -864,8 +834,6 @@ mod tests {
         config.max_threads = 1;
         let out = FederatedSession::from_config(&config).run_round();
         assert!(out.schedule.is_some());
-        assert!(out.train_time_s >= 0.0);
-        assert!(out.compress_time_s >= 0.0);
 
         config.algorithm = Algorithm::TopK;
         let out = FederatedSession::from_config(&config).run_round();

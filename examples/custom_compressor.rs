@@ -38,13 +38,13 @@ impl UpdateCodec for HalfBudgetTopK {
         dense: &[f32],
         ratio: f64,
         _rng: &mut Xoshiro256,
-    ) -> (WireUpdate, CompressedUpdate) {
+    ) -> (WireUpdate, SparseUpdate) {
         let sparse = bwfl::compress::topk::select(dense, (ratio / 2.0).max(1e-6));
         // The standard sparse wire format: the default decode, overlap
         // analysis and OPWA masking all understand our bytes — and what they
         // decode to is the selection itself.
         let wire = bwfl::compress::wire::encode_sparse(&sparse);
-        (wire, CompressedUpdate::Sparse(sparse))
+        (wire, sparse)
     }
 }
 

@@ -65,40 +65,36 @@ fn prop_encode_decode_roundtrip_for_every_codec() {
             // only its coordinate structure (not the values) matches the
             // input.
             let rescaled = spec.stages[0].name == "randk";
-            match decoded {
-                CompressedUpdate::Sparse(ref s) if !is_quantized => {
-                    // Exact round trip (error feedback sends delta+residual,
-                    // where the residual starts at zero, so values still
-                    // match the input on the first round).
-                    for (&i, &v) in s.indices().iter().zip(s.values().iter()) {
-                        if rescaled {
-                            continue;
-                        }
-                        assert_eq!(v, dense[i as usize], "{} index {}", &spec, i);
+            if !is_quantized {
+                // Exact round trip (error feedback sends delta+residual,
+                // where the residual starts at zero, so values still match
+                // the input on the first round).
+                for (&i, &v) in decoded.indices().iter().zip(decoded.values()) {
+                    if rescaled {
+                        continue;
                     }
+                    assert_eq!(v, dense[i as usize], "{} index {}", &spec, i);
                 }
-                ref update => {
-                    // Quantized payloads: within one level of the encoded
-                    // group's norm (coarsest representative codec is qsgd:6,
-                    // 31 levels; a norm/3 bound is comfortably loose).
-                    let norm = dense
-                        .iter()
-                        .map(|v| (*v as f64).powi(2))
-                        .sum::<f64>()
-                        .sqrt();
-                    let tol = norm / 3.0 + 1e-4;
-                    let rec = update.to_dense();
-                    for (i, &r) in rec.iter().enumerate() {
-                        if r != 0.0 && !rescaled {
-                            assert!(
-                                (r - dense[i]).abs() <= tol as f32,
-                                "{} coordinate {} decoded {} vs {}",
-                                &spec,
-                                i,
-                                r,
-                                dense[i]
-                            );
-                        }
+            } else {
+                // Quantized payloads: within one level of the encoded group's
+                // norm (coarsest representative codec is qsgd:6, 31 levels; a
+                // norm/3 bound is comfortably loose).
+                let norm = dense
+                    .iter()
+                    .map(|v| (*v as f64).powi(2))
+                    .sum::<f64>()
+                    .sqrt();
+                let tol = norm / 3.0 + 1e-4;
+                for (i, &r) in decoded.to_dense().iter().enumerate() {
+                    if r != 0.0 && !rescaled {
+                        assert!(
+                            (r - dense[i]).abs() <= tol as f32,
+                            "{} coordinate {} decoded {} vs {}",
+                            &spec,
+                            i,
+                            r,
+                            dense[i]
+                        );
                     }
                 }
             }

@@ -60,7 +60,7 @@ fn topk_wire_roundtrip_preserves_retained_coordinates() {
     // Serialize to the byte-level wire format and back.
     let mut topk_codec = codec("topk", delta.len());
     let wire = topk_codec.encode(&delta, 0.1, &mut Xoshiro256::new(1));
-    let restored = topk_codec.decode(&wire).unwrap().into_sparse().unwrap();
+    let restored = topk_codec.decode(&wire).unwrap();
     assert_eq!(restored, sparse);
     // Every retained coordinate exactly matches the original delta.
     for (&i, &v) in restored.indices().iter().zip(restored.values().iter()) {
@@ -190,13 +190,14 @@ fn quantizer_fits_in_the_same_pipeline() {
     let delta = realistic_delta(6);
     let mut qsgd = codec("qsgd:5", delta.len());
     let wire = qsgd.encode(&delta, 1.0, &mut Xoshiro256::new(6));
-    // The quantized update is dense but cheaper on the wire than f32.
+    // The quantized update keeps every coordinate but is cheaper on the
+    // wire than f32.
     assert!(wire.len() < delta.len() * 4 / 4);
     let q = qsgd.decode(&wire).unwrap();
-    assert!(q.as_sparse().is_none());
+    assert_eq!(q.nnz(), delta.len());
     // Aggregating a mix of sparse and quantized updates works.
-    let s = CompressedUpdate::Sparse(topk::select(&delta, 0.1));
-    let agg = fl_core::aggregate::aggregate_compressed(&[&s, &q], &[0.5, 0.5], None);
+    let s = topk::select(&delta, 0.1);
+    let agg = fl_core::aggregate::aggregate_sparse(&[&s, &q], &[0.5, 0.5], None);
     assert_eq!(agg.len(), delta.len());
     assert!(agg.iter().any(|&v| v != 0.0));
 }

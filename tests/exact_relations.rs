@@ -16,6 +16,11 @@
 //! - A churn scenario in which nobody leaves or joins selects and trains
 //!   exactly as no scenario: the cohort drawn from a pool of every client
 //!   equals the one drawn over all `N`.
+//! - A pure quantizer trains exactly like the dense selection under it
+//!   (`qsgd:8` and `dense+qsgd:8`, with or without `ef-` and `:rc`): both
+//!   quantize every coordinate with the same norm and the same draws, and
+//!   the sparse frame leaves out only coordinates that dequantize to zero,
+//!   which add nothing. Only the bytes differ.
 
 use bwfl::prelude::*;
 
@@ -56,8 +61,8 @@ fn run(config: &ExperimentConfig) -> (Vec<RoundRecord>, Vec<f32>) {
     (session.records().to_vec(), session.global_params().to_vec())
 }
 
-/// `b` trained exactly as `a` did, whatever it evaluated or paid.
-fn assert_same_training(
+/// `b` learned exactly as `a` did, whatever it evaluated, paid or shipped.
+fn assert_same_learning(
     what: &str,
     (a, a_params): &(Vec<RoundRecord>, Vec<f32>),
     (b, b_params): &(Vec<RoundRecord>, Vec<f32>),
@@ -72,23 +77,36 @@ fn assert_same_training(
         );
         let (xr, yr) = (x.mean_compression_ratio, y.mean_compression_ratio);
         assert_eq!(xr.to_bits(), yr.to_bits(), "{what}: ratio, round {r}");
+        assert_eq!(
+            x.selected_clients, y.selected_clients,
+            "{what}: cohort, round {r}"
+        );
+        assert_eq!(x.plan, y.plan, "{what}: plan, round {r}");
+    }
+    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(a_params), bits(b_params), "{what}: final parameters");
+}
+
+/// `b` trained and shipped exactly as `a` did, whatever it evaluated or
+/// paid.
+fn assert_same_training(
+    what: &str,
+    a: &(Vec<RoundRecord>, Vec<f32>),
+    b: &(Vec<RoundRecord>, Vec<f32>),
+) {
+    assert_same_learning(what, a, b);
+    for (x, y) in a.0.iter().zip(&b.0) {
+        let r = x.round;
         assert_eq!(x.uplink_bytes, y.uplink_bytes, "{what}: uplink, round {r}");
         assert_eq!(
             x.downlink_bytes, y.downlink_bytes,
             "{what}: downlink, round {r}"
         );
         assert_eq!(
-            x.selected_clients, y.selected_clients,
-            "{what}: cohort, round {r}"
-        );
-        assert_eq!(
             x.layer_bytes, y.layer_bytes,
             "{what}: layer bytes, round {r}"
         );
-        assert_eq!(x.plan, y.plan, "{what}: plan, round {r}");
     }
-    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    assert_eq!(bits(a_params), bits(b_params), "{what}: final parameters");
 }
 
 /// Doubling every bandwidth of `config` halves every simulated time.
@@ -230,5 +248,33 @@ fn a_churn_scenario_without_churn_selects_like_no_scenario() {
         still.scenario = Some("churn:leave=0,join=0".parse().unwrap());
         let what = format!("{}, churn:leave=0,join=0", algorithm.name());
         assert_same_training(&what, &static_fleet, &run(&still));
+    }
+}
+
+#[test]
+fn a_pure_quantizer_trains_like_the_dense_selection_under_it() {
+    for algorithm in [Algorithm::FedAvg, Algorithm::TopK] {
+        for (pure, selected) in [
+            ("qsgd:8", "dense+qsgd:8"),
+            ("ef-qsgd:4", "ef-dense+qsgd:4"),
+            ("qsgd:4:rc", "dense+qsgd:4:rc"),
+        ] {
+            let with = |spec: &str| {
+                let mut c = base(algorithm, 6);
+                c.compressor = Some(spec.parse().unwrap());
+                run(&c)
+            };
+            let (a, b) = (with(pure), with(selected));
+            let what = format!("{}, {pure} vs {selected}", algorithm.name());
+            assert_same_learning(&what, &a, &b);
+            for (x, y) in a.0.iter().zip(&b.0) {
+                assert_eq!(
+                    x.test_accuracy.to_bits(),
+                    y.test_accuracy.to_bits(),
+                    "{what}: accuracy, round {}",
+                    x.round
+                );
+            }
+        }
     }
 }

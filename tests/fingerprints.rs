@@ -299,7 +299,8 @@ fn cases() -> Vec<(String, ExperimentConfig)> {
                 c.adaptive_plan = Some(parse("layer-bcrs"));
             },
         ),
-        // Error feedback over a dense quantizer: the `Quantized` residual arm.
+        // Error feedback over a pure quantizer, whose sent update keeps every
+        // coordinate.
         codec("codec/ef-qsgd:4:rc", 16, 4, |c| {
             c.compressor = Some(parse("ef-qsgd:4:rc"))
         }),

@@ -242,18 +242,9 @@ fn prop_segmented_encode_decode_roundtrip() {
             let mut codec = reg.build(&spec, &CodecCtx::new(len, 7)).unwrap();
             let mut stream = Xoshiro256::new(1000 + i as u64);
             let wire = codec.encode(&dense[offset..offset + len], 0.3, &mut stream);
-            let part_decoded = wire.decode().unwrap();
-            match part_decoded {
-                CompressedUpdate::Sparse(s) => {
-                    for (&pi, &v) in s.indices().iter().zip(s.values().iter()) {
-                        expected.push((offset as u32 + pi, v));
-                    }
-                }
-                CompressedUpdate::Quantized { values } => {
-                    for (j, &v) in values.iter().enumerate() {
-                        expected.push(((offset + j) as u32, v));
-                    }
-                }
+            let s = wire.decode().unwrap();
+            for (&pi, &v) in s.indices().iter().zip(s.values()) {
+                expected.push((offset as u32 + pi, v));
             }
             parts.push(wire);
             offset += len;
@@ -264,8 +255,7 @@ fn prop_segmented_encode_decode_roundtrip() {
             framed.segment_byte_lens().unwrap(),
             parts.iter().map(|p| p.len()).collect::<Vec<_>>()
         );
-        let merged = framed.decode().expect("framed buffers decode");
-        let s = merged.as_sparse().expect("segmented decodes sparse");
+        let s = framed.decode().expect("framed buffers decode");
         assert_eq!(s.dense_len(), total);
         let got: Vec<(u32, f32)> = s
             .indices()

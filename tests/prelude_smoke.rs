@@ -38,11 +38,7 @@ fn prelude_exposes_the_building_blocks() {
         .build(&"topk".parse().unwrap(), &CodecCtx::new(dense.len(), 0))
         .expect("builtin codec");
     let wire = codec.encode(&dense, 0.1, &mut rng);
-    let sparse = codec
-        .decode(&wire)
-        .expect("own encoding")
-        .into_sparse()
-        .expect("Top-K yields a sparse update");
+    let sparse = codec.decode(&wire).expect("own encoding");
     assert_eq!(sparse.nnz(), 10);
 
     // fl-netsim + fl-core via prelude.
