@@ -30,7 +30,7 @@ use crate::sparse::SparseUpdate;
 use crate::spec::{CodecStage, CompressorSpec};
 use crate::wire::{
     encode_dense, encode_quantized, encode_quantized_rc, encode_sparse, encode_sparse_quantized,
-    encode_sparse_quantized_rc, WireError, WireUpdate,
+    encode_sparse_quantized_rc, WireUpdate,
 };
 use crate::{randk, threshold, topk};
 use fl_tensor::rng::{Rng, Xoshiro256};
@@ -116,8 +116,9 @@ pub trait UpdateCodec: Send {
     /// Encode a dense update at the target `ratio` into wire bytes, drawing
     /// any per-round randomness from `rng` and updating internal state
     /// (error-feedback residuals, …). Returns the bytes together with what
-    /// was sent: the lossy update [`decode`](Self::decode) reconstructs from
-    /// those bytes, bit for bit.
+    /// was sent: the lossy update [`WireUpdate::decode`] reconstructs from
+    /// those bytes, bit for bit. The receiver decodes every codec's bytes
+    /// that way, so a codec writes the standard wire kinds.
     ///
     /// Error feedback, a quantizer stage and the downlink channel need the
     /// sent update, and an encoder already holds it (the selected
@@ -134,13 +135,6 @@ pub trait UpdateCodec: Send {
     /// RNG advance exactly as there.
     fn encode(&mut self, dense: &[f32], ratio: f64, rng: &mut Xoshiro256) -> WireUpdate {
         self.encode_sent(dense, ratio, rng).0
-    }
-
-    /// Reconstruct the lossy update an encoded buffer represents. The default
-    /// decodes the standard wire format; codecs with private payload layouts
-    /// override this.
-    fn decode(&self, wire: &WireUpdate) -> Result<SparseUpdate, WireError> {
-        wire.decode()
     }
 
     /// L2 norm of any accumulated residual state (0 for stateless codecs).
@@ -369,6 +363,7 @@ fn encode_stages(
         Select::Custom(codec) => {
             let (wire, sent) = codec.encode_sent(x, ratio, rng);
             if quant.is_none() {
+                debug_assert_sent(&wire, &sent);
                 return (wire, sent);
             }
             (Some(sent), false)
@@ -429,14 +424,6 @@ impl UpdateCodec for Pipeline {
         (wire, sent)
     }
 
-    fn decode(&self, wire: &WireUpdate) -> Result<SparseUpdate, WireError> {
-        match (&self.select, &self.quant) {
-            // An unquantized custom stage's bytes are its own.
-            (Select::Custom(codec), None) => codec.decode(wire),
-            _ => wire.decode(),
-        }
-    }
-
     fn residual_norm(&self) -> f64 {
         match (&self.residual, &self.select) {
             (Some(r), _) => r.iter().map(|&v| (v as f64).powi(2)).sum::<f64>().sqrt(),
@@ -494,13 +481,16 @@ mod tests {
         (0..n).map(|i| ((i as f32) * 0.37).sin() * 0.1).collect()
     }
 
-    /// A codec with a private `decode`: receivers negate what the standard
-    /// format says, and `encode_sent` reports exactly that.
-    struct Negating;
+    /// A custom codec that sends every coordinate halved, as a standard
+    /// dense frame. `lying` returns the unhalved update beside those bytes,
+    /// breaking the `encode_sent` contract.
+    struct Halving {
+        lying: bool,
+    }
 
-    impl UpdateCodec for Negating {
+    impl UpdateCodec for Halving {
         fn name(&self) -> String {
-            "negating".into()
+            "halving".into()
         }
         fn encode_sent(
             &mut self,
@@ -508,26 +498,26 @@ mod tests {
             _ratio: f64,
             _rng: &mut Xoshiro256,
         ) -> (WireUpdate, SparseUpdate) {
-            let wire = encode_dense(dense);
-            let sent = self.decode(&wire).expect("own encoding");
-            (wire, sent)
-        }
-        fn decode(&self, wire: &WireUpdate) -> Result<SparseUpdate, WireError> {
-            let mut sparse = wire.decode()?;
-            sparse.values_mut().iter_mut().for_each(|v| *v = -*v);
-            Ok(sparse)
+            let half: Vec<f32> = dense.iter().map(|v| v * 0.5).collect();
+            let sent = if self.lying {
+                dense.to_vec()
+            } else {
+                half.clone()
+            };
+            (encode_dense(&half), SparseUpdate::full(sent))
         }
     }
 
-    /// The built-ins plus `neg` (a [`Negating`]), `inner-ef` (an `ef-topk`
-    /// pipeline as a custom stage) and `myq` (a `qsgd:4` pipeline, which
-    /// sends a full-density update).
+    /// The built-ins plus `half` and `lie` (a [`Halving`], honest and not),
+    /// `inner-ef` (an `ef-topk` pipeline as a custom stage) and `myq` (a
+    /// `qsgd:4` pipeline, which sends a full-density update).
     fn registry() -> CodecRegistry {
         fn builtin(spec: &str, ctx: &CodecCtx) -> Result<Box<dyn UpdateCodec>, SpecError> {
             CodecRegistry::with_builtins().build(&spec.parse()?, ctx)
         }
         let mut r = CodecRegistry::with_builtins();
-        r.register("neg", |_, _| Ok(Box::new(Negating)));
+        r.register("half", |_, _| Ok(Box::new(Halving { lying: false })));
+        r.register("lie", |_, _| Ok(Box::new(Halving { lying: true })));
         r.register("inner-ef", |_, ctx| builtin("ef-topk", ctx));
         r.register("myq", |_, ctx| builtin("qsgd:4", ctx));
         r
@@ -687,15 +677,22 @@ mod tests {
     }
 
     #[test]
-    fn error_feedback_sees_what_a_private_decode_says_was_sent() {
-        // Error feedback over a codec with a private `decode` must see what
-        // its `encode_sent` reports, and decode through it.
+    fn error_feedback_over_a_custom_stage_subtracts_what_it_sent() {
+        // Error feedback over a custom codec keeps what its `encode_sent`
+        // reports it did not send, and the receiver decodes the bytes.
         let d = vec![1.0f32, -2.0, 0.5];
-        // residual = corrected − sent = d − (−d).
-        let mut ef = build("ef-neg", d.len());
+        // residual = corrected − sent = d − d / 2.
+        let mut ef = build("ef-half", d.len());
         let wire = ef.encode(&d, 1.0, &mut rng());
-        assert_eq!(residual(ef.as_mut()), [2.0, -4.0, 1.0]);
-        assert_eq!(ef.decode(&wire).unwrap().to_dense(), vec![-1.0, 2.0, -0.5]);
+        assert_eq!(residual(ef.as_mut()), [0.5, -1.0, 0.25]);
+        assert_eq!(wire.decode().unwrap().to_dense(), vec![0.5, -1.0, 0.25]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "encode_sent returned an update its own bytes do not decode to")]
+    fn a_custom_stage_whose_sent_update_disagrees_with_its_bytes_is_caught() {
+        build("lie", 3).encode(&[1.0, -2.0, 0.5], 1.0, &mut rng());
     }
 
     #[test]
@@ -770,8 +767,8 @@ mod tests {
             assert_eq!(build(spec, 1).name(), spec);
         }
         // A custom stage is spelled by its codec's name.
-        assert_eq!(build("neg", 1).name(), "negating");
-        assert_eq!(build("ef-neg+qsgd:4", 1).name(), "ef-negating+qsgd:4");
+        assert_eq!(build("half", 1).name(), "halving");
+        assert_eq!(build("ef-half+qsgd:4", 1).name(), "ef-halving+qsgd:4");
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   index gaps entropy-coded by the adaptive-CDF rANS coder in [`rans`])
 //!   together with the lossy update those bytes
 //!   decode to, so nothing on the sending side decodes its own bytes;
-//!   `encode` is its bytes-only projection and `decode` the receiver's side.
+//!   `encode` is its bytes-only projection, and the receiver decodes every
+//!   codec's bytes with [`wire::WireUpdate::decode`].
 //!   Error-feedback residuals live inside the `ef-` pipeline;
 //! * [`downlink::DownlinkChannel`] — the server-side broadcast wrapper: one
 //!   codec encodes the global-parameter delta per round, recipients share the

@@ -91,7 +91,7 @@ fn assert_encode_sent_is_decode(
             awkward_gradient(seed.wrapping_add(round), n, flavour)
         };
         let (wire, reconstruction) = codec.encode_sent(&d, ratio, &mut rng);
-        let decoded = codec.decode(&wire).expect("own bytes decode");
+        let decoded = wire.decode().expect("own bytes decode");
         assert!(
             decoded.bit_eq(&reconstruction),
             "{}: encode_sent disagrees with decode(wire) in round {} (flavour {})",

@@ -82,7 +82,7 @@ impl ClientState {
             dataset: Dataset::empty(feature_dim, num_classes),
             model,
             layout,
-            loader: BatchLoader::new(config.batch_size, false),
+            loader: BatchLoader::new(config.batch_size),
             rng: Xoshiro256::new(0),
             // A placeholder: `codec_key` is `None`, so `resolve_codec` replaces it.
             codec: CodecRegistry::with_builtins()
@@ -223,10 +223,10 @@ impl ClientState {
         self.codec.encode(delta, ratio, &mut self.rng)
     }
 
-    /// Decode a wire buffer with this client's codec (what the server does on
-    /// receipt).
+    /// Decode a wire buffer (what the server does on receipt). Every codec
+    /// writes the standard wire kinds, so this is [`WireUpdate::decode`].
     pub fn decode(&self, wire: &WireUpdate) -> Result<SparseUpdate, WireError> {
-        self.codec.decode(wire)
+        wire.decode()
     }
 
     /// Name of this client's codec (the resolved spec string).

@@ -269,7 +269,8 @@ impl ExperimentConfig {
     }
 
     /// A small, fast configuration used by tests and `--quick` benches:
-    /// fewer rounds, a smaller synthetic dataset and a linear model.
+    /// 10 rounds, a tenth-scale synthetic dataset and an MLP with hidden
+    /// layers of 32 and 16 units.
     pub fn quick(algorithm: Algorithm) -> Self {
         Self {
             algorithm,
@@ -920,14 +921,12 @@ mod tests {
             }
         }
         let mean_bw: Set = |c, x| c.links.bandwidth_mean_mbps = x;
-        let floor: Set = |c, x| c.links.bandwidth_floor_frac = x;
         let latency_lo: Set = |c, x| c.links.latency_lo_ms = x;
         for (name, set, x) in [
             ("momentum", fields[6].1, 1.0),
             ("momentum", fields[6].1, -0.1),
             ("weight_decay", fields[7].1, -1e-4),
             ("links.bandwidth_mean_mbps", mean_bw, f64::NAN),
-            ("links.bandwidth_floor_frac", floor, 1.5),
             ("links.latency_lo_ms", latency_lo, -10.0),
             ("dataset_scale", fields[5].1, 20.0),
             ("dataset_scale", fields[5].1, 0.001),

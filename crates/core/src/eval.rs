@@ -15,18 +15,8 @@ pub struct Evaluation {
 }
 
 /// Evaluate `model` on `dataset` in batches of `batch_size` (the dataset may
-/// be too large for a single forward pass), using up to
-/// [`fl_tensor::parallel::default_threads`] worker threads.
-pub fn evaluate(model: &Sequential, dataset: &Dataset, batch_size: usize) -> Evaluation {
-    evaluate_with_threads(
-        model,
-        dataset,
-        batch_size,
-        fl_tensor::parallel::default_threads(),
-    )
-}
-
-/// [`evaluate`] with an explicit worker-thread cap.
+/// be too large for a single forward pass), on up to `max_threads` worker
+/// threads.
 ///
 /// Batch boundaries are fixed ranges `[i*batch_size, (i+1)*batch_size)` of the
 /// dataset, each batch's loss/accuracy pair is computed independently on a
@@ -109,7 +99,7 @@ mod tests {
     fn random_model_near_chance() {
         let mut rng = Xoshiro256::new(1);
         let model = mlp(2, &[], 2, &mut rng);
-        let e = evaluate(&model, &toy_dataset(), 8);
+        let e = evaluate_with_threads(&model, &toy_dataset(), 8, 1);
         assert!(e.accuracy >= 0.0 && e.accuracy <= 1.0);
         assert!((e.loss - (2.0f64).ln()).abs() < 0.5);
     }
@@ -120,7 +110,7 @@ mod tests {
         let mut model = mlp(2, &[], 2, &mut rng);
         // Set weights so class 1 wins when x0 > 0.
         unflatten_params(&mut model, &[-10.0, 10.0, 0.0, 0.0, 0.0, 0.0]);
-        let e = evaluate(&model, &toy_dataset(), 7);
+        let e = evaluate_with_threads(&model, &toy_dataset(), 7, 1);
         assert_eq!(e.accuracy, 1.0);
         assert!(e.loss < 0.01);
     }
@@ -130,8 +120,8 @@ mod tests {
         let mut rng = Xoshiro256::new(2);
         let model = mlp(2, &[], 2, &mut rng);
         let ds = toy_dataset();
-        let small = evaluate(&model, &ds, 3);
-        let full = evaluate(&model, &ds, 100);
+        let small = evaluate_with_threads(&model, &ds, 3, 1);
+        let full = evaluate_with_threads(&model, &ds, 100, 1);
         assert!((small.loss - full.loss).abs() < 1e-6);
         assert!((small.accuracy - full.accuracy).abs() < 1e-12);
     }
@@ -153,7 +143,7 @@ mod tests {
     fn empty_dataset_is_zero() {
         let mut rng = Xoshiro256::new(3);
         let model = mlp(2, &[], 2, &mut rng);
-        let e = evaluate(&model, &Dataset::empty(2, 2), 4);
+        let e = evaluate_with_threads(&model, &Dataset::empty(2, 2), 4, 1);
         assert_eq!(e.accuracy, 0.0);
         assert_eq!(e.loss, 0.0);
     }

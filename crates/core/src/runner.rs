@@ -8,7 +8,7 @@
 
 use crate::client::build_model;
 use crate::config::ExperimentConfig;
-use crate::eval::evaluate;
+use crate::eval::evaluate_with_threads;
 use crate::overlap::OverlapStats;
 use crate::session::SessionBuilder;
 use fl_data::{Dataset, PartitionStats};
@@ -295,7 +295,8 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
 /// Evaluate an externally trained flat parameter vector on a dataset
 /// (convenience for tests and examples that manipulate parameters directly).
 /// A vector that does not match the configuration's model layout is rejected
-/// with a typed [`LayoutError`] instead of a panic.
+/// with a typed [`LayoutError`] instead of a panic. Runs on the calling
+/// thread; evaluation gives the same bits for every thread count.
 pub fn evaluate_params(
     config: &ExperimentConfig,
     params: &[f32],
@@ -309,7 +310,7 @@ pub fn evaluate_params(
         &mut rng,
     );
     try_unflatten_params(&mut model, params)?;
-    Ok(evaluate(&model, dataset, config.batch_size.max(64)).accuracy)
+    Ok(evaluate_with_threads(&model, dataset, config.batch_size.max(64), 1).accuracy)
 }
 
 #[cfg(test)]

@@ -350,20 +350,20 @@ fn warm_parameter_walks_and_local_updates_allocate_nothing() {
     // flat vector into a model, counting its parameters and a whole warm
     // local update — training, then the `global − local` delta walk into the
     // recycled buffer — make no allocation at all.
-    use fl_nn::{mlp, num_params, unflatten_params};
+    use fl_nn::{mlp, unflatten_params};
     use fl_tensor::rng::Xoshiro256;
 
     let mut model = mlp(32, &[24, 16], 4, &mut Xoshiro256::new(3));
-    let flat = vec![0.25f32; num_params(&model)];
+    let flat = vec![0.25f32; model.num_params()];
     unflatten_params(&mut model, &flat);
     let before = total_allocs();
     unflatten_params(&mut model, &flat);
-    let count = num_params(&model);
+    let count = model.num_params();
     let walks = total_allocs() - before;
     assert_eq!(count, flat.len());
     assert_eq!(
         walks, 0,
-        "unflatten_params and num_params allocated {walks} times"
+        "unflatten_params and Sequential::num_params allocated {walks} times"
     );
 
     let mut config = ExperimentConfig::quick(Algorithm::TopK);

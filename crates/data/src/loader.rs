@@ -8,21 +8,18 @@ use fl_tensor::rng::Rng;
 /// Shuffling happens once per epoch via [`BatchLoader::shuffle_epoch`]; the
 /// caller supplies the RNG so the full experiment stays seed-deterministic,
 /// and gathers each [`batch_ranges`](BatchLoader::batch_ranges) slice of the
-/// shuffled order with [`Dataset::gather_batch_into`].
+/// shuffled order with [`Dataset::gather_batch_into`]. A trailing partial
+/// batch is kept, so every sample is seen once per epoch.
 #[derive(Clone, Debug)]
 pub struct BatchLoader {
     batch_size: usize,
-    drop_last: bool,
 }
 
 impl BatchLoader {
-    /// Create a loader. `drop_last` discards a trailing partial batch.
-    pub fn new(batch_size: usize, drop_last: bool) -> Self {
+    /// Create a loader of `batch_size`-sample batches.
+    pub fn new(batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        Self {
-            batch_size,
-            drop_last,
-        }
+        Self { batch_size }
     }
 
     /// Configured batch size.
@@ -32,8 +29,8 @@ impl BatchLoader {
 
     /// Shuffle one epoch's sample order into the caller's reusable `order`
     /// buffer. The caller walks the returned order in `batch_size` strides
-    /// (honouring `drop_last` via [`batch_ranges`](Self::batch_ranges)) and
-    /// gathers each slice with [`Dataset::gather_batch_into`].
+    /// (via [`batch_ranges`](Self::batch_ranges)) and gathers each slice with
+    /// [`Dataset::gather_batch_into`].
     pub fn shuffle_epoch<R: Rng>(&self, dataset: &Dataset, rng: &mut R, order: &mut Vec<usize>) {
         order.clear();
         order.extend(0..dataset.len());
@@ -43,10 +40,7 @@ impl BatchLoader {
     /// Iterator over the `[start, end)` index ranges of one epoch's batches.
     pub fn batch_ranges(&self, n: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
         let bs = self.batch_size;
-        let drop_last = self.drop_last;
-        (0..n.div_ceil(bs).max(1))
-            .map(move |b| (b * bs, ((b + 1) * bs).min(n)))
-            .filter(move |&(s, e)| s < e && (!drop_last || e - s == bs))
+        (0..n.div_ceil(bs)).map(move |b| (b * bs, ((b + 1) * bs).min(n)))
     }
 }
 
@@ -75,7 +69,7 @@ mod tests {
 
     #[test]
     fn batches_cover_all_samples() {
-        let loader = BatchLoader::new(3, false);
+        let loader = BatchLoader::new(3);
         let mut rng = Xoshiro256::new(1);
         let batches = epoch(&loader, &toy(), &mut rng);
         assert_eq!(batches.len(), 4);
@@ -90,17 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_last_discards_partial() {
-        let loader = BatchLoader::new(3, true);
-        let mut rng = Xoshiro256::new(1);
-        let batches = epoch(&loader, &toy(), &mut rng);
-        assert_eq!(batches.len(), 3);
-        assert!(batches.iter().all(|(_, y)| y.len() == 3));
-    }
-
-    #[test]
     fn shuffling_depends_on_rng() {
-        let loader = BatchLoader::new(10, false);
+        let loader = BatchLoader::new(10);
         let first = |seed: u64| {
             epoch(&loader, &toy(), &mut Xoshiro256::new(seed))[0]
                 .0
@@ -114,18 +99,17 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_batch_size_rejected() {
-        BatchLoader::new(0, false);
+        BatchLoader::new(0);
     }
 
     #[test]
     fn batch_ranges_honours_drop_last() {
-        let l = BatchLoader::new(4, true);
-        assert_eq!(l.batch_ranges(10).collect::<Vec<_>>(), vec![(0, 4), (4, 8)]);
-        let l2 = BatchLoader::new(4, false);
+        // There is no `drop_last`: the trailing partial batch is kept.
+        let l = BatchLoader::new(4);
         assert_eq!(
-            l2.batch_ranges(10).collect::<Vec<_>>(),
+            l.batch_ranges(10).collect::<Vec<_>>(),
             vec![(0, 4), (4, 8), (8, 10)]
         );
-        assert_eq!(l2.batch_ranges(0).count(), 0);
+        assert_eq!(l.batch_ranges(0).count(), 0);
     }
 }

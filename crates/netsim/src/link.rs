@@ -53,14 +53,6 @@ pub struct LinkGenerator {
     pub latency_lo_ms: f64,
     /// Upper latency bound in milliseconds (paper: 200, inclusive).
     pub latency_hi_ms: f64,
-    /// Truncation floor for the bandwidth draw, as a fraction of
-    /// [`bandwidth_mean_mbps`](Self::bandwidth_mean_mbps). The normal draw is
-    /// redrawn (then clamped) so no client falls below
-    /// `bandwidth_mean_mbps * bandwidth_floor_frac` — "truncated normal"
-    /// practice that keeps every simulated link usable. Default `0.05`;
-    /// scenario tier classes reuse the same floor when jittering links
-    /// (see [`floor_mbps`](Self::floor_mbps)).
-    pub bandwidth_floor_frac: f64,
 }
 
 impl Default for LinkGenerator {
@@ -70,22 +62,30 @@ impl Default for LinkGenerator {
             bandwidth_std_mbps: 0.2,
             latency_lo_ms: 50.0,
             latency_hi_ms: 200.0,
-            bandwidth_floor_frac: 0.05,
         }
     }
 }
 
 impl LinkGenerator {
+    /// Truncation floor for the bandwidth draw, as a fraction of
+    /// [`bandwidth_mean_mbps`](Self::bandwidth_mean_mbps). The normal draw is
+    /// redrawn (then clamped) so no client falls below
+    /// `bandwidth_mean_mbps * BANDWIDTH_FLOOR_FRAC` — "truncated normal"
+    /// practice that keeps every simulated link usable. Scenario tier
+    /// classes reuse the same floor when jittering links (see
+    /// [`floor_mbps`](Self::floor_mbps)).
+    pub const BANDWIDTH_FLOOR_FRAC: f64 = 0.05;
+
     /// The paper's configuration (`N(1, 0.2)` Mbit/s, `U(50, 200]` ms).
     pub fn paper_default() -> Self {
         Self::default()
     }
 
     /// The absolute bandwidth floor in Mbit/s implied by
-    /// [`bandwidth_floor_frac`](Self::bandwidth_floor_frac): no generated or
+    /// [`BANDWIDTH_FLOOR_FRAC`](Self::BANDWIDTH_FLOOR_FRAC): no generated or
     /// jittered link drops below this value.
     pub fn floor_mbps(&self) -> f64 {
-        self.bandwidth_mean_mbps * self.bandwidth_floor_frac
+        self.bandwidth_mean_mbps * Self::BANDWIDTH_FLOOR_FRAC
     }
 
     /// Draw one link from an externally managed RNG stream (bandwidth draw
@@ -101,16 +101,14 @@ impl LinkGenerator {
     }
 
     /// Check that every draw yields a valid [`Link`]: all parameters
-    /// finite, a positive mean bandwidth, a non-negative standard deviation,
-    /// a non-empty latency range starting at or above 0 ms, and a floor
-    /// fraction in `[0, 1)`.
+    /// finite, a positive mean bandwidth, a non-negative standard deviation
+    /// and a non-empty latency range starting at or above 0 ms.
     pub fn validate(&self) -> Result<(), String> {
         let params = [
             self.bandwidth_mean_mbps,
             self.bandwidth_std_mbps,
             self.latency_lo_ms,
             self.latency_hi_ms,
-            self.bandwidth_floor_frac,
         ];
         if !params.iter().all(|x| x.is_finite()) {
             return Err("link parameters must be finite".into());
@@ -123,9 +121,6 @@ impl LinkGenerator {
         }
         if self.latency_lo_ms < 0.0 || self.latency_hi_ms <= self.latency_lo_ms {
             return Err("latency range must be non-empty and non-negative".into());
-        }
-        if !(0.0..1.0).contains(&self.bandwidth_floor_frac) {
-            return Err("bandwidth floor fraction must lie in [0, 1)".into());
         }
         Ok(())
     }
@@ -196,12 +191,11 @@ mod tests {
         let gen = LinkGenerator {
             bandwidth_mean_mbps: 1.0,
             bandwidth_std_mbps: 5.0, // wild std so the floor actually binds
-            bandwidth_floor_frac: 0.25,
             ..LinkGenerator::paper_default()
         };
-        assert!((gen.floor_mbps() - 0.25).abs() < 1e-12);
+        assert!((gen.floor_mbps() - 0.05).abs() < 1e-12);
         let links = gen.generate(2000, 13);
-        assert!(links.iter().all(|l| l.bandwidth_mbps() >= 0.25));
+        assert!(links.iter().all(|l| l.bandwidth_mbps() >= 0.05));
     }
 
     #[test]

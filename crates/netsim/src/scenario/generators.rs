@@ -242,7 +242,6 @@ impl TieredScenario {
                 bandwidth_std_mbps: std,
                 latency_lo_ms: lo,
                 latency_hi_ms: hi,
-                ..LinkGenerator::paper_default()
             },
             weight,
         };

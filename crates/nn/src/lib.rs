@@ -29,7 +29,7 @@ pub use loss::SoftmaxCrossEntropy;
 pub use model::{mlp, Sequential};
 pub use optim::Sgd;
 pub use params::{
-    flatten_params, num_params, segment_l1_masses, try_unflatten_params, unflatten_params,
-    LayoutError, ParamLayout, ParamSegment,
+    flatten_params, segment_l1_masses, try_unflatten_params, unflatten_params, LayoutError,
+    ParamLayout, ParamSegment,
 };
 pub use workspace::Workspace;

@@ -165,11 +165,6 @@ impl std::fmt::Display for LayoutError {
 
 impl std::error::Error for LayoutError {}
 
-/// Total number of trainable scalars of the model.
-pub fn num_params(model: &Sequential) -> usize {
-    model.num_params()
-}
-
 /// Concatenate every parameter tensor into one flat `Vec<f32>` (layer order,
 /// then tensor order within the layer — the same order `unflatten_params`
 /// expects and [`ParamLayout`] names).
@@ -238,7 +233,7 @@ mod tests {
         let mut rng = Xoshiro256::new(1);
         let mut model = mlp(6, &[10], 4, &mut rng);
         let flat = flatten_params(&model);
-        assert_eq!(flat.len(), num_params(&model));
+        assert_eq!(flat.len(), model.num_params());
         let mut modified = flat.clone();
         for (i, x) in modified.iter_mut().enumerate() {
             *x = i as f32;

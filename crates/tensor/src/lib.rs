@@ -16,7 +16,10 @@
 //! * [`dist`] — Uniform, Normal, Gamma and Dirichlet samplers (the Dirichlet
 //!   sampler drives the paper's non-IID label-skew partition).
 //! * [`stats`] — the histogram behind the overlap-degree distribution.
-//! * [`parallel`] — a work-pulling `parallel_map` (and friends) on scoped threads.
+//! * [`parallel`] — [`parallel::parallel_map`], a work-pulling map on scoped
+//!   threads, and [`parallel::parallel_fixed_shards`] over it. Callers fan
+//!   out clients, batches, shards and sweep cells; the matmul kernels run on
+//!   the calling thread.
 //! * [`kernels`] — fused in-place element-wise update kernels (axpy, the
 //!   momentum SGD step) behind the allocation-free training hot path.
 

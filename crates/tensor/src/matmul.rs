@@ -4,8 +4,10 @@
 //! kernel. A tile of up to 6×16 outputs is accumulated in registers while
 //! the k dimension streams through it; row bands are split evenly (32 rows
 //! run as 6+6+5+5+5+5, not 6×5+2), a ragged last column stripe runs
-//! zero-padded, and large products are parallelised over disjoint row
-//! blocks of the output via [`crate::parallel`]. In the manner of Goto and
+//! zero-padded, and every product runs on the calling thread: the
+//! simulator's parallel units are clients, evaluation batches, aggregation
+//! shards and sweep cells, each already on a worker of its own, so a kernel
+//! never spawns threads inside one. In the manner of Goto and
 //! van de Geijn ("Anatomy of High-Performance Matrix Multiplication", ACM
 //! TOMS 2008), each operand is put once per cache block into the layout
 //! the tile streams, and a tile's accumulators live in registers from their
@@ -40,9 +42,9 @@
 //! Determinism contract: every output element accumulates its `k`
 //! contributions in ascending order into a single `f32` accumulator, one
 //! [`f32::mul_add`] per contribution — an IEEE-754 fusedMultiplyAdd, which
-//! rounds `a·b + acc` once and is fully specified — and row blocks are
-//! disjoint. Results are therefore bit-identical for any thread count, build
-//! profile and target CPU, and equal to the fused scalar loops the tests keep
+//! rounds `a·b + acc` once and is fully specified. Results are therefore
+//! bit-identical for any build profile and target CPU, whichever worker
+//! thread computes them, and equal to the fused scalar loops the tests keep
 //! as their oracle. An x86_64 build without the `fma` target feature — one
 //! made under a `RUSTFLAGS` variable, say, which replaces the flags in
 //! `.cargo/config.toml` — calls libm's `fmaf` for every step instead: the
@@ -53,7 +55,6 @@
 //! memory-bound and keep their separately rounded multiplies and adds.
 //! No entry point skips a zero `A` entry, so `0 × ∞` is NaN in every one.
 
-use crate::parallel::{default_threads, parallel_row_blocks};
 use crate::tensor::Tensor;
 
 /// Register-tile height (output rows held in accumulators at once).
@@ -67,18 +68,6 @@ const KC: usize = 256;
 /// Cache-block width: columns of `B` processed per pass, keeping the
 /// `KC`×`NC` panel (128 KiB) L2-resident across all row tiles.
 const NC: usize = 128;
-/// Products with at least this many multiply–accumulates fan out over the
-/// worker threads; smaller ones (every per-client training step at the default
-/// model sizes) stay sequential, because clients already train in parallel.
-const PAR_MIN_MACS: usize = 1 << 25;
-
-fn auto_threads(m: usize, k: usize, n: usize) -> usize {
-    if m.saturating_mul(k).saturating_mul(n) >= PAR_MIN_MACS {
-        default_threads()
-    } else {
-        1
-    }
-}
 
 /// `C = A @ B` where `A` is `[m, k]` and `B` is `[k, n]`, written into a
 /// reusable output tensor (resized as needed; no allocation once `out` has
@@ -88,15 +77,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (k2, n) = as_matrix_dims(b, "matmul rhs");
     assert_eq!(k, k2, "matmul: inner dimensions differ ({k} vs {k2})");
     out.resize_to(&[m, n]);
-    nt_parallel::<false, false>(
-        a.data(),
-        k,
-        k,
-        b.data(),
-        n,
-        out.data_mut(),
-        auto_threads(m, k, n),
-    );
+    product::<false, false>(a.data(), k, k, b.data(), n, out.data_mut(), None);
 }
 
 /// `C = A @ B + bias`, the bias added to every row, then ReLU (`x > 0.0`
@@ -115,16 +96,7 @@ pub fn matmul_bias_into(a: &Tensor, b: &Tensor, bias: &Tensor, relu: bool, out: 
         bias: bias.data(),
         relu,
     };
-    nt_parallel_with::<false, false>(
-        a.data(),
-        k,
-        k,
-        b.data(),
-        n,
-        out.data_mut(),
-        auto_threads(m, k, n),
-        Some(epi),
-    );
+    product::<false, false>(a.data(), k, k, b.data(), n, out.data_mut(), Some(epi));
 }
 
 /// `C = A^T @ B` where `A` is `[k, m]` and `B` is `[k, n]` — used for weight
@@ -137,15 +109,7 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         "matmul_at_b: leading dimensions differ ({k} vs {k2})"
     );
     out.resize_to(&[m, n]);
-    nt_parallel::<true, false>(
-        a.data(),
-        m,
-        k,
-        b.data(),
-        n,
-        out.data_mut(),
-        auto_threads(m, k, n),
-    );
+    product::<true, false>(a.data(), m, k, b.data(), n, out.data_mut(), None);
 }
 
 /// `C = A @ B^T` where `A` is `[m, k]` and `B` is `[n, k]` — used for input
@@ -160,15 +124,7 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, _bt_scratch: &mut Tensor, out: &
     let (n, k2) = as_matrix_dims(b, "matmul_a_bt rhs");
     assert_eq!(k, k2, "matmul_a_bt: inner dimensions differ ({k} vs {k2})");
     out.resize_to(&[m, n]);
-    nt_parallel::<false, true>(
-        a.data(),
-        k,
-        k,
-        b.data(),
-        n,
-        out.data_mut(),
-        auto_threads(m, k, n),
-    );
+    product::<false, true>(a.data(), k, k, b.data(), n, out.data_mut(), None);
 }
 
 /// What [`matmul_bias_into`] does to each output after its last `k` step:
@@ -198,52 +154,35 @@ fn finish(epi: Option<Epilogue>, rows: &mut [f32], n: usize, j: usize, w: usize)
     }
 }
 
-/// [`nt_parallel_with`] for the plain product.
-fn nt_parallel<const AT: bool, const BT: bool>(
-    ad: &[f32],
-    a_stride: usize,
-    k: usize,
-    bd: &[f32],
-    n: usize,
-    out: &mut [f32],
-    max_threads: usize,
-) {
-    nt_parallel_with::<AT, BT>(ad, a_stride, k, bd, n, out, max_threads, None);
-}
-
-/// Split `out` into contiguous row blocks and run the blocked kernel on
-/// each; blocks write disjoint output so any schedule is bit-identical.
-/// Every element of `out` is overwritten; nothing is read from it first.
+/// `out = A @ B` (then `epi`, if any) through the blocked kernel that fits
+/// `n`. Every element of `out` is overwritten; nothing is read from it
+/// first.
 ///
 /// The two const flags are the entry points' operand conventions: `AT`
 /// reads `A` out of a stored `[k, m]` matrix (`a_stride = m`; otherwise
 /// `[m, k]` with `a_stride = k`), `BT` reads `B` out of a stored `[n, k]`
 /// matrix (otherwise `[k, n]`). Neither transposed operand is ever
 /// materialised.
-#[allow(clippy::too_many_arguments)]
-fn nt_parallel_with<const AT: bool, const BT: bool>(
+fn product<const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
     k: usize,
     bd: &[f32],
     n: usize,
     out: &mut [f32],
-    max_threads: usize,
     epi: Option<Epilogue>,
 ) {
     if n == 0 || out.is_empty() {
         return;
     }
-    parallel_row_blocks(out, n, max_threads, |row0, chunk| {
-        if k == 0 {
-            chunk.fill(0.0);
-            finish(epi, chunk, n, 0, n);
-        } else if n < NR {
-            narrow_rows::<AT, BT>(ad, a_stride, row0, k, bd, n, chunk, epi);
-        } else {
-            nt_rows::<AT, BT>(ad, a_stride, row0, k, bd, n, chunk, epi);
-        }
-    });
+    if k == 0 {
+        out.fill(0.0);
+        finish(epi, out, n, 0, n);
+    } else if n < NR {
+        narrow_rows::<AT, BT>(ad, a_stride, k, bd, n, out, epi);
+    } else {
+        nt_rows::<AT, BT>(ad, a_stride, k, bd, n, out, epi);
+    }
 }
 
 thread_local! {
@@ -263,7 +202,7 @@ fn bands(rows: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..count).map(move |b| (b * base + b.min(extra), base + usize::from(b < extra)))
 }
 
-/// `out_block = A[row0..row0+rows] @ B` for `n >= NR`.
+/// `out = A @ B` for `n >= NR`.
 ///
 /// Structure: `NC`-column × `KC`-deep cache blocks around one register tile
 /// of up to `MR` rows × `NR` columns, which serves every shape — a row band
@@ -278,18 +217,16 @@ fn bands(rows: usize) -> impl Iterator<Item = (usize, usize)> {
 /// accumulator) and are discarded. A zero `A` entry is accumulated like any
 /// other: zero-heavy inputs (post-ReLU activations) run the same branch-free
 /// tile, and `0 × ∞` contributes NaN.
-#[allow(clippy::too_many_arguments)]
 fn nt_rows<const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
-    row0: usize,
     k: usize,
     bd: &[f32],
     n: usize,
-    out_block: &mut [f32],
+    out: &mut [f32],
     epi: Option<Epilogue>,
 ) {
-    let rows = out_block.len() / n;
+    let rows = out.len() / n;
     PACK.with(|cell| {
         let mut bpack = cell.borrow_mut();
         if bpack.len() < KC * NC {
@@ -307,11 +244,11 @@ fn nt_rows<const AT: bool, const BT: bool>(
                     // — stored transposed — one contiguous `r`-run per `k`
                     // step.
                     let a = if AT {
-                        &ad[kb * a_stride + row0 + i..]
+                        &ad[kb * a_stride + i..]
                     } else {
-                        &ad[(row0 + i) * a_stride + kb..]
+                        &ad[i * a_stride + kb..]
                     };
-                    let band = &mut out_block[i * n..(i + r) * n];
+                    let band = &mut out[i * n..(i + r) * n];
                     // One out-of-line instantiation per row count: inlining
                     // them all here costs the tile its register allocation.
                     match r {
@@ -333,24 +270,22 @@ fn nt_rows<const AT: bool, const BT: bool>(
     });
 }
 
-/// `out_block = A[row0..row0+rows] @ B` for `n < NR`, computed as
+/// `out = A @ B` for `n < NR`, computed as
 /// `Cᵀ = Bᵀ·Aᵀ`: the tile's lanes run over up to `NR` output rows (a packed
 /// `Aᵀ` stripe) and its rows over up to `MR` output columns (`Bᵀ`'s rows,
 /// read in place), so a 10-column product fills every lane instead of 10 of
 /// 16. Each lane still accumulates `fma(b, a, acc) == fma(a, b, acc)` over
 /// ascending `k`, starting at `+0.0`, so the bits are the wide kernel's.
-#[allow(clippy::too_many_arguments)]
 fn narrow_rows<const AT: bool, const BT: bool>(
     ad: &[f32],
     a_stride: usize,
-    row0: usize,
     k: usize,
     bd: &[f32],
     n: usize,
-    out_block: &mut [f32],
+    out: &mut [f32],
     epi: Option<Epilogue>,
 ) {
-    let rows = out_block.len() / n;
+    let rows = out.len() / n;
     PACK.with(|cell| {
         let mut lanes = cell.borrow_mut();
         if lanes.len() < KC * NC {
@@ -364,11 +299,11 @@ fn narrow_rows<const AT: bool, const BT: bool>(
                 // `Aᵀ`'s columns `i..i + w` as one zero-padded `NR` stripe.
                 let lanes = &mut lanes[..kc * NR];
                 if AT {
-                    pack_b::<false>(ad, a_stride, kb, kc, row0 + i, w, lanes);
+                    pack_b::<false>(ad, a_stride, kb, kc, i, w, lanes);
                 } else {
-                    pack_b::<true>(ad, a_stride, kb, kc, row0 + i, w, lanes);
+                    pack_b::<true>(ad, a_stride, kb, kc, i, w, lanes);
                 }
-                let out_rows = &mut out_block[i * n..(i + w) * n];
+                let out_rows = &mut out[i * n..(i + w) * n];
                 // `Bᵀ` is `A`-shaped the other way round: a `[k, n]` `B`
                 // holds its rows transposed.
                 if BT {
@@ -657,30 +592,26 @@ mod tests {
         Tensor::from_vec(Shape::matrix(rows, cols), data.to_vec())
     }
 
-    /// The three products through [`nt_parallel`] at an explicit thread
-    /// count (the `*_into` entry points pick theirs from the product's size):
-    /// `A @ B` with `a: [m, k]`, `b: [k, n]`.
-    fn ab(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-        let ((m, k), (_, n)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
-        let mut out = vec![0.0f32; m * n];
-        nt_parallel::<false, false>(a.data(), k, k, b.data(), n, &mut out, threads);
-        Tensor::from_vec(Shape::matrix(m, n), out)
+    /// The three products into fresh tensors: `A @ B` with `a: [m, k]`,
+    /// `b: [k, n]`.
+    fn ab(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::empty();
+        matmul_into(a, b, &mut out);
+        out
     }
 
     /// `A^T @ B` with `a: [k, m]` (see [`ab`]).
-    fn at_b(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-        let ((k, m), (_, n)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
-        let mut out = vec![0.0f32; m * n];
-        nt_parallel::<true, false>(a.data(), m, k, b.data(), n, &mut out, threads);
-        Tensor::from_vec(Shape::matrix(m, n), out)
+    fn at_b(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::empty();
+        matmul_at_b_into(a, b, &mut out);
+        out
     }
 
     /// `A @ B^T` with `b: [n, k]` (see [`ab`]).
-    fn a_bt(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-        let ((m, k), (n, _)) = (as_matrix_dims(a, "lhs"), as_matrix_dims(b, "rhs"));
-        let mut out = vec![0.0f32; m * n];
-        nt_parallel::<false, true>(a.data(), k, k, b.data(), n, &mut out, threads);
-        Tensor::from_vec(Shape::matrix(m, n), out)
+    fn a_bt(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::empty();
+        matmul_a_bt_into(a, b, &mut Tensor::empty(), &mut out);
+        out
     }
 
     /// Plain `[m, n]` → `[n, m]` copy, to hand each entry point its operand
@@ -758,7 +689,7 @@ mod tests {
     fn matmul_small_known() {
         let a = mat(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = mat(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = ab(&a, &b, 1);
+        let c = ab(&a, &b);
         assert_eq!(c.shape().dims(), &[2, 2]);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
@@ -767,8 +698,8 @@ mod tests {
     fn matmul_identity() {
         let a = mat(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let eye = mat(2, 2, &[1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(ab(&a, &eye, 1).data(), a.data());
-        assert_eq!(ab(&eye, &a, 1).data(), a.data());
+        assert_eq!(ab(&a, &eye).data(), a.data());
+        assert_eq!(ab(&eye, &a).data(), a.data());
     }
 
     /// `C = A^T @ B` through the scalar kernel (the accumulation order per
@@ -785,23 +716,17 @@ mod tests {
         }
     }
 
-    /// All three kernels at 1, 2 and 3 threads against the scalar references,
-    /// with `a: [m, k]`, `b: [k, n]` as [`ab`] sees them ([`at_b`] gets
-    /// `a^T`, [`a_bt`] gets `b^T`).
+    /// All three kernels against the scalar references, with `a: [m, k]`,
+    /// `b: [k, n]` as [`ab`] sees them ([`at_b`] gets `a^T`, [`a_bt`] gets
+    /// `b^T`).
     fn assert_kernels_match_references(a: &Tensor, b: &Tensor, what: &str) {
         let (a_km, b_nk) = (transpose(a), transpose(b));
         let want = matmul_reference(a, b);
-        let want_at_b = at_b_reference(&a_km, b);
-        let want_a_bt = a_bt_reference(a, &b_nk);
-        for threads in 1..=3 {
-            let what = format!("{what}, {threads} threads");
-            let got = ab(a, b, threads);
-            assert_bits_eq(&got, &want, &format!("matmul {what}"));
-            let got = at_b(&a_km, b, threads);
-            assert_bits_eq(&got, &want_at_b, &format!("matmul_at_b {what}"));
-            let got = a_bt(a, &b_nk, threads);
-            assert_bits_eq(&got, &want_a_bt, &format!("matmul_a_bt {what}"));
-        }
+        assert_bits_eq(&ab(a, b), &want, &format!("matmul {what}"));
+        let want = at_b_reference(&a_km, b);
+        assert_bits_eq(&at_b(&a_km, b), &want, &format!("matmul_at_b {what}"));
+        let want = a_bt_reference(a, &b_nk);
+        assert_bits_eq(&a_bt(a, &b_nk), &want, &format!("matmul_a_bt {what}"));
     }
 
     /// Uniform `[rows, cols]` matrix with every third entry an exact zero,
@@ -910,7 +835,7 @@ mod tests {
         // output.
         let a = mat(1, 2, &[0.0, 1.0]);
         let b = mat(2, 2, &[f32::INFINITY, f32::NAN, 2.0, 3.0]);
-        assert!(ab(&a, &b, 1).data().iter().all(|v| v.is_nan()));
+        assert!(ab(&a, &b).data().iter().all(|v| v.is_nan()));
     }
 
     #[test]
@@ -918,9 +843,9 @@ mod tests {
         // A negative product below the subnormal range fuses into a zero
         // accumulator as `-0.0`; the zero `A` entries that follow add
         // `+0.0`, which makes it `+0.0` — in the oracle and in every entry
-        // point, on the narrow kernel (2 columns) and the wide tile (17), at
-        // any thread count, whether or not `B` holds a non-finite value
-        // elsewhere (here the last column, which it turns into NaN).
+        // point, on the narrow kernel (2 columns) and the wide tile (17),
+        // whether or not `B` holds a non-finite value elsewhere (here the
+        // last column, which it turns into NaN).
         let a = mat(1, 3, &[-1e-30, 0.0, 0.0]);
         for n in [2, 17] {
             let b = Tensor::from_vec(
@@ -935,14 +860,12 @@ mod tests {
                     assert_eq!(v.to_bits(), 0.0f32.to_bits(), "n = {n}");
                 }
                 let (a_km, b_nk) = (transpose(&a), transpose(b));
-                for threads in 1..=3 {
-                    for (what, got) in [
-                        ("matmul", ab(&a, b, threads)),
-                        ("matmul_at_b", at_b(&a_km, b, threads)),
-                        ("matmul_a_bt", a_bt(&a, &b_nk, threads)),
-                    ] {
-                        assert_bits_eq(&got, &want, &format!("{what} n = {n}, {threads} threads"));
-                    }
+                for (what, got) in [
+                    ("matmul", ab(&a, b)),
+                    ("matmul_at_b", at_b(&a_km, b)),
+                    ("matmul_a_bt", a_bt(&a, &b_nk)),
+                ] {
+                    assert_bits_eq(&got, &want, &format!("{what} n = {n}"));
                 }
             }
             let last = |b: &Tensor| matmul_reference(&a, b).data()[n - 1];
@@ -966,28 +889,11 @@ mod tests {
     }
 
     #[test]
-    fn results_are_thread_count_invariant() {
-        let mut rng = Xoshiro256::new(5);
-        let a = Tensor::rand_uniform(Shape::matrix(37, 23), -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(Shape::matrix(23, 41), -1.0, 1.0, &mut rng);
-        let b_nk = Tensor::rand_uniform(Shape::matrix(41, 23), -1.0, 1.0, &mut rng);
-        let a_t = Tensor::rand_uniform(Shape::matrix(23, 37), -1.0, 1.0, &mut rng);
-        let one = ab(&a, &b, 1);
-        let one_bt = a_bt(&a, &b_nk, 1);
-        let one_at = at_b(&a_t, &b, 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(ab(&a, &b, threads).data(), one.data());
-            assert_eq!(a_bt(&a, &b_nk, threads).data(), one_bt.data());
-            assert_eq!(at_b(&a_t, &b, threads).data(), one_at.data());
-        }
-    }
-
-    #[test]
     fn at_b_matches_explicit_transpose() {
         let a = mat(3, 2, &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]); // A is [3,2]
         let b = mat(3, 2, &[7.0, 10.0, 8.0, 11.0, 9.0, 12.0]);
-        let via_helper = at_b(&a, &b, 1);
-        let via_transpose = ab(&transpose(&a), &b, 1);
+        let via_helper = at_b(&a, &b);
+        let via_transpose = ab(&transpose(&a), &b);
         assert_eq!(via_helper.data(), via_transpose.data());
     }
 
@@ -999,8 +905,8 @@ mod tests {
             3,
             &[1.0, 0.0, 2.0, 3.0, 1.0, 1.0, 0.0, 2.0, 2.0, 1.0, 1.0, 0.0],
         );
-        let via_helper = a_bt(&a, &b, 1);
-        let via_transpose = ab(&a, &transpose(&b), 1);
+        let via_helper = a_bt(&a, &b);
+        let via_transpose = ab(&a, &transpose(&b));
         assert_eq!(via_helper.data(), via_transpose.data());
     }
 
@@ -1031,15 +937,15 @@ mod tests {
             let a = Tensor::rand_uniform(Shape::matrix(m, k), -1.0, 1.0, &mut rng);
             let b = Tensor::rand_uniform(Shape::matrix(k, n), -1.0, 1.0, &mut rng);
             matmul_into(&a, &b, &mut out);
-            assert_eq!(out, ab(&a, &b, 1), "matmul_into {m}x{k}x{n}");
+            assert_eq!(out, ab(&a, &b), "matmul_into {m}x{k}x{n}");
 
             let a_km = Tensor::rand_uniform(Shape::matrix(k, m), -1.0, 1.0, &mut rng);
             matmul_at_b_into(&a_km, &b, &mut out);
-            assert_eq!(out, at_b(&a_km, &b, 1), "matmul_at_b_into {m}x{k}x{n}");
+            assert_eq!(out, at_b(&a_km, &b), "matmul_at_b_into {m}x{k}x{n}");
 
             let b_nk = Tensor::rand_uniform(Shape::matrix(n, k), -1.0, 1.0, &mut rng);
             matmul_a_bt_into(&a, &b_nk, &mut bt, &mut out);
-            assert_eq!(out, a_bt(&a, &b_nk, 1), "matmul_a_bt_into {m}x{k}x{n}");
+            assert_eq!(out, a_bt(&a, &b_nk), "matmul_a_bt_into {m}x{k}x{n}");
             assert_eq!(bt, Tensor::empty(), "bt_scratch must stay untouched");
 
             let mut fresh = Tensor::empty();

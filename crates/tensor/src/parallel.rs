@@ -137,55 +137,6 @@ where
     parallel_map(bounds, max_threads, |(start, end)| f(start, end))
 }
 
-/// Split a row-major buffer into contiguous blocks of whole rows and run
-/// `f(first_row, block)` on each, possibly in parallel.
-///
-/// The blocks are disjoint `&mut` views, so this is the primitive for
-/// writing independent output rows (matmul) without interior mutability.
-/// Block boundaries depend only on `max_threads` through *which* rows land
-/// together — never on what `f` computes per row — so any kernel whose rows
-/// are independent is bit-identical for every thread count. The blocks are
-/// equal-sized, so they are assigned rather than pulled: the calling thread
-/// computes the first and up to `max_threads - 1` scoped threads the rest.
-///
-/// `data.len()` must be a multiple of `row_len`. Panics if `row_len == 0`
-/// (unless `data` is empty, which is a no-op).
-pub fn parallel_row_blocks<T, F>(data: &mut [T], row_len: usize, max_threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert!(row_len > 0, "row_len must be positive");
-    assert_eq!(
-        data.len() % row_len,
-        0,
-        "buffer length must be a whole number of rows"
-    );
-    let rows = data.len() / row_len;
-    let threads = max_threads.max(1).min(rows);
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let block_rows = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut blocks = data.chunks_mut(block_rows * row_len).enumerate();
-        // The calling thread computes the first block instead of waiting for
-        // a spawned one.
-        let first = blocks.next();
-        for (b, chunk) in blocks {
-            scope.spawn(move || f(b * block_rows, chunk));
-        }
-        if let Some((_, chunk)) = first {
-            f(0, chunk);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,45 +279,6 @@ mod tests {
     #[should_panic]
     fn fixed_shards_reject_zero_shard_size() {
         parallel_fixed_shards(10, 0, 1, |s, e| (s, e));
-    }
-
-    #[test]
-    fn row_blocks_cover_all_rows_disjointly() {
-        let mut data = vec![0u32; 7 * 5];
-        parallel_row_blocks(&mut data, 5, 3, |first_row, block| {
-            for (r, row) in block.chunks_exact_mut(5).enumerate() {
-                for v in row {
-                    *v += (first_row + r) as u32 + 1;
-                }
-            }
-        });
-        for (r, row) in data.chunks_exact(5).enumerate() {
-            assert!(row.iter().all(|&v| v == r as u32 + 1), "row {r}: {row:?}");
-        }
-    }
-
-    #[test]
-    fn row_blocks_first_block_runs_on_the_calling_thread() {
-        let caller = thread::current().id();
-        let mut data = vec![0u8; 6 * 4];
-        let first_block_thread = Mutex::new(None);
-        parallel_row_blocks(&mut data, 4, 3, |first_row, _| {
-            if first_row == 0 {
-                *first_block_thread.lock().unwrap() = Some(thread::current().id());
-            }
-        });
-        assert_eq!(first_block_thread.into_inner().unwrap(), Some(caller));
-    }
-
-    #[test]
-    fn row_blocks_empty_and_single_thread() {
-        let mut empty: Vec<u8> = vec![];
-        parallel_row_blocks(&mut empty, 4, 8, |_, _| panic!("no rows, no calls"));
-        let mut data = vec![1u8; 12];
-        parallel_row_blocks(&mut data, 4, 1, |first_row, block| {
-            assert_eq!(first_row, 0);
-            assert_eq!(block.len(), 12);
-        });
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl UpdateCodec for HalfBudgetTopK {
         _rng: &mut Xoshiro256,
     ) -> (WireUpdate, SparseUpdate) {
         let sparse = bwfl::compress::topk::select(dense, (ratio / 2.0).max(1e-6));
-        // The standard sparse wire format: the default decode, overlap
+        // The standard sparse wire format: the receiver's decode, overlap
         // analysis and OPWA masking all understand our bytes — and what they
         // decode to is the selection itself.
         let wire = bwfl::compress::wire::encode_sparse(&sparse);
@@ -117,7 +117,7 @@ fn main() {
             .expect("example plans resolve");
         let mut stream = Xoshiro256::new(17);
         let wire = codec.encode(&delta, ratio, &mut stream);
-        codec.decode(&wire).expect("self-encoded bytes decode");
+        wire.decode().expect("self-encoded bytes decode");
         println!(
             "{raw:>42} {:>12} {:>9.1}x",
             wire.len(),

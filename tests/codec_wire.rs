@@ -57,7 +57,7 @@ fn prop_encode_decode_roundtrip_for_every_codec() {
             let mut rng = Xoshiro256::new(stream_seed);
             let wire = codec.encode(&dense, ratio, &mut rng);
             assert!(!wire.is_empty(), "{spec}: empty wire buffer");
-            let decoded = codec.decode(&wire).expect("self-encoded bytes decode");
+            let decoded = wire.decode().expect("self-encoded bytes decode");
             assert_eq!(decoded.dense_len(), dense.len(), "{}", &spec);
 
             let is_quantized = spec.stages.iter().any(|s| s.name == "qsgd");

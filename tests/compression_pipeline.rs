@@ -29,7 +29,7 @@ fn realistic_delta(seed: u64) -> Vec<f32> {
     let before = flatten_params(&model);
     let mut loss = SoftmaxCrossEntropy::new();
     let mut opt = Sgd::new(0.05, 0.9, 0.0);
-    let loader = BatchLoader::new(32, false);
+    let loader = BatchLoader::new(32);
     let (mut ws, mut order, mut x, mut y, mut g) = (
         Workspace::new(),
         Vec::new(),
@@ -60,7 +60,7 @@ fn topk_wire_roundtrip_preserves_retained_coordinates() {
     // Serialize to the byte-level wire format and back.
     let mut topk_codec = codec("topk", delta.len());
     let wire = topk_codec.encode(&delta, 0.1, &mut Xoshiro256::new(1));
-    let restored = topk_codec.decode(&wire).unwrap();
+    let restored = wire.decode().unwrap();
     assert_eq!(restored, sparse);
     // Every retained coordinate exactly matches the original delta.
     for (&i, &v) in restored.indices().iter().zip(restored.values().iter()) {
@@ -193,7 +193,7 @@ fn quantizer_fits_in_the_same_pipeline() {
     // The quantized update keeps every coordinate but is cheaper on the
     // wire than f32.
     assert!(wire.len() < delta.len() * 4 / 4);
-    let q = qsgd.decode(&wire).unwrap();
+    let q = wire.decode().unwrap();
     assert_eq!(q.nnz(), delta.len());
     // Aggregating a mix of sparse and quantized updates works.
     let s = topk::select(&delta, 0.1);
