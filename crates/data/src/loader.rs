@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn batch_ranges_honours_drop_last() {
-        // There is no `drop_last`: the trailing partial batch is kept.
+        // The trailing partial batch is kept.
         let l = BatchLoader::new(4);
         assert_eq!(
             l.batch_ranges(10).collect::<Vec<_>>(),
