@@ -280,9 +280,11 @@ fn breakdown(args: &BenchArgs) -> Output {
     Output::Rows(configs, header, |result| {
         let b = result.breakdown;
         let cr = result.config.compression_ratio;
-        let (compress, training, uncompressed) =
-            (b.compress_s, b.training_s, b.uncompressed_comm_s);
-        let (scheduled, downlink) = (b.scheduled_comm_s, b.downlink_comm_s);
+        let last = result.records.last().expect("a run has rounds");
+        let rounds = result.records.len() as f64;
+        let uncompressed = last.cumulative_max_s / rounds;
+        let scheduled = last.cumulative_actual_s / rounds;
+        let (compress, training, downlink) = (b.compress_s, b.training_s, b.downlink_comm_s);
         format!("{cr},{compress:.4},{training:.4},{uncompressed:.4},{scheduled:.4},{downlink:.4}\n")
     })
 }

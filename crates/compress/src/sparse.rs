@@ -150,11 +150,6 @@ impl SparseUpdate {
         }
     }
 
-    /// Squared L2 norm of the retained values.
-    pub fn norm_sq(&self) -> f64 {
-        self.values.iter().map(|&v| (v as f64) * (v as f64)).sum()
-    }
-
     /// `target -= self`, coordinate by coordinate. A coordinate the update
     /// does not carry is left untouched, which is what subtracting its
     /// implicit `0.0` would do anyway (`x − 0.0` is bitwise `x`), so the

@@ -15,8 +15,6 @@ use fl_tensor::Tensor;
 /// The result of one client's local training in one round.
 #[derive(Clone, Debug)]
 pub struct LocalTrainOutput {
-    /// Client id of the producer.
-    pub client_id: usize,
     /// The model delta `w_t − w_{t,local}` (descent direction) as a flat vector.
     pub delta: Vec<f32>,
     /// Mean training loss over the local epochs.
@@ -196,7 +194,6 @@ impl ClientState {
             delta.extend(global.iter().zip(p.data()).map(|(g, l)| g - l));
         }
         LocalTrainOutput {
-            client_id: self.id,
             delta,
             train_loss: if loss_count == 0 {
                 0.0

@@ -258,7 +258,6 @@ impl FederatedSession {
                 train_loss,
                 num_samples,
                 train_time_s,
-                ..
             } = client.local_update(global_ref);
             let c_start = std::time::Instant::now();
             let wire = client.encode(&delta, ratio);
@@ -428,8 +427,6 @@ impl FederatedSession {
         self.breakdown_total.accumulate(&RoundBreakdown {
             compress_s: local.total_compress_time + downlink.codec_time_s,
             training_s: local.max_train_time,
-            uncompressed_comm_s: timing.max,
-            scheduled_comm_s: timing.actual,
             downlink_comm_s: downlink_straggler_s,
         });
         timing

@@ -180,8 +180,6 @@ pub struct ExperimentResult {
     pub breakdown: RoundBreakdown,
     /// Client × class allocation of the training data (Fig. 5).
     pub partition: PartitionStats,
-    /// Total wall-clock seconds the simulation itself took.
-    pub wall_time_s: f64,
 }
 
 impl ExperimentResult {

@@ -11,9 +11,7 @@
 //!   run's exact fleet evolution from a text file.
 
 use crate::config::ExperimentConfig;
-use fl_netsim::scenario::trace::TRACE_MAGIC;
-use fl_netsim::{Scenario, ScenarioSpec, TimedEvent};
-use std::fmt::Write;
+use fl_netsim::{Scenario, ScenarioSpec, TraceScenario};
 
 /// The dedicated seed stream for scenario randomness: `config.seed ^ 0x5CE0`.
 ///
@@ -35,8 +33,8 @@ pub(crate) fn build_scenario(
 }
 
 /// Record the exact fleet-event trace a configuration's scenario will replay
-/// over the first `rounds` rounds, as `bwfl-trace-v1` text: the
-/// `bwfl-trace-v1 clients=N` header, then one [`TimedEvent`] line per event.
+/// over the first `rounds` rounds, as `bwfl-trace-v1` text (the
+/// [`TraceScenario`] form).
 ///
 /// The generator is rebuilt from the config's [`ScenarioSpec`]
 /// (`config.scenario`) with the session's exact [`scenario_seed`] and link
@@ -49,24 +47,14 @@ pub fn record_scenario_trace(config: &ExperimentConfig, rounds: usize) -> Result
         .as_ref()
         .ok_or_else(|| "config has no scenario to record".to_string())?;
     let mut scenario = build_scenario(config, spec)?;
-    let mut trace = format!("{TRACE_MAGIC} clients={}\n", config.num_clients);
-    let mut buf = Vec::new();
-    for round in 0..rounds {
-        buf.clear();
-        scenario.events_for_round(round, &mut buf);
-        for &event in &buf {
-            writeln!(trace, "{}", TimedEvent { round, event })
-                .expect("writing to a String cannot fail");
-        }
-    }
-    Ok(trace)
+    Ok(TraceScenario::record(scenario.as_mut(), config.num_clients, rounds).to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::select_cohort;
-    use fl_netsim::{DiurnalScenario, FleetEvent, FleetState, LinkGenerator, TraceScenario};
+    use fl_netsim::{DiurnalScenario, FleetEvent, FleetState, LinkGenerator};
     use fl_tensor::rng::{Rng, Xoshiro256};
 
     #[test]
@@ -117,8 +105,7 @@ mod tests {
             .unwrap()
             .build(4, scenario_seed(&config), &config.links)
             .unwrap();
-        let mut replay =
-            TraceScenario::from_reader(std::io::BufReader::new(trace.as_bytes())).unwrap();
+        let mut replay: TraceScenario = trace.parse().unwrap();
         assert_eq!(replay.num_clients(), 4);
         let mut events = 0;
         for round in 0..5 {
@@ -141,9 +128,12 @@ mod tests {
         config.scenario = Some("churn:leave=0.3,join=0.8".parse().unwrap());
         let trace = record_scenario_trace(&config, 12).unwrap();
         let floor = config.links.floor_mbps();
-        let rejoins: Vec<f64> = fl_netsim::TraceReader::new(trace.as_bytes())
+        let rejoins: Vec<f64> = trace
+            .parse::<TraceScenario>()
             .unwrap()
-            .filter_map(|ev| match ev.unwrap().event {
+            .events()
+            .iter()
+            .filter_map(|ev| match ev.event {
                 FleetEvent::Join { link, .. } => Some(link.bandwidth_mbps()),
                 _ => None,
             })
@@ -171,8 +161,7 @@ mod tests {
             .unwrap()
             .build(16, scenario_seed(&config), &config.links)
             .unwrap();
-        let mut replay =
-            TraceScenario::from_reader(std::io::BufReader::new(trace.as_bytes())).unwrap();
+        let mut replay: TraceScenario = trace.parse().unwrap();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for round in 0..6 {
             a.clear();

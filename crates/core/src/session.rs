@@ -97,7 +97,6 @@ impl SessionBuilder {
             .compile(&self.registry.unwrap_or_else(CodecRegistry::with_builtins))
             .unwrap_or_else(|e| panic!("invalid experiment config: {e}"));
         let registry = compiled.registry;
-        let wall_start = std::time::Instant::now();
 
         // --- Data -------------------------------------------------------------
         let (train, test) = match self.data {
@@ -220,7 +219,6 @@ impl SessionBuilder {
             records: Vec::new(),
             last_eval: None,
             next_round: 0,
-            wall_start,
         }
     }
 }
@@ -258,7 +256,6 @@ pub struct FederatedSession {
     pub(crate) records: Vec<RoundRecord>,
     pub(crate) last_eval: Option<Evaluation>,
     pub(crate) next_round: usize,
-    pub(crate) wall_start: std::time::Instant,
 }
 
 impl FederatedSession {
@@ -384,7 +381,6 @@ impl FederatedSession {
             model_bytes: self.model_bytes,
             partition: self.partition_stats,
             records: self.records,
-            wall_time_s: self.wall_start.elapsed().as_secs_f64(),
         }
     }
 }

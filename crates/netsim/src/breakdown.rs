@@ -1,18 +1,15 @@
-//! Per-round time breakdown (the four bars of the paper's Fig. 6).
+//! Per-round time breakdown: the compress and training bars of the paper's
+//! Fig. 6 and the broadcast's share. The two communication bars (without
+//! compression, and under the evaluated scheduler) are the round records'
+//! cumulative Max and Actual times.
 
-/// How one FL round's wall-clock time splits across phases.
+/// How one FL round's time splits across the phases no round record sums.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RoundBreakdown {
     /// Time spent compressing and decompressing updates (seconds).
     pub compress_s: f64,
     /// Time spent on local training across the cohort (seconds, straggler view).
     pub training_s: f64,
-    /// Communication time without compression (seconds).
-    pub uncompressed_comm_s: f64,
-    /// Communication time with the evaluated scheduler (seconds). When a
-    /// downlink codec is active this is the full bidirectional straggler
-    /// bound (download + upload per client).
-    pub scheduled_comm_s: f64,
     /// Portion of the round spent on the server→client broadcast (straggler
     /// view; 0 when the downlink is not simulated).
     pub downlink_comm_s: f64,
@@ -23,8 +20,6 @@ impl RoundBreakdown {
     pub fn accumulate(&mut self, other: &RoundBreakdown) {
         self.compress_s += other.compress_s;
         self.training_s += other.training_s;
-        self.uncompressed_comm_s += other.uncompressed_comm_s;
-        self.scheduled_comm_s += other.scheduled_comm_s;
         self.downlink_comm_s += other.downlink_comm_s;
     }
 
@@ -37,8 +32,6 @@ impl RoundBreakdown {
         RoundBreakdown {
             compress_s: self.compress_s / d,
             training_s: self.training_s / d,
-            uncompressed_comm_s: self.uncompressed_comm_s / d,
-            scheduled_comm_s: self.scheduled_comm_s / d,
             downlink_comm_s: self.downlink_comm_s / d,
         }
     }
@@ -55,8 +48,6 @@ mod tests {
             total.accumulate(&RoundBreakdown {
                 compress_s: 0.25,
                 training_s: 10.0,
-                uncompressed_comm_s: 48.0,
-                scheduled_comm_s: 1.0,
                 downlink_comm_s: 0.5,
             });
         }
@@ -64,7 +55,7 @@ mod tests {
         assert_eq!(total.downlink_comm_s, 2.0);
         let avg = total.averaged_over(4);
         assert_eq!(avg.compress_s, 0.25);
-        assert_eq!(avg.uncompressed_comm_s, 48.0);
+        assert_eq!(avg.training_s, 10.0);
         assert_eq!(avg.downlink_comm_s, 0.5);
     }
 

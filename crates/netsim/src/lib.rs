@@ -37,6 +37,6 @@ pub use metrics::RoundTiming;
 pub use scenario::{
     ChurnScenario, CorrelatedDropoutScenario, DiurnalScenario, FleetEvent, FleetState, Scenario,
     ScenarioError, ScenarioSpec, ScenarioTelemetry, TieredScenario, TimedEvent, TraceError,
-    TraceReader, TraceScenario,
+    TraceScenario,
 };
 pub use timeline::{ClientTimeline, RoundTimeline};

@@ -32,7 +32,7 @@
 //!   queries;
 //! * [`generators`] — built-in diurnal / churn / tiered / correlated-dropout
 //!   sources;
-//! * [`trace`] — the `bwfl-trace-v1` text format and its streaming reader;
+//! * [`trace`] — the `bwfl-trace-v1` text format, parsed whole and replayed;
 //! * [`spec`] — the `name[:k=v,...]` string form used by experiment configs
 //!   and CLI flags.
 
@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use generators::{ChurnScenario, CorrelatedDropoutScenario, DiurnalScenario, TieredScenario};
 pub use spec::{ScenarioError, ScenarioSpec};
-pub use trace::{TimedEvent, TraceError, TraceReader, TraceScenario};
+pub use trace::{TimedEvent, TraceError, TraceScenario};
 
 /// One mutation of the fleet, effective at the round it is emitted for.
 ///
@@ -132,8 +132,8 @@ impl fmt::Display for FleetEvent {
 /// A deterministic source of per-round fleet events.
 ///
 /// The driver visits rounds in order, exactly once each, starting at 0;
-/// implementations may therefore stream from a file or advance internal RNG
-/// state without rewind support. Events are appended to `out` (which the
+/// implementations may therefore replay a trace front to back or advance
+/// internal RNG state without rewind support. Events are appended to `out` (which the
 /// caller clears) in a deterministic order — fleet evolution must be a pure
 /// function of the constructor inputs.
 pub trait Scenario: Send {

@@ -189,8 +189,8 @@ impl ScenarioSpec {
     /// Instantiate the scenario for a `num_clients`-client fleet seeded by
     /// `seed`, whose links are drawn from `links` (churn re-joins draw from
     /// it too). Everything the fleet size decides is checked here: towers
-    /// may not outnumber the clients, and trace specs open the file and
-    /// insist its header matches the fleet size.
+    /// may not outnumber the clients, and trace specs read and validate the
+    /// whole file and insist its header matches the fleet size.
     pub fn build(
         &self,
         num_clients: usize,

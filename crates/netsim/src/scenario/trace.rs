@@ -1,5 +1,5 @@
-//! The `bwfl-trace-v1` text trace format: recording, streaming replay and
-//! strict validation.
+//! The `bwfl-trace-v1` text trace format: recording, strict validation and
+//! replay.
 //!
 //! A trace is a plain-text file:
 //!
@@ -12,22 +12,20 @@
 //! 5 leave 9
 //! ```
 //!
-//! Each event line is `<round> <verb> <args>` with rounds non-decreasing, so
-//! a replay never needs to look ahead more than one line: [`TraceReader`]
-//! streams events from any [`BufRead`] without loading the file, and
-//! [`TraceScenario`] adapts that stream to the [`Scenario`] trait with a
-//! single-event peek buffer. Each line is a [`TimedEvent`]'s `Display` form
+//! Each event line is `<round> <verb> <args>` with rounds non-decreasing.
+//! [`TraceScenario`] owns the format: it parses a whole trace when it is
+//! opened, checking every line before a run starts, holds the events in a
+//! `Vec` (40 bytes per event) and replays them in order through the
+//! [`Scenario`] trait. Each line is a [`TimedEvent`]'s `Display` form
 //! (floats via `{:?}`), so a recorded run replays bit-identically.
 
 use super::{FleetEvent, Scenario};
 use crate::link::Link;
 use std::fmt;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 /// Magic first token of a trace header line.
-pub const TRACE_MAGIC: &str = "bwfl-trace-v1";
+const TRACE_MAGIC: &str = "bwfl-trace-v1";
 
 /// A [`FleetEvent`] stamped with the round it takes effect in.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,7 +77,7 @@ impl std::str::FromStr for TimedEvent {
 
     /// Parse one trace line, e.g. `"2 join 3 800000.0 0.12"`. The error is a
     /// human-readable reason (wrapped into [`TraceError::Line`] with its line
-    /// number by [`TraceReader`]).
+    /// number by [`TraceScenario`]'s parser).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut toks = s.split_whitespace();
         let round: usize = toks
@@ -158,62 +156,71 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Streaming trace parser: pulls one line at a time from a [`BufRead`],
-/// validating order and client range as it goes, so arbitrarily long traces
-/// replay in constant memory.
-///
-/// Iteration yields `Result<TimedEvent, TraceError>`; after the first error
-/// the iterator is fused to `None`.
-#[derive(Debug)]
-pub struct TraceReader<R: BufRead> {
-    input: R,
-    num_clients: usize,
-    line_no: usize,
-    last_round: usize,
-    failed: bool,
+/// Parse a header line, `bwfl-trace-v1 clients=N`, into the fleet size.
+fn parse_header(header: &str) -> Result<usize, TraceError> {
+    let mut toks = header.split_whitespace();
+    let magic = toks.next().unwrap_or_default();
+    if magic != TRACE_MAGIC {
+        return Err(TraceError::Header(format!(
+            "expected `{TRACE_MAGIC}`, found {magic:?}"
+        )));
+    }
+    let clients_tok = toks
+        .next()
+        .ok_or_else(|| TraceError::Header("missing `clients=N`".to_string()))?;
+    let n = clients_tok
+        .strip_prefix("clients=")
+        .and_then(|v| v.parse::<usize>().ok())
+        .ok_or_else(|| TraceError::Header(format!("bad clients token {clients_tok:?}")))?;
+    if n == 0 {
+        return Err(TraceError::Header(
+            "fleet must have at least one client".into(),
+        ));
+    }
+    match toks.next() {
+        Some(extra) => Err(TraceError::Header(format!("trailing token {extra:?}"))),
+        None => Ok(n),
+    }
 }
 
-impl<R: BufRead> TraceReader<R> {
-    /// Wrap a reader, consuming and validating the header line.
-    pub fn new(input: R) -> Result<Self, TraceError> {
-        let mut reader = Self {
-            input,
-            num_clients: 0,
-            line_no: 0,
-            last_round: 0,
-            failed: false,
-        };
-        let header = match reader.next_content_line()? {
-            None => return Err(TraceError::MissingHeader),
-            Some(line) => line,
-        };
-        let mut toks = header.split_whitespace();
-        match toks.next() {
-            Some(TRACE_MAGIC) => {}
-            Some(other) => {
-                return Err(TraceError::Header(format!(
-                    "expected `{TRACE_MAGIC}`, found {other:?}"
-                )))
-            }
-            None => return Err(TraceError::MissingHeader),
+/// A whole trace, held in memory and replayed as a [`Scenario`]: the one
+/// owner of the `bwfl-trace-v1` format.
+///
+/// `FromStr` parses and validates every line, [`Display`](fmt::Display)
+/// writes the text back, and [`record`](Self::record) captures any
+/// scenario's events, so a trace that opens replays to its end.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TraceScenario {
+    num_clients: usize,
+    events: Vec<TimedEvent>,
+    /// Index of the first event not yet replayed.
+    next: usize,
+}
+
+impl TraceScenario {
+    /// Read and validate a whole trace file.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
+        let path = path.as_ref();
+        std::fs::read_to_string(path)
+            .map_err(|e| TraceError::Io(format!("{}: {e}", path.display())))?
+            .parse()
+    }
+
+    /// Capture the events `scenario` emits over rounds `0..rounds` for a
+    /// `num_clients` fleet.
+    pub fn record(scenario: &mut dyn Scenario, num_clients: usize, rounds: usize) -> Self {
+        let mut events = Vec::new();
+        let mut buf = Vec::new();
+        for round in 0..rounds {
+            buf.clear();
+            scenario.events_for_round(round, &mut buf);
+            events.extend(buf.iter().map(|&event| TimedEvent { round, event }));
         }
-        let clients_tok = toks
-            .next()
-            .ok_or_else(|| TraceError::Header("missing `clients=N`".to_string()))?;
-        let n = clients_tok
-            .strip_prefix("clients=")
-            .and_then(|v| v.parse::<usize>().ok())
-            .ok_or_else(|| TraceError::Header(format!("bad clients token {clients_tok:?}")))?;
-        if n == 0 {
-            return Err(TraceError::Header(
-                "fleet must have at least one client".into(),
-            ));
+        Self {
+            num_clients,
+            events,
+            next: 0,
         }
-        if let Some(extra) = toks.next() {
-            return Err(TraceError::Header(format!("trailing token {extra:?}")));
-        }
-        reader.num_clients = n;
-        Ok(reader)
     }
 
     /// The fleet size declared by the trace header.
@@ -221,140 +228,72 @@ impl<R: BufRead> TraceReader<R> {
         self.num_clients
     }
 
-    /// Next non-blank, non-comment line, or `None` at EOF.
-    fn next_content_line(&mut self) -> Result<Option<String>, TraceError> {
-        loop {
-            let mut buf = String::new();
-            let n = self
-                .input
-                .read_line(&mut buf)
-                .map_err(|e| TraceError::Io(e.to_string()))?;
-            if n == 0 {
-                return Ok(None);
+    /// Every event of the trace, in file order.
+    pub fn events(&self) -> &[TimedEvent] {
+        &self.events
+    }
+}
+
+impl std::str::FromStr for TraceScenario {
+    type Err = TraceError;
+
+    /// Parse trace text: the header, then every event line, checking its
+    /// syntax, that rounds do not decrease and that its client is in range.
+    /// Blank lines and `#` comments are skipped; errors carry 1-based line
+    /// numbers.
+    fn from_str(text: &str) -> Result<Self, Self::Err> {
+        let mut lines = (1..)
+            .zip(text.lines().map(str::trim))
+            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
+        let (_, header) = lines.next().ok_or(TraceError::MissingHeader)?;
+        let num_clients = parse_header(header)?;
+        let mut events: Vec<TimedEvent> = Vec::new();
+        for (line, l) in lines {
+            let ev: TimedEvent = l.parse().map_err(|msg| TraceError::Line { line, msg })?;
+            if events.last().is_some_and(|last| ev.round < last.round) {
+                return Err(TraceError::OutOfOrder { line });
             }
-            self.line_no += 1;
-            let trimmed = buf.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
+            let client = ev.event.client();
+            if client >= num_clients {
+                let msg = format!("client {client} out of range for a {num_clients}-client fleet");
+                return Err(TraceError::Line { line, msg });
             }
-            return Ok(Some(trimmed.to_string()));
+            events.push(ev);
         }
-    }
-
-    fn next_event(&mut self) -> Result<Option<TimedEvent>, TraceError> {
-        let line = match self.next_content_line()? {
-            None => return Ok(None),
-            Some(l) => l,
-        };
-        let ev: TimedEvent = line.parse().map_err(|msg| TraceError::Line {
-            line: self.line_no,
-            msg,
-        })?;
-        if ev.round < self.last_round {
-            return Err(TraceError::OutOfOrder { line: self.line_no });
-        }
-        self.last_round = ev.round;
-        if ev.event.client() >= self.num_clients {
-            return Err(TraceError::Line {
-                line: self.line_no,
-                msg: format!(
-                    "client {} out of range for a {}-client fleet",
-                    ev.event.client(),
-                    self.num_clients
-                ),
-            });
-        }
-        Ok(Some(ev))
-    }
-}
-
-impl<R: BufRead> Iterator for TraceReader<R> {
-    type Item = Result<TimedEvent, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.next_event() {
-            Ok(Some(ev)) => Some(Ok(ev)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Replays a recorded trace as a [`Scenario`], streaming events round by
-/// round with a one-event peek buffer (the reader never rewinds, the whole
-/// trace is never resident).
-///
-/// Construction validates the header eagerly; a corrupt line *mid-replay*
-/// panics — by then the session is running and silently dropping tail events
-/// would diverge from the recorded run.
-pub struct TraceScenario<R: BufRead> {
-    reader: TraceReader<R>,
-    pending: Option<TimedEvent>,
-}
-
-impl TraceScenario<BufReader<File>> {
-    /// Open a trace file for streaming replay.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        let file = File::open(path.as_ref())
-            .map_err(|e| TraceError::Io(format!("{}: {e}", path.as_ref().display())))?;
-        Self::from_reader(BufReader::new(file))
-    }
-}
-
-impl<R: BufRead> TraceScenario<R> {
-    /// Wrap any buffered reader holding trace text.
-    pub fn from_reader(input: R) -> Result<Self, TraceError> {
         Ok(Self {
-            reader: TraceReader::new(input)?,
-            pending: None,
+            num_clients,
+            events,
+            next: 0,
         })
     }
+}
 
-    /// The fleet size declared by the trace header.
-    pub fn num_clients(&self) -> usize {
-        self.reader.num_clients()
-    }
-
-    fn pull(&mut self) -> Option<TimedEvent> {
-        if let Some(ev) = self.pending.take() {
-            return Some(ev);
-        }
-        match self.reader.next() {
-            None => None,
-            Some(Ok(ev)) => Some(ev),
-            Some(Err(e)) => panic!("corrupt scenario trace: {e}"),
-        }
+impl fmt::Display for TraceScenario {
+    /// The trace text: the `bwfl-trace-v1 clients=N` header, then one
+    /// [`TimedEvent`] line per event.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "{TRACE_MAGIC} clients={}", self.num_clients)?;
+        self.events.iter().try_for_each(|ev| writeln!(f, "{ev}"))
     }
 }
 
-impl<R: BufRead + Send> Scenario for TraceScenario<R> {
+impl Scenario for TraceScenario {
     fn events_for_round(&mut self, round: usize, out: &mut Vec<FleetEvent>) {
-        while let Some(ev) = self.pull() {
-            if ev.round > round {
-                self.pending = Some(ev);
-                return;
-            }
-            // Rounds are visited in order, so `ev.round <= round` means the
-            // event is due now (events for skipped-over rounds cannot exist:
-            // the driver visits every round).
-            out.push(ev.event);
-        }
+        // Rounds are visited in order, so every event up to `round` is due
+        // now (the driver visits every round, none is skipped over).
+        let pending = &self.events[self.next..];
+        let due = pending.partition_point(|ev| ev.round <= round);
+        out.extend(pending[..due].iter().map(|ev| ev.event));
+        self.next += due;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
-    fn reader(text: &str) -> Result<TraceReader<Cursor<&[u8]>>, TraceError> {
-        TraceReader::new(Cursor::new(text.as_bytes()))
+    fn parse(text: &str) -> Result<TraceScenario, TraceError> {
+        text.parse()
     }
 
     #[test]
@@ -366,9 +305,9 @@ mod tests {
                     0 link 5 1250000.0 0.07\n\
                     2 join 3 800000.0 0.12\n\
                     5 leave 7\n";
-        let r = reader(text).unwrap();
-        assert_eq!(r.num_clients(), 8);
-        let events: Vec<TimedEvent> = r.map(|e| e.unwrap()).collect();
+        let trace = parse(text).unwrap();
+        assert_eq!(trace.num_clients(), 8);
+        let events = trace.events();
         assert_eq!(events.len(), 4);
         assert_eq!(events[0].round, 0);
         assert_eq!(events[0].event, FleetEvent::Down { client: 3 });
@@ -411,9 +350,9 @@ mod tests {
 
     #[test]
     fn rejects_missing_header() {
-        assert_eq!(reader("").unwrap_err(), TraceError::MissingHeader);
+        assert_eq!(parse("").unwrap_err(), TraceError::MissingHeader);
         assert!(matches!(
-            reader("0 down 1\n").unwrap_err(),
+            parse("0 down 1\n").unwrap_err(),
             TraceError::Header(_)
         ));
     }
@@ -421,26 +360,25 @@ mod tests {
     #[test]
     fn rejects_bad_header_fields() {
         assert!(matches!(
-            reader("bwfl-trace-v1\n").unwrap_err(),
+            parse("bwfl-trace-v1\n").unwrap_err(),
             TraceError::Header(_)
         ));
         assert!(matches!(
-            reader("bwfl-trace-v1 clients=zero\n").unwrap_err(),
+            parse("bwfl-trace-v1 clients=zero\n").unwrap_err(),
             TraceError::Header(_)
         ));
         assert!(matches!(
-            reader("bwfl-trace-v1 clients=0\n").unwrap_err(),
+            parse("bwfl-trace-v1 clients=0\n").unwrap_err(),
             TraceError::Header(_)
         ));
     }
 
     #[test]
     fn rejects_out_of_order_rounds() {
-        let r = reader("bwfl-trace-v1 clients=4\n3 down 1\n1 up 1\n").unwrap();
-        let results: Vec<_> = r.collect();
-        assert!(results[0].is_ok());
-        assert_eq!(results[1], Err(TraceError::OutOfOrder { line: 3 }));
-        assert_eq!(results.len(), 2, "iterator fuses after the first error");
+        assert_eq!(
+            parse("bwfl-trace-v1 clients=4\n3 down 1\n1 up 1\n").unwrap_err(),
+            TraceError::OutOfOrder { line: 3 }
+        );
     }
 
     #[test]
@@ -457,28 +395,26 @@ mod tests {
             "0 join 1 1e6 -0.1",
             "0 link 1 1e6",
         ] {
-            let text = format!("bwfl-trace-v1 clients=4\n{bad}\n");
-            let r = reader(&text).unwrap();
-            let results: Vec<_> = r.collect();
+            let result = parse(&format!("bwfl-trace-v1 clients=4\n{bad}\n"));
             assert!(
-                matches!(results[0], Err(TraceError::Line { .. })),
-                "line {bad:?} should be rejected, got {:?}",
-                results[0]
+                matches!(result, Err(TraceError::Line { line: 2, .. })),
+                "line {bad:?} should be rejected, got {result:?}"
             );
         }
     }
 
     #[test]
     fn rejects_out_of_range_client() {
-        let r = reader("bwfl-trace-v1 clients=4\n0 down 4\n").unwrap();
-        let results: Vec<_> = r.collect();
-        assert!(matches!(results[0], Err(TraceError::Line { line: 2, .. })));
+        assert!(matches!(
+            parse("bwfl-trace-v1 clients=4\n0 down 4\n"),
+            Err(TraceError::Line { line: 2, .. })
+        ));
     }
 
     #[test]
     fn trace_scenario_buckets_events_by_round() {
         let text = "bwfl-trace-v1 clients=8\n0 down 3\n0 down 4\n2 up 3\n2 up 4\n";
-        let mut s = TraceScenario::from_reader(Cursor::new(text.as_bytes())).unwrap();
+        let mut s = parse(text).unwrap();
         let mut buf = Vec::new();
         s.events_for_round(0, &mut buf);
         assert_eq!(buf.len(), 2);

@@ -148,7 +148,7 @@ pub mod prelude {
     pub use fl_netsim::{
         ChurnScenario, CommModel, CorrelatedDropoutScenario, CostBasis, DiurnalScenario,
         FleetEvent, FleetState, Link, LinkGenerator, RoundBreakdown, RoundTiming, Scenario,
-        ScenarioSpec, ScenarioTelemetry, TieredScenario, TimedEvent, TraceReader, TraceScenario,
+        ScenarioSpec, ScenarioTelemetry, TieredScenario, TimedEvent, TraceScenario,
     };
     pub use fl_nn::{
         flatten_params, mlp, segment_l1_masses, try_unflatten_params, unflatten_params,

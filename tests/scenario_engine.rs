@@ -9,7 +9,6 @@
 
 use bwfl::prelude::*;
 use bwfl::tensor::Uniform;
-use std::io::Cursor;
 
 const GOLDEN_FIXTURE: &str = include_str!("fixtures/towers_n16_seed7.trace");
 
@@ -218,15 +217,14 @@ fn trace_text_round_trips() {
             text.push('\n');
             events.push(timed);
         }
-        let reader = TraceReader::new(Cursor::new(text.into_bytes())).unwrap();
-        let parsed: Vec<TimedEvent> = reader.map(|e| e.unwrap()).collect();
-        assert_eq!(parsed, events);
+        let parsed: TraceScenario = text.parse().unwrap();
+        assert_eq!(parsed.events(), events);
     }
 }
 
 #[test]
 fn corrupt_traces_are_rejected() {
-    // Header corruption fails at construction.
+    // Header corruption fails.
     for (text, why) in [
         ("", "empty input"),
         ("not-a-trace clients=8\n", "wrong magic"),
@@ -234,10 +232,7 @@ fn corrupt_traces_are_rejected() {
         ("bwfl-trace-v1 clients=0\n", "empty fleet"),
         ("bwfl-trace-v1 clients=8 extra\n", "trailing header token"),
     ] {
-        assert!(
-            TraceScenario::from_reader(Cursor::new(text.as_bytes().to_vec())).is_err(),
-            "{why}: {text:?}"
-        );
+        assert!(text.parse::<TraceScenario>().is_err(), "{why}: {text:?}");
     }
     // Event corruption fails at the offending line.
     for (body, why) in [
@@ -248,10 +243,8 @@ fn corrupt_traces_are_rejected() {
         ("3 down 1\n1 up 1", "out-of-order rounds"),
     ] {
         let text = format!("bwfl-trace-v1 clients=8\n{body}\n");
-        let reader = TraceReader::new(Cursor::new(text.into_bytes())).unwrap();
-        let results: Vec<_> = reader.collect();
         assert!(
-            results.iter().any(|r| r.is_err()),
+            text.parse::<TraceScenario>().is_err(),
             "{why}: {body:?} parsed cleanly"
         );
     }
@@ -260,4 +253,49 @@ fn corrupt_traces_are_rejected() {
         path: "/nonexistent/bwfl.trace".to_string(),
     };
     assert!(spec.build(8, 0, &LinkGenerator::paper_default()).is_err());
+}
+
+/// A valid header over a corrupt body fails `validate()` naming the line,
+/// before any run starts.
+#[test]
+fn validate_rejects_a_corrupt_trace_body() {
+    for (name, body, why) in [
+        ("verb", "0 down 1\n2 explode 3", "unknown event verb"),
+        ("client", "0 down 1\n2 down 8", "out of range"),
+        ("order", "2 down 1\n0 up 1", "non-decreasing"),
+    ] {
+        let file = format!("bwfl_bad_{name}_{}.trace", std::process::id());
+        let path = std::env::temp_dir().join(file);
+        std::fs::write(&path, format!("bwfl-trace-v1 clients=8\n{body}\n")).unwrap();
+        let mut config = ExperimentConfig::quick(Algorithm::TopK);
+        config.num_clients = 8;
+        config.scenario = Some(format!("trace:{}", path.display()).parse().unwrap());
+        let result = config.validate();
+        let _ = std::fs::remove_file(&path);
+        let err = result.expect_err(name);
+        assert!(
+            err.contains("trace line 3") && err.contains(why),
+            "{name}: {err}"
+        );
+    }
+}
+
+/// Every prefix and every single-bit flip of the golden trace parses to
+/// `Ok` or `Err` without panicking, and whatever parses re-renders to text
+/// that parses back to the same trace.
+#[test]
+fn trace_parser_survives_truncation_and_bit_flips() {
+    let bytes = GOLDEN_FIXTURE.as_bytes();
+    let prefixes = (0..=bytes.len()).map(|end| bytes[..end].to_vec());
+    let flips = (0..bytes.len() * 8).map(|bit| {
+        let mut b = bytes.to_vec();
+        b[bit / 8] ^= 1 << (bit % 8);
+        b
+    });
+    for input in prefixes.chain(flips) {
+        let text = String::from_utf8_lossy(&input);
+        if let Ok(trace) = text.parse::<TraceScenario>() {
+            assert_eq!(trace.to_string().parse::<TraceScenario>(), Ok(trace));
+        }
+    }
 }
